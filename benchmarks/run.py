@@ -32,13 +32,14 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
 # On a shared 2-core virtual machine the speed drifts by +-15% over a few
-# seconds, so untraced runs are built from cycles that spread every kind of
-# sample over the whole run: one pass of the workload's own traffic, one
-# measured round of the 12 fixed points (for check_ms.*) and SETUP_PER_CYCLE
-# set-up samples.  Timings are reported as means over the run: the drift
+# seconds, so runs are built from cycles that spread every kind of sample
+# over the whole run: one pass of the workload's own traffic, one measured
+# round of the 12 fixed points (for check_ms.*) and SETUP_PER_CYCLE set-up
+# samples.  A traced run makes the same cycles and traces only the passes,
+# so that its passes run in the same surroundings as untraced ones.  Timings are reported as means over the run: the drift
 # switches between a fast and a slow state, and a median of few samples
 # jumps with it (README.md, "Steadiness").
-SETUP_PER_CYCLE = 2
+SETUP_PER_CYCLE = 3
 # shipped-suite makes max(2, round(seconds / SUITE_CYCLE_S)) cycles: a fixed
 # count, so that peak_rss_mb, which grows with every new suite draw, and the
 # traced counts are the same on every run of a given length
@@ -46,7 +47,6 @@ SUITE_CYCLE_S = 12.0
 MIN_CYCLES = 3
 PRIMITIVE_BLOCK_S = 4.0    # primitive passes per cycle, in seconds
 PRIMITIVES_PER_KIND = 40
-TRACED_PRIMITIVE_PASSES = 100  # enough for steady self times, few spans
 
 _WALL_TIME = re.compile(r'("wall_time":)\s*[-+.0-9eE]+')
 
@@ -77,8 +77,7 @@ class Run:
         self.start = time.perf_counter()
         self.attempted = 0
         self.failed = 0
-        self.pass_s = []          # wall time of every measured untraced pass
-        self.traced_s = []        # wall time of every traced pass
+        self.pass_s = []          # wall time of every measured pass
         self.tracing = False
         self.setup_s = []         # fresh-interpreter import times
         self.samples = {}         # identity -> measured check latencies (s)
@@ -96,24 +95,18 @@ class Run:
     def elapsed(self):
         return time.perf_counter() - self.start
 
-    def measure(self, one_pass, index):
-        """Time one pass.  A traced run makes every pass twice, untraced and
-        traced, in an order that alternates with ``index``, so that the
-        difference of the two means is the tracing overhead."""
+    def measure(self, one_pass):
+        """Time one pass; in a traced run, with every qaw function wrapped."""
         if not self.traced:
             self.pass_s.append(one_pass())
             return
-        for traced in (index % 2 == 1, index % 2 == 0):
-            if not traced:
-                self.pass_s.append(one_pass())
-                continue
-            self.tracer.install()
-            self.tracing = True
-            try:
-                self.traced_s.append(one_pass())
-            finally:
-                self.tracing = False
-                self.tracer.uninstall()
+        self.tracer.install()
+        self.tracing = True
+        try:
+            self.pass_s.append(one_pass())
+        finally:
+            self.tracing = False
+            self.tracer.uninstall()
 
     def add_report_bytes(self, text):
         # wall_time values count as one digit each: their length varies
@@ -153,6 +146,9 @@ class Run:
         for name, code, dt, text in texts:
             self.attempted += 1
             self.add_report_bytes(text)
+            self.first_call.setdefault(name, dt)
+            if measured:
+                self.samples.setdefault(name, []).append(dt)
             if code != 0:
                 self.failed += 1
                 continue
@@ -163,16 +159,12 @@ class Run:
                 self.point_refs[name] = report
             elif (report["lhs"], report["rhs"]) != (ref["lhs"], ref["rhs"]):
                 self.mismatches.append(f"{name}: output changed between calls")
-            self.first_call.setdefault(name, dt)
-            if measured:
-                self.samples.setdefault(name, []).append(dt)
         return wall
 
     def cycle_tail(self):
-        """The check_ms round and set-up samples of an untraced cycle."""
-        if not self.traced:
-            self.point_round()
-            self.setup_samples()
+        """The check_ms round and set-up samples of a cycle."""
+        self.point_round()
+        self.setup_samples()
 
     def check_ms(self):
         return {f"check_ms.{name}": statistics.fmean(self.samples[name]) * 1e3
@@ -181,15 +173,12 @@ class Run:
 
 def run_identity_points(run):
     run.point_round(measured=False)  # cold round, excluded
-    # a traced cycle makes two rounds
-    min_cycles = 2 if run.traced else MIN_CYCLES
     cycles = 0
     cycle_s = 0.0
-    while cycles < min_cycles or run.elapsed() + cycle_s <= run.seconds:
+    while cycles < MIN_CYCLES or run.elapsed() + cycle_s <= run.seconds:
         t0 = run.elapsed()
-        run.measure(run.point_round, cycles)
-        if not run.traced:
-            run.setup_samples()
+        run.measure(run.point_round)
+        run.setup_samples()
         cycles += 1
         cycle_s = run.elapsed() - t0
 
@@ -216,7 +205,7 @@ def run_shipped_suite(run):
         return dt
 
     for i in range(max(2, round(run.seconds / SUITE_CYCLE_S))):
-        run.measure(lambda: suite_pass(i), i)
+        run.measure(lambda: suite_pass(i))
         run.cycle_tail()
 
 
@@ -248,13 +237,9 @@ def run_primitives(run):
     cycles = 0
     cycle_s = 0.0
     while cycles < MIN_CYCLES or run.elapsed() + cycle_s <= run.seconds:
-        if len(run.traced_s) >= TRACED_PRIMITIVE_PASSES:
-            break
         t0 = run.elapsed()
-        index = 0
         while run.elapsed() < t0 + PRIMITIVE_BLOCK_S:
-            run.measure(one_pass, index)
-            index += 1
+            run.measure(one_pass)
         run.cycle_tail()
         cycles += 1
         cycle_s = run.elapsed() - t0
@@ -312,16 +297,13 @@ def main(argv=None):
     for msg in problems[:20]:
         print(f"benchmark: wrong output: {msg}", file=sys.stderr)
     wall_s = statistics.fmean(run.pass_s)
-    print(f"# {args.workload}: {len(run.pass_s)} measured passes, mean {wall_s:.4f} s, "
-          f"{run.attempted} operations, {run.elapsed():.1f} s")
-    print(f"# wall_s {wall_s!r}")
+    label = "traced wall_s" if run.traced else "wall_s"
+    print(f"# {args.workload}: {len(run.pass_s)} passes, {run.attempted} operations, "
+          f"{run.elapsed():.1f} s")
+    print(f"# {label} {wall_s!r}")
     if run.first_call:
         print("# first-call check_ms " + json.dumps(
             {k: round(v * 1e3, 3) for k, v in run.first_call.items()}))
-    if run.traced_s:
-        traced_s = statistics.fmean(run.traced_s)
-        print(f"# traced wall_s {traced_s!r}, tracing overhead "
-              f"{traced_s - wall_s!r} s ({(traced_s - wall_s) / wall_s:+.1%})")
 
     if tracer is None:
         metrics = {"setup_s": (statistics.median(run.setup_s), "s"),
@@ -332,7 +314,7 @@ def main(argv=None):
         from tracing import unit_of
         tracer.save(out_dir / "spans.npz")
         metrics = {k: (v, unit_of(k)) for k, v in
-                   tracer.layer_metrics(len(run.traced_s)).items()}
+                   tracer.layer_metrics(len(run.pass_s)).items()}
     print(json.dumps({
         "correct": not problems,
         "attempted": run.attempted,

@@ -1,23 +1,21 @@
 """Steadiness of the benchmark: repeated runs, quartiles and bounds.
 
-    python3 benchmarks/steady.py [--runs 10] [--first-seed 1]
-                                 [--workloads a,b] [--seconds S] [--traced 2]
+    python3 benchmarks/steady.py
 
-Runs every workload --runs times untraced, each with the next seed, and
-prints the median and quartiles of each end-to-end metric with its spread
-(interquartile distance over the median) next to the bound in
-BENCHMARK.json.  A spread within a third of its bound is marked "ok",
-within the bound "near", beyond it "OVER".  It then makes --traced traced
-runs per workload on the first seed, checks that their counts agree
-exactly, and prints the tracing overhead: the median over those runs of
-traced minus untraced wall_s, from passes each run makes both ways.  The full figures go to .bench_out/steady.json.
+Runs every workload of BENCHMARK.json RUNS times untraced, for run_seconds
+each, with seeds 1 to RUNS, and prints the median and quartiles of each
+end-to-end metric with its spread (interquartile distance over the median)
+next to its bound.  A spread within a third of its bound is marked "ok",
+within the bound "near", beyond it "OVER".  It then makes TRACED traced runs
+per workload on seed 1, right after the untraced run on seed 1, checks that
+their counts agree exactly, and prints the tracing overhead: the median
+traced wall_s minus the untraced wall_s of seed 1.
+The full figures go to .bench_out/steady.json.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import statistics
 import subprocess
 import sys
@@ -25,6 +23,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10
+TRACED = 2
 
 
 def run_once(workload, seed, seconds, trace):
@@ -38,9 +38,7 @@ def run_once(workload, seed, seconds, trace):
     result = json.loads(lines[-1])
     for line in lines:
         if line.startswith("# traced wall_s "):
-            traced, overhead = re.findall(r"-?[0-9.]+(?:e-?[0-9]+)?", line)[:2]
-            result["traced_wall_s"] = float(traced)
-            result["overhead_s"] = float(overhead)
+            result["traced_wall_s"] = float(line.split()[-1])
     return result
 
 
@@ -49,53 +47,45 @@ def spread(values):
     return statistics.median(values), q1, q3, (q3 - q1) / statistics.median(values)
 
 
-def main(argv=None):
+def main():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--traced", type=int, default=2)
-    args = ap.parse_args(argv)
-    sys.stdout.reconfigure(line_buffering=True)
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    sys.stdout.reconfigure(line_buffering=True)
 
     summary = {}
-    for workload in args.workloads.split(","):
-        runs = [run_once(workload, args.first_seed + i, args.seconds, 0)
-                for i in range(args.runs)]
+    for workload in (w["name"] for w in bench["workloads"]):
+        # seed 1 runs last, next to the traced runs on seed 1, so that the
+        # tracing overhead compares runs made close together in time
+        runs = [run_once(workload, seed, seconds, 0) for seed in [*range(2, RUNS + 1), 1]]
         shares = {r["failed"] / r["attempted"] for r in runs}
-        print(f"\n{workload}: {args.runs} runs, correct={all(r['correct'] for r in runs)}, "
+        print(f"\n{workload}: {RUNS} runs, correct={all(r['correct'] for r in runs)}, "
               f"failed share {sorted(shares)}")
         print(f"  {'metric':45s} {'median':>12s} {'q1':>12s} {'q3':>12s} "
               f"{'spread':>7s} {'bound':>6s}")
         rows = {}
-        for name in bounds:
+        for name, bound in bounds.items():
             values = [r["metrics"][name]["value"] for r in runs]
             med, q1, q3, sp = spread(values)
-            bound = bounds[name]
             mark = "ok" if sp <= bound / 3 else "near" if sp <= bound else "OVER"
             rows[name] = {"values": values, "median": med, "q1": q1, "q3": q3,
                           "spread": sp, "bound": bound, "mark": mark}
             print(f"  {name:45s} {med:12.5g} {q1:12.5g} {q3:12.5g} "
                   f"{sp:7.3f} {bound:6.2f} {mark}")
-        entry = {"runs": rows, "correct": all(r["correct"] for r in runs),
-                 "failed_shares": sorted(shares)}
-        if args.traced:
-            traced = [run_once(workload, args.first_seed, args.seconds, 1)
-                      for _ in range(args.traced)]
-            counts = [{k: v["value"] for k, v in t["metrics"].items()
-                       if not k.endswith("self_s")} for t in traced]
-            same = all(c == counts[0] for c in counts)
-            overhead = statistics.median(t["overhead_s"] for t in traced)
-            traced_wall = statistics.median(t["traced_wall_s"] for t in traced)
-            print(f"  traced runs: counts identical={same}, traced wall_s "
-                  f"{traced_wall:.4g} s, tracing overhead {overhead:+.4f} s "
-                  f"({overhead / (traced_wall - overhead):+.1%})")
-            entry.update(traced_counts_identical=same, tracing_overhead_s=overhead,
-                         traced=[t["metrics"] for t in traced])
-        summary[workload] = entry
+
+        traced = [run_once(workload, 1, seconds, 1) for _ in range(TRACED)]
+        counts = [{k: v["value"] for k, v in t["metrics"].items()
+                   if not k.endswith("self_s")} for t in traced]
+        same = all(c == counts[0] for c in counts)
+        untraced_wall = runs[-1]["metrics"]["wall_s"]["value"]
+        overhead = statistics.median(t["traced_wall_s"] for t in traced) - untraced_wall
+        print(f"  traced runs: counts identical={same}, tracing overhead "
+              f"{overhead:+.4g} s ({overhead / untraced_wall:+.1%})")
+        summary[workload] = {"runs": rows, "correct": all(r["correct"] for r in runs),
+                             "failed_shares": sorted(shares),
+                             "traced_counts_identical": same,
+                             "tracing_overhead_s": overhead,
+                             "traced": [t["metrics"] for t in traced]}
     out = ROOT / ".bench_out" / "steady.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(summary, indent=1))
