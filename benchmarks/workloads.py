@@ -13,9 +13,9 @@ SHIPPED_SEED = 20240817
 # small distinct seeds never share draws.
 SEED_STRIDE = 1_000_000
 
-# The 12 fixed points of identity-points as `qaw check` arguments, with the
-# number of calls per round.  Cheaper identities are repeated so that each
-# spends at least ~0.1 s per round and has more samples per run.
+# The 12 fixed points that every workload checks, as `qaw check` arguments,
+# with the number of calls per round.  Cheaper identities are repeated so
+# that each spends at least ~0.1 s per round and has more samples per run.
 _G = "--q 0.5 --a 0.2 --x 0.6 --mu 1.5 --b 0.3 --s 0.25 --t 0.15 --z 0.2"
 FIXED_POINTS = {
     "lemma-three-term": (_G + " --r 0.4 --u 0.1", 30),
@@ -38,9 +38,14 @@ FIXED_POINTS = {
         ("--alpha-g 1.0 --a 0.15 --b 0.05 --c 0.05 --x 0.6 --mu 1.5", 1),
 }
 
+# Run once, unmeasured, before the first round: the fixed points that need
+# no k-sum or only a cheap one.
+WARM_UP = ["lemma-three-term", "fractional-generating", "fractional-generating-3phi2",
+           "askey-wilson", "reversal-askey-wilson", "atakishiyev"]
+
 
 def point_round(seed):
-    """One round of identity-points: every call, in a seed-shuffled order."""
+    """One round of the fixed points: every call, in a seed-shuffled order."""
     calls = [name for name, (_, reps) in FIXED_POINTS.items() for _ in range(reps)]
     random.Random(seed).shuffle(calls)
     return [(name, ["check", name] + FIXED_POINTS[name][0].split()) for name in calls]
