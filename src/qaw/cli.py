@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -62,7 +63,9 @@ def _complex_obj(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls.
     # abbreviations off: the short parameter flags (--a, --b, ...) must never
     # prefix-match the global --ctx-* options
     parser = _Parser(prog="qaw", description=__doc__, allow_abbrev=False)

@@ -25,6 +25,30 @@ where g_m are the Taylor coefficients of G.  This follows from the finite
 kernel identity sum_j (q^{-k};q)_j q^{j(m+1)} / (q;q)_j = (q^{m+1-k};q)_k,
 which vanishes for 0 <= m < k, so every term of the rewritten sum is
 benign and the evaluation is stable for all k.
+
+The Taylor coefficients come from the q-difference equation of G.  With
+N(y) = prod_i (1 - n_i y) and D(y) = prod_i (1 - d_i y), (c y;q)_inf =
+(1 - c y) (c q y;q)_inf gives N(y) G(y) = D(y) G(q y), hence
+
+    g_m (1 - q^m) = sum_{j>=1} (D_j q^{m-j} - N_j) g_{m-j},
+
+a recurrence of order at most three (Gasper & Rahman, *Basic
+Hypergeometric Series*, ch. 1-2).  Zero parameters are dropped first.
+
+Sizing.  g is grown by the recurrence until its last 8 coefficients fall
+below ``eps_term`` of their total (in doublings from 64, at most 4096
+coefficients).  The outer sum then runs to K = M - 60, keeping a margin
+of 60 Taylor coefficients beyond every k used; while some node has not met
+the stop rule inside K, g grows by 32 coefficients and only the new rows
+k of the kernel (q^{m+1-k};q)_k are built, for the unsettled nodes.
+Nothing is cached between calls.
+
+Batching.  A quadrature node enters the k-sum only through the series
+parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
+each parameter as a scalar or as an array over the nodes of a quadrature
+level and evaluates all nodes in one (coefficients x nodes) array.  The
+stop and divergence rules are applied per node; the weights stay scalar
+:mod:`qaw.qcore` calls, evaluated node by node.
 """
 
 from __future__ import annotations
@@ -249,54 +273,74 @@ def _report(name, p, lhs, rhs, tol, t0, lhs_diag=None, rhs_diag=None):
 # stable outer k-sum
 # --------------------------------------------------------------------------
 
-def _entire_coeffs(c, q, M):
-    # Taylor coefficients of (c y;q)_inf
-    m = np.arange(M)
-    ratios = np.ones(M, dtype=complex)
-    ratios[1:] = -c * q ** m[:-1] / (1.0 - q ** m[1:])
-    return np.cumprod(ratios)
+def _factor_poly(params, shape):
+    """Coefficients of prod_i (1 - c_i y), one column per node."""
+    c = np.zeros((len(params) + 1,) + shape, dtype=complex)
+    c[0] = 1.0
+    for i, p in enumerate(params, start=1):
+        c[1 : i + 1] -= p * c[:i]
+    return c
 
 
-def _pole_coeffs(c, q, M):
-    # Taylor coefficients of 1/(c y;q)_inf
-    m = np.arange(M)
-    ratios = np.ones(M, dtype=complex)
-    ratios[1:] = c / (1.0 - q ** m[1:])
-    return np.cumprod(ratios)
+def _extend_taylor(g, numer, denom, q, M):
+    """Grow the Taylor coefficients g (rows m, columns nodes) of G to M rows.
+
+    N(y) G(y) = D(y) G(q y) with N, D the factor polynomials gives
+    g_m (1 - q^m) = sum_{j>=1} (D_j q^{m-j} - N_j) g_{m-j}.
+    """
+    r = max(len(numer), len(denom)) - 1
+    m0 = len(g)
+    out = np.zeros((M + r,) + g.shape[1:], dtype=complex)
+    out[r : m0 + r] = g
+    j = np.arange(r, 0, -1)  # row i of out[m : m + r] holds g_{m-r+i}
+    N = np.zeros((r + 1,) + g.shape[1:], dtype=complex)
+    D = np.zeros_like(N)
+    N[: len(numer)] = numer
+    D[: len(denom)] = denom
+    # the recurrence coefficients of 16 rows at a time bound the scratch memory
+    for start in range(m0, M, 16):
+        m = np.arange(start, min(start + 16, M))
+        C = D[j] * (q ** (m[:, None] - j))[..., None]
+        C -= N[j]
+        C /= (1.0 - q**m)[:, None, None]
+        for mm, c in zip(m.tolist(), C):
+            out[mm + r] = (c * out[mm : mm + r]).sum(axis=0)
+    return out[r:]
 
 
-def _g_taylor(entire, poles, q, M):
-    g = np.zeros(M, dtype=complex)
-    g[0] = 1.0
-    for c in entire:
-        if c != 0:
-            g = np.convolve(g, _entire_coeffs(c, q, M))[:M]
-    for c in poles:
-        if c != 0:
-            g = np.convolve(g, _pole_coeffs(c, q, M))[:M]
-    return g
+def _tail_decayed(g, eps):
+    """True once the last 8 coefficients of every node are below eps of its total."""
+    mags = np.abs(g)
+    return bool(np.all(mags[-8:].sum(axis=0) < eps * np.maximum(mags.sum(axis=0), 1e-300)))
 
 
-_PK_CACHE = {}
+def _kernel_sums(q, K0, K, g):
+    """sum_m P[k, m] g_m for K0 <= k < K, one column per column of g.
+
+    P[k, m] = (q^{m+1-k};q)_k = prod_{i<k} (1 - q^{m-i}), built row by row
+    from P[k+1, m] = (1 - q^{m-k}) P[k, m]; P[k, m] = 0 for m < k.
+    """
+    M = len(g)
+    e = np.arange(M) - np.arange(K - 1)[:, None]
+    factors = np.where(e >= 0, 1.0 - q ** np.arange(M)[np.maximum(e, 0)], 0.0)
+    P = np.ones((K, M))
+    np.cumprod(factors, axis=0, out=P[1:])
+    # einsum rather than matmul: a threaded BLAS stalls on these small
+    # products whenever the other cores are busy
+    cols = np.ascontiguousarray(g).view(float)
+    return np.einsum("km,mn->kn", P[K0:], cols).view(complex)
 
 
-def _pk_matrix(q, kmax, M):
-    """P[k, m] = (q^{m+1-k};q)_k for m >= k, zero below the diagonal."""
-    key = (q, kmax, M)
-    P = _PK_CACHE.get(key)
-    if P is not None:
-        return P
-    P = np.zeros((kmax, M))
-    qpow = q ** np.arange(1, M + 1)
-    P[0, :] = 1.0
-    for k in range(1, kmax):
-        start = float(np.prod(1.0 - qpow[:k]))  # (q;q)_k at m = k
-        ratios = np.empty(M - k)
-        ratios[0] = start
-        ratios[1:] = (1.0 - qpow[k : M - 1]) / (1.0 - qpow[: M - k - 1])
-        P[k, k:] = np.cumprod(ratios)
-    _PK_CACHE[key] = P
-    return P
+def _first_run_end(flags, length):
+    """Per column, the first row closing `length` consecutive True flags.
+
+    Columns without such a run get len(flags).
+    """
+    c = np.cumsum(flags, axis=0, dtype=np.int32)
+    before = np.zeros_like(c)
+    before[length:] = c[:-length]
+    hit = c - before == length
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), len(flags))
 
 
 def frac_prefactor(x, a, mu, ctx):
@@ -313,68 +357,79 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, kmax=400, diag=None):
 
     phi_k is the terminating series with numerator (q^-k, *phi_numer),
     denominator (q, *phi_denom) and argument q, evaluated through the
-    stable Taylor-kernel route (module docstring).  Raises
-    :class:`KSumDivergence` if the outer terms grow for 20 consecutive k.
+    stable Taylor-kernel route (module docstring).  Each parameter is a
+    scalar or an array with one entry per node; the result is a complex
+    for all-scalar parameters and an array over the nodes otherwise.
+    Raises :class:`KSumDivergence` for the first node whose outer terms
+    grow for 20 consecutive k, and :class:`NonConvergence` if the Taylor
+    coefficients do not decay within 4096 terms or a node's sum does not
+    settle within ``kmax`` terms.
     """
     q = ctx.q
-    M = 256
-    while True:
-        g = _g_taylor(phi_denom, phi_numer, q, M)
-        total_mag = np.abs(g).sum()
-        if np.abs(g[-8:]).sum() < ctx.eps_term * max(total_mag, 1e-300):
-            break
-        if M >= 4096:
-            raise NonConvergence(
-                "Taylor expansion of the terminating-series kernel did not "
-                f"decay within {M} coefficients"
-            )
-        M *= 2
-    if M - 60 < kmax:
-        # the outer sum may legitimately need close to kmax terms (decay ~ x^k);
-        # keep a 60-coefficient margin of the Taylor tail beyond every k used
-        M = 1 << (kmax + 60 - 1).bit_length()
-        g = _g_taylor(phi_denom, phi_numer, q, M)
-    G1 = g.sum()
-    kcap = min(kmax, M - 60)
-    P = _pk_matrix(q, kcap, M)
+    params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
+    shape = np.broadcast_shapes((1,), *(p.shape for p in params))
+    numer = _factor_poly([p for p in params[: len(phi_numer)] if p.any()], shape)
+    denom = _factor_poly([p for p in params[len(phi_numer) :] if p.any()], shape)
 
-    coef = complex(frac_prefactor(x, a, mu, ctx))
-    total = complex(0.0)
-    small = 0
-    grow = 0
-    prev_mag = math.inf
-    for k in range(kcap):
-        phi = (P[k] * g).sum() / G1
-        term = coef * phi
-        total += term
-        mag = abs(term)
-        if mag < ctx.eps_term * max(abs(total), 1e-300):
-            small += 1
-            if small >= ctx.consecutive_small:
-                if diag is not None:
-                    diag["k_terms"] = max(diag.get("k_terms", 0), k + 1)
-                return total
-        else:
-            small = 0
-        if mag > prev_mag:
-            grow += 1
-            if grow >= 20:
-                raise KSumDivergence(
-                    f"outer k-sum terms grew for 20 consecutive k (k={k}, "
-                    f"|term|={mag:.3e})",
-                    k=k,
-                    term_magnitude=mag,
-                    partial=total,
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _extend_taylor(np.ones((1,) + shape, dtype=complex), numer, denom, q, 64)
+        while not _tail_decayed(g, ctx.eps_term):
+            if len(g) >= 4096:
+                raise NonConvergence(
+                    "Taylor expansion of the terminating-series kernel did not "
+                    f"decay within {len(g)} coefficients"
                 )
-        else:
-            grow = 0
-        prev_mag = mag
-        coef *= x * (1.0 - (a / x) * q ** (mu + k)) / (a * (1.0 - q ** (mu + k + 1)))
-    raise NonConvergence(
-        f"outer k-sum did not settle within {kcap} terms",
-        partial=total,
-        last_term=prev_mag,
-    )
+            g = _extend_taylor(g, numer, denom, q, 2 * len(g))
+
+        G1 = g.sum(axis=0)
+        pref = frac_prefactor(x, a, mu, ctx)
+        terms = np.zeros((0,) + shape, dtype=complex)
+        active = np.ones(shape, dtype=bool)
+        while True:
+            # keep a 60-coefficient margin of the Taylor tail beyond every k used;
+            # rows k < K0 are final, new rows are needed only for unsettled nodes
+            K0, K = len(terms), min(kmax, len(g) - 60)
+            k = np.arange(K - 1)
+            ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * (1.0 - q ** (mu + k + 1)))
+            coef = np.cumprod(np.concatenate(([pref], ratios)))[K0:, None]
+            new = np.zeros((K - K0,) + shape, dtype=complex)
+            new[:, active] = coef * (
+                _kernel_sums(q, K0, K, np.compress(active, g, axis=1)) / G1[active]
+            )
+            terms = np.concatenate((terms, new))
+            partial = np.cumsum(terms, axis=0)
+            mag = np.abs(terms)
+            small = mag < ctx.eps_term * np.maximum(np.abs(partial), 1e-300)
+            grows = np.zeros_like(small)
+            grows[1:] = mag[1:] > mag[:-1]
+            k_stop = _first_run_end(small, ctx.consecutive_small)
+            k_div = _first_run_end(grows, 20)
+            diverged = np.flatnonzero(k_div < k_stop)
+            if diverged.size:
+                n, kd = diverged[0], int(k_div[diverged[0]])
+                raise KSumDivergence(
+                    f"outer k-sum terms grew for 20 consecutive k (k={kd}, "
+                    f"|term|={mag[kd, n]:.3e})",
+                    k=kd,
+                    term_magnitude=float(mag[kd, n]),
+                    partial=complex(partial[kd, n]),
+                )
+            active = k_stop == K
+            if not active.any():
+                break
+            if K == kmax:
+                n = np.flatnonzero(active)[0]
+                raise NonConvergence(
+                    f"outer k-sum did not settle within {K} terms",
+                    partial=complex(partial[-1, n]),
+                    last_term=float(mag[-1, n]),
+                )
+            g = _extend_taylor(g, numer, denom, q, min(len(g) + 32, kmax + 60))
+
+    if diag is not None:
+        diag["k_terms"] = max(diag.get("k_terms", 0), int(k_stop.max()) + 1)
+    total = partial[k_stop, np.arange(shape[0])]
+    return complex(total[0]) if all(p.ndim == 0 for p in params) else total
 
 
 # --------------------------------------------------------------------------
@@ -479,6 +534,11 @@ def check_fractional_generating_3phi2(p: GeneratingParams, ctx=None, tol=None) -
 # section 2: Askey-Wilson integrals on [0, pi]
 # --------------------------------------------------------------------------
 
+def _nodewise(weight, nodes):
+    """A scalar weight evaluated at every node of a quadrature level."""
+    return np.array([weight(t) for t in nodes.tolist()], dtype=complex)
+
+
 def _aw_weight(theta, params, ctx):
     return h_cos(2.0 * theta, [1.0], ctx) / h_cos(theta, params, ctx)
 
@@ -500,7 +560,9 @@ def check_askey_wilson(p: AWParams, ctx=None, cfg=None, tol=None) -> IdentityRep
     tol = tol if tol is not None else DEFAULT_TOLERANCES["askey-wilson"]
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
 
-    res = integrate_theta(lambda th: _aw_weight(th, [a, b, c, d], ctx), cfg)
+    res = integrate_theta(
+        lambda th: _nodewise(lambda t: _aw_weight(t, [a, b, c, d], ctx), th), cfg
+    )
     rhs = (
         2.0
         * math.pi
@@ -525,7 +587,7 @@ def _check_fractional_aw_common(name, p, ctx, cfg, tol, drop_d):
     diag = {}
 
     def f(th):
-        e = cmath.exp(1j * th)
+        e = np.exp(1j * th)
         if drop_d:
             numer = [a * e, a / e]
             denom = [a * b, a * c]
@@ -533,7 +595,7 @@ def _check_fractional_aw_common(name, p, ctx, cfg, tol, drop_d):
             numer = [a * b * c * d, a * e, a / e]
             denom = [a * b, a * c, a * d]
         s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        return _aw_weight(th, weight_params, ctx) * s
+        return _nodewise(lambda t: _aw_weight(t, weight_params, ctx), th) * s
 
     res = integrate_theta(f, cfg)
     if drop_d:
@@ -594,7 +656,10 @@ def check_reversal_aw(p: ReversalParams, ctx=None, cfg=None, tol=None) -> Identi
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
 
     res = integrate_line_even_window(
-        lambda t: cmath.exp(_reversal_weight_log(t, [a, b, c, d], ctx)), cfg
+        lambda ts: _nodewise(
+            lambda t: cmath.exp(_reversal_weight_log(t, [a, b, c, d], ctx)), ts
+        ),
+        cfg,
     )
     rhs = (
         q_pochhammer_multi(
@@ -620,8 +685,8 @@ def _check_fractional_reversal_common(name, p, ctx, cfg, tol, drop_d):
     weight_params = [a, b, c] if drop_d else [a, b, c, d]
     diag = {}
 
-    def f(t):
-        et = math.exp(t)
+    def f(ts):
+        et = np.exp(ts)
         if drop_d:
             numer = [q * a * b, q * a * c]
             denom = [1j * a * q * et, -1j * a * q / et]
@@ -629,7 +694,10 @@ def _check_fractional_reversal_common(name, p, ctx, cfg, tol, drop_d):
             numer = [q * a * b, q * a * c, q * a * d]
             denom = [1j * a * q * et, -1j * a * q / et, q * a * b * c * d]
         s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        return cmath.exp(_reversal_weight_log(t, weight_params, ctx)) * s
+        weight = _nodewise(
+            lambda t: cmath.exp(_reversal_weight_log(t, weight_params, ctx)), ts
+        )
+        return weight * s
 
     res = integrate_line_even_window(f, cfg)
     if drop_d:
@@ -685,8 +753,11 @@ def check_atakishiyev(p: AtakishiyevParams, ctx=None, cfg=None, tol=None) -> Ide
     a, b, c, d, ag = p.a, p.b, p.c, p.d, p.alpha_g
 
     res = integrate_line_even_window(
-        lambda t: cmath.exp(_gaussian_weight_log(t, [a, b, c, d], ag, ctx))
-        * math.cosh(ag * t),
+        lambda ts: _nodewise(
+            lambda t: cmath.exp(_gaussian_weight_log(t, [a, b, c, d], ag, ctx))
+            * math.cosh(ag * t),
+            ts,
+        ),
         cfg,
     )
     rhs = (
@@ -715,8 +786,8 @@ def _check_fractional_atakishiyev_common(name, p, ctx, cfg, tol, drop_d):
     weight_params = [a, b, c] if drop_d else [a, b, c, d]
     diag = {}
 
-    def f(t):
-        et = math.exp(ag * t)
+    def f(ts):
+        et = np.exp(ag * ts)
         if drop_d:
             numer = [a * b / q, a * c / q]
             denom = [1j * a * et, -1j * a / et]
@@ -724,11 +795,12 @@ def _check_fractional_atakishiyev_common(name, p, ctx, cfg, tol, drop_d):
             numer = [a * b / q, a * c / q, a * d / q]
             denom = [1j * a * et, -1j * a / et, a * b * c * d / q**3]
         s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        return (
-            cmath.exp(_gaussian_weight_log(t, weight_params, ag, ctx))
-            * math.cosh(ag * t)
-            * s
+        weight = _nodewise(
+            lambda t: cmath.exp(_gaussian_weight_log(t, weight_params, ag, ctx))
+            * math.cosh(ag * t),
+            ts,
         )
+        return weight * s
 
     res = integrate_line_even_window(f, cfg)
     if drop_d:

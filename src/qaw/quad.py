@@ -5,6 +5,10 @@ smooth integrands on [0, pi], and a symmetric-window variant for even-ish
 integrands on the real line whose tails decay at least exponentially.
 Node tables come from the Legendre-polynomial Gauss rule and are cached
 per node count; quadrature sums reduce in a fixed deterministic order.
+
+Integrand contract: ``f`` takes a 1-D float array of nodes and returns an
+array of the same shape.  Each refinement level evaluates ``f`` once, on
+all nodes of all panels, and each window probe once, on ``[T, -T]``.
 """
 
 from __future__ import annotations
@@ -53,15 +57,22 @@ def _gl_rule(n: int):
     return xs, ws
 
 
+def _evaluate(f, nodes):
+    values = np.asarray(f(nodes))
+    if values.shape != nodes.shape:
+        raise ValueError(
+            f"integrand returned shape {values.shape} for nodes of shape {nodes.shape}"
+        )
+    return values
+
+
 def _panel_sum(f, edges, n: int) -> complex:
     xs, ws = _gl_rule(n)
-    total = complex(0.0)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for x, w in zip(xs, ws):
-            total += half * w * f(mid + half * x)
-    return total
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    nodes = (mid + half * xs).ravel()
+    return complex(np.sum((half * ws).ravel() * _evaluate(f, nodes)))
 
 
 def _refine(f, edges, cfg: QuadratureConfig, n0: int, window):
@@ -85,7 +96,10 @@ def _refine(f, edges, cfg: QuadratureConfig, n0: int, window):
 
 
 def integrate_theta(f, cfg: QuadratureConfig = QuadratureConfig()) -> QuadratureResult:
-    """Integrate a smooth integrand over [0, pi] by node-doubled Gauss-Legendre."""
+    """Integrate a smooth integrand over [0, pi] by node-doubled Gauss-Legendre.
+
+    ``f`` maps a 1-D array of angles to an array of values of the same shape.
+    """
     edges = [0.0, math.pi]
     return _refine(f, edges, cfg, cfg.initial_nodes, None)
 
@@ -117,15 +131,18 @@ def estimate_theta_growth_window(log_magnitude, cfg: QuadratureConfig = Quadratu
 def integrate_line_even_window(f, cfg: QuadratureConfig = QuadratureConfig()) -> QuadratureResult:
     """Integrate over the real line inside a symmetric window [-T, T].
 
-    T grows geometrically until |f(+-T)| * T < window_tail_tol; the window
-    is then split into panels of width about 2 and each panel integrated by
-    node-doubled Gauss-Legendre.  The imaginary part of the value feeds the
-    error estimate, since admissible integrands satisfy f(-t) = conj(f(t)).
+    T grows geometrically until |f(+-T)| * T < window_tail_tol, probing
+    both ends with one call ``f(np.array([T, -T]))``; the window is then
+    split into panels of width about 2 and each panel integrated by
+    node-doubled Gauss-Legendre.  ``f`` maps a 1-D array of points to an
+    array of values of the same shape.  The imaginary part of the value
+    feeds the error estimate, since admissible integrands satisfy
+    f(-t) = conj(f(t)).
     """
     probes = {}
     T = 1.0
     while True:
-        mag = max(abs(f(T)), abs(f(-T)))
+        mag = float(np.max(np.abs(_evaluate(f, np.array([T, -T])))))
         probes[T] = math.log(mag) if mag > 0 else -math.inf
         if mag * T < cfg.window_tail_tol:
             break

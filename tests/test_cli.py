@@ -161,6 +161,26 @@ class TestSuite:
         assert doc["seed"] == 2
 
 
+class TestInProcessReuse:
+    def test_consecutive_calls_behave_like_fresh_ones(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3",
+            "--b", "0.2", "--c", "0.1", "--d", "0.4"
+        )
+        assert code == 0 and json.loads(out)["passed"] is True
+        # --b of the check above must not leak: qint integrates over [0, 1]
+        code, out, _ = run_cli(
+            capsys, "eval", "qint", "--q", "0.5", "--power", "1"
+        )
+        assert code == 0
+        assert float(out.strip()) == pytest.approx(1.0 / 1.5, rel=1e-12)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "nonsense", "--q", "0.5"])
+        assert exc.value.code == 64
+        _, err = capsys.readouterr()
+        assert "invalid choice" in err
+
+
 class TestParsing:
     def test_parse_complex_forms(self):
         assert cli.parse_complex("0.5") == 0.5

@@ -1,10 +1,14 @@
 """Tests for the identity checks, the stable outer k-sum, and the suite runner."""
 
+import cmath
+import gc
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qaw.context import DomainError, QContext
+from qaw.context import DomainError, KSumDivergence, NonConvergence, QContext
 from qaw.identities import (
     AtakishiyevParams,
     AWParams,
@@ -12,6 +16,7 @@ from qaw.identities import (
     ReversalParams,
     check_askey_wilson,
     check_atakishiyev,
+    check_fractional_atakishiyev,
     check_fractional_aw,
     check_fractional_generating,
     check_lemma_three_term,
@@ -91,6 +96,150 @@ class TestKSumOracle:
         ctx = QContext(q=0.5)
         got = ksum(0.6, 0.2, 1.5, [], [], ctx)
         assert got == pytest.approx(frac_prefactor(0.6, 0.2, 1.5, ctx), rel=1e-13)
+
+
+# the fractional Askey-Wilson k-sum at the angles theta: numerator
+# (abcd, a e^{i theta}, a e^{-i theta}), denominator (ab, ac, ad)
+AW_POINT = dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
+
+
+def _aw_ksum_params(theta, q, a, b, c, d, x, mu):
+    e = np.exp(1j * np.asarray(theta))
+    return [a * b * c * d, a * e, a / e], [a * b, a * c, a * d]
+
+
+class _MpStableKSum:
+    """The Taylor-kernel formula of the module docstring, in 60 digits.
+
+    The Taylor coefficients of G(y) = prod (d y;q)_inf / prod (n y;q)_inf
+    come from products of the power series of its factors, not from the
+    q-difference recurrence used in double precision, and G(1) from the
+    infinite products themselves.
+    """
+
+    M = 170
+
+    def __init__(self, mp, q):
+        self.mp = mp
+        self.q = mp.mpf(q)
+        self.qpow = [self.q**m for m in range(self.M)]
+        self.qfac = [self.poch(self.q, m) for m in range(self.M)]
+
+    def poch(self, c, n):
+        p = self.mp.mpf(1)
+        for j in range(n):
+            p *= 1 - c * self.q**j
+        return p
+
+    def poch_inf(self, c):
+        return self.poch(c, 220)
+
+    def times(self, g, h):
+        return [self.mp.fdot(g[: m + 1], h[m::-1]) for m in range(self.M)]
+
+    def taylor(self, numer, denom, start=None):
+        """Coefficients of G and G(1), times an earlier result ``start``."""
+        mp = self.mp
+        g, G1 = start or ([mp.mpc(1)] + [mp.mpc(0)] * (self.M - 1), mp.mpc(1))
+        for d in map(mp.mpc, denom):
+            g = self.times(g, [(-d) ** m * self.q ** (m * (m - 1) // 2) / self.qfac[m]
+                               for m in range(self.M)])
+            G1 *= self.poch_inf(d)
+        for n in map(mp.mpc, numer):
+            g = self.times(g, [n**m / self.qfac[m] for m in range(self.M)])
+            G1 /= self.poch_inf(n)
+        return g, G1
+
+    def ksum(self, x, a, mu, g, G1):
+        mp, q = self.mp, self.q
+        x, a, mu = mp.mpf(x), mp.mpf(a), mp.mpf(mu)
+        # x^mu (a/x;q)_mu / (q;q)_mu, then the ratio of consecutive coefficients
+        coef = x**mu * self.poch_inf(a / x) * self.poch_inf(q ** (mu + 1)) / (
+            self.poch_inf(a / x * q**mu) * self.poch_inf(q)
+        )
+        total = mp.mpc(0)
+        P = [mp.mpf(1)] * self.M  # P[m] = (q^{m+1-k};q)_k, advanced in k
+        for k in range(self.M - 60):
+            term = coef * mp.fdot(g[k:], P[k:]) / G1
+            total += term
+            if abs(term) < mp.mpf(10) ** -18 * abs(total):
+                return complex(total)
+            P = [P[m] * (1 - self.qpow[m - k]) if m > k else mp.mpf(0)
+                 for m in range(self.M)]
+            coef *= x * (1 - a / x * q ** (mu + k)) / (a * (1 - q ** (mu + k + 1)))
+        raise AssertionError("oracle k-sum did not settle")
+
+
+class TestBatchedKSum:
+    def test_batched_equals_per_node_calls(self):
+        ctx = QContext(q=AW_POINT["q"])
+        p = AW_POINT
+        theta = np.linspace(0.01, math.pi - 0.01, 33)
+        numer, denom = _aw_ksum_params(theta, **p)
+        batched = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+        assert isinstance(batched, np.ndarray) and batched.shape == theta.shape
+        for i, th in enumerate(theta):
+            n1, d1 = _aw_ksum_params(float(th), **p)
+            single = ksum(p["x"], p["a"], p["mu"], n1, d1, ctx)
+            assert type(single) is complex
+            assert abs(batched[i] - single) <= 1e-13 * abs(single)
+
+    def test_complex_nodes_against_multiprecision_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        p = AW_POINT
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        ctx = QContext(q=p["q"])
+        theta = np.array([0.01, 0.7, 1.9, 3.1, math.pi - 1e-9])
+        numer, denom = _aw_ksum_params(theta, **p)
+        got = ksum(p["x"], a, p["mu"], numer, denom, ctx)
+        try:
+            mp.mp.dps = 60
+            oracle = _MpStableKSum(mp, p["q"])
+            fixed = oracle.taylor([a * b * c * d], [a * b, a * c, a * d])
+            for i, th in enumerate(theta.tolist()):
+                e = cmath.exp(1j * th)
+                g, G1 = oracle.taylor([a * e, a / e], [], fixed)
+                want = oracle.ksum(p["x"], a, p["mu"], g, G1)
+                assert abs(got[i] - want) <= 1e-13 * abs(want), th
+        finally:
+            mp.mp.dps = 15
+
+    def test_unsettled_sum_raises_with_partial(self):
+        ctx = QContext(q=0.5)
+        with pytest.raises(NonConvergence) as exc:
+            ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], ctx, kmax=4)
+        assert exc.value.partial is not None and exc.value.last_term > 0
+
+    def test_distinct_q_retain_no_memory(self):
+        # a table kept per q would hold ~1.6 MB for each of the 200 bases
+        ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q in np.linspace(0.3, 0.7, 200).tolist():
+                ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=q))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
+
+    def test_gaussian_family_divergence_is_reported(self):
+        # b = c = d >= 0.06 at this point is a known limit of the double-
+        # precision k-sum: the outer terms grow, and the check says so
+        p = AtakishiyevParams(alpha_g=1.0, a=0.15, b=0.06, c=0.06, d=0.06,
+                              x=0.6, mu=1.5)
+        with pytest.raises(KSumDivergence) as exc:
+            check_fractional_atakishiyev(p)
+        err = exc.value
+        assert err.k >= 19 and err.term_magnitude > 1.0
+        assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
+        entry = {"identity": "fractional-atakishiyev",
+                 "params": {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06,
+                            "d": 0.06, "x": 0.6, "mu": 1.5}}
+        (oc,) = run_suite([entry])
+        assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
 
 
 SAMPLE_GEN = GeneratingParams(
@@ -178,6 +327,18 @@ class TestReportSemantics:
         absurd = check_askey_wilson(p, tol=1e-30)
         assert loose.lhs == absurd.lhs and loose.rhs == absurd.rhs
         assert loose.passed and not absurd.passed
+
+    def test_diagnostics_are_plain_python_numbers(self):
+        r = check_fractional_aw(
+            AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
+        )
+        assert type(r.lhs_diag["est_error"]) is float
+        assert type(r.lhs_diag["nodes"]) is int
+        assert type(r.lhs_diag["k_terms"]) is int
+        assert type(r.lhs) is complex and type(r.rel_err) is float
+        r = check_atakishiyev(AtakishiyevParams(alpha_g=1.0, a=0.1, b=0.05))
+        assert all(type(t) is float for t in r.lhs_diag["window"])
+        assert type(r.lhs_diag["est_error"]) is float
 
     def test_residual_invariant_under_tighter_context(self):
         p = SAMPLE_GEN
