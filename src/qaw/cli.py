@@ -1,7 +1,8 @@
 """Command-line front end: evaluate primitives, run identity checks, run suites.
 
-Exit codes: 0 pass, 1 identity failure, 2 convergence/window error,
-64 usage, 65 domain violation, 66 I/O.
+Exit codes: 0 pass, 1 identity failure, 2 numeric error (convergence,
+window, pole or division; for eval also domain errors), 64 usage,
+65 domain violation of a check, 66 I/O.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from . import __version__
 from .context import (
+    DivisionByZero,
     DomainError,
     KSumDivergence,
     NonConvergence,
@@ -33,6 +35,7 @@ EXIT_DOMAIN = 65
 EXIT_IO = 66
 
 _CONVERGENCE_ERRORS = (NonConvergence, KSumDivergence, WindowFailure, OverflowError)
+_SINGULAR_ERRORS = (PoleError, DivisionByZero)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,7 +184,7 @@ def _cmd_eval(args) -> int:
             a = args.a.real if args.a is not None else 0.0
             p = args.power
             value = qops.fractional_q_integral(lambda t: t**p, args.x, a, args.mu, ctx)
-    except (DomainError, PoleError) as exc:
+    except (DomainError, *_SINGULAR_ERRORS) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _CONVERGENCE_ERRORS as exc:
@@ -194,13 +197,15 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
+def _params_obj(params) -> dict:
+    return {k: (_complex_obj(v) if isinstance(v, complex) else v)
+            for k, v in params.items()}
+
+
 def _report_obj(report) -> dict:
     return {
         "identity": report.identity_name,
-        "params": {
-            k: (_complex_obj(v) if isinstance(v, complex) else v)
-            for k, v in report.params.items()
-        },
+        "params": _params_obj(report.params),
         "lhs": _complex_obj(report.lhs),
         "rhs": _complex_obj(report.rhs),
         "abs_err": report.abs_err,
@@ -239,7 +244,7 @@ def _cmd_check(args) -> int:
     except DomainError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except _CONVERGENCE_ERRORS as exc:
+    except (*_CONVERGENCE_ERRORS, *_SINGULAR_ERRORS) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(json.dumps(_report_obj(report), indent=2, sort_keys=True))
@@ -252,6 +257,8 @@ def _outcome_obj(outcome) -> dict:
         obj["reason"] = outcome.reason
     if outcome.report is not None:
         obj["report"] = _report_obj(outcome.report)
+    elif outcome.params is not None:
+        obj["params"] = _params_obj(outcome.params)
     return obj
 
 

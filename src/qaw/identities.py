@@ -1,9 +1,10 @@
 """Independent left/right evaluators and residual checks for every identity.
 
 Each check computes its two sides by disjoint routes (operator/quadrature
-versus closed-product/series) that share only the scalar primitives in
-:mod:`qaw.qcore`, and returns an :class:`IdentityReport` with the residual
-and convergence diagnostics.
+versus closed-product/series) that share only the primitives in
+:mod:`qaw.qcore` (the quadrature side through their node-array path, the
+closed side through their scalar loops), and returns an
+:class:`IdentityReport` with the residual and convergence diagnostics.
 
 Stable evaluation of the outer k-sums
 -------------------------------------
@@ -47,13 +48,16 @@ Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (coefficients x nodes) array.  The
-stop and divergence rules are applied per node; the weights stay scalar
-:mod:`qaw.qcore` calls, evaluated node by node.
+stop and divergence rules are applied per node.  The weights take the
+same node array: ``h_cos``, ``h_sinh_log`` and ``q_pochhammer_infinite_log``
+evaluate every node of a level in one call of their array path, so an
+integrand is the weight (or the exponential of its log) times ``ksum``.
+The closed-product sides call only the scalar loops of :mod:`qaw.qcore`,
+so the two sides of an identity share no vectorised code.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -61,9 +65,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .context import (
+    DivisionByZero,
     DomainError,
     KSumDivergence,
     NonConvergence,
+    PoleError,
     QContext,
     WindowFailure,
 )
@@ -534,11 +540,6 @@ def check_fractional_generating_3phi2(p: GeneratingParams, ctx=None, tol=None) -
 # section 2: Askey-Wilson integrals on [0, pi]
 # --------------------------------------------------------------------------
 
-def _nodewise(weight, nodes):
-    """A scalar weight evaluated at every node of a quadrature level."""
-    return np.array([weight(t) for t in nodes.tolist()], dtype=complex)
-
-
 def _aw_weight(theta, params, ctx):
     return h_cos(2.0 * theta, [1.0], ctx) / h_cos(theta, params, ctx)
 
@@ -560,9 +561,7 @@ def check_askey_wilson(p: AWParams, ctx=None, cfg=None, tol=None) -> IdentityRep
     tol = tol if tol is not None else DEFAULT_TOLERANCES["askey-wilson"]
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
 
-    res = integrate_theta(
-        lambda th: _nodewise(lambda t: _aw_weight(t, [a, b, c, d], ctx), th), cfg
-    )
+    res = integrate_theta(lambda th: _aw_weight(th, [a, b, c, d], ctx), cfg)
     rhs = (
         2.0
         * math.pi
@@ -595,7 +594,7 @@ def _check_fractional_aw_common(name, p, ctx, cfg, tol, drop_d):
             numer = [a * b * c * d, a * e, a / e]
             denom = [a * b, a * c, a * d]
         s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        return _nodewise(lambda t: _aw_weight(t, weight_params, ctx), th) * s
+        return _aw_weight(th, weight_params, ctx) * s
 
     res = integrate_theta(f, cfg)
     if drop_d:
@@ -637,13 +636,9 @@ def check_fractional_aw_3phi2(p: AWParams, ctx=None, cfg=None, tol=None) -> Iden
 
 def _reversal_weight_log(t, params, ctx):
     q = ctx.q
-    lg = complex(0.0)
-    for prm in params:
-        if prm != 0:
-            lg += h_sinh_log(t, q * prm, ctx)
-    lg -= q_pochhammer_infinite_log(-q * math.exp(2.0 * t), ctx)
-    lg -= q_pochhammer_infinite_log(-q * math.exp(-2.0 * t), ctx)
-    return lg
+    lg = sum(h_sinh_log(t, q * prm, ctx) for prm in params if prm != 0)
+    lg = lg - q_pochhammer_infinite_log(-q * np.exp(2.0 * t), ctx)
+    return lg - q_pochhammer_infinite_log(-q * np.exp(-2.0 * t), ctx)
 
 
 def check_reversal_aw(p: ReversalParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
@@ -656,10 +651,7 @@ def check_reversal_aw(p: ReversalParams, ctx=None, cfg=None, tol=None) -> Identi
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
 
     res = integrate_line_even_window(
-        lambda ts: _nodewise(
-            lambda t: cmath.exp(_reversal_weight_log(t, [a, b, c, d], ctx)), ts
-        ),
-        cfg,
+        lambda ts: np.exp(_reversal_weight_log(ts, [a, b, c, d], ctx)), cfg
     )
     rhs = (
         q_pochhammer_multi(
@@ -694,10 +686,7 @@ def _check_fractional_reversal_common(name, p, ctx, cfg, tol, drop_d):
             numer = [q * a * b, q * a * c, q * a * d]
             denom = [1j * a * q * et, -1j * a * q / et, q * a * b * c * d]
         s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        weight = _nodewise(
-            lambda t: cmath.exp(_reversal_weight_log(t, weight_params, ctx)), ts
-        )
-        return weight * s
+        return np.exp(_reversal_weight_log(ts, weight_params, ctx)) * s
 
     res = integrate_line_even_window(f, cfg)
     if drop_d:
@@ -735,11 +724,9 @@ def check_fractional_reversal_aw_3phi2(p: ReversalParams, ctx=None, cfg=None, to
 # --------------------------------------------------------------------------
 
 def _gaussian_weight_log(t, params, alpha_g, ctx):
-    lg = complex(-t * t)
-    for prm in params:
-        if prm != 0:
-            lg += h_sinh_log(alpha_g * t, prm, ctx)
-    return lg
+    return -t * t + sum(
+        h_sinh_log(alpha_g * t, prm, ctx) for prm in params if prm != 0
+    )
 
 
 def check_atakishiyev(p: AtakishiyevParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
@@ -753,11 +740,8 @@ def check_atakishiyev(p: AtakishiyevParams, ctx=None, cfg=None, tol=None) -> Ide
     a, b, c, d, ag = p.a, p.b, p.c, p.d, p.alpha_g
 
     res = integrate_line_even_window(
-        lambda ts: _nodewise(
-            lambda t: cmath.exp(_gaussian_weight_log(t, [a, b, c, d], ag, ctx))
-            * math.cosh(ag * t),
-            ts,
-        ),
+        lambda ts: np.exp(_gaussian_weight_log(ts, [a, b, c, d], ag, ctx))
+        * np.cosh(ag * ts),
         cfg,
     )
     rhs = (
@@ -795,12 +779,8 @@ def _check_fractional_atakishiyev_common(name, p, ctx, cfg, tol, drop_d):
             numer = [a * b / q, a * c / q, a * d / q]
             denom = [1j * a * et, -1j * a / et, a * b * c * d / q**3]
         s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        weight = _nodewise(
-            lambda t: cmath.exp(_gaussian_weight_log(t, weight_params, ag, ctx))
-            * math.cosh(ag * t),
-            ts,
-        )
-        return weight * s
+        weight = np.exp(_gaussian_weight_log(ts, weight_params, ag, ctx))
+        return weight * np.cosh(ag * ts) * s
 
     res = integrate_line_even_window(f, cfg)
     if drop_d:
@@ -861,12 +841,17 @@ IDENTITY_REGISTRY = {
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """Result of one suite entry: passed / failed / skipped / diverged."""
+    """Result of one suite entry: passed / failed / skipped / diverged.
+
+    ``params`` are the entry's parameters, kept so that a skipped or
+    diverged entry, which has no report, can be re-run.
+    """
 
     identity_name: str
     status: str
     report: IdentityReport | None = None
     reason: str | None = None
+    params: dict | None = None
 
 
 def run_check(name: str, params: dict, ctx_options=None, tol=None) -> IdentityReport:
@@ -887,23 +872,27 @@ def run_suite(entries, ctx_options=None):
     """Run a list of concrete checks; failures are data, never crashes.
 
     Each entry is a mapping with keys ``identity``, ``params`` and optional
-    ``tolerance``.  Domain violations yield skipped outcomes, convergence
-    and window errors yield diverged outcomes with the diagnostic message.
-    The report order equals the entry order.
+    ``tolerance``, as produced by :func:`qaw.suite.expand_suite`, which
+    rejects unknown identity and parameter names.  Domain violations, poles
+    and vanishing factors yield skipped outcomes, convergence and window
+    errors yield diverged outcomes, each with the diagnostic message and
+    the entry's params.  The report order equals the entry order.
     """
     outcomes = []
     for entry in entries:
-        name = entry["identity"]
+        name, params = entry["identity"], entry["params"]
         try:
-            report = run_check(
-                name, entry["params"], ctx_options, entry.get("tolerance")
-            )
+            report = run_check(name, params, ctx_options, entry.get("tolerance"))
         except DomainError as exc:
-            outcomes.append(CheckOutcome(name, "skipped", reason=str(exc)))
+            outcomes.append(CheckOutcome(name, "skipped", reason=str(exc), params=params))
+        except (PoleError, DivisionByZero) as exc:
+            outcomes.append(CheckOutcome(
+                name, "skipped", reason=f"{type(exc).__name__}: {exc}", params=params
+            ))
         except (KSumDivergence, WindowFailure, NonConvergence) as exc:
-            outcomes.append(
-                CheckOutcome(name, "diverged", reason=f"{type(exc).__name__}: {exc}")
-            )
+            outcomes.append(CheckOutcome(
+                name, "diverged", reason=f"{type(exc).__name__}: {exc}", params=params
+            ))
         else:
             outcomes.append(
                 CheckOutcome(name, "passed" if report.passed else "failed", report)

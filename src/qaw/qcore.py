@@ -1,6 +1,12 @@
 """Scalar building blocks: q-Pochhammer symbols, q-bracket, q-gamma,
 basic hypergeometric series and the h(.) weight functions.
 
+The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
+1-D array (of parameters, angles or points) and return an array: the
+factors of all entries are formed as a (entries x factors) array in
+bounded blocks and reduced along the factors.  Scalars go through the
+plain loops, which are the reference for the array path.
+
 Order convention for q-Pochhammer symbols
 -----------------------------------------
 ``q_pochhammer(a, order, ctx)`` accepts three kinds of order:
@@ -26,6 +32,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .context import (
     DivisionByZero,
     DomainError,
@@ -38,6 +46,9 @@ INFINITE = math.inf
 
 _TERMINATING_DETECT_TOL = 1e-12
 
+# entries per block of factors in the array path (512 KB of complex)
+_BLOCK_ELEMENTS = 1 << 15
+
 
 def _tail_bound(mag: float, q: float) -> float:
     # sum_{j>=k} |a| q^j / (1 - |a| q^j) <= mag / ((1 - q)(1 - mag)) for mag < 1
@@ -46,8 +57,71 @@ def _tail_bound(mag: float, q: float) -> float:
     return mag / ((1.0 - q) * (1.0 - mag))
 
 
-def q_pochhammer_infinite(a: complex, ctx: QContext) -> complex:
-    """(a;q)_inf as a truncated product with a bounded relative tail."""
+def _factor_count(mag: float, ctx: QContext):
+    """Factors the scalar loop multiplies for |a| = mag; None past max_factors."""
+    for k in range(ctx.max_factors):
+        if mag < ctx.eps_factor and _tail_bound(mag, ctx.q) < ctx.eps_term:
+            return k
+        mag *= ctx.q
+    return None
+
+
+def _factor_blocks(a, K: int, q: float):
+    """The factors 1 - a q^k, k < K, as (nodes x block) arrays.
+
+    The terms a q^k come from repeated multiplication by q, as in the
+    scalar loop, and a block holds at most _BLOCK_ELEMENTS entries, so the
+    scratch memory stays bounded however many factors q near 1 needs.
+    """
+    width = max(1, _BLOCK_ELEMENTS // max(1, a.size))
+    term = a
+    for k0 in range(0, K, width):
+        blk = np.empty((a.size, min(width, K - k0)), dtype=complex)
+        blk[:, 0] = term
+        blk[:, 1:] = q
+        np.multiply.accumulate(blk, axis=1, out=blk)
+        term = blk[:, -1] * q
+        yield np.subtract(1.0, blk, out=blk)
+
+
+def _array_product(a, ctx: QContext, log: bool):
+    """(a;q)_inf, or its log, for every entry of the 1-D array a.
+
+    Every entry gets the factor count of the largest |a| under the scalar
+    stop rule, so none gets fewer factors than its own scalar loop would.
+    """
+    amax = float(np.abs(a).max(initial=0.0))
+    K = _factor_count(amax, ctx)
+    acc = np.zeros(a.shape, dtype=complex) if log else np.ones(a.shape, dtype=complex)
+    for f in _factor_blocks(a, ctx.max_factors if K is None else K, ctx.q):
+        if log:
+            zero = np.flatnonzero((f == 0).any(axis=1))
+            if zero.size:
+                raise DivisionByZero(
+                    f"(a;q)_inf with a={a[zero[0]]} contains an exact zero factor"
+                )
+            acc += np.log(f).sum(axis=1)
+        else:
+            acc *= np.multiply.reduce(f, axis=1)
+    if K is None:
+        raise NonConvergence(
+            f"{'log ' if log else ''}(a;q)_inf with max |a|={amax:.3e} did not "
+            f"converge in {ctx.max_factors} factors",
+            partial=acc,
+            last_term=amax * ctx.q**ctx.max_factors,
+        )
+    return acc
+
+
+def q_pochhammer_infinite(a, ctx: QContext):
+    """(a;q)_inf as a truncated product with a bounded relative tail.
+
+    A scalar ``a`` gives a ``complex``.  A 1-D array ``a`` gives an array
+    of the same shape: every entry is multiplied over the factor count of
+    the largest |a|, at least as many factors as its scalar loop takes.
+    """
+    if isinstance(a, np.ndarray):
+        return _array_product(a, ctx, log=False)
     q = ctx.q
     p = complex(1.0)
     term = complex(a)
@@ -65,13 +139,17 @@ def q_pochhammer_infinite(a: complex, ctx: QContext) -> complex:
     )
 
 
-def q_pochhammer_infinite_log(a: complex, ctx: QContext) -> complex:
+def q_pochhammer_infinite_log(a, ctx: QContext):
     """log (a;q)_inf with accumulated phase; safe when factors exceed 1.
 
     Returns a complex number whose real part is the log-magnitude and whose
     imaginary part is the accumulated phase of the product.  Factors are
-    never exponentiated, so arguments with |a| >> 1 do not overflow.
+    never exponentiated, so arguments with |a| >> 1 do not overflow.  A 1-D
+    array ``a`` gives an array of the same shape, as in
+    :func:`q_pochhammer_infinite`.
     """
+    if isinstance(a, np.ndarray):
+        return _array_product(a, ctx, log=True)
     q = ctx.q
     s = complex(0.0)
     term = complex(a)
@@ -272,14 +350,20 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     )
 
 
-def h_cos(theta: float, params, ctx: QContext) -> complex:
+def h_cos(theta, params, ctx: QContext):
     """Askey-Wilson weight factor h(cos theta; a_1,...,a_m).
 
     Product over the parameters of (a e^{i theta}, a e^{-i theta}; q)_inf.
-    Real-valued (up to rounding) for real parameters.
+    Real-valued (up to rounding) for real parameters.  A scalar ``theta``
+    gives a ``complex``; a 1-D array of angles gives an array of the same
+    shape, with one array-path product per parameter and sign.
     """
-    e = cmath.exp(1j * theta)
-    p = complex(1.0)
+    if isinstance(theta, np.ndarray):
+        e = np.exp(1j * theta)
+        p = np.ones(theta.shape, dtype=complex)
+    else:
+        e = cmath.exp(1j * theta)
+        p = complex(1.0)
     for a in params:
         if a == 0:
             continue
@@ -288,14 +372,21 @@ def h_cos(theta: float, params, ctx: QContext) -> complex:
     return p
 
 
-def h_sinh_log(x: float, t: complex, ctx: QContext) -> complex:
+def h_sinh_log(x, t: complex, ctx: QContext):
     """log of (i t e^x, -i t e^{-x}; q)_inf, safe for large |x|.
 
     Real part is the log-magnitude, imaginary part the accumulated phase.
+    A scalar ``x`` gives a ``complex``; a 1-D array gives an array of the
+    same shape.
     """
-    if t == 0:
-        return complex(0.0)
-    ex = math.exp(x)
+    if isinstance(x, np.ndarray):
+        if t == 0:
+            return np.zeros(x.shape, dtype=complex)
+        ex = np.exp(x)
+    else:
+        if t == 0:
+            return complex(0.0)
+        ex = math.exp(x)
     return q_pochhammer_infinite_log(1j * t * ex, ctx) + q_pochhammer_infinite_log(
         -1j * t / ex, ctx
     )

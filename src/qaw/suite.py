@@ -15,6 +15,7 @@ so the same spec and seed always produce the same concrete checks.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from .identities import IDENTITY_REGISTRY
@@ -32,6 +33,13 @@ def expand_suite(spec: dict):
             raise KeyError(
                 f"unknown identity {name!r}; known: "
                 f"{', '.join(sorted(IDENTITY_REGISTRY))}"
+            )
+        fields = {f.name for f in dataclasses.fields(IDENTITY_REGISTRY[name][0])}
+        unknown = sorted(set(check.get("params", {})) - fields)
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {', '.join(unknown)} for {name}; "
+                f"known: {', '.join(sorted(fields))}"
             )
         draws = int(check.get("draws", 1))
         if draws < 1:

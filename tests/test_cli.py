@@ -59,6 +59,15 @@ class TestEval:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.4, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["poch", "--q", "0.5", "--a", "4", "--alpha", "1"],
+        ["phi", "--q", "0.5", "--numer", "0.3", "--denom", "4", "--z", "0.2"],
+    ])
+    def test_vanishing_factor_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "error:" in err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "nonsense", "--q", "0.5"])
@@ -99,6 +108,14 @@ class TestCheck:
         )
         assert code == 1 and json.loads(out)["passed"] is False
 
+    def test_vanishing_factor_exits_2(self, capsys, zero_factor_scale):
+        code, out, err = run_cli(
+            capsys, "check", "reversal-askey-wilson", "--q", "0.5", "--a", "0.2",
+            f"--b=-{zero_factor_scale!r}i"
+        )
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and err.startswith("DivisionByZero")
+
     def test_unknown_identity_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "bogus-identity", "--q", "0.5"])
@@ -124,6 +141,29 @@ class TestSuite:
         )
         code, _, err = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 64 and "askey-wilson" in err
+
+    def test_unknown_parameter_spec(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.1, "e": 0.5}}
+        ]}))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 64 and out == "" and "unknown parameter" in err
+
+    def test_failed_entries_keep_their_params(self, capsys, tmp_path):
+        diverging = {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06, "d": 0.06,
+                     "x": 0.6, "mu": 1.5}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "fractional-atakishiyev", "params": diverging},
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 1.5}},
+        ]}))
+        code, out, _ = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 1
+        diverged, skipped = json.loads(out)["reports"]
+        assert diverged["status"] == "diverged" and diverged["params"] == diverging
+        assert skipped["status"] == "skipped"
+        assert skipped["params"] == {"q": 0.5, "a": 1.5}
 
     def test_unreadable_spec(self, capsys, tmp_path):
         code, _, err = run_cli(

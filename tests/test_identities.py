@@ -8,7 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qaw.context import DomainError, KSumDivergence, NonConvergence, QContext
+from qaw import identities, qcore, quad
+from qaw.context import (
+    DivisionByZero,
+    DomainError,
+    KSumDivergence,
+    NonConvergence,
+    PoleError,
+    QContext,
+)
 from qaw.identities import (
     AtakishiyevParams,
     AWParams,
@@ -240,6 +248,8 @@ class TestBatchedKSum:
                             "d": 0.06, "x": 0.6, "mu": 1.5}}
         (oc,) = run_suite([entry])
         assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
+        # the report keeps what is needed to re-run the entry
+        assert oc.report is None and oc.params == entry["params"]
 
 
 SAMPLE_GEN = GeneratingParams(
@@ -315,6 +325,32 @@ class TestRealLineFamilies:
         assert p.q == pytest.approx(math.exp(-2 * 0.64))
 
 
+class TestWholeLevelWeights:
+    def test_log_products_called_per_level_not_per_node(self, monkeypatch):
+        calls, levels = [], []
+        log_poch, evaluate = qcore.q_pochhammer_infinite_log, quad._evaluate
+
+        def counted_log_poch(a, ctx):
+            calls.append(a)
+            return log_poch(a, ctx)
+
+        def counted_evaluate(f, nodes):
+            levels.append(nodes.size)
+            return evaluate(f, nodes)
+
+        monkeypatch.setattr(qcore, "q_pochhammer_infinite_log", counted_log_poch)
+        monkeypatch.setattr(identities, "q_pochhammer_infinite_log", counted_log_poch)
+        monkeypatch.setattr(quad, "_evaluate", counted_evaluate)
+        report = check_reversal_aw(ReversalParams(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
+        assert report.passed
+        # per window probe and per refinement level: two products for each of
+        # the 4 parameters (through h_sinh_log) and the (-q e^{+-2t};q)_inf pair,
+        # each on every node of the level at once
+        assert len(calls) == 10 * len(levels)
+        assert all(isinstance(a, np.ndarray) for a in calls)
+        assert sum(a.size for a in calls) == 10 * sum(levels)
+
+
 class TestReportSemantics:
     def test_residual_fields_consistent(self):
         r = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
@@ -372,6 +408,24 @@ class TestSuiteRunner:
         with pytest.raises(KeyError):
             run_check("no-such-identity", {})
 
+    def test_vanishing_factor_becomes_skipped(self, zero_factor_scale):
+        # i (q b) e^{t} = 1 exactly at the first window probe t = 1
+        b = -1j * zero_factor_scale
+        params = {"q": 0.5, "a": 0.2, "b": b}
+        (oc,) = run_suite([{"identity": "reversal-askey-wilson", "params": params}])
+        assert oc.status == "skipped" and oc.reason.startswith("DivisionByZero")
+        assert oc.params == params
+
+    def test_pole_becomes_skipped(self, monkeypatch):
+        def at_pole(p, ctx=None, tol=None):
+            raise PoleError("q-gamma pole at x=0")
+
+        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
+                            (AWParams, at_pole))
+        params = {"q": 0.5, "a": 0.3}
+        (oc,) = run_suite([{"identity": "askey-wilson", "params": params}])
+        assert oc.status == "skipped" and "pole" in oc.reason and oc.params == params
+
 
 class TestSuiteSpec:
     def test_expansion_deterministic(self):
@@ -385,6 +439,12 @@ class TestSuiteSpec:
     def test_unknown_identity_in_spec(self):
         with pytest.raises(KeyError):
             expand_suite({"seed": 1, "checks": [{"identity": "bogus"}]})
+
+    def test_unknown_parameter_name_rejected(self):
+        with pytest.raises(ValueError, match="e for askey-wilson"):
+            expand_suite({"seed": 1, "checks": [
+                {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.1, "e": 0.5}}
+            ]})
 
     def test_draw_count_validated(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@
 import cmath
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qaw.context import DomainError, PoleError, QContext
+from qaw.context import DivisionByZero, DomainError, NonConvergence, PoleError, QContext
 from qaw.qcore import (
     INFINITE,
     HypergeometricSpec,
@@ -18,6 +20,8 @@ from qaw.qcore import (
     q_bracket,
     q_gamma,
     q_pochhammer,
+    q_pochhammer_infinite,
+    q_pochhammer_infinite_log,
     q_pochhammer_multi,
 )
 
@@ -225,6 +229,110 @@ class TestWeights:
         assert cmath.exp(h_sinh_log(x, t, ctx)) == pytest.approx(
             h_sinh(x, t, ctx), rel=1e-12
         )
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+# the bases of the shipped suites: the Gaussian family's exp(-2) and q = 0.5
+ARRAY_Q = [math.exp(-2.0), 0.5]
+COMPLEX_PARAMS = [0.3 + 0.2j, -0.5, 0.1 - 0.4j, 0.8j]
+
+
+class TestArrayPath:
+    """Node arrays through the products and weights versus the scalar loops."""
+
+    @pytest.mark.parametrize("q", ARRAY_Q)
+    def test_h_cos_equals_scalar_calls(self, q):
+        ctx = QContext(q=q)
+        theta = np.array([0.0, 1e-9, 0.7, math.pi - 1e-9, math.pi])
+        got = h_cos(theta, COMPLEX_PARAMS, ctx)
+        assert isinstance(got, np.ndarray) and got.shape == theta.shape
+        want = np.array([h_cos(t, COMPLEX_PARAMS, ctx) for t in theta.tolist()])
+        assert _rel(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("q", ARRAY_Q)
+    @pytest.mark.parametrize("t", [0.3, 0.1 + 0.05j, -0.9j])
+    def test_h_sinh_log_equals_scalar_calls(self, q, t):
+        ctx = QContext(q=q)
+        x = np.linspace(-17.0, 17.0, 35)
+        got = h_sinh_log(x, t, ctx)
+        want = np.array([h_sinh_log(v, t, ctx) for v in x.tolist()])
+        assert _rel(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("q", ARRAY_Q)
+    def test_log_product_equals_scalar_calls(self, q):
+        ctx = QContext(q=q)
+        a = np.logspace(-3.0, 6.0, 46) * np.exp(1j * np.linspace(-3.0, 3.0, 46))
+        got = q_pochhammer_infinite_log(a, ctx)
+        want = np.array([q_pochhammer_infinite_log(v, ctx) for v in a.tolist()])
+        assert _rel(got, want) <= 1e-14
+
+    def test_product_equals_scalar_calls(self, ctx):
+        a = np.linspace(-0.95, 3.0, 40) * np.exp(0.3j)
+        got = q_pochhammer_infinite(a, ctx)
+        want = np.array([q_pochhammer_infinite(v, ctx) for v in a.tolist()])
+        assert _rel(got, want) <= 1e-14
+
+    def test_zero_weight_parameters_keep_the_shape(self, ctx):
+        x = np.array([0.5, -0.5])
+        assert np.array_equal(h_sinh_log(x, 0.0, ctx), np.zeros(2))
+        assert np.array_equal(h_cos(x, [0.0], ctx), np.ones(2))
+
+    def test_exact_zero_factor_raises(self, ctx):
+        # the factor 1 - 2 q is exactly 0 at q = 1/2
+        with pytest.raises(DivisionByZero):
+            q_pochhammer_infinite_log(np.array([0.3, 2.0, 0.1j]), ctx)
+        # the plain product just vanishes there, as the scalar loop does
+        got = q_pochhammer_infinite(np.array([0.3, 2.0]), ctx)
+        assert got[1] == 0 and got[0] == q_pochhammer_infinite(0.3, ctx)
+
+    def test_factor_cap_raises_with_partial(self):
+        ctx = QContext(q=0.5, max_factors=5)
+        with pytest.raises(NonConvergence) as exc:
+            q_pochhammer_infinite_log(np.array([0.3, 0.1]), ctx)
+        assert exc.value.partial.shape == (2,) and exc.value.last_term > 0
+        want = sum(cmath.log(1.0 - 0.3 * 0.5**k) for k in range(5))
+        assert exc.value.partial[0] == pytest.approx(want, rel=1e-14)
+
+    def test_h_cos_against_multiprecision(self):
+        mp = pytest.importorskip("mpmath")
+        q = 0.5
+        try:
+            mp.mp.dps = 60
+
+            def poch_inf(c):
+                p, term = mp.mpc(1), mp.mpc(c)
+                while abs(term) > mp.mpf(10) ** -70:
+                    p *= 1 - term
+                    term *= mp.mpf(q)
+                return p
+
+            theta = np.array([0.2, 1.3, 2.9])
+            got = h_cos(theta, COMPLEX_PARAMS, QContext(q=q))
+            for th, g in zip(theta.tolist(), got):
+                e = mp.expjpi(mp.mpf(th) / mp.pi)
+                want = mp.mpc(1)
+                for a in COMPLEX_PARAMS:
+                    want *= poch_inf(mp.mpc(a) * e) * poch_inf(mp.mpc(a) / e)
+                assert abs(g - complex(want)) <= 1e-14 * abs(complex(want))
+        finally:
+            mp.mp.dps = 15
+
+    def test_scratch_memory_bounded_near_q_one(self):
+        # a (576 nodes x ~1300 factors) array in one piece would take 12 MB
+        ctx = QContext(q=0.97)
+        theta = np.linspace(0.0, math.pi, 576)
+        x = np.linspace(-17.0, 17.0, 576)
+        tracemalloc.start()
+        try:
+            h_cos(theta, COMPLEX_PARAMS, ctx)
+            h_sinh_log(x, 0.3, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestContextValidation:
