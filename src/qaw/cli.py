@@ -197,15 +197,21 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _params_obj(params) -> dict:
-    return {k: (_complex_obj(v) if isinstance(v, complex) else v)
-            for k, v in params.items()}
+def _json_value(value):
+    """Complex numbers as {re, im}, at any depth of dicts and lists."""
+    if isinstance(value, complex):
+        return _complex_obj(value)
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def _report_obj(report) -> dict:
     return {
         "identity": report.identity_name,
-        "params": _params_obj(report.params),
+        "params": _json_value(report.params),
         "lhs": _complex_obj(report.lhs),
         "rhs": _complex_obj(report.rhs),
         "abs_err": report.abs_err,
@@ -258,7 +264,9 @@ def _outcome_obj(outcome) -> dict:
     if outcome.report is not None:
         obj["report"] = _report_obj(outcome.report)
     elif outcome.params is not None:
-        obj["params"] = _params_obj(outcome.params)
+        obj["params"] = _json_value(outcome.params)
+    if outcome.details is not None:
+        obj["details"] = _json_value(outcome.details)
     return obj
 
 

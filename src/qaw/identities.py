@@ -214,10 +214,13 @@ class AtakishiyevParams:
         if self.alpha_g == 0:
             out.append("alpha_g must be nonzero")
             return out
-        q = self.q
-        m = abs(self.a * self.b * self.c * self.d / q**3)
+        q3 = self.q**3
+        if q3 == 0.0:
+            out.append(f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={self.alpha_g}")
+            return out
+        m = abs(self.a * self.b * self.c * self.d / q3)
         if m >= 1.0:
-            out.append(f"need |abcd/q^3| < 1, got {m:.3f}")
+            out.append(f"need |abcd/q^3| < 1, got {m:.3g}")
         if fractional:
             if not 0.0 < self.a < self.x < 1.0:
                 out.append(f"fractional variant needs 0 < a < x < 1, got a={self.a}, x={self.x}")
@@ -844,7 +847,11 @@ class CheckOutcome:
     """Result of one suite entry: passed / failed / skipped / diverged.
 
     ``params`` are the entry's parameters, kept so that a skipped or
-    diverged entry, which has no report, can be re-run.
+    diverged entry, which has no report, can be re-run.  ``details`` holds
+    a diverged entry's failure data as plain Python values: ``k``,
+    ``term_magnitude`` and ``partial`` of a :class:`KSumDivergence`,
+    ``partial`` and ``last_term`` of a :class:`NonConvergence`, the
+    ``probes`` (half-width to log-magnitude) of a :class:`WindowFailure`.
     """
 
     identity_name: str
@@ -852,6 +859,25 @@ class CheckOutcome:
     report: IdentityReport | None = None
     reason: str | None = None
     params: dict | None = None
+    details: dict | None = None
+
+
+_FAILURE_FIELDS = {
+    KSumDivergence: ("k", "term_magnitude", "partial"),
+    NonConvergence: ("partial", "last_term"),
+    WindowFailure: ("probes",),
+}
+
+
+def _plain(value):
+    # numpy partials (array paths) as lists of Python numbers
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def _failure_details(exc) -> dict:
+    return {name: _plain(getattr(exc, name)) for name in _FAILURE_FIELDS[type(exc)]}
 
 
 def run_check(name: str, params: dict, ctx_options=None, tol=None) -> IdentityReport:
@@ -876,7 +902,8 @@ def run_suite(entries, ctx_options=None):
     rejects unknown identity and parameter names.  Domain violations, poles
     and vanishing factors yield skipped outcomes, convergence and window
     errors yield diverged outcomes, each with the diagnostic message and
-    the entry's params.  The report order equals the entry order.
+    the entry's params; diverged outcomes also carry the failure's data
+    (``details``).  The report order equals the entry order.
     """
     outcomes = []
     for entry in entries:
@@ -889,9 +916,10 @@ def run_suite(entries, ctx_options=None):
             outcomes.append(CheckOutcome(
                 name, "skipped", reason=f"{type(exc).__name__}: {exc}", params=params
             ))
-        except (KSumDivergence, WindowFailure, NonConvergence) as exc:
+        except tuple(_FAILURE_FIELDS) as exc:
             outcomes.append(CheckOutcome(
-                name, "diverged", reason=f"{type(exc).__name__}: {exc}", params=params
+                name, "diverged", reason=f"{type(exc).__name__}: {exc}", params=params,
+                details=_failure_details(exc),
             ))
         else:
             outcomes.append(

@@ -1,7 +1,12 @@
-"""Shared fixtures."""
+"""Shared fixtures and the hypothesis profile."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# deterministic examples, no example database on disk, no per-example deadline
+settings.register_profile("qaw", derandomize=True, database=None, deadline=None)
+settings.load_profile("qaw")
 
 
 @pytest.fixture

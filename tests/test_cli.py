@@ -91,6 +91,16 @@ class TestCheck:
         )
         assert code == 65 and "invariant" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--alpha-g", "11.2"],
+        ["--alpha-g", "12"],
+        ["--alpha-g", "11.2", "--a", "0.1", "--b", "0.1", "--c", "0.1", "--d", "0.1"],
+    ])
+    def test_underflowing_gaussian_base_exits_65(self, capsys, extra):
+        code, out, err = run_cli(capsys, "check", "atakishiyev", *extra)
+        assert code == 65 and out == ""
+        assert "Traceback" not in err and "underflow" in err
+
     def test_missing_required_param_exits_65(self, capsys):
         code, _, err = run_cli(capsys, "check", "askey-wilson", "--a", "0.3")
         assert code == 65 and "--q" in err
@@ -164,6 +174,24 @@ class TestSuite:
         assert diverged["status"] == "diverged" and diverged["params"] == diverging
         assert skipped["status"] == "skipped"
         assert skipped["params"] == {"q": 0.5, "a": 1.5}
+
+    def test_diverged_entry_reports_its_failure_data(self, capsys, tmp_path):
+        diverging = {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06, "d": 0.06,
+                     "x": 0.6, "mu": 1.5}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "fractional-atakishiyev", "params": diverging},
+            {"identity": "atakishiyev", "params": {"alpha_g": 12.0}},
+        ]}))
+        code, out, _ = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 1
+        diverged, skipped = json.loads(out)["reports"]
+        details = diverged["details"]
+        assert details["k"] == 20
+        assert details["term_magnitude"] == pytest.approx(1.089e11, rel=1e-3)
+        assert set(details["partial"]) == {"re", "im"}
+        assert skipped["status"] == "skipped" and "details" not in skipped
+        assert skipped["params"] == {"alpha_g": 12.0}
 
     def test_unreadable_spec(self, capsys, tmp_path):
         code, _, err = run_cli(

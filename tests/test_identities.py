@@ -3,6 +3,7 @@
 import cmath
 import gc
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from qaw.context import (
     NonConvergence,
     PoleError,
     QContext,
+    WindowFailure,
 )
 from qaw.identities import (
     AtakishiyevParams,
@@ -176,6 +178,70 @@ class _MpStableKSum:
                  for m in range(self.M)]
             coef *= x * (1 - a / x * q ** (mu + k)) / (a * (1 - q ** (mu + k + 1)))
         raise AssertionError("oracle k-sum did not settle")
+
+
+class TestQuadratureOracle:
+    """The quadrature side of each plain integral against a 40-digit closed form.
+
+    The points are the draws of acceptance criteria 06, 08 and 09; the
+    closed forms are evaluated with ``mpmath.qp``, independently of qaw.
+    """
+
+    TOL = 2e-15
+
+    @staticmethod
+    def _qp_product(mp, args, q):
+        out = mp.mpf(1)
+        for v in args:
+            out *= mp.qp(v, q)
+        return out
+
+    def _rel(self, mp, lhs, exact):
+        return float(abs(mp.mpc(lhs) - exact) / abs(exact))
+
+    def test_askey_wilson(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(106)
+        with mp.workdps(40):
+            for _ in range(20):
+                p = AWParams(q=rng.uniform(0.3, 0.7), a=rng.uniform(-0.6, 0.6),
+                             b=rng.uniform(-0.6, 0.6), c=rng.uniform(-0.6, 0.6),
+                             d=rng.uniform(-0.6, 0.6))
+                q, a, b, c, d = (mp.mpf(v) for v in (p.q, p.a, p.b, p.c, p.d))
+                exact = 2 * mp.pi * mp.qp(a * b * c * d, q) / self._qp_product(
+                    mp, [q, a * b, a * c, a * d, b * c, b * d, c * d], q)
+                assert self._rel(mp, check_askey_wilson(p).lhs, exact) < self.TOL, p
+
+    def test_reversal(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(108)
+        with mp.workdps(40):
+            for _ in range(5):
+                p = ReversalParams(q=rng.uniform(0.4, 0.6), a=rng.uniform(-0.2, 0.2),
+                                   b=rng.uniform(-0.2, 0.2), c=rng.uniform(-0.2, 0.2),
+                                   d=rng.uniform(-0.2, 0.2))
+                q, a, b, c, d = (mp.mpf(v) for v in (p.q, p.a, p.b, p.c, p.d))
+                exact = self._qp_product(
+                    mp, [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d,
+                         q * c * d], q) / mp.qp(q * a * b * c * d, q) * mp.log(1 / q)
+                assert self._rel(mp, check_reversal_aw(p).lhs, exact) < self.TOL, p
+
+    def test_gaussian(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(109)
+        points = [AtakishiyevParams(alpha_g=ag) for ag in (0.8, 1.0)] + [
+            AtakishiyevParams(alpha_g=[0.8, 1.0][i % 2], a=rng.uniform(-0.1, 0.1),
+                              b=rng.uniform(-0.1, 0.1), c=rng.uniform(-0.1, 0.1),
+                              d=rng.uniform(-0.1, 0.1))
+            for i in range(5)]
+        with mp.workdps(40):
+            for p in points:
+                q = mp.exp(-2 * mp.mpf(p.alpha_g) ** 2)
+                a, b, c, d = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d))
+                exact = mp.sqrt(mp.pi) * q ** mp.mpf(-0.125) * self._qp_product(
+                    mp, [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q,
+                         c * d / q], q) / mp.qp(a * b * c * d / q**3, q)
+                assert self._rel(mp, check_atakishiyev(p).lhs, exact) < self.TOL, p
 
 
 class TestBatchedKSum:
@@ -415,6 +481,54 @@ class TestSuiteRunner:
         (oc,) = run_suite([{"identity": "reversal-askey-wilson", "params": params}])
         assert oc.status == "skipped" and oc.reason.startswith("DivisionByZero")
         assert oc.params == params
+
+    @pytest.mark.parametrize("params", [
+        {"alpha_g": 11.2},
+        {"alpha_g": 12.0},
+        {"alpha_g": 11.2, "a": 0.1, "b": 0.1, "c": 0.1, "d": 0.1},
+    ])
+    def test_underflowing_gaussian_base_becomes_skipped(self, params):
+        # q = exp(-2 alpha^2): q^3 underflows to 0 and |abcd/q^3| is undefined
+        (oc,) = run_suite([{"identity": "atakishiyev", "params": params}])
+        assert oc.status == "skipped" and "underflow" in oc.reason
+        assert oc.params == params
+        with pytest.raises(DomainError):
+            check_atakishiyev(AtakishiyevParams(**params))
+
+    def test_divergence_carries_its_data(self):
+        params = {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06, "d": 0.06,
+                  "x": 0.6, "mu": 1.5}
+        (oc,) = run_suite([{"identity": "fractional-atakishiyev", "params": params}])
+        assert oc.status == "diverged" and set(oc.details) == {
+            "k", "term_magnitude", "partial"}
+        assert oc.details["k"] == 20 and type(oc.details["k"]) is int
+        assert oc.details["term_magnitude"] == pytest.approx(1.089e11, rel=1e-3)
+        assert type(oc.details["partial"]) is complex
+
+    @pytest.mark.parametrize("exc, details", [
+        (NonConvergence("stalled", partial=np.array([1.0 + 2.0j]),
+                        last_term=np.float64(0.5)),
+         {"partial": [1.0 + 2.0j], "last_term": 0.5}),
+        (WindowFailure("no window", probes={1.0: -3.0, 1.5: -2.0}),
+         {"probes": {1.0: -3.0, 1.5: -2.0}}),
+    ])
+    def test_failure_fields_become_plain_details(self, monkeypatch, exc, details):
+        def failing(p, ctx=None, tol=None):
+            raise exc
+
+        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
+                            (AWParams, failing))
+        (oc,) = run_suite([{"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3}}])
+        assert oc.status == "diverged" and oc.details == details
+        assert type(oc.details.get("last_term", 0.0)) is float
+
+    def test_passed_and_skipped_entries_have_no_details(self):
+        (passed, skipped) = run_suite([
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3}},
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 1.5}},
+        ])
+        assert passed.status == "passed" and skipped.status == "skipped"
+        assert passed.details is None and skipped.details is None
 
     def test_pole_becomes_skipped(self, monkeypatch):
         def at_pole(p, ctx=None, tol=None):

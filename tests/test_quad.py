@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaw.context import WindowFailure
 from qaw.quad import (
@@ -48,7 +50,7 @@ class TestIntegrateTheta:
             return np.cos(th) ** 2
 
         res = integrate_theta(f)
-        assert calls == [(64,), (128,)] and res.nodes_used == 128
+        assert calls == [(65,), (64,)] and res.nodes_used == 129
 
     def test_scalar_returning_integrand_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +65,7 @@ class TestIntegrateTheta:
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-12)
 
     def test_polynomial_exactness(self):
-        # Gauss-Legendre with n nodes is exact to degree 2n-1
+        # non-periodic: the Romberg diagonal, not the trapezoid column, converges
         for deg in (3, 7, 15):
             res = integrate_theta(lambda th: th**deg)
             want = math.pi ** (deg + 1) / (deg + 1)
@@ -124,8 +126,82 @@ class TestGrowthWindow:
         f = lambda t: np.exp(-t * t) * np.cos(t)
         auto = integrate_line_even_window(f)
         T = auto.window[1] * 2.0
-        from qaw.quad import _refine
+        from qaw.quad import _trapezoid
 
-        edges = list(np.linspace(-T, T, 2 * max(2, math.ceil(T)) + 1))
-        bigger = _refine(f, edges, QuadratureConfig(), 16, (-T, T))
+        bigger = _trapezoid(f, -T, T, QuadratureConfig())
         assert abs(bigger.value - auto.value) <= max(auto.est_error, 1e-14)
+
+
+def _recording(f, calls):
+    def g(x):
+        calls.append(x.copy())
+        return f(x)
+
+    return g
+
+
+class TestNestedTrapezoid:
+    def test_cosines_exact_below_twice_the_intervals(self):
+        # N intervals on [0, pi] are the 2N-point periodic rule on [0, 2 pi]
+        cfg = QuadratureConfig(initial_nodes=8)
+        for k in range(16):
+            res = integrate_theta(lambda th: np.cos(k * th), cfg)
+            want = math.pi if k == 0 else 0.0
+            assert abs(res.value - want) <= 1e-14 and res.nodes_used == 17
+
+    def test_levels_reuse_every_node(self):
+        calls = []
+        res = integrate_theta(_recording(lambda th: th**15, calls))
+        nodes = np.concatenate(calls)
+        assert len(calls) > 2 and [c.size for c in calls[1:]] == [
+            64 * 2**i for i in range(len(calls) - 1)]
+        assert np.unique(nodes).size == nodes.size == res.nodes_used
+        assert nodes.min() == 0.0 and nodes.max() == math.pi
+
+    def test_window_nodes_are_exact_negatives(self):
+        calls = []
+        f = lambda t: np.exp(-t * t) * np.cosh(t) * (1.0 + 0.5j * np.sinh(t))
+        res = integrate_line_even_window(_recording(f, calls))
+        T = res.window[1]
+        probes = [c for c in calls if c.size == 2]
+        assert probes[-1].tolist() == [T, -T]
+        nodes = np.sort(np.concatenate(calls[len(probes):]))
+        assert np.unique(nodes).size == nodes.size == res.nodes_used
+        assert np.array_equal(nodes, -nodes[::-1]) and nodes[-1] == T
+
+    def test_error_estimate_bounds_the_error_theta(self):
+        for a in np.linspace(1.02, 4.0, 200):
+            # a - cos(theta), written without cancellation near theta = 0
+            res = integrate_theta(lambda th: 1.0 / ((a - 1.0) + 2.0 * np.sin(0.5 * th) ** 2))
+            want = math.pi / math.sqrt((a - 1.0) * (a + 1.0))
+            assert abs(res.value - want) <= res.est_error, a
+
+    def test_error_estimate_bounds_the_error_nonperiodic(self):
+        for k in np.linspace(-4.0, 4.0, 200):
+            res = integrate_theta(lambda th: np.exp(k * th))
+            want = math.expm1(k * math.pi) / k
+            assert abs(res.value - want) <= res.est_error, k
+
+    def test_error_estimate_bounds_the_error_window(self):
+        for s in np.linspace(0.1, 4.0, 200):
+            res = integrate_line_even_window(lambda t: np.exp(-s * t * t) * np.cos(t))
+            want = math.sqrt(math.pi / s) * math.exp(-0.25 / s)
+            assert abs(res.value - want) <= res.est_error, s
+
+    @given(
+        a=st.floats(1.1, 4.0),
+        coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    )
+    def test_trig_polynomial_over_cosine_pole(self, a, coeffs):
+        # int_0^pi cos(k theta) / (a - cos theta) = pi r^k / sqrt(a^2 - 1),
+        # r = a - sqrt(a^2 - 1)
+        root = math.sqrt((a - 1.0) * (a + 1.0))
+        r = a - root
+
+        def f(th):
+            poly = sum(c * np.cos(k * th) for k, c in enumerate(coeffs))
+            return poly / ((a - 1.0) + 2.0 * np.sin(0.5 * th) ** 2)
+
+        res = integrate_theta(f)
+        want = math.pi / root * sum(c * r**k for k, c in enumerate(coeffs))
+        assert abs(res.value - want) <= res.est_error
