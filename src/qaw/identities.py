@@ -52,8 +52,12 @@ stop and divergence rules are applied per node.  The weights take the
 same node array: ``h_cos``, ``h_sinh_log`` and ``q_pochhammer_infinite_log``
 evaluate every node of a level in one call of their array path, so an
 integrand is the weight (or the exponential of its log) times ``ksum``.
-The closed-product sides call only the scalar loops of :mod:`qaw.qcore`,
-so the two sides of an identity share no vectorised code.
+The operator side of the generating identities is a fractional q-integral
+whose integrand, a ratio of ``q_pochhammer_infinite`` products, takes the
+array of q-geometric points of a block in the same way.  The closed-product
+sides (``_three_term_side``, ``frac_prefactor``) call only the scalar
+loops of :mod:`qaw.qcore`, so the two sides of an identity share no
+vectorised code.
 """
 
 from __future__ import annotations
@@ -478,8 +482,8 @@ def _generating_lhs(p, ctx, include_ru):
         if include_ru:
             num.append(y * p.r * p.u)
             den.append(y * p.u)
-        return q_pochhammer_multi(num, INFINITE, ctx) / q_pochhammer_multi(
-            den, INFINITE, ctx
+        return math.prod(q_pochhammer_infinite(v, ctx) for v in num) / math.prod(
+            q_pochhammer_infinite(v, ctx) for v in den
         )
 
     return fractional_q_integral(integrand, p.x, p.a, p.mu, ctx)

@@ -139,6 +139,10 @@ def q_pochhammer_infinite(a, ctx: QContext):
     )
 
 
+def _fsum_complex(values) -> complex:
+    return complex(math.fsum([v.real for v in values]), math.fsum([v.imag for v in values]))
+
+
 def q_pochhammer_infinite_log(a, ctx: QContext):
     """log (a;q)_inf with accumulated phase; safe when factors exceed 1.
 
@@ -151,20 +155,22 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     if isinstance(a, np.ndarray):
         return _array_product(a, ctx, log=True)
     q = ctx.q
-    s = complex(0.0)
+    # the factor logs are summed exactly (math.fsum): near q = 1 there are
+    # thousands of them, and the two sums that h_sinh_log adds cancel
+    logs = []
     term = complex(a)
     for _ in range(ctx.max_factors):
         mag = abs(term)
         if mag < ctx.eps_factor and _tail_bound(mag, q) < ctx.eps_term:
-            return s
+            return _fsum_complex(logs)
         f = 1.0 - term
         if f == 0:
             raise DivisionByZero(f"(a;q)_inf with a={a} contains an exact zero factor")
-        s += cmath.log(f)
+        logs.append(cmath.log(f))
         term *= q
     raise NonConvergence(
         f"log (a;q)_inf with a={a} did not converge in {ctx.max_factors} factors",
-        partial=s,
+        partial=_fsum_complex(logs),
         last_term=abs(term),
     )
 

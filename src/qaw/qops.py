@@ -1,15 +1,102 @@
 """Operator layer: Thomae-Jackson q-integral, the generalized fractional
 q-integral, the q-difference operator D_c and the Cauchy operator T(a, b D_c).
 
-Integrands are plain callables mapping a point to a complex value; they must
-be pure and deterministic.  Point evaluations inside an operator call are
-cached per call, never globally.
+Integrand contract.  ``jackson_q_integral``, ``fractional_q_integral`` and
+``cauchy_T_apply`` take the integrand contract of :mod:`qaw.quad`: ``f``
+takes a 1-D array of points and returns an array of the same shape; any
+other shape, a scalar included, raises ``ValueError``.  The q-integrals sum
+their series in blocks of q-geometric points x q^n and a q^n (64 points
+first, then doubling, at most ``ctx.max_terms`` in all) and call ``f`` once
+per branch and block; the Cauchy operator calls ``f`` once, on c q^j for
+j <= n_max.  Each term is formed with the arithmetic of a term-by-term
+loop (q^n by repeated multiplication, running products and partial sums in
+sequence), so the sum stops where such a loop stops.  Integrands must be
+pure and deterministic.
+
+``q_difference`` and ``difference_eq_residual`` stay scalar: they call
+``f`` on single points.
 """
 
 from __future__ import annotations
 
+import cmath
+
+import numpy as np
+
 from .context import DomainError, NonConvergence, QContext
-from .qcore import q_gamma, q_pochhammer_infinite
+from .qcore import q_pochhammer_infinite
+from .quad import _evaluate
+
+_FIRST_BLOCK = 64
+
+
+def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
+    """scale * sum_n q^n [term of each branch at x q^n], summed in blocks.
+
+    ``branches`` holds (sign, x, c0, s): the branch adds sign * x * c_n *
+    f(x q^n), where c_n = 1 if c0 is None and otherwise
+    c_n = c0 prod_{k<n} (1 - s q^{k+mu}) / (1 - s q^{k+1}).  The sum stops at
+    the first n that closes a run of ``ctx.consecutive_small`` terms below
+    ``ctx.eps_term`` of the partial sum, as the term-by-term loop does.
+    """
+    q = ctx.q
+    coef = [c0 for _, _, c0, _ in branches]
+    total = complex(0.0)
+    qn = 1.0
+    small = 0
+    n0, size = 0, _FIRST_BLOCK
+    while n0 < ctx.max_terms:
+        m = min(size, ctx.max_terms - n0)
+        qns = np.full(m, q)
+        qns[0] = qn
+        np.multiply.accumulate(qns, out=qns)
+        if mu is not None:
+            # Python's pow: numpy's SIMD power differs from it in the last bit
+            qmu = np.array([q ** (k + mu) for k in range(n0, n0 + m)])
+            q1 = np.array([q ** (k + 1) for k in range(n0, n0 + m)])
+        term = np.zeros(m)
+        # points past the stop may overflow f; a non-finite term before it raises
+        with np.errstate(all="ignore"):
+            for i, (sign, x, _, s) in enumerate(branches):
+                w = sign * x
+                if s is not None:
+                    c = np.empty(m + 1, dtype=complex)
+                    c[0] = coef[i]
+                    c[1:] = (1.0 - s * qmu) / (1.0 - s * q1)
+                    np.multiply.accumulate(c, out=c)
+                    coef[i] = complex(c[-1])
+                    w = w * c[:-1]
+                v = w * _evaluate(f, x * qns)
+                term = v if i == 0 else term + v
+            term *= qns
+            partial = np.cumsum(np.concatenate(([total], term)))[1:]
+            flags = np.abs(term) < ctx.eps_term * np.maximum(np.abs(partial), 1e-300)
+        stop = None
+        for i, tiny in enumerate(flags.tolist()):
+            small = small + 1 if tiny else 0
+            if small >= ctx.consecutive_small:
+                stop = i
+                break
+        end = m if stop is None else stop + 1
+        if not cmath.isfinite(partial[end - 1]):
+            # a non-finite term makes every later partial sum non-finite
+            k = int(np.flatnonzero(~np.isfinite(partial))[0])
+            raise NonConvergence(
+                f"{what}: term {n0 + k} or the partial sum through it is not finite",
+                partial=scale * (complex(partial[k - 1]) if k else total),
+                last_term=float(abs(term[k])),
+            )
+        if stop is not None:
+            return scale * complex(partial[stop])
+        total = complex(partial[-1])
+        qn = float(qns[-1]) * q
+        n0 += m
+        size *= 2
+    raise NonConvergence(
+        f"{what} did not converge in {ctx.max_terms} terms",
+        partial=scale * total,
+        last_term=float(abs(term[-1])),
+    )
 
 
 def jackson_q_integral(f, a: float, b: float, ctx: QContext) -> complex:
@@ -17,32 +104,13 @@ def jackson_q_integral(f, a: float, b: float, ctx: QContext) -> complex:
 
     (1-q) sum_n q^n [b f(b q^n) - a f(a q^n)], truncated once
     ``ctx.consecutive_small`` successive terms fall below the relative
-    tolerance.
+    tolerance.  ``f`` maps an array of points to an array of values.
     """
-    q = ctx.q
-    total = complex(0.0)
-    qn = 1.0
-    small = 0
-    for _ in range(ctx.max_terms):
-        term = complex(0.0)
-        if b != 0:
-            term += b * f(b * qn)
-        if a != 0:
-            term -= a * f(a * qn)
-        term *= qn
-        total += term
-        if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
-            small += 1
-            if small >= ctx.consecutive_small:
-                return (1.0 - q) * total
-        else:
-            small = 0
-        qn *= q
-    raise NonConvergence(
-        f"Jackson q-integral over [{a}, {b}] did not converge in "
-        f"{ctx.max_terms} terms",
-        partial=(1.0 - q) * total,
-        last_term=abs(term),
+    branches = [(1, b, None, None)] if b != 0 else []
+    if a != 0:
+        branches.append((-1, a, None, None))
+    return _geometric_sum(
+        f, branches, None, 1.0 - ctx.q, f"Jackson q-integral over [{a}, {b}]", ctx
     )
 
 
@@ -56,53 +124,43 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
                    - a (a q^{n+1}/x;q)_{mu-1} f(a q^n)]
 
     with the fractional Pochhammer factors advanced by exact one-step
-    recurrences.  ``a = 0`` drops the lower-limit branch.
+    recurrences.  ``a = 0`` drops the lower-limit branch.  ``f`` maps an
+    array of points to an array of values.
     """
     if mu <= 0:
         raise DomainError(f"fractional order must be positive, got {mu}")
     if a < 0 or a >= x:
         raise DomainError(f"need 0 <= a < x, got a={a}, x={x}")
     q = ctx.q
-    pref = x ** (mu - 1.0) * (1.0 - q) / q_gamma(mu, ctx)
-
-    # (q^{n+1};q)_{mu-1} and (a q^{n+1}/x;q)_{mu-1} at n = 0
+    # (q^{n+1};q)_{mu-1} and (a q^{n+1}/x;q)_{mu-1} at n = 0; the first is
+    # the ratio of products that q_gamma(mu) scales by (1-q)^{1-mu}
     cx = q_pochhammer_infinite(q, ctx) / q_pochhammer_infinite(q**mu, ctx)
-    ax = a / x
+    pref = x ** (mu - 1.0) * (1.0 - q) / (cx.real * (1.0 - q) ** (1.0 - mu))
+    branches = [(1, x, cx, 1.0)]
     if a != 0:
+        ax = a / x
         ca = q_pochhammer_infinite(ax * q, ctx) / q_pochhammer_infinite(
             ax * q**mu, ctx
         )
-    total = complex(0.0)
-    qn = 1.0
-    small = 0
-    for n in range(ctx.max_terms):
-        term = x * cx * f(x * qn)
-        if a != 0:
-            term -= a * ca * f(a * qn)
-        term *= qn
-        total += term
-        if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
-            small += 1
-            if small >= ctx.consecutive_small:
-                return pref * total
-        else:
-            small = 0
-        cx *= (1.0 - q ** (n + mu)) / (1.0 - q ** (n + 1))
-        if a != 0:
-            ca *= (1.0 - ax * q ** (n + mu)) / (1.0 - ax * q ** (n + 1))
-        qn *= q
-    raise NonConvergence(
-        f"fractional q-integral (mu={mu}) did not converge in {ctx.max_terms} terms",
-        partial=pref * total,
-        last_term=abs(term),
+        branches.append((-1, a, ca, ax))
+    return _geometric_sum(
+        f, branches, mu, pref, f"fractional q-integral (mu={mu})", ctx
     )
 
 
 def q_difference(f, c: complex, q: float) -> complex:
-    """q-difference operator D_c{f} = (f(c) - f(c q)) / c."""
+    """q-difference operator D_c{f} = (f(c) - f(c q)) / c, for a scalar f."""
     if c == 0:
         raise DomainError("q-difference operator undefined at c = 0")
     return (f(c) - f(c * q)) / c
+
+
+def _divide(num, den):
+    """num / den; a complex num over a real den part by part, as Python's
+    complex / float does (numpy's complex division multiplies by 1/den)."""
+    if num.dtype.kind == "c" and den.dtype.kind != "c":
+        return (num.view(float).reshape(-1, 2) / den[:, None]).view(complex).ravel()
+    return num / den
 
 
 def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QContext) -> complex:
@@ -110,21 +168,22 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
 
     sum_{n=0}^{n_max} (a;q)_n/(q;q)_n b^n (D_c)^n f, with the n-th
     q-difference power computed by literal nested differences on the
-    geometric points c, cq, ..., c q^{n_max}.  Point evaluations of f are
-    cached for the duration of this call.
+    geometric points c, cq, ..., c q^{n_max}.  ``f`` is called once, on the
+    array of those points (on [c] alone when b = 0).
     """
     if c == 0:
         raise DomainError("Cauchy operator needs c != 0")
     q = ctx.q
     if b == 0:
-        return f(c)
+        return complex(_evaluate(f, np.array([c]))[0])
 
     # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j.
     # Each pass divides by c q^j, so rounding noise in the level values is
     # amplified by ~ q^{-n(n-1)/2}; once the (decaying) true terms fall below
     # that noise floor the computed terms start growing again, and the sum
     # must stop there rather than absorb amplified rounding noise.
-    level = [f(c * q**j) for j in range(n_max + 1)]
+    points = np.array([c * q**j for j in range(n_max + 1)])
+    level = _evaluate(f, points)
     total = complex(level[0])
     poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
     bn = complex(1.0)
@@ -132,12 +191,10 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     last_mag = prev_mag
     small = 0
     for n in range(1, n_max + 1):
-        level = [
-            (level[j] - level[j + 1]) / (c * q**j) for j in range(len(level) - 1)
-        ]
+        level = _divide(level[:-1] - level[1:], points[: n_max + 1 - n])
         poch_ratio *= (1.0 - a * q ** (n - 1)) / (1.0 - q**n)
         bn *= b
-        term = poch_ratio * bn * level[0]
+        term = poch_ratio * bn * complex(level[0])
         mag = abs(term)
         scale = max(abs(total), 1e-300)
         if mag > last_mag and last_mag <= 1e-8 * scale:

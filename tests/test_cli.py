@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, output, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -67,6 +68,19 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", *argv)
         assert code == 2 and out == ""
         assert "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["qint", "--q", "0.5", "--power", "-1"],
+        ["fracint", "--q", "0.5", "--x", "0.5", "--mu", "1.5", "--power", "-2"],
+    ])
+    def test_overflowing_integrand_exits_2(self, capsys, argv):
+        # t^power overflows once q^n underflows: the sum stops at the first
+        # non-finite term, and no numpy warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("convergence error:") and "Traceback" not in err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
