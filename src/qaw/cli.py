@@ -25,7 +25,7 @@ from .context import (
 )
 from . import qcore, qops
 from .identities import IDENTITY_REGISTRY, run_check, run_suite
-from .suite import default_suite, expand_suite
+from .suite import default_suite, expand_suite, param_fields
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -224,17 +224,12 @@ def _report_obj(report) -> dict:
 
 
 def _collect_check_params(args, identity) -> dict:
-    cls, _ = IDENTITY_REGISTRY[identity]
-    fields = {f.name for f in dataclasses.fields(cls)}
-    params = {}
-    for name in fields:
-        flag = name.replace("_", "-")
-        value = getattr(args, flag.replace("-", "_"), None)
+    params, missing = {}, []
+    for f in param_fields(identity):
+        value = getattr(args, f.name)
         if value is not None:
-            params[name] = value
-    missing = []
-    for f in dataclasses.fields(cls):
-        if f.name not in params and f.default is dataclasses.MISSING:
+            params[f.name] = value
+        elif f.default is dataclasses.MISSING:
             missing.append(f.name)
     if missing:
         raise DomainError(

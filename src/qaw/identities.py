@@ -6,6 +6,20 @@ versus closed-product/series) that share only the primitives in
 closed side through their scalar loops), and returns an
 :class:`IdentityReport` with the residual and convergence diagnostics.
 
+One table, one check function
+-----------------------------
+Every check is :func:`_check` on its identity's row of ``_TABLE``: the
+params class (its ``violations`` is the domain predicate), further domain
+rules, the function giving both sides and the default tolerance.  A
+quadrature family (Askey-Wilson on [0, pi], reversal and Gaussian on the
+real line) is a :class:`_Family`; its plain check integrates the weight
+against the closed product, its fractional check the weight times
+:func:`ksum` against the closed product times :func:`frac_prefactor`.  A
+``-3phi2`` form is its parent with d (u for the generating pair) pinned
+to 0 by a domain rule.  That is exact: ``ksum``, ``h_cos`` and the log
+weights drop zero parameters, and a zero parameter of a closed product is
+the factor (0;q)_inf = 1.
+
 Stable evaluation of the outer k-sums
 -------------------------------------
 Every fractional identity carries an outer sum over k whose k-th term
@@ -47,24 +61,22 @@ Nothing is cached between calls.
 Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
-level and evaluates all nodes in one (coefficients x nodes) array.  The
-stop and divergence rules are applied per node.  The weights take the
-same node array: ``h_cos``, ``h_sinh_log`` and ``q_pochhammer_infinite_log``
-evaluate every node of a level in one call of their array path, so an
-integrand is the weight (or the exponential of its log) times ``ksum``.
-The operator side of the generating identities is a fractional q-integral
-whose integrand, a ratio of ``q_pochhammer_infinite`` products, takes the
-array of q-geometric points of a block in the same way.  The closed-product
-sides (``_three_term_side``, ``frac_prefactor``) call only the scalar
-loops of :mod:`qaw.qcore`, so the two sides of an identity share no
-vectorised code.
+level and evaluates all nodes in one (coefficients x nodes) array, with
+the stop and divergence rules applied per node.  The weights and the
+generating identities' q-integrand take the same node (or point) array
+through the array paths of ``h_cos``, ``h_sinh_log`` and the infinite
+products.  The closed sides (``_three_term_side``, the families'
+``closed``, ``frac_prefactor``) call only the scalar loops of
+:mod:`qaw.qcore`, so the two sides of an identity share no vectorised code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +90,7 @@ from .context import (
     WindowFailure,
 )
 from .qcore import (
+    INFINITE,
     h_cos,
     h_sinh_log,
     q_pochhammer,
@@ -89,27 +102,34 @@ from .qops import fractional_q_integral
 from .quad import QuadratureConfig, integrate_line_even_window, integrate_theta
 
 _TINY = 1e-12
-INFINITE = math.inf
-
-DEFAULT_TOLERANCES = {
-    "lemma-three-term": 1e-8,
-    "fractional-generating": 1e-8,
-    "fractional-generating-3phi2": 1e-8,
-    "askey-wilson": 1e-6,
-    "fractional-askey-wilson": 1e-6,
-    "fractional-askey-wilson-3phi2": 1e-6,
-    "reversal-askey-wilson": 1e-5,
-    "fractional-reversal-askey-wilson": 1e-5,
-    "fractional-reversal-askey-wilson-3phi2": 1e-5,
-    "atakishiyev": 1e-5,
-    "fractional-atakishiyev": 1e-5,
-    "fractional-atakishiyev-3phi2": 1e-5,
-}
 
 
 # --------------------------------------------------------------------------
-# parameter bundles
+# parameter bundles and domain rules
 # --------------------------------------------------------------------------
+
+def _q_violations(q):
+    return [] if 0.0 < q < 1.0 else [f"q must lie in (0,1), got {q}"]
+
+
+def _fractional_violations(p):
+    """0 < a < x < 1 and mu > 0: the domain of the fractional q-integral."""
+    out = []
+    if not 0.0 < p.a < p.x < 1.0:
+        out.append(f"need 0 < a < x < 1, got a={p.a}, x={p.x}")
+    if p.mu <= 0:
+        out.append(f"mu must be positive, got {p.mu}")
+    return out
+
+
+def _below_one(label, m):
+    return [f"need {label} < 1, got {m:.3g}"] if m >= 1.0 else []
+
+
+def _lemma_violations(p):
+    m = max(abs(p.a * p.s), abs(p.a * p.z), abs(p.a * p.u))
+    return _below_one("max(|as|,|az|,|au|)", m)
+
 
 @dataclass(frozen=True)
 class GeneratingParams:
@@ -127,17 +147,9 @@ class GeneratingParams:
     z: complex = 0.0
 
     def violations(self):
-        out = []
-        if not 0.0 < self.q < 1.0:
-            out.append(f"q must lie in (0,1), got {self.q}")
-        if not 0.0 < self.a < self.x < 1.0:
-            out.append(f"need 0 < a < x < 1, got a={self.a}, x={self.x}")
-        if self.mu <= 0:
-            out.append(f"mu must be positive, got {self.mu}")
         m = max(abs(self.a * self.t), abs(self.a * self.z), abs(self.a * self.r * self.u))
-        if m >= 1.0:
-            out.append(f"need max(|at|,|az|,|aru|) < 1, got {m:.3f}")
-        return out
+        out = _q_violations(self.q) + _fractional_violations(self)
+        return out + _below_one("max(|at|,|az|,|aru|)", m)
 
 
 @dataclass(frozen=True)
@@ -152,19 +164,9 @@ class AWParams:
     x: float = 0.0
     mu: float = 1.0
 
-    def violations(self, fractional=False):
-        out = []
-        if not 0.0 < self.q < 1.0:
-            out.append(f"q must lie in (0,1), got {self.q}")
+    def violations(self):
         m = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        if m >= 1.0:
-            out.append(f"need max(|a|,|b|,|c|,|d|) < 1, got {m:.3f}")
-        if fractional:
-            if not 0.0 < self.a < self.x < 1.0:
-                out.append(f"fractional variant needs 0 < a < x < 1, got a={self.a}, x={self.x}")
-            if self.mu <= 0:
-                out.append(f"mu must be positive, got {self.mu}")
-        return out
+        return _q_violations(self.q) + _below_one("max(|a|,|b|,|c|,|d|)", m)
 
 
 @dataclass(frozen=True)
@@ -179,19 +181,9 @@ class ReversalParams:
     x: float = 0.0
     mu: float = 1.0
 
-    def violations(self, fractional=False):
-        out = []
-        if not 0.0 < self.q < 1.0:
-            out.append(f"q must lie in (0,1), got {self.q}")
+    def violations(self):
         m = abs(self.q * self.a * self.b * self.c * self.d)
-        if m >= 1.0:
-            out.append(f"need |qabcd| < 1, got {m:.3f}")
-        if fractional:
-            if not 0.0 < self.a < self.x < 1.0:
-                out.append(f"fractional variant needs 0 < a < x < 1, got a={self.a}, x={self.x}")
-            if self.mu <= 0:
-                out.append(f"mu must be positive, got {self.mu}")
-        return out
+        return _q_violations(self.q) + _below_one("|qabcd|", m)
 
 
 @dataclass(frozen=True)
@@ -213,24 +205,13 @@ class AtakishiyevParams:
     def q(self) -> float:
         return math.exp(-2.0 * self.alpha_g**2)
 
-    def violations(self, fractional=False):
-        out = []
+    def violations(self):
         if self.alpha_g == 0:
-            out.append("alpha_g must be nonzero")
-            return out
+            return ["alpha_g must be nonzero"]
         q3 = self.q**3
         if q3 == 0.0:
-            out.append(f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={self.alpha_g}")
-            return out
-        m = abs(self.a * self.b * self.c * self.d / q3)
-        if m >= 1.0:
-            out.append(f"need |abcd/q^3| < 1, got {m:.3g}")
-        if fractional:
-            if not 0.0 < self.a < self.x < 1.0:
-                out.append(f"fractional variant needs 0 < a < x < 1, got a={self.a}, x={self.x}")
-            if self.mu <= 0:
-                out.append(f"mu must be positive, got {self.mu}")
-        return out
+            return [f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={self.alpha_g}"]
+        return _below_one("|abcd/q^3|", abs(self.a * self.b * self.c * self.d / q3))
 
 
 @dataclass(frozen=True)
@@ -246,40 +227,6 @@ class IdentityReport:
     wall_time: float = 0.0
     tolerance: float = 0.0
     passed: bool = False
-
-
-def _require_valid(p, fractional=None):
-    vs = p.violations() if fractional is None else p.violations(fractional)
-    if vs:
-        raise DomainError("; ".join(vs))
-
-
-def _report(name, p, lhs, rhs, tol, t0, lhs_diag=None, rhs_diag=None):
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), _TINY)
-    rel_err = abs_err / scale
-    if abs(lhs) < _TINY and abs(rhs) < _TINY:
-        passed = abs_err <= tol
-    else:
-        passed = rel_err <= tol
-    params = asdict(p)
-    if isinstance(p, AtakishiyevParams):
-        params["q"] = p.q
-    return IdentityReport(
-        identity_name=name,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        lhs_diag=lhs_diag or {},
-        rhs_diag=rhs_diag or {},
-        wall_time=time.perf_counter() - t0,
-        tolerance=tol,
-        passed=passed,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +393,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, kmax=400, diag=None):
 
 
 # --------------------------------------------------------------------------
-# section 1: generating-function identities
+# the two sides of each identity
 # --------------------------------------------------------------------------
 
 def _three_term_side(ctx, numer, denom):
@@ -455,396 +402,247 @@ def _three_term_side(ctx, numer, denom):
     )
 
 
-def check_lemma_three_term(p: GeneratingParams, ctx=None, tol=None) -> IdentityReport:
+def _lemma_sides(p, ctx):
     """Three-term contiguous relation for the triple product ratio."""
-    t0 = time.perf_counter()
-    _require_valid(p)
-    ctx = ctx or QContext(q=p.q)
-    tol = tol if tol is not None else DEFAULT_TOLERANCES["lemma-three-term"]
     a, b, r, s, t, u, z, q = p.a, p.b, p.r, p.s, p.t, p.u, p.z, p.q
-    m = max(abs(a * s), abs(a * z), abs(a * u))
-    if m >= 1.0:
-        raise DomainError(f"need max(|as|,|az|,|au|) < 1, got {m:.3f}")
-
     lhs = (s - u) * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s, a * z, a * u])
     rhs = (
         u * r * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q])
         - u * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u])
         + (s - u * r) * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q])
     )
-    return _report("lemma-three-term", p, lhs, rhs, tol, t0)
+    return lhs, rhs, {}, {}
 
 
-def _generating_lhs(p, ctx, include_ru):
+def _generating_sides(p, ctx):
+    """A fractional q-integral of a product ratio versus its k-sum form."""
+    a = p.a
+
     def integrand(y):
-        num = [p.b * y * p.z, y * p.t]
-        den = [y * p.s, y * p.z]
-        if include_ru:
-            num.append(y * p.r * p.u)
-            den.append(y * p.u)
+        num = [p.b * y * p.z, y * p.t, y * p.r * p.u]
+        den = [y * p.s, y * p.z, y * p.u]
         return math.prod(q_pochhammer_infinite(v, ctx) for v in num) / math.prod(
             q_pochhammer_infinite(v, ctx) for v in den
         )
 
-    return fractional_q_integral(integrand, p.x, p.a, p.mu, ctx)
-
-
-def check_fractional_generating(p: GeneratingParams, ctx=None, tol=None) -> IdentityReport:
-    """Fractional-integral generating identity, four-parameter series form."""
-    t0 = time.perf_counter()
-    _require_valid(p)
-    ctx = ctx or QContext(q=p.q)
-    tol = tol if tol is not None else DEFAULT_TOLERANCES["fractional-generating"]
-    a = p.a
-
-    lhs = _generating_lhs(p, ctx, include_ru=True)
-
+    lhs = fractional_q_integral(integrand, p.x, a, p.mu, ctx)
+    # the product ratio at y = a, with the k-sum's denominator on top
+    numer = [a * p.s, a * p.z, a * p.u]
+    denom = [a * p.b * p.z, a * p.t, a * p.r * p.u]
     rhs_diag = {}
-    pref = (1.0 - p.q) ** p.mu * _three_term_side(
-        ctx, [a * p.b * p.z, a * p.t, a * p.r * p.u], [a * p.s, a * p.z, a * p.u]
-    )
-    rhs = pref * ksum(
-        p.x,
-        a,
-        p.mu,
-        phi_numer=[a * p.s, a * p.z, a * p.u],
-        phi_denom=[a * p.b * p.z, a * p.t, a * p.r * p.u],
-        ctx=ctx,
-        diag=rhs_diag,
-    )
-    return _report("fractional-generating", p, lhs, rhs, tol, t0, rhs_diag=rhs_diag)
+    pref = (1.0 - p.q) ** p.mu * _three_term_side(ctx, denom, numer)
+    rhs = pref * ksum(p.x, a, p.mu, numer, denom, ctx, diag=rhs_diag)
+    return lhs, rhs, {}, rhs_diag
 
 
-def check_fractional_generating_3phi2(p: GeneratingParams, ctx=None, tol=None) -> IdentityReport:
-    """Two-parameter (u = 0) form of the fractional generating identity."""
-    t0 = time.perf_counter()
-    _require_valid(p)
-    ctx = ctx or QContext(q=p.q)
-    tol = tol if tol is not None else DEFAULT_TOLERANCES["fractional-generating-3phi2"]
-    a = p.a
+class _Family(NamedTuple):
+    """A quadrature family: the pieces that :func:`_quadrature` combines.
 
-    lhs = _generating_lhs(p, ctx, include_ru=False)
+    ``real_line`` selects ``integrate_line_even_window`` over
+    ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the weight
+    on a node array and ``series(nodes, p)`` the k-sum's numerator and
+    denominator parameters there; ``closed(p, ctx, pref)`` is the closed
+    product times ``pref`` (1, or the fractional prefactor), through the
+    scalar qcore loops only.
+    """
 
-    rhs_diag = {}
-    pref = (1.0 - p.q) ** p.mu * _three_term_side(
-        ctx, [a * p.b * p.z, a * p.t], [a * p.s, a * p.z]
-    )
-    rhs = pref * ksum(
-        p.x,
-        a,
-        p.mu,
-        phi_numer=[a * p.s, a * p.z],
-        phi_denom=[a * p.b * p.z, a * p.t],
-        ctx=ctx,
-        diag=rhs_diag,
-    )
-    return _report(
-        "fractional-generating-3phi2", p, lhs, rhs, tol, t0, rhs_diag=rhs_diag
-    )
+    params: type
+    real_line: bool
+    weight: Callable
+    series: Callable
+    closed: Callable
+
+
+def _aw_weight(theta, p, ctx):
+    return h_cos(2.0 * theta, [1.0], ctx) / h_cos(theta, [p.a, p.b, p.c, p.d], ctx)
+
+
+def _aw_series(theta, p):
+    a, e = p.a, np.exp(1j * theta)
+    return [a * p.b * p.c * p.d, a * e, a / e], [a * p.b, a * p.c, a * p.d]
+
+
+def _aw_closed(p, ctx, pref):
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    top = 2.0 * math.pi * q_pochhammer_infinite(a * b * c * d, ctx)
+    pairs = [q, a * b, a * c, a * d, b * c, b * d, c * d]
+    return top / q_pochhammer_multi(pairs, INFINITE, ctx) * pref
+
+
+def _reversal_weight(t, p, ctx):
+    q = ctx.q
+    lg = sum(h_sinh_log(t, q * prm, ctx) for prm in (p.a, p.b, p.c, p.d) if prm != 0)
+    lg = lg - q_pochhammer_infinite_log(-q * np.exp(2.0 * t), ctx)
+    return np.exp(lg - q_pochhammer_infinite_log(-q * np.exp(-2.0 * t), ctx))
+
+
+def _reversal_series(t, p):
+    q, a, et = p.q, p.a, np.exp(t)
+    numer = [q * a * p.b, q * a * p.c, q * a * p.d]
+    return numer, [1j * a * q * et, -1j * a * q / et, q * a * p.b * p.c * p.d]
+
+
+def _reversal_closed(p, ctx, pref):
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    pairs = [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d, q * c * d]
+    closed = q_pochhammer_multi(pairs, INFINITE, ctx) / q_pochhammer_infinite(q * a * b * c * d, ctx)
+    return closed * pref * math.log(1.0 / q)
+
+
+def _gaussian_weight(t, p, ctx):
+    """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
+    ag = p.alpha_g
+    lg = -t * t + sum(h_sinh_log(ag * t, prm, ctx) for prm in (p.a, p.b, p.c, p.d) if prm != 0)
+    return np.exp(lg) * np.cosh(ag * t)
+
+
+def _gaussian_series(t, p):
+    q, a, et = p.q, p.a, np.exp(p.alpha_g * t)
+    numer = [a * p.b / q, a * p.c / q, a * p.d / q]
+    return numer, [1j * a * et, -1j * a / et, a * p.b * p.c * p.d / q**3]
+
+
+def _gaussian_closed(p, ctx, pref):
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    pairs = [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q]
+    closed = q_pochhammer_multi(pairs, INFINITE, ctx) / q_pochhammer_infinite(a * b * c * d / q**3, ctx)
+    return math.sqrt(math.pi) * q ** (-0.125) * closed * pref
+
+
+_AW = _Family(AWParams, False, _aw_weight, _aw_series, _aw_closed)
+_REVERSAL = _Family(ReversalParams, True, _reversal_weight, _reversal_series, _reversal_closed)
+# the Gaussian family, under q = exp(-2 alpha_g^2)
+_GAUSSIAN = _Family(AtakishiyevParams, True, _gaussian_weight, _gaussian_series, _gaussian_closed)
+
+
+def _quadrature(family, fractional):
+    """The sides of a plain or fractional check of a quadrature family.
+
+    The plain check integrates the weight and compares it with the closed
+    product; the fractional check integrates the weight times the k-sum
+    and compares it with the closed product times the fractional prefactor.
+    """
+
+    def sides(p, ctx):
+        diag = {}
+
+        def f(nodes):
+            if not fractional:
+                return family.weight(nodes, p, ctx)
+            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=diag)
+            return family.weight(nodes, p, ctx) * s
+
+        # the integrator is looked up by its module-level name at each call,
+        # as every primitive here is, so a wrapper bound to that name sees it
+        integrate = integrate_line_even_window if family.real_line else integrate_theta
+        res = integrate(f, QuadratureConfig())
+        pref = frac_prefactor(p.x, p.a, p.mu, ctx) if fractional else 1.0
+        lhs_diag = {
+            "nodes": res.nodes_used,
+            "est_error": res.est_error,
+            "window": list(res.window) if res.window else None,
+            **diag,
+        }
+        return res.value, family.closed(p, ctx, pref), lhs_diag, {}
+
+    return sides
 
 
 # --------------------------------------------------------------------------
-# section 2: Askey-Wilson integrals on [0, pi]
+# the table, the generic check and the registry
 # --------------------------------------------------------------------------
 
-def _aw_weight(theta, params, ctx):
-    return h_cos(2.0 * theta, [1.0], ctx) / h_cos(theta, params, ctx)
+class _Row(NamedTuple):
+    params: type  # its violations() is the domain predicate
+    sides: Callable  # sides(p, ctx) -> lhs, rhs, lhs_diag, rhs_diag
+    tol: float  # default tolerance
+    rules: tuple = ()  # further domain rules, each p -> list of violations
+    pinned: str | None = None  # the parameter a -3phi2 form pins to 0
 
 
-def _quad_diag(res):
+def _family_rows(name, family, tol):
+    """The plain, fractional and -3phi2 rows of a quadrature family."""
+    fractional = _quadrature(family, True)
+    rules = (_fractional_violations,)
     return {
-        "nodes": res.nodes_used,
-        "est_error": res.est_error,
-        "window": list(res.window) if res.window else None,
+        name: _Row(family.params, _quadrature(family, False), tol),
+        f"fractional-{name}": _Row(family.params, fractional, tol, rules),
+        f"fractional-{name}-3phi2": _Row(family.params, fractional, tol, rules, "d"),
     }
 
 
-def check_askey_wilson(p: AWParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Askey-Wilson integral: quadrature versus the closed product."""
+_TABLE = {
+    "lemma-three-term": _Row(GeneratingParams, _lemma_sides, 1e-8, (_lemma_violations,)),
+    "fractional-generating": _Row(GeneratingParams, _generating_sides, 1e-8),
+    "fractional-generating-3phi2": _Row(GeneratingParams, _generating_sides, 1e-8, pinned="u"),
+    **_family_rows("askey-wilson", _AW, 1e-6),
+    **_family_rows("reversal-askey-wilson", _REVERSAL, 1e-5),
+    **_family_rows("atakishiyev", _GAUSSIAN, 1e-5),
+}
+
+
+def _check(name, p, ctx=None, tol=None) -> IdentityReport:
+    """Validate p, evaluate both sides of identity ``name`` and compare them."""
+    row = _TABLE[name]
     t0 = time.perf_counter()
-    _require_valid(p, fractional=False)
+    violations = p.violations() + [v for rule in row.rules for v in rule(p)]
+    pinned = getattr(p, row.pinned) if row.pinned else 0
+    if pinned != 0:
+        violations.append(f"{name} needs {row.pinned} = 0, got {row.pinned}={pinned}")
+    if violations:
+        raise DomainError("; ".join(violations))
     ctx = ctx or QContext(q=p.q)
-    cfg = cfg or QuadratureConfig()
-    tol = tol if tol is not None else DEFAULT_TOLERANCES["askey-wilson"]
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-
-    res = integrate_theta(lambda th: _aw_weight(th, [a, b, c, d], ctx), cfg)
-    rhs = (
-        2.0
-        * math.pi
-        * q_pochhammer_infinite(a * b * c * d, ctx)
-        / q_pochhammer_multi(
-            [q, a * b, a * c, a * d, b * c, b * d, c * d], INFINITE, ctx
-        )
-    )
-    return _report(
-        "askey-wilson", p, res.value, rhs, tol, t0, lhs_diag=_quad_diag(res)
-    )
-
-
-def _check_fractional_aw_common(name, p, ctx, cfg, tol, drop_d):
-    t0 = time.perf_counter()
-    _require_valid(p, fractional=True)
-    ctx = ctx or QContext(q=p.q)
-    cfg = cfg or QuadratureConfig()
-    tol = tol if tol is not None else DEFAULT_TOLERANCES[name]
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    weight_params = [a, b, c] if drop_d else [a, b, c, d]
-    diag = {}
-
-    def f(th):
-        e = np.exp(1j * th)
-        if drop_d:
-            numer = [a * e, a / e]
-            denom = [a * b, a * c]
-        else:
-            numer = [a * b * c * d, a * e, a / e]
-            denom = [a * b, a * c, a * d]
-        s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        return _aw_weight(th, weight_params, ctx) * s
-
-    res = integrate_theta(f, cfg)
-    if drop_d:
-        closed = 2.0 * math.pi / q_pochhammer_multi(
-            [q, a * b, a * c, b * c], INFINITE, ctx
-        )
+    tol = row.tol if tol is None else tol
+    lhs, rhs, lhs_diag, rhs_diag = row.sides(p, ctx)
+    lhs = complex(lhs)
+    rhs = complex(rhs)
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / max(abs(lhs), abs(rhs), _TINY)
+    if abs(lhs) < _TINY and abs(rhs) < _TINY:
+        passed = abs_err <= tol
     else:
-        closed = (
-            2.0
-            * math.pi
-            * q_pochhammer_infinite(a * b * c * d, ctx)
-            / q_pochhammer_multi(
-                [q, a * b, a * c, a * d, b * c, b * d, c * d], INFINITE, ctx
-            )
-        )
-    rhs = closed * frac_prefactor(p.x, a, p.mu, ctx)
-    lhs_diag = _quad_diag(res)
-    lhs_diag.update(diag)
-    return _report(name, p, res.value, rhs, tol, t0, lhs_diag=lhs_diag)
-
-
-def check_fractional_aw(p: AWParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Fractional Askey-Wilson integral (four-parameter series form)."""
-    return _check_fractional_aw_common(
-        "fractional-askey-wilson", p, ctx, cfg, tol, drop_d=False
+        passed = rel_err <= tol
+    params = asdict(p)
+    if "q" not in params:
+        # a derived base (the Gaussian family's) is a diagnostic, so that
+        # the params alone re-run the check
+        rhs_diag["q"] = p.q
+    return IdentityReport(
+        identity_name=name,
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
+        abs_err=abs_err,
+        rel_err=rel_err,
+        lhs_diag=lhs_diag,
+        rhs_diag=rhs_diag,
+        wall_time=time.perf_counter() - t0,
+        tolerance=tol,
+        passed=passed,
     )
 
 
-def check_fractional_aw_3phi2(p: AWParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Three-parameter (d = 0) form of the fractional Askey-Wilson integral."""
-    return _check_fractional_aw_common(
-        "fractional-askey-wilson-3phi2", p, ctx, cfg, tol, drop_d=True
-    )
+IDENTITY_REGISTRY = {
+    name: (row.params, functools.partial(_check, name)) for name, row in _TABLE.items()
+}
 
-
-# --------------------------------------------------------------------------
-# section 3: reversal integrals on the real line
-# --------------------------------------------------------------------------
-
-def _reversal_weight_log(t, params, ctx):
-    q = ctx.q
-    lg = sum(h_sinh_log(t, q * prm, ctx) for prm in params if prm != 0)
-    lg = lg - q_pochhammer_infinite_log(-q * np.exp(2.0 * t), ctx)
-    return lg - q_pochhammer_infinite_log(-q * np.exp(-2.0 * t), ctx)
-
-
-def check_reversal_aw(p: ReversalParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Reversal Askey-Wilson integral: window quadrature versus closed form."""
-    t0 = time.perf_counter()
-    _require_valid(p, fractional=False)
-    ctx = ctx or QContext(q=p.q)
-    cfg = cfg or QuadratureConfig()
-    tol = tol if tol is not None else DEFAULT_TOLERANCES["reversal-askey-wilson"]
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-
-    res = integrate_line_even_window(
-        lambda ts: np.exp(_reversal_weight_log(ts, [a, b, c, d], ctx)), cfg
-    )
-    rhs = (
-        q_pochhammer_multi(
-            [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d, q * c * d],
-            INFINITE,
-            ctx,
-        )
-        / q_pochhammer_infinite(q * a * b * c * d, ctx)
-        * math.log(1.0 / q)
-    )
-    return _report(
-        "reversal-askey-wilson", p, res.value, rhs, tol, t0, lhs_diag=_quad_diag(res)
-    )
-
-
-def _check_fractional_reversal_common(name, p, ctx, cfg, tol, drop_d):
-    t0 = time.perf_counter()
-    _require_valid(p, fractional=True)
-    ctx = ctx or QContext(q=p.q)
-    cfg = cfg or QuadratureConfig()
-    tol = tol if tol is not None else DEFAULT_TOLERANCES[name]
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    weight_params = [a, b, c] if drop_d else [a, b, c, d]
-    diag = {}
-
-    def f(ts):
-        et = np.exp(ts)
-        if drop_d:
-            numer = [q * a * b, q * a * c]
-            denom = [1j * a * q * et, -1j * a * q / et]
-        else:
-            numer = [q * a * b, q * a * c, q * a * d]
-            denom = [1j * a * q * et, -1j * a * q / et, q * a * b * c * d]
-        s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        return np.exp(_reversal_weight_log(ts, weight_params, ctx)) * s
-
-    res = integrate_line_even_window(f, cfg)
-    if drop_d:
-        closed = q_pochhammer_multi(
-            [q, q * a * b, q * a * c, q * b * c], INFINITE, ctx
-        )
-    else:
-        closed = q_pochhammer_multi(
-            [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d, q * c * d],
-            INFINITE,
-            ctx,
-        ) / q_pochhammer_infinite(q * a * b * c * d, ctx)
-    rhs = closed * frac_prefactor(p.x, a, p.mu, ctx) * math.log(1.0 / q)
-    lhs_diag = _quad_diag(res)
-    lhs_diag.update(diag)
-    return _report(name, p, res.value, rhs, tol, t0, lhs_diag=lhs_diag)
-
-
-def check_fractional_reversal_aw(p: ReversalParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Fractional reversal Askey-Wilson integral (four-parameter form)."""
-    return _check_fractional_reversal_common(
-        "fractional-reversal-askey-wilson", p, ctx, cfg, tol, drop_d=False
-    )
-
-
-def check_fractional_reversal_aw_3phi2(p: ReversalParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Three-parameter (d = 0) form of the fractional reversal integral."""
-    return _check_fractional_reversal_common(
-        "fractional-reversal-askey-wilson-3phi2", p, ctx, cfg, tol, drop_d=True
-    )
-
-
-# --------------------------------------------------------------------------
-# section 4: Gaussian-weighted integrals under q = exp(-2 alpha_g^2)
-# --------------------------------------------------------------------------
-
-def _gaussian_weight_log(t, params, alpha_g, ctx):
-    return -t * t + sum(
-        h_sinh_log(alpha_g * t, prm, ctx) for prm in params if prm != 0
-    )
-
-
-def check_atakishiyev(p: AtakishiyevParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Gaussian-weighted real-line integral versus its closed product form."""
-    t0 = time.perf_counter()
-    _require_valid(p, fractional=False)
-    q = p.q
-    ctx = ctx or QContext(q=q)
-    cfg = cfg or QuadratureConfig()
-    tol = tol if tol is not None else DEFAULT_TOLERANCES["atakishiyev"]
-    a, b, c, d, ag = p.a, p.b, p.c, p.d, p.alpha_g
-
-    res = integrate_line_even_window(
-        lambda ts: np.exp(_gaussian_weight_log(ts, [a, b, c, d], ag, ctx))
-        * np.cosh(ag * ts),
-        cfg,
-    )
-    rhs = (
-        math.sqrt(math.pi)
-        * q ** (-0.125)
-        * q_pochhammer_multi(
-            [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q],
-            INFINITE,
-            ctx,
-        )
-        / q_pochhammer_infinite(a * b * c * d / q**3, ctx)
-    )
-    return _report(
-        "atakishiyev", p, res.value, rhs, tol, t0, lhs_diag=_quad_diag(res)
-    )
-
-
-def _check_fractional_atakishiyev_common(name, p, ctx, cfg, tol, drop_d):
-    t0 = time.perf_counter()
-    _require_valid(p, fractional=True)
-    q = p.q
-    ctx = ctx or QContext(q=q)
-    cfg = cfg or QuadratureConfig()
-    tol = tol if tol is not None else DEFAULT_TOLERANCES[name]
-    a, b, c, d, ag = p.a, p.b, p.c, p.d, p.alpha_g
-    weight_params = [a, b, c] if drop_d else [a, b, c, d]
-    diag = {}
-
-    def f(ts):
-        et = np.exp(ag * ts)
-        if drop_d:
-            numer = [a * b / q, a * c / q]
-            denom = [1j * a * et, -1j * a / et]
-        else:
-            numer = [a * b / q, a * c / q, a * d / q]
-            denom = [1j * a * et, -1j * a / et, a * b * c * d / q**3]
-        s = ksum(p.x, a, p.mu, numer, denom, ctx, diag=diag)
-        weight = np.exp(_gaussian_weight_log(ts, weight_params, ag, ctx))
-        return weight * np.cosh(ag * ts) * s
-
-    res = integrate_line_even_window(f, cfg)
-    if drop_d:
-        closed = q_pochhammer_multi(
-            [a * b / q, a * c / q, b * c / q], INFINITE, ctx
-        )
-    else:
-        closed = q_pochhammer_multi(
-            [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q],
-            INFINITE,
-            ctx,
-        ) / q_pochhammer_infinite(a * b * c * d / q**3, ctx)
-    rhs = math.sqrt(math.pi) * q ** (-0.125) * closed * frac_prefactor(p.x, a, p.mu, ctx)
-    lhs_diag = _quad_diag(res)
-    lhs_diag.update(diag)
-    return _report(name, p, res.value, rhs, tol, t0, lhs_diag=lhs_diag)
-
-
-def check_fractional_atakishiyev(p: AtakishiyevParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Fractional Gaussian-weighted integral (four-parameter form)."""
-    return _check_fractional_atakishiyev_common(
-        "fractional-atakishiyev", p, ctx, cfg, tol, drop_d=False
-    )
-
-
-def check_fractional_atakishiyev_3phi2(p: AtakishiyevParams, ctx=None, cfg=None, tol=None) -> IdentityReport:
-    """Three-parameter (d = 0) form of the fractional Gaussian integral."""
-    return _check_fractional_atakishiyev_common(
-        "fractional-atakishiyev-3phi2", p, ctx, cfg, tol, drop_d=True
-    )
+check_lemma_three_term = IDENTITY_REGISTRY["lemma-three-term"][1]
+check_fractional_generating = IDENTITY_REGISTRY["fractional-generating"][1]
+check_fractional_generating_3phi2 = IDENTITY_REGISTRY["fractional-generating-3phi2"][1]
+check_askey_wilson = IDENTITY_REGISTRY["askey-wilson"][1]
+check_fractional_aw = IDENTITY_REGISTRY["fractional-askey-wilson"][1]
+check_fractional_aw_3phi2 = IDENTITY_REGISTRY["fractional-askey-wilson-3phi2"][1]
+check_reversal_aw = IDENTITY_REGISTRY["reversal-askey-wilson"][1]
+check_fractional_reversal_aw = IDENTITY_REGISTRY["fractional-reversal-askey-wilson"][1]
+check_fractional_reversal_aw_3phi2 = IDENTITY_REGISTRY["fractional-reversal-askey-wilson-3phi2"][1]
+check_atakishiyev = IDENTITY_REGISTRY["atakishiyev"][1]
+check_fractional_atakishiyev = IDENTITY_REGISTRY["fractional-atakishiyev"][1]
+check_fractional_atakishiyev_3phi2 = IDENTITY_REGISTRY["fractional-atakishiyev-3phi2"][1]
 
 
 # --------------------------------------------------------------------------
 # suite runner
 # --------------------------------------------------------------------------
-
-IDENTITY_REGISTRY = {
-    "lemma-three-term": (GeneratingParams, check_lemma_three_term),
-    "fractional-generating": (GeneratingParams, check_fractional_generating),
-    "fractional-generating-3phi2": (GeneratingParams, check_fractional_generating_3phi2),
-    "askey-wilson": (AWParams, check_askey_wilson),
-    "fractional-askey-wilson": (AWParams, check_fractional_aw),
-    "fractional-askey-wilson-3phi2": (AWParams, check_fractional_aw_3phi2),
-    "reversal-askey-wilson": (ReversalParams, check_reversal_aw),
-    "fractional-reversal-askey-wilson": (ReversalParams, check_fractional_reversal_aw),
-    "fractional-reversal-askey-wilson-3phi2": (
-        ReversalParams,
-        check_fractional_reversal_aw_3phi2,
-    ),
-    "atakishiyev": (AtakishiyevParams, check_atakishiyev),
-    "fractional-atakishiyev": (AtakishiyevParams, check_fractional_atakishiyev),
-    "fractional-atakishiyev-3phi2": (
-        AtakishiyevParams,
-        check_fractional_atakishiyev_3phi2,
-    ),
-}
-
 
 @dataclass(frozen=True)
 class CheckOutcome:

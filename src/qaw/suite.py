@@ -21,6 +21,16 @@ import random
 from .identities import IDENTITY_REGISTRY
 
 
+def param_fields(name: str):
+    """The dataclass fields of identity ``name``'s params class, in order."""
+    if name not in IDENTITY_REGISTRY:
+        raise KeyError(
+            f"unknown identity {name!r}; known: "
+            f"{', '.join(sorted(IDENTITY_REGISTRY))}"
+        )
+    return dataclasses.fields(IDENTITY_REGISTRY[name][0])
+
+
 def expand_suite(spec: dict):
     """Expand a suite spec into concrete check entries for ``run_suite``."""
     if "seed" not in spec:
@@ -29,12 +39,7 @@ def expand_suite(spec: dict):
     entries = []
     for check in spec.get("checks", []):
         name = check["identity"]
-        if name not in IDENTITY_REGISTRY:
-            raise KeyError(
-                f"unknown identity {name!r}; known: "
-                f"{', '.join(sorted(IDENTITY_REGISTRY))}"
-            )
-        fields = {f.name for f in dataclasses.fields(IDENTITY_REGISTRY[name][0])}
+        fields = {f.name for f in param_fields(name)}
         unknown = sorted(set(check.get("params", {})) - fields)
         if unknown:
             raise ValueError(

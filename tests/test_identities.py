@@ -581,3 +581,65 @@ class TestSuiteSpec:
         assert len(entries) == 4
         for e in entries:
             assert 0.3 <= e["params"]["q"] <= 0.7 and e["params"]["a"] == 0.1
+
+
+# the fixed points of the benchmark workloads (benchmarks/workloads.py)
+_G = {"q": 0.5, "a": 0.2, "x": 0.6, "mu": 1.5, "b": 0.3, "s": 0.25, "t": 0.15, "z": 0.2}
+FIXED_POINTS = {
+    "lemma-three-term": {**_G, "r": 0.4, "u": 0.1},
+    "fractional-generating": {**_G, "r": 0.4, "u": 0.1},
+    "fractional-generating-3phi2": _G,
+    "askey-wilson": {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.1, "d": 0.4},
+    "fractional-askey-wilson":
+        {"q": 0.5, "a": 0.2, "b": 0.3, "c": 0.1, "d": 0.15, "x": 0.6, "mu": 1.5},
+    "fractional-askey-wilson-3phi2":
+        {"q": 0.5, "a": 0.2, "b": 0.3, "c": 0.1, "x": 0.6, "mu": 1.5},
+    "reversal-askey-wilson": {"q": 0.5, "a": 0.2, "b": 0.1, "c": 0.1, "d": 0.05},
+    "fractional-reversal-askey-wilson":
+        {"q": 0.5, "a": 0.2, "b": 0.1, "c": 0.1, "d": 0.05, "x": 0.6, "mu": 1.5},
+    "fractional-reversal-askey-wilson-3phi2":
+        {"q": 0.5, "a": 0.2, "b": 0.1, "c": 0.1, "x": 0.6, "mu": 1.5},
+    "atakishiyev": {"alpha_g": 1.0, "a": 0.05, "b": 0.05, "c": 0.05, "d": 0.05},
+    "fractional-atakishiyev":
+        {"alpha_g": 1.0, "a": 0.15, "b": 0.02, "c": 0.02, "d": 0.02, "x": 0.6, "mu": 1.5},
+    "fractional-atakishiyev-3phi2":
+        {"alpha_g": 1.0, "a": 0.15, "b": 0.05, "c": 0.05, "x": 0.6, "mu": 1.5},
+}
+
+# each -3phi2 form with a nonzero value of the parameter its parent drops
+NONZERO_DROPPED = {
+    "fractional-generating-3phi2": {**_G, "u": 0.1},
+    "fractional-askey-wilson-3phi2":
+        {"q": 0.5, "a": 0.2, "b": 0.3, "c": 0.1, "d": 0.15, "x": 0.6, "mu": 1.5},
+    "fractional-reversal-askey-wilson-3phi2":
+        {"q": 0.5, "a": 0.2, "b": 0.1, "c": 0.1, "d": 0.05, "x": 0.6, "mu": 1.5},
+    "fractional-atakishiyev-3phi2":
+        {"alpha_g": 1.0, "a": 0.15, "b": 0.05, "c": 0.05, "d": 0.02, "x": 0.6, "mu": 1.5},
+}
+
+
+class TestCheckTable:
+    def test_fixed_points_cover_the_registry(self):
+        assert set(FIXED_POINTS) == set(identities.IDENTITY_REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+    def test_report_params_rerun_the_check(self, name):
+        report = run_check(name, FIXED_POINTS[name])
+        again = run_check(name, report.params)
+        assert again.params == report.params
+        assert again.lhs == report.lhs and again.rhs == report.rhs
+
+    def test_derived_base_is_a_diagnostic(self):
+        report = run_check("atakishiyev", FIXED_POINTS["atakishiyev"])
+        assert "q" not in report.params
+        assert report.rhs_diag["q"] == AtakishiyevParams(alpha_g=1.0).q
+
+    @pytest.mark.parametrize("name", sorted(NONZERO_DROPPED))
+    def test_nonzero_dropped_parameter_is_a_domain_error(self, name):
+        params = NONZERO_DROPPED[name]
+        cls, check = identities.IDENTITY_REGISTRY[name]
+        with pytest.raises(DomainError, match="= 0"):
+            check(cls(**params))
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert oc.status == "skipped" and oc.params == params
+        assert oc.report is None
