@@ -41,10 +41,12 @@ class DomainError(QawError):
 
 
 class KSumDivergence(QawError):
-    """The outer k-series of a fractional identity shows no empirical decay.
+    """The outer k-series of a fractional identity did not settle.
 
-    Raised instead of silently returning a truncated value; carries the term
-    magnitudes observed so the failure can be attached to a report.
+    Raised, instead of a truncated value, when a node's sum is not finite or
+    has not decayed within the coefficient cap.  ``k`` is the number of
+    coefficients with a finite partial sum, ``term_magnitude`` the last of
+    their terms and ``partial`` the sum up to it.
     """
 
     def __init__(self, message, k=None, term_magnitude=None, partial=None):

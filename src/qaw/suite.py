@@ -31,24 +31,54 @@ def param_fields(name: str):
     return dataclasses.fields(IDENTITY_REGISTRY[name][0])
 
 
+def _real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_params(name, given):
+    """Raise ValueError unless ``given`` fits the params class of ``name``.
+
+    Every field without a default must be given, and every value must be a
+    real number or a [lo, hi] pair of reals.
+    """
+    fields = param_fields(name)
+    known = {f.name for f in fields}
+    unknown = sorted(set(given) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {', '.join(unknown)} for {name}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in given]
+    if missing:
+        raise ValueError(f"missing parameter(s) {', '.join(missing)} for {name}")
+    for key, value in given.items():
+        pair = isinstance(value, (list, tuple)) and len(value) == 2
+        if not (_real(value) or pair and all(map(_real, value))):
+            raise ValueError(
+                f"parameter {key} of {name} must be a real number or a "
+                f"[lo, hi] pair of reals, got {value!r}"
+            )
+
+
 def expand_suite(spec: dict):
-    """Expand a suite spec into concrete check entries for ``run_suite``."""
+    """Expand a suite spec into concrete check entries for ``run_suite``.
+
+    Raises ValueError for a spec without a seed, a draw count below 1, or
+    params that do not fit their identity (unknown or missing names, values
+    that are neither real numbers nor [lo, hi] pairs of reals).
+    """
     if "seed" not in spec:
         raise ValueError("suite spec must carry a seed")
     rng = random.Random(spec["seed"])
     entries = []
     for check in spec.get("checks", []):
         name = check["identity"]
-        fields = {f.name for f in param_fields(name)}
-        unknown = sorted(set(check.get("params", {})) - fields)
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {', '.join(unknown)} for {name}; "
-                f"known: {', '.join(sorted(fields))}"
-            )
         draws = int(check.get("draws", 1))
         if draws < 1:
             raise ValueError(f"draws must be >= 1, got {draws}")
+        _check_params(name, check.get("params", {}))
         for _ in range(draws):
             params = {}
             for key, value in check.get("params", {}).items():

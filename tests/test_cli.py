@@ -8,6 +8,12 @@ import pytest
 from qaw import cli
 
 
+# a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
+# gives x * 0.33 / a = 1.33 > 1
+DIVERGENT_GAUSSIAN = {"alpha_g": 1.0, "a": 0.15, "b": 0.3, "c": 0.3, "d": 0.01,
+                      "x": 0.6, "mu": 1.5}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -119,6 +125,32 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "askey-wilson", "--a", "0.3")
         assert code == 65 and "--q" in err
 
+    def test_converging_gaussian_point_passes(self, capsys):
+        # b = c = d = 0.06: the outer terms peak near 1e11 at k = 20, then decay
+        code, out, _ = run_cli(
+            capsys, "check", "fractional-atakishiyev", "--alpha-g", "1", "--a", "0.15",
+            "--b", "0.06", "--c", "0.06", "--d", "0.06", "--x", "0.6", "--mu", "1.5"
+        )
+        assert code == 0 and json.loads(out)["rel_err"] < 1e-13
+
+    def test_three_term_lemma_ignores_the_fractional_domain(self, capsys):
+        # a > x and mu do not matter: x and mu do not enter the relation
+        code, out, _ = run_cli(
+            capsys, "check", "lemma-three-term", "--q", "0.5", "--a", "0.7",
+            "--x", "0.6", "--mu", "1.0", "--b", "0.3", "--s", "0.25", "--t", "0.15",
+            "--u", "0.1", "--r", "0.4", "--z", "0.2"
+        )
+        assert code == 0 and json.loads(out)["rel_err"] < 1e-12
+
+    @pytest.mark.parametrize("identity", ["fractional-generating",
+                                          "fractional-generating-3phi2"])
+    def test_generating_checks_keep_the_fractional_domain(self, capsys, identity):
+        code, _, err = run_cli(
+            capsys, "check", identity, "--q", "0.5", "--a", "0.7", "--x", "0.6",
+            "--mu", "1.0"
+        )
+        assert code == 65 and "0 < a < x < 1" in err
+
     def test_atakishiyev_gaussian_anchor(self, capsys):
         code, out, _ = run_cli(capsys, "check", "atakishiyev", "--alpha-g", "1")
         assert code == 0
@@ -174,9 +206,20 @@ class TestSuite:
         code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 64 and out == "" and "unknown parameter" in err
 
+    @pytest.mark.parametrize("params, message", [
+        ({"q": 0.5}, "missing parameter(s) a"),
+        ({"q": 0.5, "a": "0.2"}, "must be a real number"),
+    ])
+    def test_malformed_params_spec(self, capsys, tmp_path, params, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": params}
+        ]}))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 64 and out == "" and message in err
+
     def test_failed_entries_keep_their_params(self, capsys, tmp_path):
-        diverging = {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06, "d": 0.06,
-                     "x": 0.6, "mu": 1.5}
+        diverging = DIVERGENT_GAUSSIAN
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "checks": [
             {"identity": "fractional-atakishiyev", "params": diverging},
@@ -190,8 +233,7 @@ class TestSuite:
         assert skipped["params"] == {"q": 0.5, "a": 1.5}
 
     def test_diverged_entry_reports_its_failure_data(self, capsys, tmp_path):
-        diverging = {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06, "d": 0.06,
-                     "x": 0.6, "mu": 1.5}
+        diverging = DIVERGENT_GAUSSIAN
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "checks": [
             {"identity": "fractional-atakishiyev", "params": diverging},
@@ -201,8 +243,8 @@ class TestSuite:
         assert code == 1
         diverged, skipped = json.loads(out)["reports"]
         details = diverged["details"]
-        assert details["k"] == 20
-        assert details["term_magnitude"] == pytest.approx(1.089e11, rel=1e-3)
+        assert details["k"] == 2458
+        assert 1e300 < details["term_magnitude"] < float("inf")
         assert set(details["partial"]) == {"re", "im"}
         assert skipped["status"] == "skipped" and "details" not in skipped
         assert skipped["params"] == {"alpha_g": 12.0}

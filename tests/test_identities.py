@@ -279,10 +279,19 @@ class TestBatchedKSum:
             mp.mp.dps = 15
 
     def test_unsettled_sum_raises_with_partial(self):
+        # the numerator 0.5 puts the nearest pole of G at y = 2, so the terms
+        # grow like (x * 0.5 / a)^k = 1.5^k; node 0 (numerator 0.1) converges
+        # and the error reports the first unsettled node, node 1
         ctx = QContext(q=0.5)
-        with pytest.raises(NonConvergence) as exc:
-            ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], ctx, kmax=4)
-        assert exc.value.partial is not None and exc.value.last_term > 0
+        with pytest.raises(KSumDivergence) as exc:
+            ksum(0.6, 0.2, 1.5, [np.array([0.1, 0.5]), 0.05], [0.25, 0.12], ctx)
+        err = exc.value
+        assert type(err.k) is int and 64 < err.k <= 4096
+        assert err.term_magnitude > 1.0 and math.isfinite(err.term_magnitude)
+        assert type(err.partial) is complex and math.isfinite(abs(err.partial))
+        with pytest.raises(KSumDivergence) as single:
+            ksum(0.6, 0.2, 1.5, [0.5, 0.05], [0.25, 0.12], ctx)
+        assert (single.value.k, single.value.partial) == (err.k, err.partial)
 
     def test_distinct_q_retain_no_memory(self):
         # a table kept per q would hold ~1.6 MB for each of the 200 bases
@@ -300,22 +309,82 @@ class TestBatchedKSum:
         assert retained < 1_000_000
 
     def test_gaussian_family_divergence_is_reported(self):
-        # b = c = d >= 0.06 at this point is a known limit of the double-
-        # precision k-sum: the outer terms grow, and the check says so
-        p = AtakishiyevParams(alpha_g=1.0, a=0.15, b=0.06, c=0.06, d=0.06,
-                              x=0.6, mu=1.5)
+        # at this point the numerator ab/q = 0.33 puts a pole of G at
+        # y = 3, so the outer terms grow like (x * 0.33 / a)^k = 1.33^k
+        p = AtakishiyevParams(**DIVERGENT_GAUSSIAN)
         with pytest.raises(KSumDivergence) as exc:
             check_fractional_atakishiyev(p)
         err = exc.value
-        assert err.k >= 19 and err.term_magnitude > 1.0
+        assert err.k > 64 and err.term_magnitude > 1.0
         assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
-        entry = {"identity": "fractional-atakishiyev",
-                 "params": {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06,
-                            "d": 0.06, "x": 0.6, "mu": 1.5}}
+        entry = {"identity": "fractional-atakishiyev", "params": DIVERGENT_GAUSSIAN}
         (oc,) = run_suite([entry])
         assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
         # the report keeps what is needed to re-run the entry
         assert oc.report is None and oc.params == entry["params"]
+
+
+# a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
+# gives x * 0.33 / a = 1.33 > 1
+DIVERGENT_GAUSSIAN = {"alpha_g": 1.0, "a": 0.15, "b": 0.3, "c": 0.3, "d": 0.01,
+                      "x": 0.6, "mu": 1.5}
+# nearby, at b = c = d = 0.06, the series converges
+FORMER_FALSE_DIVERGENCE = {**DIVERGENT_GAUSSIAN, "b": 0.06, "c": 0.06, "d": 0.06}
+
+
+class _MpQpStableKSum(_MpStableKSum):
+    """The oracle with its infinite products from ``mpmath.qp``.
+
+    Its own 220 factors leave a relative 0.9^220 ~ 9e-11 untaken at q = 0.9.
+    """
+
+    def poch_inf(self, c):
+        return self.mp.qp(c, self.q)
+
+
+class TestOpenItemPoints:
+    """Points where a rule of 20 growing outer terms used to report divergence."""
+
+    def test_gaussian_family_at_b_c_d_006_passes(self):
+        # the outer terms peak near 1e11 at k = 20 and then decay
+        report = run_check("fractional-atakishiyev", FORMER_FALSE_DIVERGENCE)
+        assert report.passed and report.rel_err < 1e-13
+
+    def test_fractional_aw_at_q_09_passes(self):
+        report = run_check("fractional-askey-wilson", {**AW_POINT, "q": 0.9})
+        assert report.passed and report.rel_err < 1e-13
+
+    def test_ksum_at_q_09_against_multiprecision_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        p = {**AW_POINT, "q": 0.9}
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        theta = np.array([0.3, 1.0, 1.6])
+        numer, denom = _aw_ksum_params(theta, **p)
+        got = ksum(p["x"], a, p["mu"], numer, denom, QContext(q=p["q"]))
+        try:
+            mp.mp.dps = 60
+            oracle = _MpQpStableKSum(mp, p["q"])
+            fixed = oracle.taylor([a * b * c * d], [a * b, a * c, a * d])
+            for i, th in enumerate(theta.tolist()):
+                e = cmath.exp(1j * th)
+                g, G1 = oracle.taylor([a * e, a / e], [], fixed)
+                want = oracle.ksum(p["x"], a, p["mu"], g, G1)
+                assert abs(got[i] - want) <= 1e-13 * abs(want), th
+        finally:
+            mp.mp.dps = 15
+
+    def test_large_x_over_a_does_not_overflow(self):
+        # c_k grows like (x/a)^k = 4.5^k and would overflow past k ~ 470,
+        # before the terms, which shrink like x^k = 0.9^k, have decayed
+        params = {"q": 0.5, "a": 0.2, "b": 0.1, "c": 0.1, "d": 0.1, "x": 0.9, "mu": 1.5}
+        report = run_check("fractional-askey-wilson", params)
+        assert report.passed and report.rel_err < 1e-13
+
+    def test_reversal_family_at_q_098_ends_in_an_outcome(self):
+        params = {"q": 0.98, "a": 0.2, "b": 0.1, "c": 0.1, "d": 0.05, "x": 0.6, "mu": 1.5}
+        (oc,) = run_suite([{"identity": "fractional-reversal-askey-wilson",
+                            "params": params}])
+        assert oc.status in {"passed", "failed", "diverged"}
 
 
 SAMPLE_GEN = GeneratingParams(
@@ -496,13 +565,14 @@ class TestSuiteRunner:
             check_atakishiyev(AtakishiyevParams(**params))
 
     def test_divergence_carries_its_data(self):
-        params = {"alpha_g": 1.0, "a": 0.15, "b": 0.06, "c": 0.06, "d": 0.06,
-                  "x": 0.6, "mu": 1.5}
-        (oc,) = run_suite([{"identity": "fractional-atakishiyev", "params": params}])
+        entry = {"identity": "fractional-atakishiyev", "params": DIVERGENT_GAUSSIAN}
+        (oc,) = run_suite([entry])
         assert oc.status == "diverged" and set(oc.details) == {
             "k", "term_magnitude", "partial"}
-        assert oc.details["k"] == 20 and type(oc.details["k"]) is int
-        assert oc.details["term_magnitude"] == pytest.approx(1.089e11, rel=1e-3)
+        # the terms grow like 1.33^m until their partial sums overflow past
+        # 2458 Taylor coefficients, in the round of 4096
+        assert oc.details["k"] == 2458 and type(oc.details["k"]) is int
+        assert 1e300 < oc.details["term_magnitude"] < math.inf
         assert type(oc.details["partial"]) is complex
 
     @pytest.mark.parametrize("exc, details", [
@@ -558,6 +628,19 @@ class TestSuiteSpec:
         with pytest.raises(ValueError, match="e for askey-wilson"):
             expand_suite({"seed": 1, "checks": [
                 {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.1, "e": 0.5}}
+            ]})
+
+    def test_missing_required_parameter_rejected(self):
+        with pytest.raises(ValueError, match="missing parameter.* a for askey-wilson"):
+            expand_suite({"seed": 1, "checks": [
+                {"identity": "askey-wilson", "params": {"q": 0.5}}
+            ]})
+
+    @pytest.mark.parametrize("value", ["0.2", [0.1], [0.1, "0.3"], True, None, {"lo": 0.1}])
+    def test_non_real_parameter_value_rejected(self, value):
+        with pytest.raises(ValueError, match="parameter a of askey-wilson"):
+            expand_suite({"seed": 1, "checks": [
+                {"identity": "askey-wilson", "params": {"q": 0.5, "a": value}}
             ]})
 
     def test_draw_count_validated(self):
