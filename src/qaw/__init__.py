@@ -38,13 +38,7 @@ from .qops import (
     jackson_q_integral,
     q_difference,
 )
-from .quad import (
-    QuadratureConfig,
-    QuadratureResult,
-    estimate_theta_growth_window,
-    integrate_line_even_window,
-    integrate_theta,
-)
+from .quad import QuadratureResult, integrate_line_even_window, integrate_theta
 from .identities import (
     AtakishiyevParams,
     AWParams,

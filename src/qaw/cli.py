@@ -14,17 +14,15 @@ import json
 import sys
 
 from . import __version__
-from .context import (
-    DivisionByZero,
-    DomainError,
-    KSumDivergence,
-    NonConvergence,
-    PoleError,
-    QContext,
-    WindowFailure,
-)
+from .context import DomainError, QContext
 from . import qcore, qops
-from .identities import IDENTITY_REGISTRY, run_check, run_suite
+from .identities import (
+    DIVERGED_ERRORS,
+    IDENTITY_REGISTRY,
+    SKIPPED_ERRORS,
+    run_check,
+    run_suite,
+)
 from .suite import default_suite, expand_suite, param_fields
 
 EXIT_PASS = 0
@@ -33,9 +31,6 @@ EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 EXIT_IO = 66
-
-_CONVERGENCE_ERRORS = (NonConvergence, KSumDivergence, WindowFailure, OverflowError)
-_SINGULAR_ERRORS = (PoleError, DivisionByZero)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,10 +179,10 @@ def _cmd_eval(args) -> int:
             a = args.a.real if args.a is not None else 0.0
             p = args.power
             value = qops.fractional_q_integral(lambda t: t**p, args.x, a, args.mu, ctx)
-    except (DomainError, *_SINGULAR_ERRORS) as exc:
+    except SKIPPED_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _CONVERGENCE_ERRORS as exc:
+    except DIVERGED_ERRORS as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(_fmt(value))
@@ -245,7 +240,7 @@ def _cmd_check(args) -> int:
     except DomainError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (*_CONVERGENCE_ERRORS, *_SINGULAR_ERRORS) as exc:
+    except (*SKIPPED_ERRORS, *DIVERGED_ERRORS) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(json.dumps(_report_obj(report), indent=2, sort_keys=True))
@@ -297,9 +292,10 @@ def _cmd_suite(args) -> int:
     document = {
         "tool": "qaw",
         "version": __version__,
+        # the class attributes are the field defaults
         "context": {
-            "eps_term": ctx_options.get("eps_term", QContext(0.5).eps_term),
-            "max_terms": ctx_options.get("max_terms", QContext(0.5).max_terms),
+            "eps_term": ctx_options.get("eps_term", QContext.eps_term),
+            "max_terms": ctx_options.get("max_terms", QContext.max_terms),
         },
         "seed": spec.get("seed"),
         "reports": [_outcome_obj(oc) for oc in outcomes],

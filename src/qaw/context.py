@@ -1,8 +1,9 @@
 """Evaluation context and error types shared across the library.
 
-All series and infinite products in the package are truncated under a
-single policy object, :class:`QContext`, so that every caller can tighten
-or relax tolerances consistently.
+All series and infinite products in the package are truncated under one
+policy: :class:`QContext` carries the base q and the two settable values
+(the relative tail tolerance and the series term cap); the remaining
+cutoffs are constants of :mod:`qaw.qcore`.
 """
 
 from __future__ import annotations
@@ -69,29 +70,24 @@ class WindowFailure(QawError):
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q together with all truncation and tolerance policy.
+    """Base q together with the settable truncation policy.
 
-    q                 base, must lie in the open interval (0, 1)
-    eps_term          relative tail tolerance for series
-    eps_factor        product-factor cutoff for infinite products
-    max_terms         cap on series terms
-    max_factors       cap on product factors
-    consecutive_small successive below-tolerance terms required to stop
+    q          base, must lie in the open interval (0, 1)
+    eps_term   relative tail tolerance for series and products
+    max_terms  cap on series terms
+
+    The product-factor cutoff, the factor cap and the run of small terms
+    that ends a series are fixed constants of :mod:`qaw.qcore`.
     """
 
     q: float
     eps_term: float = 1e-15
-    eps_factor: float = 1e-17
     max_terms: int = 10_000
-    max_factors: int = 10_000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0) or not math.isfinite(self.q):
             raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if self.eps_term <= 0 or self.eps_factor <= 0:
-            raise DomainError("tolerances must be strictly positive")
-        if self.max_terms <= 0 or self.max_factors <= 0:
-            raise DomainError("term/factor caps must be strictly positive")
-        if self.consecutive_small <= 0:
-            raise DomainError("consecutive_small must be strictly positive")
+        if self.eps_term <= 0:
+            raise DomainError("eps_term must be strictly positive")
+        if self.max_terms <= 0:
+            raise DomainError("max_terms must be strictly positive")

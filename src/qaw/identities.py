@@ -58,7 +58,8 @@ Hypergeometric Series*, ch. 1-2).  Zero parameters are dropped first.
 
 Sizing.  c_k grows like (x/a)^k and overflows near k = 308 / log10(x/a),
 so the sum is taken as sum_m (g_m s^m) (w_m / s^m), s the power of 2
-nearest x/a: the Taylor coefficients of G(s y) times the convolution of
+nearest x/a (at most 2^1023; x/a itself is finite by the fractional
+domain rule): the Taylor coefficients of G(s y) times the convolution of
 c_k / s^k with s^-j / (q;q)_j.  In a converging sum both factors stay
 below 2^{m/2}, and a power of 2 changes no rounding.  M, from 64 in
 doublings, suffices once the last 8 of both g and g w fall below
@@ -106,7 +107,7 @@ from .qcore import (
     q_pochhammer_multi,
 )
 from .qops import fractional_q_integral
-from .quad import QuadratureConfig, integrate_line_even_window, integrate_theta
+from .quad import integrate_line_even_window, integrate_theta
 
 _TINY = 1e-12
 
@@ -120,10 +121,13 @@ def _q_violations(q):
 
 
 def _fractional_violations(p):
-    """0 < a < x < 1 and mu > 0: the domain of the fractional q-integral."""
+    """0 < a < x < 1, x/a a finite double and mu > 0: the domain of the
+    fractional q-integral, with the ratio the k-sum is scaled by."""
     out = []
     if not 0.0 < p.a < p.x < 1.0:
         out.append(f"need 0 < a < x < 1, got a={p.a}, x={p.x}")
+    elif not math.isfinite(p.x / p.a):
+        out.append(f"need x/a finite, got a={p.a}, x={p.x}")
     if p.mu <= 0:
         out.append(f"mu must be positive, got {p.mu}")
     return out
@@ -306,7 +310,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     its ``k`` is the number of coefficients with a finite partial sum.
     """
     q = ctx.q
-    e = round(math.log2(x / a))
+    e = min(round(math.log2(x / a)), 1023)
     s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
     params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
     shape = np.broadcast_shapes((1,), *(p.shape for p in params))
@@ -319,7 +323,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
         while True:
             g = _extend_taylor(g, numer, denom, q, M)
             k = np.arange(M - 1)
-            ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * (1.0 - q ** (mu + k + 1))) / s
+            ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * s * (1.0 - q ** (mu + k + 1)))
             c = np.cumprod(np.concatenate(([pref], ratios)))
             qfac = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1, M))))
             down = np.ldexp(1.0, -e * np.arange(M))  # s^-m
@@ -494,7 +498,7 @@ def _quadrature(family, fractional):
         # the integrator is looked up by its module-level name at each call,
         # as every primitive here is, so a wrapper bound to that name sees it
         integrate = integrate_line_even_window if family.real_line else integrate_theta
-        res = integrate(f, QuadratureConfig())
+        res = integrate(f)
         pref = frac_prefactor(p.x, p.a, p.mu, ctx) if fractional else 1.0
         lhs_diag = {
             "nodes": res.nodes_used,
@@ -628,7 +632,15 @@ _FAILURE_FIELDS = {
     KSumDivergence: ("k", "term_magnitude", "partial"),
     NonConvergence: ("partial", "last_term"),
     WindowFailure: ("probes",),
+    OverflowError: (),
 }
+
+# How a check that raises ends, for run_suite and the command line alike: a
+# point outside the domain or at a singularity is skipped (exit 65 for a
+# DomainError, 2 otherwise), a sum, product, window or double range that
+# gave out is diverged (exit 2).
+SKIPPED_ERRORS = (DomainError, PoleError, DivisionByZero)
+DIVERGED_ERRORS = tuple(_FAILURE_FIELDS)
 
 
 def _plain(value):
@@ -662,8 +674,9 @@ def run_suite(entries, ctx_options=None):
     Each entry is a mapping with keys ``identity``, ``params`` and optional
     ``tolerance``, as produced by :func:`qaw.suite.expand_suite`, which
     rejects unknown identity and parameter names.  Domain violations, poles
-    and vanishing factors yield skipped outcomes, convergence and window
-    errors yield diverged outcomes, each with the diagnostic message and
+    and vanishing factors (``SKIPPED_ERRORS``) yield skipped outcomes,
+    convergence, window and overflow errors (``DIVERGED_ERRORS``) yield
+    diverged outcomes, each with the diagnostic message and
     the entry's params; diverged outcomes also carry the failure's data
     (``details``).  The report order equals the entry order.
     """
@@ -674,11 +687,11 @@ def run_suite(entries, ctx_options=None):
             report = run_check(name, params, ctx_options, entry.get("tolerance"))
         except DomainError as exc:
             outcomes.append(CheckOutcome(name, "skipped", reason=str(exc), params=params))
-        except (PoleError, DivisionByZero) as exc:
+        except SKIPPED_ERRORS as exc:
             outcomes.append(CheckOutcome(
                 name, "skipped", reason=f"{type(exc).__name__}: {exc}", params=params
             ))
-        except tuple(_FAILURE_FIELDS) as exc:
+        except DIVERGED_ERRORS as exc:
             outcomes.append(CheckOutcome(
                 name, "diverged", reason=f"{type(exc).__name__}: {exc}", params=params,
                 details=_failure_details(exc),

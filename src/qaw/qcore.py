@@ -20,10 +20,14 @@ Order convention for q-Pochhammer symbols
 The ratio definition agrees with the finite product at integer orders and
 is the unique choice consistent with the q-gamma function.
 
-Truncation policy: infinite products stop once |a q^k| < ctx.eps_factor
+Truncation policy: infinite products stop once |a q^k| < EPS_FACTOR
 and the logarithmic tail bound sum_{j>=k} |a| q^j / (1 - |a| q^j) drops
 below ctx.eps_term; the relative truncation error is bounded by that tail
-sum.
+sum.  A product that needs more than MAX_FACTORS factors raises
+:class:`NonConvergence`, and a non-terminating series stops after
+CONSECUTIVE_SMALL successive terms below ctx.eps_term of its partial sum.
+These three are constants; only ``eps_term`` and ``max_terms`` are
+settable, through :class:`QContext`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ INFINITE = math.inf
 
 _TERMINATING_DETECT_TOL = 1e-12
 
+# the fixed part of the truncation policy (module docstring)
+EPS_FACTOR = 1e-17
+MAX_FACTORS = 10_000
+CONSECUTIVE_SMALL = 3
+
 # entries per block of factors in the array path (512 KB of complex)
 _BLOCK_ELEMENTS = 1 << 15
 
@@ -58,9 +67,9 @@ def _tail_bound(mag: float, q: float) -> float:
 
 
 def _factor_count(mag: float, ctx: QContext):
-    """Factors the scalar loop multiplies for |a| = mag; None past max_factors."""
-    for k in range(ctx.max_factors):
-        if mag < ctx.eps_factor and _tail_bound(mag, ctx.q) < ctx.eps_term:
+    """Factors the scalar loop multiplies for |a| = mag; None past MAX_FACTORS."""
+    for k in range(MAX_FACTORS):
+        if mag < EPS_FACTOR and _tail_bound(mag, ctx.q) < ctx.eps_term:
             return k
         mag *= ctx.q
     return None
@@ -93,7 +102,7 @@ def _array_product(a, ctx: QContext, log: bool):
     amax = float(np.abs(a).max(initial=0.0))
     K = _factor_count(amax, ctx)
     acc = np.zeros(a.shape, dtype=complex) if log else np.ones(a.shape, dtype=complex)
-    for f in _factor_blocks(a, ctx.max_factors if K is None else K, ctx.q):
+    for f in _factor_blocks(a, MAX_FACTORS if K is None else K, ctx.q):
         if log:
             zero = np.flatnonzero((f == 0).any(axis=1))
             if zero.size:
@@ -106,9 +115,9 @@ def _array_product(a, ctx: QContext, log: bool):
     if K is None:
         raise NonConvergence(
             f"{'log ' if log else ''}(a;q)_inf with max |a|={amax:.3e} did not "
-            f"converge in {ctx.max_factors} factors",
+            f"converge in {MAX_FACTORS} factors",
             partial=acc,
-            last_term=amax * ctx.q**ctx.max_factors,
+            last_term=amax * ctx.q**MAX_FACTORS,
         )
     return acc
 
@@ -125,15 +134,15 @@ def q_pochhammer_infinite(a, ctx: QContext):
     q = ctx.q
     p = complex(1.0)
     term = complex(a)
-    for _ in range(ctx.max_factors):
+    for _ in range(MAX_FACTORS):
         mag = abs(term)
-        if mag < ctx.eps_factor and _tail_bound(mag, q) < ctx.eps_term:
+        if mag < EPS_FACTOR and _tail_bound(mag, q) < ctx.eps_term:
             return p
         p *= 1.0 - term
         term *= q
     raise NonConvergence(
         f"(a;q)_inf with a={a}: factor magnitude {abs(term):.3e} after "
-        f"{ctx.max_factors} factors",
+        f"{MAX_FACTORS} factors",
         partial=p,
         last_term=abs(term),
     )
@@ -159,9 +168,9 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     # thousands of them, and the two sums that h_sinh_log adds cancel
     logs = []
     term = complex(a)
-    for _ in range(ctx.max_factors):
+    for _ in range(MAX_FACTORS):
         mag = abs(term)
-        if mag < ctx.eps_factor and _tail_bound(mag, q) < ctx.eps_term:
+        if mag < EPS_FACTOR and _tail_bound(mag, q) < ctx.eps_term:
             return _fsum_complex(logs)
         f = 1.0 - term
         if f == 0:
@@ -169,7 +178,7 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
         logs.append(cmath.log(f))
         term *= q
     raise NonConvergence(
-        f"log (a;q)_inf with a={a} did not converge in {ctx.max_factors} factors",
+        f"log (a;q)_inf with a={a} did not converge in {MAX_FACTORS} factors",
         partial=_fsum_complex(logs),
         last_term=abs(term),
     )
@@ -297,46 +306,28 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     s = len(denom)
     excess = 1 + s - r  # power of the (-1)^n q^C(n,2) factor
 
-    if k_term is not None:
-        total = complex(0.0)
-        term = complex(1.0)
-        for n in range(k_term + 1):
-            total += term
-            ratio = (1.0 - q ** (n - k_term)) * spec.z / (1.0 - q ** (n + 1))
-            for p in numer:
-                ratio *= 1.0 - p * q**n
-            for p in denom:
-                d = 1.0 - p * q**n
-                if d == 0:
-                    raise DivisionByZero(
-                        f"denominator parameter {p} hits q^-{n} inside the "
-                        f"terminating range"
-                    )
-                ratio /= d
-            if excess:
-                ratio *= (-(q**n)) ** excess
-            term *= ratio
-        return total
+    if k_term is None:
+        if r > s + 1:
+            raise DomainError(f"non-terminating {r}phi{s} diverges (r > s + 1)")
+        if r == s + 1 and abs(spec.z) >= 1.0:
+            raise DomainError(
+                f"{r}phi{s} requires |z| < 1 for convergence, got |z|={abs(spec.z)}"
+            )
 
-    if r > s + 1:
-        raise DomainError(f"non-terminating {r}phi{s} diverges (r > s + 1)")
-    if r == s + 1 and abs(spec.z) >= 1.0:
-        raise DomainError(
-            f"{r}phi{s} requires |z| < 1 for convergence, got |z|={abs(spec.z)}"
-        )
-
+    # a terminating series has k + 1 terms, the extra factor 1 - q^{n-k} and
+    # no stop rule; a non-terminating one stops after CONSECUTIVE_SMALL terms
+    # below eps_term of the partial sum
     total = complex(0.0)
     term = complex(1.0)
     small = 0
-    for n in range(ctx.max_terms):
+    for n in range(ctx.max_terms if k_term is None else k_term + 1):
         total += term
-        if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
-            small += 1
-            if small >= ctx.consecutive_small:
+        if k_term is None:
+            small = small + 1 if abs(term) < ctx.eps_term * max(abs(total), 1e-300) else 0
+            if small >= CONSECUTIVE_SMALL:
                 return total
-        else:
-            small = 0
-        ratio = spec.z / (1.0 - q ** (n + 1))
+        ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
+        ratio /= 1.0 - q ** (n + 1)
         for p in numer:
             ratio *= 1.0 - p * q**n
         for p in denom:
@@ -349,6 +340,8 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
         if excess:
             ratio *= (-(q**n)) ** excess
         term *= ratio
+    if k_term is not None:
+        return total
     raise NonConvergence(
         f"phi series did not converge in {ctx.max_terms} terms",
         partial=total,

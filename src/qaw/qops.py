@@ -24,7 +24,7 @@ import cmath
 import numpy as np
 
 from .context import DomainError, NonConvergence, QContext
-from .qcore import q_pochhammer_infinite
+from .qcore import CONSECUTIVE_SMALL, q_pochhammer_infinite
 from .quad import _evaluate
 
 _FIRST_BLOCK = 64
@@ -36,7 +36,7 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
     ``branches`` holds (sign, x, c0, s): the branch adds sign * x * c_n *
     f(x q^n), where c_n = 1 if c0 is None and otherwise
     c_n = c0 prod_{k<n} (1 - s q^{k+mu}) / (1 - s q^{k+1}).  The sum stops at
-    the first n that closes a run of ``ctx.consecutive_small`` terms below
+    the first n that closes a run of ``CONSECUTIVE_SMALL`` (3) terms below
     ``ctx.eps_term`` of the partial sum, as the term-by-term loop does.
     """
     q = ctx.q
@@ -74,7 +74,7 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
         stop = None
         for i, tiny in enumerate(flags.tolist()):
             small = small + 1 if tiny else 0
-            if small >= ctx.consecutive_small:
+            if small >= CONSECUTIVE_SMALL:
                 stop = i
                 break
         end = m if stop is None else stop + 1
@@ -103,7 +103,7 @@ def jackson_q_integral(f, a: float, b: float, ctx: QContext) -> complex:
     """Thomae-Jackson q-integral of f over [a, b].
 
     (1-q) sum_n q^n [b f(b q^n) - a f(a q^n)], truncated once
-    ``ctx.consecutive_small`` successive terms fall below the relative
+    ``CONSECUTIVE_SMALL`` (3) successive terms fall below the relative
     tolerance.  ``f`` maps an array of points to an array of values.
     """
     branches = [(1, b, None, None)] if b != 0 else []
@@ -202,7 +202,7 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
         total += term
         if mag < ctx.eps_term * scale:
             small += 1
-            if small >= ctx.consecutive_small:
+            if small >= CONSECUTIVE_SMALL:
                 return total
         else:
             small = 0

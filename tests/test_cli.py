@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from qaw import cli
+from qaw import cli, identities
 
 
 # a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
@@ -172,6 +172,33 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "Traceback" not in err and err.startswith("DivisionByZero")
 
+    @pytest.mark.parametrize("identity, argv", [
+        ("fractional-askey-wilson",
+         ["--q", "0.5", "--b", "0.3", "--c", "0.1", "--d", "0.15", "--x", "0.6", "--mu", "1.5"]),
+        ("fractional-generating",
+         ["--q", "0.5", "--x", "0.6", "--mu", "1.5", "--b", "0.3", "--s", "0.25",
+          "--t", "0.15", "--z", "0.2", "--r", "0.4", "--u", "0.1"]),
+    ])
+    @pytest.mark.parametrize("a, want", [("1e-310", 65), ("5e-324", 65), ("4e-309", 0),
+                                         ("1e-308", 0)])
+    def test_subnormal_lower_limit_exits_cleanly(self, capsys, identity, argv, a, want):
+        code, out, err = run_cli(capsys, "check", identity, "--a", a, *argv)
+        assert code == want, err
+        assert "Traceback" not in err and "OverflowError" not in err
+        if want == 65:
+            assert "x/a" in err and out == ""
+        else:
+            assert json.loads(out)["passed"]
+
+    def test_overflow_inside_a_check_exits_2(self, capsys, monkeypatch):
+        def overflowing(p, ctx=None, tol=None):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
+                            (identities.AWParams, overflowing))
+        code, out, err = run_cli(capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3")
+        assert code == 2 and out == "" and err.startswith("OverflowError: math range error")
+
     def test_unknown_identity_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "bogus-identity", "--q", "0.5"])
@@ -248,6 +275,20 @@ class TestSuite:
         assert set(details["partial"]) == {"re", "im"}
         assert skipped["status"] == "skipped" and "details" not in skipped
         assert skipped["params"] == {"alpha_g": 12.0}
+
+    def test_subnormal_lower_limits_are_reported(self, capsys, tmp_path):
+        point = {"q": 0.5, "b": 0.3, "c": 0.1, "d": 0.15, "x": 0.6, "mu": 1.5}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "fractional-askey-wilson", "params": {**point, "a": a}}
+            for a in (1e-310, 4e-309, 5e-324, 1e-308)
+        ]}))
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "suite", "--spec", str(spec), "--out", str(out_path))
+        assert code == 0 and "Traceback" not in err
+        doc = json.loads(out_path.read_text())
+        statuses = [r["status"] for r in doc["reports"]]
+        assert statuses == ["skipped", "passed", "skipped", "passed"]
 
     def test_unreadable_spec(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -111,6 +111,8 @@ class TestKSumOracle:
 # the fractional Askey-Wilson k-sum at the angles theta: numerator
 # (abcd, a e^{i theta}, a e^{-i theta}), denominator (ab, ac, ad)
 AW_POINT = dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
+# a criterion-style random draw with x near the top of [0.45, 0.8]
+AW_EDGE_POINT = dict(q=0.681, a=0.202, b=0.071, c=0.106, d=-0.268, x=0.692, mu=1.90)
 
 
 def _aw_ksum_params(theta, q, a, b, c, d, x, mu):
@@ -124,14 +126,15 @@ class _MpStableKSum:
     The Taylor coefficients of G(y) = prod (d y;q)_inf / prod (n y;q)_inf
     come from products of the power series of its factors, not from the
     q-difference recurrence used in double precision, and G(1) from the
-    infinite products themselves.
+    infinite products themselves.  The outer terms fall like x^k, and the
+    sum stops at 1e-18 of its total near x^k ~ 1e-20 (k = 99 at x = 0.6,
+    123 at x = 0.692), so M leaves 60 coefficients past x^k = 1e-24.
     """
 
-    M = 170
-
-    def __init__(self, mp, q):
+    def __init__(self, mp, q, x):
         self.mp = mp
         self.q = mp.mpf(q)
+        self.M = 60 + math.ceil(math.log(1e-24) / math.log(x))
         self.qpow = [self.q**m for m in range(self.M)]
         self.qfac = [self.poch(self.q, m) for m in range(self.M)]
 
@@ -178,6 +181,27 @@ class _MpStableKSum:
                  for m in range(self.M)]
             coef *= x * (1 - a / x * q ** (mu + k)) / (a * (1 - q ** (mu + k + 1)))
         raise AssertionError("oracle k-sum did not settle")
+
+
+def _ksum_against_oracle(p, theta, oracle_cls):
+    """One batched ksum call at the AW angles theta, each node within
+    1e-13 of the 60-digit oracle."""
+    mp = pytest.importorskip("mpmath")
+    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+    theta = np.array(theta)
+    numer, denom = _aw_ksum_params(theta, **p)
+    got = ksum(p["x"], a, p["mu"], numer, denom, QContext(q=p["q"]))
+    try:
+        mp.mp.dps = 60
+        oracle = oracle_cls(mp, p["q"], p["x"])
+        fixed = oracle.taylor([a * b * c * d], [a * b, a * c, a * d])
+        for i, th in enumerate(theta.tolist()):
+            e = cmath.exp(1j * th)
+            g, G1 = oracle.taylor([a * e, a / e], [], fixed)
+            want = oracle.ksum(p["x"], a, p["mu"], g, G1)
+            assert abs(got[i] - want) <= 1e-13 * abs(want), th
+    finally:
+        mp.mp.dps = 15
 
 
 class TestQuadratureOracle:
@@ -259,24 +283,12 @@ class TestBatchedKSum:
             assert abs(batched[i] - single) <= 1e-13 * abs(single)
 
     def test_complex_nodes_against_multiprecision_oracle(self):
-        mp = pytest.importorskip("mpmath")
-        p = AW_POINT
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        ctx = QContext(q=p["q"])
-        theta = np.array([0.01, 0.7, 1.9, 3.1, math.pi - 1e-9])
-        numer, denom = _aw_ksum_params(theta, **p)
-        got = ksum(p["x"], a, p["mu"], numer, denom, ctx)
-        try:
-            mp.mp.dps = 60
-            oracle = _MpStableKSum(mp, p["q"])
-            fixed = oracle.taylor([a * b * c * d], [a * b, a * c, a * d])
-            for i, th in enumerate(theta.tolist()):
-                e = cmath.exp(1j * th)
-                g, G1 = oracle.taylor([a * e, a / e], [], fixed)
-                want = oracle.ksum(p["x"], a, p["mu"], g, G1)
-                assert abs(got[i] - want) <= 1e-13 * abs(want), th
-        finally:
-            mp.mp.dps = 15
+        _ksum_against_oracle(AW_POINT, [0.01, 0.7, 1.9, 3.1, math.pi - 1e-9], _MpStableKSum)
+
+    def test_complex_nodes_at_the_x_edge_against_multiprecision_oracle(self):
+        # x = 0.692: the outer terms fall slowly, and near theta = pi the
+        # swapped sum cancels most (sum |g_m w_m| ~ 300 |S G(1)| at 2.75)
+        _ksum_against_oracle(AW_EDGE_POINT, [0.3, 1.5, 2.75], _MpStableKSum)
 
     def test_unsettled_sum_raises_with_partial(self):
         # the numerator 0.5 puts the nearest pole of G at y = 2, so the terms
@@ -355,23 +367,7 @@ class TestOpenItemPoints:
         assert report.passed and report.rel_err < 1e-13
 
     def test_ksum_at_q_09_against_multiprecision_oracle(self):
-        mp = pytest.importorskip("mpmath")
-        p = {**AW_POINT, "q": 0.9}
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        theta = np.array([0.3, 1.0, 1.6])
-        numer, denom = _aw_ksum_params(theta, **p)
-        got = ksum(p["x"], a, p["mu"], numer, denom, QContext(q=p["q"]))
-        try:
-            mp.mp.dps = 60
-            oracle = _MpQpStableKSum(mp, p["q"])
-            fixed = oracle.taylor([a * b * c * d], [a * b, a * c, a * d])
-            for i, th in enumerate(theta.tolist()):
-                e = cmath.exp(1j * th)
-                g, G1 = oracle.taylor([a * e, a / e], [], fixed)
-                want = oracle.ksum(p["x"], a, p["mu"], g, G1)
-                assert abs(got[i] - want) <= 1e-13 * abs(want), th
-        finally:
-            mp.mp.dps = 15
+        _ksum_against_oracle({**AW_POINT, "q": 0.9}, [0.3, 1.0, 1.6], _MpQpStableKSum)
 
     def test_large_x_over_a_does_not_overflow(self):
         # c_k grows like (x/a)^k = 4.5^k and would overflow past k ~ 470,
@@ -515,7 +511,7 @@ class TestReportSemantics:
         p = SAMPLE_GEN
         default = check_fractional_generating(p)
         tight = check_fractional_generating(
-            p, ctx=QContext(q=p.q, eps_term=1e-16, eps_factor=1e-18)
+            p, ctx=QContext(q=p.q, eps_term=1e-16)
         )
         assert abs(default.lhs - tight.lhs) < 1e-10
         assert abs(default.rhs - tight.rhs) < 1e-10
@@ -581,6 +577,7 @@ class TestSuiteRunner:
          {"partial": [1.0 + 2.0j], "last_term": 0.5}),
         (WindowFailure("no window", probes={1.0: -3.0, 1.5: -2.0}),
          {"probes": {1.0: -3.0, 1.5: -2.0}}),
+        (OverflowError("math range error"), {}),
     ])
     def test_failure_fields_become_plain_details(self, monkeypatch, exc, details):
         def failing(p, ctx=None, tol=None):
@@ -591,6 +588,23 @@ class TestSuiteRunner:
         (oc,) = run_suite([{"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3}}])
         assert oc.status == "diverged" and oc.details == details
         assert type(oc.details.get("last_term", 0.0)) is float
+
+    @pytest.mark.parametrize("identity, params", [
+        ("fractional-askey-wilson", {**AW_POINT}),
+        ("fractional-generating", {"q": 0.5, "x": 0.6, "mu": 1.5, "b": 0.3, "s": 0.25,
+                                   "t": 0.15, "z": 0.2, "r": 0.4, "u": 0.1}),
+    ])
+    @pytest.mark.parametrize("a, status", [
+        (1e-310, "skipped"),  # x/a overflows
+        (5e-324, "skipped"),
+        (4e-309, "passed"),  # x/a finite, its nearest power of 2 is 2^1024
+        (1e-308, "passed"),
+    ])
+    def test_subnormal_lower_limit_ends_in_an_outcome(self, identity, params, a, status):
+        (oc,) = run_suite([{"identity": identity, "params": {**params, "a": a}}])
+        assert oc.status == status, oc.reason
+        if status == "skipped":
+            assert "x/a" in oc.reason and oc.params["a"] == a
 
     def test_passed_and_skipped_entries_have_no_details(self):
         (passed, skipped) = run_suite([

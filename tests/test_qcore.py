@@ -11,6 +11,7 @@ import pytest
 from qaw.context import DivisionByZero, DomainError, NonConvergence, PoleError, QContext
 from qaw.qcore import (
     INFINITE,
+    MAX_FACTORS,
     HypergeometricSpec,
     detect_terminating,
     h_cos,
@@ -290,12 +291,16 @@ class TestArrayPath:
         assert got[1] == 0 and got[0] == q_pochhammer_infinite(0.3, ctx)
 
     def test_factor_cap_raises_with_partial(self):
-        ctx = QContext(q=0.5, max_factors=5)
+        # at q = 1 - 1e-5 the factor 0.3 q^k is still 0.27 after MAX_FACTORS
+        ctx = QContext(q=1.0 - 1e-5)
         with pytest.raises(NonConvergence) as exc:
             q_pochhammer_infinite_log(np.array([0.3, 0.1]), ctx)
         assert exc.value.partial.shape == (2,) and exc.value.last_term > 0
-        want = sum(cmath.log(1.0 - 0.3 * 0.5**k) for k in range(5))
-        assert exc.value.partial[0] == pytest.approx(want, rel=1e-14)
+        logs, term = [], 0.3
+        for _ in range(MAX_FACTORS):
+            logs.append(math.log(1.0 - term))
+            term *= ctx.q
+        assert exc.value.partial[0] == pytest.approx(math.fsum(logs), rel=1e-14)
 
     def test_h_cos_against_multiprecision(self):
         mp = pytest.importorskip("mpmath")

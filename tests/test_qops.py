@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaw.context import DomainError, NonConvergence, QContext
-from qaw.qcore import INFINITE, q_gamma, q_pochhammer, q_pochhammer_infinite
+from qaw.qcore import (
+    CONSECUTIVE_SMALL,
+    INFINITE,
+    q_gamma,
+    q_pochhammer,
+    q_pochhammer_infinite,
+)
 from qaw.qops import (
     cauchy_T_apply,
     cauchy_T_reciprocal_closed,
@@ -202,7 +208,7 @@ def _reference_jackson(f, a, b, ctx):
         total += term
         if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
             small += 1
-            if small >= ctx.consecutive_small:
+            if small >= CONSECUTIVE_SMALL:
                 return (1.0 - q) * total, n + 1
         else:
             small = 0
@@ -230,7 +236,7 @@ def _reference_fractional(f, x, a, mu, ctx):
         total += term
         if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
             small += 1
-            if small >= ctx.consecutive_small:
+            if small >= CONSECUTIVE_SMALL:
                 return pref * total, n + 1
         else:
             small = 0
@@ -266,7 +272,7 @@ def _reference_cauchy(a, b, f, c, n_max, ctx):
         total += term
         if mag < ctx.eps_term * scale:
             small += 1
-            if small >= ctx.consecutive_small:
+            if small >= CONSECUTIVE_SMALL:
                 return total
         else:
             small = 0

@@ -8,33 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qaw.context import WindowFailure
-from qaw.quad import (
-    QuadratureConfig,
-    estimate_theta_growth_window,
-    integrate_line_even_window,
-    integrate_theta,
-)
-
-
-class TestConfig:
-    def test_defaults_valid(self):
-        cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-10 and cfg.initial_nodes == 64
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_refinements=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(window_growth=1.0)
+from qaw.quad import _trapezoid, integrate_line_even_window, integrate_theta
 
 
 class TestIntegrateTheta:
     def test_constant(self):
         res = integrate_theta(lambda th: np.ones_like(th))
         assert res.value == pytest.approx(math.pi, rel=1e-12)
-        assert res.converged and res.window is None
+        assert res.window is None
 
     def test_result_fields_are_plain_python_numbers(self):
         res = integrate_theta(lambda th: np.cos(th) ** 2)
@@ -108,17 +89,23 @@ class TestIntegrateLine:
 
 class TestGrowthWindow:
     def test_gaussian_log_magnitude(self):
-        # first point of {1, 1.5, 1.5^2, ...} past sqrt(16 ln 10) = 6.066
-        T = estimate_theta_growth_window(lambda t: -t * t)
-        assert T == pytest.approx(1.5**5)
+        # first point of {1, 1.5, 1.5^2, ...} with T e^{-T^2} < 1e-16:
+        # 1.5^4 = 5.06 gives 2.5e-11, 1.5^5 = 7.59 gives 7e-25
+        res = integrate_line_even_window(lambda t: np.exp(-t * t))
+        assert res.window == (-(1.5**5), 1.5**5)
 
     def test_flat_small_magnitude_first_probe(self):
-        assert estimate_theta_growth_window(lambda t: -1000.0) == 1.0
+        res = integrate_line_even_window(lambda t: np.full(t.shape, 1e-300))
+        assert res.window == (-1.0, 1.0)
 
     def test_growing_magnitude_raises(self):
+        # every probe below 50 is tried and reported with log(T e^T)
         with pytest.raises(WindowFailure) as exc:
-            estimate_theta_growth_window(lambda t: t)
-        assert 1.0 in exc.value.probes
+            integrate_line_even_window(lambda t: np.exp(np.abs(t)))
+        probes = exc.value.probes
+        assert list(probes) == [1.5**k for k in range(10)]
+        for T, lm in probes.items():
+            assert lm == pytest.approx(T + math.log(T), abs=1e-12)
 
     def test_window_monotonicity(self):
         # enlarging the window beyond the automatic choice changes the value
@@ -126,9 +113,7 @@ class TestGrowthWindow:
         f = lambda t: np.exp(-t * t) * np.cos(t)
         auto = integrate_line_even_window(f)
         T = auto.window[1] * 2.0
-        from qaw.quad import _trapezoid
-
-        bigger = _trapezoid(f, -T, T, QuadratureConfig())
+        bigger = _trapezoid(f, -T, T)
         assert abs(bigger.value - auto.value) <= max(auto.est_error, 1e-14)
 
 
@@ -142,12 +127,17 @@ def _recording(f, calls):
 
 class TestNestedTrapezoid:
     def test_cosines_exact_below_twice_the_intervals(self):
-        # N intervals on [0, pi] are the 2N-point periodic rule on [0, 2 pi]
-        cfg = QuadratureConfig(initial_nodes=8)
-        for k in range(16):
-            res = integrate_theta(lambda th: np.cos(k * th), cfg)
+        # the 64 intervals on [0, pi] of the first level are the 128-point
+        # periodic rule on [0, 2 pi].  cos k theta is taken at the exact node
+        # pi j / 128 of the first two levels, since the rounding of k theta
+        # (up to 4e-14 at k = 127) would exceed the 1e-14 acceptance floor
+        def cosine(k):
+            return lambda th: np.cos(np.pi * np.mod(k * np.rint(th * (128 / np.pi)), 256) / 128)
+
+        for k in range(128):
+            res = integrate_theta(cosine(k))
             want = math.pi if k == 0 else 0.0
-            assert abs(res.value - want) <= 1e-14 and res.nodes_used == 17
+            assert abs(res.value - want) <= 1e-14 and res.nodes_used == 129
 
     def test_levels_reuse_every_node(self):
         calls = []
