@@ -15,14 +15,26 @@ The tolerances, level sizes and window rule are module constants: at these
 values the rule converges geometrically on every identity's integrand.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns an
-array of the same shape.  Each refinement level evaluates ``f`` once, on
-all of its new nodes, and each window probe once, on ``[T, -T]``.
+array of the same shape.  A call costs about as much for 2 nodes as for a
+hundred, so the engine makes few, large calls: one on the first level
+together with its first refinement (the rule never accepts a level before
+refining it), one per later refinement on its new nodes, and one per batch
+of window half-widths on ``[T1, -T1, T2, -T2, ...]``.  A batch call that
+raises or warns is repeated one half-width at a time, so an integrand that
+fails only beyond the chosen window gives the window, value or error that
+probing each half-width singly gives.  An integrand whose truncation is
+sized by the largest node of a call (the k-sum's Taylor length, the factor
+count of an array product) may round differently in a larger call, in the
+last bits only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import warnings
 from dataclasses import dataclass, replace
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -32,7 +44,11 @@ from .context import NonConvergence, WindowFailure
 # moved by at most max(_REL_TOL * |value|, _ABS_TOL); the first level has
 # _INITIAL_INTERVALS intervals, and each of at most _MAX_REFINEMENTS
 # refinements doubles them.  A window probes half-widths 1, 1.5, 1.5^2, ...
-# below _MAX_WINDOW until max|f(+-T)| * T falls below _WINDOW_TAIL_TOL.
+# below _MAX_WINDOW until max|f(+-T)| * T falls below _WINDOW_TAIL_TOL,
+# _WINDOW_BATCH of them per call.  The batch is shorter than the ladder of
+# ten half-widths, as an integrand may fail at the last ones yet decay well
+# before them: the fractional reversal check at q = 1/2, a = 0.2, x = 0.6,
+# mu = 1.5 decays at 1.5^4 but its k-sum diverges at 1.5^9 = 38.4.
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 _MAX_REFINEMENTS = 20
@@ -40,7 +56,9 @@ _INITIAL_INTERVALS = 64
 _WINDOW_GROWTH = 1.5
 _WINDOW_TAIL_TOL = 1e-16
 _MAX_WINDOW = 50.0
+_WINDOW_BATCH = 8
 _EPS = float(np.finfo(float).eps)
+_LADDER = tuple(takewhile(lambda T: T < _MAX_WINDOW, (_WINDOW_GROWTH**k for k in count())))
 
 
 @dataclass(frozen=True)
@@ -60,25 +78,66 @@ def _evaluate(f, nodes):
     return values
 
 
-def _trapezoid(f, lo, hi) -> QuadratureResult:
-    """Nested trapezoidal rule on [lo, hi] with its Romberg diagonal.
+def _levels(f, lo, hi):
+    """Yield the nodes and values of the first level, then the new nodes of
+    each refinement and their values.
 
-    Nodes are ``mid + h*j`` with j an integer or half-integer, so a window
-    (mid = 0) is sampled at exact negatives.  A level is accepted when the
-    trapezoid column, or else the Romberg diagonal, moved by at most
-    max(_REL_TOL*|v|, _ABS_TOL); ``est_error`` is that move, floored by the
-    rounding of the sum, 4*eps*h*sum|f_j|.
+    The first level (``_INITIAL_INTERVALS`` intervals, ends included) and
+    the midpoints of its first refinement come from one call of ``f``;
+    each later refinement from one call on its new nodes.  Nodes are
+    ``mid + h*j`` with j an integer or half-integer, so a window (mid = 0)
+    is sampled at exact negatives.
     """
     mid, n = 0.5 * (lo + hi), _INITIAL_INTERVALS
     h = (hi - lo) / n
-    fx = _evaluate(f, mid + h * (np.arange(n + 1) - 0.5 * n))
+    x = mid + h * np.concatenate((np.arange(n + 1) - 0.5 * n, np.arange(n) - 0.5 * (n - 1)))
+    fx = _evaluate(f, x)
+    yield x[: n + 1], fx[: n + 1]
+    yield x[n + 1 :], fx[n + 1 :]
+    while True:
+        n, h = 2 * n, 0.5 * h
+        x = mid + h * (np.arange(n) - 0.5 * (n - 1))
+        yield x, _evaluate(f, x)
+
+
+def _require_finite(total, x, fx, partial):
+    """Raise :class:`NonConvergence` when a level's sum is not finite.
+
+    ``partial`` is the last finite level's value (None before the first);
+    refining further could never give a finite value, only more nodes.
+    """
+    if cmath.isfinite(total):
+        return
+    bad = np.flatnonzero(~np.isfinite(fx))
+    where = f"integrand not finite at node {float(x[bad[0]])!r}" if bad.size else "sum overflowed"
+    raise NonConvergence(
+        f"quadrature level with {x.size} new nodes is not finite: {where}",
+        partial=partial,
+        last_term=abs(total),
+    )
+
+
+def _trapezoid(f, lo, hi) -> QuadratureResult:
+    """Nested trapezoidal rule on [lo, hi] with its Romberg diagonal.
+
+    A level is accepted when the trapezoid column, or else the Romberg
+    diagonal, moved by at most max(_REL_TOL*|v|, _ABS_TOL); ``est_error``
+    is that move, floored by the rounding of the sum, 4*eps*h*sum|f_j|.
+    The first level whose sum is not finite raises :class:`NonConvergence`.
+    """
+    n = _INITIAL_INTERVALS
+    h = (hi - lo) / n
+    levels = _levels(f, lo, hi)
+    x, fx = next(levels)
     absum = h * float(np.sum(np.abs(fx[1:-1])) + 0.5 * (abs(fx[0]) + abs(fx[-1])))
     row = [complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))]
+    _require_finite(row[0], x, fx, None)
     for _ in range(_MAX_REFINEMENTS):
-        fx = _evaluate(f, mid + h * (np.arange(n) - 0.5 * (n - 1)))
+        x, fx = next(levels)
         n, h = 2 * n, 0.5 * h
         absum = 0.5 * absum + h * float(np.sum(np.abs(fx)))
         new = [complex(0.5 * row[0] + h * np.sum(fx))]
+        _require_finite(new[0], x, fx, row[0])
         for k, prev in enumerate(row, start=1):
             new.append(new[-1] + (new[-1] - prev) / (4**k - 1))
         moves = [(new[0], abs(new[0] - row[0])), (new[-1], abs(new[-1] - row[-1]))]
@@ -103,12 +162,29 @@ def integrate_theta(f) -> QuadratureResult:
     return _trapezoid(f, 0.0, math.pi)
 
 
+def _probe(f, rungs):
+    """log(max|f(+-T)| * T) for each half-width T of ``rungs``.
+
+    One call of ``f`` on ``[T1, -T1, T2, -T2, ...]``.  A non-finite value
+    gives a NaN or infinite log-magnitude, which never counts as decayed.
+    """
+    x = np.array([s * T for T in rungs for s in (1.0, -1.0)])
+    peaks = np.abs(_evaluate(f, x)).reshape(-1, 2).max(axis=1)
+    mags = [float(p) * T for p, T in zip(peaks, rungs)]
+    return [-math.inf if m == 0 else math.log(m) for m in mags]
+
+
 def integrate_line_even_window(f) -> QuadratureResult:
     """Integrate over the real line inside a symmetric window [-T, T].
 
     T is the first of the half-widths 1, 1.5, 1.5^2, ... below 50 with
-    max|f(+-T)| * T < 1e-16, each probe one call ``f(np.array([T, -T]))``;
-    if none has, :class:`WindowFailure` carries the probed log-magnitudes.
+    max|f(+-T)| * T < 1e-16; a NaN or infinite value at +-T does not count
+    as decayed.  The half-widths are probed in batches of
+    ``_WINDOW_BATCH``, each batch one call ``f(np.array([T1, -T1, T2, -T2,
+    ...]))``.  A batch call that raises or warns is repeated one half-width
+    at a time, so the outcome (T, the value, or the error raised) is the
+    one that probing each half-width singly gives.  If no half-width has
+    decayed, :class:`WindowFailure` carries the probed log-magnitudes.
     [-T, T] is then integrated by the nested trapezoidal rule.  ``f`` maps
     a 1-D array of points to an array of values of the same shape.  The
     imaginary part of the value feeds the error estimate, since admissible
@@ -116,15 +192,21 @@ def integrate_line_even_window(f) -> QuadratureResult:
     """
     target = math.log(_WINDOW_TAIL_TOL)
     probes = {}
-    T = 1.0
-    while T < _MAX_WINDOW:
-        mag = float(np.max(np.abs(_evaluate(f, np.array([T, -T]))))) * T
-        probes[T] = math.log(mag) if mag > 0 else -math.inf
-        if probes[T] < target:
-            res = _trapezoid(f, -T, T)
-            err = max(res.est_error, abs(res.value.imag))
-            return replace(res, est_error=err, window=(-T, T))
-        T *= _WINDOW_GROWTH
+    for start in range(0, len(_LADDER), _WINDOW_BATCH):
+        batch = _LADDER[start : start + _WINDOW_BATCH]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                logs = _probe(f, batch)
+        except Exception:
+            # maybe only past T: probe this batch one half-width at a time
+            logs = None
+        for i, T in enumerate(batch):
+            probes[T] = _probe(f, batch[i : i + 1])[0] if logs is None else logs[i]
+            if probes[T] < target:
+                res = _trapezoid(f, -T, T)
+                err = max(res.est_error, abs(res.value.imag))
+                return replace(res, est_error=err, window=(-T, T))
     raise WindowFailure(
         f"integrand log-magnitude never dropped below {target:.2f} up to "
         f"T={_MAX_WINDOW}; probes: "

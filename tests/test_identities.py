@@ -482,6 +482,38 @@ class TestWholeLevelWeights:
         assert sum(a.size for a in calls) == 10 * sum(levels)
 
 
+class TestIntegrandCalls:
+    """Integrand calls per check at the benchmark's fixed points.
+
+    An integrand call costs about as much for 2 nodes as for 129 (one k-sum
+    and its log-products per call), so the quadrature batches its nodes: the
+    first two trapezoid levels come in one call and a window's probes in
+    one call per batch of 8 half-widths.
+    """
+
+    @pytest.mark.parametrize("check, params, want", [
+        # one call for the 129 nodes of levels 0 and 1
+        (check_fractional_aw,
+         AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5), [129]),
+        # T = 1.5^7 is in the first probe batch of 8 half-widths; then
+        # levels 0 and 1
+        (check_fractional_atakishiyev,
+         AtakishiyevParams(alpha_g=1.0, a=0.15, b=0.02, c=0.02, d=0.02, x=0.6, mu=1.5),
+         [16, 129]),
+    ])
+    def test_calls_at_fixed_points(self, monkeypatch, check, params, want):
+        sizes, evaluate = [], quad._evaluate
+
+        def counted_evaluate(f, x):
+            sizes.append(x.size)
+            return evaluate(f, x)
+
+        monkeypatch.setattr(quad, "_evaluate", counted_evaluate)
+        report = check(params)
+        # the node count of each call, one entry per call
+        assert report.passed and sizes == want
+
+
 class TestReportSemantics:
     def test_residual_fields_consistent(self):
         r = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))

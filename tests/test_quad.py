@@ -1,13 +1,14 @@
 """Unit tests for the quadrature engines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qaw.context import WindowFailure
+from qaw.context import NonConvergence, WindowFailure
 from qaw.quad import _trapezoid, integrate_line_even_window, integrate_theta
 
 
@@ -24,6 +25,7 @@ class TestIntegrateTheta:
         assert type(res.value) is complex and type(res.est_error) is float
 
     def test_integrand_sees_each_level_as_one_array(self):
+        # levels 0 and 1 (65 + 64 nodes) in one call; cos^2 is accepted there
         calls = []
 
         def f(th):
@@ -31,7 +33,7 @@ class TestIntegrateTheta:
             return np.cos(th) ** 2
 
         res = integrate_theta(f)
-        assert calls == [(65,), (64,)] and res.nodes_used == 129
+        assert calls == [(129,)] and res.nodes_used == 129
 
     def test_scalar_returning_integrand_rejected(self):
         with pytest.raises(ValueError):
@@ -72,6 +74,7 @@ class TestIntegrateLine:
         assert abs(res.value) < 1e-13
 
     def test_window_probes_both_ends_in_one_call(self):
+        # the first batch of 8 half-widths, each T next to -T
         calls = []
 
         def f(t):
@@ -79,7 +82,7 @@ class TestIntegrateLine:
             return np.exp(-t * t)
 
         integrate_line_even_window(f)
-        assert calls[0] == [1.0, -1.0] and calls[1] == [1.5, -1.5]
+        assert calls[0] == [s * 1.5**k for k in range(8) for s in (1.0, -1.0)]
 
     def test_nondecaying_tail_raises(self):
         with pytest.raises(WindowFailure) as exc:
@@ -140,11 +143,12 @@ class TestNestedTrapezoid:
             assert abs(res.value - want) <= 1e-14 and res.nodes_used == 129
 
     def test_levels_reuse_every_node(self):
+        # one call for levels 0 and 1, then one per refinement on its new nodes
         calls = []
         res = integrate_theta(_recording(lambda th: th**15, calls))
         nodes = np.concatenate(calls)
-        assert len(calls) > 2 and [c.size for c in calls[1:]] == [
-            64 * 2**i for i in range(len(calls) - 1)]
+        assert len(calls) > 2 and [c.size for c in calls] == [129] + [
+            128 * 2**i for i in range(len(calls) - 1)]
         assert np.unique(nodes).size == nodes.size == res.nodes_used
         assert nodes.min() == 0.0 and nodes.max() == math.pi
 
@@ -153,9 +157,10 @@ class TestNestedTrapezoid:
         f = lambda t: np.exp(-t * t) * np.cosh(t) * (1.0 + 0.5j * np.sinh(t))
         res = integrate_line_even_window(_recording(f, calls))
         T = res.window[1]
-        probes = [c for c in calls if c.size == 2]
-        assert probes[-1].tolist() == [T, -T]
-        nodes = np.sort(np.concatenate(calls[len(probes):]))
+        # one probe batch: pairs (T_k, -T_k) with T among them
+        probes = calls[0].reshape(-1, 2)
+        assert np.array_equal(probes[:, 1], -probes[:, 0]) and T in probes[:, 0]
+        nodes = np.sort(np.concatenate(calls[1:]))
         assert np.unique(nodes).size == nodes.size == res.nodes_used
         assert np.array_equal(nodes, -nodes[::-1]) and nodes[-1] == T
 
@@ -195,3 +200,116 @@ class TestNestedTrapezoid:
         res = integrate_theta(f)
         want = math.pi / root * sum(c * r**k for k, c in enumerate(coeffs))
         assert abs(res.value - want) <= res.est_error
+
+
+def _one_rung_window(f):
+    """The window search with one half-width per call: (T, value) or WindowFailure."""
+    probes, T = {}, 1.0
+    while T < 50.0:
+        mag = float(np.max(np.abs(f(np.array([T, -T]))))) * T
+        probes[T] = -math.inf if mag == 0 else math.log(mag)
+        if probes[T] < math.log(1e-16):
+            return T, _trapezoid(f, -T, T).value
+        T *= 1.5
+    raise WindowFailure("no decayed half-width", probes=probes)
+
+
+def _gaussian(s):
+    return lambda t: np.exp(-s * t * t)
+
+
+def _failing_beyond(s, cutoff, fail):
+    """exp(-s t^2), calling ``fail`` when a node lies beyond ``cutoff``."""
+
+    def f(t):
+        if np.abs(t).max() > cutoff:
+            fail()
+        return np.exp(-s * t * t)
+
+    return f
+
+
+def _raise():
+    raise ValueError("integrand failed")
+
+
+def _warn():
+    warnings.warn("beyond the window", RuntimeWarning)
+
+
+class TestBatchedWindow:
+    """The batched probes pick what one half-width per call picks."""
+
+    @pytest.mark.parametrize("f", [
+        *(pytest.param(_gaussian(s), id=f"gaussian-{s}") for s in (4.0, 1.0, 0.3, 0.1, 0.05, 0.01)),
+        pytest.param(lambda t: np.exp(np.abs(t)), id="growing"),  # no half-width decays
+        pytest.param(lambda t: np.full(t.shape, 1e-300), id="flat-1e-300"),
+        # T = 1.5^5; the rest of the first batch, from 1.5^6 on, fails
+        pytest.param(_failing_beyond(1.0, 8.0, _raise), id="raises-beyond-T"),
+        pytest.param(_failing_beyond(1.0, 8.0, _warn), id="warns-beyond-T"),
+        # T = 1.5^8, the first half-width of the second batch; 1.5^9 fails
+        pytest.param(_failing_beyond(0.1, 30.0, _raise), id="raises-beyond-T-second-batch"),
+    ])
+    def test_agrees_with_one_rung_search(self, f):
+        try:
+            want = _one_rung_window(f)
+        except WindowFailure as exc:
+            with pytest.raises(WindowFailure) as got:
+                integrate_line_even_window(f)
+            assert got.value.probes == exc.probes
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_line_even_window(f)
+        assert (res.window[1], res.value) == want
+
+    def test_failure_at_first_half_width_propagates(self):
+        with pytest.raises(ValueError, match="integrand failed"):
+            integrate_line_even_window(lambda t: _raise())
+
+
+class TestNonFinite:
+    def test_nan_node_on_theta_ends_at_first_level(self):
+        # one NaN node: no refinement can make the sum finite
+        calls = []
+
+        def f(th):
+            return np.where(th == 0.0, np.nan, np.cos(th))
+
+        with pytest.raises(NonConvergence) as exc:
+            integrate_theta(_recording(f, calls))
+        assert sum(c.size for c in calls) == 129
+        assert exc.value.partial is None and math.isnan(exc.value.last_term)
+        assert "node 0.0" in str(exc.value)
+
+    def test_nan_node_at_a_later_level(self):
+        # theta^15 is not accepted at level 1; every new node of level 2 is
+        # NaN, so the partial value is level 1's trapezoid sum
+        def f(th):
+            return np.full(th.shape, np.nan) if th.size == 128 else th**15
+
+        with pytest.raises(NonConvergence) as exc:
+            integrate_theta(f)
+        fx = np.linspace(0.0, math.pi, 129) ** 15
+        level1 = math.pi / 128 * (fx[1:-1].sum() + 0.5 * (fx[0] + fx[-1]))
+        assert exc.value.partial == pytest.approx(level1, rel=1e-13)
+
+    def test_nan_integrand_on_the_line_is_a_window_failure(self):
+        with pytest.raises(WindowFailure) as exc:
+            integrate_line_even_window(lambda t: np.full(t.shape, np.nan))
+        assert len(exc.value.probes) == 10
+        assert all(math.isnan(m) for m in exc.value.probes.values())
+
+    def test_nan_probe_is_not_decayed(self):
+        # NaN at +-1 only: the search goes on to the Gaussian's own window
+        f = lambda t: np.where(np.abs(t) == 1.0, np.nan, np.exp(-t * t))
+        res = integrate_line_even_window(f)
+        assert res.window == (-(1.5**5), 1.5**5)
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+    def test_nan_node_in_window_ends_at_first_level(self):
+        calls = []
+        f = lambda t: np.where(t == 0.0, np.nan, np.exp(-t * t))
+        with pytest.raises(NonConvergence) as exc:
+            integrate_line_even_window(_recording(f, calls))
+        assert [c.size for c in calls] == [16, 129] and exc.value.partial is None
