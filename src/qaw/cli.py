@@ -1,8 +1,8 @@
 """Command-line front end: evaluate primitives, run identity checks, run suites.
 
 Exit codes: 0 pass, 1 identity failure, 2 numeric error (convergence,
-window, pole or division; for eval also domain errors), 64 usage,
-65 domain violation of a check, 66 I/O.
+window, pole or division; for eval also domain errors), 64 usage (any
+missing, foreign or bad flag), 65 domain violation of a check, 66 I/O.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -61,52 +62,86 @@ def _complex_obj(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
+def _positive(kind):
+    """An argparse type: a number of type ``kind``, finite and above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"need a finite {kind.__name__} above 0, got {text!r}")
+        return value
+
+    return parse
+
+
+def _parse_list(text: str):
+    if not text.strip():
+        return []
+    return [parse_complex(tok) for tok in text.split(",")]
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parse_args keeps no state between calls.
     # abbreviations off: the short parameter flags (--a, --b, ...) must never
-    # prefix-match the global --ctx-* options
+    # prefix-match the global --ctx-* options.  An option left out of the
+    # command line is left out of the namespace when its default is SUPPRESS.
     parser = _Parser(prog="qaw", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"qaw {__version__}")
-    parser.add_argument(
-        "--ctx-eps", type=float, default=None, help="override QContext eps_term"
-    )
-    parser.add_argument(
-        "--ctx-max-terms", type=int, default=None, help="override QContext max_terms"
-    )
+    parser.add_argument("--ctx-eps", dest="eps_term", type=_positive(float),
+                        default=argparse.SUPPRESS, help="override QContext eps_term")
+    parser.add_argument("--ctx-max-terms", dest="max_terms", type=_positive(int),
+                        default=argparse.SUPPRESS, help="override QContext max_terms")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a scalar primitive", allow_abbrev=False)
-    ev.add_argument(
-        "subject",
-        choices=["poch", "gamma", "phi", "hcos", "hsinh", "qint", "fracint"],
+    subjects = ev.add_subparsers(dest="subject", required=True)
+    # every subject takes --q and --verbose, and only its own further flags
+    poch, gamma, phi, hcos, hsinh, qint, fracint = (
+        subjects.add_parser(name, allow_abbrev=False)
+        for name in ("poch", "gamma", "phi", "hcos", "hsinh", "qint", "fracint")
     )
-    ev.add_argument("--q", type=float, required=True)
-    ev.add_argument("--a", type=parse_complex, default=None)
-    ev.add_argument("--b", type=parse_complex, default=None)
-    ev.add_argument("--n", type=int, default=None, help="finite Pochhammer order")
-    ev.add_argument("--alpha", type=float, default=None, help="fractional order")
-    ev.add_argument("--inf", action="store_true", help="infinite order")
-    ev.add_argument("--x", type=float, default=None)
-    ev.add_argument("--z", type=parse_complex, default=None)
-    ev.add_argument("--t", type=parse_complex, default=None)
-    ev.add_argument("--theta", type=float, default=None)
-    ev.add_argument("--mu", type=float, default=None)
-    ev.add_argument("--power", type=float, default=0.0,
-                    help="integrand t^power for qint/fracint")
-    ev.add_argument("--numer", type=str, default="", help="comma-separated list")
-    ev.add_argument("--denom", type=str, default="", help="comma-separated list")
-    ev.add_argument("--params", type=str, default="", help="comma-separated list")
-    ev.add_argument("--terminating-k", type=int, default=None)
-    ev.add_argument("--verbose", action="store_true")
+    for sp in subjects.choices.values():
+        sp.add_argument("--q", type=float, required=True)
+        sp.add_argument("--verbose", action="store_true")
+    poch.add_argument("--a", type=parse_complex, required=True)
+    order = poch.add_mutually_exclusive_group(required=True)
+    order.add_argument("--n", dest="order", type=int, help="finite order")
+    order.add_argument("--alpha", dest="order", type=float, help="fractional order")
+    order.add_argument("--inf", dest="order", action="store_const", const=qcore.INFINITE,
+                       help="infinite order")
+    gamma.add_argument("--x", type=float, required=True)
+    for flag in ("--numer", "--denom"):
+        phi.add_argument(flag, type=_parse_list, default=[], help="comma-separated list")
+    phi.add_argument("--z", type=parse_complex, default=1.0)
+    phi.add_argument("--terminating-k", type=int, default=None)
+    hcos.add_argument("--theta", type=float, required=True)
+    hcos.add_argument("--params", type=_parse_list, default=[], help="comma-separated list")
+    hsinh.add_argument("--x", type=float, required=True)
+    hsinh.add_argument("--t", type=parse_complex, required=True)
+    fracint.add_argument("--x", type=float, required=True)
+    fracint.add_argument("--mu", type=float, required=True)
+    for sp in (qint, fracint):
+        sp.add_argument("--a", type=float, default=0.0, help="lower limit")
+        sp.add_argument("--power", type=float, default=0.0, help="integrand t^power")
+    qint.add_argument("--b", type=float, default=1.0, help="upper limit")
 
     ck = sub.add_parser("check", help="run a single identity check", allow_abbrev=False)
-    ck.add_argument("identity", choices=sorted(IDENTITY_REGISTRY))
-    ck.add_argument("--tol", type=float, default=None)
-    for flag in ["q", "a", "x", "mu", "alpha-g"]:
-        ck.add_argument(f"--{flag}", type=float, default=None)
-    for flag in ["b", "c", "d", "r", "s", "t", "u", "z"]:
-        ck.add_argument(f"--{flag}", type=parse_complex, default=None)
+    identities = ck.add_subparsers(dest="identity", required=True)
+    for name in sorted(IDENTITY_REGISTRY):
+        ip = identities.add_parser(name, allow_abbrev=False)
+        ip.add_argument("--tol", type=_positive(float), default=None)
+        # one flag per params field; the dataclass supplies an absent one
+        for f in param_fields(name):
+            ip.add_argument(
+                f"--{f.name.replace('_', '-')}",
+                type=float if f.type in (float, "float") else parse_complex,
+                required=f.default is dataclasses.MISSING,
+                default=argparse.SUPPRESS,
+            )
 
     st = sub.add_parser("suite", help="run a suite of checks, write a JSON report", allow_abbrev=False)
     st.add_argument("--spec", type=str, default=None,
@@ -117,68 +152,35 @@ def _build_parser() -> _Parser:
 
 
 def _ctx_options(args) -> dict:
-    opts = {}
-    if args.ctx_eps is not None:
-        opts["eps_term"] = args.ctx_eps
-    if args.ctx_max_terms is not None:
-        opts["max_terms"] = args.ctx_max_terms
-    return opts
-
-
-def _parse_list(text: str):
-    if not text.strip():
-        return []
-    return [parse_complex(tok) for tok in text.split(",")]
+    return {k: getattr(args, k) for k in ("eps_term", "max_terms") if hasattr(args, k)}
 
 
 def _cmd_eval(args) -> int:
-    ctx = QContext(q=args.q, **_ctx_options(args))
     sub = args.subject
     try:
+        ctx = QContext(q=args.q, **_ctx_options(args))
         if sub == "poch":
-            if args.a is None:
-                raise DomainError("poch requires --a")
-            given = [args.n is not None, args.alpha is not None, args.inf]
-            if sum(given) != 1:
-                raise DomainError("poch requires exactly one of --n, --alpha, --inf")
-            if args.inf:
-                order = qcore.INFINITE
-            elif args.n is not None:
-                order = args.n
-            else:
-                order = args.alpha
-            value = qcore.q_pochhammer(args.a, order, ctx)
+            value = qcore.q_pochhammer(args.a, args.order, ctx)
         elif sub == "gamma":
-            if args.x is None:
-                raise DomainError("gamma requires --x")
             value = complex(qcore.q_gamma(args.x, ctx))
         elif sub == "phi":
             spec = qcore.HypergeometricSpec(
-                numer=tuple(_parse_list(args.numer)),
-                denom=tuple(_parse_list(args.denom)),
-                z=args.z if args.z is not None else 1.0,
+                numer=tuple(args.numer),
+                denom=tuple(args.denom),
+                z=args.z,
                 terminating_k=args.terminating_k,
             )
             value = qcore.phi_series(spec, ctx)
         elif sub == "hcos":
-            if args.theta is None:
-                raise DomainError("hcos requires --theta")
-            value = qcore.h_cos(args.theta, _parse_list(args.params), ctx)
+            value = qcore.h_cos(args.theta, args.params, ctx)
         elif sub == "hsinh":
-            if args.x is None or args.t is None:
-                raise DomainError("hsinh requires --x and --t")
             value = qcore.h_sinh(args.x, args.t, ctx)
         elif sub == "qint":
-            a = args.a.real if args.a is not None else 0.0
-            b = args.b.real if args.b is not None else 1.0
             p = args.power
-            value = qops.jackson_q_integral(lambda t: t**p, a, b, ctx)
+            value = qops.jackson_q_integral(lambda t: t**p, args.a, args.b, ctx)
         else:  # fracint
-            if args.x is None or args.mu is None:
-                raise DomainError("fracint requires --x and --mu")
-            a = args.a.real if args.a is not None else 0.0
             p = args.power
-            value = qops.fractional_q_integral(lambda t: t**p, args.x, a, args.mu, ctx)
+            value = qops.fractional_q_integral(lambda t: t**p, args.x, args.a, args.mu, ctx)
     except SKIPPED_ERRORS as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -218,24 +220,10 @@ def _report_obj(report) -> dict:
     }
 
 
-def _collect_check_params(args, identity) -> dict:
-    params, missing = {}, []
-    for f in param_fields(identity):
-        value = getattr(args, f.name)
-        if value is not None:
-            params[f.name] = value
-        elif f.default is dataclasses.MISSING:
-            missing.append(f.name)
-    if missing:
-        raise DomainError(
-            f"{identity} requires --" + ", --".join(m.replace("_", "-") for m in missing)
-        )
-    return params
-
-
 def _cmd_check(args) -> int:
+    params = {f.name: getattr(args, f.name) for f in param_fields(args.identity)
+              if hasattr(args, f.name)}
     try:
-        params = _collect_check_params(args, args.identity)
         report = run_check(args.identity, params, _ctx_options(args), args.tol)
     except DomainError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

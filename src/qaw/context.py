@@ -87,7 +87,7 @@ class QContext:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0) or not math.isfinite(self.q):
             raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if self.eps_term <= 0:
-            raise DomainError("eps_term must be strictly positive")
+        if not 0 < self.eps_term < math.inf:
+            raise DomainError(f"eps_term must be positive and finite, got {self.eps_term}")
         if self.max_terms <= 0:
             raise DomainError("max_terms must be strictly positive")

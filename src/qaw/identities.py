@@ -8,17 +8,18 @@ closed side through their scalar loops), and returns an
 
 One table, one check function
 -----------------------------
-Every check is :func:`_check` on its identity's row of ``_TABLE``: the
-params class (its ``violations`` is the domain predicate), further domain
-rules, the function giving both sides and the default tolerance.  A
-quadrature family (Askey-Wilson on [0, pi], reversal and Gaussian on the
-real line) is a :class:`_Family`; its plain check integrates the weight
-against the closed product, its fractional check the weight times
+Every check is :func:`_check` on its identity's row of ``_TABLE``, the
+only declaration of an identity: the params class (plain data; its fields
+are the ``qaw check`` flags), the function giving both sides, the default
+tolerance and all domain rules, applied in order.  A quadrature family
+(Askey-Wilson on [0, pi], reversal and Gaussian on the real line) is a
+:class:`_Family` with its own domain rule; its plain check integrates the
+weight against the closed product, its fractional check the weight times
 :func:`ksum` against the closed product times :func:`frac_prefactor`.  A
 ``-3phi2`` form is its parent with d (u for the generating pair) pinned
-to 0 by a domain rule.  That is exact: ``ksum``, ``h_cos`` and the log
-weights drop zero parameters, and a zero parameter of a closed product is
-the factor (0;q)_inf = 1.
+to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, ``h_cos`` and
+the log weights drop zero parameters, and a zero parameter of a closed
+product is the factor (0;q)_inf = 1.
 
 Stable evaluation of the outer k-sums
 -------------------------------------
@@ -116,8 +117,62 @@ _TINY = 1e-12
 # parameter bundles and domain rules
 # --------------------------------------------------------------------------
 
-def _q_violations(q):
-    return [] if 0.0 < q < 1.0 else [f"q must lie in (0,1), got {q}"]
+@dataclass(frozen=True)
+class GeneratingParams:
+    """Parameters of the fractional generating-function identities."""
+
+    q: float
+    a: float
+    x: float
+    mu: float
+    b: complex = 0.0
+    r: complex = 0.0
+    s: complex = 0.0
+    t: complex = 0.0
+    u: complex = 0.0
+    z: complex = 0.0
+
+
+@dataclass(frozen=True)
+class AWParams:
+    """Parameters of the Askey-Wilson and reversal integrals and their
+    fractional variants."""
+
+    q: float
+    a: float
+    b: complex = 0.0
+    c: complex = 0.0
+    d: complex = 0.0
+    x: float = 0.0
+    mu: float = 1.0
+
+
+# the reversal integrals take the Askey-Wilson parameters
+ReversalParams = AWParams
+
+
+@dataclass(frozen=True)
+class AtakishiyevParams:
+    """Parameters of the Gaussian-weighted real-line integral family.
+
+    The base is coupled to the Gaussian scale: q = exp(-2 alpha_g^2).
+    """
+
+    alpha_g: float
+    a: float = 0.0
+    b: complex = 0.0
+    c: complex = 0.0
+    d: complex = 0.0
+    x: float = 0.0
+    mu: float = 1.0
+
+    @property
+    def q(self) -> float:
+        return math.exp(-2.0 * self.alpha_g**2)
+
+
+def _q_range(p):
+    return [] if 0.0 < p.q < 1.0 else [f"q must lie in (0,1), got {p.q}"]
 
 
 def _fractional_violations(p):
@@ -144,88 +199,35 @@ def _lemma_violations(p):
 
 def _generating_violations(p):
     m = max(abs(p.a * p.t), abs(p.a * p.z), abs(p.a * p.r * p.u))
-    return _fractional_violations(p) + _below_one("max(|at|,|az|,|aru|)", m)
+    return _below_one("max(|at|,|az|,|aru|)", m)
 
 
-@dataclass(frozen=True)
-class GeneratingParams:
-    """Parameters of the fractional generating-function identities."""
-
-    q: float
-    a: float
-    x: float
-    mu: float
-    b: complex = 0.0
-    r: complex = 0.0
-    s: complex = 0.0
-    t: complex = 0.0
-    u: complex = 0.0
-    z: complex = 0.0
-
-    def violations(self):
-        return _q_violations(self.q)
+def _aw_violations(p):
+    m = max(abs(p.a), abs(p.b), abs(p.c), abs(p.d))
+    return _q_range(p) + _below_one("max(|a|,|b|,|c|,|d|)", m)
 
 
-@dataclass(frozen=True)
-class AWParams:
-    """Parameters of the Askey-Wilson integral and its fractional variant."""
-
-    q: float
-    a: float
-    b: complex = 0.0
-    c: complex = 0.0
-    d: complex = 0.0
-    x: float = 0.0
-    mu: float = 1.0
-
-    def violations(self):
-        m = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        return _q_violations(self.q) + _below_one("max(|a|,|b|,|c|,|d|)", m)
+def _reversal_violations(p):
+    return _q_range(p) + _below_one("|qabcd|", abs(p.q * p.a * p.b * p.c * p.d))
 
 
-@dataclass(frozen=True)
-class ReversalParams:
-    """Parameters of the reversal (real-line) Askey-Wilson integrals."""
-
-    q: float
-    a: float
-    b: complex = 0.0
-    c: complex = 0.0
-    d: complex = 0.0
-    x: float = 0.0
-    mu: float = 1.0
-
-    def violations(self):
-        m = abs(self.q * self.a * self.b * self.c * self.d)
-        return _q_violations(self.q) + _below_one("|qabcd|", m)
+def _gaussian_violations(p):
+    if p.alpha_g == 0:
+        return ["alpha_g must be nonzero"]
+    q3 = p.q**3
+    if q3 == 0.0:
+        return [f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={p.alpha_g}"]
+    return _below_one("|abcd/q^3|", abs(p.a * p.b * p.c * p.d / q3))
 
 
-@dataclass(frozen=True)
-class AtakishiyevParams:
-    """Parameters of the Gaussian-weighted real-line integral family.
+def _pinned(name, field):
+    """The rule of a -3phi2 form ``name``: its parent with ``field`` = 0."""
 
-    The base is coupled to the Gaussian scale: q = exp(-2 alpha_g^2).
-    """
+    def rule(p):
+        value = getattr(p, field)
+        return [f"{name} needs {field} = 0, got {field}={value}"] if value != 0 else []
 
-    alpha_g: float
-    a: float = 0.0
-    b: complex = 0.0
-    c: complex = 0.0
-    d: complex = 0.0
-    x: float = 0.0
-    mu: float = 1.0
-
-    @property
-    def q(self) -> float:
-        return math.exp(-2.0 * self.alpha_g**2)
-
-    def violations(self):
-        if self.alpha_g == 0:
-            return ["alpha_g must be nonzero"]
-        q3 = self.q**3
-        if q3 == 0.0:
-            return [f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={self.alpha_g}"]
-        return _below_one("|abcd/q^3|", abs(self.a * self.b * self.c * self.d / q3))
+    return rule
 
 
 @dataclass(frozen=True)
@@ -401,15 +403,17 @@ def _generating_sides(p, ctx):
 class _Family(NamedTuple):
     """A quadrature family: the pieces that :func:`_quadrature` combines.
 
-    ``real_line`` selects ``integrate_line_even_window`` over
-    ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the weight
-    on a node array and ``series(nodes, p)`` the k-sum's numerator and
-    denominator parameters there; ``closed(p, ctx, pref)`` is the closed
+    ``domain`` is its domain rule (the range of q and the bound on the
+    parameter product).  ``real_line`` selects ``integrate_line_even_window``
+    over ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the
+    weight on a node array and ``series(nodes, p)`` the k-sum's numerator
+    and denominator parameters there; ``closed(p, ctx, pref)`` is the closed
     product times ``pref`` (1, or the fractional prefactor), through the
     scalar qcore loops only.
     """
 
     params: type
+    domain: Callable
     real_line: bool
     weight: Callable
     series: Callable
@@ -472,10 +476,12 @@ def _gaussian_closed(p, ctx, pref):
     return math.sqrt(math.pi) * q ** (-0.125) * closed * pref
 
 
-_AW = _Family(AWParams, False, _aw_weight, _aw_series, _aw_closed)
-_REVERSAL = _Family(ReversalParams, True, _reversal_weight, _reversal_series, _reversal_closed)
+_AW = _Family(AWParams, _aw_violations, False, _aw_weight, _aw_series, _aw_closed)
+_REVERSAL = _Family(ReversalParams, _reversal_violations, True, _reversal_weight,
+                    _reversal_series, _reversal_closed)
 # the Gaussian family, under q = exp(-2 alpha_g^2)
-_GAUSSIAN = _Family(AtakishiyevParams, True, _gaussian_weight, _gaussian_series, _gaussian_closed)
+_GAUSSIAN = _Family(AtakishiyevParams, _gaussian_violations, True, _gaussian_weight,
+                    _gaussian_series, _gaussian_closed)
 
 
 def _quadrature(family, fractional):
@@ -516,29 +522,31 @@ def _quadrature(family, fractional):
 # --------------------------------------------------------------------------
 
 class _Row(NamedTuple):
-    params: type  # its violations() is the domain predicate
+    params: type
     sides: Callable  # sides(p, ctx) -> lhs, rhs, lhs_diag, rhs_diag
     tol: float  # default tolerance
-    rules: tuple = ()  # further domain rules, each p -> list of violations
-    pinned: str | None = None  # the parameter a -3phi2 form pins to 0
+    rules: tuple  # the domain rules, each p -> list of violations
 
 
 def _family_rows(name, family, tol):
     """The plain, fractional and -3phi2 rows of a quadrature family."""
     fractional = _quadrature(family, True)
-    rules = (_fractional_violations,)
+    rules = (family.domain, _fractional_violations)
+    pinned = f"fractional-{name}-3phi2"
     return {
-        name: _Row(family.params, _quadrature(family, False), tol),
+        name: _Row(family.params, _quadrature(family, False), tol, (family.domain,)),
         f"fractional-{name}": _Row(family.params, fractional, tol, rules),
-        f"fractional-{name}-3phi2": _Row(family.params, fractional, tol, rules, "d"),
+        pinned: _Row(family.params, fractional, tol, (*rules, _pinned(pinned, "d"))),
     }
 
 
+_GENERATING_RULES = (_q_range, _fractional_violations, _generating_violations)
 _TABLE = {
-    "lemma-three-term": _Row(GeneratingParams, _lemma_sides, 1e-8, (_lemma_violations,)),
-    "fractional-generating": _Row(GeneratingParams, _generating_sides, 1e-8, (_generating_violations,)),
-    "fractional-generating-3phi2":
-        _Row(GeneratingParams, _generating_sides, 1e-8, (_generating_violations,), "u"),
+    "lemma-three-term":
+        _Row(GeneratingParams, _lemma_sides, 1e-8, (_q_range, _lemma_violations)),
+    "fractional-generating": _Row(GeneratingParams, _generating_sides, 1e-8, _GENERATING_RULES),
+    "fractional-generating-3phi2": _Row(GeneratingParams, _generating_sides, 1e-8, (
+        *_GENERATING_RULES, _pinned("fractional-generating-3phi2", "u"))),
     **_family_rows("askey-wilson", _AW, 1e-6),
     **_family_rows("reversal-askey-wilson", _REVERSAL, 1e-5),
     **_family_rows("atakishiyev", _GAUSSIAN, 1e-5),
@@ -549,10 +557,7 @@ def _check(name, p, ctx=None, tol=None) -> IdentityReport:
     """Validate p, evaluate both sides of identity ``name`` and compare them."""
     row = _TABLE[name]
     t0 = time.perf_counter()
-    violations = p.violations() + [v for rule in row.rules for v in rule(p)]
-    pinned = getattr(p, row.pinned) if row.pinned else 0
-    if pinned != 0:
-        violations.append(f"{name} needs {row.pinned} = 0, got {row.pinned}={pinned}")
+    violations = [v for rule in row.rules for v in rule(p)]
     if violations:
         raise DomainError("; ".join(violations))
     ctx = ctx or QContext(q=p.q)

@@ -16,6 +16,7 @@ so the same spec and seed always produce the same concrete checks.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 from .identities import IDENTITY_REGISTRY
@@ -65,9 +66,10 @@ def _check_params(name, given):
 def expand_suite(spec: dict):
     """Expand a suite spec into concrete check entries for ``run_suite``.
 
-    Raises ValueError for a spec without a seed, a draw count below 1, or
-    params that do not fit their identity (unknown or missing names, values
-    that are neither real numbers nor [lo, hi] pairs of reals).
+    Raises ValueError for a spec without a seed, a draw count that is not
+    an integer >= 1, a tolerance that is not a finite real > 0, or params
+    that do not fit their identity (unknown or missing names, values that
+    are neither real numbers nor [lo, hi] pairs of reals).
     """
     if "seed" not in spec:
         raise ValueError("suite spec must carry a seed")
@@ -75,10 +77,14 @@ def expand_suite(spec: dict):
     entries = []
     for check in spec.get("checks", []):
         name = check["identity"]
-        draws = int(check.get("draws", 1))
-        if draws < 1:
-            raise ValueError(f"draws must be >= 1, got {draws}")
         _check_params(name, check.get("params", {}))
+        draws = check.get("draws", 1)
+        if not (isinstance(draws, int) and not isinstance(draws, bool) and draws >= 1):
+            raise ValueError(f"draws of {name} must be an integer >= 1, got {draws!r}")
+        if "tolerance" in check:
+            tol = check["tolerance"]
+            if not (_real(tol) and 0 < tol < math.inf):
+                raise ValueError(f"tolerance of {name} must be a finite real > 0, got {tol!r}")
         for _ in range(draws):
             params = {}
             for key, value in check.get("params", {}).items():

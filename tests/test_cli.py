@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, output, determinism."""
 
+import argparse
 import json
 import warnings
 
@@ -20,6 +21,43 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The stderr of a command line that must end as a usage error (64)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 64 and captured.out == ""
+    return captured.err
+
+
+# each identity's parameter flags; the required ones, with valid values
+_GENERATING = ({"--q", "--a", "--x", "--mu", "--b", "--r", "--s", "--t", "--u", "--z"},
+               ["--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu", "1.5"])
+_AW = ({"--q", "--a", "--b", "--c", "--d", "--x", "--mu"}, ["--q", "0.5", "--a", "0.2"])
+_GAUSSIAN = ({"--alpha-g", "--a", "--b", "--c", "--d", "--x", "--mu"}, ["--alpha-g", "1"])
+CHECK_FLAGS = {
+    "lemma-three-term": _GENERATING,
+    "fractional-generating": _GENERATING,
+    "fractional-generating-3phi2": _GENERATING,
+    "askey-wilson": _AW,
+    "fractional-askey-wilson": _AW,
+    "fractional-askey-wilson-3phi2": _AW,
+    "reversal-askey-wilson": _AW,
+    "fractional-reversal-askey-wilson": _AW,
+    "fractional-reversal-askey-wilson-3phi2": _AW,
+    "atakishiyev": _GAUSSIAN,
+    "fractional-atakishiyev": _GAUSSIAN,
+    "fractional-atakishiyev-3phi2": _GAUSSIAN,
+}
+ALL_FLAGS = set().union(*(flags for flags, _ in CHECK_FLAGS.values()))
+COMPLEX_FLAGS = {"--b", "--c", "--d", "--r", "--s", "--t", "--u", "--z"}
+
+
+def _subparser(parser, name):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
 class TestEval:
     def test_poch_finite(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "poch", "--a", "0.5", "--q", "0.5",
@@ -27,8 +65,28 @@ class TestEval:
         assert code == 0 and out.strip() == "0.375"
 
     def test_poch_requires_one_order(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "poch", "--a", "0.5", "--q", "0.5")
-        assert code == 2 and "exactly one" in err
+        err = usage_error(capsys, "eval", "poch", "--a", "0.5", "--q", "0.5")
+        assert "one of the arguments --n --alpha --inf is required" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--q", "0.5", "--x", "2.5", "--theta", "9"], "unrecognized arguments: --theta"),
+        (["gamma", "--q", "0.5"], "required: --x"),
+        (["hsinh", "--q", "0.5", "--x", "0.3"], "required: --t"),
+        (["fracint", "--q", "0.5", "--x", "0.6"], "required: --mu"),
+        (["hcos", "--q", "0.5"], "required: --theta"),
+        (["qint", "--q", "0.5", "--a", "0.2+0.3i"], "argument --a: invalid float value"),
+        (["qint", "--q", "0.5", "--x", "0.6"], "unrecognized arguments: --x"),
+        (["phi", "--q", "0.5", "--numer", "0.2,abc"], "cannot parse number 'abc'"),
+        (["poch", "--a", "0.5", "--n", "2"], "required: --q"),
+        (["poch", "--q", "0.5", "--a", "0.5", "--n", "2", "--inf"],
+         "argument --inf: not allowed with argument --n"),
+    ])
+    def test_foreign_missing_or_bad_flag_is_a_usage_error(self, capsys, argv, message):
+        assert message in usage_error(capsys, "eval", *argv)
+
+    def test_base_outside_the_domain_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "gamma", "--q", "1.5", "--x", "2.5")
+        assert code == 2 and out == "" and err.startswith("domain error: q must lie")
 
     def test_gamma_one(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "gamma", "--x", "1", "--q", "0.3")
@@ -121,9 +179,49 @@ class TestCheck:
         assert code == 65 and out == ""
         assert "Traceback" not in err and "underflow" in err
 
-    def test_missing_required_param_exits_65(self, capsys):
-        code, _, err = run_cli(capsys, "check", "askey-wilson", "--a", "0.3")
-        assert code == 65 and "--q" in err
+    def test_missing_required_param_exits_64(self, capsys):
+        err = usage_error(capsys, "check", "askey-wilson", "--a", "0.3")
+        assert "the following arguments are required: --q" in err
+
+    def test_every_identity_has_a_subcommand(self):
+        assert set(CHECK_FLAGS) == set(identities.IDENTITY_REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(CHECK_FLAGS))
+    def test_subcommand_takes_exactly_tol_and_its_fields(self, name):
+        flags, required = CHECK_FLAGS[name]
+        parser = _subparser(_subparser(cli._build_parser(), "check"), name)
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options == {"-h", "--help", "--tol"} | flags
+        assert {s for a in parser._actions if a.required
+                for s in a.option_strings} == set(required[::2])
+
+    @pytest.mark.parametrize("name", sorted(CHECK_FLAGS))
+    def test_flags_parse_to_the_field_types(self, name):
+        flags, _ = CHECK_FLAGS[name]
+        argv = [tok for flag in sorted(flags) for tok in (flag, "0.25")]
+        args = cli._build_parser().parse_args(["check", name, *argv, "--tol", "1e-9"])
+        assert args.identity == name and args.tol == 1e-9
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            assert value == 0.25
+            assert type(value) is (complex if flag in COMPLEX_FLAGS else float)
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in sorted(CHECK_FLAGS)
+        for flag in sorted(ALL_FLAGS - CHECK_FLAGS[name][0])
+    ])
+    def test_foreign_flag_exits_64(self, capsys, name, flag):
+        err = usage_error(capsys, "check", name, *CHECK_FLAGS[name][1], flag, "0.1")
+        assert f"unrecognized arguments: {flag} 0.1" in err
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in sorted(CHECK_FLAGS) for flag in CHECK_FLAGS[name][1][::2]
+    ])
+    def test_missing_required_flag_exits_64(self, capsys, name, flag):
+        argv = CHECK_FLAGS[name][1]
+        i = argv.index(flag)
+        err = usage_error(capsys, "check", name, *argv[:i], *argv[i + 2:])
+        assert f"the following arguments are required: {flag}" in err
 
     def test_converging_gaussian_point_passes(self, capsys):
         # b = c = d = 0.06: the outer terms peak near 1e11 at k = 20, then decay
@@ -206,6 +304,35 @@ class TestCheck:
         capsys.readouterr()
 
 
+class TestNumericOptions:
+    @pytest.mark.parametrize("argv, message", [
+        # a negative eps_term used to skip every suite entry and exit 0
+        (["--ctx-eps", "-1", "suite"], "argument --ctx-eps: need a finite float above 0"),
+        (["--ctx-eps", "nan", "suite"], "got 'nan'"),
+        (["--ctx-eps", "inf", "suite"], "got 'inf'"),
+        (["--ctx-eps", "0", "suite"], "got '0'"),
+        (["--ctx-max-terms", "0", "check", "askey-wilson", "--q", "0.5", "--a", "0.3"],
+         "argument --ctx-max-terms: need a finite int above 0, got '0'"),
+        (["--ctx-max-terms", "2.5", "suite"], "got '2.5'"),
+        (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol", "inf"],
+         "argument --tol: need a finite float above 0, got 'inf'"),
+        (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol", "nan"], "got 'nan'"),
+        (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol=-1e-8"],
+         "got '-1e-8'"),
+        (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol", "0"], "got '0'"),
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, argv, message):
+        assert message in usage_error(capsys, *argv)
+
+    def test_valid_values_reach_the_context(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": []}))
+        code, out, _ = run_cli(capsys, "--ctx-eps", "1e-14", "--ctx-max-terms", "500",
+                               "suite", "--spec", str(spec))
+        assert code == 0
+        assert json.loads(out)["context"] == {"eps_term": 1e-14, "max_terms": 500}
+
+
 class TestSuite:
     def test_empty_checks_spec(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -232,6 +359,22 @@ class TestSuite:
         ]}))
         code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 64 and out == "" and "unknown parameter" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        # a string used to end in a TypeError traceback, true to pass as 1,
+        # 2.7 draws to give 2
+        ("tolerance", "abc", "tolerance of askey-wilson must be a finite real > 0"),
+        ("tolerance", True, "got True"),
+        ("draws", 2.7, "draws of askey-wilson must be an integer >= 1, got 2.7"),
+    ])
+    def test_bad_tolerance_or_draws_spec(self, capsys, tmp_path, key, value, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3}, key: value}
+        ]}))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 64 and out == "" and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("params, message", [
         ({"q": 0.5}, "missing parameter(s) a"),

@@ -1,6 +1,7 @@
 """Tests for the identity checks, the stable outer k-sum, and the suite runner."""
 
 import cmath
+import dataclasses
 import gc
 import math
 import random
@@ -695,6 +696,21 @@ class TestSuiteSpec:
                 {"seed": 1, "checks": [{"identity": "askey-wilson", "draws": 0}]}
             )
 
+    @pytest.mark.parametrize("key, value", [
+        ("draws", 0), ("draws", 2.7), ("draws", 2.0), ("draws", True), ("draws", "2"),
+        ("tolerance", "abc"), ("tolerance", True), ("tolerance", 0.0), ("tolerance", -1e-8),
+        ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", None),
+    ])
+    def test_draws_and_tolerance_validated(self, key, value):
+        check = {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.1}, key: value}
+        with pytest.raises(ValueError, match=f"{key} of askey-wilson must be"):
+            expand_suite({"seed": 1, "checks": [check]})
+
+    def test_integer_tolerance_accepted(self):
+        check = {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.1}, "tolerance": 1}
+        (entry,) = expand_suite({"seed": 1, "checks": [check]})
+        assert entry["tolerance"] == 1
+
     def test_range_draws_inside_bounds(self):
         spec = {
             "seed": 5,
@@ -772,3 +788,110 @@ class TestCheckTable:
         (oc,) = run_suite([{"identity": name, "params": params}])
         assert oc.status == "skipped" and oc.params == params
         assert oc.report is None
+
+
+# Points that break one domain rule, as overrides of a fixed point, with the
+# rule's message.  Each message and its order are those of the rules before
+# they moved into the table rows.
+_Q = ({"q": 1.5}, "q must lie in (0,1), got 1.5")
+_FRACTIONAL = [
+    ({"a": 0.7}, "need 0 < a < x < 1, got a=0.7, x=0.6"),
+    ({"a": 1e-310}, "need x/a finite, got a=1e-310, x=0.6"),
+    ({"mu": 0.0}, "mu must be positive, got 0.0"),
+]
+_GENERATING = ({"t": 6.0}, "need max(|at|,|az|,|aru|) < 1, got 1.2")
+_AW = ({"b": 1.5}, "need max(|a|,|b|,|c|,|d|) < 1, got 1.5")
+_BIG_BCD = {"b": 5.0, "c": 5.0, "d": 5.0}
+_REVERSAL = (_BIG_BCD, "need |qabcd| < 1, got 12.5")
+_GAUSSIAN_BASE = [
+    ({"alpha_g": 0.0}, "alpha_g must be nonzero"),
+    ({"alpha_g": 12.0}, "q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g=12.0"),
+]
+RULE_BREAKS = {
+    "lemma-three-term": [_Q, ({"s": 6.0}, "need max(|as|,|az|,|au|) < 1, got 1.2")],
+    "fractional-generating": [_Q, *_FRACTIONAL, _GENERATING],
+    "fractional-generating-3phi2": [
+        _Q, *_FRACTIONAL, _GENERATING,
+        ({"u": 0.1}, "fractional-generating-3phi2 needs u = 0, got u=0.1"),
+    ],
+    "askey-wilson": [_Q, _AW],
+    "fractional-askey-wilson": [_Q, _AW, *_FRACTIONAL],
+    "fractional-askey-wilson-3phi2": [
+        _Q, _AW, *_FRACTIONAL,
+        ({"d": 0.15}, "fractional-askey-wilson-3phi2 needs d = 0, got d=0.15"),
+    ],
+    "reversal-askey-wilson": [_Q, _REVERSAL],
+    "fractional-reversal-askey-wilson": [_Q, _REVERSAL, *_FRACTIONAL],
+    # |qabcd| >= 1 needs d != 0, which the pin forbids: see SEVERAL_BREAKS
+    "fractional-reversal-askey-wilson-3phi2": [
+        _Q, *_FRACTIONAL,
+        ({"d": 0.15}, "fractional-reversal-askey-wilson-3phi2 needs d = 0, got d=0.15"),
+    ],
+    "atakishiyev": [*_GAUSSIAN_BASE, (_BIG_BCD, "need |abcd/q^3| < 1, got 2.52e+03")],
+    "fractional-atakishiyev": [
+        *_GAUSSIAN_BASE, (_BIG_BCD, "need |abcd/q^3| < 1, got 7.56e+03"), *_FRACTIONAL,
+    ],
+    "fractional-atakishiyev-3phi2": [
+        *_GAUSSIAN_BASE, *_FRACTIONAL,
+        ({"d": 0.15}, "fractional-atakishiyev-3phi2 needs d = 0, got d=0.15"),
+    ],
+}
+
+# One point breaking several rules of each identity: these overrides, less
+# the fields the identity does not take, and the joined messages.
+_SEVERAL = {"q": 1.5, "mu": 0.0, "b": 5.0, "c": 5.0, "d": 5.0, "s": 6.0, "t": 6.0,
+            "u": 0.1}
+_Q_MSG, _MU_MSG = "q must lie in (0,1), got 1.5", "mu must be positive, got 0.0"
+_AW_MSG = "need max(|a|,|b|,|c|,|d|) < 1, got 5"
+_REV_MSG = "need |qabcd| < 1, got 37.5"
+SEVERAL_BREAKS = {
+    "lemma-three-term": [_Q_MSG, "need max(|as|,|az|,|au|) < 1, got 1.2"],
+    "fractional-generating": [_Q_MSG, _MU_MSG, _GENERATING[1]],
+    "fractional-generating-3phi2":
+        [_Q_MSG, _MU_MSG, _GENERATING[1], "fractional-generating-3phi2 needs u = 0, got u=0.1"],
+    "askey-wilson": [_Q_MSG, _AW_MSG],
+    "fractional-askey-wilson": [_Q_MSG, _AW_MSG, _MU_MSG],
+    "fractional-askey-wilson-3phi2":
+        [_Q_MSG, _AW_MSG, _MU_MSG, "fractional-askey-wilson-3phi2 needs d = 0, got d=5.0"],
+    "reversal-askey-wilson": [_Q_MSG, _REV_MSG],
+    "fractional-reversal-askey-wilson": [_Q_MSG, _REV_MSG, _MU_MSG],
+    "fractional-reversal-askey-wilson-3phi2": [
+        _Q_MSG, _REV_MSG, _MU_MSG,
+        "fractional-reversal-askey-wilson-3phi2 needs d = 0, got d=5.0",
+    ],
+    "atakishiyev": ["need |abcd/q^3| < 1, got 2.52e+03"],
+    "fractional-atakishiyev": ["need |abcd/q^3| < 1, got 7.56e+03", _MU_MSG],
+    "fractional-atakishiyev-3phi2": [
+        "need |abcd/q^3| < 1, got 7.56e+03", _MU_MSG,
+        "fractional-atakishiyev-3phi2 needs d = 0, got d=5.0",
+    ],
+}
+
+
+def _domain_message(name, overrides):
+    cls, check = identities.IDENTITY_REGISTRY[name]
+    fields = {f.name for f in dataclasses.fields(cls)}
+    params = {**FIXED_POINTS[name], **{k: v for k, v in overrides.items() if k in fields}}
+    with pytest.raises(DomainError) as exc:
+        check(cls(**params))
+    return str(exc.value)
+
+
+class TestDomainRules:
+    def test_every_identity_has_cases(self):
+        assert set(RULE_BREAKS) == set(SEVERAL_BREAKS) == set(identities.IDENTITY_REGISTRY)
+
+    @pytest.mark.parametrize("name, overrides, message", [
+        (name, overrides, message)
+        for name, cases in RULE_BREAKS.items() for overrides, message in cases
+    ])
+    def test_one_broken_rule(self, name, overrides, message):
+        assert _domain_message(name, overrides) == message
+
+    @pytest.mark.parametrize("name", sorted(SEVERAL_BREAKS))
+    def test_several_broken_rules_in_row_order(self, name):
+        assert _domain_message(name, _SEVERAL) == "; ".join(SEVERAL_BREAKS[name])
+
+    def test_reversal_params_are_the_askey_wilson_params(self):
+        assert ReversalParams is AWParams
+        assert not hasattr(AWParams, "violations")

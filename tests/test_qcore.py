@@ -352,3 +352,8 @@ class TestContextValidation:
             QContext(q=0.5, eps_term=0.0)
         with pytest.raises(DomainError):
             QContext(q=0.5, max_terms=0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_eps_term_rejected(self, eps):
+        with pytest.raises(DomainError, match="eps_term must be positive and finite"):
+            QContext(q=0.5, eps_term=eps)
