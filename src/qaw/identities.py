@@ -71,12 +71,17 @@ Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (coefficients x nodes) array, with
-the tail rule applied per node.  The weights and the generating
-identities' q-integrand take the same node (or point) array through the
-array paths of ``h_cos``, ``h_sinh_log`` and the infinite products.  The
-closed sides (``_three_term_side``, the families' ``closed``,
-``frac_prefactor``) call only the scalar loops of :mod:`qaw.qcore`, so
-the two sides of an identity share no vectorised code.
+the tail rule applied per node; its Taylor length M is still set by the
+slowest node of the call.  The weights and the generating identities'
+q-integrand take the same node (or point) array through the array paths
+of ``h_cos`` and the infinite products.  A real-line weight makes one
+log-product call per integrand call, on the arguments of all its factors
+at all nodes (10 rows of nodes for the reversal weight, 8 for the
+Gaussian one at four nonzero parameters); the log product truncates each
+entry by itself, so this batching changes no value.  The closed sides
+(``_three_term_side``, the families' ``closed``, ``frac_prefactor``)
+call only the scalar loops of :mod:`qaw.qcore`, so the two sides of an
+identity share no vectorised code.
 """
 
 from __future__ import annotations
@@ -101,7 +106,6 @@ from .context import (
 from .qcore import (
     INFINITE,
     h_cos,
-    h_sinh_log,
     q_pochhammer,
     q_pochhammer_infinite,
     q_pochhammer_infinite_log,
@@ -436,11 +440,21 @@ def _aw_closed(p, ctx, pref):
     return top / q_pochhammer_multi(pairs, INFINITE, ctx) * pref
 
 
+def _sinh_args(x, p, scale):
+    """The arguments i s e^x, -i s e^{-x} of the h_sinh factors, s = scale
+    times each nonzero parameter, as rows."""
+    ex = np.exp(x)
+    return [v for prm in (p.a, p.b, p.c, p.d) if prm != 0
+            for v in (1j * (scale * prm) * ex, -1j * (scale * prm) / ex)]
+
+
 def _reversal_weight(t, p, ctx):
+    """The h_sinh factors at q a, ..., q d over (-q e^{2t}, -q e^{-2t};q)_inf,
+    from one log-product call on all their arguments."""
     q = ctx.q
-    lg = sum(h_sinh_log(t, q * prm, ctx) for prm in (p.a, p.b, p.c, p.d) if prm != 0)
-    lg = lg - q_pochhammer_infinite_log(-q * np.exp(2.0 * t), ctx)
-    return np.exp(lg - q_pochhammer_infinite_log(-q * np.exp(-2.0 * t), ctx))
+    rows = _sinh_args(t, p, q) + [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
+    lg = q_pochhammer_infinite_log(np.concatenate(rows), ctx).reshape(len(rows), t.size)
+    return np.exp(lg[:-2].sum(axis=0) - lg[-2] - lg[-1])
 
 
 def _reversal_series(t, p):
@@ -459,7 +473,11 @@ def _reversal_closed(p, ctx, pref):
 def _gaussian_weight(t, p, ctx):
     """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
     ag = p.alpha_g
-    lg = -t * t + sum(h_sinh_log(ag * t, prm, ctx) for prm in (p.a, p.b, p.c, p.d) if prm != 0)
+    rows = _sinh_args(ag * t, p, 1.0)
+    lg = -t * t
+    if rows:
+        lg = lg + q_pochhammer_infinite_log(np.concatenate(rows), ctx).reshape(
+            len(rows), t.size).sum(axis=0)
     return np.exp(lg) * np.cosh(ag * t)
 
 
@@ -553,15 +571,23 @@ _TABLE = {
 }
 
 
+def valid_tolerance(tol) -> bool:
+    """Whether ``tol`` is a real number (bool excluded), finite and above 0."""
+    return isinstance(tol, (int, float)) and not isinstance(tol, bool) and 0 < tol < math.inf
+
+
 def _check(name, p, ctx=None, tol=None) -> IdentityReport:
-    """Validate p, evaluate both sides of identity ``name`` and compare them."""
+    """Validate p and tol, evaluate both sides of identity ``name`` and
+    compare them."""
     row = _TABLE[name]
     t0 = time.perf_counter()
+    tol = row.tol if tol is None else tol
+    if not valid_tolerance(tol):
+        raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
     violations = [v for rule in row.rules for v in rule(p)]
     if violations:
         raise DomainError("; ".join(violations))
     ctx = ctx or QContext(q=p.q)
-    tol = row.tol if tol is None else tol
     lhs, rhs, lhs_diag, rhs_diag = row.sides(p, ctx)
     lhs = complex(lhs)
     rhs = complex(rhs)

@@ -2,10 +2,21 @@
 basic hypergeometric series and the h(.) weight functions.
 
 The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
-1-D array (of parameters, angles or points) and return an array: the
-factors of all entries are formed as a (entries x factors) array in
-bounded blocks and reduced along the factors.  Scalars go through the
-plain loops, which are the reference for the array path.
+1-D array (of parameters, angles or points) and return an array.  Scalars
+go through the plain loops.
+
+* The product (a;q)_inf of an array forms the factors of all entries as
+  an (entries x factors) array in bounded blocks, every entry with the
+  factor count of the largest |a|, and multiplies along the factors.
+* Its log gives each entry a head of its own: the h factors 1 - a q^k
+  with |a q^k| > LOG_RADIUS, logged one by one, and for the rest the
+  q-log series (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1)
+
+      log (z;q)_inf = -sum_{n>=1} z^n / (n (1 - q^n)),   |z| < 1,
+
+  at z = a q^h, cut at LOG_TERMS terms.  So an entry's value does not
+  depend on the other entries of its call, and a factor with |a q^k| far
+  below 1 costs no log.
 
 Order convention for q-Pochhammer symbols
 -----------------------------------------
@@ -58,6 +69,15 @@ CONSECUTIVE_SMALL = 3
 # entries per block of factors in the array path (512 KB of complex)
 _BLOCK_ELEMENTS = 1 << 15
 
+# the array log path: head factors while |a q^k| > LOG_RADIUS, then LOG_TERMS
+# terms of the q-log series; wherever MAX_FACTORS lets an array through, the
+# remainder sum_{n>LOG_TERMS} |z|^n / (n (1 - q^n)) is below
+# LOG_RADIUS^LOG_TERMS / (1 - LOG_RADIUS) < 1.2e-18
+LOG_RADIUS = 0.125
+LOG_TERMS = 20
+# head logs are summed in chunks of this many columns (a power of 2)
+_SUM_CHUNK = 16
+
 
 def _tail_bound(mag: float, q: float) -> float:
     # sum_{j>=k} |a| q^j / (1 - |a| q^j) <= mag / ((1 - q)(1 - mag)) for mag < 1
@@ -93,33 +113,99 @@ def _factor_blocks(a, K: int, q: float):
         yield np.subtract(1.0, blk, out=blk)
 
 
-def _array_product(a, ctx: QContext, log: bool):
-    """(a;q)_inf, or its log, for every entry of the 1-D array a.
+def _array_product(a, ctx: QContext):
+    """(a;q)_inf for every entry of the 1-D array a.
 
     Every entry gets the factor count of the largest |a| under the scalar
     stop rule, so none gets fewer factors than its own scalar loop would.
     """
     amax = float(np.abs(a).max(initial=0.0))
     K = _factor_count(amax, ctx)
-    acc = np.zeros(a.shape, dtype=complex) if log else np.ones(a.shape, dtype=complex)
+    acc = np.ones(a.shape, dtype=complex)
     for f in _factor_blocks(a, MAX_FACTORS if K is None else K, ctx.q):
-        if log:
-            zero = np.flatnonzero((f == 0).any(axis=1))
-            if zero.size:
-                raise DivisionByZero(
-                    f"(a;q)_inf with a={a[zero[0]]} contains an exact zero factor"
-                )
-            acc += np.log(f).sum(axis=1)
-        else:
-            acc *= np.multiply.reduce(f, axis=1)
+        acc *= np.multiply.reduce(f, axis=1)
     if K is None:
         raise NonConvergence(
-            f"{'log ' if log else ''}(a;q)_inf with max |a|={amax:.3e} did not "
-            f"converge in {MAX_FACTORS} factors",
+            f"(a;q)_inf with max |a|={amax:.3e} did not converge in {MAX_FACTORS} factors",
             partial=acc,
             last_term=amax * ctx.q**MAX_FACTORS,
         )
     return acc
+
+
+def _log_array(a, ctx: QContext):
+    """log (a;q)_inf for every entry of the 1-D array a (module docstring).
+
+    Each entry has its own head of h = ceil(log(|a| / LOG_RADIUS) / log(1/q))
+    factors (at least 0), the least k with |a| q^k <= LOG_RADIUS up to
+    rounding, and the q-log series of the rest.  A block of factors holds
+    only the rows whose head reaches it, and a mask skips each row's
+    columns past its own h.
+    """
+    q = ctx.q
+    mag = np.abs(a)
+    amax = float(mag.max(initial=0.0))
+    capped = _factor_count(amax, ctx) is None
+    if capped:
+        # the scalar stop rule fails: the partial is the first MAX_FACTORS factors
+        head = np.full(a.shape, float(MAX_FACTORS))
+    else:
+        head = np.ceil(np.log(np.maximum(mag / LOG_RADIUS, 1.0)) / -math.log(q))
+    acc = np.zeros(a.shape, dtype=complex)
+    group = _BLOCK_ELEMENTS // _SUM_CHUNK
+    for g in range(0, a.size, group):
+        rows = g + np.flatnonzero(head[g : g + group])
+        h, term = head[rows], a[rows]
+        k0 = 0
+        while rows.size:
+            # a (factors x rows) block of whole chunks from column k0; its
+            # row j holds the factor of column k0 + j, made as the scalar
+            # loop makes its terms, by repeated multiplication by q
+            chunks = min(math.ceil((h.max() - k0) / _SUM_CHUNK),
+                         _BLOCK_ELEMENTS // (_SUM_CHUNK * rows.size))
+            width = chunks * _SUM_CHUNK
+            blk = np.empty((width, rows.size), dtype=complex)
+            blk[0] = term
+            for j in range(1, width):
+                np.multiply(blk[j - 1], q, out=blk[j])
+            term = blk[-1] * q
+            f = np.subtract(1.0, blk, out=blk)
+            if not f.all():
+                i = rows[np.flatnonzero((f == 0).any(axis=0))[0]]
+                raise DivisionByZero(f"(a;q)_inf with a={a[i]} contains an exact zero factor")
+            mine = np.arange(k0, k0 + width)[:, None] < h
+            np.log(f, out=f, where=mine)
+            np.multiply(f, mine, out=f)
+            # each chunk of _SUM_CHUNK logs is summed by a fixed pairwise
+            # tree, and the chunk sums in order; chunks start at multiples of
+            # _SUM_CHUNK, so an entry's sum does not depend on the others
+            x = f.reshape(-1, _SUM_CHUNK, rows.size)
+            while x.shape[1] > 1:
+                x = x[:, ::2] + x[:, 1::2]
+            total = acc[rows]
+            for chunk in x[:, 0]:
+                total += chunk
+            acc[rows] = total
+            k0 += width
+            live = h > k0
+            rows, h, term = rows[live], h[live], term[live]
+    if capped:
+        raise NonConvergence(
+            f"log (a;q)_inf with max |a|={amax:.3e} did not converge in "
+            f"{MAX_FACTORS} factors",
+            partial=acc,
+            last_term=amax * q**MAX_FACTORS,
+        )
+    # the tail, -sum_{n<=LOG_TERMS} z^n / (n (1 - q^n)) at z = a q^h, by
+    # Horner's rule; out of place, because numpy's in-place complex multiply
+    # may round a one-entry array differently from a longer one
+    z = a * q**head
+    n = np.arange(LOG_TERMS, 0, -1)
+    coef = (1.0 / (n * np.expm1(n * math.log(q)))).tolist()
+    s = np.full(a.shape, coef[0], dtype=complex)
+    for c in coef[1:]:
+        s = s * z + c
+    return acc + s * z
 
 
 def q_pochhammer_infinite(a, ctx: QContext):
@@ -130,7 +216,7 @@ def q_pochhammer_infinite(a, ctx: QContext):
     the largest |a|, at least as many factors as its scalar loop takes.
     """
     if isinstance(a, np.ndarray):
-        return _array_product(a, ctx, log=False)
+        return _array_product(a, ctx)
     q = ctx.q
     p = complex(1.0)
     term = complex(a)
@@ -156,13 +242,18 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     """log (a;q)_inf with accumulated phase; safe when factors exceed 1.
 
     Returns a complex number whose real part is the log-magnitude and whose
-    imaginary part is the accumulated phase of the product.  Factors are
-    never exponentiated, so arguments with |a| >> 1 do not overflow.  A 1-D
-    array ``a`` gives an array of the same shape, as in
-    :func:`q_pochhammer_infinite`.
+    imaginary part is the accumulated phase of the product: the sum of the
+    factors' principal logs.  Factors are never exponentiated, so arguments
+    with |a| >> 1 do not overflow.  A 1-D array ``a`` gives an array of the
+    same shape, each entry from its own head factors and the q-log series
+    of its tail (module docstring), whatever the other entries.  An exact
+    zero factor raises :class:`DivisionByZero`.  Where the scalar stop rule
+    needs more than MAX_FACTORS factors for the largest |a|, the array
+    raises :class:`NonConvergence` with the log of every entry's first
+    MAX_FACTORS factors as ``partial``.
     """
     if isinstance(a, np.ndarray):
-        return _array_product(a, ctx, log=True)
+        return _log_array(a, ctx)
     q = ctx.q
     # the factor logs are summed exactly (math.fsum): near q = 1 there are
     # thousands of them, and the two sums that h_sinh_log adds cancel
@@ -376,16 +467,17 @@ def h_sinh_log(x, t: complex, ctx: QContext):
 
     Real part is the log-magnitude, imaginary part the accumulated phase.
     A scalar ``x`` gives a ``complex``; a 1-D array gives an array of the
-    same shape.
+    same shape, from one array log product on [i t e^x, -i t e^{-x}].
     """
     if isinstance(x, np.ndarray):
         if t == 0:
             return np.zeros(x.shape, dtype=complex)
         ex = np.exp(x)
-    else:
-        if t == 0:
-            return complex(0.0)
-        ex = math.exp(x)
+        lg = q_pochhammer_infinite_log(np.concatenate([1j * t * ex, -1j * t / ex]), ctx)
+        return lg[: x.size] + lg[x.size :]
+    if t == 0:
+        return complex(0.0)
+    ex = math.exp(x)
     return q_pochhammer_infinite_log(1j * t * ex, ctx) + q_pochhammer_infinite_log(
         -1j * t / ex, ctx
     )

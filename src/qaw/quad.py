@@ -24,8 +24,9 @@ raises or warns is repeated one half-width at a time, so an integrand that
 fails only beyond the chosen window gives the window, value or error that
 probing each half-width singly gives.  An integrand whose truncation is
 sized by the largest node of a call (the k-sum's Taylor length, the factor
-count of an array product) may round differently in a larger call, in the
-last bits only.
+count of a plain array product; not the log products, which truncate each
+entry by itself) may round differently in a larger call, in the last bits
+only.
 """
 
 from __future__ import annotations

@@ -16,10 +16,9 @@ so the same spec and seed always produce the same concrete checks.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 
-from .identities import IDENTITY_REGISTRY
+from .identities import IDENTITY_REGISTRY, valid_tolerance
 
 
 def param_fields(name: str):
@@ -83,7 +82,7 @@ def expand_suite(spec: dict):
             raise ValueError(f"draws of {name} must be an integer >= 1, got {draws!r}")
         if "tolerance" in check:
             tol = check["tolerance"]
-            if not (_real(tol) and 0 < tol < math.inf):
+            if not valid_tolerance(tol):
                 raise ValueError(f"tolerance of {name} must be a finite real > 0, got {tol!r}")
         for _ in range(draws):
             params = {}

@@ -458,7 +458,8 @@ class TestRealLineFamilies:
 
 
 class TestWholeLevelWeights:
-    def test_log_products_called_per_level_not_per_node(self, monkeypatch):
+    @staticmethod
+    def _count_log_products(monkeypatch, check, params):
         calls, levels = [], []
         log_poch, evaluate = qcore.q_pochhammer_infinite_log, quad._evaluate
 
@@ -473,14 +474,25 @@ class TestWholeLevelWeights:
         monkeypatch.setattr(qcore, "q_pochhammer_infinite_log", counted_log_poch)
         monkeypatch.setattr(identities, "q_pochhammer_infinite_log", counted_log_poch)
         monkeypatch.setattr(quad, "_evaluate", counted_evaluate)
-        report = check_reversal_aw(ReversalParams(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
-        assert report.passed
-        # per window probe and per refinement level: two products for each of
-        # the 4 parameters (through h_sinh_log) and the (-q e^{+-2t};q)_inf pair,
-        # each on every node of the level at once
-        assert len(calls) == 10 * len(levels)
+        assert check(params).passed
+        return calls, levels
+
+    def test_log_products_called_per_level_not_per_node(self, monkeypatch):
+        calls, levels = self._count_log_products(
+            monkeypatch, check_reversal_aw, ReversalParams(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
+        # per window probe batch and per refinement level: one product on the
+        # two h_sinh arguments of each of the 4 parameters and the
+        # (-q e^{+-2t};q)_inf pair, at every node of the level
+        assert [a.size for a in calls] == [10 * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
-        assert sum(a.size for a in calls) == 10 * sum(levels)
+
+    def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch):
+        calls, levels = self._count_log_products(
+            monkeypatch, check_atakishiyev,
+            AtakishiyevParams(alpha_g=1.0, a=0.05, b=-0.04, c=0.03, d=0.02))
+        # the two h_sinh arguments of each of the 4 parameters
+        assert [a.size for a in calls] == [8 * n for n in levels]
+        assert all(isinstance(a, np.ndarray) for a in calls)
 
 
 class TestIntegrandCalls:
@@ -571,6 +583,15 @@ class TestSuiteRunner:
     def test_unknown_identity_rejected(self):
         with pytest.raises(KeyError):
             run_check("no-such-identity", {})
+
+    @pytest.mark.parametrize("tol", ["abc", math.inf, math.nan, -1.0])
+    def test_invalid_tolerance_becomes_skipped(self, tol):
+        params = {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.1, "d": 0.4}
+        with pytest.raises(DomainError, match="tolerance must be a finite real > 0"):
+            run_check("askey-wilson", params, tol=tol)
+        (oc,) = run_suite([{"identity": "askey-wilson", "params": params, "tolerance": tol}])
+        assert oc.status == "skipped" and "tolerance" in oc.reason
+        assert oc.params == params
 
     def test_vanishing_factor_becomes_skipped(self, zero_factor_scale):
         # i (q b) e^{t} = 1 exactly at the first window probe t = 1
