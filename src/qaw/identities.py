@@ -17,9 +17,9 @@ tolerance and all domain rules, applied in order.  A quadrature family
 weight against the closed product, its fractional check the weight times
 :func:`ksum` against the closed product times :func:`frac_prefactor`.  A
 ``-3phi2`` form is its parent with d (u for the generating pair) pinned
-to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, ``h_cos`` and
-the log weights drop zero parameters, and a zero parameter of a closed
-product is the factor (0;q)_inf = 1.
+to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, the weights and
+the generating integrand drop zero parameters, and a zero parameter of a
+closed product is the factor (0;q)_inf = 1.
 
 Stable evaluation of the outer k-sums
 -------------------------------------
@@ -72,13 +72,19 @@ parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (coefficients x nodes) array, with
 the tail rule applied per node; its Taylor length M is still set by the
-slowest node of the call.  The weights and the generating identities'
-q-integrand take the same node (or point) array through the array paths
-of ``h_cos`` and the infinite products.  A real-line weight makes one
-log-product call per integrand call, on the arguments of all its factors
-at all nodes (10 rows of nodes for the reversal weight, 8 for the
-Gaussian one at four nonzero parameters); the log product truncates each
-entry by itself, so this batching changes no value.  The closed sides
+slowest node of the call.  Every integrand makes one log-product call
+per integrand call, on the arguments of all its factors at all its nodes
+or points: 10 rows of nodes for the Askey-Wilson and reversal weights
+and 8 for the Gaussian one at four nonzero parameters, up to 6 rows of
+points for the generating q-integrand.  :func:`_log_quotient` adds the
+rows' logs one at a time, and the log product truncates each entry by
+itself, so a weight's value at a node does not depend on the other nodes
+of its call (the k-sum's still does, through M).
+The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
+4 sin^2 theta (q e^{2i theta}, q e^{-2i theta};q)_inf, with no zero factor
+at theta = 0.  The generating integrand takes its logs with an exact zero
+factor as -inf, so such a point is 0 or not finite, as the quotient of
+plain products was, and not a :class:`DivisionByZero`.  The closed sides
 (``_three_term_side``, the families' ``closed``, ``frac_prefactor``)
 call only the scalar loops of :mod:`qaw.qcore`, so the two sides of an
 identity share no vectorised code.
@@ -105,7 +111,7 @@ from .context import (
 )
 from .qcore import (
     INFINITE,
-    h_cos,
+    _log_array,
     q_pochhammer,
     q_pochhammer_infinite,
     q_pochhammer_infinite_log,
@@ -383,18 +389,43 @@ def _lemma_sides(p, ctx):
     return lhs, rhs, {}, {}
 
 
+def _log_quotient(log_product, num, den, size, ctx):
+    """log of prod (v;q)_inf over the rows v of num over the same product
+    over den, at each of ``size`` nodes; the rows are node arrays, all
+    taken by one call of ``log_product`` (a qcore array log product).
+
+    The rows are added (num) or subtracted (den) one at a time, in order:
+    numpy's sum over eight or more rows pairs them differently for one
+    node than for many, so a node's value would depend on its call.
+    """
+    total = np.zeros(size)
+    if num or den:
+        lg = log_product(np.concatenate(num + den), ctx).reshape(-1, size)
+        for i, row in enumerate(lg):
+            total = total + row if i < len(num) else total - row
+    return total
+
+
+def _generating_integrand(y, p, ctx):
+    """(b z y, t y, r u y;q)_inf / (s y, z y, u y;q)_inf at the points y,
+    from one log-product call on the rows of the nonzero parameters.
+
+    A point with an exact zero factor ends as the plain quotient of the
+    products would: it is 0 where only the numerator vanishes, and not
+    finite where the denominator does, which the q-integral reports.
+    """
+    num = [c * y for c in (p.b * p.z, p.t, p.r * p.u) if c != 0]
+    den = [c * y for c in (p.s, p.z, p.u) if c != 0]
+    # exp(-inf) = 0 for a vanishing numerator; inf or NaN otherwise
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.exp(_log_quotient(_log_array, num, den, y.size, ctx))
+
+
 def _generating_sides(p, ctx):
     """A fractional q-integral of a product ratio versus its k-sum form."""
     a = p.a
-
-    def integrand(y):
-        num = [p.b * y * p.z, y * p.t, y * p.r * p.u]
-        den = [y * p.s, y * p.z, y * p.u]
-        return math.prod(q_pochhammer_infinite(v, ctx) for v in num) / math.prod(
-            q_pochhammer_infinite(v, ctx) for v in den
-        )
-
-    lhs = fractional_q_integral(integrand, p.x, a, p.mu, ctx)
+    lhs = fractional_q_integral(
+        functools.partial(_generating_integrand, p=p, ctx=ctx), p.x, a, p.mu, ctx)
     # the product ratio at y = a, with the k-sum's denominator on top
     numer = [a * p.s, a * p.z, a * p.u]
     denom = [a * p.b * p.z, a * p.t, a * p.r * p.u]
@@ -425,7 +456,14 @@ class _Family(NamedTuple):
 
 
 def _aw_weight(theta, p, ctx):
-    return h_cos(2.0 * theta, [1.0], ctx) / h_cos(theta, [p.a, p.b, p.c, p.d], ctx)
+    """h(cos 2 theta; 1) / h(cos theta; a, b, c, d) from one log-product
+    call: (e^{2i theta}, e^{-2i theta};q)_inf = 4 sin^2 theta
+    (q e^{2i theta}, q e^{-2i theta};q)_inf leaves no zero factor at
+    theta = 0, and each nonzero parameter adds the rows prm e^{+-i theta}."""
+    q, e, e2 = ctx.q, np.exp(1j * theta), np.exp(2j * theta)
+    den = [v for prm in (p.a, p.b, p.c, p.d) if prm != 0 for v in (prm * e, prm / e)]
+    lg = _log_quotient(q_pochhammer_infinite_log, [q * e2, q / e2], den, theta.size, ctx)
+    return 4.0 * np.sin(theta) ** 2 * np.exp(lg)
 
 
 def _aw_series(theta, p):
@@ -452,9 +490,8 @@ def _reversal_weight(t, p, ctx):
     """The h_sinh factors at q a, ..., q d over (-q e^{2t}, -q e^{-2t};q)_inf,
     from one log-product call on all their arguments."""
     q = ctx.q
-    rows = _sinh_args(t, p, q) + [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-    lg = q_pochhammer_infinite_log(np.concatenate(rows), ctx).reshape(len(rows), t.size)
-    return np.exp(lg[:-2].sum(axis=0) - lg[-2] - lg[-1])
+    den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
+    return np.exp(_log_quotient(q_pochhammer_infinite_log, _sinh_args(t, p, q), den, t.size, ctx))
 
 
 def _reversal_series(t, p):
@@ -474,10 +511,7 @@ def _gaussian_weight(t, p, ctx):
     """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
     ag = p.alpha_g
     rows = _sinh_args(ag * t, p, 1.0)
-    lg = -t * t
-    if rows:
-        lg = lg + q_pochhammer_infinite_log(np.concatenate(rows), ctx).reshape(
-            len(rows), t.size).sum(axis=0)
+    lg = -t * t + _log_quotient(q_pochhammer_infinite_log, rows, [], t.size, ctx)
     return np.exp(lg) * np.cosh(ag * t)
 
 

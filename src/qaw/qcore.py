@@ -2,12 +2,13 @@
 basic hypergeometric series and the h(.) weight functions.
 
 The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
-1-D array (of parameters, angles or points) and return an array.  Scalars
-go through the plain loops.
+1-D array (of parameters, angles or points) and return an array.
 
 * The product (a;q)_inf of an array forms the factors of all entries as
   an (entries x factors) array in bounded blocks, every entry with the
-  factor count of the largest |a|, and multiplies along the factors.
+  factor count of the largest |a|, and multiplies along the factors.  The
+  public array ``h_cos`` and ``q_pochhammer_infinite`` use it, and so does
+  the Cauchy operator's integrand; no identity check does.
 * Its log gives each entry a head of its own: the h factors 1 - a q^k
   with |a q^k| > LOG_RADIUS, logged one by one, and for the rest the
   q-log series (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1)
@@ -16,7 +17,9 @@ go through the plain loops.
 
   at z = a q^h, cut at LOG_TERMS terms.  So an entry's value does not
   depend on the other entries of its call, and a factor with |a q^k| far
-  below 1 costs no log.
+  below 1 costs no log.  The scalar log takes the same head and series in
+  plain Python; the scalar product keeps its factor-by-factor loop.  All
+  four integrands of the identity checks take their products as logs.
 
 Order convention for q-Pochhammer symbols
 -----------------------------------------
@@ -34,9 +37,11 @@ is the unique choice consistent with the q-gamma function.
 Truncation policy: infinite products stop once |a q^k| < EPS_FACTOR
 and the logarithmic tail bound sum_{j>=k} |a| q^j / (1 - |a| q^j) drops
 below ctx.eps_term; the relative truncation error is bounded by that tail
-sum.  A product that needs more than MAX_FACTORS factors raises
-:class:`NonConvergence`, and a non-terminating series stops after
-CONSECUTIVE_SMALL successive terms below ctx.eps_term of its partial sum.
+sum.  A product that needs more than MAX_FACTORS factors under that rule
+raises :class:`NonConvergence`, and so does its log, though the log sums
+the q-log series past its head instead of factors.  A non-terminating
+series stops after CONSECUTIVE_SMALL successive terms below ctx.eps_term
+of its partial sum.
 These three are constants; only ``eps_term`` and ``max_terms`` are
 settable, through :class:`QContext`.
 """
@@ -95,6 +100,17 @@ def _factor_count(mag: float, ctx: QContext):
     return None
 
 
+def _capped(mag: float, ctx: QContext) -> bool:
+    """Whether the scalar stop rule needs more than MAX_FACTORS factors for
+    |a| = mag: :func:`_factor_count` is None."""
+    # the stop rule is monotone in k, so a last term clearly below both of
+    # its bounds settles it without the loop
+    last = 2.0 * mag * ctx.q ** (MAX_FACTORS - 1)
+    if last < EPS_FACTOR and _tail_bound(last, ctx.q) < ctx.eps_term:
+        return False
+    return _factor_count(mag, ctx) is None
+
+
 def _factor_blocks(a, K: int, q: float):
     """The factors 1 - a q^k, k < K, as (nodes x block) arrays.
 
@@ -133,37 +149,61 @@ def _array_product(a, ctx: QContext):
     return acc
 
 
+def _log_series(z, q):
+    """-sum_{n<=LOG_TERMS} z^n / (n (1 - q^n)), the q-log series cut at
+    LOG_TERMS terms, by Horner's rule; z a complex or an array.
+
+    Out of place, because numpy's in-place complex multiply may round a
+    one-entry array differently from a longer one.
+    """
+    n = np.arange(LOG_TERMS, 0, -1)
+    s = 0.0
+    for c in (1.0 / (n * np.expm1(n * math.log(q)))).tolist():
+        s = (s + c) * z
+    return s
+
+
 def _log_array(a, ctx: QContext):
-    """log (a;q)_inf for every entry of the 1-D array a (module docstring).
+    """log (a;q)_inf for every entry of the 1-D array a (module docstring),
+    -inf, the log of 0, at an entry with an exact zero factor.
 
     Each entry has its own head of h = ceil(log(|a| / LOG_RADIUS) / log(1/q))
     factors (at least 0), the least k with |a| q^k <= LOG_RADIUS up to
     rounding, and the q-log series of the rest.  A block of factors holds
     only the rows whose head reaches it, and a mask skips each row's
-    columns past its own h.
+    columns past its own h.  Where the scalar stop rule needs more than
+    MAX_FACTORS factors for the largest |a|, :class:`NonConvergence`
+    carries each entry's log of its first MAX_FACTORS factors as
+    ``partial``: its head, cut at MAX_FACTORS, then the series at a q^h
+    less the series at a q^MAX_FACTORS.
     """
     q = ctx.q
     mag = np.abs(a)
     amax = float(mag.max(initial=0.0))
-    capped = _factor_count(amax, ctx) is None
-    if capped:
-        # the scalar stop rule fails: the partial is the first MAX_FACTORS factors
-        head = np.full(a.shape, float(MAX_FACTORS))
-    else:
-        head = np.ceil(np.log(np.maximum(mag / LOG_RADIUS, 1.0)) / -math.log(q))
+    capped = _capped(amax, ctx)
+    # fmin: a NaN or infinite |a| takes MAX_FACTORS head factors
+    head = np.fmin(np.ceil(np.log(np.maximum(mag / LOG_RADIUS, 1.0)) / -math.log(q)),
+                   MAX_FACTORS)
     acc = np.zeros(a.shape, dtype=complex)
+    dead = np.zeros(a.shape, dtype=bool)
     group = _BLOCK_ELEMENTS // _SUM_CHUNK
     for g in range(0, a.size, group):
         rows = g + np.flatnonzero(head[g : g + group])
         h, term = head[rows], a[rows]
         k0 = 0
         while rows.size:
-            # a (factors x rows) block of whole chunks from column k0; its
-            # row j holds the factor of column k0 + j, made as the scalar
-            # loop makes its terms, by repeated multiplication by q
-            chunks = min(math.ceil((h.max() - k0) / _SUM_CHUNK),
-                         _BLOCK_ELEMENTS // (_SUM_CHUNK * rows.size))
-            width = chunks * _SUM_CHUNK
+            # a (factors x rows) block of chunks from column k0; its row j
+            # holds the factor of column k0 + j, made as the scalar loop
+            # makes its terms, by repeated multiplication by q
+            span = h.max() - k0
+            if span < _SUM_CHUNK:
+                # a last, short chunk a power of 2 wide: its tree is the
+                # first subtree of a whole chunk's, whose other leaves are 0
+                width = chunk = 1 << math.ceil(math.log2(span))
+            else:
+                chunk = _SUM_CHUNK
+                width = chunk * min(math.ceil(span / chunk),
+                                    _BLOCK_ELEMENTS // (chunk * rows.size))
             blk = np.empty((width, rows.size), dtype=complex)
             blk[0] = term
             for j in range(1, width):
@@ -171,24 +211,34 @@ def _log_array(a, ctx: QContext):
             term = blk[-1] * q
             f = np.subtract(1.0, blk, out=blk)
             if not f.all():
-                i = rows[np.flatnonzero((f == 0).any(axis=0))[0]]
-                raise DivisionByZero(f"(a;q)_inf with a={a[i]} contains an exact zero factor")
+                zero = f == 0
+                dead[rows[zero.any(axis=0)]] = True
+                f[zero] = 1.0
             mine = np.arange(k0, k0 + width)[:, None] < h
             np.log(f, out=f, where=mine)
             np.multiply(f, mine, out=f)
             # each chunk of _SUM_CHUNK logs is summed by a fixed pairwise
             # tree, and the chunk sums in order; chunks start at multiples of
             # _SUM_CHUNK, so an entry's sum does not depend on the others
-            x = f.reshape(-1, _SUM_CHUNK, rows.size)
+            x = f.reshape(-1, chunk, rows.size)
             while x.shape[1] > 1:
                 x = x[:, ::2] + x[:, 1::2]
             total = acc[rows]
-            for chunk in x[:, 0]:
-                total += chunk
+            for part in x[:, 0]:
+                total += part
             acc[rows] = total
             k0 += width
             live = h > k0
             rows, h, term = rows[live], h[live], term[live]
+    if capped:
+        # the heads stop at MAX_FACTORS; a shorter head takes the series
+        # of its factors up to MAX_FACTORS
+        short = np.flatnonzero(head < MAX_FACTORS)
+        z = a[short]
+        acc[short] += _log_series(z * q ** head[short], q) - _log_series(z * q**MAX_FACTORS, q)
+    else:
+        acc = acc + _log_series(a * q**head, q)
+    acc[dead] = -math.inf
     if capped:
         raise NonConvergence(
             f"log (a;q)_inf with max |a|={amax:.3e} did not converge in "
@@ -196,16 +246,7 @@ def _log_array(a, ctx: QContext):
             partial=acc,
             last_term=amax * q**MAX_FACTORS,
         )
-    # the tail, -sum_{n<=LOG_TERMS} z^n / (n (1 - q^n)) at z = a q^h, by
-    # Horner's rule; out of place, because numpy's in-place complex multiply
-    # may round a one-entry array differently from a longer one
-    z = a * q**head
-    n = np.arange(LOG_TERMS, 0, -1)
-    coef = (1.0 / (n * np.expm1(n * math.log(q)))).tolist()
-    s = np.full(a.shape, coef[0], dtype=complex)
-    for c in coef[1:]:
-        s = s * z + c
-    return acc + s * z
+    return acc
 
 
 def q_pochhammer_infinite(a, ctx: QContext):
@@ -244,35 +285,50 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     Returns a complex number whose real part is the log-magnitude and whose
     imaginary part is the accumulated phase of the product: the sum of the
     factors' principal logs.  Factors are never exponentiated, so arguments
-    with |a| >> 1 do not overflow.  A 1-D array ``a`` gives an array of the
-    same shape, each entry from its own head factors and the q-log series
-    of its tail (module docstring), whatever the other entries.  An exact
-    zero factor raises :class:`DivisionByZero`.  Where the scalar stop rule
-    needs more than MAX_FACTORS factors for the largest |a|, the array
-    raises :class:`NonConvergence` with the log of every entry's first
-    MAX_FACTORS factors as ``partial``.
+    with |a| >> 1 do not overflow.  A scalar and every entry of a 1-D array
+    ``a`` alike are formed from their own head factors and the q-log series
+    of the tail (module docstring), an entry whatever the other entries.
+    An exact zero factor raises :class:`DivisionByZero`.  Where the scalar
+    stop rule needs more than MAX_FACTORS factors for |a| (for the largest
+    |a| of an array), :class:`NonConvergence` carries the log of the first
+    MAX_FACTORS factors (of every entry) as ``partial``.
     """
-    if isinstance(a, np.ndarray):
-        return _log_array(a, ctx)
     q = ctx.q
-    # the factor logs are summed exactly (math.fsum): near q = 1 there are
+    if isinstance(a, np.ndarray):
+        lg = _log_array(a, ctx)
+        dead = np.isneginf(lg.real)
+        if dead.any():
+            raise DivisionByZero(
+                f"(a;q)_inf with a={a[np.argmax(dead)]} contains an exact zero factor")
+        return lg
+    # the head of _log_array; a NaN or infinite |a| takes MAX_FACTORS factors
+    mag = abs(a)
+    capped = _capped(mag, ctx)
+    h = MAX_FACTORS
+    if math.isfinite(mag):
+        h = min(math.ceil(math.log(max(mag / LOG_RADIUS, 1.0)) / -math.log(q)), h)
+    # the head logs are summed exactly (math.fsum): near q = 1 there are
     # thousands of them, and the two sums that h_sinh_log adds cancel
     logs = []
     term = complex(a)
-    for _ in range(MAX_FACTORS):
-        mag = abs(term)
-        if mag < EPS_FACTOR and _tail_bound(mag, q) < ctx.eps_term:
-            return _fsum_complex(logs)
+    for _ in range(h):
         f = 1.0 - term
         if f == 0:
             raise DivisionByZero(f"(a;q)_inf with a={a} contains an exact zero factor")
         logs.append(cmath.log(f))
         term *= q
-    raise NonConvergence(
-        f"log (a;q)_inf with a={a} did not converge in {MAX_FACTORS} factors",
-        partial=_fsum_complex(logs),
-        last_term=abs(term),
-    )
+    lg = _fsum_complex(logs)
+    if h < MAX_FACTORS:
+        lg += _log_series(a * q**h, q)
+        if capped:
+            lg -= _log_series(a * q**MAX_FACTORS, q)
+    if capped:
+        raise NonConvergence(
+            f"log (a;q)_inf with a={a} did not converge in {MAX_FACTORS} factors",
+            partial=lg,
+            last_term=mag * q**MAX_FACTORS,
+        )
+    return lg
 
 
 def q_pochhammer(a: complex, order, ctx: QContext) -> complex:

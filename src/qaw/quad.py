@@ -23,8 +23,8 @@ of window half-widths on ``[T1, -T1, T2, -T2, ...]``.  A batch call that
 raises or warns is repeated one half-width at a time, so an integrand that
 fails only beyond the chosen window gives the window, value or error that
 probing each half-width singly gives.  An integrand whose truncation is
-sized by the largest node of a call (the k-sum's Taylor length, the factor
-count of a plain array product; not the log products, which truncate each
+sized by the largest node of a call (the k-sum's Taylor length; not the
+weights and the generating integrand, whose log products truncate each
 entry by itself) may round differently in a larger call, in the last bits
 only.
 """

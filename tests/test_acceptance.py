@@ -236,10 +236,16 @@ def test_criterion_06_askey_wilson(verdict):
     zero = check_askey_wilson(AWParams(q=0.5, a=0.0))
     anchor = 2.0 * math.pi / q_pochhammer(0.5, INFINITE, ctx).real
     zero_err = abs(zero.lhs - anchor) / anchor
+    # the double anchor is itself about 1e-16 off; 2 pi / (q;q)_inf to 40
+    # digits shows the integral's own error
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = 2 * mp.pi / mp.qp(mp.mpf(0.5))
+        exact_err = float(abs(zero.lhs.real - exact) / exact)
     ok = worst < 1e-8 and zero_err < 1e-10 and _within(t0, 30.0)
     verdict("06 Askey-Wilson integral", ok,
-            f"worst rel err {worst:.2e}, zero-case err {zero_err:.2e}, "
-            f"{time.perf_counter() - t0:.1f}s")
+            f"worst rel err {worst:.2e}, zero-case err {zero_err:.2e} "
+            f"(40-digit anchor {exact_err:.2e}), {time.perf_counter() - t0:.1f}s")
 
 
 def test_criterion_07_fractional_askey_wilson(verdict):

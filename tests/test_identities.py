@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,9 @@ from qaw.identities import (
     run_suite,
 )
 from qaw.suite import default_suite, expand_suite
+from test_qcore import _mp_log_poch
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestKSumOracle:
@@ -411,6 +415,147 @@ class TestLemmaAndGenerating:
             check_fractional_generating(p)
 
 
+# the generating integrand at x = 1/2 reaches an exact zero factor
+# 1 - v y q^k at its first point y = x: each case with its status
+ZERO_FACTOR_GEN = {"q": 0.5, "a": 0.2, "x": 0.5, "mu": 1.5, "b": 0.3, "s": 0.25,
+                   "t": 0.15, "z": 0.2, "r": 0.4, "u": 0.1}
+AW_NEAR_ONE = {"a": 0.3, "b": 0.2, "c": 0.1, "d": 0.4}
+
+
+class TestZeroFactorsAndCap:
+    """Exact zero factors and the factor cap end as the plain products did."""
+
+    @pytest.mark.parametrize("overrides, status", [
+        ({"t": 2.0}, "passed"),  # t x = 1: the numerator is 0 at y = x
+        ({"s": 2.0}, "diverged"),  # s x = 1: the denominator is 0
+        ({"z": 2.0, "b": 1.0}, "diverged"),  # b z x = z x = 1: 0 / 0
+    ])
+    def test_generating_zero_factor_outcome(self, overrides, status):
+        params = {**ZERO_FACTOR_GEN, **overrides}
+        (oc,) = run_suite([{"identity": "fractional-generating", "params": params}])
+        assert oc.status == status, oc.reason
+        if status == "diverged":
+            assert oc.reason.startswith("NonConvergence") and "not finite" in oc.reason
+
+    def test_generating_integrand_at_a_zero_factor(self):
+        ctx = QContext(q=0.5)
+        y = np.array([0.5, 0.25])
+        vanishing = GeneratingParams(**{**ZERO_FACTOR_GEN, "t": 2.0})
+        value = identities._generating_integrand(y, vanishing, ctx)
+        assert value[0] == 0 and value[1] != 0 and np.isfinite(value).all()
+        pole = GeneratingParams(**{**ZERO_FACTOR_GEN, "s": 2.0})
+        value = identities._generating_integrand(y, pole, ctx)
+        assert not np.isfinite(value[0]) and np.isfinite(value[1])
+
+    def test_askey_wilson_at_the_factor_cap_ends_fast(self):
+        # at q = 0.997 the weight's (q e^{2i theta};q)_inf needs more than
+        # MAX_FACTORS factors; best of 3 against a noisy host
+        entry = {"identity": "askey-wilson", "params": {"q": 0.997, **AW_NEAR_ONE}}
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            (oc,) = run_suite([entry])
+            times.append(time.perf_counter() - t0)
+            assert oc.status == "diverged" and oc.reason.startswith("NonConvergence")
+        assert min(times) < 0.1
+
+    def test_askey_wilson_below_the_factor_cap_passes(self):
+        (oc,) = run_suite([{"identity": "askey-wilson", "params": {"q": 0.995, **AW_NEAR_ONE}}])
+        assert oc.status == "passed", oc.reason
+
+
+def _mp_quotient(num, den, q):
+    """prod (v;q)_inf over num / prod over den (mpmath values, 40 digits),
+    and the sum of |log (v;q)_inf| over all the rows."""
+    mp = pytest.importorskip("mpmath")
+    lg, scale = mp.mpc(0), 0.0
+    for sign, rows in ((1, num), (-1, den)):
+        for v in rows:
+            term = _mp_log_poch(v, q)
+            lg += sign * term
+            scale += float(abs(term))
+    return complex(mp.exp(lg)), scale
+
+
+def _aw_weight_oracle(theta, p):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        q, e = mp.mpf(p.q), mp.expj(mp.mpf(theta))
+        den = [mp.mpc(prm) * f for prm in (p.a, p.b, p.c, p.d) if prm != 0 for f in (e, 1 / e)]
+        return _mp_quotient([e * e, 1 / (e * e)], den, q)
+
+
+def _generating_integrand_oracle(y, p):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        q, y = mp.mpf(p.q), mp.mpf(y)
+        num = [mp.mpc(c) * y for c in (p.b * p.z, p.t, p.r * p.u) if c != 0]
+        den = [mp.mpc(c) * y for c in (p.s, p.z, p.u) if c != 0]
+        return _mp_quotient(num, den, q)
+
+
+INTEGRAND_Q = [0.3, 0.5, 0.9, 0.99]
+AW_WEIGHT_PARAMS = [dict(a=0.3, b=0.2, c=0.1, d=0.4), dict(a=-0.6, b=0.5 + 0.3j, c=0.5 - 0.3j)]
+GEN_INTEGRAND_PARAMS = [
+    dict(a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15, z=0.2, r=0.4, u=0.1),
+    dict(a=0.2, x=0.6, mu=1.5, b=-0.9 + 0.2j, s=0.9, t=-0.8, z=0.7j, r=0.4, u=-0.9),
+]
+
+
+class TestIntegrandsAgainstMultiprecision:
+    """The AW weight and the generating integrand against 40 digits.
+
+    Each value is exp of a sum of logs, so its rounding grows with the size
+    of those logs: the bound is 8 eps (1 + sum |log (v;q)_inf|) over the
+    rows, about 1e-15 at q = 1/2 and 1e-12 at q = 0.99.
+    """
+
+    @pytest.mark.parametrize("q", INTEGRAND_Q)
+    @pytest.mark.parametrize("params", AW_WEIGHT_PARAMS)
+    def test_aw_weight(self, q, params):
+        p = AWParams(q=q, **params)
+        theta = np.linspace(0.05, math.pi - 0.05, 7)
+        got = identities._aw_weight(theta, p, QContext(q=q))
+        for g, t in zip(got.tolist(), theta.tolist()):
+            want, scale = _aw_weight_oracle(t, p)
+            assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want)
+
+    @pytest.mark.parametrize("q", INTEGRAND_Q)
+    @pytest.mark.parametrize("params", GEN_INTEGRAND_PARAMS)
+    def test_generating_integrand(self, q, params):
+        p = GeneratingParams(q=q, **params)
+        y = 0.6 * q ** np.arange(0.0, 40.0, 3.0)
+        got = identities._generating_integrand(y, p, QContext(q=q))
+        for g, v in zip(got.tolist(), y.tolist()):
+            want, scale = _generating_integrand_oracle(v, p)
+            assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want)
+
+
+class TestNodeIndependentOfItsCall:
+    """A node alone and the same node inside a 129-node call agree within
+    4 ulps: every integrand makes one per-entry log-product call, and
+    adds its rows in order."""
+
+    @pytest.mark.parametrize("q", INTEGRAND_Q)
+    def test_integrands(self, q):
+        ctx = QContext(q=q)
+        theta = np.concatenate([np.linspace(0.0, math.pi, 65),
+                                (np.arange(64) + 0.5) * (math.pi / 64)])
+        t = np.linspace(-12.0, 12.0, 129)
+        cases = [
+            (identities._aw_weight, theta, AWParams(q=q, a=0.3, b=-0.2 + 0.1j, c=0.1, d=0.4)),
+            (identities._generating_integrand, 0.6 * q ** np.arange(129.0),
+             GeneratingParams(q=q, **GEN_INTEGRAND_PARAMS[0])),
+            (identities._reversal_weight, t, AWParams(q=q, a=0.3, b=-0.2 + 0.1j, c=0.1, d=0.4)),
+            (identities._gaussian_weight, t,
+             AtakishiyevParams(alpha_g=math.sqrt(-math.log(q) / 2), a=0.3, b=0.2, c=0.1, d=0.05)),
+        ]
+        for f, nodes, p in cases:
+            batch = f(nodes, p, ctx)
+            alone = np.array([f(nodes[i : i + 1], p, ctx)[0] for i in range(nodes.size)])
+            assert np.all(np.abs(batch - alone) <= 4 * np.spacing(np.abs(alone))), f.__name__
+
+
 class TestAskeyWilson:
     def test_sample_point(self):
         report = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
@@ -483,6 +628,14 @@ class TestWholeLevelWeights:
         # per window probe batch and per refinement level: one product on the
         # two h_sinh arguments of each of the 4 parameters and the
         # (-q e^{+-2t};q)_inf pair, at every node of the level
+        assert [a.size for a in calls] == [10 * n for n in levels]
+        assert all(isinstance(a, np.ndarray) for a in calls)
+
+    def test_aw_log_products_called_per_level_not_per_node(self, monkeypatch):
+        calls, levels = self._count_log_products(
+            monkeypatch, check_askey_wilson, AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
+        # the (q e^{+-2i theta};q)_inf pair and the two h_cos arguments of
+        # each of the 4 parameters
         assert [a.size for a in calls] == [10 * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
 
@@ -799,6 +952,16 @@ class TestCheckTable:
         report = run_check("atakishiyev", FIXED_POINTS["atakishiyev"])
         assert "q" not in report.params
         assert report.rhs_diag["q"] == AtakishiyevParams(alpha_g=1.0).q
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+    def test_no_check_forms_a_plain_array_product(self, monkeypatch, name):
+        # every integrand takes the per-entry log products; the plain array
+        # product gives each entry the factor count of the largest |a|
+        def refuse(a, ctx):
+            raise AssertionError("plain array product")
+
+        monkeypatch.setattr(qcore, "_array_product", refuse)
+        assert run_check(name, FIXED_POINTS[name]).passed
 
     @pytest.mark.parametrize("name", sorted(NONZERO_DROPPED))
     def test_nonzero_dropped_parameter_is_a_domain_error(self, name):

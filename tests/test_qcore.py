@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -237,27 +238,42 @@ def _rel(got, want):
     return np.max(np.abs(got - want) / np.abs(want))
 
 
-def _log_poch_oracle(a, q):
-    """log (a;q)_inf to 40 digits, its phase the sum of the factors' principal
-    logs (mpmath): the product of the factors while |a q^k| >= 1/100, whose
-    log takes the winding of a double-precision sum of the factors' phases,
-    then -sum_n z^n / (n (1 - q^n)) at z the first term below 1/100, to 1e-45.
+def _mp_log_poch(z, q):
+    """log (z;q)_inf as an mpmath number at the working precision, for mpmath
+    z and q, its phase the sum of the factors' principal logs: the product of
+    the factors while |z q^k| >= 1/100, whose log takes the winding of a
+    double-precision sum of the factors' phases, then
+    -sum_n w^n / (n (1 - q^n)) at w the first term below 1/100, to 1e-45.
     """
     mp = pytest.importorskip("mpmath")
+    prod, phase = mp.mpc(1), 0.0
+    while abs(z) >= 0.01:
+        prod *= 1 - z
+        phase += cmath.phase(1 - complex(z))
+        z *= q
+    lg = mp.log(prod)
+    lg += 2j * mp.pi * round((phase - float(lg.imag)) / (2 * math.pi))
+    zn, n = z, 1
+    while abs(zn) > mp.mpf(10) ** -45:
+        lg -= zn / (n * (1 - q**n))
+        zn, n = zn * z, n + 1
+    return lg
+
+
+def _log_poch_oracle(a, q):
+    """log (a;q)_inf to 40 digits (:func:`_mp_log_poch`) as a complex."""
+    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        z, qq = mp.mpc(a), mp.mpf(q)
-        prod, phase = mp.mpc(1), 0.0
-        while abs(z) >= 0.01:
-            prod *= 1 - z
-            phase += cmath.phase(1 - complex(z))
-            z *= qq
-        lg = mp.log(prod)
-        lg += 2j * mp.pi * round((phase - float(lg.imag)) / (2 * math.pi))
-        zn, n = z, 1
-        while abs(zn) > mp.mpf(10) ** -45:
-            lg -= zn / (n * (1 - qq**n))
-            zn, n = zn * z, n + 1
-        return complex(lg)
+        return complex(_mp_log_poch(mp.mpc(a), mp.mpf(q)))
+
+
+def _capped_log(a, q):
+    """The exact sum of the logs of the first MAX_FACTORS factors."""
+    logs, term = [], a
+    for _ in range(MAX_FACTORS):
+        logs.append(math.log(1.0 - term))
+        term *= q
+    return math.fsum(logs)
 
 
 def _worst_oracle_error(got, args, q):
@@ -343,16 +359,28 @@ class TestArrayPath:
         assert got[1] == 0 and got[0] == q_pochhammer_infinite(0.3, ctx)
 
     def test_factor_cap_raises_with_partial(self):
-        # at q = 1 - 1e-5 the factor 0.3 q^k is still 0.27 after MAX_FACTORS
+        # at q = 1 - 1e-5 the factor 0.3 q^k is still 0.27 after MAX_FACTORS;
+        # 0.3 takes MAX_FACTORS head factors, 0.1 none and two series
         ctx = QContext(q=1.0 - 1e-5)
         with pytest.raises(NonConvergence) as exc:
             q_pochhammer_infinite_log(np.array([0.3, 0.1]), ctx)
         assert exc.value.partial.shape == (2,) and exc.value.last_term > 0
-        logs, term = [], 0.3
-        for _ in range(MAX_FACTORS):
-            logs.append(math.log(1.0 - term))
-            term *= ctx.q
-        assert exc.value.partial[0] == pytest.approx(math.fsum(logs), rel=1e-14)
+        for i, a in enumerate([0.3, 0.1]):
+            assert exc.value.partial[i] == pytest.approx(_capped_log(a, ctx.q), rel=1e-14)
+            with pytest.raises(NonConvergence) as scalar:
+                q_pochhammer_infinite_log(a, ctx)
+            assert scalar.value.partial == pytest.approx(_capped_log(a, ctx.q), rel=1e-14)
+
+    def test_factor_cap_is_cheap(self):
+        # the (q e^{2i theta};q)_inf rows of the Askey-Wilson weight at
+        # q = 0.997 on a 129-node level: no entry forms more factors than
+        # its own head, not MAX_FACTORS each
+        ctx = QContext(q=0.997)
+        a = 0.997 * np.exp(1j * np.linspace(0.0, 2 * math.pi, 1290))
+        t0 = time.process_time()
+        with pytest.raises(NonConvergence):
+            q_pochhammer_infinite_log(a, ctx)
+        assert time.process_time() - t0 < 0.25
 
     def test_h_cos_against_multiprecision(self):
         mp = pytest.importorskip("mpmath")
@@ -391,6 +419,46 @@ class TestArrayPath:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class TestScalarLogProduct:
+    """The scalar log product: the heads of the array path, then Horner on
+    the q-log series, in plain Python."""
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95])
+    def test_against_multiprecision(self, q):
+        # |a| from 1e-6 to 1e7; the factor-by-factor loop this replaces was
+        # up to 3.1e-10 off on small |a|
+        ctx = QContext(q=q)
+        args = (np.logspace(-6.0, 7.0, 27) * np.exp(1j * np.linspace(-3.0, 3.0, 27))).tolist()
+        for a in [*args, -0.0015 - 0.00043j, 0.5, -2.5]:
+            got = q_pochhammer_infinite_log(a, ctx)
+            assert isinstance(got, complex)
+            want = _log_poch_oracle(a, q)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("q", [*ARRAY_Q, 0.9, 0.97])
+    def test_h_sinh_log_against_multiprecision(self, q):
+        ctx = QContext(q=q)
+        for x in (-3.0, 0.0, 2.5):
+            for t in (0.3, 0.1 + 0.05j, -0.9j):
+                ex = math.exp(x)
+                want = _log_poch_oracle(1j * t * ex, q) + _log_poch_oracle(-1j * t / ex, q)
+                assert abs(h_sinh_log(x, t, ctx) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("q", ARRAY_Q)
+    def test_equals_array_entries(self, q):
+        ctx = QContext(q=q)
+        a = np.logspace(-3.0, 6.0, 19) * np.exp(1j * np.linspace(-3.0, 3.0, 19))
+        want = q_pochhammer_infinite_log(a, ctx)
+        got = np.array([q_pochhammer_infinite_log(v, ctx) for v in a.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_exact_zero_factor_raises(self, ctx):
+        # the factor 1 - 2 q is exactly 0 at q = 1/2
+        with pytest.raises(DivisionByZero):
+            q_pochhammer_infinite_log(2.0, ctx)
+        assert q_pochhammer_infinite_log(0.0, ctx) == 0
 
 
 class TestContextValidation:
