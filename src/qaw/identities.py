@@ -62,24 +62,32 @@ so the sum is taken as sum_m (g_m s^m) (w_m / s^m), s the power of 2
 nearest x/a (at most 2^1023; x/a itself is finite by the fractional
 domain rule): the Taylor coefficients of G(s y) times the convolution of
 c_k / s^k with s^-j / (q;q)_j.  In a converging sum both factors stay
-below 2^{m/2}, and a power of 2 changes no rounding.  M, from 64 in
-doublings, suffices once the last 8 of both g and g w fall below
-``eps_term`` of their totals at every node; a sum not finite, or not
-settled at 4096 coefficients, raises :class:`KSumDivergence`.
+below 2^{m/2}, and a power of 2 changes no rounding.  The rows m of g grow
+in steps, 16 at a time from 32 to 256 and then about M/8 at a time
+(rounded up to 16), so a long sum meets its tail rule after O(log M)
+tests.  Per node, running sums over each step's new rows give the rule:
+the last 8 rows of both |g_m s^-m| and |g_m w_m| below ``eps_term`` of
+their totals.  The value is formed once, over the final rows.  A step
+whose sum is not finite at some node, or a sum not settled at 4096 rows,
+raises :class:`KSumDivergence`.  The rows and the weights w grow by
+doubling, so a short sum allocates for its own rows only.  The report's
+``k_terms`` is the most rows a k-sum of the check used, and
+``k_digits_lost`` the most digits its cancellation can cost,
+log10(sum |g_m w_m| / |sum g_m w_m|) at a node, from the same running sums.
 
 Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
-level and evaluates all nodes in one (coefficients x nodes) array, with
-the tail rule applied per node; its Taylor length M is still set by the
-slowest node of the call.  Every integrand makes one log-product call
+level and evaluates all nodes in one (rows x nodes) array, with the tail
+rule applied per node; its row count is still set by the slowest node of
+the call.  Every integrand makes one log-product call
 per integrand call, on the arguments of all its factors at all its nodes
 or points: 10 rows of nodes for the Askey-Wilson and reversal weights
 and 8 for the Gaussian one at four nonzero parameters, up to 6 rows of
 points for the generating q-integrand.  :func:`_log_quotient` adds the
 rows' logs one at a time, and the log product truncates each entry by
 itself, so a weight's value at a node does not depend on the other nodes
-of its call (the k-sum's still does, through M).
+of its call (the k-sum's still does, through its row count).
 The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
 4 sin^2 theta (q e^{2i theta}, q e^{-2i theta};q)_inf, with no zero factor
 at theta = 0.  The generating integrand takes its logs with an exact zero
@@ -259,6 +267,10 @@ class IdentityReport:
 # stable outer k-sum
 # --------------------------------------------------------------------------
 
+_MAX_ROWS = 4096  # the most Taylor coefficients a k-sum takes
+_ALL_DIGITS = -math.log10(np.finfo(float).eps)
+
+
 def _factor_poly(params, shape):
     """Coefficients of prod_i (1 - c_i y), one column per node."""
     c = np.zeros((len(params) + 1,) + shape, dtype=complex)
@@ -268,36 +280,36 @@ def _factor_poly(params, shape):
     return c
 
 
-def _extend_taylor(g, numer, denom, q, M):
-    """Grow the Taylor coefficients g (rows m, columns nodes) of G to M rows.
+def _taylor_rows(g, start, stop, Nj, Dj, q):
+    """Fill the rows m = start, ..., stop - 1 of the Taylor coefficients of G.
 
-    N(y) G(y) = D(y) G(q y) with N, D the factor polynomials gives
+    Row m + r of g holds g_m, after r rows of zeros; ``Nj`` and ``Dj`` are
+    the slices N_j, D_j, j = r, ..., 1, of the factor polynomials, and
+    N(y) G(y) = D(y) G(q y) gives
     g_m (1 - q^m) = sum_{j>=1} (D_j q^{m-j} - N_j) g_{m-j}.
     """
-    r = max(len(numer), len(denom)) - 1
-    m0 = len(g)
-    out = np.zeros((M + r,) + g.shape[1:], dtype=complex)
-    out[r : m0 + r] = g
-    j = np.arange(r, 0, -1)  # row i of out[m : m + r] holds g_{m-r+i}
-    N = np.zeros((r + 1,) + g.shape[1:], dtype=complex)
-    D = np.zeros_like(N)
-    N[: len(numer)] = numer
-    D[: len(denom)] = denom
+    r = len(Nj)
+    j = np.arange(r, 0, -1)
+    buf = np.empty_like(Nj)
     # the recurrence coefficients of 16 rows at a time bound the scratch memory
-    for start in range(m0, M, 16):
-        m = np.arange(start, min(start + 16, M))
-        C = D[j] * (q ** (m[:, None] - j))[..., None]
-        C -= N[j]
+    for lo in range(start, stop, 16):
+        m = np.arange(lo, min(lo + 16, stop))
+        C = Dj * (q ** (m[:, None] - j))[..., None]
+        C -= Nj
         C /= (1.0 - q**m)[:, None, None]
         for mm, c in zip(m.tolist(), C):
-            out[mm + r] = (c * out[mm : mm + r]).sum(axis=0)
-    return out[r:]
+            np.multiply(c, g[mm : mm + r], out=buf)
+            np.add.reduce(buf, axis=0, out=g[mm + r])
 
 
-def _tail_decayed(g, eps):
-    """Per node, whether the last 8 coefficients are below eps of its total."""
-    mags = np.abs(g)
-    return mags[-8:].sum(axis=0) < eps * np.maximum(mags.sum(axis=0), 1e-300)
+def _weights(x, a, mu, q, e, pref, L):
+    """w_m / s^m and s^-m, s = 2^e, for m < L (module docstring)."""
+    k = np.arange(L - 1)
+    ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * 2.0**e * (1.0 - q ** (mu + k + 1)))
+    c = np.cumprod(np.concatenate(([pref], ratios)))
+    qfac = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1, L))))
+    down = np.ldexp(1.0, -e * np.arange(L))
+    return qfac * np.convolve(c, down / qfac)[:L], down
 
 
 def frac_prefactor(x, a, mu, ctx):
@@ -318,10 +330,12 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     Each parameter is a scalar or an array with one entry per node; the
     result is a complex for all-scalar parameters and an array over the
     nodes otherwise.  Raises :class:`KSumDivergence` for the first node
-    whose sum is not finite or has not settled within 4096 coefficients;
-    its ``k`` is the number of coefficients with a finite partial sum.
+    whose sum is not finite, or at 4096 rows for the first node that has
+    not settled; its ``k`` is the number of rows with a finite partial sum.
+    ``diag`` gets the largest row count ``k_terms`` and the largest
+    ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node.
     """
-    q = ctx.q
+    q, eps = ctx.q, ctx.eps_term
     e = min(round(math.log2(x / a)), 1023)
     s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
     params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
@@ -330,40 +344,64 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     denom = _factor_poly([s * p for p in params[len(phi_numer) :] if p.any()], shape)
     pref = frac_prefactor(x, a, mu, ctx)
 
-    g, M = np.ones((1,) + shape, dtype=complex), 64
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the recurrence slices N_j, D_j, j = r, ..., 1, zero past each degree
+    r = max(len(numer), len(denom)) - 1
+    Nj, Dj = (np.concatenate((c, np.zeros((r + 1 - len(c),) + shape)))[r:0:-1]
+              for c in (numer, denom))
+    g = np.zeros((64 + r,) + shape, dtype=complex)
+    g[r] = 1.0
+    w, down = _weights(x, a, mu, q, e, pref, 64)
+    # per node: sum |g_m s^-m|, sum |g_m w_m| and sum g_m w_m over the rows so far
+    sum_g, sum_t = np.zeros(shape), np.zeros(shape)
+    part = np.zeros(shape, dtype=complex)
+    M, new = 0, 32
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            g = _extend_taylor(g, numer, denom, q, M)
-            k = np.arange(M - 1)
-            ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * s * (1.0 - q ** (mu + k + 1)))
-            c = np.cumprod(np.concatenate(([pref], ratios)))
-            qfac = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1, M))))
-            down = np.ldexp(1.0, -e * np.arange(M))  # s^-m
-            terms = g * (qfac * np.convolve(c, down / qfac)[:M])[:, None]
-            unscaled = g * down[:, None]
-            G1 = unscaled.sum(axis=0)
-            total = terms.sum(axis=0) / G1
-            finite = np.isfinite(total)
-            settled = finite & _tail_decayed(unscaled, ctx.eps_term) & _tail_decayed(terms, ctx.eps_term)
-            if settled.all():
+            if new + r > len(g):
+                g = np.concatenate((g, np.zeros_like(g)))
+            if new > len(w):
+                w, down = _weights(x, a, mu, q, e, pref, 2 * len(w))
+            _taylor_rows(g, max(M, 1), new, Nj, Dj, q)
+            rows = g[r + M : r + new]
+            terms = rows * w[M:new, None]
+            part += terms.sum(axis=0)
+            abs_g, abs_t = np.abs(rows) * down[M:new, None], np.abs(terms)
+            sum_g += abs_g.sum(axis=0)
+            sum_t += abs_t.sum(axis=0)
+            M = new
+            # the tail rule: the last 8 rows below eps of their totals
+            finite = np.isfinite(part)
+            settled = (abs_g[-8:].sum(axis=0) < eps * np.maximum(sum_g, 1e-300)) & (
+                abs_t[-8:].sum(axis=0) < eps * np.maximum(sum_t, 1e-300))
+            if finite.all() and settled.all():
                 break
-            if M >= 4096 or not finite.all():
-                # report the first unsettled node up to its last finite partial sum
-                n = np.flatnonzero(~settled)[0]
-                reached = int(np.isfinite(np.cumsum(terms[:, n])).cumprod().sum())
-                G1n = unscaled[:reached, n].sum()
-                last = float(abs(terms[reached - 1, n] / G1n))
+            if not finite.all() or M >= _MAX_ROWS:
+                # report the first node not finite, else the first not
+                # settled, up to its last finite partial sum
+                n = np.flatnonzero(~finite if not finite.all() else ~settled)[0]
+                terms, unscaled = g[r : r + M, n] * w[:M], g[r : r + M, n] * down[:M]
+                reached = int(np.isfinite(np.cumsum(terms)).cumprod().sum())
+                G1n = unscaled[:reached].sum()
+                last = float(abs(terms[reached - 1] / G1n))
                 raise KSumDivergence(
                     f"outer k-sum did not settle within {reached} Taylor "
                     f"coefficients (|term|={last:.3e})",
                     k=reached,
                     term_magnitude=last,
-                    partial=complex(terms[:reached, n].sum() / G1n),
+                    partial=complex(terms[:reached].sum() / G1n),
                 )
-            M *= 2
+            new = min(M + (16 if M < 256 else -(-M // 128) * 16), _MAX_ROWS)
+
+        g = g[r : r + M]
+        terms = g * w[:M, None]
+        S = terms.sum(axis=0)
+        total = S / (g * down[:M, None]).sum(axis=0)
+        # at most all the digits of a double, where |S| < eps sum |g_m w_m|
+        lost = np.fmin(np.log10(sum_t) - np.log10(abs(S)), _ALL_DIGITS).max()
 
     if diag is not None:
         diag["k_terms"] = max(diag.get("k_terms", 0), M)
+        diag["k_digits_lost"] = max(diag.get("k_digits_lost", 0.0), float(lost))
     return complex(total[0]) if all(p.ndim == 0 for p in params) else total
 
 

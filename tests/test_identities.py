@@ -1,6 +1,5 @@
 """Tests for the identity checks, the stable outer k-sum, and the suite runner."""
 
-import cmath
 import dataclasses
 import gc
 import math
@@ -188,23 +187,39 @@ class _MpStableKSum:
         raise AssertionError("oracle k-sum did not settle")
 
 
-def _ksum_against_oracle(p, theta, oracle_cls):
-    """One batched ksum call at the AW angles theta, each node within
-    1e-13 of the 60-digit oracle."""
+def _reversal_ksum_params(t, q, a, b, c, d, x, mu):
+    e = np.exp(np.asarray(t))
+    return [q * a * b, q * a * c, q * a * d], [1j * a * q * e, -1j * a * q / e, q * a * b * c * d]
+
+
+def _gaussian_ksum_params(t, q, alpha_g, a, b, c, d, x, mu):
+    e = np.exp(alpha_g * np.asarray(t))
+    return [a * b / q, a * c / q, a * d / q], [1j * a * e, -1j * a / e, a * b * c * d / q**3]
+
+
+def _with_base(p):
+    """A Gaussian-family point with its base q = exp(-2 alpha_g^2)."""
+    return {**p, "q": math.exp(-2.0 * p["alpha_g"] ** 2)}
+
+
+def _ksum_against_oracle(p, nodes, oracle_cls, series=_aw_ksum_params):
+    """One batched ksum call at the nodes (AW angles by default), each
+    node within 1e-13 of the 60-digit oracle; ``series(nodes, **p)``
+    gives the k-sum's parameters, scalars or one entry per node."""
     mp = pytest.importorskip("mpmath")
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    theta = np.array(theta)
-    numer, denom = _aw_ksum_params(theta, **p)
-    got = ksum(p["x"], a, p["mu"], numer, denom, QContext(q=p["q"]))
+    nodes = np.array(nodes)
+    numer, denom = series(nodes, **p)
+    got = ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]))
     try:
         mp.mp.dps = 60
         oracle = oracle_cls(mp, p["q"], p["x"])
-        fixed = oracle.taylor([a * b * c * d], [a * b, a * c, a * d])
-        for i, th in enumerate(theta.tolist()):
-            e = cmath.exp(1j * th)
-            g, G1 = oracle.taylor([a * e, a / e], [], fixed)
-            want = oracle.ksum(p["x"], a, p["mu"], g, G1)
-            assert abs(got[i] - want) <= 1e-13 * abs(want), th
+        fixed = oracle.taylor([v for v in numer if np.ndim(v) == 0],
+                              [v for v in denom if np.ndim(v) == 0])
+        for i, node in enumerate(nodes.tolist()):
+            g, G1 = oracle.taylor([v[i] for v in numer if np.ndim(v)],
+                                  [v[i] for v in denom if np.ndim(v)], fixed)
+            want = oracle.ksum(p["x"], p["a"], p["mu"], g, G1)
+            assert abs(got[i] - want) <= 1e-13 * abs(want), node
     finally:
         mp.mp.dps = 15
 
@@ -310,6 +325,43 @@ class TestBatchedKSum:
             ksum(0.6, 0.2, 1.5, [0.5, 0.05], [0.25, 0.12], ctx)
         assert (single.value.k, single.value.partial) == (err.k, err.partial)
 
+    def test_divergent_sum_stops_at_its_first_non_finite_step(self, monkeypatch):
+        # the partial sums overflow past 2458 rows; the growth step there is
+        # 320 rows, so no row past 2458 + 320 is formed
+        formed = []
+        taylor_rows = identities._taylor_rows
+
+        def counting(g, start, stop, *rest):
+            formed.append(stop)
+            return taylor_rows(g, start, stop, *rest)
+
+        monkeypatch.setattr(identities, "_taylor_rows", counting)
+        with pytest.raises(KSumDivergence) as exc:
+            check_fractional_atakishiyev(AtakishiyevParams(**DIVERGENT_GAUSSIAN))
+        assert exc.value.k == 2458 and 2458 < max(formed) <= 2458 + 320
+
+    def test_short_sum_allocates_for_its_own_rows(self):
+        # 4096 rows at 129 nodes would take 8.4 MB per array
+        p = AW_POINT
+        numer, denom = _aw_ksum_params(np.linspace(0.0, math.pi, 129), **p)
+        ctx = QContext(q=p["q"])
+        ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+        tracemalloc.start()
+        try:
+            ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_digits_lost_at_the_x_edge(self):
+        # at theta = 2.75 sum |g_m w_m| is about 314 |sum g_m w_m|
+        p = AW_EDGE_POINT
+        numer, denom = _aw_ksum_params(np.array([2.75]), **p)
+        diag = {}
+        ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
+        assert diag["k_digits_lost"] == pytest.approx(math.log10(314), abs=0.01)
+
     def test_distinct_q_retain_no_memory(self):
         # a table kept per q would hold ~1.6 MB for each of the 200 bases
         ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
@@ -357,6 +409,32 @@ class _MpQpStableKSum(_MpStableKSum):
 
     def poch_inf(self, c):
         return self.mp.qp(c, self.q)
+
+
+class TestRealLineKSumOracle:
+    """The reversal and Gaussian k-sums of the fixed points, and nearer
+    q = 1, against the 60-digit oracle at nodes inside the window each
+    check integrates over (half-widths 5.06 and 1.5 for the reversal
+    points, 17.1 and 7.6 for the Gaussian ones)."""
+
+    REVERSAL = "fractional-reversal-askey-wilson"
+    GAUSSIAN = "fractional-atakishiyev"
+
+    def test_reversal_at_the_fixed_point(self):
+        _ksum_against_oracle(FIXED_POINTS[self.REVERSAL], [0.0, 1.0, -2.5, 5.0],
+                             _MpQpStableKSum, _reversal_ksum_params)
+
+    def test_reversal_at_q_09(self):
+        _ksum_against_oracle({**FIXED_POINTS[self.REVERSAL], "q": 0.9}, [0.0, 0.7, -1.5],
+                             _MpQpStableKSum, _reversal_ksum_params)
+
+    def test_gaussian_at_alpha_1(self):
+        _ksum_against_oracle(_with_base(FIXED_POINTS[self.GAUSSIAN]), [0.0, 1.0, -2.5, 8.0],
+                             _MpQpStableKSum, _gaussian_ksum_params)
+
+    def test_gaussian_at_alpha_023(self):
+        _ksum_against_oracle(_with_base({**FIXED_POINTS[self.GAUSSIAN], "alpha_g": 0.23}),
+                             [0.0, 1.0, -2.5, 4.0], _MpQpStableKSum, _gaussian_ksum_params)
 
 
 class TestOpenItemPoints:
@@ -925,6 +1003,19 @@ FIXED_POINTS = {
         {"alpha_g": 1.0, "a": 0.15, "b": 0.05, "c": 0.05, "x": 0.6, "mu": 1.5},
 }
 
+# the rows (k_terms, in steps of 16 from 32) and digits lost (k_digits_lost)
+# of the k-sums at each fractional fixed point
+K_SUM_DIAG = {
+    "fractional-generating": (32, 0.0),
+    "fractional-generating-3phi2": (32, 0.0),
+    "fractional-askey-wilson": (96, 2.50),
+    "fractional-askey-wilson-3phi2": (96, 2.37),
+    "fractional-reversal-askey-wilson": (48, 0.71),
+    "fractional-reversal-askey-wilson-3phi2": (48, 0.72),
+    "fractional-atakishiyev": (48, 0.19),
+    "fractional-atakishiyev-3phi2": (48, 0.14),
+}
+
 # each -3phi2 form with a nonzero value of the parameter its parent drops
 NONZERO_DROPPED = {
     "fractional-generating-3phi2": {**_G, "u": 0.1},
@@ -962,6 +1053,15 @@ class TestCheckTable:
 
         monkeypatch.setattr(qcore, "_array_product", refuse)
         assert run_check(name, FIXED_POINTS[name]).passed
+
+    @pytest.mark.parametrize("name", sorted(K_SUM_DIAG))
+    def test_k_sum_takes_the_rows_its_tail_rule_needs(self, name):
+        report = run_check(name, FIXED_POINTS[name])
+        diag = report.rhs_diag if "generating" in name else report.lhs_diag
+        rows, digits = K_SUM_DIAG[name]
+        assert diag["k_terms"] == rows and type(diag["k_terms"]) is int
+        assert type(diag["k_digits_lost"]) is float
+        assert diag["k_digits_lost"] == pytest.approx(digits, abs=0.05)
 
     @pytest.mark.parametrize("name", sorted(NONZERO_DROPPED))
     def test_nonzero_dropped_parameter_is_a_domain_error(self, name):
