@@ -217,6 +217,7 @@ def _report_obj(report) -> dict:
         "passed": report.passed,
         "diagnostics": {"lhs": report.lhs_diag, "rhs": report.rhs_diag},
         "wall_time": report.wall_time,
+        **({"failure": report.failure} if report.failure else {}),
     }
 
 

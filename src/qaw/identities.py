@@ -100,6 +100,7 @@ identity share no vectorised code.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import time
@@ -127,8 +128,6 @@ from .qcore import (
 )
 from .qops import fractional_q_integral
 from .quad import integrate_line_even_window, integrate_theta
-
-_TINY = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +260,7 @@ class IdentityReport:
     wall_time: float = 0.0
     tolerance: float = 0.0
     passed: bool = False
+    failure: str | None = None  # the bounds a failed check broke
 
 
 # --------------------------------------------------------------------------
@@ -416,15 +416,19 @@ def _three_term_side(ctx, numer, denom):
 
 
 def _lemma_sides(p, ctx):
-    """Three-term contiguous relation for the triple product ratio."""
+    """Three-term contiguous relation for the triple product ratio.
+
+    Both sides vanish at s = u, so the right side reports the sum of the
+    |terms| it adds, ``abs_terms``, which scales the residual instead.
+    """
     a, b, r, s, t, u, z, q = p.a, p.b, p.r, p.s, p.t, p.u, p.z, p.q
     lhs = (s - u) * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s, a * z, a * u])
-    rhs = (
-        u * r * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q])
-        - u * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u])
-        + (s - u * r) * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q])
+    terms = (
+        u * r * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q]),
+        -u * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u]),
+        (s - u * r) * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q]),
     )
-    return lhs, rhs, {}, {}
+    return lhs, terms[0] + terms[1] + terms[2], {}, {"abs_terms": sum(map(abs, terms))}
 
 
 def _log_quotient(log_product, num, den, size, ctx):
@@ -650,12 +654,21 @@ def valid_tolerance(tol) -> bool:
 
 def _check(name, p, ctx=None, tol=None) -> IdentityReport:
     """Validate p and tol, evaluate both sides of identity ``name`` and
-    compare them."""
+    compare them.
+
+    A check passes when rel_err = |lhs - rhs| / scale <= tol, scale the
+    largest of |lhs|, |rhs| and a side's ``abs_terms``, and the quadrature's
+    ``est_error`` <= tol * |rhs|; ``failure`` names each bound broken.
+    """
     row = _TABLE[name]
     t0 = time.perf_counter()
     tol = row.tol if tol is None else tol
     if not valid_tolerance(tol):
         raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
+    params = asdict(p)
+    infinite = [f"{k}={v}" for k, v in params.items() if not cmath.isfinite(v)]
+    if infinite:
+        raise DomainError(f"parameters must be finite, got {', '.join(infinite)}")
     violations = [v for rule in row.rules for v in rule(p)]
     if violations:
         raise DomainError("; ".join(violations))
@@ -664,12 +677,15 @@ def _check(name, p, ctx=None, tol=None) -> IdentityReport:
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), _TINY)
-    if abs(lhs) < _TINY and abs(rhs) < _TINY:
-        passed = abs_err <= tol
-    else:
-        passed = rel_err <= tol
-    params = asdict(p)
+    scale = max(abs(lhs), abs(rhs), *(d.get("abs_terms", 0.0) for d in (lhs_diag, rhs_diag)))
+    # two exact zeros agree; a NaN side never does
+    rel_err = abs_err / scale if scale else (0.0 if abs_err == 0 else math.inf)
+    est_error = lhs_diag.get("est_error", 0.0)
+    failed = []
+    if not rel_err <= tol:
+        failed.append(f"rel_err {rel_err:.3e} > tol {tol:.3e}")
+    if not est_error <= tol * abs(rhs):
+        failed.append(f"est_error {est_error:.3e} > tol*|rhs| {tol * abs(rhs):.3e}")
     if "q" not in params:
         # a derived base (the Gaussian family's) is a diagnostic, so that
         # the params alone re-run the check
@@ -685,7 +701,8 @@ def _check(name, p, ctx=None, tol=None) -> IdentityReport:
         rhs_diag=rhs_diag,
         wall_time=time.perf_counter() - t0,
         tolerance=tol,
-        passed=passed,
+        passed=not failed,
+        failure="; ".join(failed) or None,
     )
 
 

@@ -1,15 +1,15 @@
 """Quadrature engines for the integral identity families.
 
-One engine, a nested trapezoidal rule, serves smooth integrands on [0, pi]
+One engine, a nested trapezoidal rule, serves periodic integrands on [0, pi]
 and real-line integrands with at least exponentially decaying tails, cut
 to a symmetric window [-T, T].  The identities' theta-integrands depend on
 cos(theta), so they are analytic, even and 2*pi-periodic, and their window
 integrands are analytic and negligible at +-T; in both cases the rule
 converges geometrically (Trefethen & Weideman, SIAM Review 56(3), 2014).
 Each refinement halves the step and evaluates only the new midpoints, so
-no sample is thrown away.  A Romberg diagonal (Richardson extrapolation of
-the levels) beside the trapezoid column keeps non-periodic smooth
-integrands accurate too.  Sums reduce in a fixed deterministic order.
+no sample is thrown away.  There is no Richardson extrapolation, so a
+non-periodic integrand converges only algebraically, and past 2^16
+intervals raises :class:`NonConvergence`.  Sums reduce in a fixed order.
 
 The tolerances, level sizes and window rule are module constants: at these
 values the rule converges geometrically on every identity's integrand.
@@ -42,17 +42,17 @@ import numpy as np
 from .context import NonConvergence, WindowFailure
 
 # Every check runs under this one policy.  A level is accepted when it
-# moved by at most max(_REL_TOL * |value|, _ABS_TOL); the first level has
-# _INITIAL_INTERVALS intervals, and each of at most _MAX_REFINEMENTS
-# refinements doubles them.  A window probes half-widths 1, 1.5, 1.5^2, ...
-# below _MAX_WINDOW until max|f(+-T)| * T falls below _WINDOW_TAIL_TOL,
-# _WINDOW_BATCH of them per call.  The batch is shorter than the ladder of
-# ten half-widths, as an integrand may fail at the last ones yet decay well
-# before them: the fractional reversal check at q = 1/2, a = 0.2, x = 0.6,
-# mu = 1.5 decays at 1.5^4 but its k-sum diverges at 1.5^9 = 38.4.
+# moved by at most max(_REL_TOL * |value|, the rounding of its sum); the
+# first level has _INITIAL_INTERVALS intervals, and each of at most
+# _MAX_REFINEMENTS refinements doubles them, up to 2^16.  A window probes
+# half-widths 1, 1.5, 1.5^2, ... below _MAX_WINDOW until max|f(+-T)| * T
+# falls below _WINDOW_TAIL_TOL, _WINDOW_BATCH of them per call.  The batch
+# is shorter than the ladder of ten half-widths, as an integrand may fail
+# at the last ones yet decay well before them: the fractional reversal
+# check at q = 1/2, a = 0.2, x = 0.6, mu = 1.5 decays at 1.5^4 but its
+# k-sum diverges at 1.5^9 = 38.4.
 _REL_TOL = 1e-10
-_ABS_TOL = 1e-14
-_MAX_REFINEMENTS = 20
+_MAX_REFINEMENTS = 10
 _INITIAL_INTERVALS = 64
 _WINDOW_GROWTH = 1.5
 _WINDOW_TAIL_TOL = 1e-16
@@ -119,44 +119,42 @@ def _require_finite(total, x, fx, partial):
 
 
 def _trapezoid(f, lo, hi) -> QuadratureResult:
-    """Nested trapezoidal rule on [lo, hi] with its Romberg diagonal.
+    """Nested trapezoidal rule on [lo, hi], refined until its sum settles.
 
-    A level is accepted when the trapezoid column, or else the Romberg
-    diagonal, moved by at most max(_REL_TOL*|v|, _ABS_TOL); ``est_error``
-    is that move, floored by the rounding of the sum, 4*eps*h*sum|f_j|.
-    The first level whose sum is not finite raises :class:`NonConvergence`.
+    A level is accepted when it moved by at most max(_REL_TOL*|v|, floor),
+    floor = 4*eps*h*sum|f_j| the rounding of its sum, below which refining
+    cannot help; ``est_error`` is max(move, floor).  The first level whose
+    sum is not finite, or a level still moving at 65537 nodes, raises
+    :class:`NonConvergence` with the last finite value as ``partial``.
     """
     n = _INITIAL_INTERVALS
     h = (hi - lo) / n
     levels = _levels(f, lo, hi)
     x, fx = next(levels)
     absum = h * float(np.sum(np.abs(fx[1:-1])) + 0.5 * (abs(fx[0]) + abs(fx[-1])))
-    row = [complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))]
-    _require_finite(row[0], x, fx, None)
+    value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
+    _require_finite(value, x, fx, None)
     for _ in range(_MAX_REFINEMENTS):
         x, fx = next(levels)
         n, h = 2 * n, 0.5 * h
         absum = 0.5 * absum + h * float(np.sum(np.abs(fx)))
-        new = [complex(0.5 * row[0] + h * np.sum(fx))]
-        _require_finite(new[0], x, fx, row[0])
-        for k, prev in enumerate(row, start=1):
-            new.append(new[-1] + (new[-1] - prev) / (4**k - 1))
-        moves = [(new[0], abs(new[0] - row[0])), (new[-1], abs(new[-1] - row[-1]))]
-        row = new
-        for value, diff in moves:
-            if diff <= max(_REL_TOL * abs(value), _ABS_TOL):
-                err = max(diff, 4.0 * _EPS * absum)
-                return QuadratureResult(value, err, n + 1, None)
+        new = complex(0.5 * value + h * np.sum(fx))
+        _require_finite(new, x, fx, value)
+        move, floor = abs(new - value), 4.0 * _EPS * absum
+        value = new
+        if move <= max(_REL_TOL * abs(value), floor):
+            return QuadratureResult(value, max(move, floor), n + 1, None)
     raise NonConvergence(
         f"quadrature not converged after {_MAX_REFINEMENTS} refinements "
-        f"(last diff {diff:.3e})",
+        f"({n + 1} nodes, last move {move:.3e})",
         partial=value,
-        last_term=diff,
+        last_term=move,
     )
 
 
 def integrate_theta(f) -> QuadratureResult:
-    """Integrate a smooth integrand over [0, pi] by the nested trapezoidal rule.
+    """Integrate a periodic integrand, a smooth function of cos(theta), over
+    [0, pi] by the nested trapezoidal rule; others may raise NonConvergence.
 
     ``f`` maps a 1-D array of angles to an array of values of the same shape.
     """

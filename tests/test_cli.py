@@ -260,7 +260,33 @@ class TestCheck:
             capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3",
             "--b", "0.2", "--c", "0.1", "--d", "0.4", "--tol", "1e-30"
         )
-        assert code == 1 and json.loads(out)["passed"] is False
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        assert doc["failure"].startswith("rel_err") and "tol 1.000e-30" in doc["failure"]
+
+    def test_cancelling_reversal_near_q_one_exits_1(self, capsys):
+        # both sides near 1e-80: the error estimate, far above tol * |rhs|,
+        # fails the check along with the relative error
+        code, out, _ = run_cli(
+            capsys, "check", "reversal-askey-wilson", "--q", "0.99", "--a", "0.3",
+            "--b", "0.2", "--c", "0.1", "--d", "0.4"
+        )
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False and "est_error" in doc["failure"]
+
+    def test_passed_report_has_no_failure(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3")
+        assert code == 0 and "failure" not in json.loads(out)
+
+    @pytest.mark.parametrize("identity, argv", [
+        ("askey-wilson", ["--q", "0.5", "--a", "0.3", "--b", "nan"]),
+        ("askey-wilson", ["--q", "inf", "--a", "0.3"]),
+        ("fractional-askey-wilson", ["--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu=-inf"]),
+        ("atakishiyev", ["--alpha-g", "nan"]),
+    ])
+    def test_non_finite_flag_exits_65(self, capsys, identity, argv):
+        code, out, err = run_cli(capsys, "check", identity, *argv)
+        assert code == 65 and out == "" and "must be finite" in err
 
     def test_vanishing_factor_exits_2(self, capsys, zero_factor_scale):
         code, out, err = run_cli(
@@ -432,6 +458,14 @@ class TestSuite:
         doc = json.loads(out_path.read_text())
         statuses = [r["status"] for r in doc["reports"]]
         assert statuses == ["skipped", "passed", "skipped", "passed"]
+
+    def test_nan_parameter_is_skipped(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"seed": 1, "checks": [{"identity": "askey-wilson", '
+                        '"params": {"q": 0.5, "a": 0.3, "b": NaN}}]}')
+        code, out, _ = run_cli(capsys, "suite", "--spec", str(spec))
+        (entry,) = json.loads(out)["reports"]
+        assert code == 0 and entry["status"] == "skipped" and "finite" in entry["reason"]
 
     def test_unreadable_spec(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -482,6 +482,9 @@ class TestLemmaAndGenerating:
         )
         report = check_lemma_three_term(p)
         assert abs(report.lhs) < 1e-12 and abs(report.rhs) < 1e-12
+        # both sides vanish; the sum of the rhs terms' magnitudes scales the residual
+        assert report.rhs_diag["abs_terms"] > 0.1
+        assert report.passed and report.rel_err < 1e-14
 
     def test_generating_sample_point(self):
         report = check_fractional_generating(SAMPLE_GEN)
@@ -761,8 +764,9 @@ class TestIntegrandCalls:
 class TestReportSemantics:
     def test_residual_fields_consistent(self):
         r = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
-        scale = max(abs(r.lhs), abs(r.rhs), 1e-12)
+        scale = max(abs(r.lhs), abs(r.rhs))
         assert r.rel_err == pytest.approx(r.abs_err / scale)
+        assert r.failure is None
 
     def test_tolerance_only_changes_passed(self):
         p = AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4)
@@ -1179,3 +1183,83 @@ class TestDomainRules:
     def test_reversal_params_are_the_askey_wilson_params(self):
         assert ReversalParams is AWParams
         assert not hasattr(AWParams, "violations")
+
+
+# points near q = 1 whose sides lie far below 1e-12 and whose trapezoid
+# sums cancel: an absolute tolerance would pass all four
+NEAR_ONE_REVERSAL = [
+    ("reversal-askey-wilson", {"q": q, "a": 0.3, "b": 0.2, "c": 0.1, "d": 0.4})
+    for q in (0.98, 0.99, 0.995)
+] + [("fractional-reversal-askey-wilson",
+      {"q": 0.99, "a": 0.2, "b": 0.1, "c": 0.1, "d": 0.05, "x": 0.6, "mu": 1.5})]
+# fractional-atakishiyev at q about 0.99: every level moves by about the
+# rounding floor of its sum, 5e-6 of the value
+SLOW_GAUSSIAN = {"alpha_g": 0.0709, "a": 0.15, "b": 0.05, "c": 0.05, "d": 0.05,
+                 "x": 0.6, "mu": 1.5}
+
+
+def _scaled_closed_side(monkeypatch, name, factor):
+    row = identities._TABLE[name]
+
+    def sides(p, ctx):
+        lhs, rhs, lhs_diag, rhs_diag = row.sides(p, ctx)
+        return lhs, factor * rhs, lhs_diag, rhs_diag
+
+    monkeypatch.setitem(identities._TABLE, name, row._replace(sides=sides))
+
+
+class TestPassRule:
+    """A check passes only when rel_err <= tol and est_error <= tol |rhs|."""
+
+    @pytest.mark.parametrize("name, params", NEAR_ONE_REVERSAL)
+    def test_tiny_values_near_q_one_fail(self, name, params):
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert oc.status == "failed"
+        assert "rel_err" in oc.report.failure and "est_error" in oc.report.failure
+
+    @pytest.mark.parametrize("name", ["askey-wilson", "reversal-askey-wilson"])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.98, 0.99])
+    def test_closed_side_scaled_by_1000_fails(self, monkeypatch, name, q):
+        params = {**FIXED_POINTS[name], "q": q}
+        _scaled_closed_side(monkeypatch, name, 1000.0)
+        report = run_check(name, params)
+        assert not report.passed and report.rel_err > 0.99
+        assert report.failure.startswith("rel_err")
+
+    def test_failure_names_each_bound_broken(self):
+        report = run_check("askey-wilson", FIXED_POINTS["askey-wilson"])
+        est = report.lhs_diag["est_error"] / abs(report.rhs)
+        assert report.passed and report.rel_err < est
+        between = run_check("askey-wilson", FIXED_POINTS["askey-wilson"],
+                            tol=math.sqrt(report.rel_err * est))
+        assert not between.passed and between.failure.startswith("est_error")
+        below = run_check("askey-wilson", FIXED_POINTS["askey-wilson"], tol=report.rel_err / 2)
+        assert below.failure.startswith("rel_err") and "; est_error" in below.failure
+
+    def test_floor_limited_quadrature_ends_within_seconds(self):
+        # no level can move by under 1e-10 of the value, so only the floor
+        # accepts one; the pass rule then judges that floor as est_error
+        t0 = time.perf_counter()
+        report = run_check("fractional-atakishiyev", SLOW_GAUSSIAN)
+        assert time.perf_counter() - t0 < 5.0
+        est = report.lhs_diag["est_error"]
+        assert est > 1e-10 * abs(report.lhs)
+        tol = report.tolerance
+        assert report.passed == (report.rel_err <= tol and est <= tol * abs(report.rhs))
+
+    def test_two_exact_zeros_agree(self):
+        # a b z = 1: every product of the lemma has the factor 1 - abz = 0
+        report = run_check("lemma-three-term", {**FIXED_POINTS["lemma-three-term"], "b": 25.0})
+        assert report.lhs == report.rhs == 0 and report.rhs_diag["abs_terms"] == 0
+        assert report.passed and report.rel_err == 0.0
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_a_domain_error(self, name, value):
+        cls, check = identities.IDENTITY_REGISTRY[name]
+        for f in dataclasses.fields(cls):
+            params = {**FIXED_POINTS[name], f.name: value}
+            with pytest.raises(DomainError, match=f"must be finite, got {f.name}="):
+                check(cls(**params))
+        (oc,) = run_suite([{"identity": name, "params": {**FIXED_POINTS[name], "a": value}}])
+        assert oc.status == "skipped" and "finite" in oc.reason
