@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 identity failure, 2 numeric error (convergence,
 window, pole or division; for eval also domain errors), 64 usage (any
-missing, foreign or bad flag), 65 domain violation of a check, 66 I/O.
+missing, foreign or bad flag), 65 domain violation of a check, 66 I/O
+(an unreadable spec, an unwritable report or a closed stdout).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -42,11 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a decimal or 're+imi' complex literal."""
+    """Parse a decimal or 're+imi' complex literal; only a trailing i is the
+    imaginary unit, so inf, -inf and Infinity are real."""
     s = text.strip().replace(" ", "")
     try:
-        if "i" in s:
-            return complex(s.replace("i", "j"))
+        if s.endswith("i"):
+            return complex(s[:-1] + "j")
         return complex(float(s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from exc
@@ -313,11 +316,16 @@ def _cmd_suite(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_suite(args)
+    command = {"eval": _cmd_eval, "check": _cmd_check, "suite": _cmd_suite}[args.command]
+    try:
+        code = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at shutdown raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -434,8 +434,12 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     Terminating series (explicit ``terminating_k`` or a detected q^-k
     numerator parameter) are summed exactly over n = 0..k.  Non-terminating
     series require r <= s (any z) or r = s + 1 (|z| < 1) and are truncated
-    under the context policy.
+    under the context policy.  A NaN or infinite parameter or z is a
+    :class:`DomainError`.
     """
+    if not all(cmath.isfinite(v) for v in (*spec.numer, *spec.denom, spec.z)):
+        raise DomainError(f"phi series parameters and z must be finite, got numer="
+                          f"{spec.numer}, denom={spec.denom}, z={spec.z}")
     q = ctx.q
     numer = list(spec.numer)
     denom = list(spec.denom)

@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import qaw
 from qaw import cli, identities
 
 
@@ -96,6 +101,16 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "gamma", "--x=-1", "--q", "0.3")
         assert code == 2 and "pole" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--numer", "0.3,nan", "--denom", "0.2", "--z", "0.5"],
+        ["--numer", "0.3", "--denom", "0.2", "--z", "nan"],
+        ["--numer", "0.3", "--denom", "inf", "--z", "0.5"],
+    ])
+    def test_phi_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", "phi", "--q", "0.5", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and "must be finite" in err
+
     def test_phi_terminating(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "phi", "--q", "0.5", "--numer", "0.3",
@@ -163,11 +178,17 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["passed"] is True and doc["rel_err"] < 1e-8
 
-    def test_invariant_violation_exits_65(self, capsys):
-        code, _, err = run_cli(
-            capsys, "check", "askey-wilson", "--q", "0.5", "--a", "1.2"
-        )
-        assert code == 65 and "invariant" in err
+    @pytest.mark.parametrize("identity, argv, message", [
+        ("askey-wilson", ["--q", "0.5", "--a", "1.2"], "need max(|a|,|b|,|c|,|d|) < 1"),
+        # a -3phi2 form with a nonzero value of the parameter it drops
+        ("fractional-askey-wilson-3phi2",
+         ["--q", "0.5", "--a", "0.2", "--b", "0.3", "--c", "0.1", "--d", "0.15",
+          "--x", "0.6", "--mu", "1.5"], "needs d = 0"),
+    ])
+    def test_invariant_violation_exits_65(self, capsys, identity, argv, message):
+        code, out, err = run_cli(capsys, "check", identity, *argv)
+        assert code == 65 and out == ""
+        assert err.startswith("invariant violation:") and message in err
 
     @pytest.mark.parametrize("extra", [
         ["--alpha-g", "11.2"],
@@ -280,6 +301,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("identity, argv", [
         ("askey-wilson", ["--q", "0.5", "--a", "0.3", "--b", "nan"]),
+        # complex flags: only a trailing i is the imaginary unit
+        ("askey-wilson", ["--q", "0.5", "--a", "0.3", "--b", "inf"]),
+        ("askey-wilson", ["--q", "0.5", "--a", "0.3", "--b=-inf"]),
         ("askey-wilson", ["--q", "inf", "--a", "0.3"]),
         ("fractional-askey-wilson", ["--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu=-inf"]),
         ("atakishiyev", ["--alpha-g", "nan"]),
@@ -523,11 +547,36 @@ class TestInProcessReuse:
         assert "invalid choice" in err
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "gamma", "--q", "0.5", "--x", "1"],
+        ["check", "askey-wilson", "--q", "0.5", "--a", "0.3"],
+        ["suite"],
+    ])
+    def test_closed_stdout_exits_66_without_a_traceback(self, argv):
+        # the read end is closed before the command starts, so its first
+        # write to stdout fails however short the output is
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(qaw.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qaw.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 66
+        assert "Traceback" not in proc.stderr.decode()
+        assert "Exception ignored" not in proc.stderr.decode()
+
+
 class TestParsing:
     def test_parse_complex_forms(self):
         assert cli.parse_complex("0.5") == 0.5
         assert cli.parse_complex("1+2i") == 1 + 2j
         assert cli.parse_complex("-0.3i") == -0.3j
+        assert cli.parse_complex("Infinity") == cli.parse_complex("inf") == math.inf
+        assert cli.parse_complex("-inf+1i") == complex(-math.inf, 1.0)
 
     def test_parse_complex_rejects_garbage(self):
         import argparse

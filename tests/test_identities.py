@@ -1031,6 +1031,20 @@ NONZERO_DROPPED = {
         {"alpha_g": 1.0, "a": 0.15, "b": 0.05, "c": 0.05, "d": 0.02, "x": 0.6, "mu": 1.5},
 }
 
+# points past the fixed points that each check passes, with the window
+# half-width of a real-line check.  1.5^7 is the last half-width of the
+# first window probe batch, so a batching change that moves T fails here.
+# At q = 0.9 and alpha_g = 0.23 (q about 0.9) the reversal and Gaussian
+# weights take hundreds of head factors per entry, and at q = 0.99 every
+# Askey-Wilson and generating node thousands.
+PASSING_POINTS = [
+    ("fractional-atakishiyev", FIXED_POINTS["fractional-atakishiyev"], 1.5**7),
+    ("reversal-askey-wilson", {"q": 0.9, **AW_NEAR_ONE}, 1.5),
+    ("atakishiyev", {**FIXED_POINTS["atakishiyev"], "alpha_g": 0.23}, 1.5**5),
+    ("askey-wilson", {"q": 0.99, **AW_NEAR_ONE}, None),
+    ("fractional-generating", {**FIXED_POINTS["fractional-generating"], "q": 0.99}, None),
+]
+
 
 class TestCheckTable:
     def test_fixed_points_cover_the_registry(self):
@@ -1066,6 +1080,13 @@ class TestCheckTable:
         assert diag["k_terms"] == rows and type(diag["k_terms"]) is int
         assert type(diag["k_digits_lost"]) is float
         assert diag["k_digits_lost"] == pytest.approx(digits, abs=0.05)
+
+    @pytest.mark.parametrize("name, params, half_width", PASSING_POINTS)
+    def test_point_passes_with_its_window(self, name, params, half_width):
+        report = run_check(name, params)
+        assert report.passed, report.failure
+        window = None if half_width is None else [-half_width, half_width]
+        assert report.lhs_diag.get("window") == window
 
     @pytest.mark.parametrize("name", sorted(NONZERO_DROPPED))
     def test_nonzero_dropped_parameter_is_a_domain_error(self, name):

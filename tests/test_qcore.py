@@ -182,6 +182,18 @@ class TestPhiSeries:
         with pytest.raises(DomainError):
             HypergeometricSpec(terminating_k=-1)
 
+    @pytest.mark.parametrize("numer, denom, z", [
+        ((0.3, math.nan), (0.2,), 0.5),
+        ((0.3,), (0.2,), math.nan),
+        ((0.3,), (complex(0.2, math.inf),), 0.5),
+        ((-math.inf,), (), 0.5),
+        ((0.3,), (0.2,), math.inf),
+    ])
+    def test_non_finite_parameter_or_z_is_a_domain_error(self, ctx, numer, denom, z):
+        spec = HypergeometricSpec(numer=numer, denom=denom, z=z)
+        with pytest.raises(DomainError, match="must be finite"):
+            phi_series(spec, ctx)
+
 
 class TestWeights:
     def test_h_cos_zero_param(self, ctx):
