@@ -65,19 +65,15 @@ def _complex_obj(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
-def _positive(kind):
-    """An argparse type: a number of type ``kind``, finite and above 0."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"need a finite {kind.__name__} above 0, got {text!r}")
-        return value
-
-    return parse
+def _positive_float(text: str) -> float:
+    """An argparse type: a float, finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite float above 0, got {text!r}")
+    return value
 
 
 def _parse_list(text: str):
@@ -89,27 +85,22 @@ def _parse_list(text: str):
 @functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parse_args keeps no state between calls.
-    # abbreviations off: the short parameter flags (--a, --b, ...) must never
-    # prefix-match the global --ctx-* options.  An option left out of the
-    # command line is left out of the namespace when its default is SUPPRESS.
+    # abbreviations off: a flag must be spelled out, so that a prefix never
+    # names another flag.  An option left out of the command line is left
+    # out of the namespace when its default is SUPPRESS.
     parser = _Parser(prog="qaw", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"qaw {__version__}")
-    parser.add_argument("--ctx-eps", dest="eps_term", type=_positive(float),
-                        default=argparse.SUPPRESS, help="override QContext eps_term")
-    parser.add_argument("--ctx-max-terms", dest="max_terms", type=_positive(int),
-                        default=argparse.SUPPRESS, help="override QContext max_terms")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a scalar primitive", allow_abbrev=False)
     subjects = ev.add_subparsers(dest="subject", required=True)
-    # every subject takes --q and --verbose, and only its own further flags
+    # every subject takes --q, and only its own further flags
     poch, gamma, phi, hcos, hsinh, qint, fracint = (
         subjects.add_parser(name, allow_abbrev=False)
         for name in ("poch", "gamma", "phi", "hcos", "hsinh", "qint", "fracint")
     )
     for sp in subjects.choices.values():
         sp.add_argument("--q", type=float, required=True)
-        sp.add_argument("--verbose", action="store_true")
     poch.add_argument("--a", type=parse_complex, required=True)
     order = poch.add_mutually_exclusive_group(required=True)
     order.add_argument("--n", dest="order", type=int, help="finite order")
@@ -136,7 +127,7 @@ def _build_parser() -> _Parser:
     identities = ck.add_subparsers(dest="identity", required=True)
     for name in sorted(IDENTITY_REGISTRY):
         ip = identities.add_parser(name, allow_abbrev=False)
-        ip.add_argument("--tol", type=_positive(float), default=None)
+        ip.add_argument("--tol", type=_positive_float, default=None)
         # one flag per params field; the dataclass supplies an absent one
         for f in param_fields(name):
             ip.add_argument(
@@ -154,14 +145,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _ctx_options(args) -> dict:
-    return {k: getattr(args, k) for k in ("eps_term", "max_terms") if hasattr(args, k)}
-
-
 def _cmd_eval(args) -> int:
     sub = args.subject
     try:
-        ctx = QContext(q=args.q, **_ctx_options(args))
+        ctx = QContext(q=args.q)
         if sub == "poch":
             value = qcore.q_pochhammer(args.a, args.order, ctx)
         elif sub == "gamma":
@@ -191,9 +178,6 @@ def _cmd_eval(args) -> int:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(_fmt(value))
-    if args.verbose:
-        print(f"# q={ctx.q} eps_term={ctx.eps_term} max_terms={ctx.max_terms}",
-              file=sys.stderr)
     return EXIT_PASS
 
 
@@ -228,7 +212,7 @@ def _cmd_check(args) -> int:
     params = {f.name: getattr(args, f.name) for f in param_fields(args.identity)
               if hasattr(args, f.name)}
     try:
-        report = run_check(args.identity, params, _ctx_options(args), args.tol)
+        report = run_check(args.identity, params, args.tol)
     except DomainError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -268,12 +252,11 @@ def _cmd_suite(args) -> int:
         print(f"bad suite spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    ctx_options = _ctx_options(args)
     outcomes = []
     interrupted = False
     try:
         for entry in entries:
-            outcomes.extend(run_suite([entry], ctx_options))
+            outcomes.extend(run_suite([entry]))
     except KeyboardInterrupt:
         interrupted = True
 
@@ -284,11 +267,6 @@ def _cmd_suite(args) -> int:
     document = {
         "tool": "qaw",
         "version": __version__,
-        # the class attributes are the field defaults
-        "context": {
-            "eps_term": ctx_options.get("eps_term", QContext.eps_term),
-            "max_terms": ctx_options.get("max_terms", QContext.max_terms),
-        },
         "seed": spec.get("seed"),
         "reports": [_outcome_obj(oc) for oc in outcomes],
         "summary": summary,

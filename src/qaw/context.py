@@ -1,14 +1,12 @@
 """Evaluation context and error types shared across the library.
 
 All series and infinite products in the package are truncated under one
-policy: :class:`QContext` carries the base q and the two settable values
-(the relative tail tolerance and the series term cap); the remaining
-cutoffs are constants of :mod:`qaw.qcore`.
+fixed policy, whose cutoffs are constants of :mod:`qaw.qcore`;
+:class:`QContext` carries the base q alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -17,7 +15,7 @@ class QawError(Exception):
 
 
 class NonConvergence(QawError):
-    """A series or product failed to converge under the context policy.
+    """A series or product failed to converge under the truncation policy.
 
     Carries the last partial sum and the magnitude of the last term so the
     caller can report how far the evaluation got.
@@ -70,24 +68,14 @@ class WindowFailure(QawError):
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q together with the settable truncation policy.
+    """The base q, which must lie in the open interval (0, 1).
 
-    q          base, must lie in the open interval (0, 1)
-    eps_term   relative tail tolerance for series and products
-    max_terms  cap on series terms
-
-    The product-factor cutoff, the factor cap and the run of small terms
-    that ends a series are fixed constants of :mod:`qaw.qcore`.
+    The truncation policy (tail tolerance, term and factor caps) is fixed
+    by the constants of :mod:`qaw.qcore`.
     """
 
     q: float
-    eps_term: float = 1e-15
-    max_terms: int = 10_000
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0) or not math.isfinite(self.q):
+        if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if not 0 < self.eps_term < math.inf:
-            raise DomainError(f"eps_term must be positive and finite, got {self.eps_term}")
-        if self.max_terms <= 0:
-            raise DomainError("max_terms must be strictly positive")

@@ -66,7 +66,7 @@ below 2^{m/2}, and a power of 2 changes no rounding.  The rows m of g grow
 in steps, 16 at a time from 32 to 256 and then about M/8 at a time
 (rounded up to 16), so a long sum meets its tail rule after O(log M)
 tests.  Per node, running sums over each step's new rows give the rule:
-the last 8 rows of both |g_m s^-m| and |g_m w_m| below ``eps_term`` of
+the last 8 rows of both |g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of
 their totals.  The value is formed once, over the final rows.  A step
 whose sum is not finite at some node, or a sum not settled at 4096 rows,
 raises :class:`KSumDivergence`.  The rows and the weights w grow by
@@ -119,6 +119,7 @@ from .context import (
     WindowFailure,
 )
 from .qcore import (
+    EPS_TERM,
     INFINITE,
     _log_array,
     q_pochhammer,
@@ -335,7 +336,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     ``diag`` gets the largest row count ``k_terms`` and the largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node.
     """
-    q, eps = ctx.q, ctx.eps_term
+    q, eps = ctx.q, EPS_TERM
     e = min(round(math.log2(x / a)), 1023)
     s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
     params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
@@ -652,7 +653,7 @@ def valid_tolerance(tol) -> bool:
     return isinstance(tol, (int, float)) and not isinstance(tol, bool) and 0 < tol < math.inf
 
 
-def _check(name, p, ctx=None, tol=None) -> IdentityReport:
+def _check(name, p, tol=None) -> IdentityReport:
     """Validate p and tol, evaluate both sides of identity ``name`` and
     compare them.
 
@@ -672,8 +673,7 @@ def _check(name, p, ctx=None, tol=None) -> IdentityReport:
     violations = [v for rule in row.rules for v in rule(p)]
     if violations:
         raise DomainError("; ".join(violations))
-    ctx = ctx or QContext(q=p.q)
-    lhs, rhs, lhs_diag, rhs_diag = row.sides(p, ctx)
+    lhs, rhs, lhs_diag, rhs_diag = row.sides(p, QContext(q=p.q))
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -774,21 +774,17 @@ def _failure_details(exc) -> dict:
     return {name: _plain(getattr(exc, name)) for name in _FAILURE_FIELDS[type(exc)]}
 
 
-def run_check(name: str, params: dict, ctx_options=None, tol=None) -> IdentityReport:
+def run_check(name: str, params: dict, tol=None) -> IdentityReport:
     """Instantiate the parameter bundle for ``name`` and run the check."""
     if name not in IDENTITY_REGISTRY:
         raise KeyError(
             f"unknown identity {name!r}; known: {', '.join(sorted(IDENTITY_REGISTRY))}"
         )
     cls, fn = IDENTITY_REGISTRY[name]
-    p = cls(**params)
-    ctx = None
-    if ctx_options:
-        ctx = QContext(q=p.q, **ctx_options)
-    return fn(p, ctx=ctx, tol=tol)
+    return fn(cls(**params), tol=tol)
 
 
-def run_suite(entries, ctx_options=None):
+def run_suite(entries):
     """Run a list of concrete checks; failures are data, never crashes.
 
     Each entry is a mapping with keys ``identity``, ``params`` and optional
@@ -804,7 +800,7 @@ def run_suite(entries, ctx_options=None):
     for entry in entries:
         name, params = entry["identity"], entry["params"]
         try:
-            report = run_check(name, params, ctx_options, entry.get("tolerance"))
+            report = run_check(name, params, entry.get("tolerance"))
         except DomainError as exc:
             outcomes.append(CheckOutcome(name, "skipped", reason=str(exc), params=params))
         except SKIPPED_ERRORS as exc:

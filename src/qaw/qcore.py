@@ -36,14 +36,13 @@ is the unique choice consistent with the q-gamma function.
 
 Truncation policy: infinite products stop once |a q^k| < EPS_FACTOR
 and the logarithmic tail bound sum_{j>=k} |a| q^j / (1 - |a| q^j) drops
-below ctx.eps_term; the relative truncation error is bounded by that tail
+below EPS_TERM; the relative truncation error is bounded by that tail
 sum.  A product that needs more than MAX_FACTORS factors under that rule
 raises :class:`NonConvergence`, and so does its log, though the log sums
 the q-log series past its head instead of factors.  A non-terminating
-series stops after CONSECUTIVE_SMALL successive terms below ctx.eps_term
-of its partial sum.
-These three are constants; only ``eps_term`` and ``max_terms`` are
-settable, through :class:`QContext`.
+series stops after CONSECUTIVE_SMALL successive terms below EPS_TERM of
+its partial sum, and raises :class:`NonConvergence` past MAX_TERMS terms.
+All five are constants; :class:`QContext` carries the base q alone.
 """
 
 from __future__ import annotations
@@ -66,10 +65,12 @@ INFINITE = math.inf
 
 _TERMINATING_DETECT_TOL = 1e-12
 
-# the fixed part of the truncation policy (module docstring)
+# the truncation policy (module docstring)
 EPS_FACTOR = 1e-17
 MAX_FACTORS = 10_000
 CONSECUTIVE_SMALL = 3
+EPS_TERM = 1e-15
+MAX_TERMS = 10_000
 
 # entries per block of factors in the array path (512 KB of complex)
 _BLOCK_ELEMENTS = 1 << 15
@@ -94,7 +95,7 @@ def _tail_bound(mag: float, q: float) -> float:
 def _factor_count(mag: float, ctx: QContext):
     """Factors the scalar loop multiplies for |a| = mag; None past MAX_FACTORS."""
     for k in range(MAX_FACTORS):
-        if mag < EPS_FACTOR and _tail_bound(mag, ctx.q) < ctx.eps_term:
+        if mag < EPS_FACTOR and _tail_bound(mag, ctx.q) < EPS_TERM:
             return k
         mag *= ctx.q
     return None
@@ -106,7 +107,7 @@ def _capped(mag: float, ctx: QContext) -> bool:
     # the stop rule is monotone in k, so a last term clearly below both of
     # its bounds settles it without the loop
     last = 2.0 * mag * ctx.q ** (MAX_FACTORS - 1)
-    if last < EPS_FACTOR and _tail_bound(last, ctx.q) < ctx.eps_term:
+    if last < EPS_FACTOR and _tail_bound(last, ctx.q) < EPS_TERM:
         return False
     return _factor_count(mag, ctx) is None
 
@@ -263,7 +264,7 @@ def q_pochhammer_infinite(a, ctx: QContext):
     term = complex(a)
     for _ in range(MAX_FACTORS):
         mag = abs(term)
-        if mag < EPS_FACTOR and _tail_bound(mag, q) < ctx.eps_term:
+        if mag < EPS_FACTOR and _tail_bound(mag, q) < EPS_TERM:
             return p
         p *= 1.0 - term
         term *= q
@@ -432,9 +433,10 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     """Evaluate the basic hypergeometric series of ``spec``.
 
     Terminating series (explicit ``terminating_k`` or a detected q^-k
-    numerator parameter) are summed exactly over n = 0..k.  Non-terminating
-    series require r <= s (any z) or r = s + 1 (|z| < 1) and are truncated
-    under the context policy.  A NaN or infinite parameter or z is a
+    numerator parameter) are summed exactly over n = 0..k, for k up to
+    MAX_TERMS.  Non-terminating series require r <= s (any z) or r = s + 1
+    (|z| < 1) and are truncated under the module's policy.  A NaN or
+    infinite parameter or z, and a terminating order above MAX_TERMS, is a
     :class:`DomainError`.
     """
     if not all(cmath.isfinite(v) for v in (*spec.numer, *spec.denom, spec.z)):
@@ -457,6 +459,8 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     s = len(denom)
     excess = 1 + s - r  # power of the (-1)^n q^C(n,2) factor
 
+    if k_term is not None and k_term > MAX_TERMS:
+        raise DomainError(f"terminating order {k_term} exceeds the {MAX_TERMS}-term cap")
     if k_term is None:
         if r > s + 1:
             raise DomainError(f"non-terminating {r}phi{s} diverges (r > s + 1)")
@@ -467,14 +471,14 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
 
     # a terminating series has k + 1 terms, the extra factor 1 - q^{n-k} and
     # no stop rule; a non-terminating one stops after CONSECUTIVE_SMALL terms
-    # below eps_term of the partial sum
+    # below EPS_TERM of the partial sum
     total = complex(0.0)
     term = complex(1.0)
     small = 0
-    for n in range(ctx.max_terms if k_term is None else k_term + 1):
+    for n in range(MAX_TERMS if k_term is None else k_term + 1):
         total += term
         if k_term is None:
-            small = small + 1 if abs(term) < ctx.eps_term * max(abs(total), 1e-300) else 0
+            small = small + 1 if abs(term) < EPS_TERM * max(abs(total), 1e-300) else 0
             if small >= CONSECUTIVE_SMALL:
                 return total
         ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
@@ -494,7 +498,7 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     if k_term is not None:
         return total
     raise NonConvergence(
-        f"phi series did not converge in {ctx.max_terms} terms",
+        f"phi series did not converge in {MAX_TERMS} terms",
         partial=total,
         last_term=abs(term),
     )

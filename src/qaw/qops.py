@@ -6,7 +6,7 @@ Integrand contract.  ``jackson_q_integral``, ``fractional_q_integral`` and
 takes a 1-D array of points and returns an array of the same shape; any
 other shape, a scalar included, raises ``ValueError``.  The q-integrals sum
 their series in blocks of q-geometric points x q^n and a q^n (64 points
-first, then doubling, at most ``ctx.max_terms`` in all) and call ``f`` once
+first, then doubling, at most ``MAX_TERMS`` in all) and call ``f`` once
 per branch and block; the Cauchy operator calls ``f`` once, on c q^j for
 j <= n_max.  Each term is formed with the arithmetic of a term-by-term
 loop (q^n by repeated multiplication, running products and partial sums in
@@ -24,7 +24,7 @@ import cmath
 import numpy as np
 
 from .context import DomainError, NonConvergence, QContext
-from .qcore import CONSECUTIVE_SMALL, q_pochhammer_infinite
+from .qcore import CONSECUTIVE_SMALL, EPS_TERM, MAX_TERMS, q_pochhammer_infinite
 from .quad import _evaluate
 
 _FIRST_BLOCK = 64
@@ -37,7 +37,8 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
     f(x q^n), where c_n = 1 if c0 is None and otherwise
     c_n = c0 prod_{k<n} (1 - s q^{k+mu}) / (1 - s q^{k+1}).  The sum stops at
     the first n that closes a run of ``CONSECUTIVE_SMALL`` (3) terms below
-    ``ctx.eps_term`` of the partial sum, as the term-by-term loop does.
+    ``EPS_TERM`` of the partial sum, as the term-by-term loop does.  A sum
+    not settled within ``MAX_TERMS`` terms raises :class:`NonConvergence`.
     """
     q = ctx.q
     coef = [c0 for _, _, c0, _ in branches]
@@ -45,8 +46,8 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
     qn = 1.0
     small = 0
     n0, size = 0, _FIRST_BLOCK
-    while n0 < ctx.max_terms:
-        m = min(size, ctx.max_terms - n0)
+    while n0 < MAX_TERMS:
+        m = min(size, MAX_TERMS - n0)
         qns = np.full(m, q)
         qns[0] = qn
         np.multiply.accumulate(qns, out=qns)
@@ -70,7 +71,7 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
                 term = v if i == 0 else term + v
             term *= qns
             partial = np.cumsum(np.concatenate(([total], term)))[1:]
-            flags = np.abs(term) < ctx.eps_term * np.maximum(np.abs(partial), 1e-300)
+            flags = np.abs(term) < EPS_TERM * np.maximum(np.abs(partial), 1e-300)
         stop = None
         for i, tiny in enumerate(flags.tolist()):
             small = small + 1 if tiny else 0
@@ -93,7 +94,7 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
         n0 += m
         size *= 2
     raise NonConvergence(
-        f"{what} did not converge in {ctx.max_terms} terms",
+        f"{what} did not converge in {MAX_TERMS} terms",
         partial=scale * total,
         last_term=float(abs(term[-1])),
     )
@@ -125,16 +126,21 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
 
     with the fractional Pochhammer factors advanced by exact one-step
     recurrences.  ``a = 0`` drops the lower-limit branch.  ``f`` maps an
-    array of points to an array of values.
+    array of points to an array of values.  A mu so small that q^mu rounds
+    to 1, where Gamma_q(mu) has no finite double value, is a
+    :class:`DomainError`.
     """
     if mu <= 0:
         raise DomainError(f"fractional order must be positive, got {mu}")
     if a < 0 or a >= x:
         raise DomainError(f"need 0 <= a < x, got a={a}, x={x}")
     q = ctx.q
+    qmu = q**mu
+    if qmu == 1.0:
+        raise DomainError(f"fractional order mu={mu} too small: q^mu rounds to 1 at q={q}")
     # (q^{n+1};q)_{mu-1} and (a q^{n+1}/x;q)_{mu-1} at n = 0; the first is
     # the ratio of products that q_gamma(mu) scales by (1-q)^{1-mu}
-    cx = q_pochhammer_infinite(q, ctx) / q_pochhammer_infinite(q**mu, ctx)
+    cx = q_pochhammer_infinite(q, ctx) / q_pochhammer_infinite(qmu, ctx)
     pref = x ** (mu - 1.0) * (1.0 - q) / (cx.real * (1.0 - q) ** (1.0 - mu))
     branches = [(1, x, cx, 1.0)]
     if a != 0:
@@ -200,14 +206,14 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
         if mag > last_mag and last_mag <= 1e-8 * scale:
             return total  # roundoff floor of the nested differences
         total += term
-        if mag < ctx.eps_term * scale:
+        if mag < EPS_TERM * scale:
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return total
         else:
             small = 0
         prev_mag, last_mag = last_mag, mag
-    if last_mag > ctx.eps_term * max(abs(total), 1e-300) and last_mag >= prev_mag:
+    if last_mag > EPS_TERM * max(abs(total), 1e-300) and last_mag >= prev_mag:
         raise NonConvergence(
             f"Cauchy operator series terms non-decaying at n_max={n_max}",
             partial=total,

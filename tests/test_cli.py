@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -85,6 +86,7 @@ class TestEval:
         (["poch", "--a", "0.5", "--n", "2"], "required: --q"),
         (["poch", "--q", "0.5", "--a", "0.5", "--n", "2", "--inf"],
          "argument --inf: not allowed with argument --n"),
+        (["gamma", "--q", "0.5", "--x", "2.5", "--verbose"], "unrecognized arguments: --verbose"),
     ])
     def test_foreign_missing_or_bad_flag_is_a_usage_error(self, capsys, argv, message):
         assert message in usage_error(capsys, "eval", *argv)
@@ -110,6 +112,19 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "phi", "--q", "0.5", *argv)
         assert code == 2 and out == ""
         assert err.startswith("domain error:") and "must be finite" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # 2.0 is q^-k for k of about 6.9e12, which used to be summed term by term
+        (["phi", "--q", "0.9999999999999", "--numer", "2", "--z", "0.5"], "term cap"),
+        # q^mu rounds to 1, where Gamma_q(mu) is not finite
+        (["fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e-17"], "rounds to 1"),
+    ])
+    def test_out_of_reach_input_is_a_quick_domain_error(self, capsys, argv, message):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and message in err
 
     def test_phi_terminating(self, capsys):
         code, out, _ = run_cli(
@@ -312,6 +327,13 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", identity, *argv)
         assert code == 65 and out == "" and "must be finite" in err
 
+    def test_order_with_q_power_one_exits_65(self, capsys):
+        code, out, err = run_cli(capsys, "check", "fractional-generating", "--q", "0.5",
+                                 "--a", "0.2", "--x", "0.6", "--mu", "1e-17", "--b", "0.3",
+                                 "--s", "0.25", "--t", "0.15", "--z", "0.2")
+        assert code == 65 and out == ""
+        assert err.startswith("invariant violation:") and "rounds to 1" in err
+
     def test_vanishing_factor_exits_2(self, capsys, zero_factor_scale):
         code, out, err = run_cli(
             capsys, "check", "reversal-askey-wilson", "--q", "0.5", "--a", "0.2",
@@ -339,7 +361,7 @@ class TestCheck:
             assert json.loads(out)["passed"]
 
     def test_overflow_inside_a_check_exits_2(self, capsys, monkeypatch):
-        def overflowing(p, ctx=None, tol=None):
+        def overflowing(p, tol=None):
             raise OverflowError("math range error")
 
         monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
@@ -356,14 +378,14 @@ class TestCheck:
 
 class TestNumericOptions:
     @pytest.mark.parametrize("argv, message", [
-        # a negative eps_term used to skip every suite entry and exit 0
-        (["--ctx-eps", "-1", "suite"], "argument --ctx-eps: need a finite float above 0"),
-        (["--ctx-eps", "nan", "suite"], "got 'nan'"),
-        (["--ctx-eps", "inf", "suite"], "got 'inf'"),
-        (["--ctx-eps", "0", "suite"], "got '0'"),
-        (["--ctx-max-terms", "0", "check", "askey-wilson", "--q", "0.5", "--a", "0.3"],
-         "argument --ctx-max-terms: need a finite int above 0, got '0'"),
-        (["--ctx-max-terms", "2.5", "suite"], "got '2.5'"),
+        (["--ctx-eps", "1e-14", "suite"], "invalid choice: '1e-14'"),
+        (["--ctx-max-terms", "500", "eval", "gamma", "--q", "0.5", "--x", "1"],
+         "invalid choice: '500'"),
+    ])
+    def test_truncation_policy_has_no_option(self, capsys, argv, message):
+        assert message in usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv, message", [
         (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol", "inf"],
          "argument --tol: need a finite float above 0, got 'inf'"),
         (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol", "nan"], "got 'nan'"),
@@ -374,14 +396,6 @@ class TestNumericOptions:
     def test_bad_value_is_a_usage_error(self, capsys, argv, message):
         assert message in usage_error(capsys, *argv)
 
-    def test_valid_values_reach_the_context(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"seed": 1, "checks": []}))
-        code, out, _ = run_cli(capsys, "--ctx-eps", "1e-14", "--ctx-max-terms", "500",
-                               "suite", "--spec", str(spec))
-        assert code == 0
-        assert json.loads(out)["context"] == {"eps_term": 1e-14, "max_terms": 500}
-
 
 class TestSuite:
     def test_empty_checks_spec(self, capsys, tmp_path):
@@ -390,6 +404,7 @@ class TestSuite:
         code, out, _ = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 0
         doc = json.loads(out)
+        assert sorted(doc) == ["reports", "seed", "summary", "tool", "version"]
         assert doc["summary"] == {
             "total": 0, "passed": 0, "failed": 0, "skipped": 0, "diverged": 0
         }

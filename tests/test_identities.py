@@ -21,6 +21,7 @@ from qaw.context import (
     WindowFailure,
 )
 from qaw.identities import (
+    IDENTITY_REGISTRY,
     AtakishiyevParams,
     AWParams,
     GeneratingParams,
@@ -227,21 +228,45 @@ def _ksum_against_oracle(p, nodes, oracle_cls, series=_aw_ksum_params):
 class TestQuadratureOracle:
     """The quadrature side of each plain integral against a 40-digit closed form.
 
-    The points are the draws of acceptance criteria 06, 08 and 09; the
-    closed forms are evaluated with ``mpmath.qp``, independently of qaw.
+    The points are the draws of acceptance criteria 06, 08 and 09, and the
+    fixed points of the nine quadrature rows; the closed forms are
+    evaluated with ``mpmath.qp``, independently of qaw.
     """
 
     TOL = 2e-15
 
     @staticmethod
-    def _qp_product(mp, args, q):
-        out = mp.mpf(1)
-        for v in args:
-            out *= mp.qp(v, q)
-        return out
+    def _exact(mp, name, p):
+        """The closed side of quadrature row ``name`` at p, times
+        x^mu (a/x;q)_mu / (q;q)_mu for a fractional row."""
+        gaussian = isinstance(p, AtakishiyevParams)
+        q = mp.exp(-2 * mp.mpf(p.alpha_g) ** 2) if gaussian else mp.mpf(p.q)
+        a, b, c, d = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d))
 
-    def _rel(self, mp, lhs, exact):
-        return float(abs(mp.mpc(lhs) - exact) / abs(exact))
+        def prod(*args):
+            out = mp.mpf(1)
+            for v in args:
+                out *= mp.qp(v, q)
+            return out
+
+        if gaussian:
+            exact = mp.sqrt(mp.pi) * q ** mp.mpf(-0.125) * prod(
+                a * b / q, a * c / q, a * d / q, b * c / q, b * d / q,
+                c * d / q) / mp.qp(a * b * c * d / q**3, q)
+        elif "reversal" in name:
+            exact = prod(q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d,
+                         q * c * d) / mp.qp(q * a * b * c * d, q) * mp.log(1 / q)
+        else:
+            exact = 2 * mp.pi * mp.qp(a * b * c * d, q) / prod(
+                q, a * b, a * c, a * d, b * c, b * d, c * d)
+        if name.startswith("fractional-"):
+            # (v;q)_mu = (v;q)_inf / (v q^mu;q)_inf
+            x, mu = mp.mpf(p.x), mp.mpf(p.mu)
+            exact *= x**mu * prod(a / x, q**(1 + mu)) / prod(a / x * q**mu, q)
+        return exact
+
+    def _rel(self, mp, side, exact):
+        return float(abs(mp.mpc(side) - exact) / abs(exact))
 
     def test_askey_wilson(self):
         mp = pytest.importorskip("mpmath")
@@ -251,9 +276,7 @@ class TestQuadratureOracle:
                 p = AWParams(q=rng.uniform(0.3, 0.7), a=rng.uniform(-0.6, 0.6),
                              b=rng.uniform(-0.6, 0.6), c=rng.uniform(-0.6, 0.6),
                              d=rng.uniform(-0.6, 0.6))
-                q, a, b, c, d = (mp.mpf(v) for v in (p.q, p.a, p.b, p.c, p.d))
-                exact = 2 * mp.pi * mp.qp(a * b * c * d, q) / self._qp_product(
-                    mp, [q, a * b, a * c, a * d, b * c, b * d, c * d], q)
+                exact = self._exact(mp, "askey-wilson", p)
                 assert self._rel(mp, check_askey_wilson(p).lhs, exact) < self.TOL, p
 
     def test_reversal(self):
@@ -264,10 +287,7 @@ class TestQuadratureOracle:
                 p = ReversalParams(q=rng.uniform(0.4, 0.6), a=rng.uniform(-0.2, 0.2),
                                    b=rng.uniform(-0.2, 0.2), c=rng.uniform(-0.2, 0.2),
                                    d=rng.uniform(-0.2, 0.2))
-                q, a, b, c, d = (mp.mpf(v) for v in (p.q, p.a, p.b, p.c, p.d))
-                exact = self._qp_product(
-                    mp, [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d,
-                         q * c * d], q) / mp.qp(q * a * b * c * d, q) * mp.log(1 / q)
+                exact = self._exact(mp, "reversal-askey-wilson", p)
                 assert self._rel(mp, check_reversal_aw(p).lhs, exact) < self.TOL, p
 
     def test_gaussian(self):
@@ -280,12 +300,20 @@ class TestQuadratureOracle:
             for i in range(5)]
         with mp.workdps(40):
             for p in points:
-                q = mp.exp(-2 * mp.mpf(p.alpha_g) ** 2)
-                a, b, c, d = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d))
-                exact = mp.sqrt(mp.pi) * q ** mp.mpf(-0.125) * self._qp_product(
-                    mp, [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q,
-                         c * d / q], q) / mp.qp(a * b * c * d / q**3, q)
+                exact = self._exact(mp, "atakishiyev", p)
                 assert self._rel(mp, check_atakishiyev(p).lhs, exact) < self.TOL, p
+
+    @pytest.mark.parametrize("name", [name for name, (cls, _) in IDENTITY_REGISTRY.items()
+                                      if cls is not GeneratingParams])
+    def test_both_sides_at_the_fixed_points(self, name):
+        """Both reported sides, so that a factor common to both (such as
+        ``frac_prefactor``), which the check itself cannot see, is tested."""
+        mp = pytest.importorskip("mpmath")
+        report = run_check(name, FIXED_POINTS[name])
+        with mp.workdps(40):
+            exact = self._exact(mp, name, IDENTITY_REGISTRY[name][0](**FIXED_POINTS[name]))
+            assert self._rel(mp, report.lhs, exact) < self.TOL
+            assert self._rel(mp, report.rhs, exact) < self.TOL
 
 
 class TestBatchedKSum:
@@ -787,14 +815,10 @@ class TestReportSemantics:
         assert all(type(t) is float for t in r.lhs_diag["window"])
         assert type(r.lhs_diag["est_error"]) is float
 
-    def test_residual_invariant_under_tighter_context(self):
-        p = SAMPLE_GEN
-        default = check_fractional_generating(p)
-        tight = check_fractional_generating(
-            p, ctx=QContext(q=p.q, eps_term=1e-16)
-        )
-        assert abs(default.lhs - tight.lhs) < 1e-10
-        assert abs(default.rhs - tight.rhs) < 1e-10
+    def test_a_check_computes_on_its_params_base_only(self):
+        # a context argument could carry a base other than the report's q
+        with pytest.raises(TypeError):
+            check_askey_wilson(AWParams(q=0.5, a=0.3), ctx=QContext(q=0.7))
 
 
 class TestSuiteRunner:
@@ -814,6 +838,13 @@ class TestSuiteRunner:
         entry = {"identity": "askey-wilson", "params": {"q": 0.5, "a": 1.2}}
         (oc,) = run_suite([entry])
         assert oc.status == "skipped" and "1" in oc.reason
+
+    @pytest.mark.parametrize("name", ["fractional-generating", "fractional-generating-3phi2"])
+    def test_order_with_q_power_one_becomes_skipped(self, name):
+        # q^mu rounds to 1, where the fractional q-integral's Gamma_q(mu) is not finite
+        params = {**FIXED_POINTS[name], "mu": 1e-17}
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert oc.status == "skipped" and "rounds to 1" in oc.reason and oc.params == params
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(KeyError):
@@ -869,7 +900,7 @@ class TestSuiteRunner:
         (OverflowError("math range error"), {}),
     ])
     def test_failure_fields_become_plain_details(self, monkeypatch, exc, details):
-        def failing(p, ctx=None, tol=None):
+        def failing(p, tol=None):
             raise exc
 
         monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
@@ -904,7 +935,7 @@ class TestSuiteRunner:
         assert passed.details is None and skipped.details is None
 
     def test_pole_becomes_skipped(self, monkeypatch):
-        def at_pole(p, ctx=None, tol=None):
+        def at_pole(p, tol=None):
             raise PoleError("q-gamma pole at x=0")
 
         monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",

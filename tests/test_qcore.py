@@ -1,6 +1,7 @@
 """Unit tests for the scalar layer: Pochhammer symbols, q-gamma, series, weights."""
 
 import cmath
+import dataclasses
 import math
 import random
 import time
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from qaw.context import DivisionByZero, DomainError, NonConvergence, PoleError, QContext
+from qaw import qcore
 from qaw.qcore import (
     INFINITE,
     LOG_RADIUS,
     MAX_FACTORS,
+    MAX_TERMS,
     HypergeometricSpec,
     detect_terminating,
     h_cos,
@@ -161,12 +164,13 @@ class TestPhiSeries:
             phi_series(explicit, ctx), rel=1e-12
         )
 
-    def test_terminating_invariant_under_max_terms(self, ctx):
+    def test_terminating_invariant_under_max_terms(self, ctx, monkeypatch):
         spec = HypergeometricSpec(numer=(0.3,), denom=(0.2,), z=1.1,
                                   terminating_k=5)
-        tight = QContext(q=0.5, max_terms=6)
-        loose = QContext(q=0.5, max_terms=100_000)
-        assert phi_series(spec, tight) == phi_series(spec, loose)
+        monkeypatch.setattr(qcore, "MAX_TERMS", 6)
+        tight = phi_series(spec, ctx)
+        monkeypatch.setattr(qcore, "MAX_TERMS", 100_000)
+        assert tight == phi_series(spec, ctx)
 
     def test_nonterminating_r_too_large_rejected(self, ctx):
         spec = HypergeometricSpec(numer=(0.3, 0.2, 0.1), denom=(0.4,), z=0.5)
@@ -193,6 +197,26 @@ class TestPhiSeries:
         spec = HypergeometricSpec(numer=numer, denom=denom, z=z)
         with pytest.raises(DomainError, match="must be finite"):
             phi_series(spec, ctx)
+
+    @pytest.mark.parametrize("q, spec", [
+        # 2.0 is q^-k for k of about 6.9e12, which used to be summed term by term
+        (0.9999999999999, HypergeometricSpec(numer=(2.0,), z=0.5)),
+        (0.99, HypergeometricSpec(numer=(0.99**-(MAX_TERMS + 1),), z=0.5)),
+        (0.5, HypergeometricSpec(z=0.5, terminating_k=MAX_TERMS + 1)),
+        (0.5, HypergeometricSpec(z=0.5, terminating_k=10**15)),
+    ])
+    def test_terminating_order_above_the_term_cap_is_a_domain_error(self, q, spec):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="exceeds the 10000-term cap"):
+            phi_series(spec, QContext(q=q))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_terminating_order_at_the_term_cap_is_summed(self, ctx, monkeypatch):
+        monkeypatch.setattr(qcore, "MAX_TERMS", 5)
+        assert phi_series(HypergeometricSpec(numer=(0.3,), z=0.5, terminating_k=5), ctx) == (
+            phi_series(HypergeometricSpec(numer=(0.3, ctx.q**-5), z=0.5), ctx))
+        with pytest.raises(DomainError, match="exceeds the 5-term cap"):
+            phi_series(HypergeometricSpec(numer=(0.3, ctx.q**-6), z=0.5), ctx)
 
 
 class TestWeights:
@@ -479,13 +503,5 @@ class TestContextValidation:
         with pytest.raises(DomainError):
             QContext(q=q)
 
-    def test_bad_tolerances_rejected(self):
-        with pytest.raises(DomainError):
-            QContext(q=0.5, eps_term=0.0)
-        with pytest.raises(DomainError):
-            QContext(q=0.5, max_terms=0)
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
-    def test_non_finite_or_negative_eps_term_rejected(self, eps):
-        with pytest.raises(DomainError, match="eps_term must be positive and finite"):
-            QContext(q=0.5, eps_term=eps)
+    def test_the_base_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(QContext)] == ["q"]

@@ -2,17 +2,19 @@
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaw import qops
 from qaw.context import DomainError, NonConvergence, QContext
 from qaw.qcore import (
     CONSECUTIVE_SMALL,
+    EPS_TERM,
     INFINITE,
+    MAX_TERMS,
     q_gamma,
     q_pochhammer,
     q_pochhammer_infinite,
@@ -126,6 +128,15 @@ class TestFractionalIntegral:
         with pytest.raises(DomainError):
             fractional_q_integral(lambda t: 1.0, 0.5, 0.2, 0.0, ctx)
 
+    @pytest.mark.parametrize("q, mu", [(0.5, 1e-17), (0.5, 5e-324), (0.99, 1e-15)])
+    def test_order_with_q_power_one_is_a_domain_error(self, q, mu):
+        # q^mu rounds to 1, so (q^mu;q)_inf = 0 and Gamma_q(mu) is not finite
+        with pytest.raises(DomainError, match="q\\^mu rounds to 1"):
+            fractional_q_integral(np.ones_like, 0.6, 0.0, mu, QContext(q=q))
+
+    def test_tiny_order_with_q_power_below_one_is_finite(self, ctx):
+        assert math.isfinite(abs(fractional_q_integral(np.ones_like, 0.6, 0.2, 1e-16, ctx)))
+
 
 class TestQDifference:
     def test_constant_killed(self):
@@ -198,7 +209,7 @@ def _reference_jackson(f, a, b, ctx):
     total = complex(0.0)
     qn = 1.0
     small = 0
-    for n in range(ctx.max_terms):
+    for n in range(MAX_TERMS):
         term = complex(0.0)
         if b != 0:
             term += b * f(b * qn)
@@ -206,7 +217,7 @@ def _reference_jackson(f, a, b, ctx):
             term -= a * f(a * qn)
         term *= qn
         total += term
-        if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
+        if abs(term) < EPS_TERM * max(abs(total), 1e-300):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return (1.0 - q) * total, n + 1
@@ -228,13 +239,13 @@ def _reference_fractional(f, x, a, mu, ctx):
     total = complex(0.0)
     qn = 1.0
     small = 0
-    for n in range(ctx.max_terms):
+    for n in range(MAX_TERMS):
         term = x * cx * f(x * qn)
         if a != 0:
             term -= a * ca * f(a * qn)
         term *= qn
         total += term
-        if abs(term) < ctx.eps_term * max(abs(total), 1e-300):
+        if abs(term) < EPS_TERM * max(abs(total), 1e-300):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return pref * total, n + 1
@@ -270,7 +281,7 @@ def _reference_cauchy(a, b, f, c, n_max, ctx):
         if mag > last_mag and last_mag <= 1e-8 * scale:
             return total
         total += term
-        if mag < ctx.eps_term * scale:
+        if mag < EPS_TERM * scale:
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return total
@@ -289,33 +300,36 @@ def _draws(seed, count=50):
                rng.uniform(0.3, 3.0), rng.uniform(0.0, 3.0))
 
 
-def _assert_sums_terms(integral, n, ctx):
+def _assert_sums_terms(integral, n, ctx, monkeypatch):
     """integral(ctx) stops after exactly n terms: n are enough, n - 1 are not."""
-    integral(replace(ctx, max_terms=n))
-    with pytest.raises(NonConvergence):
-        integral(replace(ctx, max_terms=n - 1))
+    with monkeypatch.context() as m:
+        m.setattr(qops, "MAX_TERMS", n)
+        integral(ctx)
+        m.setattr(qops, "MAX_TERMS", n - 1)
+        with pytest.raises(NonConvergence):
+            integral(ctx)
 
 
 class TestBatchedAgainstReference:
     """The blocks reproduce the term-by-term loops and stop at the same n."""
 
-    def test_jackson_power(self):
+    def test_jackson_power(self, monkeypatch):
         for ctx, a, b, _, p in _draws(1):
             want, n = _reference_jackson(lambda t: t**p, a, b, ctx)
 
             def integral(c):
                 return jackson_q_integral(lambda t: t**p, a, b, c)
             assert integral(ctx) == pytest.approx(want, rel=1e-15, abs=0)
-            _assert_sums_terms(integral, n, ctx)
+            _assert_sums_terms(integral, n, ctx, monkeypatch)
 
-    def test_fractional_power(self):
+    def test_fractional_power(self, monkeypatch):
         for ctx, a, x, mu, p in _draws(2):
             want, n = _reference_fractional(lambda t: t**p, x, a, mu, ctx)
 
             def integral(c):
                 return fractional_q_integral(lambda t: t**p, x, a, mu, c)
             assert integral(ctx) == pytest.approx(want, rel=1e-15, abs=0)
-            _assert_sums_terms(integral, n, ctx)
+            _assert_sums_terms(integral, n, ctx, monkeypatch)
 
     def test_constant_integrand_is_exact(self):
         for ctx, a, x, mu, _ in _draws(3):
@@ -365,10 +379,11 @@ class TestIntegrandCalls:
         fractional_q_integral(g, 0.6, 0.0, 1.5, QContext(q=0.5))
         assert sizes == [64]
 
-    def test_blocks_capped_at_max_terms(self):
+    def test_blocks_capped_at_max_terms(self, monkeypatch):
         g, sizes = self._recording(np.ones_like)
+        monkeypatch.setattr(qops, "MAX_TERMS", 100)
         with pytest.raises(NonConvergence):
-            jackson_q_integral(g, 0.0, 0.9, QContext(q=0.9, max_terms=100))
+            jackson_q_integral(g, 0.0, 0.9, QContext(q=0.9))
         assert sizes == [64, 36]
 
     def test_cauchy_calls_once(self):
@@ -381,8 +396,9 @@ class TestIntegrandCalls:
 
 
 class TestFailures:
-    def test_term_cap_carries_partial_and_last_term(self):
-        ctx = QContext(q=0.5, max_terms=5)
+    def test_term_cap_carries_partial_and_last_term(self, monkeypatch):
+        ctx = QContext(q=0.5)
+        monkeypatch.setattr(qops, "MAX_TERMS", 5)
         a, b = 0.2, 0.9
         terms = [0.5**n * (b * b * 0.5**n - a * a * 0.5**n) for n in range(5)]
         with pytest.raises(NonConvergence) as exc:
