@@ -1,14 +1,16 @@
 """Command-line front end: evaluate primitives, run identity checks, run suites.
 
 Exit codes: 0 pass, 1 identity failure, 2 numeric error (convergence,
-window, pole or division; for eval also domain errors), 64 usage (any
-missing, foreign or bad flag), 65 domain violation of a check, 66 I/O
-(an unreadable spec, an unwritable report or a closed stdout).
+window, pole or division; for eval also domain errors and a value with a
+NaN or infinite part), 64 usage (any missing, foreign or bad flag), 65
+domain violation of a check, 66 I/O (an unreadable spec, an unwritable
+report or a closed stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -176,6 +178,9 @@ def _cmd_eval(args) -> int:
         return EXIT_NUMERIC
     except DIVERGED_ERRORS as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    if not cmath.isfinite(value):
+        print("numeric error: value is not finite", file=sys.stderr)
         return EXIT_NUMERIC
     print(_fmt(value))
     return EXIT_PASS

@@ -7,7 +7,6 @@ verdict per criterion.
 """
 
 import json
-import math
 import random
 import time
 
@@ -49,6 +48,8 @@ from qaw.qops import (
     fractional_q_integral,
 )
 from qaw.suite import default_suite, expand_suite
+
+import mp_oracle
 
 
 @pytest.fixture
@@ -232,20 +233,13 @@ def test_criterion_06_askey_wilson(verdict):
             d=rng.uniform(-0.6, 0.6),
         )
         worst = max(worst, check_askey_wilson(p).rel_err)
-    ctx = QContext(q=0.5)
     zero = check_askey_wilson(AWParams(q=0.5, a=0.0))
-    anchor = 2.0 * math.pi / q_pochhammer(0.5, INFINITE, ctx).real
-    zero_err = abs(zero.lhs - anchor) / anchor
-    # the double anchor is itself about 1e-16 off; 2 pi / (q;q)_inf to 40
-    # digits shows the integral's own error
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        exact = 2 * mp.pi / mp.qp(mp.mpf(0.5))
-        exact_err = float(abs(zero.lhs.real - exact) / exact)
+    # against 2 pi / (q;q)_inf to 40 digits
+    zero_err = mp_oracle.rel_err(zero.lhs, mp_oracle.closed_side("askey-wilson", {"q": 0.5}))
     ok = worst < 1e-8 and zero_err < 1e-10 and _within(t0, 30.0)
     verdict("06 Askey-Wilson integral", ok,
             f"worst rel err {worst:.2e}, zero-case err {zero_err:.2e} "
-            f"(40-digit anchor {exact_err:.2e}), {time.perf_counter() - t0:.1f}s")
+            f"(40-digit anchor), {time.perf_counter() - t0:.1f}s")
 
 
 def test_criterion_07_fractional_askey_wilson(verdict):
@@ -297,10 +291,8 @@ def test_criterion_08_reversal_family(verdict):
             mu=1.5,
         )
         worst = max(worst, check_fractional_reversal_aw(p).rel_err)
-    ctx = QContext(q=0.5)
-    zero = check_reversal_aw(ReversalParams(q=0.5, a=0.0))
-    anchor = q_pochhammer(0.5, INFINITE, ctx).real * math.log(2.0)
-    zero_err = abs(zero.lhs - anchor) / anchor
+    exact = mp_oracle.closed_side("reversal-askey-wilson", {"q": 0.5})
+    zero_err = mp_oracle.rel_err(check_reversal_aw(ReversalParams(q=0.5, a=0.0)).lhs, exact)
     ok = worst < 1e-5 and zero_err < 1e-8 and _within(t0, 120.0)
     verdict("08 reversal Askey-Wilson family", ok,
             f"worst rel err {worst:.2e}, zero-case err {zero_err:.2e}, "
@@ -313,9 +305,8 @@ def test_criterion_09_gaussian_family(verdict):
     zero_err = 0.0
     for ag in (0.8, 1.0):
         zero = check_atakishiyev(AtakishiyevParams(alpha_g=ag))
-        q = math.exp(-2.0 * ag * ag)
-        anchor = math.sqrt(math.pi) * q ** (-0.125)
-        zero_err = max(zero_err, abs(zero.lhs - anchor) / anchor)
+        exact = mp_oracle.closed_side("atakishiyev", {"alpha_g": ag})
+        zero_err = max(zero_err, mp_oracle.rel_err(zero.lhs, exact))
     worst = 0.0
     for i in range(5):
         p = AtakishiyevParams(

@@ -104,6 +104,17 @@ class TestEval:
         assert code == 2 and "pole" in err
 
     @pytest.mark.parametrize("argv", [
+        ["phi", "--q", "0.9", "--z", "0.5", "--terminating-k", "800"],
+        ["phi", "--q", "0.99", "--z", "0.5", "--terminating-k", "10000"],
+        ["poch", "--q", "0.5", "--a", "1e300", "--inf"],
+        ["poch", "--q", "0.5", "--a", "inf", "--n", "3"],
+        ["gamma", "--q", "0.5", "--x", "inf"],
+    ])
+    def test_non_finite_value_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out, err) == (2, "", "numeric error: value is not finite\n")
+
+    @pytest.mark.parametrize("argv", [
         ["--numer", "0.3,nan", "--denom", "0.2", "--z", "0.5"],
         ["--numer", "0.3", "--denom", "0.2", "--z", "nan"],
         ["--numer", "0.3", "--denom", "inf", "--z", "0.5"],

@@ -31,6 +31,8 @@ from qaw.qcore import (
     q_pochhammer_multi,
 )
 
+import mp_oracle
+
 # Frozen multiprecision reference values (independent 40-digit product oracle,
 # factor cutoff 1e-35).
 POCH_03_05_INF = 0.51011782663398757183  # (0.3;0.5)_inf
@@ -274,35 +276,6 @@ def _rel(got, want):
     return np.max(np.abs(got - want) / np.abs(want))
 
 
-def _mp_log_poch(z, q):
-    """log (z;q)_inf as an mpmath number at the working precision, for mpmath
-    z and q, its phase the sum of the factors' principal logs: the product of
-    the factors while |z q^k| >= 1/100, whose log takes the winding of a
-    double-precision sum of the factors' phases, then
-    -sum_n w^n / (n (1 - q^n)) at w the first term below 1/100, to 1e-45.
-    """
-    mp = pytest.importorskip("mpmath")
-    prod, phase = mp.mpc(1), 0.0
-    while abs(z) >= 0.01:
-        prod *= 1 - z
-        phase += cmath.phase(1 - complex(z))
-        z *= q
-    lg = mp.log(prod)
-    lg += 2j * mp.pi * round((phase - float(lg.imag)) / (2 * math.pi))
-    zn, n = z, 1
-    while abs(zn) > mp.mpf(10) ** -45:
-        lg -= zn / (n * (1 - q**n))
-        zn, n = zn * z, n + 1
-    return lg
-
-
-def _log_poch_oracle(a, q):
-    """log (a;q)_inf to 40 digits (:func:`_mp_log_poch`) as a complex."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        return complex(_mp_log_poch(mp.mpc(a), mp.mpf(q)))
-
-
 def _capped_log(a, q):
     """The exact sum of the logs of the first MAX_FACTORS factors."""
     logs, term = [], a
@@ -315,7 +288,7 @@ def _capped_log(a, q):
 def _worst_oracle_error(got, args, q):
     """The largest elementwise relative error of got against the oracle at args."""
     return max(abs(g - w) / abs(w) for g, w in zip(got.tolist(), (
-        _log_poch_oracle(v, q) for v in args)))
+        mp_oracle.log_poch(v, q) for v in args)))
 
 
 # the bases of the shipped suites: the Gaussian family's exp(-2) and q = 0.5
@@ -343,7 +316,7 @@ class TestArrayPath:
         x = np.linspace(-17.0, 17.0, 35)
         got = h_sinh_log(x, t, QContext(q=q))
         ex = np.exp(x)
-        want = np.array([_log_poch_oracle(u, q) + _log_poch_oracle(v, q) for u, v in
+        want = np.array([mp_oracle.log_poch(u, q) + mp_oracle.log_poch(v, q) for u, v in
                          zip((1j * t * ex).tolist(), (-1j * t / ex).tolist())])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -419,28 +392,12 @@ class TestArrayPath:
         assert time.process_time() - t0 < 0.25
 
     def test_h_cos_against_multiprecision(self):
-        mp = pytest.importorskip("mpmath")
         q = 0.5
-        try:
-            mp.mp.dps = 60
-
-            def poch_inf(c):
-                p, term = mp.mpc(1), mp.mpc(c)
-                while abs(term) > mp.mpf(10) ** -70:
-                    p *= 1 - term
-                    term *= mp.mpf(q)
-                return p
-
-            theta = np.array([0.2, 1.3, 2.9])
-            got = h_cos(theta, COMPLEX_PARAMS, QContext(q=q))
-            for th, g in zip(theta.tolist(), got):
-                e = mp.expjpi(mp.mpf(th) / mp.pi)
-                want = mp.mpc(1)
-                for a in COMPLEX_PARAMS:
-                    want *= poch_inf(mp.mpc(a) * e) * poch_inf(mp.mpc(a) / e)
-                assert abs(g - complex(want)) <= 1e-14 * abs(complex(want))
-        finally:
-            mp.mp.dps = 15
+        theta = np.array([0.2, 1.3, 2.9])
+        got = h_cos(theta, COMPLEX_PARAMS, QContext(q=q))
+        for th, g in zip(theta.tolist(), got):
+            want = complex(mp_oracle.h_cos(th, COMPLEX_PARAMS, q))
+            assert abs(g - want) <= 1e-14 * abs(want)
 
     def test_scratch_memory_bounded_near_q_one(self):
         # a (576 nodes x ~1300 factors) array in one piece would take 12 MB
@@ -470,7 +427,7 @@ class TestScalarLogProduct:
         for a in [*args, -0.0015 - 0.00043j, 0.5, -2.5]:
             got = q_pochhammer_infinite_log(a, ctx)
             assert isinstance(got, complex)
-            want = _log_poch_oracle(a, q)
+            want = mp_oracle.log_poch(a, q)
             assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("q", [*ARRAY_Q, 0.9, 0.97])
@@ -479,7 +436,7 @@ class TestScalarLogProduct:
         for x in (-3.0, 0.0, 2.5):
             for t in (0.3, 0.1 + 0.05j, -0.9j):
                 ex = math.exp(x)
-                want = _log_poch_oracle(1j * t * ex, q) + _log_poch_oracle(-1j * t / ex, q)
+                want = mp_oracle.log_poch(1j * t * ex, q) + mp_oracle.log_poch(-1j * t / ex, q)
                 assert abs(h_sinh_log(x, t, ctx) - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("q", ARRAY_Q)
@@ -505,3 +462,12 @@ class TestContextValidation:
 
     def test_the_base_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(QContext)] == ["q"]
+
+
+# the oracle itself: against mpmath.qp up to q = 0.97 (it does not converge
+# at 0.99), then an explicit factor loop, 0.2 s an argument at q = 0.995
+@pytest.mark.parametrize("q, args", [
+    *((q, [0.3, -0.5, 0.1 + 0.4j, 0.8j, 2.5, -0.96]) for q in (0.3, 0.5, 0.9, 0.97)),
+    (0.99, [0.3]), (0.995, [-0.5])])
+def test_oracle_product_to_35_digits(q, args):
+    assert mp_oracle.self_check(q, args) < 1e-35
