@@ -220,11 +220,11 @@ def stable_ksum(x, a, mu, q, numer, denom):
     return out
 
 
-def direct_ksum(x, a, mu, q, numer, denom, terms=40):
-    """The outer k-sum to k < terms, as a complex, each phi_k summed term
+def direct_ksum(x, a, mu, q, numer, denom):
+    """The outer k-sum to k < 40, as a complex, each phi_k summed term
     by term in 40 + k(k+1)/2 log10(1/q) digits: its terms reach q^{-k(k+1)/2}."""
     total = mp.mpf(0)
-    for k in range(terms):
+    for k in range(40):
         with mp.workdps(40 + int(k * (k + 1) / 2 * math.log10(1.0 / q))):
             qm = mp.mpf(q)
             phi, term = mp.mpf(0), mp.mpf(1)
