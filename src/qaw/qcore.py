@@ -4,11 +4,11 @@ basic hypergeometric series and the h(.) weight functions.
 The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
 1-D array (of parameters, angles or points) and return an array.
 
-* The product (a;q)_inf of an array forms the factors of all entries as
-  an (entries x factors) array in bounded blocks, every entry with the
-  factor count of the largest |a|, and multiplies along the factors.  The
-  public array ``h_cos`` and ``q_pochhammer_infinite`` use it, and so does
-  the Cauchy operator's integrand; no identity check does.
+* The product (a;q)_inf of an array forms the factors of each entry up
+  to its own factor count (the stop rule below) in bounded blocks and
+  multiplies them in the scalar loop's order.  The public array ``h_cos``
+  and ``q_pochhammer_infinite`` use it, and so does the Cauchy operator's
+  integrand; no identity check does.
 * Its log gives each entry a head of its own: the h factors 1 - a q^k
   with |a q^k| > LOG_RADIUS, logged one by one, and for the rest the
   q-log series (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1)
@@ -16,10 +16,10 @@ The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
       log (z;q)_inf = -sum_{n>=1} z^n / (n (1 - q^n)),   |z| < 1,
 
   at z = a q^h, cut at LOG_TERMS terms.  So an entry's value does not
-  depend on the other entries of its call, and a factor with |a q^k| far
-  below 1 costs no log.  The scalar log takes the same head and series in
-  plain Python; the scalar product keeps its factor-by-factor loop.  All
-  four integrands of the identity checks take their products as logs.
+  depend on the other entries of its call, here as in the product, and a
+  factor with |a q^k| far below 1 costs no log.  The scalar log takes the
+  same head and series in plain Python.  All four integrands of the
+  identity checks take their products as logs.
 
 Order convention for q-Pochhammer symbols
 -----------------------------------------
@@ -34,15 +34,18 @@ Order convention for q-Pochhammer symbols
 The ratio definition agrees with the finite product at integer orders and
 is the unique choice consistent with the q-gamma function.
 
-Truncation policy: infinite products stop once |a q^k| < EPS_FACTOR
-and the logarithmic tail bound sum_{j>=k} |a| q^j / (1 - |a| q^j) drops
-below EPS_TERM; the relative truncation error is bounded by that tail
-sum.  A product that needs more than MAX_FACTORS factors under that rule
-raises :class:`NonConvergence`, and so does its log, though the log sums
-the q-log series past its head instead of factors.  A non-terminating
-series stops after CONSECUTIVE_SMALL successive terms below EPS_TERM of
-its partial sum, and raises :class:`NonConvergence` past MAX_TERMS terms.
-All five are constants; :class:`QContext` carries the base q alone.
+Truncation policy: an infinite product takes the factors k < n, n the
+least k with |a q^k| < tau = min(EPS_FACTOR, t / (1 + t)), t = EPS_TERM
+(1 - q) (:func:`_factor_counts`).  Then |a q^n| < EPS_FACTOR, and the
+bound |a q^n| / ((1 - q)(1 - |a q^n|)) on the tail sum_{j>=n} |a q^j| /
+(1 - |a q^j|), which bounds the relative truncation error, is below
+EPS_TERM.  A product with n >= MAX_FACTORS raises :class:`NonConvergence`,
+and so does its log, though the log sums the q-log series past its head
+instead of factors.  A non-terminating series stops after
+CONSECUTIVE_SMALL successive terms below EPS_TERM of its partial sum and
+raises :class:`NonConvergence` past MAX_TERMS terms; any series raises it
+once its partial sum is not finite.  All five are constants;
+:class:`QContext` carries the base q alone.
 """
 
 from __future__ import annotations
@@ -85,67 +88,83 @@ LOG_TERMS = 20
 _SUM_CHUNK = 16
 
 
-def _tail_bound(mag: float, q: float) -> float:
-    # sum_{j>=k} |a| q^j / (1 - |a| q^j) <= mag / ((1 - q)(1 - mag)) for mag < 1
-    if mag >= 1.0:
-        return math.inf
-    return mag / ((1.0 - q) * (1.0 - mag))
+def _factor_counts(mag, q: float):
+    """The factors (a;q)_inf takes for |a| = mag, a float or an array: the
+    least k with mag q^k < tau (module docstring), at most MAX_FACTORS,
+    which means capped.  A NaN or infinite |a| is capped."""
+    t = EPS_TERM * (1.0 - q)
+    log_tau = math.log(min(EPS_FACTOR, t / (1.0 + t)))
+    if isinstance(mag, np.ndarray):
+        # a zero |a| counts as the least positive double, and no factor
+        n = np.floor((np.log(np.maximum(mag, math.ulp(0.0))) - log_tau) / -math.log(q)) + 1.0
+        return np.fmin(np.maximum(n, 0.0), MAX_FACTORS)
+    if not 0 < mag < math.inf:
+        return 0 if mag == 0 else MAX_FACTORS
+    return min(max(math.floor((math.log(mag) - log_tau) / -math.log(q)) + 1, 0), MAX_FACTORS)
 
 
-def _factor_count(mag: float, ctx: QContext):
-    """Factors the scalar loop multiplies for |a| = mag; None past MAX_FACTORS."""
-    for k in range(MAX_FACTORS):
-        if mag < EPS_FACTOR and _tail_bound(mag, ctx.q) < EPS_TERM:
-            return k
-        mag *= ctx.q
-    return None
-
-
-def _capped(mag: float, ctx: QContext) -> bool:
-    """Whether the scalar stop rule needs more than MAX_FACTORS factors for
-    |a| = mag: :func:`_factor_count` is None."""
-    # the stop rule is monotone in k, so a last term clearly below both of
-    # its bounds settles it without the loop
-    last = 2.0 * mag * ctx.q ** (MAX_FACTORS - 1)
-    if last < EPS_FACTOR and _tail_bound(last, ctx.q) < EPS_TERM:
-        return False
-    return _factor_count(mag, ctx) is None
-
-
-def _factor_blocks(a, K: int, q: float):
-    """The factors 1 - a q^k, k < K, as (nodes x block) arrays.
-
-    The terms a q^k come from repeated multiplication by q, as in the
-    scalar loop, and a block holds at most _BLOCK_ELEMENTS entries, so the
-    scratch memory stays bounded however many factors q near 1 needs.
-    """
-    width = max(1, _BLOCK_ELEMENTS // max(1, a.size))
-    term = a
-    for k0 in range(0, K, width):
-        blk = np.empty((a.size, min(width, K - k0)), dtype=complex)
-        blk[:, 0] = term
-        blk[:, 1:] = q
-        np.multiply.accumulate(blk, axis=1, out=blk)
-        term = blk[:, -1] * q
-        yield np.subtract(1.0, blk, out=blk)
+def _factor_blocks(a, counts, q: float):
+    """The factors 1 - a q^k of the 1-D array a, each entry's k below its
+    count, as (rows, f, left): f holds the factors k0 <= k < k0 + width of
+    the entries ``rows`` whose count passes k0, and ``left`` is their
+    counts less k0, the column where each row's factors end.  Blocks start
+    at multiples of _SUM_CHUNK, are _SUM_CHUNK wide times an integer or at
+    the end a power of 2 narrower, and hold at most _BLOCK_ELEMENTS
+    factors.  The terms a q^k come from repeated multiplication by q, as
+    in the scalar loops."""
+    group = _BLOCK_ELEMENTS // _SUM_CHUNK
+    for g in range(0, a.size, group):
+        rows = g + np.flatnonzero(counts[g : g + group])
+        n, term = counts[rows], a[rows]
+        k0 = 0
+        while rows.size:
+            span = n.max() - k0
+            if span < _SUM_CHUNK:
+                width = 1 << math.ceil(math.log2(span))
+            else:
+                width = _SUM_CHUNK * min(math.ceil(span / _SUM_CHUNK),
+                                         _BLOCK_ELEMENTS // (_SUM_CHUNK * rows.size))
+            blk = np.empty((width, rows.size), dtype=complex)
+            blk[0] = term
+            # both give the same bits; the column loop costs a numpy call a
+            # column, np.multiply.accumulate more a factor (2-core x86-64: 16 x
+            # 1290 in 42 against 146 us, 176 x 41 in 190 against 46 us)
+            if rows.size >= 256:
+                for j in range(1, width):
+                    np.multiply(blk[j - 1], q, out=blk[j])
+            else:
+                blk[1:] = q
+                np.multiply.accumulate(blk, axis=0, out=blk)
+            term = blk[-1] * q
+            yield rows, np.subtract(1.0, blk, out=blk), n - k0
+            k0 += width
+            live = n > k0
+            rows, n, term = rows[live], n[live], term[live]
 
 
 def _array_product(a, ctx: QContext):
-    """(a;q)_inf for every entry of the 1-D array a.
-
-    Every entry gets the factor count of the largest |a| under the scalar
-    stop rule, so none gets fewer factors than its own scalar loop would.
-    """
-    amax = float(np.abs(a).max(initial=0.0))
-    K = _factor_count(amax, ctx)
-    acc = np.ones(a.shape, dtype=complex)
-    for f in _factor_blocks(a, MAX_FACTORS if K is None else K, ctx.q):
-        acc *= np.multiply.reduce(f, axis=1)
-    if K is None:
+    """(a;q)_inf for every entry of the array a over its own factor
+    count: each entry's product so far and its factors of a block are
+    multiplied out by np.multiply.accumulate, one factor at a time as in
+    the scalar loop.  np.multiply.reduce across entries would round complex
+    products otherwise than for one entry alone (a vectorised multiply)."""
+    q = ctx.q
+    mag = np.abs(a)
+    counts = _factor_counts(mag.ravel(), q)
+    acc = np.ones(a.size, dtype=complex)
+    for rows, f, left in _factor_blocks(a.ravel(), counts, q):
+        blk = np.empty((len(f) + 1, rows.size), dtype=complex)
+        blk[0] = acc[rows]
+        blk[1:] = f
+        np.multiply.accumulate(blk, axis=0, out=blk)
+        acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
+    acc = acc.reshape(a.shape)
+    if counts.max(initial=0) >= MAX_FACTORS:
+        amax = float(mag.max())
         raise NonConvergence(
             f"(a;q)_inf with max |a|={amax:.3e} did not converge in {MAX_FACTORS} factors",
             partial=acc,
-            last_term=amax * ctx.q**MAX_FACTORS,
+            last_term=amax * q**MAX_FACTORS,
         )
     return acc
 
@@ -170,67 +189,39 @@ def _log_array(a, ctx: QContext):
 
     Each entry has its own head of h = ceil(log(|a| / LOG_RADIUS) / log(1/q))
     factors (at least 0), the least k with |a| q^k <= LOG_RADIUS up to
-    rounding, and the q-log series of the rest.  A block of factors holds
-    only the rows whose head reaches it, and a mask skips each row's
-    columns past its own h.  Where the scalar stop rule needs more than
-    MAX_FACTORS factors for the largest |a|, :class:`NonConvergence`
-    carries each entry's log of its first MAX_FACTORS factors as
-    ``partial``: its head, cut at MAX_FACTORS, then the series at a q^h
-    less the series at a q^MAX_FACTORS.
+    rounding, and the q-log series of the rest.  Where the largest |a| is
+    capped, :class:`NonConvergence` carries each entry's log of its first
+    MAX_FACTORS factors as ``partial``: its head, cut at MAX_FACTORS, then
+    the series at a q^h less the series at a q^MAX_FACTORS.
     """
     q = ctx.q
     mag = np.abs(a)
     amax = float(mag.max(initial=0.0))
-    capped = _capped(amax, ctx)
+    capped = _factor_counts(amax, q) >= MAX_FACTORS
     # fmin: a NaN or infinite |a| takes MAX_FACTORS head factors
     head = np.fmin(np.ceil(np.log(np.maximum(mag / LOG_RADIUS, 1.0)) / -math.log(q)),
                    MAX_FACTORS)
     acc = np.zeros(a.shape, dtype=complex)
     dead = np.zeros(a.shape, dtype=bool)
-    group = _BLOCK_ELEMENTS // _SUM_CHUNK
-    for g in range(0, a.size, group):
-        rows = g + np.flatnonzero(head[g : g + group])
-        h, term = head[rows], a[rows]
-        k0 = 0
-        while rows.size:
-            # a (factors x rows) block of chunks from column k0; its row j
-            # holds the factor of column k0 + j, made as the scalar loop
-            # makes its terms, by repeated multiplication by q
-            span = h.max() - k0
-            if span < _SUM_CHUNK:
-                # a last, short chunk a power of 2 wide: its tree is the
-                # first subtree of a whole chunk's, whose other leaves are 0
-                width = chunk = 1 << math.ceil(math.log2(span))
-            else:
-                chunk = _SUM_CHUNK
-                width = chunk * min(math.ceil(span / chunk),
-                                    _BLOCK_ELEMENTS // (chunk * rows.size))
-            blk = np.empty((width, rows.size), dtype=complex)
-            blk[0] = term
-            for j in range(1, width):
-                np.multiply(blk[j - 1], q, out=blk[j])
-            term = blk[-1] * q
-            f = np.subtract(1.0, blk, out=blk)
-            if not f.all():
-                zero = f == 0
-                dead[rows[zero.any(axis=0)]] = True
-                f[zero] = 1.0
-            mine = np.arange(k0, k0 + width)[:, None] < h
-            np.log(f, out=f, where=mine)
-            np.multiply(f, mine, out=f)
-            # each chunk of _SUM_CHUNK logs is summed by a fixed pairwise
-            # tree, and the chunk sums in order; chunks start at multiples of
-            # _SUM_CHUNK, so an entry's sum does not depend on the others
-            x = f.reshape(-1, chunk, rows.size)
-            while x.shape[1] > 1:
-                x = x[:, ::2] + x[:, 1::2]
-            total = acc[rows]
-            for part in x[:, 0]:
-                total += part
-            acc[rows] = total
-            k0 += width
-            live = h > k0
-            rows, h, term = rows[live], h[live], term[live]
+    for rows, f, left in _factor_blocks(a, head, q):
+        mine = np.arange(len(f))[:, None] < left
+        if not f.all():
+            zero = f == 0
+            dead[rows[zero.any(axis=0)]] = True
+            f[zero] = 1.0
+        np.log(f, out=f, where=mine)
+        np.multiply(f, mine, out=f)
+        # each chunk of _SUM_CHUNK logs (a last, short chunk: the first
+        # subtree of a whole one, whose other leaves are 0) is summed by a
+        # fixed pairwise tree, and the chunk sums in order; so an entry's sum
+        # does not depend on the others
+        x = f.reshape(-1, min(len(f), _SUM_CHUNK), rows.size)
+        while x.shape[1] > 1:
+            x = x[:, ::2] + x[:, 1::2]
+        total = acc[rows]
+        for part in x[:, 0]:
+            total += part
+        acc[rows] = total
     if capped:
         # the heads stop at MAX_FACTORS; a shorter head takes the series
         # of its factors up to MAX_FACTORS
@@ -251,28 +242,23 @@ def _log_array(a, ctx: QContext):
 
 
 def q_pochhammer_infinite(a, ctx: QContext):
-    """(a;q)_inf as a truncated product with a bounded relative tail.
+    """(a;q)_inf as a truncated product with a bounded relative tail: the
+    finite product (a;q)_n over the factor count n.
 
     A scalar ``a`` gives a ``complex``.  A 1-D array ``a`` gives an array
-    of the same shape: every entry is multiplied over the factor count of
-    the largest |a|, at least as many factors as its scalar loop takes.
+    of the same shape, every entry over its own factor count.
     """
     if isinstance(a, np.ndarray):
         return _array_product(a, ctx)
-    q = ctx.q
-    p = complex(1.0)
-    term = complex(a)
-    for _ in range(MAX_FACTORS):
-        mag = abs(term)
-        if mag < EPS_FACTOR and _tail_bound(mag, q) < EPS_TERM:
-            return p
-        p *= 1.0 - term
-        term *= q
+    n = _factor_counts(abs(a), ctx.q)
+    p = q_pochhammer(a, n, ctx)
+    if n < MAX_FACTORS:
+        return p
+    last = abs(a) * ctx.q**MAX_FACTORS
     raise NonConvergence(
-        f"(a;q)_inf with a={a}: factor magnitude {abs(term):.3e} after "
-        f"{MAX_FACTORS} factors",
+        f"(a;q)_inf with a={a}: factor magnitude {last:.3e} after {MAX_FACTORS} factors",
         partial=p,
-        last_term=abs(term),
+        last_term=last,
     )
 
 
@@ -289,9 +275,9 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     with |a| >> 1 do not overflow.  A scalar and every entry of a 1-D array
     ``a`` alike are formed from their own head factors and the q-log series
     of the tail (module docstring), an entry whatever the other entries.
-    An exact zero factor raises :class:`DivisionByZero`.  Where the scalar
-    stop rule needs more than MAX_FACTORS factors for |a| (for the largest
-    |a| of an array), :class:`NonConvergence` carries the log of the first
+    An exact zero factor raises :class:`DivisionByZero`.  Where the product
+    of |a| (of the largest |a| of an array) is capped at MAX_FACTORS
+    factors, :class:`NonConvergence` carries the log of the first
     MAX_FACTORS factors (of every entry) as ``partial``.
     """
     q = ctx.q
@@ -304,7 +290,7 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
         return lg
     # the head of _log_array; a NaN or infinite |a| takes MAX_FACTORS factors
     mag = abs(a)
-    capped = _capped(mag, ctx)
+    capped = _factor_counts(mag, q) >= MAX_FACTORS
     h = MAX_FACTORS
     if math.isfinite(mag):
         h = min(math.ceil(math.log(max(mag / LOG_RADIUS, 1.0)) / -math.log(q)), h)
@@ -333,7 +319,10 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
 
 
 def q_pochhammer(a: complex, order, ctx: QContext) -> complex:
-    """q-shifted factorial (a;q)_order; see module docstring for orders."""
+    """q-shifted factorial (a;q)_order; see module docstring for orders.
+    An array ``a`` takes the infinite order only."""
+    if isinstance(a, np.ndarray) and order != INFINITE:
+        raise DomainError(f"(a;q)_order of an array a needs the infinite order, got {order!r}")
     q = ctx.q
     if isinstance(order, int) and not isinstance(order, bool):
         if order < 0:
@@ -476,24 +465,31 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     term = complex(1.0)
     small = 0
     for n in range(MAX_TERMS if k_term is None else k_term + 1):
+        if not cmath.isfinite(total + term):
+            raise NonConvergence(f"phi series is not finite from term n={n}",
+                                 partial=total, last_term=abs(term))
         total += term
         if k_term is None:
             small = small + 1 if abs(term) < EPS_TERM * max(abs(total), 1e-300) else 0
             if small >= CONSECUTIVE_SMALL:
                 return total
-        ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
-        ratio /= 1.0 - q ** (n + 1)
-        for p in numer:
-            ratio *= 1.0 - p * q**n
-        for p in denom:
-            d = 1.0 - p * q**n
-            if d == 0:
-                raise DivisionByZero(
-                    f"denominator parameter {p} equals q^-{n}; series undefined"
-                )
-            ratio /= d
-        if excess:
-            ratio *= (-(q**n)) ** excess
+        try:
+            ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
+            ratio /= 1.0 - q ** (n + 1)
+            for p in numer:
+                ratio *= 1.0 - p * q**n
+            for p in denom:
+                d = 1.0 - p * q**n
+                if d == 0:
+                    raise DivisionByZero(
+                        f"denominator parameter {p} equals q^-{n}; series undefined"
+                    )
+                ratio /= d
+            if excess:
+                ratio *= (-(q**n)) ** excess
+        except OverflowError:
+            # q^(n - k) or (q^n)^excess is past the double range: so is term n + 1
+            ratio = math.inf
         term *= ratio
     if k_term is not None:
         return total

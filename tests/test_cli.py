@@ -104,8 +104,8 @@ class TestEval:
         assert code == 2 and "pole" in err
 
     @pytest.mark.parametrize("argv", [
-        ["phi", "--q", "0.9", "--z", "0.5", "--terminating-k", "800"],
-        ["phi", "--q", "0.99", "--z", "0.5", "--terminating-k", "10000"],
+        ["poch", "--q", "0.5", "--a", "1e300", "--n", "3"],
+        ["poch", "--q", "0.5", "--a", "1e200", "--alpha", "2.5"],
         ["poch", "--q", "0.5", "--a", "1e300", "--inf"],
         ["poch", "--q", "0.5", "--a", "inf", "--n", "3"],
         ["gamma", "--q", "0.5", "--x", "inf"],
@@ -113,6 +113,18 @@ class TestEval:
     def test_non_finite_value_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out, err) == (2, "", "numeric error: value is not finite\n")
+
+    # the terms of a long terminating series pass the double range, or at
+    # q = 0.5 the factor q^(n - k) of its first ratio does
+    @pytest.mark.parametrize("argv, n", [
+        (["--q", "0.5", "--terminating-k", "2000"], 1),
+        (["--q", "0.9", "--terminating-k", "800"], 9),
+        (["--q", "0.99", "--terminating-k", "10000"], 7),
+    ])
+    def test_phi_overflow_is_a_convergence_error(self, capsys, argv, n):
+        code, out, err = run_cli(capsys, "eval", "phi", "--z", "0.5", *argv)
+        assert (code, out, err) == (
+            2, "", f"convergence error: phi series is not finite from term n={n}\n")
 
     @pytest.mark.parametrize("argv", [
         ["--numer", "0.3,nan", "--denom", "0.2", "--z", "0.5"],

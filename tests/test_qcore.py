@@ -94,6 +94,11 @@ class TestQPochhammer:
                 q_pochhammer(a, m, ctx), rel=1e-12
             )
 
+    @pytest.mark.parametrize("order", [3, 0, 1.5, -1])
+    def test_array_takes_the_infinite_order_only(self, ctx, order):
+        with pytest.raises(DomainError, match=f"needs the infinite order, got {order}$"):
+            q_pochhammer(np.array([0.1, 0.2]), order, ctx)
+
     def test_multi_empty_is_one(self, ctx):
         assert q_pochhammer_multi([], INFINITE, ctx) == 1.0
 
@@ -212,6 +217,14 @@ class TestPhiSeries:
         with pytest.raises(DomainError, match="exceeds the 10000-term cap"):
             phi_series(spec, QContext(q=q))
         assert time.perf_counter() - t0 < 1.0
+
+    # at q = 0.5 the factor q^(n - k) of term 1 is past the double range; at
+    # q = 0.9 the terms pass it at n = 9
+    @pytest.mark.parametrize("q, k, n", [(0.5, 2000, 1), (0.9, 800, 9)])
+    def test_overflowing_series_names_its_term(self, q, k, n):
+        with pytest.raises(NonConvergence, match=f"not finite from term n={n}$") as exc:
+            phi_series(HypergeometricSpec(z=0.5, terminating_k=k), QContext(q=q))
+        assert cmath.isfinite(exc.value.partial) and not math.isfinite(exc.value.last_term)
 
     def test_terminating_order_at_the_term_cap_is_summed(self, ctx, monkeypatch):
         monkeypatch.setattr(qcore, "MAX_TERMS", 5)
@@ -348,11 +361,37 @@ class TestArrayPath:
         alone = np.array([q_pochhammer_infinite_log(v, ctx)[0] for v in np.split(a, 3000)[::30]])
         assert np.all(np.abs(batch - alone) <= 4 * np.spacing(np.abs(alone)))
 
+    @pytest.mark.parametrize("q", [math.exp(-2.0), 0.97])
+    def test_product_entry_independent_of_its_batch(self, q):
+        ctx = QContext(q=q)
+        rng = np.random.default_rng(12)
+        a = 10.0 ** rng.uniform(-3.0, 0.5, 3000) * np.exp(1j * rng.uniform(-3.1, 3.1, 3000))
+        batch = q_pochhammer_infinite(a, ctx)[::30]
+        alone = np.array([q_pochhammer_infinite(v, ctx)[0] for v in np.split(a, 3000)[::30]])
+        assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("q", [*ARRAY_Q, 0.9, 0.97])
+    def test_real_product_entries_equal_the_scalar_loop(self, q):
+        # real entries, with exact zeros and entries that need no factor,
+        # among complex ones
+        ctx = QContext(q=q)
+        real = [*np.linspace(-3.0, 3.0, 201).tolist(), 1.0 / q, 0.0, 1e-30, -2e-17]
+        a = np.array([*real, *(0.5j * np.array(real[:50]))])
+        got = q_pochhammer_infinite(a, ctx)[: len(real)]
+        assert np.array_equal(got, [q_pochhammer_infinite(v, ctx) for v in real])
+
     def test_product_equals_scalar_calls(self, ctx):
         a = np.linspace(-0.95, 3.0, 40) * np.exp(0.3j)
         got = q_pochhammer_infinite(a, ctx)
         want = np.array([q_pochhammer_infinite(v, ctx) for v in a.tolist()])
         assert _rel(got, want) <= 1e-14
+
+    def test_product_keeps_the_shape_of_its_array(self, ctx):
+        a = np.array([[0.3, -0.5j, 2.0], [0.1, 1.5, -0.25]])
+        got = q_pochhammer_infinite(a, ctx)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), q_pochhammer_infinite(a.ravel(), ctx))
+        assert q_pochhammer_infinite(np.array(0.3), ctx) == q_pochhammer_infinite(0.3, ctx)
 
     def test_zero_weight_parameters_keep_the_shape(self, ctx):
         x = np.array([0.5, -0.5])
@@ -379,6 +418,20 @@ class TestArrayPath:
             with pytest.raises(NonConvergence) as scalar:
                 q_pochhammer_infinite_log(a, ctx)
             assert scalar.value.partial == pytest.approx(_capped_log(a, ctx.q), rel=1e-14)
+
+    def test_capped_product_partial(self):
+        # at q = 0.996 the entries 0.5 and -0.25 stop after 9823 and 9650
+        # factors, and 2.0 is capped: the partial carries the full values of
+        # the first two and the first MAX_FACTORS factors of the third
+        ctx = QContext(q=0.996)
+        with pytest.raises(NonConvergence) as exc:
+            q_pochhammer_infinite(np.array([0.5, 2.0, -0.25]), ctx)
+        part = exc.value.partial
+        assert part[0] == q_pochhammer_infinite(0.5, ctx)
+        assert part[2] == q_pochhammer_infinite(-0.25, ctx)
+        with pytest.raises(NonConvergence) as scalar:
+            q_pochhammer_infinite(2.0, ctx)
+        assert part[1] == scalar.value.partial
 
     def test_factor_cap_is_cheap(self):
         # the (q e^{2i theta};q)_inf rows of the Askey-Wilson weight at
@@ -412,6 +465,61 @@ class TestArrayPath:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def _loop_count(mag, q):
+    """The stop rule as a loop over the factors, as the scalar product
+    applied it before its closed form: the first k with |a q^k| below
+    EPS_FACTOR and the tail bound |a q^k| / ((1 - q)(1 - |a q^k|)) below
+    EPS_TERM, or None (capped) if there is none below MAX_FACTORS."""
+    for k in range(MAX_FACTORS):
+        if mag < qcore.EPS_FACTOR and mag / ((1.0 - q) * (1.0 - mag)) < qcore.EPS_TERM:
+            return k
+        mag *= q
+    return None
+
+
+def _loop_product(a, q):
+    """(a;q)_inf by the scalar loop that tested the stop rule at every factor."""
+    p, term = complex(1.0), complex(a)
+    for _ in range(MAX_FACTORS):
+        mag = abs(term)
+        if mag < qcore.EPS_FACTOR and mag / ((1.0 - q) * (1.0 - mag)) < qcore.EPS_TERM:
+            return p
+        p *= 1.0 - term
+        term *= q
+    return None
+
+
+class TestFactorCounts:
+    """The stop rule in closed form against the loop it replaced."""
+
+    # two draws at the cap that a first closed form called uncapped
+    CAP_EDGE = [(0.9996924577035181, 6.662732553557349e-18),
+                (0.9954890747862133, 193.84713595433507)]
+
+    def test_equals_the_loop_count_and_cap(self):
+        rng = random.Random(18)
+        draws = [(rng.uniform(0.001, 0.999), 10.0 ** rng.uniform(-25.0, 6.0)) for _ in range(3000)]
+        for q, mag in [*draws, *self.CAP_EDGE]:
+            want = _loop_count(mag, q)
+            assert qcore._factor_counts(mag, q) == (MAX_FACTORS if want is None else want)
+        assert all(_loop_count(mag, q) is None for q, mag in self.CAP_EDGE)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.97, 0.9995])
+    def test_array_counts_equal_the_float_counts(self, q):
+        mag = np.array([0.0, 1e-300, 1e-20, 1e-17, 0.3, 1.0, 40.0, 1e300, math.inf, math.nan])
+        want = [qcore._factor_counts(m, q) for m in mag.tolist()]
+        assert qcore._factor_counts(mag, q).tolist() == want
+        loop = [_loop_count(m, q) for m in mag[:-2].tolist()]
+        assert want == [MAX_FACTORS if n is None else n for n in loop] + [MAX_FACTORS] * 2
+
+    def test_scalar_product_equals_the_loop(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            q = rng.uniform(0.001, 0.99)
+            a = cmath.rect(10.0 ** rng.uniform(-20.0, 1.0), rng.uniform(-math.pi, math.pi))
+            assert q_pochhammer_infinite(a, QContext(q=q)) == _loop_product(a, q)
 
 
 class TestScalarLogProduct:
