@@ -80,7 +80,7 @@ parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (rows x nodes) array, with the tail
 rule applied per node; its row count is still set by the slowest node of
-the call.  Every integrand makes one log-product call
+the call.  Every integrand makes one ``q_pochhammer_infinite_log`` call
 per integrand call, on the arguments of all its factors at all its nodes
 or points: 10 rows of nodes for the Askey-Wilson and reversal weights
 and 8 for the Gaussian one at four nonzero parameters, up to 6 rows of
@@ -90,9 +90,9 @@ itself, so a weight's value at a node does not depend on the other nodes
 of its call (the k-sum's still does, through its row count).
 The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
 4 sin^2 theta (q e^{2i theta}, q e^{-2i theta};q)_inf, with no zero factor
-at theta = 0.  The generating integrand takes its logs with an exact zero
-factor as -inf, so such a point is 0 or not finite, as the quotient of
-plain products was, and not a :class:`DivisionByZero`.  The closed sides
+at theta = 0.  An exact zero factor has the log -inf, so an integrand is 0
+where only its numerator vanishes and not finite where its denominator
+does, as the quotient of plain products would be.  The closed sides
 (``_three_term_side``, the families' ``closed``, ``frac_prefactor``)
 call only the scalar loops of :mod:`qaw.qcore`, so the two sides of an
 identity share no vectorised code.
@@ -121,7 +121,6 @@ from .context import (
 from .qcore import (
     EPS_TERM,
     INFINITE,
-    _log_array,
     q_pochhammer,
     q_pochhammer_infinite,
     q_pochhammer_infinite_log,
@@ -432,10 +431,11 @@ def _lemma_sides(p, ctx):
     return lhs, terms[0] + terms[1] + terms[2], {}, {"abs_terms": sum(map(abs, terms))}
 
 
-def _log_quotient(log_product, num, den, size, ctx):
+def _log_quotient(num, den, size, ctx):
     """log of prod (v;q)_inf over the rows v of num over the same product
     over den, at each of ``size`` nodes; the rows are node arrays, all
-    taken by one call of ``log_product`` (a qcore array log product).
+    taken by one call of ``q_pochhammer_infinite_log``, whose -inf at an
+    exact zero factor carries through.
 
     The rows are added (num) or subtracted (den) one at a time, in order:
     numpy's sum over eight or more rows pairs them differently for one
@@ -443,7 +443,7 @@ def _log_quotient(log_product, num, den, size, ctx):
     """
     total = np.zeros(size)
     if num or den:
-        lg = log_product(np.concatenate(num + den), ctx).reshape(-1, size)
+        lg = q_pochhammer_infinite_log(np.concatenate(num + den), ctx).reshape(-1, size)
         for i, row in enumerate(lg):
             total = total + row if i < len(num) else total - row
     return total
@@ -461,7 +461,7 @@ def _generating_integrand(y, p, ctx):
     den = [c * y for c in (p.s, p.z, p.u) if c != 0]
     # exp(-inf) = 0 for a vanishing numerator; inf or NaN otherwise
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.exp(_log_quotient(_log_array, num, den, y.size, ctx))
+        return np.exp(_log_quotient(num, den, y.size, ctx))
 
 
 def _generating_sides(p, ctx):
@@ -505,7 +505,7 @@ def _aw_weight(theta, p, ctx):
     theta = 0, and each nonzero parameter adds the rows prm e^{+-i theta}."""
     q, e, e2 = ctx.q, np.exp(1j * theta), np.exp(2j * theta)
     den = [v for prm in (p.a, p.b, p.c, p.d) if prm != 0 for v in (prm * e, prm / e)]
-    lg = _log_quotient(q_pochhammer_infinite_log, [q * e2, q / e2], den, theta.size, ctx)
+    lg = _log_quotient([q * e2, q / e2], den, theta.size, ctx)
     return 4.0 * np.sin(theta) ** 2 * np.exp(lg)
 
 
@@ -534,7 +534,7 @@ def _reversal_weight(t, p, ctx):
     from one log-product call on all their arguments."""
     q = ctx.q
     den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-    return np.exp(_log_quotient(q_pochhammer_infinite_log, _sinh_args(t, p, q), den, t.size, ctx))
+    return np.exp(_log_quotient(_sinh_args(t, p, q), den, t.size, ctx))
 
 
 def _reversal_series(t, p):
@@ -554,7 +554,7 @@ def _gaussian_weight(t, p, ctx):
     """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
     ag = p.alpha_g
     rows = _sinh_args(ag * t, p, 1.0)
-    lg = -t * t + _log_quotient(q_pochhammer_infinite_log, rows, [], t.size, ctx)
+    lg = -t * t + _log_quotient(rows, [], t.size, ctx)
     return np.exp(lg) * np.cosh(ag * t)
 
 

@@ -1,8 +1,8 @@
 """Scalar building blocks: q-Pochhammer symbols, q-bracket, q-gamma,
 basic hypergeometric series and the h(.) weight functions.
 
-The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
-1-D array (of parameters, angles or points) and return an array.
+The infinite products and the weights ``h_cos``/``h_sinh_log`` also take an
+array (of parameters, angles or points) and return one of its shape.
 
 * The product (a;q)_inf of an array forms the factors of each entry up
   to its own factor count (the stop rule below) in bounded blocks and
@@ -18,7 +18,8 @@ The infinite products and the weights ``h_cos``/``h_sinh_log`` also take a
   at z = a q^h, cut at LOG_TERMS terms.  So an entry's value does not
   depend on the other entries of its call, here as in the product, and a
   factor with |a q^k| far below 1 costs no log.  The scalar log takes the
-  same head and series in plain Python.  All four integrands of the
+  same head and series in plain Python.  An exact zero factor gives -inf,
+  the log of the 0 that the product gives.  All four integrands of the
   identity checks take their products as logs.
 
 Order convention for q-Pochhammer symbols
@@ -184,8 +185,8 @@ def _log_series(z, q):
 
 
 def _log_array(a, ctx: QContext):
-    """log (a;q)_inf for every entry of the 1-D array a (module docstring),
-    -inf, the log of 0, at an entry with an exact zero factor.
+    """log (a;q)_inf for every entry of the array a (module docstring), of
+    its shape, -inf, the log of 0, at an entry with an exact zero factor.
 
     Each entry has its own head of h = ceil(log(|a| / LOG_RADIUS) / log(1/q))
     factors (at least 0), the least k with |a| q^k <= LOG_RADIUS up to
@@ -194,7 +195,7 @@ def _log_array(a, ctx: QContext):
     MAX_FACTORS factors as ``partial``: its head, cut at MAX_FACTORS, then
     the series at a q^h less the series at a q^MAX_FACTORS.
     """
-    q = ctx.q
+    q, shape, a = ctx.q, a.shape, a.ravel()
     mag = np.abs(a)
     amax = float(mag.max(initial=0.0))
     capped = _factor_counts(amax, q) >= MAX_FACTORS
@@ -231,6 +232,7 @@ def _log_array(a, ctx: QContext):
     else:
         acc = acc + _log_series(a * q**head, q)
     acc[dead] = -math.inf
+    acc = acc.reshape(shape)
     if capped:
         raise NonConvergence(
             f"log (a;q)_inf with max |a|={amax:.3e} did not converge in "
@@ -245,8 +247,8 @@ def q_pochhammer_infinite(a, ctx: QContext):
     """(a;q)_inf as a truncated product with a bounded relative tail: the
     finite product (a;q)_n over the factor count n.
 
-    A scalar ``a`` gives a ``complex``.  A 1-D array ``a`` gives an array
-    of the same shape, every entry over its own factor count.
+    A scalar ``a`` gives a ``complex``.  An array ``a`` gives an array of
+    the same shape, every entry over its own factor count.
     """
     if isinstance(a, np.ndarray):
         return _array_product(a, ctx)
@@ -272,22 +274,17 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     Returns a complex number whose real part is the log-magnitude and whose
     imaginary part is the accumulated phase of the product: the sum of the
     factors' principal logs.  Factors are never exponentiated, so arguments
-    with |a| >> 1 do not overflow.  A scalar and every entry of a 1-D array
-    ``a`` alike are formed from their own head factors and the q-log series
-    of the tail (module docstring), an entry whatever the other entries.
-    An exact zero factor raises :class:`DivisionByZero`.  Where the product
+    with |a| >> 1 do not overflow.  A scalar and every entry of an array
+    ``a`` (of any shape) alike are formed from their own head factors and
+    the q-log series of the tail (module docstring), whatever the other
+    entries.  An exact zero factor gives -inf, the log of 0.  Where the product
     of |a| (of the largest |a| of an array) is capped at MAX_FACTORS
     factors, :class:`NonConvergence` carries the log of the first
     MAX_FACTORS factors (of every entry) as ``partial``.
     """
     q = ctx.q
     if isinstance(a, np.ndarray):
-        lg = _log_array(a, ctx)
-        dead = np.isneginf(lg.real)
-        if dead.any():
-            raise DivisionByZero(
-                f"(a;q)_inf with a={a[np.argmax(dead)]} contains an exact zero factor")
-        return lg
+        return _log_array(a, ctx)
     # the head of _log_array; a NaN or infinite |a| takes MAX_FACTORS factors
     mag = abs(a)
     capped = _factor_counts(mag, q) >= MAX_FACTORS
@@ -300,15 +297,15 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     term = complex(a)
     for _ in range(h):
         f = 1.0 - term
-        if f == 0:
-            raise DivisionByZero(f"(a;q)_inf with a={a} contains an exact zero factor")
-        logs.append(cmath.log(f))
+        logs.append(cmath.log(f) if f else -math.inf)
         term *= q
     lg = _fsum_complex(logs)
     if h < MAX_FACTORS:
         lg += _log_series(a * q**h, q)
         if capped:
             lg -= _log_series(a * q**MAX_FACTORS, q)
+    if lg.real == -math.inf:
+        lg = complex(-math.inf)  # as on the array path
     if capped:
         raise NonConvergence(
             f"log (a;q)_inf with a={a} did not converge in {MAX_FACTORS} factors",
@@ -505,7 +502,7 @@ def h_cos(theta, params, ctx: QContext):
 
     Product over the parameters of (a e^{i theta}, a e^{-i theta}; q)_inf.
     Real-valued (up to rounding) for real parameters.  A scalar ``theta``
-    gives a ``complex``; a 1-D array of angles gives an array of the same
+    gives a ``complex``; an array of angles gives an array of the same
     shape, with one array-path product per parameter and sign.
     """
     if isinstance(theta, np.ndarray):
@@ -526,15 +523,15 @@ def h_sinh_log(x, t: complex, ctx: QContext):
     """log of (i t e^x, -i t e^{-x}; q)_inf, safe for large |x|.
 
     Real part is the log-magnitude, imaginary part the accumulated phase.
-    A scalar ``x`` gives a ``complex``; a 1-D array gives an array of the
-    same shape, from one array log product on [i t e^x, -i t e^{-x}].
+    A scalar ``x`` gives a ``complex``; an array gives an array of its
+    shape, from one array log product on [i t e^x, -i t e^{-x}].
     """
     if isinstance(x, np.ndarray):
         if t == 0:
             return np.zeros(x.shape, dtype=complex)
         ex = np.exp(x)
-        lg = q_pochhammer_infinite_log(np.concatenate([1j * t * ex, -1j * t / ex]), ctx)
-        return lg[: x.size] + lg[x.size :]
+        lg = q_pochhammer_infinite_log(np.stack([1j * t * ex, -1j * t / ex]), ctx).reshape(2, -1)
+        return (lg[0] + lg[1]).reshape(x.shape)
     if t == 0:
         return complex(0.0)
     ex = math.exp(x)

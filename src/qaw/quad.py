@@ -6,6 +6,7 @@ to a symmetric window [-T, T].  The identities' theta-integrands depend on
 cos(theta), so they are analytic, even and 2*pi-periodic, and their window
 integrands are analytic and negligible at +-T; in both cases the rule
 converges geometrically (Trefethen & Weideman, SIAM Review 56(3), 2014).
+On both intervals ``est_error`` is the rule's own, for any complex value.
 Each refinement halves the step and evaluates only the new midpoints, so
 no sample is thrown away.  There is no Richardson extrapolation, so a
 non-periodic integrand converges only algebraically, and past 2^16
@@ -184,10 +185,9 @@ def integrate_line_even_window(f) -> QuadratureResult:
     at a time, so the outcome (T, the value, or the error raised) is the
     one that probing each half-width singly gives.  If no half-width has
     decayed, :class:`WindowFailure` carries the probed log-magnitudes.
-    [-T, T] is then integrated by the nested trapezoidal rule.  ``f`` maps
-    a 1-D array of points to an array of values of the same shape.  The
-    imaginary part of the value feeds the error estimate, since admissible
-    integrands satisfy f(-t) = conj(f(t)).
+    [-T, T] is then integrated by the nested trapezoidal rule, whose own
+    ``est_error`` the result keeps; the value may be complex.  ``f`` maps
+    a 1-D array of points to an array of values of the same shape.
     """
     target = math.log(_WINDOW_TAIL_TOL)
     probes = {}
@@ -203,9 +203,7 @@ def integrate_line_even_window(f) -> QuadratureResult:
         for i, T in enumerate(batch):
             probes[T] = _probe(f, batch[i : i + 1])[0] if logs is None else logs[i]
             if probes[T] < target:
-                res = _trapezoid(f, -T, T)
-                err = max(res.est_error, abs(res.value.imag))
-                return replace(res, est_error=err, window=(-T, T))
+                return replace(_trapezoid(f, -T, T), window=(-T, T))
     raise WindowFailure(
         f"integrand log-magnitude never dropped below {target:.2f} up to "
         f"T={_MAX_WINDOW}; probes: "

@@ -357,13 +357,24 @@ class TestCheck:
         assert code == 65 and out == ""
         assert err.startswith("invariant violation:") and "rounds to 1" in err
 
-    def test_vanishing_factor_exits_2(self, capsys, zero_factor_scale):
+    def test_vanishing_factor_exits_0(self, capsys, zero_factor_scale):
+        # a weight factor is exactly 0 at the window probe t = 1: the weight
+        # is 0 there, and h_sinh at that point prints 0
         code, out, err = run_cli(
             capsys, "check", "reversal-askey-wilson", "--q", "0.5", "--a", "0.2",
             f"--b=-{zero_factor_scale!r}i"
         )
-        assert code == 2 and out == ""
-        assert "Traceback" not in err and err.startswith("DivisionByZero")
+        assert code == 0 and err == "" and json.loads(out)["passed"]
+        code, out, err = run_cli(capsys, "eval", "hsinh", "--q", "0.5", "--x", "1",
+                                 f"--t=-{zero_factor_scale!r}i")
+        assert code == 0 and err == "" and out == "0\n"
+
+    def test_complex_real_line_parameter_exits_0(self, capsys):
+        # the integrand is complex and not conjugate-symmetric in t
+        code, out, err = run_cli(capsys, "check", "reversal-askey-wilson", "--q", "0.5",
+                                 "--a", "0.2", "--b", "0.1i")
+        report = json.loads(out)
+        assert code == 0 and report["passed"] and report["lhs"]["im"] != 0
 
     @pytest.mark.parametrize("identity, argv", [
         ("fractional-askey-wilson",

@@ -12,7 +12,6 @@ import pytest
 
 from qaw import identities, qcore, quad
 from qaw.context import (
-    DivisionByZero,
     DomainError,
     KSumDivergence,
     NonConvergence,
@@ -151,6 +150,41 @@ class TestQuadratureOracle:
         lhs_ok = mp_oracle.rel_err(reversal.lhs, exact) < 1e-11
         # from q = 0.98 on the reversal quadrature loses its value: never a pass
         assert lhs_ok if q <= 0.95 else lhs_ok or not reversal.passed
+
+
+# the real-line rows and the bound on the real and imaginary parts of
+# their complex b, c and d
+COMPLEX_DRAW_WIDTH = {
+    "reversal-askey-wilson": 0.15,
+    "fractional-reversal-askey-wilson": 0.07,
+    "fractional-reversal-askey-wilson-3phi2": 0.07,
+    "atakishiyev": 0.07,
+    "fractional-atakishiyev": 0.03,
+    "fractional-atakishiyev-3phi2": 0.03,
+}
+
+
+class TestComplexRealLineParameters:
+    """The real-line rows with complex b, c, d that are not conjugate to
+    each other, so that the integrand has no symmetry f(-t) = conj f(t)
+    and the value an imaginary part: each check passes, and both sides
+    agree with 40 digits."""
+
+    @pytest.mark.parametrize("name, width", COMPLEX_DRAW_WIDTH.items())
+    def test_seeded_draws(self, name, width):
+        rng = random.Random(5)
+        fixed = FIXED_POINTS[name]
+        drawn = "bc" if name.endswith("-3phi2") else "bcd"
+        for _ in range(8):
+            base = ({"alpha_g": rng.uniform(0.8, 1.0)} if "alpha_g" in fixed
+                    else {"q": rng.uniform(0.4, 0.6)})
+            p = {**fixed, **base, **{k: complex(rng.uniform(-width, width),
+                                                rng.uniform(-width, width)) for k in drawn}}
+            (oc,) = run_suite([{"identity": name, "params": p}])
+            assert oc.status == "passed", (p, oc.reason or oc.report.failure)
+            exact = mp_oracle.closed_side(name, p)
+            assert mp_oracle.rel_err(oc.report.lhs, exact) < 5e-15, p
+            assert mp_oracle.rel_err(oc.report.rhs, exact) < 5e-15, p
 
 
 class TestBatchedKSum:
@@ -656,13 +690,18 @@ class TestSuiteRunner:
         assert oc.status == "skipped" and "tolerance" in oc.reason
         assert oc.params == params
 
-    def test_vanishing_factor_becomes_skipped(self, zero_factor_scale):
-        # i (q b) e^{t} = 1 exactly at the first window probe t = 1
+    def test_vanishing_factor_passes(self, zero_factor_scale):
+        # i (q b) e^{t} = 1 exactly at the first window probe t = 1, where
+        # the weight is 0, as the product of its factors is
         b = -1j * zero_factor_scale
         params = {"q": 0.5, "a": 0.2, "b": b}
+        weight = identities._reversal_weight(np.array([1.0, 0.5]), ReversalParams(**params),
+                                             QContext(q=0.5))
+        assert weight[0] == 0 and weight[1] != 0
         (oc,) = run_suite([{"identity": "reversal-askey-wilson", "params": params}])
-        assert oc.status == "skipped" and oc.reason.startswith("DivisionByZero")
-        assert oc.params == params
+        assert oc.status == "passed", oc.reason
+        exact = mp_oracle.closed_side("reversal-askey-wilson", params)
+        assert mp_oracle.rel_err(oc.report.lhs, exact) < 2e-15
 
     @pytest.mark.parametrize("params", [
         {"alpha_g": 11.2},

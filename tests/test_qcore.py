@@ -398,10 +398,37 @@ class TestArrayPath:
         assert np.array_equal(h_sinh_log(x, 0.0, ctx), np.zeros(2))
         assert np.array_equal(h_cos(x, [0.0], ctx), np.ones(2))
 
-    def test_exact_zero_factor_raises(self, ctx):
-        # the factor 1 - 2 q is exactly 0 at q = 1/2
-        with pytest.raises(DivisionByZero):
-            q_pochhammer_infinite_log(np.array([0.3, 2.0, 0.1j]), ctx)
+    def test_log_products_and_weights_keep_the_shape_of_their_array(self, ctx):
+        a = np.array([[0.3, -0.5j, 2.5], [0.1, 1.5, -0.25]])
+        got = q_pochhammer_infinite_log(a, ctx)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), q_pochhammer_infinite_log(a.ravel(), ctx))
+        got = q_pochhammer_infinite_log(np.array(0.3), ctx)
+        assert got.shape == ()
+        assert np.array_equal(got, q_pochhammer_infinite_log(np.array([0.3]), ctx)[0])
+        x = np.array([[0.5, -1.0, 3.0], [0.0, 2.0, -4.5]])
+        got = h_sinh_log(x, 0.3 - 0.1j, ctx)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), h_sinh_log(x.ravel(), 0.3 - 0.1j, ctx))
+        got = h_sinh_log(np.array(0.5), 0.3 - 0.1j, ctx)
+        assert got.shape == ()
+        assert np.array_equal(got, h_sinh_log(np.array([0.5]), 0.3 - 0.1j, ctx)[0])
+        got = h_cos(x, COMPLEX_PARAMS, ctx)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), h_cos(x.ravel(), COMPLEX_PARAMS, ctx))
+
+    def test_exact_zero_factor_gives_minus_inf(self, ctx, zero_factor_scale):
+        # the factor 1 - 2 q is exactly 0 at q = 1/2: the log of the
+        # vanishing product, each other entry as in a call without it
+        got = q_pochhammer_infinite_log(np.array([0.3, 2.0, 0.1j]), ctx)
+        assert got[1] == complex(-math.inf)
+        alone = q_pochhammer_infinite_log(np.array([0.3, 0.1j]), ctx)
+        assert np.all(np.abs(got[::2] - alone) <= 4 * np.spacing(np.abs(alone)))
+        # h_sinh at t = -i c, x = 1 has the factor 1 - q c e = 0
+        t = -1j * zero_factor_scale
+        lg = h_sinh_log(np.array([1.0, 0.5]), t, ctx)
+        assert lg[0].real == -math.inf and np.isfinite(lg[1])
+        assert h_sinh(1.0, t, ctx) == 0
         # the plain product just vanishes there, as the scalar loop does
         got = q_pochhammer_infinite(np.array([0.3, 2.0]), ctx)
         assert got[1] == 0 and got[0] == q_pochhammer_infinite(0.3, ctx)
@@ -555,11 +582,16 @@ class TestScalarLogProduct:
         got = np.array([q_pochhammer_infinite_log(v, ctx) for v in a.tolist()])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
-    def test_exact_zero_factor_raises(self, ctx):
-        # the factor 1 - 2 q is exactly 0 at q = 1/2
-        with pytest.raises(DivisionByZero):
-            q_pochhammer_infinite_log(2.0, ctx)
+    def test_exact_zero_factor_gives_minus_inf(self, ctx, zero_factor_scale):
+        # the factor 1 - 2 q is exactly 0 at q = 1/2, as on the array path
+        assert q_pochhammer_infinite_log(2.0, ctx) == complex(-math.inf)
+        assert q_pochhammer_infinite(2.0, ctx) == 0
         assert q_pochhammer_infinite_log(0.0, ctx) == 0
+        t = -1j * zero_factor_scale
+        assert h_sinh_log(1.0, t, ctx).real == -math.inf and h_sinh(1.0, t, ctx) == 0
+        # dividing by the vanishing product still raises: (4;q)_1 = (4;q)_inf / (2;q)_inf
+        with pytest.raises(DivisionByZero):
+            q_pochhammer(4.0, 1.0, ctx)
 
 
 class TestContextValidation:
