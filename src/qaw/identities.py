@@ -69,22 +69,40 @@ tests.  Per node, running sums over each step's new rows give the rule:
 the last 8 rows of both |g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of
 their totals.  The value is formed once, over the final rows.  A step
 whose sum is not finite at some node, or a sum not settled at 4096 rows,
-raises :class:`KSumDivergence`.  The rows and the weights w grow by
-doubling, so a short sum allocates for its own rows only.  The report's
-``k_terms`` is the most rows a k-sum of the check used, and
-``k_digits_lost`` the most digits its cancellation can cost,
-log10(sum |g_m w_m| / |sum g_m w_m|) at a node, from the same running sums.
+raises :class:`KSumDivergence`.  The rows grow by doubling, so a short
+sum allocates for its own rows only.  The report's ``k_terms`` is the
+most rows a k-sum of the check used, ``k_digits_lost`` the most digits
+its cancellation can cost, log10(sum |g_m w_m| / |sum g_m w_m|) at a
+node, and ``g1_digits_lost`` the most the division by
+G(1) = sum g_m s^-m can cost, log10(sum |g_m s^-m| / |G(1)|), both from
+the same running sums and at most the 15.65 digits of a double.
+
+Tables.  Everything but g is the same at every node: the weights w_m /
+s^m, s^-m and the recurrence's q^{m-j} and 1 / (1 - q^m) are formed
+together for the first 128 rows, and again at twice the length when the
+rows pass it.  The recurrence coefficients (D_j q^{m-j} - N_j) (1 / (1 -
+q^m)) are formed from them 16 rows at a time, so their scratch stays
+small at any row count.  The real tables are kept as complex r + 0j:
+numpy takes a complex array times a real one as that product after a
+cast of every entry, and its quotient by d + 0j equals the product with
+1/d + 0j but for the sign of a zero part, so the kernel keeps the bits
+of those forms without the casts.
 
 Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
 each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (rows x nodes) array, with the tail
 rule applied per node; its row count is still set by the slowest node of
-the call.  Every integrand makes one ``q_pochhammer_infinite_log`` call
-per integrand call, on the arguments of all its factors at all its nodes
-or points: 10 rows of nodes for the Askey-Wilson and reversal weights
-and 8 for the Gaussian one at four nonzero parameters, up to 6 rows of
-points for the generating q-integrand.  :func:`_log_quotient` adds the
+the call.  A node-free parameter keeps a single column in the factor
+polynomials.  The fractional prefactor x^mu (a/x;q)_mu / (q;q)_mu, the
+k = 0 weight, depends on x, a, mu and q only: a quadrature check forms
+it once and passes it to every k-sum call as ``pref``, and its closed
+side forms its own.  Every integrand makes one
+``q_pochhammer_infinite_log`` call per integrand call, on the arguments
+of all its factors at all its nodes or points: 10 rows of nodes for the
+Askey-Wilson and reversal weights and 8 for the Gaussian one at four
+nonzero parameters, up to 6 rows of points for the generating
+q-integrand.  :func:`_log_quotient` adds the
 rows' logs one at a time, and the log product truncates each entry by
 itself, so a weight's value at a node does not depend on the other nodes
 of its call (the k-sum's still does, through its row count).
@@ -271,45 +289,69 @@ _MAX_ROWS = 4096  # the most Taylor coefficients a k-sum takes
 _ALL_DIGITS = -math.log10(np.finfo(float).eps)
 
 
-def _factor_poly(params, shape):
-    """Coefficients of prod_i (1 - c_i y), one column per node."""
-    c = np.zeros((len(params) + 1,) + shape, dtype=complex)
+def _node_shape(params):
+    """The shape of the node arrays among ``params``, (1,) if all are scalars."""
+    return np.broadcast(0j, *params).shape or (1,)
+
+
+def _factor_poly(params):
+    """Coefficients of prod_i (1 - c_i y), one column per node, or a
+    single column where no parameter varies over the nodes."""
+    c = np.zeros((len(params) + 1,) + _node_shape(params), dtype=complex)
     c[0] = 1.0
     for i, p in enumerate(params, start=1):
         c[1 : i + 1] -= p * c[:i]
     return c
 
 
-def _taylor_rows(g, start, stop, Nj, Dj, q):
+def _taylor_rows(g, start, stop, Nj, Dj, qpow, inv):
     """Fill the rows m = start, ..., stop - 1 of the Taylor coefficients of G.
 
     Row m + r of g holds g_m, after r rows of zeros; ``Nj`` and ``Dj`` are
-    the slices N_j, D_j, j = r, ..., 1, of the factor polynomials, and
+    the slices N_j, D_j, j = r, ..., 1, of the factor polynomials, ``qpow``
+    and ``inv`` the tables q^{m-j} and 1 / (1 - q^m) of :func:`_tables`, and
     N(y) G(y) = D(y) G(q y) gives
-    g_m (1 - q^m) = sum_{j>=1} (D_j q^{m-j} - N_j) g_{m-j}.
+    g_m = sum_{j>=1} (D_j q^{m-j} - N_j) (1 / (1 - q^m)) g_{m-j}.
     """
     r = len(Nj)
-    j = np.arange(r, 0, -1)
-    buf = np.empty_like(Nj)
+    buf = np.empty((r,) + g.shape[1:], dtype=complex)
     # the recurrence coefficients of 16 rows at a time bound the scratch memory
     for lo in range(start, stop, 16):
-        m = np.arange(lo, min(lo + 16, stop))
-        C = Dj * (q ** (m[:, None] - j))[..., None]
-        C -= Nj
-        C /= (1.0 - q**m)[:, None, None]
-        for mm, c in zip(m.tolist(), C):
+        hi = min(lo + 16, stop)
+        C = np.subtract(Dj * qpow[lo:hi, :, None], Nj)
+        C *= inv[lo:hi, None, None]
+        for mm, c in zip(range(lo, hi), C):
             np.multiply(c, g[mm : mm + r], out=buf)
             np.add.reduce(buf, axis=0, out=g[mm + r])
 
 
-def _weights(x, a, mu, q, e, pref, L):
-    """w_m / s^m and s^-m, s = 2^e, for m < L (module docstring)."""
-    k = np.arange(L - 1)
+def _settled(mags, sums):
+    """The tail rule at each node, for |g_m s^-m| and |g_m w_m| (``mags``,
+    the new rows of each): their last 8 rows below ``EPS_TERM`` of their
+    running totals ``sums``."""
+    return mags[:, -8:].sum(axis=1) < EPS_TERM * np.maximum(sums, 1e-300)
+
+
+def _tables(x, a, mu, q, e, pref, r, L):
+    """The node-free tables of the rows m < L: the weights w_m / s^m and
+    s^-m, s = 2^e (module docstring), and the recurrence's q^{m-j},
+    j = r, ..., 1, and 1 / (1 - q^m).
+
+    All but s^-m hold each real t as the complex t + 0j, whose products
+    keep the bits of a complex array times, or over, a real one (module
+    docstring; ``tests/test_identities.py`` checks both).
+    """
+    m = np.arange(L)
+    k = m[:-1]
     ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * 2.0**e * (1.0 - q ** (mu + k + 1)))
     c = np.cumprod(np.concatenate(([pref], ratios)))
-    qfac = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1, L))))
-    down = np.ldexp(1.0, -e * np.arange(L))
-    return qfac * np.convolve(c, down / qfac)[:L], down
+    den = 1.0 - q**m
+    den[0] = 1.0  # (q;q)_0; no recurrence row is m = 0
+    qfac = np.cumprod(den)
+    down = np.ldexp(1.0, -e * m)
+    w = qfac * np.convolve(c, down / qfac)[:L]
+    qpow = q ** (m[:, None] - np.arange(r, 0, -1))
+    return w.astype(complex), down, qpow.astype(complex), (1.0 / den).astype(complex)
 
 
 def frac_prefactor(x, a, mu, ctx):
@@ -321,7 +363,7 @@ def frac_prefactor(x, a, mu, ctx):
     ).real
 
 
-def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
+def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None, pref=None):
     """sum_k x^{mu+k} (a/x;q)_{mu+k} / (a^k (q;q)_{mu+k}) * phi_k.
 
     phi_k is the terminating series with numerator (q^-k, *phi_numer),
@@ -332,52 +374,56 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     nodes otherwise.  Raises :class:`KSumDivergence` for the first node
     whose sum is not finite, or at 4096 rows for the first node that has
     not settled; its ``k`` is the number of rows with a finite partial sum.
-    ``diag`` gets the largest row count ``k_terms`` and the largest
-    ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node.
+    ``pref`` is :func:`frac_prefactor` of (x, a, mu), formed here if None.
+    ``diag`` gets the largest row count ``k_terms``, the largest
+    ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
+    the largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|).
     """
-    q, eps = ctx.q, EPS_TERM
+    q = ctx.q
     e = min(round(math.log2(x / a)), 1023)
     s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
     params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
-    shape = np.broadcast_shapes((1,), *(p.shape for p in params))
-    numer = _factor_poly([s * p for p in params[: len(phi_numer)] if p.any()], shape)
-    denom = _factor_poly([s * p for p in params[len(phi_numer) :] if p.any()], shape)
-    pref = frac_prefactor(x, a, mu, ctx)
+    shape = _node_shape(params)
+    numer = _factor_poly([s * p for p in params[: len(phi_numer)] if np.count_nonzero(p)])
+    denom = _factor_poly([s * p for p in params[len(phi_numer) :] if np.count_nonzero(p)])
+    if pref is None:
+        pref = frac_prefactor(x, a, mu, ctx)
 
     # the recurrence slices N_j, D_j, j = r, ..., 1, zero past each degree
     r = max(len(numer), len(denom)) - 1
-    Nj, Dj = (np.concatenate((c, np.zeros((r + 1 - len(c),) + shape)))[r:0:-1]
+    Nj, Dj = (np.concatenate((c, np.zeros((r + 1 - len(c),) + c.shape[1:])))[r:0:-1]
               for c in (numer, denom))
     g = np.zeros((64 + r,) + shape, dtype=complex)
     g[r] = 1.0
-    w, down = _weights(x, a, mu, q, e, pref, 64)
-    # per node: sum |g_m s^-m|, sum |g_m w_m| and sum g_m w_m over the rows so far
-    sum_g, sum_t = np.zeros(shape), np.zeros(shape)
+    # per node: sum |g_m s^-m| and sum |g_m w_m| (``sums``) and sum g_m w_m
+    # over the rows so far
+    sums = np.zeros((2,) + shape)
     part = np.zeros(shape, dtype=complex)
-    M, new = 0, 32
+    M, new, L = 0, 32, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             if new + r > len(g):
                 g = np.concatenate((g, np.zeros_like(g)))
-            if new > len(w):
-                w, down = _weights(x, a, mu, q, e, pref, 2 * len(w))
-            _taylor_rows(g, max(M, 1), new, Nj, Dj, q)
+            if new > L:
+                L = max(2 * L, 128)
+                w, down, qpow, inv = _tables(x, a, mu, q, e, pref, r, L)
+            _taylor_rows(g, max(M, 1), new, Nj, Dj, qpow, inv)
             rows = g[r + M : r + new]
             terms = rows * w[M:new, None]
             part += terms.sum(axis=0)
-            abs_g, abs_t = np.abs(rows) * down[M:new, None], np.abs(terms)
-            sum_g += abs_g.sum(axis=0)
-            sum_t += abs_t.sum(axis=0)
+            mags = np.empty((2,) + rows.shape)
+            np.abs(rows, out=mags[0])
+            np.abs(terms, out=mags[1])
+            mags[0] *= down[M:new, None]
+            sums += mags.sum(axis=1)
             M = new
-            # the tail rule: the last 8 rows below eps of their totals
             finite = np.isfinite(part)
-            settled = (abs_g[-8:].sum(axis=0) < eps * np.maximum(sum_g, 1e-300)) & (
-                abs_t[-8:].sum(axis=0) < eps * np.maximum(sum_t, 1e-300))
-            if finite.all() and settled.all():
+            if finite.all() and _settled(mags, sums).all():
                 break
             if not finite.all() or M >= _MAX_ROWS:
                 # report the first node not finite, else the first not
                 # settled, up to its last finite partial sum
+                settled = _settled(mags, sums).all(axis=0)
                 n = np.flatnonzero(~finite if not finite.all() else ~settled)[0]
                 terms, unscaled = g[r : r + M, n] * w[:M], g[r : r + M, n] * down[:M]
                 reached = int(np.isfinite(np.cumsum(terms)).cumprod().sum())
@@ -393,15 +439,18 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
             new = min(M + (16 if M < 256 else -(-M // 128) * 16), _MAX_ROWS)
 
         g = g[r : r + M]
-        terms = g * w[:M, None]
-        S = terms.sum(axis=0)
-        total = S / (g * down[:M, None]).sum(axis=0)
-        # at most all the digits of a double, where |S| < eps sum |g_m w_m|
-        lost = np.fmin(np.log10(sum_t) - np.log10(abs(S)), _ALL_DIGITS).max()
+        S = (g * w[:M, None]).sum(axis=0)
+        G1 = (g * down[:M, None]).sum(axis=0)
+        total = S / G1
+        # the digits the cancellation of G(1) and of S can cost, at most all
+        # the digits of a double, where |S| < eps sum |g_m w_m|
+        digits = np.fmin(np.log10(sums) - np.log10(np.abs((G1, S))), _ALL_DIGITS)
+        g1_lost, lost = digits.max(axis=1)
 
     if diag is not None:
         diag["k_terms"] = max(diag.get("k_terms", 0), M)
         diag["k_digits_lost"] = max(diag.get("k_digits_lost", 0.0), float(lost))
+        diag["g1_digits_lost"] = max(diag.get("g1_digits_lost", 0.0), float(g1_lost))
     return complex(total[0]) if all(p.ndim == 0 for p in params) else total
 
 
@@ -589,11 +638,14 @@ def _quadrature(family, fractional):
 
     def sides(p, ctx):
         diag = {}
+        # the k-sum's prefactor, formed once for all its calls; the closed
+        # side forms its own below, so the two sides stay independent
+        ksum_pref = frac_prefactor(p.x, p.a, p.mu, ctx) if fractional else None
 
         def f(nodes):
             if not fractional:
                 return family.weight(nodes, p, ctx)
-            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=diag)
+            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=diag, pref=ksum_pref)
             return family.weight(nodes, p, ctx) * s
 
         # the integrator is looked up by its module-level name at each call,

@@ -261,6 +261,22 @@ class TestBatchedKSum:
         ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
         assert diag["k_digits_lost"] == pytest.approx(math.log10(314), abs=0.01)
 
+    def test_passed_prefactor_gives_the_same_bits(self):
+        # a quadrature check forms frac_prefactor once and passes it in
+        p = AW_POINT
+        ctx = QContext(q=p["q"])
+        pref = frac_prefactor(p["x"], p["a"], p["mu"], ctx)
+        for theta in (np.linspace(0.0, math.pi, 33), 0.7):
+            numer, denom = _aw_ksum_params(theta, **p)
+            own_diag, passed_diag = {}, {}
+            own = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx, diag=own_diag)
+            passed = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx, diag=passed_diag,
+                          pref=pref)
+            assert type(own) is type(passed)
+            assert np.array_equal(np.array([own]).view(np.uint64),
+                                  np.array([passed]).view(np.uint64))
+            assert own_diag == passed_diag
+
     def test_distinct_q_retain_no_memory(self):
         # a table kept per q would hold ~1.6 MB for each of the 200 bases
         ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
@@ -290,6 +306,32 @@ class TestBatchedKSum:
         assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
         # the report keeps what is needed to re-run the entry
         assert oc.report is None and oc.params == entry["params"]
+
+
+class TestRealTablesKeepNumpysBits:
+    """The k-sum kernel multiplies its complex arrays by real tables kept
+    as complex r + 0j (``identities._tables``): by r + 0j where the plain
+    form takes the real r, and by 1/d + 0j where it divides by d.  Both
+    agree bit for bit with numpy's own forms on finite arrays of wide
+    magnitudes; if a numpy release rounds either otherwise, the kernel's
+    values move with it."""
+
+    @staticmethod
+    def _arrays(seed):
+        rng = np.random.default_rng(seed)
+        shape = (97, 129)
+        z = 10.0 ** rng.uniform(-100, 100, shape) * np.exp(2j * math.pi * rng.random(shape))
+        real = rng.choice([-1.0, 1.0], 97) * 10.0 ** rng.uniform(-100, 100, 97)
+        return z, real[:, None]
+
+    def test_times_a_real_table(self):
+        z, r = self._arrays(1)
+        assert np.array_equal((z * r).view(np.uint64), (z * r.astype(complex)).view(np.uint64))
+
+    def test_over_a_real_table(self):
+        z, d = self._arrays(2)
+        assert np.array_equal((z / d).view(np.uint64),
+                              (z * (1.0 / d).astype(complex)).view(np.uint64))
 
 
 # a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
@@ -887,6 +929,19 @@ K_SUM_DIAG = {
     "fractional-atakishiyev-3phi2": (48, 0.14),
 }
 
+# the digits the division by G(1) can cost (g1_digits_lost) in the k-sums
+# at each fractional fixed point
+G1_DIGITS = {
+    "fractional-generating": 0.0,
+    "fractional-generating-3phi2": 0.0,
+    "fractional-askey-wilson": 0.89,
+    "fractional-askey-wilson-3phi2": 0.84,
+    "fractional-reversal-askey-wilson": 0.75,
+    "fractional-reversal-askey-wilson-3phi2": 0.76,
+    "fractional-atakishiyev": 0.24,
+    "fractional-atakishiyev-3phi2": 0.23,
+}
+
 # each -3phi2 form with a nonzero value of the parameter its parent drops
 NONZERO_DROPPED = {
     "fractional-generating-3phi2": {**_G, "u": 0.1},
@@ -947,6 +1002,40 @@ class TestCheckTable:
         assert diag["k_terms"] == rows and type(diag["k_terms"]) is int
         assert type(diag["k_digits_lost"]) is float
         assert diag["k_digits_lost"] == pytest.approx(digits, abs=0.05)
+
+    @pytest.mark.parametrize("name", sorted(G1_DIGITS))
+    def test_g1_digits_lost_at_the_fixed_points(self, name):
+        report = run_check(name, FIXED_POINTS[name])
+        diag = report.rhs_diag if "generating" in name else report.lhs_diag
+        assert type(diag["g1_digits_lost"]) is float
+        assert diag["g1_digits_lost"] == pytest.approx(G1_DIGITS[name], abs=0.05)
+
+    def test_g1_digits_lost_reports_a_cancelling_g1(self):
+        # a b z = q^-1 at b = 50: (a b z y;q)_inf, so G, vanishes at y = 1.
+        # Near it the division by G(1) costs 10 digits, which k_digits_lost
+        # does not see, and the check fails at rel_err 5e-7
+        near = {**FIXED_POINTS["fractional-generating"], "b": 50.0000001}
+        report = run_check("fractional-generating", near)
+        assert not report.passed and 1e-7 < report.rel_err < 1e-6
+        assert report.rhs_diag["k_digits_lost"] == pytest.approx(2.36, abs=0.05)
+        assert report.rhs_diag["g1_digits_lost"] == pytest.approx(10.27, abs=0.05)
+        # at b = 50 G(1) is 0: every digit is lost
+        at_zero = run_check("fractional-generating", {**near, "b": 50.0})
+        assert at_zero.rhs_diag["g1_digits_lost"] == identities._ALL_DIGITS
+
+    @pytest.mark.parametrize("name", sorted(n for n in K_SUM_DIAG if "generating" not in n))
+    def test_fractional_prefactor_is_formed_once_a_side(self, monkeypatch, name):
+        # the integrand's k-sums share one, and the closed side forms its own
+        calls = []
+        prefactor = identities.frac_prefactor
+
+        def counting(*args):
+            calls.append(args)
+            return prefactor(*args)
+
+        monkeypatch.setattr(identities, "frac_prefactor", counting)
+        assert run_check(name, FIXED_POINTS[name]).passed
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("name, params, half_width", PASSING_POINTS)
     def test_point_passes_with_its_window(self, name, params, half_width):
