@@ -14,20 +14,13 @@ import cmath
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
 from . import __version__
-from .context import DomainError, QContext
+from .context import DomainError, QawError, QContext
 from . import qcore, qops
-from .identities import (
-    DIVERGED_ERRORS,
-    IDENTITY_REGISTRY,
-    SKIPPED_ERRORS,
-    run_check,
-    run_suite,
-)
+from .identities import IDENTITY_REGISTRY, run_check, run_suite, valid_tolerance
 from .suite import default_suite, expand_suite, param_fields
 
 EXIT_PASS = 0
@@ -67,13 +60,13 @@ def _complex_obj(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
-def _positive_float(text: str) -> float:
-    """An argparse type: a float, finite and above 0."""
+def _tolerance(text: str) -> float:
+    """An argparse type: a float that :func:`valid_tolerance` accepts."""
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
+        value = None
+    if not valid_tolerance(value):
         raise argparse.ArgumentTypeError(f"need a finite float above 0, got {text!r}")
     return value
 
@@ -129,7 +122,7 @@ def _build_parser() -> _Parser:
     identities = ck.add_subparsers(dest="identity", required=True)
     for name in sorted(IDENTITY_REGISTRY):
         ip = identities.add_parser(name, allow_abbrev=False)
-        ip.add_argument("--tol", type=_positive_float, default=None)
+        ip.add_argument("--tol", type=_tolerance, default=None)
         # one flag per params field; the dataclass supplies an absent one
         for f in param_fields(name):
             ip.add_argument(
@@ -173,11 +166,10 @@ def _cmd_eval(args) -> int:
         else:  # fracint
             p = args.power
             value = qops.fractional_q_integral(lambda t: t**p, args.x, args.a, args.mu, ctx)
-    except SKIPPED_ERRORS as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DIVERGED_ERRORS as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
+    except (QawError, OverflowError) as exc:
+        # the prefix of each outcome: the table in qaw.context
+        skipped = getattr(exc, "outcome", "diverged") == "skipped"
+        print(f"{'domain' if skipped else 'convergence'} error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if not cmath.isfinite(value):
         print("numeric error: value is not finite", file=sys.stderr)
@@ -221,7 +213,7 @@ def _cmd_check(args) -> int:
     except DomainError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (*SKIPPED_ERRORS, *DIVERGED_ERRORS) as exc:
+    except (QawError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(json.dumps(_report_obj(report), indent=2, sort_keys=True))

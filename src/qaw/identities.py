@@ -127,15 +127,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .context import (
-    DivisionByZero,
-    DomainError,
-    KSumDivergence,
-    NonConvergence,
-    PoleError,
-    QContext,
-    WindowFailure,
-)
+from .context import DomainError, KSumDivergence, QawError, QContext
 from .qcore import (
     EPS_TERM,
     INFINITE,
@@ -212,7 +204,9 @@ def _q_range(p):
 
 def _fractional_violations(p):
     """0 < a < x < 1, x/a a finite double and mu > 0: the domain of the
-    fractional q-integral, with the ratio the k-sum is scaled by."""
+    fractional q-integral, with the ratio the k-sum is scaled by; and x^mu
+    a nonzero double, as both sides carry it as a factor and would
+    otherwise agree at 0 whatever the rest of them."""
     out = []
     if not 0.0 < p.a < p.x < 1.0:
         out.append(f"need 0 < a < x < 1, got a={p.a}, x={p.x}")
@@ -220,6 +214,8 @@ def _fractional_violations(p):
         out.append(f"need x/a finite, got a={p.a}, x={p.x}")
     if p.mu <= 0:
         out.append(f"mu must be positive, got {p.mu}")
+    elif not out and p.x**p.mu == 0.0:
+        out.append(f"x^mu underflows to 0 at x={p.x}, mu={p.mu}")
     return out
 
 
@@ -384,8 +380,11 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None, pref=None):
     s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
     params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
     shape = _node_shape(params)
-    numer = _factor_poly([s * p for p in params[: len(phi_numer)] if np.count_nonzero(p)])
-    denom = _factor_poly([s * p for p in params[len(phi_numer) :] if np.count_nonzero(p)])
+    # a parameter near the double range can overflow here; the sum then
+    # ends in KSumDivergence below
+    with np.errstate(over="ignore", invalid="ignore"):
+        numer = _factor_poly([s * p for p in params[: len(phi_numer)] if np.count_nonzero(p)])
+        denom = _factor_poly([s * p for p in params[len(phi_numer) :] if np.count_nonzero(p)])
     if pref is None:
         pref = frac_prefactor(x, a, mu, ctx)
 
@@ -762,18 +761,15 @@ IDENTITY_REGISTRY = {
     name: (row.params, functools.partial(_check, name)) for name, row in _TABLE.items()
 }
 
-check_lemma_three_term = IDENTITY_REGISTRY["lemma-three-term"][1]
-check_fractional_generating = IDENTITY_REGISTRY["fractional-generating"][1]
-check_fractional_generating_3phi2 = IDENTITY_REGISTRY["fractional-generating-3phi2"][1]
-check_askey_wilson = IDENTITY_REGISTRY["askey-wilson"][1]
-check_fractional_aw = IDENTITY_REGISTRY["fractional-askey-wilson"][1]
-check_fractional_aw_3phi2 = IDENTITY_REGISTRY["fractional-askey-wilson-3phi2"][1]
-check_reversal_aw = IDENTITY_REGISTRY["reversal-askey-wilson"][1]
-check_fractional_reversal_aw = IDENTITY_REGISTRY["fractional-reversal-askey-wilson"][1]
-check_fractional_reversal_aw_3phi2 = IDENTITY_REGISTRY["fractional-reversal-askey-wilson-3phi2"][1]
-check_atakishiyev = IDENTITY_REGISTRY["atakishiyev"][1]
-check_fractional_atakishiyev = IDENTITY_REGISTRY["fractional-atakishiyev"][1]
-check_fractional_atakishiyev_3phi2 = IDENTITY_REGISTRY["fractional-atakishiyev-3phi2"][1]
+
+def identity_entry(name: str):
+    """``IDENTITY_REGISTRY[name]``, the params class and check of identity
+    ``name``; a KeyError that names the known identities if there is none."""
+    if name not in IDENTITY_REGISTRY:
+        raise KeyError(
+            f"unknown identity {name!r}; known: {', '.join(sorted(IDENTITY_REGISTRY))}"
+        )
+    return IDENTITY_REGISTRY[name]
 
 
 # --------------------------------------------------------------------------
@@ -786,10 +782,8 @@ class CheckOutcome:
 
     ``params`` are the entry's parameters, kept so that a skipped or
     diverged entry, which has no report, can be re-run.  ``details`` holds
-    a diverged entry's failure data as plain Python values: ``k``,
-    ``term_magnitude`` and ``partial`` of a :class:`KSumDivergence`,
-    ``partial`` and ``last_term`` of a :class:`NonConvergence`, the
-    ``probes`` (half-width to log-magnitude) of a :class:`WindowFailure`.
+    a diverged entry's failure data, the ``fields`` of its error's class
+    (:mod:`qaw.context`), as plain Python values.
     """
 
     identity_name: str
@@ -800,21 +794,6 @@ class CheckOutcome:
     details: dict | None = None
 
 
-_FAILURE_FIELDS = {
-    KSumDivergence: ("k", "term_magnitude", "partial"),
-    NonConvergence: ("partial", "last_term"),
-    WindowFailure: ("probes",),
-    OverflowError: (),
-}
-
-# How a check that raises ends, for run_suite and the command line alike: a
-# point outside the domain or at a singularity is skipped (exit 65 for a
-# DomainError, 2 otherwise), a sum, product, window or double range that
-# gave out is diverged (exit 2).
-SKIPPED_ERRORS = (DomainError, PoleError, DivisionByZero)
-DIVERGED_ERRORS = tuple(_FAILURE_FIELDS)
-
-
 def _plain(value):
     # numpy partials (array paths) as lists of Python numbers
     if isinstance(value, (np.ndarray, np.generic)):
@@ -822,17 +801,9 @@ def _plain(value):
     return value
 
 
-def _failure_details(exc) -> dict:
-    return {name: _plain(getattr(exc, name)) for name in _FAILURE_FIELDS[type(exc)]}
-
-
 def run_check(name: str, params: dict, tol=None) -> IdentityReport:
     """Instantiate the parameter bundle for ``name`` and run the check."""
-    if name not in IDENTITY_REGISTRY:
-        raise KeyError(
-            f"unknown identity {name!r}; known: {', '.join(sorted(IDENTITY_REGISTRY))}"
-        )
-    cls, fn = IDENTITY_REGISTRY[name]
+    cls, fn = identity_entry(name)
     return fn(cls(**params), tol=tol)
 
 
@@ -841,29 +812,26 @@ def run_suite(entries):
 
     Each entry is a mapping with keys ``identity``, ``params`` and optional
     ``tolerance``, as produced by :func:`qaw.suite.expand_suite`, which
-    rejects unknown identity and parameter names.  Domain violations, poles
-    and vanishing factors (``SKIPPED_ERRORS``) yield skipped outcomes,
-    convergence, window and overflow errors (``DIVERGED_ERRORS``) yield
-    diverged outcomes, each with the diagnostic message and
-    the entry's params; diverged outcomes also carry the failure's data
-    (``details``).  The report order equals the entry order.
+    rejects unknown identity and parameter names.  A check that raises a
+    :class:`QawError` ends as its class's ``outcome``, skipped or diverged,
+    and an ``OverflowError`` diverged (the table in :mod:`qaw.context`),
+    with the diagnostic message and the entry's params; a diverged outcome
+    also carries the error's ``fields`` (``details``).  The report order
+    equals the entry order.
     """
     outcomes = []
     for entry in entries:
         name, params = entry["identity"], entry["params"]
         try:
             report = run_check(name, params, entry.get("tolerance"))
-        except DomainError as exc:
-            outcomes.append(CheckOutcome(name, "skipped", reason=str(exc), params=params))
-        except SKIPPED_ERRORS as exc:
-            outcomes.append(CheckOutcome(
-                name, "skipped", reason=f"{type(exc).__name__}: {exc}", params=params
-            ))
-        except DIVERGED_ERRORS as exc:
-            outcomes.append(CheckOutcome(
-                name, "diverged", reason=f"{type(exc).__name__}: {exc}", params=params,
-                details=_failure_details(exc),
-            ))
+        except (QawError, OverflowError) as exc:
+            status = getattr(exc, "outcome", "diverged")
+            details = None
+            if status == "diverged":
+                details = {f: _plain(getattr(exc, f)) for f in getattr(exc, "fields", ())}
+            reason = str(exc) if isinstance(exc, DomainError) else f"{type(exc).__name__}: {exc}"
+            outcomes.append(CheckOutcome(name, status, reason=reason, params=params,
+                                         details=details))
         else:
             outcomes.append(
                 CheckOutcome(name, "passed" if report.passed else "failed", report)

@@ -9,46 +9,51 @@ A suite spec is a JSON-compatible mapping::
                  "tolerance": 1e-8}, ...]}
 
 A parameter given as a two-element list is drawn uniformly from that range;
-a scalar is fixed.  Expansion consumes a single seeded RNG in entry order,
-so the same spec and seed always produce the same concrete checks.
+a scalar is fixed.  A spec takes no keys but these.  Expansion consumes a
+single seeded RNG in entry order, so the same spec and seed always produce
+the same concrete checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Mapping
 
-from .identities import IDENTITY_REGISTRY, valid_tolerance
+from .identities import identity_entry, valid_tolerance
+
+_SPEC_KEYS = ("seed", "checks")
+_CHECK_KEYS = ("identity", "params", "draws", "tolerance")
 
 
 def param_fields(name: str):
     """The dataclass fields of identity ``name``'s params class, in order."""
-    if name not in IDENTITY_REGISTRY:
-        raise KeyError(
-            f"unknown identity {name!r}; known: "
-            f"{', '.join(sorted(IDENTITY_REGISTRY))}"
-        )
-    return dataclasses.fields(IDENTITY_REGISTRY[name][0])
+    return dataclasses.fields(identity_entry(name)[0])
 
 
 def _real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _reject_unknown(given, known, noun, where):
+    """Raise ValueError naming each key of ``given`` that is not in ``known``."""
+    unknown = sorted(map(str, set(given) - set(known)))
+    if unknown:
+        raise ValueError(
+            f"unknown {noun} {', '.join(unknown)} {where}; known: {', '.join(sorted(known))}"
+        )
+
+
 def _check_params(name, given):
     """Raise ValueError unless ``given`` fits the params class of ``name``.
 
-    Every field without a default must be given, and every value must be a
-    real number or a [lo, hi] pair of reals.
+    ``given`` must be a mapping, every field without a default must be
+    given, and every value must be a real number or a [lo, hi] pair of reals.
     """
     fields = param_fields(name)
-    known = {f.name for f in fields}
-    unknown = sorted(set(given) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {', '.join(unknown)} for {name}; "
-            f"known: {', '.join(sorted(known))}"
-        )
+    if not isinstance(given, Mapping):
+        raise ValueError(f"params of {name} must be a mapping, got {type(given).__name__}")
+    _reject_unknown(given, {f.name for f in fields}, "parameter(s)", f"for {name}")
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in given]
     if missing:
@@ -65,17 +70,30 @@ def _check_params(name, given):
 def expand_suite(spec: dict):
     """Expand a suite spec into concrete check entries for ``run_suite``.
 
-    Raises ValueError for a spec without a seed, a draw count that is not
-    an integer >= 1, a tolerance that is not a finite real > 0, or params
-    that do not fit their identity (unknown or missing names, values that
-    are neither real numbers nor [lo, hi] pairs of reals).
+    Raises ValueError for a spec that is not a mapping, has a key other
+    than ``seed`` and ``checks`` or no seed, or whose ``checks`` are not a
+    list of mappings; for a check with a key other than ``identity``,
+    ``params``, ``draws`` and ``tolerance``, or no identity name; for a
+    draw count that is not an integer >= 1, a tolerance that is not a
+    finite real > 0, or params that do not fit their identity (unknown or
+    missing names, values that are neither real numbers nor [lo, hi] pairs
+    of reals).  KeyError for an unknown identity.
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"suite spec must be a mapping, got {type(spec).__name__}")
+    _reject_unknown(spec, _SPEC_KEYS, "key(s)", "in the suite spec")
     if "seed" not in spec:
         raise ValueError("suite spec must carry a seed")
+    checks = spec.get("checks", [])
+    if not (isinstance(checks, (list, tuple)) and all(isinstance(c, Mapping) for c in checks)):
+        raise ValueError("checks of a suite spec must be a list of mappings")
     rng = random.Random(spec["seed"])
     entries = []
-    for check in spec.get("checks", []):
-        name = check["identity"]
+    for i, check in enumerate(checks):
+        _reject_unknown(check, _CHECK_KEYS, "key(s)", f"in checks[{i}]")
+        name = check.get("identity")
+        if not isinstance(name, str):
+            raise ValueError(f"checks[{i}] needs an identity name, got {name!r}")
         _check_params(name, check.get("params", {}))
         draws = check.get("draws", 1)
         if not (isinstance(draws, int) and not isinstance(draws, bool) and draws >= 1):

@@ -16,22 +16,8 @@ import pytest
 from qaw import cli
 from qaw.context import QContext
 from qaw.identities import (
-    AtakishiyevParams,
-    AWParams,
-    GeneratingParams,
-    ReversalParams,
-    check_askey_wilson,
-    check_atakishiyev,
-    check_fractional_atakishiyev,
-    check_fractional_atakishiyev_3phi2,
-    check_fractional_aw,
-    check_fractional_aw_3phi2,
-    check_fractional_generating,
-    check_fractional_generating_3phi2,
-    check_fractional_reversal_aw,
-    check_fractional_reversal_aw_3phi2,
-    check_reversal_aw,
     frac_prefactor,
+    run_check,
     run_suite,
 )
 from qaw.qcore import (
@@ -157,7 +143,7 @@ def test_criterion_04_fractional_generating(verdict):
     mus = [0.5, 1.0, 1.5, 2.7]
     worst = 0.0
     for i in range(20):
-        p = GeneratingParams(
+        p = dict(
             q=rng.uniform(0.3, 0.7),
             a=rng.uniform(0.1, 0.3),
             x=rng.uniform(0.45, 0.8),
@@ -169,11 +155,11 @@ def test_criterion_04_fractional_generating(verdict):
             u=rng.uniform(-0.4, 0.4),
             z=rng.uniform(-0.4, 0.4),
         )
-        worst = max(worst, check_fractional_generating(p).rel_err)
+        worst = max(worst, run_check("fractional-generating", p).rel_err)
     # degenerate closed form b=s=t=u=z=0
     ctx = QContext(q=0.5)
     x, a, mu = 0.6, 0.2, 1.7
-    degen = check_fractional_generating(GeneratingParams(q=0.5, a=a, x=x, mu=mu))
+    degen = run_check("fractional-generating", dict(q=0.5, a=a, x=x, mu=mu))
     closed = (1.0 - 0.5) ** mu * frac_prefactor(x, a, mu, ctx)
     degen_err = max(
         abs(degen.lhs - closed) / abs(closed), abs(degen.rhs - closed) / abs(closed)
@@ -194,19 +180,19 @@ def test_criterion_04_fractional_generating(verdict):
 def test_criterion_05_reduction_coherence(verdict):
     t0 = time.perf_counter()
     pairs = []
-    g = GeneratingParams(q=0.5, a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15,
+    g = dict(q=0.5, a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15,
                          u=0.0, r=0.4, z=0.2)
-    pairs.append((check_fractional_generating(g),
-                  check_fractional_generating_3phi2(g)))
-    aw = AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.0, x=0.6, mu=1.5)
-    pairs.append((check_fractional_aw(aw), check_fractional_aw_3phi2(aw)))
-    rv = ReversalParams(q=0.5, a=0.2, b=0.1, c=0.1, d=0.0, x=0.6, mu=1.5)
-    pairs.append((check_fractional_reversal_aw(rv),
-                  check_fractional_reversal_aw_3phi2(rv)))
-    at = AtakishiyevParams(alpha_g=1.0, a=0.15, b=0.05, c=0.05, d=0.0, x=0.6,
+    pairs.append((run_check("fractional-generating", g),
+                  run_check("fractional-generating-3phi2", g)))
+    aw = dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.0, x=0.6, mu=1.5)
+    pairs.append((run_check("fractional-askey-wilson", aw), run_check("fractional-askey-wilson-3phi2", aw)))
+    rv = dict(q=0.5, a=0.2, b=0.1, c=0.1, d=0.0, x=0.6, mu=1.5)
+    pairs.append((run_check("fractional-reversal-askey-wilson", rv),
+                  run_check("fractional-reversal-askey-wilson-3phi2", rv)))
+    at = dict(alpha_g=1.0, a=0.15, b=0.05, c=0.05, d=0.0, x=0.6,
                            mu=1.5)
-    pairs.append((check_fractional_atakishiyev(at),
-                  check_fractional_atakishiyev_3phi2(at)))
+    pairs.append((run_check("fractional-atakishiyev", at),
+                  run_check("fractional-atakishiyev-3phi2", at)))
     worst = 0.0
     for full, reduced in pairs:
         scale = max(abs(full.lhs), abs(full.rhs), 1e-12)
@@ -225,15 +211,15 @@ def test_criterion_06_askey_wilson(verdict):
     rng = random.Random(106)
     worst = 0.0
     for _ in range(20):
-        p = AWParams(
+        p = dict(
             q=rng.uniform(0.3, 0.7),
             a=rng.uniform(-0.6, 0.6),
             b=rng.uniform(-0.6, 0.6),
             c=rng.uniform(-0.6, 0.6),
             d=rng.uniform(-0.6, 0.6),
         )
-        worst = max(worst, check_askey_wilson(p).rel_err)
-    zero = check_askey_wilson(AWParams(q=0.5, a=0.0))
+        worst = max(worst, run_check("askey-wilson", p).rel_err)
+    zero = run_check("askey-wilson", dict(q=0.5, a=0.0))
     # against 2 pi / (q;q)_inf to 40 digits
     zero_err = mp_oracle.rel_err(zero.lhs, mp_oracle.closed_side("askey-wilson", {"q": 0.5}))
     ok = worst < 1e-8 and zero_err < 1e-10 and _within(t0, 30.0)
@@ -248,7 +234,7 @@ def test_criterion_07_fractional_askey_wilson(verdict):
     worst = 0.0
     realness_ok = True
     for i in range(10):
-        p = AWParams(
+        p = dict(
             q=rng.uniform(0.3, 0.7),
             a=rng.uniform(0.15, 0.3),
             b=rng.uniform(-0.3, 0.3),
@@ -257,7 +243,7 @@ def test_criterion_07_fractional_askey_wilson(verdict):
             x=rng.uniform(0.45, 0.8),
             mu=[1.0, 1.5][i % 2],
         )
-        r = check_fractional_aw(p)
+        r = run_check("fractional-askey-wilson", p)
         worst = max(worst, r.rel_err)
         if abs(r.lhs.imag) >= 10.0 * max(r.lhs_diag["est_error"], 1e-300):
             realness_ok = False
@@ -272,16 +258,16 @@ def test_criterion_08_reversal_family(verdict):
     rng = random.Random(108)
     worst = 0.0
     for _ in range(5):
-        p = ReversalParams(
+        p = dict(
             q=rng.uniform(0.4, 0.6),
             a=rng.uniform(-0.2, 0.2),
             b=rng.uniform(-0.2, 0.2),
             c=rng.uniform(-0.2, 0.2),
             d=rng.uniform(-0.2, 0.2),
         )
-        worst = max(worst, check_reversal_aw(p).rel_err)
+        worst = max(worst, run_check("reversal-askey-wilson", p).rel_err)
     for _ in range(5):
-        p = ReversalParams(
+        p = dict(
             q=rng.uniform(0.4, 0.6),
             a=rng.uniform(0.15, 0.25),
             b=rng.uniform(-0.1, 0.1),
@@ -290,9 +276,9 @@ def test_criterion_08_reversal_family(verdict):
             x=0.6,
             mu=1.5,
         )
-        worst = max(worst, check_fractional_reversal_aw(p).rel_err)
+        worst = max(worst, run_check("fractional-reversal-askey-wilson", p).rel_err)
     exact = mp_oracle.closed_side("reversal-askey-wilson", {"q": 0.5})
-    zero_err = mp_oracle.rel_err(check_reversal_aw(ReversalParams(q=0.5, a=0.0)).lhs, exact)
+    zero_err = mp_oracle.rel_err(run_check("reversal-askey-wilson", dict(q=0.5, a=0.0)).lhs, exact)
     ok = worst < 1e-5 and zero_err < 1e-8 and _within(t0, 120.0)
     verdict("08 reversal Askey-Wilson family", ok,
             f"worst rel err {worst:.2e}, zero-case err {zero_err:.2e}, "
@@ -304,24 +290,24 @@ def test_criterion_09_gaussian_family(verdict):
     rng = random.Random(109)
     zero_err = 0.0
     for ag in (0.8, 1.0):
-        zero = check_atakishiyev(AtakishiyevParams(alpha_g=ag))
+        zero = run_check("atakishiyev", dict(alpha_g=ag))
         exact = mp_oracle.closed_side("atakishiyev", {"alpha_g": ag})
         zero_err = max(zero_err, mp_oracle.rel_err(zero.lhs, exact))
     worst = 0.0
     for i in range(5):
-        p = AtakishiyevParams(
+        p = dict(
             alpha_g=[0.8, 1.0][i % 2],
             a=rng.uniform(-0.1, 0.1),
             b=rng.uniform(-0.1, 0.1),
             c=rng.uniform(-0.1, 0.1),
             d=rng.uniform(-0.1, 0.1),
         )
-        worst = max(worst, check_atakishiyev(p).rel_err)
+        worst = max(worst, run_check("atakishiyev", p).rel_err)
     for i in range(5):
         # b, c, d in [0.01, 0.04], as in the shipped suite; the k-sum also
         # converges beyond that (b = c = d = 0.06 passes): its terms go like
         # (x * rho / a)^k, rho the largest of |ab/q|, |ac/q|, |ad/q|
-        p = AtakishiyevParams(
+        p = dict(
             alpha_g=[0.8, 1.0][i % 2],
             a=rng.uniform(0.1, 0.2),
             b=rng.uniform(0.01, 0.04),
@@ -330,7 +316,7 @@ def test_criterion_09_gaussian_family(verdict):
             x=0.6,
             mu=1.5,
         )
-        worst = max(worst, check_fractional_atakishiyev(p).rel_err)
+        worst = max(worst, run_check("fractional-atakishiyev", p).rel_err)
     ok = worst < 1e-5 and zero_err < 1e-10 and _within(t0, 120.0)
     verdict("09 Gaussian-weighted family", ok,
             f"worst rel err {worst:.2e}, Gaussian anchor err {zero_err:.2e}, "

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import qaw
-from qaw import cli, identities
+from qaw import cli, identities, qcore
 
 
 # a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
@@ -558,6 +558,30 @@ class TestSuite:
         doc = json.loads(out)
         assert doc["summary"]["skipped"] == 1
 
+    @pytest.mark.parametrize("spec, message", [
+        # the misspelt keys were ignored: the check ran at the default
+        # tolerance 1e-6 and passed
+        ({"seed": 1, "sead": 5, "checks": [
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3, "b": 0.2},
+             "tolerence": 1e-30}]},
+         "unknown key(s) sead in the suite spec; known: checks, seed"),
+        ({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3, "b": 0.2},
+             "tolerence": 1e-30}]},
+         "unknown key(s) tolerence in checks[0]; known: draws, identity, params, tolerance"),
+        # these leaked Python's own messages
+        (5, "suite spec must be a mapping, got int"),
+        ({"seed": 1, "checks": None},
+         "checks of a suite spec must be a list of mappings"),
+        ({"seed": 1, "checks": [{"params": {"q": 0.5}}]},
+         "checks[0] needs an identity name, got None"),
+    ])
+    def test_malformed_spec_is_a_named_usage_error(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(path))
+        assert (code, out, err) == (64, "", f"bad suite spec: {message}\n")
+
     def test_report_written_to_file(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         out_path = tmp_path / "report.json"
@@ -574,6 +598,130 @@ class TestSuite:
         doc = json.loads(out_path.read_text())
         assert doc["summary"]["passed"] == 1
         assert doc["seed"] == 2
+
+
+class _Stalled(qaw.QawError):
+    """A diverging failure that only its own class declares."""
+
+    fields = ("steps", "partial")
+
+    def __init__(self, message, steps=None, partial=None):
+        super().__init__(message)
+        self.steps = steps
+        self.partial = partial
+
+
+class _OutOfReach(qaw.QawError):
+    """A skipped failure that only its own class declares."""
+
+    outcome = "skipped"
+
+
+EXPORTED_ERRORS = sorted(
+    (obj for obj in vars(qaw).values() if isinstance(obj, type) and issubclass(obj, qaw.QawError)),
+    key=lambda cls: cls.__name__,
+)
+
+# each error class, the suite status and details, and the qaw eval prefix of
+# a failure it raises
+LOCAL_FAILURES = [
+    (_Stalled("stalled at 7", steps=7, partial=0.5 + 1j), "diverged",
+     {"steps": 7, "partial": 0.5 + 1j}, "convergence error"),
+    (_OutOfReach("beyond the double range"), "skipped", None, "domain error"),
+]
+
+
+def _raising(exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    return failing
+
+
+class TestFailureTable:
+    """Each error class declares its outcome and fields once, and every
+    front end reads them from the class."""
+
+    @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+    def test_exported_error_declares_its_row(self, cls):
+        assert cls.outcome in ("skipped", "diverged")
+        assert set(cls.fields) <= set(vars(cls("message")))
+        # its row of the table in the qaw.context docstring
+        (row,) = [line for line in qaw.context.__doc__.splitlines()
+                  if line.startswith(f"``{cls.__name__}``")]
+        prefix = "domain" if cls.outcome == "skipped" else "convergence"
+        assert row.split()[1] == cls.outcome
+        assert (", ".join(cls.fields) or "(none)") in row
+        assert f"2, ``{prefix} error:``" in row
+        assert row.split()[-1] == ("65" if cls is qaw.DomainError else "2")
+
+    @pytest.mark.parametrize("exc, status, details, prefix", LOCAL_FAILURES)
+    def test_local_error_in_a_suite(self, monkeypatch, exc, status, details, prefix):
+        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
+                            (identities.AWParams, _raising(exc)))
+        params = {"q": 0.5, "a": 0.3}
+        (oc,) = identities.run_suite([{"identity": "askey-wilson", "params": params}])
+        assert (oc.status, oc.details, oc.params) == (status, details, params)
+        assert oc.reason == f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("exc, status, details, prefix", LOCAL_FAILURES)
+    def test_local_error_in_eval(self, capsys, monkeypatch, exc, status, details, prefix):
+        monkeypatch.setattr(qcore, "q_gamma", _raising(exc))
+        code, out, err = run_cli(capsys, "eval", "gamma", "--q", "0.5", "--x", "2.5")
+        assert (code, out, err) == (2, "", f"{prefix}: {exc}\n")
+
+    @pytest.mark.parametrize("exc, status, details, prefix", LOCAL_FAILURES)
+    def test_local_error_in_check(self, capsys, monkeypatch, exc, status, details, prefix):
+        monkeypatch.setitem(identities.IDENTITY_REGISTRY, "askey-wilson",
+                            (identities.AWParams, _raising(exc)))
+        code, out, err = run_cli(capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3")
+        assert (code, out, err) == (2, "", f"{type(exc).__name__}: {exc}\n")
+
+
+_GEN = ["--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu", "1.5", "--b", "0.3", "--s", "0.25",
+        "--t", "0.15", "--z", "0.2"]
+_FRAC_AW = ["--q", "0.5", "--a", "0.2", "--b", "0.3", "--c", "0.1", "--x", "0.6", "--mu", "1.5"]
+_FRAC_GAUSSIAN = ["--alpha-g", "1", "--a", "0.15", "--b", "0.02", "--x", "0.6", "--mu", "1.5"]
+# command lines at the edges of the double range, each with its exit code;
+# a later flag overrides an earlier one
+EDGE_ARGV = [
+    (["check", "askey-wilson", "--q", "0.5", "--a", "nan"], 65),
+    (["check", "fractional-askey-wilson", *_FRAC_AW, "--b", "nan"], 65),
+    (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--b", "1e308"], 65),
+    (["check", "fractional-generating", *_GEN, "--b", "1e308"], 2),
+    # s b overflows in the k-sum, which then diverges without a numpy warning
+    (["check", "fractional-atakishiyev", *_FRAC_GAUSSIAN, "--b", "1e308"], 2),
+    (["check", "askey-wilson", "--q", "1e-300", "--a", "0.3"], 0),
+    (["check", "fractional-generating", *_GEN, "--q", "1e-300"], 0),
+    (["check", "reversal-askey-wilson", "--q", "1e-300", "--a", "0.2", "--b", "0.1"], 2),
+    # x^mu underflows to 0, where both sides were 0 (or the generating row
+    # overflowed)
+    (["check", "fractional-askey-wilson", *_FRAC_AW, "--mu", "1e308"], 65),
+    (["check", "fractional-generating", *_GEN, "--mu", "1e308"], 65),
+    (["check", "fractional-atakishiyev", *_FRAC_GAUSSIAN, "--mu", "1500"], 65),
+    (["check", "fractional-askey-wilson", *_FRAC_AW, "--mu", "1e-300"], 0),
+    # q^mu rounds to 1
+    (["check", "fractional-generating", *_GEN, "--mu", "1e-300"], 65),
+    (["check", "atakishiyev", "--alpha-g", "1e-200"], 65),
+    (["check", "atakishiyev", "--alpha-g", "30"], 65),
+    (["eval", "poch", "--q", "1e-300", "--a", "0.5", "--inf"], 0),
+    (["eval", "poch", "--q", "nan", "--a", "0.5", "--inf"], 2),
+    (["eval", "poch", "--q", "0.5", "--a", "1e308", "--inf"], 2),
+    (["eval", "gamma", "--q", "0.5", "--x", "1e308"], 2),
+    (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e308"], 2),
+    (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e-300"], 2),
+]
+
+
+class TestEdgeArguments:
+    @pytest.mark.parametrize("argv, want", EDGE_ARGV, ids=[" ".join(a) for a, _ in EDGE_ARGV])
+    def test_ends_in_its_exit_code(self, capsys, argv, want):
+        # a numpy warning here fails the test (filterwarnings); stderr holds
+        # one message line or nothing
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want, err
+        assert "Traceback" not in err and err.count("\n") == (code != 0)
+        assert (out != "") == (code in (0, 1))
 
 
 class TestInProcessReuse:

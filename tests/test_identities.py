@@ -25,13 +25,6 @@ from qaw.identities import (
     AWParams,
     GeneratingParams,
     ReversalParams,
-    check_askey_wilson,
-    check_atakishiyev,
-    check_fractional_atakishiyev,
-    check_fractional_aw,
-    check_fractional_generating,
-    check_lemma_three_term,
-    check_reversal_aw,
     frac_prefactor,
     ksum,
     run_check,
@@ -236,7 +229,7 @@ class TestBatchedKSum:
 
         monkeypatch.setattr(identities, "_taylor_rows", counting)
         with pytest.raises(KSumDivergence) as exc:
-            check_fractional_atakishiyev(AtakishiyevParams(**DIVERGENT_GAUSSIAN))
+            run_check("fractional-atakishiyev", DIVERGENT_GAUSSIAN)
         assert exc.value.k == 2458 and 2458 < max(formed) <= 2458 + 320
 
     def test_short_sum_allocates_for_its_own_rows(self):
@@ -295,9 +288,8 @@ class TestBatchedKSum:
     def test_gaussian_family_divergence_is_reported(self):
         # at this point the numerator ab/q = 0.33 puts a pole of G at
         # y = 3, so the outer terms grow like (x * 0.33 / a)^k = 1.33^k
-        p = AtakishiyevParams(**DIVERGENT_GAUSSIAN)
         with pytest.raises(KSumDivergence) as exc:
-            check_fractional_atakishiyev(p)
+            run_check("fractional-atakishiyev", DIVERGENT_GAUSSIAN)
         err = exc.value
         assert err.k > 64 and err.term_magnitude > 1.0
         assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
@@ -397,34 +389,34 @@ class TestOpenItemPoints:
         assert oc.status in {"passed", "failed", "diverged"}
 
 
-SAMPLE_GEN = GeneratingParams(
+SAMPLE_GEN = dict(
     q=0.5, a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15, u=0.1, r=0.4, z=0.2
 )
 
 
 class TestLemmaAndGenerating:
     def test_lemma_residual_small(self):
-        report = check_lemma_three_term(SAMPLE_GEN)
+        report = run_check("lemma-three-term", SAMPLE_GEN)
         assert report.passed and report.rel_err < 1e-12
 
     def test_lemma_degenerate_s_equals_u(self):
-        p = GeneratingParams(
+        p = dict(
             q=0.5, a=0.2, x=0.6, mu=1.0, b=0.3, s=0.25, t=0.15, u=0.25, r=0.4, z=0.2
         )
-        report = check_lemma_three_term(p)
+        report = run_check("lemma-three-term", p)
         assert abs(report.lhs) < 1e-12 and abs(report.rhs) < 1e-12
         # both sides vanish; the sum of the rhs terms' magnitudes scales the residual
         assert report.rhs_diag["abs_terms"] > 0.1
         assert report.passed and report.rel_err < 1e-14
 
     def test_generating_sample_point(self):
-        report = check_fractional_generating(SAMPLE_GEN)
+        report = run_check("fractional-generating", SAMPLE_GEN)
         assert report.passed and report.rel_err < 1e-8
 
     def test_invalid_params_raise(self):
-        p = GeneratingParams(q=0.5, a=0.7, x=0.6, mu=1.5)  # a >= x
+        p = dict(q=0.5, a=0.7, x=0.6, mu=1.5)  # a >= x
         with pytest.raises(DomainError):
-            check_fractional_generating(p)
+            run_check("fractional-generating", p)
 
 
 # the generating integrand at x = 1/2 reaches an exact zero factor
@@ -540,22 +532,22 @@ class TestNodeIndependentOfItsCall:
 
 class TestAskeyWilson:
     def test_sample_point(self):
-        report = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
+        report = run_check("askey-wilson", dict(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
         assert report.passed and report.rel_err < 1e-8
 
     def test_permutation_invariance(self):
-        r1 = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
-        r2 = check_askey_wilson(AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.4))
+        r1 = run_check("askey-wilson", dict(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
+        r2 = run_check("askey-wilson", dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.4))
         assert r1.lhs == pytest.approx(r2.lhs, rel=1e-12)
         assert r1.rhs == pytest.approx(r2.rhs, rel=1e-12)
 
     def test_magnitude_invariant_violation(self):
         with pytest.raises(DomainError):
-            check_askey_wilson(AWParams(q=0.5, a=1.2))
+            run_check("askey-wilson", dict(q=0.5, a=1.2))
 
     def test_fractional_sample_point(self):
-        report = check_fractional_aw(
-            AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
+        report = run_check(
+            "fractional-askey-wilson", dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
         )
         assert report.passed and report.rel_err < 1e-6
         # conjugate symmetry keeps the quadrature value essentially real
@@ -564,18 +556,16 @@ class TestAskeyWilson:
 
 class TestRealLineFamilies:
     def test_reversal_sample_point(self):
-        report = check_reversal_aw(ReversalParams(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
+        report = run_check("reversal-askey-wilson", dict(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
         assert report.passed and report.rel_err < 1e-6
 
     def test_atakishiyev_sample_point(self):
-        report = check_atakishiyev(
-            AtakishiyevParams(alpha_g=1.0, a=0.1, b=0.05, c=0.08, d=0.02)
-        )
+        report = run_check("atakishiyev", dict(alpha_g=1.0, a=0.1, b=0.05, c=0.08, d=0.02))
         assert report.passed and report.rel_err < 1e-6
 
     def test_atakishiyev_permutation_invariance(self):
-        r1 = check_atakishiyev(AtakishiyevParams(alpha_g=1.0, a=0.1, b=0.05))
-        r2 = check_atakishiyev(AtakishiyevParams(alpha_g=1.0, a=0.05, b=0.1))
+        r1 = run_check("atakishiyev", dict(alpha_g=1.0, a=0.1, b=0.05))
+        r2 = run_check("atakishiyev", dict(alpha_g=1.0, a=0.05, b=0.1))
         assert r1.lhs == pytest.approx(r2.lhs, rel=1e-12)
         assert r1.rhs == pytest.approx(r2.rhs, rel=1e-12)
 
@@ -586,7 +576,7 @@ class TestRealLineFamilies:
 
 class TestWholeLevelWeights:
     @staticmethod
-    def _count_log_products(monkeypatch, check, params):
+    def _count_log_products(monkeypatch, name, params):
         calls, levels = [], []
         log_poch, evaluate = qcore.q_pochhammer_infinite_log, quad._evaluate
 
@@ -601,12 +591,12 @@ class TestWholeLevelWeights:
         monkeypatch.setattr(qcore, "q_pochhammer_infinite_log", counted_log_poch)
         monkeypatch.setattr(identities, "q_pochhammer_infinite_log", counted_log_poch)
         monkeypatch.setattr(quad, "_evaluate", counted_evaluate)
-        assert check(params).passed
+        assert run_check(name, params).passed
         return calls, levels
 
     def test_log_products_called_per_level_not_per_node(self, monkeypatch):
         calls, levels = self._count_log_products(
-            monkeypatch, check_reversal_aw, ReversalParams(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
+            monkeypatch, "reversal-askey-wilson", dict(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
         # per window probe batch and per refinement level: one product on the
         # two h_sinh arguments of each of the 4 parameters and the
         # (-q e^{+-2t};q)_inf pair, at every node of the level
@@ -615,7 +605,7 @@ class TestWholeLevelWeights:
 
     def test_aw_log_products_called_per_level_not_per_node(self, monkeypatch):
         calls, levels = self._count_log_products(
-            monkeypatch, check_askey_wilson, AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
+            monkeypatch, "askey-wilson", dict(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
         # the (q e^{+-2i theta};q)_inf pair and the two h_cos arguments of
         # each of the 4 parameters
         assert [a.size for a in calls] == [10 * n for n in levels]
@@ -623,8 +613,7 @@ class TestWholeLevelWeights:
 
     def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch):
         calls, levels = self._count_log_products(
-            monkeypatch, check_atakishiyev,
-            AtakishiyevParams(alpha_g=1.0, a=0.05, b=-0.04, c=0.03, d=0.02))
+            monkeypatch, "atakishiyev", dict(alpha_g=1.0, a=0.05, b=-0.04, c=0.03, d=0.02))
         # the two h_sinh arguments of each of the 4 parameters
         assert [a.size for a in calls] == [8 * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
@@ -639,17 +628,17 @@ class TestIntegrandCalls:
     one call per batch of 8 half-widths.
     """
 
-    @pytest.mark.parametrize("check, params, want", [
+    @pytest.mark.parametrize("name, params, want", [
         # one call for the 129 nodes of levels 0 and 1
-        (check_fractional_aw,
-         AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5), [129]),
+        ("fractional-askey-wilson",
+         dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5), [129]),
         # T = 1.5^7 is in the first probe batch of 8 half-widths; then
         # levels 0 and 1
-        (check_fractional_atakishiyev,
-         AtakishiyevParams(alpha_g=1.0, a=0.15, b=0.02, c=0.02, d=0.02, x=0.6, mu=1.5),
+        ("fractional-atakishiyev",
+         dict(alpha_g=1.0, a=0.15, b=0.02, c=0.02, d=0.02, x=0.6, mu=1.5),
          [16, 129]),
     ])
-    def test_calls_at_fixed_points(self, monkeypatch, check, params, want):
+    def test_calls_at_fixed_points(self, monkeypatch, name, params, want):
         sizes, evaluate = [], quad._evaluate
 
         def counted_evaluate(f, x):
@@ -657,41 +646,41 @@ class TestIntegrandCalls:
             return evaluate(f, x)
 
         monkeypatch.setattr(quad, "_evaluate", counted_evaluate)
-        report = check(params)
+        report = run_check(name, params)
         # the node count of each call, one entry per call
         assert report.passed and sizes == want
 
 
 class TestReportSemantics:
     def test_residual_fields_consistent(self):
-        r = check_askey_wilson(AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
+        r = run_check("askey-wilson", dict(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
         scale = max(abs(r.lhs), abs(r.rhs))
         assert r.rel_err == pytest.approx(r.abs_err / scale)
         assert r.failure is None
 
     def test_tolerance_only_changes_passed(self):
-        p = AWParams(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4)
-        loose = check_askey_wilson(p, tol=1e-6)
-        absurd = check_askey_wilson(p, tol=1e-30)
+        p = dict(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4)
+        loose = run_check("askey-wilson", p, tol=1e-6)
+        absurd = run_check("askey-wilson", p, tol=1e-30)
         assert loose.lhs == absurd.lhs and loose.rhs == absurd.rhs
         assert loose.passed and not absurd.passed
 
     def test_diagnostics_are_plain_python_numbers(self):
-        r = check_fractional_aw(
-            AWParams(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
+        r = run_check(
+            "fractional-askey-wilson", dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
         )
         assert type(r.lhs_diag["est_error"]) is float
         assert type(r.lhs_diag["nodes"]) is int
         assert type(r.lhs_diag["k_terms"]) is int
         assert type(r.lhs) is complex and type(r.rel_err) is float
-        r = check_atakishiyev(AtakishiyevParams(alpha_g=1.0, a=0.1, b=0.05))
+        r = run_check("atakishiyev", dict(alpha_g=1.0, a=0.1, b=0.05))
         assert all(type(t) is float for t in r.lhs_diag["window"])
         assert type(r.lhs_diag["est_error"]) is float
 
     def test_a_check_computes_on_its_params_base_only(self):
         # a context argument could carry a base other than the report's q
         with pytest.raises(TypeError):
-            check_askey_wilson(AWParams(q=0.5, a=0.3), ctx=QContext(q=0.7))
+            IDENTITY_REGISTRY["askey-wilson"][1](AWParams(q=0.5, a=0.3), ctx=QContext(q=0.7))
 
 
 class TestSuiteRunner:
@@ -756,7 +745,27 @@ class TestSuiteRunner:
         assert oc.status == "skipped" and "underflow" in oc.reason
         assert oc.params == params
         with pytest.raises(DomainError):
-            check_atakishiyev(AtakishiyevParams(**params))
+            run_check("atakishiyev", params)
+
+    @pytest.mark.parametrize("name", [
+        "fractional-askey-wilson", "fractional-reversal-askey-wilson",
+        "fractional-atakishiyev", "fractional-generating",
+    ])
+    def test_underflowing_x_to_the_mu_becomes_skipped(self, name):
+        # the first three passed with lhs = rhs = 0; the generating row
+        # ended in an OverflowError
+        params = {**FIXED_POINTS[name], "mu": 1500.0}
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert oc.status == "skipped" and oc.details is None
+        assert oc.reason == "x^mu underflows to 0 at x=0.6, mu=1500.0"
+
+    def test_small_x_to_the_mu_still_passes(self):
+        params = {**FIXED_POINTS["fractional-askey-wilson"], "mu": 1000.0}
+        report = run_check("fractional-askey-wilson", params)
+        exact = mp_oracle.closed_side("fractional-askey-wilson", params)
+        assert report.passed and 7.4e-221 < abs(report.rhs) < 7.6e-221
+        assert mp_oracle.rel_err(report.rhs, exact) < 1e-13
+        assert mp_oracle.rel_err(report.lhs, exact) < 1e-6
 
     def test_divergence_carries_its_data(self):
         entry = {"identity": "fractional-atakishiyev", "params": DIVERGENT_GAUSSIAN}
@@ -854,6 +863,30 @@ class TestSuiteSpec:
             expand_suite({"seed": 1, "checks": [
                 {"identity": "askey-wilson", "params": {"q": 0.5, "a": value}}
             ]})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"seed": 1, "sead": 5}, "unknown key(s) sead in the suite spec; known: checks, seed"),
+        ({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3}, "tolerence": 1e-30},
+        ]}, "unknown key(s) tolerence in checks[0]; known: draws, identity, params, tolerance"),
+        ({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3}},
+            {"identity": "askey-wilson", "param": {}, "draw": 2},
+        ]}, "unknown key(s) draw, param in checks[1]"),
+        (5, "suite spec must be a mapping, got int"),
+        ([{"seed": 1}], "suite spec must be a mapping, got list"),
+        ({"seed": 1, "checks": None}, "checks of a suite spec must be a list of mappings"),
+        ({"seed": 1, "checks": {"identity": "askey-wilson"}}, "must be a list of mappings"),
+        ({"seed": 1, "checks": [5]}, "must be a list of mappings"),
+        ({"seed": 1, "checks": [{"params": {"q": 0.5}}]}, "checks[0] needs an identity name, got None"),
+        ({"seed": 1, "checks": [{"identity": ["askey-wilson"]}]}, "checks[0] needs an identity name"),
+        ({"seed": 1, "checks": [{"identity": "askey-wilson", "params": [0.5, 0.3]}]},
+         "params of askey-wilson must be a mapping, got list"),
+    ])
+    def test_malformed_spec_rejected_by_name(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            expand_suite(spec)
+        assert message in str(exc.value)
 
     def test_draw_count_validated(self):
         with pytest.raises(ValueError):
@@ -1063,6 +1096,8 @@ _FRACTIONAL = [
     ({"a": 0.7}, "need 0 < a < x < 1, got a=0.7, x=0.6"),
     ({"a": 1e-310}, "need x/a finite, got a=1e-310, x=0.6"),
     ({"mu": 0.0}, "mu must be positive, got 0.0"),
+    # 0.6^1500 underflows to 0: both sides were 0 and the check passed
+    ({"mu": 1500.0}, "x^mu underflows to 0 at x=0.6, mu=1500.0"),
 ]
 _GENERATING = ({"t": 6.0}, "need max(|at|,|az|,|aru|) < 1, got 1.2")
 _AW = ({"b": 1.5}, "need max(|a|,|b|,|c|,|d|) < 1, got 1.5")
