@@ -3,8 +3,9 @@
 Each check computes its two sides by disjoint routes (operator/quadrature
 versus closed-product/series) that share only the primitives in
 :mod:`qaw.qcore` (the quadrature side through their node-array path, the
-closed side through their scalar loops), and returns an
-:class:`IdentityReport` with the residual and convergence diagnostics.
+closed side through their scalar loops) and, in a fractional check, the
+prefactor both sides carry, and returns an :class:`IdentityReport` with the
+residual and convergence diagnostics.
 
 One table, one check function
 -----------------------------
@@ -15,8 +16,8 @@ tolerance and all domain rules, applied in order.  A quadrature family
 (Askey-Wilson on [0, pi], reversal and Gaussian on the real line) is a
 :class:`_Family` with its own domain rule; its plain check integrates the
 weight against the closed product, its fractional check the weight times
-:func:`ksum` against the closed product times :func:`frac_prefactor`.  A
-``-3phi2`` form is its parent with d (u for the generating pair) pinned
+:func:`ksum` against the closed product, both times :func:`frac_prefactor`.
+A ``-3phi2`` form is its parent with d (u for the generating pair) pinned
 to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, the weights and
 the generating integrand drop zero parameters, and a zero parameter of a
 closed product is the factor (0;q)_inf = 1.
@@ -69,8 +70,11 @@ tests.  Per node, running sums over each step's new rows give the rule:
 the last 8 rows of both |g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of
 their totals.  The value is formed once, over the final rows.  A step
 whose sum is not finite at some node, or a sum not settled at 4096 rows,
-raises :class:`KSumDivergence`.  The rows grow by doubling, so a short
-sum allocates for its own rows only.  The report's ``k_terms`` is the
+raises :class:`KSumDivergence`.  The terms behave like (x max|n_i| / a)^m,
+so the domain rule of a fractional row keeps that ratio below 1; a sum
+inside it that does not settle converges too slowly for 4096 rows.  The
+rows grow by doubling, so a short sum allocates for its own rows only.
+The report's ``k_terms`` is the
 most rows a k-sum of the check used, ``k_digits_lost`` the most digits
 its cancellation can cost, log10(sum |g_m w_m| / |sum g_m w_m|) at a
 node, and ``g1_digits_lost`` the most the division by
@@ -94,10 +98,12 @@ each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (rows x nodes) array, with the tail
 rule applied per node; its row count is still set by the slowest node of
 the call.  A node-free parameter keeps a single column in the factor
-polynomials.  The fractional prefactor x^mu (a/x;q)_mu / (q;q)_mu, the
-k = 0 weight, depends on x, a, mu and q only: a quadrature check forms
-it once and passes it to every k-sum call as ``pref``, and its closed
-side forms its own.  Every integrand makes one
+polynomials.  :func:`ksum` is the bare k-series, c_0 = 1: the fractional
+prefactor x^mu (a/x;q)_mu / (q;q)_mu depends on x, a, mu and q only, so a
+check forms it once and multiplies both of its sides by it after the
+quadrature.  The integrand then does not shrink like x^mu, which the
+absolute tail bound of the window rule in :mod:`qaw.quad` would misjudge
+at large mu.  Every integrand makes one
 ``q_pochhammer_infinite_log`` call per integrand call, on the arguments
 of all its factors at all its nodes or points: 10 rows of nodes for the
 Askey-Wilson and reversal weights and 8 for the Gaussian one at four
@@ -121,6 +127,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
@@ -202,25 +209,46 @@ def _q_range(p):
     return [] if 0.0 < p.q < 1.0 else [f"q must lie in (0,1), got {p.q}"]
 
 
-def _fractional_violations(p):
-    """0 < a < x < 1, x/a a finite double and mu > 0: the domain of the
-    fractional q-integral, with the ratio the k-sum is scaled by; and x^mu
-    a nonzero double, as both sides carry it as a factor and would
-    otherwise agree at 0 whatever the rest of them."""
-    out = []
-    if not 0.0 < p.a < p.x < 1.0:
-        out.append(f"need 0 < a < x < 1, got a={p.a}, x={p.x}")
-    elif not math.isfinite(p.x / p.a):
-        out.append(f"need x/a finite, got a={p.a}, x={p.x}")
-    if p.mu <= 0:
-        out.append(f"mu must be positive, got {p.mu}")
-    elif not out and p.x**p.mu == 0.0:
-        out.append(f"x^mu underflows to 0 at x={p.x}, mu={p.mu}")
-    return out
-
-
 def _below_one(label, m):
     return [f"need {label} < 1, got {m:.3g}"] if m >= 1.0 else []
+
+
+_NORMAL = sys.float_info.min  # the smallest normal double
+
+
+def _fractional(numerator, generating=False):
+    """The domain rule of a fractional row whose k-sum takes the numerator
+    parameters ``numerator(p)`` (at one node: their moduli are the same at
+    every node).
+
+    0 < a < x < 1, x/a a finite double and mu > 0: the domain of the
+    fractional q-integral, with the ratio the k-sum is scaled by.  Then
+    x^mu, and for a ``generating`` row (1 - q)^mu x^mu, a normal double:
+    both sides carry it as a factor, and below that they would agree at 0,
+    or compare subnormal values, whatever the rest of them.  Then
+    x max|numerator| / a < 1, as the k-th term of the k-sum grows like its
+    k-th power.
+    """
+
+    def rule(p):
+        out = []
+        if not 0.0 < p.a < p.x < 1.0:
+            out.append(f"need 0 < a < x < 1, got a={p.a}, x={p.x}")
+        elif not math.isfinite(p.x / p.a):
+            out.append(f"need x/a finite, got a={p.a}, x={p.x}")
+        if p.mu <= 0:
+            out.append(f"mu must be positive, got {p.mu}")
+        if out:
+            return out
+        if p.x**p.mu < _NORMAL:
+            return [f"x^mu is below the smallest normal double at x={p.x}, mu={p.mu}"]
+        if generating and 0.0 < p.q < 1.0 and ((1.0 - p.q) * p.x) ** p.mu < _NORMAL:
+            return [f"(1-q)^mu x^mu is below the smallest normal double at "
+                    f"q={p.q}, x={p.x}, mu={p.mu}"]
+        ratio = p.x * max((abs(v) for v in numerator(p)), default=0.0) / p.a
+        return [f"k-sum diverges: {v}" for v in _below_one("x*max|numerator|/a", ratio)]
+
+    return rule
 
 
 def _lemma_violations(p):
@@ -328,7 +356,7 @@ def _settled(mags, sums):
     return mags[:, -8:].sum(axis=1) < EPS_TERM * np.maximum(sums, 1e-300)
 
 
-def _tables(x, a, mu, q, e, pref, r, L):
+def _tables(x, a, mu, q, e, r, L):
     """The node-free tables of the rows m < L: the weights w_m / s^m and
     s^-m, s = 2^e (module docstring), and the recurrence's q^{m-j},
     j = r, ..., 1, and 1 / (1 - q^m).
@@ -340,7 +368,7 @@ def _tables(x, a, mu, q, e, pref, r, L):
     m = np.arange(L)
     k = m[:-1]
     ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * 2.0**e * (1.0 - q ** (mu + k + 1)))
-    c = np.cumprod(np.concatenate(([pref], ratios)))
+    c = np.cumprod(np.concatenate(([1.0], ratios)))
     den = 1.0 - q**m
     den[0] = 1.0  # (q;q)_0; no recurrence row is m = 0
     qfac = np.cumprod(den)
@@ -359,9 +387,11 @@ def frac_prefactor(x, a, mu, ctx):
     ).real
 
 
-def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None, pref=None):
-    """sum_k x^{mu+k} (a/x;q)_{mu+k} / (a^k (q;q)_{mu+k}) * phi_k.
+def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
+    """sum_k (x/a)^k (a q^mu/x;q)_k / (q^{mu+1};q)_k * phi_k.
 
+    That is the outer k-sum of the fractional identities over their
+    prefactor :func:`frac_prefactor`, which the checks apply.
     phi_k is the terminating series with numerator (q^-k, *phi_numer),
     denominator (q, *phi_denom) and argument q, summed as
     sum_m g_m w_m / G(1) with the node-free weights w (module docstring).
@@ -370,7 +400,6 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None, pref=None):
     nodes otherwise.  Raises :class:`KSumDivergence` for the first node
     whose sum is not finite, or at 4096 rows for the first node that has
     not settled; its ``k`` is the number of rows with a finite partial sum.
-    ``pref`` is :func:`frac_prefactor` of (x, a, mu), formed here if None.
     ``diag`` gets the largest row count ``k_terms``, the largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
     the largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|).
@@ -385,8 +414,6 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None, pref=None):
     with np.errstate(over="ignore", invalid="ignore"):
         numer = _factor_poly([s * p for p in params[: len(phi_numer)] if np.count_nonzero(p)])
         denom = _factor_poly([s * p for p in params[len(phi_numer) :] if np.count_nonzero(p)])
-    if pref is None:
-        pref = frac_prefactor(x, a, mu, ctx)
 
     # the recurrence slices N_j, D_j, j = r, ..., 1, zero past each degree
     r = max(len(numer), len(denom)) - 1
@@ -405,7 +432,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None, pref=None):
                 g = np.concatenate((g, np.zeros_like(g)))
             if new > L:
                 L = max(2 * L, 128)
-                w, down, qpow, inv = _tables(x, a, mu, q, e, pref, r, L)
+                w, down, qpow, inv = _tables(x, a, mu, q, e, r, L)
             _taylor_rows(g, max(M, 1), new, Nj, Dj, qpow, inv)
             rows = g[r + M : r + new]
             terms = rows * w[M:new, None]
@@ -512,16 +539,21 @@ def _generating_integrand(y, p, ctx):
         return np.exp(_log_quotient(num, den, y.size, ctx))
 
 
+def _generating_numerator(p):
+    return [p.a * p.s, p.a * p.z, p.a * p.u]
+
+
 def _generating_sides(p, ctx):
     """A fractional q-integral of a product ratio versus its k-sum form."""
     a = p.a
     lhs = fractional_q_integral(
         functools.partial(_generating_integrand, p=p, ctx=ctx), p.x, a, p.mu, ctx)
     # the product ratio at y = a, with the k-sum's denominator on top
-    numer = [a * p.s, a * p.z, a * p.u]
+    numer = _generating_numerator(p)
     denom = [a * p.b * p.z, a * p.t, a * p.r * p.u]
     rhs_diag = {}
-    pref = (1.0 - p.q) ** p.mu * _three_term_side(ctx, denom, numer)
+    pref = (1.0 - p.q) ** p.mu * frac_prefactor(p.x, a, p.mu, ctx) * _three_term_side(
+        ctx, denom, numer)
     rhs = pref * ksum(p.x, a, p.mu, numer, denom, ctx, diag=rhs_diag)
     return lhs, rhs, {}, rhs_diag
 
@@ -533,9 +565,8 @@ class _Family(NamedTuple):
     parameter product).  ``real_line`` selects ``integrate_line_even_window``
     over ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the
     weight on a node array and ``series(nodes, p)`` the k-sum's numerator
-    and denominator parameters there; ``closed(p, ctx, pref)`` is the closed
-    product times ``pref`` (1, or the fractional prefactor), through the
-    scalar qcore loops only.
+    and denominator parameters there; ``closed(p, ctx)`` is the closed
+    product, through the scalar qcore loops only.
     """
 
     params: type
@@ -562,11 +593,11 @@ def _aw_series(theta, p):
     return [a * p.b * p.c * p.d, a * e, a / e], [a * p.b, a * p.c, a * p.d]
 
 
-def _aw_closed(p, ctx, pref):
+def _aw_closed(p, ctx):
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     top = 2.0 * math.pi * q_pochhammer_infinite(a * b * c * d, ctx)
     pairs = [q, a * b, a * c, a * d, b * c, b * d, c * d]
-    return top / q_pochhammer_multi(pairs, INFINITE, ctx) * pref
+    return top / q_pochhammer_multi(pairs, INFINITE, ctx)
 
 
 def _sinh_args(x, p, scale):
@@ -591,11 +622,11 @@ def _reversal_series(t, p):
     return numer, [1j * a * q * et, -1j * a * q / et, q * a * p.b * p.c * p.d]
 
 
-def _reversal_closed(p, ctx, pref):
+def _reversal_closed(p, ctx):
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     pairs = [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d, q * c * d]
     closed = q_pochhammer_multi(pairs, INFINITE, ctx) / q_pochhammer_infinite(q * a * b * c * d, ctx)
-    return closed * pref * math.log(1.0 / q)
+    return closed * math.log(1.0 / q)
 
 
 def _gaussian_weight(t, p, ctx):
@@ -612,11 +643,11 @@ def _gaussian_series(t, p):
     return numer, [1j * a * et, -1j * a / et, a * p.b * p.c * p.d / q**3]
 
 
-def _gaussian_closed(p, ctx, pref):
+def _gaussian_closed(p, ctx):
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     pairs = [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q]
     closed = q_pochhammer_multi(pairs, INFINITE, ctx) / q_pochhammer_infinite(a * b * c * d / q**3, ctx)
-    return math.sqrt(math.pi) * q ** (-0.125) * closed * pref
+    return math.sqrt(math.pi) * q ** (-0.125) * closed
 
 
 _AW = _Family(AWParams, _aw_violations, False, _aw_weight, _aw_series, _aw_closed)
@@ -632,19 +663,17 @@ def _quadrature(family, fractional):
 
     The plain check integrates the weight and compares it with the closed
     product; the fractional check integrates the weight times the k-sum
-    and compares it with the closed product times the fractional prefactor.
+    and compares it with the closed product, and multiplies both sides,
+    and the quadrature's error estimate, by the fractional prefactor.
     """
 
     def sides(p, ctx):
         diag = {}
-        # the k-sum's prefactor, formed once for all its calls; the closed
-        # side forms its own below, so the two sides stay independent
-        ksum_pref = frac_prefactor(p.x, p.a, p.mu, ctx) if fractional else None
 
         def f(nodes):
             if not fractional:
                 return family.weight(nodes, p, ctx)
-            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=diag, pref=ksum_pref)
+            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=diag)
             return family.weight(nodes, p, ctx) * s
 
         # the integrator is looked up by its module-level name at each call,
@@ -654,11 +683,11 @@ def _quadrature(family, fractional):
         pref = frac_prefactor(p.x, p.a, p.mu, ctx) if fractional else 1.0
         lhs_diag = {
             "nodes": res.nodes_used,
-            "est_error": res.est_error,
+            "est_error": res.est_error * abs(pref),
             "window": list(res.window) if res.window else None,
             **diag,
         }
-        return res.value, family.closed(p, ctx, pref), lhs_diag, {}
+        return pref * res.value, pref * family.closed(p, ctx), lhs_diag, {}
 
     return sides
 
@@ -677,7 +706,9 @@ class _Row(NamedTuple):
 def _family_rows(name, family, tol):
     """The plain, fractional and -3phi2 rows of a quadrature family."""
     fractional = _quadrature(family, True)
-    rules = (family.domain, _fractional_violations)
+    # the k-sum's numerator, at the node 0, exists inside the family's domain only
+    rules = (family.domain,
+             _fractional(lambda p: [] if family.domain(p) else family.series(0.0, p)[0]))
     pinned = f"fractional-{name}-3phi2"
     return {
         name: _Row(family.params, _quadrature(family, False), tol, (family.domain,)),
@@ -686,7 +717,8 @@ def _family_rows(name, family, tol):
     }
 
 
-_GENERATING_RULES = (_q_range, _fractional_violations, _generating_violations)
+_GENERATING_RULES = (_q_range, _fractional(_generating_numerator, generating=True),
+                     _generating_violations)
 _TABLE = {
     "lemma-three-term":
         _Row(GeneratingParams, _lemma_sides, 1e-8, (_q_range, _lemma_violations)),

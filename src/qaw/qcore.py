@@ -362,10 +362,10 @@ def q_bracket(a: float, ctx: QContext) -> float:
 def q_gamma(x: float, ctx: QContext) -> float:
     """q-gamma function (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
 
-    Poles at x = 0, -1, -2, ... raise :class:`PoleError`.
+    An x within 1e-12 of a pole, 0, -1, -2, ..., raises :class:`PoleError`.
     """
     if x <= 0.5 and abs(x - round(x)) < 1e-12 and round(x) <= 0:
-        raise PoleError(f"q-gamma pole at x={x}")
+        raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x)}")
     q = ctx.q
     num = q_pochhammer_infinite(q, ctx)
     den = q_pochhammer_infinite(q**x, ctx)

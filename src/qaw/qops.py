@@ -70,26 +70,19 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
                 v = w * _evaluate(f, x * qns)
                 term = v if i == 0 else term + v
             term *= qns
-            partial = np.cumsum(np.concatenate(([total], term)))[1:]
-            flags = np.abs(term) < EPS_TERM * np.maximum(np.abs(partial), 1e-300)
-        stop = None
-        for i, tiny in enumerate(flags.tolist()):
-            small = small + 1 if tiny else 0
+        # the term-by-term loop: the running total, its finiteness and the stop rule
+        for i, t in enumerate(term.tolist()):
+            before, total = total, total + t
+            if not cmath.isfinite(total):
+                # a non-finite term makes every later partial sum non-finite
+                raise NonConvergence(
+                    f"{what}: term {n0 + i} or the partial sum through it is not finite",
+                    partial=scale * before,
+                    last_term=abs(t),
+                )
+            small = small + 1 if abs(t) < EPS_TERM * max(abs(total), 1e-300) else 0
             if small >= CONSECUTIVE_SMALL:
-                stop = i
-                break
-        end = m if stop is None else stop + 1
-        if not cmath.isfinite(partial[end - 1]):
-            # a non-finite term makes every later partial sum non-finite
-            k = int(np.flatnonzero(~np.isfinite(partial))[0])
-            raise NonConvergence(
-                f"{what}: term {n0 + k} or the partial sum through it is not finite",
-                partial=scale * (complex(partial[k - 1]) if k else total),
-                last_term=float(abs(term[k])),
-            )
-        if stop is not None:
-            return scale * complex(partial[stop])
-        total = complex(partial[-1])
+                return scale * total
         qn = float(qns[-1]) * q
         n0 += m
         size *= 2

@@ -86,9 +86,9 @@ def _prod(args, q):
 @mp.workdps(DPS)
 def closed_side(name, p):
     """The closed side of identity ``name`` at p, a mapping of its params:
-    the product of the nine quadrature rows, times :func:`frac_prefactor`
-    for a fractional one, the lemma's left side, and the generating rows'
-    product times :func:`stable_ksum`."""
+    the product of the nine quadrature rows, the lemma's left side, and the
+    generating rows' product times :func:`stable_ksum`, each fractional one
+    times :func:`frac_prefactor`."""
     if "alpha_g" in p:  # the Gaussian family, on q = exp(-2 alpha_g^2)
         q = mp.exp(-2 * mp.mpf(p["alpha_g"]) ** 2)
     else:
@@ -100,8 +100,8 @@ def closed_side(name, p):
     if "generating" in name:
         numer, denom = [a * s, a * z, a * u], [a * b * z, a * t, a * r * u]
         (k,) = stable_ksum(p["x"], p["a"], p["mu"], p["q"], numer, denom)
-        return (1 - q) ** p["mu"] * _prod(denom, q) / _prod(numer, q) * k
-    if "alpha_g" in p:
+        side = (1 - q) ** p["mu"] * _prod(denom, q) / _prod(numer, q) * k
+    elif "alpha_g" in p:
         side = mp.sqrt(mp.pi) * q ** mp.mpf(-0.125) * _prod(
             [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q], q
         ) / qp(a * b * c * d / q**3, q)
@@ -170,10 +170,11 @@ def fractional_power(x, mu, p, q):
 
 @mp.workdps(60)
 def stable_ksum(x, a, mu, q, numer, denom):
-    """The outer k-sum of ``qaw.identities`` by the Taylor-kernel formula
-    of its docstring, in 60 digits (the products, which only scale it, in
-    40), as a complex for each node; numer and denom hold numbers and
-    sequences of one number per node.
+    """The outer k-sum of the fractional identities by the Taylor-kernel
+    formula of the ``qaw.identities`` docstring, divided by
+    :func:`frac_prefactor`, in 60 digits (the products, which only scale
+    it, in 40), as a complex for each node; numer and denom hold numbers
+    and sequences of one number per node.
 
     The Taylor coefficients of G(y) = prod (d y;q)_inf / prod (n y;q)_inf
     are products of its factors' power series, not the q-difference
@@ -205,7 +206,8 @@ def stable_ksum(x, a, mu, q, numer, denom):
     for i in range(max(map(len, nodes[0] + nodes[1]), default=1)):
         g, G1 = taylor(*([v[i] for v in vs] for vs in nodes), *fixed)
         # c_0 = x^mu (a/x;q)_mu / (q;q)_mu, then the ratio of consecutive c_k
-        coef, total = frac_prefactor(x, a, mu, q), mp.mpc(0)
+        pref = frac_prefactor(x, a, mu, q)
+        coef, total = pref, mp.mpc(0)
         P = [mp.mpf(1)] * M  # P[m] = (q^{m+1-k};q)_k, advanced in k
         for k in range(M - 60):
             term = coef * mp.fdot(g[k:], P[k:]) / G1
@@ -216,13 +218,14 @@ def stable_ksum(x, a, mu, q, numer, denom):
             coef *= x * (1 - a / x * q ** (mu + k)) / (a * (1 - q ** (mu + k + 1)))
         else:
             raise AssertionError("oracle k-sum did not settle")
-        out.append(complex(total))
+        out.append(complex(total / pref))
     return out
 
 
 def direct_ksum(x, a, mu, q, numer, denom):
-    """The outer k-sum to k < 40, as a complex, each phi_k summed term
-    by term in 40 + k(k+1)/2 log10(1/q) digits: its terms reach q^{-k(k+1)/2}."""
+    """The outer k-sum to k < 40 divided by :func:`frac_prefactor`, as a
+    complex, each phi_k summed term by term in 40 + k(k+1)/2 log10(1/q)
+    digits: its terms reach q^{-k(k+1)/2}."""
     total = mp.mpf(0)
     for k in range(40):
         with mp.workdps(40 + int(k * (k + 1) / 2 * math.log10(1.0 / q))):
@@ -237,4 +240,5 @@ def direct_ksum(x, a, mu, q, numer, denom):
                     ratio /= 1 - v * qm**n
                 term *= ratio
             total += frac_prefactor(x, a, mu + k, q) / mp.mpf(a) ** k * phi
-    return complex(total)
+    with mp.workdps(DPS):
+        return complex(total / frac_prefactor(x, a, mu, q))

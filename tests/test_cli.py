@@ -15,9 +15,9 @@ import qaw
 from qaw import cli, identities, qcore
 
 
-# a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
-# gives x * 0.33 / a = 1.33 > 1
-DIVERGENT_GAUSSIAN = {"alpha_g": 1.0, "a": 0.15, "b": 0.3, "c": 0.3, "d": 0.01,
+# a fractional Gaussian point whose k-sum, at the ratio x * (ab/q) / a =
+# 0.995, is not settled at 4096 rows
+SLOW_KSUM_GAUSSIAN = {"alpha_g": 1.0, "a": 0.15, "b": 0.224431, "c": 0.02, "d": 0.02,
                       "x": 0.6, "mu": 1.5}
 
 
@@ -102,6 +102,15 @@ class TestEval:
     def test_gamma_pole(self, capsys):
         code, _, err = run_cli(capsys, "eval", "gamma", "--x=-1", "--q", "0.3")
         assert code == 2 and "pole" in err
+
+    @pytest.mark.parametrize("x, message", [
+        # q^x rounds to 1, so (1 - q^x) is 0: x names no pole itself
+        ("1e-300", "x=1e-300 is within 1e-12 of the pole at 0"),
+        ("-2.0000000000001", "x=-2.0000000000001 is within 1e-12 of the pole at -2"),
+    ])
+    def test_gamma_pole_error_names_the_pole(self, capsys, x, message):
+        code, out, err = run_cli(capsys, "eval", "gamma", "--q", "0.5", f"--x={x}")
+        assert (code, out, err) == (2, "", f"domain error: q-gamma: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["poch", "--q", "0.5", "--a", "1e300", "--n", "3"],
@@ -488,7 +497,7 @@ class TestSuite:
         assert code == 64 and out == "" and message in err
 
     def test_failed_entries_keep_their_params(self, capsys, tmp_path):
-        diverging = DIVERGENT_GAUSSIAN
+        diverging = SLOW_KSUM_GAUSSIAN
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "checks": [
             {"identity": "fractional-atakishiyev", "params": diverging},
@@ -502,7 +511,7 @@ class TestSuite:
         assert skipped["params"] == {"q": 0.5, "a": 1.5}
 
     def test_diverged_entry_reports_its_failure_data(self, capsys, tmp_path):
-        diverging = DIVERGENT_GAUSSIAN
+        diverging = SLOW_KSUM_GAUSSIAN
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "checks": [
             {"identity": "fractional-atakishiyev", "params": diverging},
@@ -512,8 +521,8 @@ class TestSuite:
         assert code == 1
         diverged, skipped = json.loads(out)["reports"]
         details = diverged["details"]
-        assert details["k"] == 2458
-        assert 1e300 < details["term_magnitude"] < float("inf")
+        assert details["k"] == 4096
+        assert 1e-9 < details["term_magnitude"] < 1e-8
         assert set(details["partial"]) == {"re", "im"}
         assert skipped["status"] == "skipped" and "details" not in skipped
         assert skipped["params"] == {"alpha_g": 12.0}
@@ -689,8 +698,8 @@ EDGE_ARGV = [
     (["check", "fractional-askey-wilson", *_FRAC_AW, "--b", "nan"], 65),
     (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--b", "1e308"], 65),
     (["check", "fractional-generating", *_GEN, "--b", "1e308"], 2),
-    # s b overflows in the k-sum, which then diverges without a numpy warning
-    (["check", "fractional-atakishiyev", *_FRAC_GAUSSIAN, "--b", "1e308"], 2),
+    # x max|numerator| / a overflows: the k-sum's ratio rule skips it
+    (["check", "fractional-atakishiyev", *_FRAC_GAUSSIAN, "--b", "1e308"], 65),
     (["check", "askey-wilson", "--q", "1e-300", "--a", "0.3"], 0),
     (["check", "fractional-generating", *_GEN, "--q", "1e-300"], 0),
     (["check", "reversal-askey-wilson", "--q", "1e-300", "--a", "0.2", "--b", "0.1"], 2),

@@ -25,7 +25,6 @@ from qaw.identities import (
     AWParams,
     GeneratingParams,
     ReversalParams,
-    frac_prefactor,
     ksum,
     run_check,
     run_suite,
@@ -35,6 +34,10 @@ from qaw.suite import default_suite, expand_suite
 import mp_oracle
 
 EPS = float(np.finfo(float).eps)
+# the six fractional rows of the quadrature families
+FRACTIONAL_QUADRATURE = [f"fractional-{family}{form}"
+                         for family in ("askey-wilson", "reversal-askey-wilson", "atakishiyev")
+                         for form in ("", "-3phi2")]
 
 
 class TestKSumOracle:
@@ -51,11 +54,9 @@ class TestKSumOracle:
         assert abs(got - want) < 1e-12 * abs(want)
 
     def test_degenerate_collapse(self):
-        # with no series parameters only the k=0 term survives and the sum
-        # equals the bare fractional prefactor
-        ctx = QContext(q=0.5)
-        got = ksum(0.6, 0.2, 1.5, [], [], ctx)
-        assert got == pytest.approx(frac_prefactor(0.6, 0.2, 1.5, ctx), rel=1e-13)
+        # with no series parameters only the k=0 term survives: the bare
+        # k-series starts at c_0 = 1
+        assert ksum(0.6, 0.2, 1.5, [], [], QContext(q=0.5)) == 1.0
 
 
 # the fractional Askey-Wilson k-sum at the angles theta: numerator
@@ -218,8 +219,12 @@ class TestBatchedKSum:
         assert (single.value.k, single.value.partial) == (err.k, err.partial)
 
     def test_divergent_sum_stops_at_its_first_non_finite_step(self, monkeypatch):
-        # the partial sums overflow past 2458 rows; the growth step there is
-        # 320 rows, so no row past 2458 + 320 is formed
+        # the k-sum of DIVERGENT_GAUSSIAN at the node 0, which its check's
+        # domain rule skips: the partial sums overflow past 2455 rows; the
+        # growth step there is at most 320 rows, so no row past 2455 + 320
+        # is formed
+        p = _with_base(DIVERGENT_GAUSSIAN)
+        numer, denom = _gaussian_ksum_params(0.0, **p)
         formed = []
         taylor_rows = identities._taylor_rows
 
@@ -229,8 +234,8 @@ class TestBatchedKSum:
 
         monkeypatch.setattr(identities, "_taylor_rows", counting)
         with pytest.raises(KSumDivergence) as exc:
-            run_check("fractional-atakishiyev", DIVERGENT_GAUSSIAN)
-        assert exc.value.k == 2458 and 2458 < max(formed) <= 2458 + 320
+            ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]))
+        assert exc.value.k == 2455 and 2455 < max(formed) <= 2455 + 320
 
     def test_short_sum_allocates_for_its_own_rows(self):
         # 4096 rows at 129 nodes would take 8.4 MB per array
@@ -254,22 +259,6 @@ class TestBatchedKSum:
         ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
         assert diag["k_digits_lost"] == pytest.approx(math.log10(314), abs=0.01)
 
-    def test_passed_prefactor_gives_the_same_bits(self):
-        # a quadrature check forms frac_prefactor once and passes it in
-        p = AW_POINT
-        ctx = QContext(q=p["q"])
-        pref = frac_prefactor(p["x"], p["a"], p["mu"], ctx)
-        for theta in (np.linspace(0.0, math.pi, 33), 0.7):
-            numer, denom = _aw_ksum_params(theta, **p)
-            own_diag, passed_diag = {}, {}
-            own = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx, diag=own_diag)
-            passed = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx, diag=passed_diag,
-                          pref=pref)
-            assert type(own) is type(passed)
-            assert np.array_equal(np.array([own]).view(np.uint64),
-                                  np.array([passed]).view(np.uint64))
-            assert own_diag == passed_diag
-
     def test_distinct_q_retain_no_memory(self):
         # a table kept per q would hold ~1.6 MB for each of the 200 bases
         ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
@@ -286,14 +275,15 @@ class TestBatchedKSum:
         assert retained < 1_000_000
 
     def test_gaussian_family_divergence_is_reported(self):
-        # at this point the numerator ab/q = 0.33 puts a pole of G at
-        # y = 3, so the outer terms grow like (x * 0.33 / a)^k = 1.33^k
+        # at this point the numerator ab/q = 0.249 puts a pole of G at
+        # y = 4.02, so the outer terms fall like (x * 0.249 / a)^k = 0.995^k,
+        # too slowly to settle within 4096 rows
         with pytest.raises(KSumDivergence) as exc:
-            run_check("fractional-atakishiyev", DIVERGENT_GAUSSIAN)
+            run_check("fractional-atakishiyev", SLOW_KSUM_GAUSSIAN)
         err = exc.value
-        assert err.k > 64 and err.term_magnitude > 1.0
+        assert err.k == 4096 and 0.0 < err.term_magnitude < 1.0
         assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
-        entry = {"identity": "fractional-atakishiyev", "params": DIVERGENT_GAUSSIAN}
+        entry = {"identity": "fractional-atakishiyev", "params": SLOW_KSUM_GAUSSIAN}
         (oc,) = run_suite([entry])
         assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
         # the report keeps what is needed to re-run the entry
@@ -327,8 +317,12 @@ class TestRealTablesKeepNumpysBits:
 
 
 # a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
-# gives x * 0.33 / a = 1.33 > 1
+# gives x * 0.33 / a = 1.33 > 1, so the check's domain rule skips it
 DIVERGENT_GAUSSIAN = {"alpha_g": 1.0, "a": 0.15, "b": 0.3, "c": 0.3, "d": 0.01,
+                      "x": 0.6, "mu": 1.5}
+# inside the domain, at the ratio x * (ab/q) / a = 0.995, the k-sum is not
+# settled at 4096 rows and the check ends diverged
+SLOW_KSUM_GAUSSIAN = {"alpha_g": 1.0, "a": 0.15, "b": 0.224431, "c": 0.02, "d": 0.02,
                       "x": 0.6, "mu": 1.5}
 # nearby, at b = c = d = 0.06, the series converges
 FORMER_FALSE_DIVERGENCE = {**DIVERGENT_GAUSSIAN, "b": 0.06, "c": 0.06, "d": 0.06}
@@ -431,15 +425,16 @@ class TestZeroFactorsAndCap:
 
     @pytest.mark.parametrize("overrides, status", [
         ({"t": 2.0}, "passed"),  # t x = 1: the numerator is 0 at y = x
-        ({"s": 2.0}, "diverged"),  # s x = 1: the denominator is 0
-        ({"z": 2.0, "b": 1.0}, "diverged"),  # b z x = z x = 1: 0 / 0
+        # a zero of the denominator at y = x makes the k-sum's ratio at least 1
+        ({"s": 2.0}, "skipped"),  # s x = 1
+        ({"z": 2.0, "b": 1.0}, "skipped"),  # b z x = z x = 1: 0 / 0
     ])
     def test_generating_zero_factor_outcome(self, overrides, status):
         params = {**ZERO_FACTOR_GEN, **overrides}
         (oc,) = run_suite([{"identity": "fractional-generating", "params": params}])
         assert oc.status == status, oc.reason
-        if status == "diverged":
-            assert oc.reason.startswith("NonConvergence") and "not finite" in oc.reason
+        if status == "skipped":
+            assert oc.reason == "k-sum diverges: need x*max|numerator|/a < 1, got 1"
 
     def test_generating_integrand_at_a_zero_factor(self):
         ctx = QContext(q=0.5)
@@ -757,25 +752,43 @@ class TestSuiteRunner:
         params = {**FIXED_POINTS[name], "mu": 1500.0}
         (oc,) = run_suite([{"identity": name, "params": params}])
         assert oc.status == "skipped" and oc.details is None
-        assert oc.reason == "x^mu underflows to 0 at x=0.6, mu=1500.0"
+        assert oc.reason == "x^mu is below the smallest normal double at x=0.6, mu=1500.0"
 
-    def test_small_x_to_the_mu_still_passes(self):
-        params = {**FIXED_POINTS["fractional-askey-wilson"], "mu": 1000.0}
-        report = run_check("fractional-askey-wilson", params)
-        exact = mp_oracle.closed_side("fractional-askey-wilson", params)
-        assert report.passed and 7.4e-221 < abs(report.rhs) < 7.6e-221
-        assert mp_oracle.rel_err(report.rhs, exact) < 1e-13
-        assert mp_oracle.rel_err(report.lhs, exact) < 1e-6
+    @pytest.mark.parametrize("name", FRACTIONAL_QUADRATURE)
+    def test_small_x_to_the_mu_still_passes(self, name):
+        # x^mu = 1.5e-222: the prefactor multiplies both sides after the
+        # quadrature, so the integrand keeps its size and its window
+        params = {**FIXED_POINTS[name], "mu": 1000.0}
+        report = run_check(name, params)
+        assert report.passed and report.lhs_diag["nodes"] == 129
+        exact = mp_oracle.closed_side(name, params)
+        assert mp_oracle.rel_err(report.lhs, exact) < 2e-15
+        assert mp_oracle.rel_err(report.rhs, exact) < 2e-15
+
+    @pytest.mark.parametrize("name", ["fractional-generating", "fractional-generating-3phi2"])
+    @pytest.mark.parametrize("mu, status", [(500.0, "passed"), (600.0, "skipped"),
+                                            (1000.0, "skipped")])
+    def test_generating_scale_below_the_normal_doubles_is_skipped(self, name, mu, status):
+        # both sides carry (1 - q)^mu x^mu = 0.3^mu: at mu = 1000 they were
+        # both 0 and at mu = 600 both subnormal, and each check passed
+        params = {**FIXED_POINTS[name], "mu": mu}
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert oc.status == status, oc.reason
+        if status == "skipped":
+            assert oc.reason == ("(1-q)^mu x^mu is below the smallest normal double "
+                                 f"at q=0.5, x=0.6, mu={mu}")
+        else:
+            assert 1e-262 < abs(oc.report.rhs) < 1e-261
 
     def test_divergence_carries_its_data(self):
-        entry = {"identity": "fractional-atakishiyev", "params": DIVERGENT_GAUSSIAN}
+        entry = {"identity": "fractional-atakishiyev", "params": SLOW_KSUM_GAUSSIAN}
         (oc,) = run_suite([entry])
         assert oc.status == "diverged" and set(oc.details) == {
             "k", "term_magnitude", "partial"}
-        # the terms grow like 1.33^m until their partial sums overflow past
-        # 2458 Taylor coefficients, in the round of 4096
-        assert oc.details["k"] == 2458 and type(oc.details["k"]) is int
-        assert 1e300 < oc.details["term_magnitude"] < math.inf
+        # the terms fall like 0.995^m, and at 4096 Taylor coefficients the
+        # last is still near 2.6e-9 of G(1)
+        assert oc.details["k"] == 4096 and type(oc.details["k"]) is int
+        assert 1e-9 < oc.details["term_magnitude"] < 1e-8
         assert type(oc.details["partial"]) is complex
 
     @pytest.mark.parametrize("exc, details", [
@@ -1056,9 +1069,10 @@ class TestCheckTable:
         at_zero = run_check("fractional-generating", {**near, "b": 50.0})
         assert at_zero.rhs_diag["g1_digits_lost"] == identities._ALL_DIGITS
 
-    @pytest.mark.parametrize("name", sorted(n for n in K_SUM_DIAG if "generating" not in n))
-    def test_fractional_prefactor_is_formed_once_a_side(self, monkeypatch, name):
-        # the integrand's k-sums share one, and the closed side forms its own
+    @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+    def test_fractional_prefactor_is_formed_once_a_check(self, monkeypatch, name):
+        # both sides of a fractional check take the one prefactor; the
+        # k-sums and the plain checks take none
         calls = []
         prefactor = identities.frac_prefactor
 
@@ -1068,7 +1082,7 @@ class TestCheckTable:
 
         monkeypatch.setattr(identities, "frac_prefactor", counting)
         assert run_check(name, FIXED_POINTS[name]).passed
-        assert len(calls) == 2
+        assert len(calls) == (1 if name.startswith("fractional-") else 0)
 
     @pytest.mark.parametrize("name, params, half_width", PASSING_POINTS)
     def test_point_passes_with_its_window(self, name, params, half_width):
@@ -1097,8 +1111,12 @@ _FRACTIONAL = [
     ({"a": 1e-310}, "need x/a finite, got a=1e-310, x=0.6"),
     ({"mu": 0.0}, "mu must be positive, got 0.0"),
     # 0.6^1500 underflows to 0: both sides were 0 and the check passed
-    ({"mu": 1500.0}, "x^mu underflows to 0 at x=0.6, mu=1500.0"),
+    ({"mu": 1500.0}, "x^mu is below the smallest normal double at x=0.6, mu=1500.0"),
 ]
+_RATIO = "k-sum diverges: need x*max|numerator|/a < 1, got 1.1"
+# both generating sides carry (1 - q)^mu x^mu = 0.3^1000, which underflows to 0
+_GENERATING_SCALE = ({"mu": 1000.0}, "(1-q)^mu x^mu is below the smallest normal "
+                                      "double at q=0.5, x=0.6, mu=1000.0")
 _GENERATING = ({"t": 6.0}, "need max(|at|,|az|,|aru|) < 1, got 1.2")
 _AW = ({"b": 1.5}, "need max(|a|,|b|,|c|,|d|) < 1, got 1.5")
 _BIG_BCD = {"b": 5.0, "c": 5.0, "d": 5.0}
@@ -1109,9 +1127,10 @@ _GAUSSIAN_BASE = [
 ]
 RULE_BREAKS = {
     "lemma-three-term": [_Q, ({"s": 6.0}, "need max(|as|,|az|,|au|) < 1, got 1.2")],
-    "fractional-generating": [_Q, *_FRACTIONAL, _GENERATING],
+    "fractional-generating": [_Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO),
+                              _GENERATING],
     "fractional-generating-3phi2": [
-        _Q, *_FRACTIONAL, _GENERATING,
+        _Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO), _GENERATING,
         ({"u": 0.1}, "fractional-generating-3phi2 needs u = 0, got u=0.1"),
     ],
     "askey-wilson": [_Q, _AW],
@@ -1121,18 +1140,22 @@ RULE_BREAKS = {
         ({"d": 0.15}, "fractional-askey-wilson-3phi2 needs d = 0, got d=0.15"),
     ],
     "reversal-askey-wilson": [_Q, _REVERSAL],
-    "fractional-reversal-askey-wilson": [_Q, _REVERSAL, *_FRACTIONAL],
+    "fractional-reversal-askey-wilson": [_Q, _REVERSAL, *_FRACTIONAL, ({"b": 3.667}, _RATIO)],
     # |qabcd| >= 1 needs d != 0, which the pin forbids: see SEVERAL_BREAKS
     "fractional-reversal-askey-wilson-3phi2": [
-        _Q, *_FRACTIONAL,
+        _Q, *_FRACTIONAL, ({"b": 3.667}, _RATIO),
         ({"d": 0.15}, "fractional-reversal-askey-wilson-3phi2 needs d = 0, got d=0.15"),
     ],
     "atakishiyev": [*_GAUSSIAN_BASE, (_BIG_BCD, "need |abcd/q^3| < 1, got 2.52e+03")],
     "fractional-atakishiyev": [
         *_GAUSSIAN_BASE, (_BIG_BCD, "need |abcd/q^3| < 1, got 7.56e+03"), *_FRACTIONAL,
+        ({"b": 0.248}, _RATIO),
+        # DIVERGENT_GAUSSIAN, which ran 2458 rows before its partial sums overflowed
+        ({"b": 0.3, "c": 0.3, "d": 0.01},
+         "k-sum diverges: need x*max|numerator|/a < 1, got 1.33"),
     ],
     "fractional-atakishiyev-3phi2": [
-        *_GAUSSIAN_BASE, *_FRACTIONAL,
+        *_GAUSSIAN_BASE, *_FRACTIONAL, ({"b": 0.248}, _RATIO),
         ({"d": 0.15}, "fractional-atakishiyev-3phi2 needs d = 0, got d=0.15"),
     ],
 }
@@ -1195,6 +1218,19 @@ class TestDomainRules:
     def test_reversal_params_are_the_askey_wilson_params(self):
         assert ReversalParams is AWParams
         assert not hasattr(AWParams, "violations")
+
+    # a parameter of each row's k-sum numerator at the ratio 0.90 and 1.10
+    @pytest.mark.parametrize("name, field, inside, outside", [
+        ("fractional-atakishiyev", "b", 0.203, 0.248),
+        ("fractional-reversal-askey-wilson", "b", 3.0, 3.667),
+        ("fractional-generating", "s", 1.5, 1.833),
+    ])
+    def test_k_sum_ratio_on_each_side_of_one(self, name, field, inside, outside):
+        # at 1.10 each check ended diverged, the Gaussian one at 4096 rows
+        below, above = run_suite([{"identity": name, "params": {**FIXED_POINTS[name], field: v}}
+                                  for v in (inside, outside)])
+        assert below.status == "passed", below.reason or below.report.failure
+        assert above.status == "skipped" and above.reason == _RATIO
 
 
 # points near q = 1 whose sides lie far below 1e-12 and whose trapezoid
