@@ -14,6 +14,7 @@ import cmath
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -56,10 +57,6 @@ def _fmt(v: complex) -> str:
     return f"{v.real:.17g}{v.imag:+.17g}i"
 
 
-def _complex_obj(v: complex) -> dict:
-    return {"re": v.real, "im": v.imag}
-
-
 def _tolerance(text: str) -> float:
     """An argparse type: a float that :func:`valid_tolerance` accepts."""
     try:
@@ -71,10 +68,37 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_list(text: str):
-    if not text.strip():
-        return []
-    return [parse_complex(tok) for tok in text.split(",")]
+def _parse_list(text: str) -> tuple:
+    return tuple(parse_complex(tok) for tok in text.split(",")) if text.strip() else ()
+
+
+_FLOAT, _COMPLEX = ({"type": t, "required": True} for t in (float, parse_complex))
+_LIST = {"type": _parse_list, "default": (), "help": "comma-separated list"}
+_LOWER = {"type": float, "default": 0.0, "help": "lower limit"}
+_POWER = {"type": float, "default": 0.0, "help": "integrand t^power"}
+
+# each qaw eval subject, declared once: its flags besides --q, as the options
+# of add_argument in usage order, and its value on (args, ctx).  poch also
+# takes its order, one of --n, --alpha and --inf, after its flags.
+_EVAL = {
+    "poch": ({"--a": _COMPLEX}, lambda args, ctx: qcore.q_pochhammer(args.a, args.order, ctx)),
+    "gamma": ({"--x": _FLOAT}, lambda args, ctx: qcore.q_gamma(args.x, ctx)),
+    "phi": ({"--numer": _LIST, "--denom": _LIST, "--z": {"type": parse_complex, "default": 1.0},
+             "--terminating-k": {"type": int, "default": None}},
+            lambda args, ctx: qcore.phi_series(qcore.HypergeometricSpec(
+                args.numer, args.denom, args.z, args.terminating_k), ctx)),
+    "hcos": ({"--theta": _FLOAT, "--params": _LIST},
+             lambda args, ctx: qcore.h_cos(args.theta, args.params, ctx)),
+    "hsinh": ({"--x": _FLOAT, "--t": _COMPLEX},
+              lambda args, ctx: qcore.h_sinh(args.x, args.t, ctx)),
+    "qint": ({"--a": _LOWER, "--power": _POWER,
+              "--b": {"type": float, "default": 1.0, "help": "upper limit"}},
+             lambda args, ctx: qops.jackson_q_integral(
+                 lambda t: t**args.power, args.a, args.b, ctx)),
+    "fracint": ({"--x": _FLOAT, "--mu": _FLOAT, "--a": _LOWER, "--power": _POWER},
+                lambda args, ctx: qops.fractional_q_integral(
+                    lambda t: t**args.power, args.x, args.a, args.mu, ctx)),
+}
 
 
 @functools.cache
@@ -90,33 +114,15 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a scalar primitive", allow_abbrev=False)
     subjects = ev.add_subparsers(dest="subject", required=True)
     # every subject takes --q, and only its own further flags
-    poch, gamma, phi, hcos, hsinh, qint, fracint = (
-        subjects.add_parser(name, allow_abbrev=False)
-        for name in ("poch", "gamma", "phi", "hcos", "hsinh", "qint", "fracint")
-    )
-    for sp in subjects.choices.values():
-        sp.add_argument("--q", type=float, required=True)
-    poch.add_argument("--a", type=parse_complex, required=True)
-    order = poch.add_mutually_exclusive_group(required=True)
+    for name, (flags, _) in _EVAL.items():
+        sp = subjects.add_parser(name, allow_abbrev=False)
+        for flag, options in {"--q": _FLOAT, **flags}.items():
+            sp.add_argument(flag, **options)
+    order = subjects.choices["poch"].add_mutually_exclusive_group(required=True)
     order.add_argument("--n", dest="order", type=int, help="finite order")
     order.add_argument("--alpha", dest="order", type=float, help="fractional order")
     order.add_argument("--inf", dest="order", action="store_const", const=qcore.INFINITE,
                        help="infinite order")
-    gamma.add_argument("--x", type=float, required=True)
-    for flag in ("--numer", "--denom"):
-        phi.add_argument(flag, type=_parse_list, default=[], help="comma-separated list")
-    phi.add_argument("--z", type=parse_complex, default=1.0)
-    phi.add_argument("--terminating-k", type=int, default=None)
-    hcos.add_argument("--theta", type=float, required=True)
-    hcos.add_argument("--params", type=_parse_list, default=[], help="comma-separated list")
-    hsinh.add_argument("--x", type=float, required=True)
-    hsinh.add_argument("--t", type=parse_complex, required=True)
-    fracint.add_argument("--x", type=float, required=True)
-    fracint.add_argument("--mu", type=float, required=True)
-    for sp in (qint, fracint):
-        sp.add_argument("--a", type=float, default=0.0, help="lower limit")
-        sp.add_argument("--power", type=float, default=0.0, help="integrand t^power")
-    qint.add_argument("--b", type=float, default=1.0, help="upper limit")
 
     ck = sub.add_parser("check", help="run a single identity check", allow_abbrev=False)
     identities = ck.add_subparsers(dest="identity", required=True)
@@ -141,31 +147,19 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_eval(args) -> int:
-    sub = args.subject
+    flags, value_of = _EVAL[args.subject]
     try:
         ctx = QContext(q=args.q)
-        if sub == "poch":
-            value = qcore.q_pochhammer(args.a, args.order, ctx)
-        elif sub == "gamma":
-            value = complex(qcore.q_gamma(args.x, ctx))
-        elif sub == "phi":
-            spec = qcore.HypergeometricSpec(
-                numer=tuple(args.numer),
-                denom=tuple(args.denom),
-                z=args.z,
-                terminating_k=args.terminating_k,
-            )
-            value = qcore.phi_series(spec, ctx)
-        elif sub == "hcos":
-            value = qcore.h_cos(args.theta, args.params, ctx)
-        elif sub == "hsinh":
-            value = qcore.h_sinh(args.x, args.t, ctx)
-        elif sub == "qint":
-            p = args.power
-            value = qops.jackson_q_integral(lambda t: t**p, args.a, args.b, ctx)
-        else:  # fracint
-            p = args.power
-            value = qops.fractional_q_integral(lambda t: t**p, args.x, args.a, args.mu, ctx)
+        given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags}
+        bad = [f"{flag}={_fmt(v)}" for flag, g in given.items()
+               for v in (g if isinstance(g, tuple) else (g,))
+               if v is not None and not cmath.isfinite(v)]
+        # poch's order: --alpha inf is the infinite order, as --inf is
+        if not -math.inf < getattr(args, "order", 0) <= math.inf:
+            bad.append(f"--alpha={_fmt(args.order)}")
+        if bad:
+            raise DomainError(f"flags must be finite, got {', '.join(bad)}")
+        value = value_of(args, ctx)
     except (QawError, OverflowError) as exc:
         # the prefix of each outcome: the table in qaw.context
         skipped = getattr(exc, "outcome", "diverged") == "skipped"
@@ -178,23 +172,25 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _json_value(value):
-    """Complex numbers as {re, im}, at any depth of dicts and lists."""
+def _complex_json(value) -> dict:
+    """json's hook for a value it cannot write itself: a complex number as
+    {re, im}; any other type is an error, not a silent string."""
     if isinstance(value, complex):
-        return _complex_obj(value)
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_value(v) for v in value]
-    return value
+        return {"re": value.real, "im": value.imag}
+    raise TypeError(f"cannot write a {type(value).__name__} as JSON")
+
+
+# every JSON document of the CLI: indented, keys sorted, complex numbers as
+# {re, im} at any depth
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, default=_complex_json)
 
 
 def _report_obj(report) -> dict:
     return {
         "identity": report.identity_name,
-        "params": _json_value(report.params),
-        "lhs": _complex_obj(report.lhs),
-        "rhs": _complex_obj(report.rhs),
+        "params": report.params,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
         "abs_err": report.abs_err,
         "rel_err": report.rel_err,
         "tolerance": report.tolerance,
@@ -216,7 +212,7 @@ def _cmd_check(args) -> int:
     except (QawError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(json.dumps(_report_obj(report), indent=2, sort_keys=True))
+    print(_dumps(_report_obj(report)))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -227,10 +223,14 @@ def _outcome_obj(outcome) -> dict:
     if outcome.report is not None:
         obj["report"] = _report_obj(outcome.report)
     elif outcome.params is not None:
-        obj["params"] = _json_value(outcome.params)
+        obj["params"] = outcome.params
     if outcome.details is not None:
-        obj["details"] = _json_value(outcome.details)
+        obj["details"] = outcome.details
     return obj
+
+
+# each suite status, in summary order, and its stderr marker
+_MARKERS = {"passed": "ok", "failed": "FAIL", "skipped": "skip", "diverged": "DIVERGED"}
 
 
 def _cmd_suite(args) -> int:
@@ -257,8 +257,7 @@ def _cmd_suite(args) -> int:
     except KeyboardInterrupt:
         interrupted = True
 
-    summary = {"total": len(outcomes), "passed": 0, "failed": 0, "skipped": 0,
-               "diverged": 0}
+    summary = {"total": len(outcomes), **dict.fromkeys(_MARKERS, 0)}
     for oc in outcomes:
         summary[oc.status] += 1
     document = {
@@ -268,7 +267,7 @@ def _cmd_suite(args) -> int:
         "reports": [_outcome_obj(oc) for oc in outcomes],
         "summary": summary,
     }
-    text = json.dumps(document, indent=2, sort_keys=True)
+    text = _dumps(document)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -279,9 +278,7 @@ def _cmd_suite(args) -> int:
     else:
         print(text)
     for oc in outcomes:
-        marker = {"passed": "ok", "failed": "FAIL", "skipped": "skip",
-                  "diverged": "DIVERGED"}[oc.status]
-        print(f"{marker:9s} {oc.identity_name}", file=sys.stderr)
+        print(f"{_MARKERS[oc.status]:9s} {oc.identity_name}", file=sys.stderr)
     if interrupted:
         print("interrupted; partial results written", file=sys.stderr)
         return EXIT_NUMERIC

@@ -399,7 +399,9 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     result is a complex for all-scalar parameters and an array over the
     nodes otherwise.  Raises :class:`KSumDivergence` for the first node
     whose sum is not finite, or at 4096 rows for the first node that has
-    not settled; its ``k`` is the number of rows with a finite partial sum.
+    not settled; its ``k`` is the number of rows with a finite partial sum,
+    and its message names the node's ratio x max|numerator| / a and, for an
+    unsettled sum whose ratio is below 1, calls it convergent but too slow.
     ``diag`` gets the largest row count ``k_terms``, the largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
     the largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|).
@@ -455,9 +457,17 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
                 reached = int(np.isfinite(np.cumsum(terms)).cumprod().sum())
                 G1n = unscaled[:reached].sum()
                 last = float(abs(terms[reached - 1] / G1n))
+                # the terms behave like the node's ratio to the m-th power
+                top = max((abs(np.broadcast_to(v, shape).flat[n])
+                           for v in params[: len(phi_numer)]), default=0.0)
+                ratio = x * top / a
+                state = "did not settle within" if finite.all() else "is not finite past"
+                slow = ""
+                if finite.all() and ratio < 1:
+                    slow = f": convergent, too slow for {_MAX_ROWS} coefficients"
                 raise KSumDivergence(
-                    f"outer k-sum did not settle within {reached} Taylor "
-                    f"coefficients (|term|={last:.3e})",
+                    f"outer k-sum {state} {reached} Taylor coefficients (|term|={last:.3e}, "
+                    f"x*max|numerator|/a={ratio:.3g}{slow})",
                     k=reached,
                     term_magnitude=last,
                     partial=complex(terms[:reached].sum() / G1n),

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -57,6 +58,19 @@ CHECK_FLAGS = {
 }
 ALL_FLAGS = set().union(*(flags for flags, _ in CHECK_FLAGS.values()))
 COMPLEX_FLAGS = {"--b", "--c", "--d", "--r", "--s", "--t", "--u", "--z"}
+
+
+# each eval subject's flags besides --q, and the required ones; poch's order
+# is a required group of --n, --alpha and --inf
+EVAL_FLAGS = {
+    "poch": ({"--a", "--n", "--alpha", "--inf"}, {"--a"}),
+    "gamma": ({"--x"}, {"--x"}),
+    "phi": ({"--numer", "--denom", "--z", "--terminating-k"}, set()),
+    "hcos": ({"--theta", "--params"}, {"--theta"}),
+    "hsinh": ({"--x", "--t"}, {"--x", "--t"}),
+    "qint": ({"--a", "--b", "--power"}, set()),
+    "fracint": ({"--x", "--mu", "--a", "--power"}, {"--x", "--mu"}),
+}
 
 
 def _subparser(parser, name):
@@ -116,12 +130,37 @@ class TestEval:
         ["poch", "--q", "0.5", "--a", "1e300", "--n", "3"],
         ["poch", "--q", "0.5", "--a", "1e200", "--alpha", "2.5"],
         ["poch", "--q", "0.5", "--a", "1e300", "--inf"],
-        ["poch", "--q", "0.5", "--a", "inf", "--n", "3"],
-        ["gamma", "--q", "0.5", "--x", "inf"],
     ])
     def test_non_finite_value_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out, err) == (2, "", "numeric error: value is not finite\n")
+
+    # each subject with a NaN or infinite flag, and the flags it names: the
+    # flags are checked before any evaluation, so none runs into a factor cap
+    @pytest.mark.parametrize("argv, named", [
+        (["poch", "--a", "inf", "--n", "3"], "--a=inf"),
+        (["poch", "--a", "0.5", "--alpha", "nan"], "--alpha=nan"),
+        (["poch", "--a", "0.5", "--alpha=-inf"], "--alpha=-inf"),
+        (["gamma", "--x", "nan"], "--x=nan"),
+        (["gamma", "--x", "inf"], "--x=inf"),
+        (["phi", "--numer", "0.3,nan", "--denom", "0.2,inf", "--z", "0.5"],
+         "--numer=nan, --denom=inf"),
+        (["hcos", "--theta", "nan"], "--theta=nan"),
+        (["hcos", "--theta", "1", "--params", "0.1,-inf"], "--params=-inf"),
+        (["hsinh", "--x", "nan", "--t", "0.1+nani"], "--x=nan, --t=0.10000000000000001+nani"),
+        (["qint", "--a", "nan"], "--a=nan"),
+        (["qint", "--b", "inf"], "--b=inf"),
+        (["fracint", "--x", "0.6", "--mu", "nan"], "--mu=nan"),
+    ])
+    def test_non_finite_flag_is_a_domain_error(self, capsys, argv, named):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", argv[0], "--q", "0.5", *argv[1:])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out, err) == (2, "", f"domain error: flags must be finite, got {named}\n")
+
+    def test_infinite_alpha_is_the_infinite_order(self, capsys):
+        argv = ["eval", "poch", "--q", "0.5", "--a", "0.5"]
+        assert run_cli(capsys, *argv, "--alpha", "inf") == run_cli(capsys, *argv, "--inf")
 
     # the terms of a long terminating series pass the double range, or at
     # q = 0.5 the factor q^(n - k) of its first ratio does
@@ -213,6 +252,18 @@ class TestEval:
             cli.main(["eval", "nonsense", "--q", "0.5"])
         assert exc.value.code == 64
         capsys.readouterr()
+
+    def test_every_subject_has_a_subcommand(self):
+        assert set(EVAL_FLAGS) == set(cli._EVAL)
+
+    @pytest.mark.parametrize("name", sorted(EVAL_FLAGS))
+    def test_subject_takes_exactly_q_and_its_flags(self, name):
+        flags, required = EVAL_FLAGS[name]
+        parser = _subparser(_subparser(cli._build_parser(), "eval"), name)
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options == {"-h", "--help", "--q"} | flags
+        assert {s for a in parser._actions if a.required
+                for s in a.option_strings} == {"--q"} | required
 
 
 class TestCheck:
@@ -774,6 +825,27 @@ class TestClosedStdout:
         assert proc.returncode == 66
         assert "Traceback" not in proc.stderr.decode()
         assert "Exception ignored" not in proc.stderr.decode()
+
+
+def _readme_cli_lines():
+    """The qaw eval and qaw check lines of the README's CLI block."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith(("qaw eval ", "qaw check "))]
+
+
+README_CLI_LINES = _readme_cli_lines()
+
+
+class TestReadme:
+    def test_cli_block_has_every_eval_subject(self):
+        assert {argv[1] for argv in README_CLI_LINES if argv[0] == "eval"} == set(EVAL_FLAGS)
+
+    @pytest.mark.parametrize("argv", README_CLI_LINES, ids=" ".join)
+    def test_cli_block_line_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
 
 
 class TestParsing:

@@ -236,6 +236,8 @@ class TestBatchedKSum:
         with pytest.raises(KSumDivergence) as exc:
             ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]))
         assert exc.value.k == 2455 and 2455 < max(formed) <= 2455 + 320
+        assert str(exc.value).startswith("outer k-sum is not finite past 2455 Taylor coefficients")
+        assert str(exc.value).endswith("x*max|numerator|/a=1.33)")
 
     def test_short_sum_allocates_for_its_own_rows(self):
         # 4096 rows at 129 nodes would take 8.4 MB per array
@@ -282,6 +284,9 @@ class TestBatchedKSum:
             run_check("fractional-atakishiyev", SLOW_KSUM_GAUSSIAN)
         err = exc.value
         assert err.k == 4096 and 0.0 < err.term_magnitude < 1.0
+        # a convergent sum, told apart from a divergent one
+        assert str(err).endswith(
+            "x*max|numerator|/a=0.995: convergent, too slow for 4096 coefficients)")
         assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
         entry = {"identity": "fractional-atakishiyev", "params": SLOW_KSUM_GAUSSIAN}
         (oc,) = run_suite([entry])

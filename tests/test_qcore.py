@@ -94,6 +94,32 @@ class TestQPochhammer:
                 q_pochhammer(a, m, ctx), rel=1e-12
             )
 
+    @pytest.mark.parametrize("a, q", [(0.5, 0.5), (0.3 + 0.4j, 0.9), (-2.5 + 1.5j, 0.97)])
+    def test_huge_order_stops_once_the_factors_stall(self, a, q):
+        # the product stops changing within a few hundred factors at q = 0.5
+        # and 0.9 and a few thousand at q = 0.97; the loop stops once a q^k
+        # has underflowed, at 1078, 7061 and 24 475 factors
+        ctx = QContext(q=q)
+        want = q_pochhammer(a, 5000 if q < 0.95 else 30_000, ctx)
+        t0 = time.perf_counter()
+        got = q_pochhammer(a, 10**12, ctx)
+        assert time.perf_counter() - t0 < 0.2
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_stalled_loop_matches_the_full_loop(self):
+        # orders past the cap, against the loop taken to its end
+        rng = random.Random(11)
+        for _ in range(40):
+            q = rng.uniform(0.05, 0.9)
+            a = rng.choice([rng.uniform(-3, 3), complex(rng.uniform(-3, 3), rng.uniform(-3, 3))])
+            n = MAX_FACTORS + rng.randrange(1, 5000)
+            p, aq = complex(1.0), complex(a)
+            for _ in range(n):
+                p *= 1.0 - aq
+                aq *= q
+            got = q_pochhammer(a, n, QContext(q=q))
+            assert (got.real.hex(), got.imag.hex()) == (p.real.hex(), p.imag.hex())
+
     @pytest.mark.parametrize("order", [3, 0, 1.5, -1])
     def test_array_takes_the_infinite_order_only(self, ctx, order):
         with pytest.raises(DomainError, match=f"needs the infinite order, got {order}$"):
