@@ -11,9 +11,12 @@ raises it ends: ``outcome`` is its status in a suite report and
 ``fields`` the attributes a diverged entry reports under ``details``.
 ``run_suite`` and ``qaw eval`` read these two attributes and ``qaw
 check`` catches every library error alike, so a subclass that declares
-them needs no other edit.  An
-``OverflowError`` (a double range that gave out) is the one builtin a
-check can raise; it ends ``diverged`` with no fields.
+them needs no other edit.  :class:`QawError` takes the message and then
+the fields, by position in the order of ``fields`` or by name; a field
+that is not given is None (``WindowFailure.probes`` too), and a name the
+class does not declare is a ``TypeError``.  An ``OverflowError`` (a double
+range that gave out, such as an ``h_sinh`` whose e^x is 0 or not finite)
+is the one builtin a check can raise; it ends ``diverged`` with no fields.
 
 ==================  ========  ==========================  ==========================  ==========
 error               suite     ``details``                 ``qaw eval``                ``qaw check``
@@ -31,6 +34,13 @@ error               suite     ``details``                 ``qaw eval``          
 The last row is the base class, whose ``outcome`` and ``fields`` a
 subclass that declares neither inherits.
 
+Among the messages: a product capped at 10 000 factors raises a
+non-convergence ``<product> with a=<a> did not converge in 10000
+factors`` (``max |a|=<...>`` for an array of a); a q-integral or Cauchy
+operator sum that is not finite from a term n raises one naming n; and a
+generating row at a*b*z = q^-k (k >= 0), a removable singularity of its
+k-sum form, is a domain error naming a*b*z and k.
+
 A suite entry's ``reason`` and the ``qaw check`` message are
 ``<type>: <message>``, except for a ``DomainError``, whose reason is
 its message and whose ``qaw check`` message is ``invariant violation:
@@ -46,11 +56,22 @@ class QawError(Exception):
     """Base class for all library errors.
 
     ``outcome`` ("skipped" or "diverged") and ``fields`` are the class's
-    row of the table in the module docstring.
+    row of the table in the module docstring.  ``QawError(message,
+    *values, **named)`` sets each name of ``fields``: from ``values`` in
+    that order, else from ``named``, else None.
     """
 
     outcome = "diverged"
     fields = ()
+
+    def __init__(self, message, *values, **named):
+        super().__init__(message)
+        # a name given twice, by position and by keyword, is not in the slice
+        if len(values) > len(self.fields) or set(named) - set(self.fields[len(values):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.fields}")
+        named.update(zip(self.fields, values))
+        for name in self.fields:
+            setattr(self, name, named.get(name))
 
 
 class NonConvergence(QawError):
@@ -61,11 +82,6 @@ class NonConvergence(QawError):
     """
 
     fields = ("partial", "last_term")
-
-    def __init__(self, message, partial=None, last_term=None):
-        super().__init__(message)
-        self.partial = partial
-        self.last_term = last_term
 
 
 class DivisionByZero(QawError):
@@ -97,12 +113,6 @@ class KSumDivergence(QawError):
 
     fields = ("k", "term_magnitude", "partial")
 
-    def __init__(self, message, k=None, term_magnitude=None, partial=None):
-        super().__init__(message)
-        self.k = k
-        self.term_magnitude = term_magnitude
-        self.partial = partial
-
 
 class WindowFailure(QawError):
     """No integration window with a sufficiently small tail could be found.
@@ -111,10 +121,6 @@ class WindowFailure(QawError):
     """
 
     fields = ("probes",)
-
-    def __init__(self, message, probes=None):
-        super().__init__(message)
-        self.probes = probes or {}
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,7 @@ from .context import DomainError, KSumDivergence, QawError, QContext
 from .qcore import (
     EPS_TERM,
     INFINITE,
+    detect_terminating,
     q_pochhammer,
     q_pochhammer_infinite,
     q_pochhammer_infinite_log,
@@ -257,8 +258,15 @@ def _lemma_violations(p):
 
 
 def _generating_violations(p):
+    """max(|at|, |az|, |aru|) < 1, and a b z not q^-k for an integer k >= 0
+    (:func:`detect_terminating`): there the k-sum side's factor (abz;q)_inf
+    is 0 and its k-sum has a pole, a removable singularity it cannot
+    evaluate."""
     m = max(abs(p.a * p.t), abs(p.a * p.z), abs(p.a * p.r * p.u))
-    return _below_one("max(|at|,|az|,|aru|)", m)
+    abz = p.a * p.b * p.z
+    k = detect_terminating(abz, QContext(p.q)) if 0.0 < p.q < 1.0 else None
+    return _below_one("max(|at|,|az|,|aru|)", m) + (
+        [] if k is None else [f"need a*b*z != q^-k, got a*b*z={abz:.6g} = q^-{k}"])
 
 
 def _aw_violations(p):

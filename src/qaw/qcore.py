@@ -106,6 +106,17 @@ def _factor_counts(mag, q: float):
     return min(max(math.floor((math.log(mag) - log_tau) / -math.log(q)) + 1, 0), MAX_FACTORS)
 
 
+def _cap_error(product, a, partial, q: float):
+    """The :class:`NonConvergence` of ``product`` (its name) of a, capped
+    at MAX_FACTORS factors: an array a is named by its largest |a|, and
+    ``last_term`` is |a| q^MAX_FACTORS."""
+    array = isinstance(a, np.ndarray)
+    mag = float(np.abs(a).max()) if array else math.hypot(a.real, a.imag)
+    which = f"max |a|={mag:.3e}" if array else f"a={a}"
+    return NonConvergence(f"{product} with {which} did not converge in {MAX_FACTORS} factors",
+                          partial, mag * q**MAX_FACTORS)
+
+
 def _factor_blocks(a, counts, q: float):
     """The factors 1 - a q^k of the 1-D array a, each entry's k below its
     count, as (rows, f, left): f holds the factors k0 <= k < k0 + width of
@@ -152,8 +163,7 @@ def _array_product(a, ctx: QContext):
     the scalar loop.  np.multiply.reduce across entries would round complex
     products otherwise than for one entry alone (a vectorised multiply)."""
     q = ctx.q
-    mag = np.abs(a)
-    counts = _factor_counts(mag.ravel(), q)
+    counts = _factor_counts(np.abs(a).ravel(), q)
     acc = np.ones(a.size, dtype=complex)
     for rows, f, left in _factor_blocks(a.ravel(), counts, q):
         blk = np.empty((len(f) + 1, rows.size), dtype=complex)
@@ -163,12 +173,7 @@ def _array_product(a, ctx: QContext):
         acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
     acc = acc.reshape(a.shape)
     if counts.max(initial=0) >= MAX_FACTORS:
-        amax = float(mag.max())
-        raise NonConvergence(
-            f"(a;q)_inf with max |a|={amax:.3e} did not converge in {MAX_FACTORS} factors",
-            partial=acc,
-            last_term=amax * q**MAX_FACTORS,
-        )
+        raise _cap_error("(a;q)_inf", a, acc, q)
     return acc
 
 
@@ -199,8 +204,7 @@ def _log_array(a, ctx: QContext):
     """
     q, shape, a = ctx.q, a.shape, a.ravel()
     mag = np.abs(a)
-    amax = float(mag.max(initial=0.0))
-    capped = _factor_counts(amax, q) >= MAX_FACTORS
+    capped = _factor_counts(float(mag.max(initial=0.0)), q) >= MAX_FACTORS
     # fmin: a NaN or infinite |a| takes MAX_FACTORS head factors
     head = np.fmin(np.ceil(np.log(np.maximum(mag / LOG_RADIUS, 1.0)) / -math.log(q)),
                    MAX_FACTORS)
@@ -236,12 +240,7 @@ def _log_array(a, ctx: QContext):
     acc[dead] = -math.inf
     acc = acc.reshape(shape)
     if capped:
-        raise NonConvergence(
-            f"log (a;q)_inf with max |a|={amax:.3e} did not converge in "
-            f"{MAX_FACTORS} factors",
-            partial=acc,
-            last_term=amax * q**MAX_FACTORS,
-        )
+        raise _cap_error("log (a;q)_inf", a, acc, q)
     return acc
 
 
@@ -254,16 +253,12 @@ def q_pochhammer_infinite(a, ctx: QContext):
     """
     if isinstance(a, np.ndarray):
         return _array_product(a, ctx)
-    n = _factor_counts(abs(a), ctx.q)
+    # hypot: abs of a complex raises past the double range
+    n = _factor_counts(math.hypot(a.real, a.imag), ctx.q)
     p = q_pochhammer(a, n, ctx)
     if n < MAX_FACTORS:
         return p
-    last = abs(a) * ctx.q**MAX_FACTORS
-    raise NonConvergence(
-        f"(a;q)_inf with a={a}: factor magnitude {last:.3e} after {MAX_FACTORS} factors",
-        partial=p,
-        last_term=last,
-    )
+    raise _cap_error("(a;q)_inf", a, p, ctx.q)
 
 
 def _fsum_complex(values) -> complex:
@@ -287,11 +282,12 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     q = ctx.q
     if isinstance(a, np.ndarray):
         return _log_array(a, ctx)
-    # the head of _log_array; a NaN or infinite |a| takes MAX_FACTORS factors
-    mag = abs(a)
+    # the head of _log_array: MAX_FACTORS factors where |a| / LOG_RADIUS is
+    # NaN or infinite
+    mag = math.hypot(a.real, a.imag)
     capped = _factor_counts(mag, q) >= MAX_FACTORS
     h = MAX_FACTORS
-    if math.isfinite(mag):
+    if math.isfinite(mag / LOG_RADIUS):
         h = min(math.ceil(math.log(max(mag / LOG_RADIUS, 1.0)) / -math.log(q)), h)
     # the head logs are summed exactly (math.fsum): near q = 1 there are
     # thousands of them, and the two sums that h_sinh_log adds cancel
@@ -309,11 +305,7 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     if lg.real == -math.inf:
         lg = complex(-math.inf)  # as on the array path
     if capped:
-        raise NonConvergence(
-            f"log (a;q)_inf with a={a} did not converge in {MAX_FACTORS} factors",
-            partial=lg,
-            last_term=mag * q**MAX_FACTORS,
-        )
+        raise _cap_error("log (a;q)_inf", a, lg, q)
     return lg
 
 
@@ -398,17 +390,19 @@ def q_gamma(x: float, ctx: QContext) -> float:
 def detect_terminating(param: complex, ctx: QContext):
     """Return k if ``param`` equals q^-k for a nonnegative integer k, else None.
 
-    A parameter counts as q^-k when |param - q^-k| < 1e-12 * q^-k.
+    A parameter counts as q^-k when |param - q^-k| < 1e-12 * q^-k; one
+    that is NaN or past the double range, or whose q^-k is, never does.
     """
-    if param == 0:
-        return None
-    mag = abs(param)
-    if mag < 1.0 - 1e-12:
+    mag = math.hypot(param.real, param.imag)
+    if not 1.0 - 1e-12 <= mag < math.inf:
         return None
     k = round(-math.log(mag) / math.log(ctx.q))
     if k < 0:
         return None
-    ref = ctx.q ** (-k)
+    try:
+        ref = ctx.q ** (-k)
+    except OverflowError:  # q^-k is past the double range, and param is not
+        return None
     if abs(param - ref) < _TERMINATING_DETECT_TOL * ref:
         return k
     return None
@@ -547,17 +541,28 @@ def h_sinh_log(x, t: complex, ctx: QContext):
 
     Real part is the log-magnitude, imaginary part the accumulated phase.
     A scalar ``x`` gives a ``complex``; an array gives an array of its
-    shape, from one array log product on [i t e^x, -i t e^{-x}].
+    shape, from one array log product on [i t e^x, -i t e^{-x}].  An x
+    (an entry of x) whose e^x is 0 or not finite raises ``OverflowError``,
+    unless t = 0.
     """
-    if isinstance(x, np.ndarray):
-        if t == 0:
-            return np.zeros(x.shape, dtype=complex)
-        ex = np.exp(x)
+    array = isinstance(x, np.ndarray)
+    if t == 0:
+        return np.zeros(x.shape, dtype=complex) if array else complex(0.0)
+    if array:
+        with np.errstate(over="ignore"):
+            ex = np.exp(x)
+        bad = x[(ex == 0) | ~np.isfinite(ex)]
+    else:
+        try:
+            ex = math.exp(x)
+        except OverflowError:
+            ex = math.inf
+        bad = [] if 0 < ex < math.inf else [x]
+    if len(bad):
+        raise OverflowError(f"h_sinh: e^x is 0 or not finite at x={bad[0]}")
+    if array:
         lg = q_pochhammer_infinite_log(np.stack([1j * t * ex, -1j * t / ex]), ctx).reshape(2, -1)
         return (lg[0] + lg[1]).reshape(x.shape)
-    if t == 0:
-        return complex(0.0)
-    ex = math.exp(x)
     return q_pochhammer_infinite_log(1j * t * ex, ctx) + q_pochhammer_infinite_log(
         -1j * t / ex, ctx
     )

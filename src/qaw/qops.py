@@ -30,6 +30,13 @@ from .quad import _evaluate
 _FIRST_BLOCK = 64
 
 
+def _not_finite(what, n, partial, term):
+    """The failure of a series whose partial sum is not finite from term n
+    on: ``partial`` is the sum before term n."""
+    return NonConvergence(f"{what}: term {n} or the partial sum through it is not finite",
+                          partial, abs(term))
+
+
 def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
     """scale * sum_n q^n [term of each branch at x q^n], summed in blocks.
 
@@ -75,11 +82,7 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
             before, total = total, total + t
             if not cmath.isfinite(total):
                 # a non-finite term makes every later partial sum non-finite
-                raise NonConvergence(
-                    f"{what}: term {n0 + i} or the partial sum through it is not finite",
-                    partial=scale * before,
-                    last_term=abs(t),
-                )
+                raise _not_finite(what, n0 + i, scale * before, t)
             small = small + 1 if abs(t) < EPS_TERM * max(abs(total), 1e-300) else 0
             if small >= CONSECUTIVE_SMALL:
                 return scale * total
@@ -162,28 +165,33 @@ def _divide(num, den):
     return num / den
 
 
+# a pole of f makes every later partial sum non-finite, which raises
+@np.errstate(all="ignore")
 def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QContext) -> complex:
     """Cauchy operator T(a, b D_c) applied to f, evaluated at c.
 
     sum_{n=0}^{n_max} (a;q)_n/(q;q)_n b^n (D_c)^n f, with the n-th
     q-difference power computed by literal nested differences on the
     geometric points c, cq, ..., c q^{n_max}.  ``f`` is called once, on the
-    array of those points (on [c] alone when b = 0).
+    array of those points (on [c] alone when b = 0).  A partial sum that is
+    not finite, at a pole of f among the points say, raises
+    :class:`NonConvergence` naming its term n.
     """
     if c == 0:
         raise DomainError("Cauchy operator needs c != 0")
     q = ctx.q
-    if b == 0:
-        return complex(_evaluate(f, np.array([c]))[0])
-
     # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j.
     # Each pass divides by c q^j, so rounding noise in the level values is
     # amplified by ~ q^{-n(n-1)/2}; once the (decaying) true terms fall below
     # that noise floor the computed terms start growing again, and the sum
     # must stop there rather than absorb amplified rounding noise.
-    points = np.array([c * q**j for j in range(n_max + 1)])
+    points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
     level = _evaluate(f, points)
     total = complex(level[0])
+    if not cmath.isfinite(total):
+        raise _not_finite("Cauchy operator", 0, 0j, total)
+    if b == 0:
+        return total
     poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
     bn = complex(1.0)
     prev_mag = abs(total)
@@ -198,7 +206,9 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
         scale = max(abs(total), 1e-300)
         if mag > last_mag and last_mag <= 1e-8 * scale:
             return total  # roundoff floor of the nested differences
-        total += term
+        before, total = total, total + term
+        if not cmath.isfinite(total):
+            raise _not_finite("Cauchy operator", n, before, term)
         if mag < EPS_TERM * scale:
             small += 1
             if small >= CONSECUTIVE_SMALL:

@@ -665,11 +665,6 @@ class _Stalled(qaw.QawError):
 
     fields = ("steps", "partial")
 
-    def __init__(self, message, steps=None, partial=None):
-        super().__init__(message)
-        self.steps = steps
-        self.partial = partial
-
 
 class _OutOfReach(qaw.QawError):
     """A skipped failure that only its own class declares."""
@@ -714,6 +709,21 @@ class TestFailureTable:
         assert (", ".join(cls.fields) or "(none)") in row
         assert f"2, ``{prefix} error:``" in row
         assert row.split()[-1] == ("65" if cls is qaw.DomainError else "2")
+
+    @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+    def test_exported_error_takes_its_fields(self, cls):
+        values = [f"value {i}" for i in range(len(cls.fields))]
+        for exc in (cls("message", *values), cls("message", **dict(zip(cls.fields, values)))):
+            assert [getattr(exc, f) for f in cls.fields] == values
+            assert exc.args == ("message",) and str(exc) == "message"
+        assert all(getattr(cls("message"), f) is None for f in cls.fields)
+        with pytest.raises(TypeError):
+            cls("message", undeclared=1)
+        with pytest.raises(TypeError):
+            cls("message", *values, "one value too many")
+        if cls.fields:
+            with pytest.raises(TypeError):
+                cls("message", *values, **{cls.fields[0]: "given twice"})
 
     @pytest.mark.parametrize("exc, status, details, prefix", LOCAL_FAILURES)
     def test_local_error_in_a_suite(self, monkeypatch, exc, status, details, prefix):
@@ -770,6 +780,13 @@ EDGE_ARGV = [
     (["eval", "gamma", "--q", "0.5", "--x", "1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e-300"], 2),
+    # e^x is 0 or not finite
+    (["eval", "hsinh", "--q", "0.5", "--x=-800", "--t", "0.2"], 2),
+    (["eval", "hsinh", "--q", "0.5", "--x=-1e308", "--t", "0.2"], 2),
+    (["eval", "hsinh", "--q", "0.5", "--x", "800", "--t", "0.2"], 2),
+    # |t e^x| / LOG_RADIUS, and for the complex t |t e^x| itself, overflows
+    (["eval", "hsinh", "--q", "0.5", "--x", "0.3", "--t", "1e308"], 2),
+    (["eval", "hsinh", "--q", "0.5", "--x", "0.3", "--t=-1e308+1e308i"], 2),
 ]
 
 
@@ -782,6 +799,23 @@ class TestEdgeArguments:
         assert code == want, err
         assert "Traceback" not in err and err.count("\n") == (code != 0)
         assert (out != "") == (code in (0, 1))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hsinh", "--x=-800", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=-800.0"),
+        (["hsinh", "--x=-1e308", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=-1e+308"),
+        (["hsinh", "--x", "800", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=800.0"),
+        (["hsinh", "--x", "0.3", "--t", "1e308"],
+         "h_sinh log-magnitude 726327.5 exceeds the double range; use h_sinh_log"),
+        (["hsinh", "--x", "0.3", "--t=-1e308+1e308i"],
+         "log (a;q)_inf with a=(-1.3498588075760033e+308-1.3498588075760033e+308j) "
+         "did not converge in 10000 factors"),
+        # |a| overflows, so a is capped
+        (["poch", "--a=-1.5e308+1.5e308i", "--inf"],
+         "(a;q)_inf with a=(-1.5e+308+1.5e+308j) did not converge in 10000 factors"),
+    ])
+    def test_past_the_double_range_names_its_cause(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "eval", argv[0], "--q", "0.5", *argv[1:])
+        assert (code, out, err) == (2, "", f"convergence error: {message}\n")
 
 
 class TestInProcessReuse:

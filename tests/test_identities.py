@@ -1070,9 +1070,15 @@ class TestCheckTable:
         assert not report.passed and 1e-7 < report.rel_err < 1e-6
         assert report.rhs_diag["k_digits_lost"] == pytest.approx(2.36, abs=0.05)
         assert report.rhs_diag["g1_digits_lost"] == pytest.approx(10.27, abs=0.05)
-        # at b = 50 G(1) is 0: every digit is lost
-        at_zero = run_check("fractional-generating", {**near, "b": 50.0})
-        assert at_zero.rhs_diag["g1_digits_lost"] == identities._ALL_DIGITS
+        # at b = 50 G(1) is 0: the check is a domain error, and the k-sum
+        # of its rhs reports every digit lost
+        p = GeneratingParams(**{**near, "b": 50.0})
+        with pytest.raises(DomainError, match=r"a\*b\*z=2 = q\^-1"):
+            run_check("fractional-generating", vars(p))
+        diag = {}
+        ksum(p.x, p.a, p.mu, [p.a * p.s, p.a * p.z, p.a * p.u],
+             [p.a * p.b * p.z, p.a * p.t, p.a * p.r * p.u], QContext(p.q), diag=diag)
+        assert diag["g1_digits_lost"] == identities._ALL_DIGITS
 
     @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
     def test_fractional_prefactor_is_formed_once_a_check(self, monkeypatch, name):
@@ -1123,6 +1129,8 @@ _RATIO = "k-sum diverges: need x*max|numerator|/a < 1, got 1.1"
 _GENERATING_SCALE = ({"mu": 1000.0}, "(1-q)^mu x^mu is below the smallest normal "
                                       "double at q=0.5, x=0.6, mu=1000.0")
 _GENERATING = ({"t": 6.0}, "need max(|at|,|az|,|aru|) < 1, got 1.2")
+# a b z = 2 = q^-1, where G(1) = 0 (test_g1_digits_lost_reports_a_cancelling_g1)
+_REMOVABLE = ({"b": 50.0}, "need a*b*z != q^-k, got a*b*z=2 = q^-1")
 _AW = ({"b": 1.5}, "need max(|a|,|b|,|c|,|d|) < 1, got 1.5")
 _BIG_BCD = {"b": 5.0, "c": 5.0, "d": 5.0}
 _REVERSAL = (_BIG_BCD, "need |qabcd| < 1, got 12.5")
@@ -1133,9 +1141,9 @@ _GAUSSIAN_BASE = [
 RULE_BREAKS = {
     "lemma-three-term": [_Q, ({"s": 6.0}, "need max(|as|,|az|,|au|) < 1, got 1.2")],
     "fractional-generating": [_Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO),
-                              _GENERATING],
+                              _GENERATING, _REMOVABLE],
     "fractional-generating-3phi2": [
-        _Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO), _GENERATING,
+        _Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO), _GENERATING, _REMOVABLE,
         ({"u": 0.1}, "fractional-generating-3phi2 needs u = 0, got u=0.1"),
     ],
     "askey-wilson": [_Q, _AW],

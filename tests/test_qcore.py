@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -174,6 +175,14 @@ class TestDetectTerminating:
         assert detect_terminating(0.0, ctx) is None
         assert detect_terminating(2.001, ctx) is None
 
+    @pytest.mark.parametrize("param, q", [
+        (math.nan, 0.5), (math.inf, 0.5), (complex(-1.3e308, 1.3e308), 0.5),
+        # q^-1 = 1e320 is past the double range
+        (1e200, 1e-320),
+    ])
+    def test_outside_the_double_range(self, param, q):
+        assert detect_terminating(param, QContext(q=q)) is None
+
 
 class TestPhiSeries:
     def test_z_zero_is_one(self, ctx):
@@ -309,6 +318,24 @@ class TestWeights:
         assert cmath.exp(h_sinh_log(x, t, ctx)) == pytest.approx(
             h_sinh(x, t, ctx), rel=1e-12
         )
+
+    @pytest.mark.parametrize("x", [-800.0, -1e308, 800.0, 1e308, math.nan])
+    def test_h_sinh_log_needs_a_finite_nonzero_exp(self, ctx, x):
+        for arg in (x, np.array([0.3, x])):
+            with pytest.raises(OverflowError, match=re.escape(f"e^x is 0 or not finite at x={x}")):
+                h_sinh_log(arg, 0.2, ctx)
+        # t = 0 gives the empty product whatever x
+        assert h_sinh_log(x, 0.0, ctx) == 0
+
+    @pytest.mark.parametrize("t", [1e308, complex(-1e308, 1e308)])
+    def test_scalar_log_of_a_huge_argument(self, ctx, t):
+        # |t e^x| / LOG_RADIUS overflows: a head of MAX_FACTORS factors; the
+        # complex |t e^x| overflows too, and so is capped
+        if isinstance(t, complex):
+            with pytest.raises(NonConvergence, match="did not converge in 10000 factors$"):
+                h_sinh_log(0.3, t, ctx)
+        else:
+            assert h_sinh_log(0.3, t, ctx).real == pytest.approx(726327.5, abs=0.05)
 
 
 def _rel(got, want):
@@ -471,6 +498,17 @@ class TestArrayPath:
             with pytest.raises(NonConvergence) as scalar:
                 q_pochhammer_infinite_log(a, ctx)
             assert scalar.value.partial == pytest.approx(_capped_log(a, ctx.q), rel=1e-14)
+
+    def test_every_cap_path_has_one_message_form(self):
+        # 0.5 takes about 40 000 factors at q = 0.999
+        ctx = QContext(q=0.999)
+        for a, name in [(0.5, "a=0.5"), (np.array([0.25, -0.5]), "max |a|=5.000e-01")]:
+            for product, what in [(q_pochhammer_infinite, "(a;q)_inf"),
+                                  (q_pochhammer_infinite_log, "log (a;q)_inf")]:
+                with pytest.raises(NonConvergence) as exc:
+                    product(a, ctx)
+                assert str(exc.value) == f"{what} with {name} did not converge in 10000 factors"
+                assert exc.value.last_term == 0.5 * 0.999**MAX_FACTORS
 
     def test_capped_product_partial(self):
         # at q = 0.996 the entries 0.5 and -0.25 stop after 9823 and 9650

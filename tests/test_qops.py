@@ -421,6 +421,24 @@ class TestFailures:
         with pytest.raises(ValueError, match="shape"):
             call(lambda t: 1.0, ctx)
 
+    @pytest.mark.parametrize("b, c, n", [(0.2, 0.8, 0), (0.0, 0.8, 0), (0.2, 1.0, 0),
+                                         (0.2, 1.25, 1)])
+    def test_cauchy_pole_names_its_term(self, b, c, n):
+        # at q = 0.8, 1/(1.25 y;q)_inf has its poles at 0.8 q^-k, so at c
+        # itself for c = 0.8 and 1.0; 1/(y - 1.25 q) at the point c q
+        ctx = QContext(q=0.8)
+        if n == 0:
+            def f(y):
+                return 1.0 / q_pochhammer_infinite(1.25 * y, ctx)
+        else:
+            def f(y):
+                return 1.0 / (y - 1.25 * 0.8)
+        with pytest.raises(NonConvergence, match=f"^Cauchy operator: term {n} or the partial "
+                                                 "sum through it is not finite$") as exc:
+            cauchy_T_apply(0.3, b, f, c, 40, ctx)
+        assert exc.value.partial == (0 if n == 0 else f(c))
+        assert exc.value.last_term == math.inf
+
     def test_non_finite_term_raises_with_partial(self, ctx):
         with pytest.raises(NonConvergence) as exc:
             jackson_q_integral(lambda t: t**-1.0, 0.0, 1.0, ctx)
