@@ -119,7 +119,10 @@ where only its numerator vanishes and not finite where its denominator
 does, as the quotient of plain products would be.  The closed sides
 (``_three_term_side``, the families' ``closed``, ``frac_prefactor``)
 call only the scalar loops of :mod:`qaw.qcore`, so the two sides of an
-identity share no vectorised code.
+identity share no vectorised code.  The lemma's four product ratios take
+24 products of 9 distinct arguments, and it forms each distinct product
+once per check, by the scalar loop; the values are shared inside that one
+check only, and its two sides still share nothing but scalar primitives.
 """
 
 from __future__ import annotations
@@ -502,24 +505,42 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
 # the two sides of each identity
 # --------------------------------------------------------------------------
 
-def _three_term_side(ctx, numer, denom):
-    return q_pochhammer_multi(numer, INFINITE, ctx) / q_pochhammer_multi(
-        denom, INFINITE, ctx
-    )
+def _three_term_side(poch, numer, denom):
+    """The product of poch(v), v in numer, over the same product over denom,
+    each multiplied out from 1 in order, as ``q_pochhammer_multi`` does."""
+    top = bot = complex(1.0)
+    for v in numer:
+        top *= poch(v)
+    for v in denom:
+        bot *= poch(v)
+    return top / bot
 
 
 def _lemma_sides(p, ctx):
     """Three-term contiguous relation for the triple product ratio.
 
-    Both sides vanish at s = u, so the right side reports the sum of the
-    |terms| it adds, ``abs_terms``, which scales the residual instead.
+    Each distinct argument's (v;q)_inf is formed once per call (module
+    docstring), in the order the ratios first need it.  None is derived
+    from another: (a r u q;q)_inf = (a r u;q)_inf / (1 - a r u) is the
+    q-difference step the lemma checks.  Both sides vanish at s = u, so the
+    right side reports the sum of the |terms| it adds, ``abs_terms``, which
+    scales the residual instead.
     """
     a, b, r, s, t, u, z, q = p.a, p.b, p.r, p.s, p.t, p.u, p.z, p.q
-    lhs = (s - u) * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s, a * z, a * u])
+    prods = {}
+
+    def poch(v):
+        # the signs of zero parts are in the key, as == joins 0.0 and -0.0
+        key = (v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
+        if key not in prods:
+            prods[key] = q_pochhammer_infinite(v, ctx)
+        return prods[key]
+
+    lhs = (s - u) * _three_term_side(poch, [a * b * z, a * t, a * r * u], [a * s, a * z, a * u])
     terms = (
-        u * r * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q]),
-        -u * _three_term_side(ctx, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u]),
-        (s - u * r) * _three_term_side(ctx, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q]),
+        u * r * _three_term_side(poch, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q]),
+        -u * _three_term_side(poch, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u]),
+        (s - u * r) * _three_term_side(poch, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q]),
     )
     return lhs, terms[0] + terms[1] + terms[2], {}, {"abs_terms": sum(map(abs, terms))}
 
@@ -571,7 +592,7 @@ def _generating_sides(p, ctx):
     denom = [a * p.b * p.z, a * p.t, a * p.r * p.u]
     rhs_diag = {}
     pref = (1.0 - p.q) ** p.mu * frac_prefactor(p.x, a, p.mu, ctx) * _three_term_side(
-        ctx, denom, numer)
+        functools.partial(q_pochhammer_infinite, ctx=ctx), denom, numer)
     rhs = pref * ksum(p.x, a, p.mu, numer, denom, ctx, diag=rhs_diag)
     return lhs, rhs, {}, rhs_diag
 

@@ -91,12 +91,17 @@ LOG_TERMS = 20
 _SUM_CHUNK = 16
 
 
+def _tau(q: float) -> float:
+    """The stop rule's bound tau on |a q^n| (module docstring)."""
+    t = EPS_TERM * (1.0 - q)
+    return min(EPS_FACTOR, t / (1.0 + t))
+
+
 def _factor_counts(mag, q: float):
     """The factors (a;q)_inf takes for |a| = mag, a float or an array: the
     least k with mag q^k < tau (module docstring), at most MAX_FACTORS,
     which means capped.  A NaN or infinite |a| is capped."""
-    t = EPS_TERM * (1.0 - q)
-    log_tau = math.log(min(EPS_FACTOR, t / (1.0 + t)))
+    log_tau = math.log(_tau(q))
     if isinstance(mag, np.ndarray):
         # a zero |a| counts as the least positive double, and no factor
         n = np.floor((np.log(np.maximum(mag, math.ulp(0.0))) - log_tau) / -math.log(q)) + 1.0
@@ -285,7 +290,13 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     # the head of _log_array: MAX_FACTORS factors where |a| / LOG_RADIUS is
     # NaN or infinite
     mag = math.hypot(a.real, a.imag)
-    capped = _factor_counts(mag, q) >= MAX_FACTORS
+    # the cap needs |a| q^(MAX_FACTORS - 1) >= tau, so twice that below tau
+    # rules it out without the logs of _factor_counts; q^(MAX_FACTORS - 1)
+    # is taken in two halves, either of which underflows only where |a|
+    # times it is far below tau, and a NaN or infinite |a| fails the test
+    half = MAX_FACTORS // 2
+    capped = (not 2.0 * mag * q**half * q**(MAX_FACTORS - 1 - half) < _tau(q)
+              and _factor_counts(mag, q) >= MAX_FACTORS)
     h = MAX_FACTORS
     if math.isfinite(mag / LOG_RADIUS):
         h = min(math.ceil(math.log(max(mag / LOG_RADIUS, 1.0)) / -math.log(q)), h)
@@ -479,10 +490,11 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     term = complex(1.0)
     small = 0
     for n in range(MAX_TERMS if k_term is None else k_term + 1):
-        if not cmath.isfinite(total + term):
+        nxt = total + term
+        if not cmath.isfinite(nxt):
             raise NonConvergence(f"phi series is not finite from term n={n}",
                                  partial=total, last_term=abs(term))
-        total += term
+        total = nxt
         if k_term is None:
             small = small + 1 if abs(term) < EPS_TERM * max(abs(total), 1e-300) else 0
             if small >= CONSECUTIVE_SMALL:

@@ -1,5 +1,6 @@
 """Tests for the identity checks, the stable outer k-sum, and the suite runner."""
 
+import cmath
 import dataclasses
 import gc
 import math
@@ -9,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaw import identities, qcore, quad
 from qaw.context import (
@@ -16,6 +19,7 @@ from qaw.context import (
     KSumDivergence,
     NonConvergence,
     PoleError,
+    QawError,
     QContext,
     WindowFailure,
 )
@@ -416,6 +420,99 @@ class TestLemmaAndGenerating:
         p = dict(q=0.5, a=0.7, x=0.6, mu=1.5)  # a >= x
         with pytest.raises(DomainError):
             run_check("fractional-generating", p)
+
+
+def _lemma_by_24_products(p):
+    """lhs, rhs, abs_terms and rel_err of lemma-three-term at the mapping p,
+    with each of its four ratios from two ``q_pochhammer_multi`` calls:
+    24 scalar products, as the check formed them one by one."""
+    a, b, r, s, t, u, z, q = (p[k] for k in "abrstuzq")
+    ctx = QContext(q=q)
+
+    def side(numer, denom):
+        return (qcore.q_pochhammer_multi(numer, qcore.INFINITE, ctx)
+                / qcore.q_pochhammer_multi(denom, qcore.INFINITE, ctx))
+
+    lhs = complex((s - u) * side([a * b * z, a * t, a * r * u], [a * s, a * z, a * u]))
+    terms = (
+        u * r * side([a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q]),
+        -u * side([a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u]),
+        (s - u * r) * side([a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q]),
+    )
+    rhs = complex(terms[0] + terms[1] + terms[2])
+    abs_terms = sum(map(abs, terms))
+    scale = max(abs(lhs), abs(rhs), abs_terms)
+    abs_err = abs(lhs - rhs)
+    return lhs, rhs, abs_terms, abs_err / scale if scale else (0.0 if abs_err == 0 else math.inf)
+
+
+def _hex(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+class TestLemmaProducts:
+    """The lemma forms each distinct argument's (v;q)_inf once per check,
+    through the module-level name, with the values of its 24 products."""
+
+    @pytest.mark.parametrize("change, distinct", [
+        ({}, 9), ({"s": 0.2}, 7), ({"mu": 1.0, "u": 0.25}, 7), ({"s": 0.2, "u": 0.2}, 6)])
+    def test_one_scalar_product_per_distinct_argument(self, monkeypatch, change, distinct):
+        # at SAMPLE_GEN, abz, at, aru, aruq, as, asq, az, au and auq differ;
+        # s = z joins as and az, and at q = 1/2 asq and au; s = u joins as
+        # and au, asq and auq
+        p = {**SAMPLE_GEN, **change}
+        a, b, r, s, t, u, z, q = (p[k] for k in "abrstuzq")
+        want = {a * b * z, a * t, a * r * u, a * r * u * q, a * s, a * s * q, a * z, a * u, a * u * q}
+        args = []
+        real = qcore.q_pochhammer_infinite
+
+        def counted(v, ctx):
+            args.append(v)
+            return real(v, ctx)
+
+        monkeypatch.setattr(identities, "q_pochhammer_infinite", counted)
+        monkeypatch.setattr(qcore, "q_pochhammer_infinite", counted)
+        assert run_check("lemma-three-term", p).passed
+        assert len(args) == len(want) == distinct and set(args) == want
+
+    # SAMPLE_GEN, the s = u point of test_lemma_degenerate_s_equals_u and
+    # the a b z = 1 point of test_two_exact_zeros_agree
+    @pytest.mark.parametrize("p", [SAMPLE_GEN, {**SAMPLE_GEN, "mu": 1.0, "u": 0.25},
+                                   {**SAMPLE_GEN, "b": 25.0}])
+    def test_values_equal_the_24_product_formula_bit_for_bit(self, p):
+        lhs, rhs, abs_terms, rel_err = _lemma_by_24_products(p)
+        report = run_check("lemma-three-term", p)
+        assert _hex(report.lhs) == _hex(lhs) and _hex(report.rhs) == _hex(rhs)
+        assert report.rhs_diag["abs_terms"].hex() == abs_terms.hex()
+        assert report.rel_err.hex() == rel_err.hex()
+
+
+class TestLemmaNearQOne:
+    """lemma-three-term at q in [0.9, 0.995], s, z and u up to 0.999 / a:
+    no draw is a false pass against the multiprecision oracle."""
+
+    @settings(max_examples=25)
+    @given(q=st.floats(0.9, 0.995), a=st.floats(0.05, 0.99),
+           s=st.floats(-0.999, 0.999), z=st.floats(-0.999, 0.999), u=st.floats(-0.999, 0.999),
+           b=st.floats(-3.0, 3.0), r=st.floats(-3.0, 3.0), t=st.floats(-3.0, 3.0))
+    def test_no_false_pass_against_the_oracle(self, q, a, s, z, u, b, r, t):
+        p = {**SAMPLE_GEN, "q": q, "a": a, "s": s / a, "z": z / a, "u": u / a,
+             "b": b, "r": r, "t": t}
+        try:
+            report = run_check("lemma-three-term", p)
+        except QawError:
+            return
+        abs_terms = report.rhs_diag["abs_terms"]
+        if not report.passed:
+            # only a side or a term past the double range fails the check
+            assert not (cmath.isfinite(report.lhs) and cmath.isfinite(report.rhs)
+                        and math.isfinite(abs_terms))
+            return
+        exact = mp_oracle.closed_side("lemma-three-term", p)
+        bound = report.tolerance * max(float(abs(exact)), abs_terms)
+        assert float(abs(report.lhs - exact)) <= bound
+        assert float(abs(report.rhs - exact)) <= bound
 
 
 # the generating integrand at x = 1/2 reaches an exact zero factor

@@ -646,6 +646,28 @@ class TestScalarLogProduct:
         got = np.array([q_pochhammer_infinite_log(v, ctx) for v in a.tolist()])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+    @pytest.mark.parametrize("q", [0.93, 0.99, 0.997, 0.9999])
+    def test_cap_decision_is_the_factor_counts(self, q):
+        # |a| of MAX_FACTORS - 1 and MAX_FACTORS factors, and |a| across the
+        # margin of the short cut that skips _factor_counts well below the
+        # cap: the log raises exactly where the product does (whose value
+        # may pass the double range)
+        ctx, rate = QContext(q=q), -math.log(q)
+        edge = math.log(qcore._tau(q)) + (MAX_FACTORS - 1.5) * rate
+        mags = [math.exp(edge), math.exp(edge + rate)]
+        assert [qcore._factor_counts(m, q) for m in mags] == [MAX_FACTORS - 1, MAX_FACTORS]
+        mags += [math.exp(edge) * 2.0**j for j in range(-4, 4)]
+        for mag in mags:
+            capped = qcore._factor_counts(mag, q) >= MAX_FACTORS
+            for a in (mag, -1j * mag):
+                for product in (q_pochhammer_infinite, q_pochhammer_infinite_log):
+                    if capped:
+                        with pytest.raises(NonConvergence):
+                            product(a, ctx)
+                    else:
+                        product(a, ctx)
+                assert capped or cmath.isfinite(q_pochhammer_infinite_log(a, ctx))
+
     def test_exact_zero_factor_gives_minus_inf(self, ctx, zero_factor_scale):
         # the factor 1 - 2 q is exactly 0 at q = 1/2, as on the array path
         assert q_pochhammer_infinite_log(2.0, ctx) == complex(-math.inf)
