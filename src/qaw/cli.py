@@ -5,6 +5,10 @@ window, pole or division; for eval also domain errors and a value with a
 NaN or infinite part), 64 usage (any missing, foreign or bad flag), 65
 domain violation of a check, 66 I/O (an unreadable spec, an unwritable
 report or a closed stdout).
+
+The table ``_EVAL`` declares each ``qaw eval`` subject once, with its flags
+and its call, and one encoder, ``_dumps``, writes every JSON document, a
+complex number as ``{"re", "im"}`` at any depth.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ them needs no other edit.  :class:`QawError` takes the message and then
 the fields, by position in the order of ``fields`` or by name; a field
 that is not given is None (``WindowFailure.probes`` too), and a name the
 class does not declare is a ``TypeError``.  An ``OverflowError`` (a double
-range that gave out, such as an ``h_sinh`` whose e^x is 0 or not finite)
-is the one builtin a check can raise; it ends ``diverged`` with no fields.
+range that gave out, such as an ``h_sinh`` whose e^x is 0 or not finite,
+or a closed side whose value is not finite) is the one builtin a check can
+raise; it ends ``diverged`` with no fields.
 
 ==================  ========  ==========================  ==========================  ==========
 error               suite     ``details``                 ``qaw eval``                ``qaw check``
@@ -37,9 +38,12 @@ subclass that declares neither inherits.
 Among the messages: a product capped at 10 000 factors raises a
 non-convergence ``<product> with a=<a> did not converge in 10000
 factors`` (``max |a|=<...>`` for an array of a); a q-integral or Cauchy
-operator sum that is not finite from a term n raises one naming n; and a
-generating row at a*b*z = q^-k (k >= 0), a removable singularity of its
-k-sum form, is a domain error naming a*b*z and k.
+operator sum that is not finite from a term n raises one naming n; a
+closed side past the double range, or over a product that underflows to
+0, raises an ``OverflowError`` ``closed side past the double range:
+products <|numerator|> over <|denominator|>``; and a generating row at
+a*b*z = q^-k (k >= 0), a removable singularity of its k-sum form, is a
+domain error naming a*b*z and k.
 
 A suite entry's ``reason`` and the ``qaw check`` message are
 ``<type>: <message>``, except for a ``DomainError``, whose reason is

@@ -12,15 +12,21 @@ One table, one check function
 Every check is :func:`_check` on its identity's row of ``_TABLE``, the
 only declaration of an identity: the params class (plain data; its fields
 are the ``qaw check`` flags), the function giving both sides, the default
-tolerance and all domain rules, applied in order.  A quadrature family
-(Askey-Wilson on [0, pi], reversal and Gaussian on the real line) is a
-:class:`_Family` with its own domain rule; its plain check integrates the
-weight against the closed product, its fractional check the weight times
-:func:`ksum` against the closed product, both times :func:`frac_prefactor`.
-A ``-3phi2`` form is its parent with d (u for the generating pair) pinned
+tolerance and all domain rules, applied in order, whose messages join
+into one :class:`DomainError`.  A quadrature family (Askey-Wilson on
+[0, pi], reversal and Gaussian on the real line) is a :class:`_Family`
+with its own domain rule; its plain check integrates the weight against
+the closed product, its fractional check the weight times :func:`ksum`
+against the closed product, both times :func:`frac_prefactor`.  A
+fractional row adds the rule of :func:`_fractional` (0 < a < x < 1, x/a
+finite, mu > 0, x^mu a normal double, x max|numerator| / a < 1).  A
+``-3phi2`` form is its parent with d (u for the generating pair) pinned
 to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, the weights and
 the generating integrand drop zero parameters, and a zero parameter of a
-closed product is the factor (0;q)_inf = 1.
+closed product is the factor (0;q)_inf = 1.  ``IDENTITY_REGISTRY`` maps
+each name to its params class and check; :func:`run_check` and the suite
+runner :func:`run_suite` reach every check through it.
+``ReversalParams`` is another name for ``AWParams``.
 
 Stable evaluation of the outer k-sums
 -------------------------------------
@@ -116,13 +122,19 @@ The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
 4 sin^2 theta (q e^{2i theta}, q e^{-2i theta};q)_inf, with no zero factor
 at theta = 0.  An exact zero factor has the log -inf, so an integrand is 0
 where only its numerator vanishes and not finite where its denominator
-does, as the quotient of plain products would be.  The closed sides
-(``_three_term_side``, the families' ``closed``, ``frac_prefactor``)
-call only the scalar loops of :mod:`qaw.qcore`, so the two sides of an
-identity share no vectorised code.  The lemma's four product ratios take
-24 products of 9 distinct arguments, and it forms each distinct product
-once per check, by the scalar loop; the values are shared inside that one
-check only, and its two sides still share nothing but scalar primitives.
+does, as the quotient of plain products would be.
+
+Closed sides.  Every closed side is :func:`_closed` on a list of ratios
+(coef, numerator arguments, denominator arguments): the lemma's four
+(24 products of 9 distinct arguments), the generating rows' one, whose
+coef is (1 - q)^mu times :func:`frac_prefactor`, and the one a family's
+``closed`` declares.  It multiplies each product out from 1 in order by
+the scalar loop of :mod:`qaw.qcore`, so the two sides of an identity
+share no vectorised code, and forms each distinct argument's (v;q)_inf
+once, keyed by the argument and the signs of its zero parts, in a table
+that lives for that one call.  A ratio whose value is not finite (past
+the double range, or over a product that underflows to 0) raises
+``OverflowError``, which a suite reports as diverged.
 """
 
 from __future__ import annotations
@@ -132,7 +144,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -140,12 +152,10 @@ import numpy as np
 from .context import DomainError, KSumDivergence, QawError, QContext
 from .qcore import (
     EPS_TERM,
-    INFINITE,
     detect_terminating,
     q_pochhammer,
     q_pochhammer_infinite,
     q_pochhammer_infinite_log,
-    q_pochhammer_multi,
 )
 from .qops import fractional_q_integral
 from .quad import integrate_line_even_window, integrate_theta
@@ -505,28 +515,15 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
 # the two sides of each identity
 # --------------------------------------------------------------------------
 
-def _three_term_side(poch, numer, denom):
-    """The product of poch(v), v in numer, over the same product over denom,
-    each multiplied out from 1 in order, as ``q_pochhammer_multi`` does."""
-    top = bot = complex(1.0)
-    for v in numer:
-        top *= poch(v)
-    for v in denom:
-        bot *= poch(v)
-    return top / bot
+def _closed(ratios, ctx):
+    """coef * prod (v;q)_inf over numer / prod (v;q)_inf over denom, for
+    each (coef, numer, denom) of ``ratios``, in order.
 
-
-def _lemma_sides(p, ctx):
-    """Three-term contiguous relation for the triple product ratio.
-
-    Each distinct argument's (v;q)_inf is formed once per call (module
-    docstring), in the order the ratios first need it.  None is derived
-    from another: (a r u q;q)_inf = (a r u;q)_inf / (1 - a r u) is the
-    q-difference step the lemma checks.  Both sides vanish at s = u, so the
-    right side reports the sum of the |terms| it adds, ``abs_terms``, which
-    scales the residual instead.
+    Each product is multiplied out from 1 in order, as
+    ``q_pochhammer_multi`` does, and each distinct argument's (v;q)_inf is
+    formed once per call, by the scalar loop (module docstring).  A ratio
+    whose value is not finite raises ``OverflowError``.
     """
-    a, b, r, s, t, u, z, q = p.a, p.b, p.r, p.s, p.t, p.u, p.z, p.q
     prods = {}
 
     def poch(v):
@@ -536,12 +533,36 @@ def _lemma_sides(p, ctx):
             prods[key] = q_pochhammer_infinite(v, ctx)
         return prods[key]
 
-    lhs = (s - u) * _three_term_side(poch, [a * b * z, a * t, a * r * u], [a * s, a * z, a * u])
-    terms = (
-        u * r * _three_term_side(poch, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q]),
-        -u * _three_term_side(poch, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u]),
-        (s - u * r) * _three_term_side(poch, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q]),
-    )
+    values = []
+    for coef, numer, denom in ratios:
+        top, bot = (math.prod(map(poch, args), start=complex(1.0)) for args in (numer, denom))
+        # a denominator that underflows to 0 makes the quotient infinite
+        value = coef * (top / bot) if bot else math.inf
+        if not cmath.isfinite(value):
+            top, bot = (math.hypot(v.real, v.imag) for v in (top, bot))
+            raise OverflowError(
+                f"closed side past the double range: products {top:.3g} over {bot:.3g}")
+        values.append(value)
+    return values
+
+
+def _lemma_sides(p, ctx):
+    """Three-term contiguous relation for the triple product ratio.
+
+    Its four product ratios take 24 products of 9 distinct arguments, each
+    formed once by :func:`_closed`.  None is derived from another:
+    (a r u q;q)_inf = (a r u;q)_inf / (1 - a r u) is the q-difference step
+    the lemma checks.  Both sides vanish at s = u, so the right side
+    reports the sum of the |terms| it adds, ``abs_terms``, which scales the
+    residual instead.
+    """
+    a, b, r, s, t, u, z, q = p.a, p.b, p.r, p.s, p.t, p.u, p.z, p.q
+    lhs, *terms = _closed([
+        (s - u, [a * b * z, a * t, a * r * u], [a * s, a * z, a * u]),
+        (u * r, [a * b * z, a * t, a * r * u * q], [a * s * q, a * z, a * u * q]),
+        (-u, [a * b * z, a * t, a * r * u], [a * s * q, a * z, a * u]),
+        (s - u * r, [a * b * z, a * t, a * r * u * q], [a * s, a * z, a * u * q]),
+    ], ctx)
     return lhs, terms[0] + terms[1] + terms[2], {}, {"abs_terms": sum(map(abs, terms))}
 
 
@@ -591,8 +612,8 @@ def _generating_sides(p, ctx):
     numer = _generating_numerator(p)
     denom = [a * p.b * p.z, a * p.t, a * p.r * p.u]
     rhs_diag = {}
-    pref = (1.0 - p.q) ** p.mu * frac_prefactor(p.x, a, p.mu, ctx) * _three_term_side(
-        functools.partial(q_pochhammer_infinite, ctx=ctx), denom, numer)
+    (pref,) = _closed([((1.0 - p.q) ** p.mu * frac_prefactor(p.x, a, p.mu, ctx), denom, numer)],
+                      ctx)
     rhs = pref * ksum(p.x, a, p.mu, numer, denom, ctx, diag=rhs_diag)
     return lhs, rhs, {}, rhs_diag
 
@@ -604,8 +625,9 @@ class _Family(NamedTuple):
     parameter product).  ``real_line`` selects ``integrate_line_even_window``
     over ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the
     weight on a node array and ``series(nodes, p)`` the k-sum's numerator
-    and denominator parameters there; ``closed(p, ctx)`` is the closed
-    product, through the scalar qcore loops only.
+    and denominator parameters there; ``closed(p)`` is the closed side as
+    data, the ratio (coef, numerator arguments, denominator arguments)
+    that :func:`_closed` evaluates.
     """
 
     params: type
@@ -632,11 +654,9 @@ def _aw_series(theta, p):
     return [a * p.b * p.c * p.d, a * e, a / e], [a * p.b, a * p.c, a * p.d]
 
 
-def _aw_closed(p, ctx):
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    top = 2.0 * math.pi * q_pochhammer_infinite(a * b * c * d, ctx)
-    pairs = [q, a * b, a * c, a * d, b * c, b * d, c * d]
-    return top / q_pochhammer_multi(pairs, INFINITE, ctx)
+def _aw_closed(p):
+    a, b, c, d = p.a, p.b, p.c, p.d
+    return 2.0 * math.pi, [a * b * c * d], [p.q, a * b, a * c, a * d, b * c, b * d, c * d]
 
 
 def _sinh_args(x, p, scale):
@@ -661,11 +681,10 @@ def _reversal_series(t, p):
     return numer, [1j * a * q * et, -1j * a * q / et, q * a * p.b * p.c * p.d]
 
 
-def _reversal_closed(p, ctx):
+def _reversal_closed(p):
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     pairs = [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d, q * c * d]
-    closed = q_pochhammer_multi(pairs, INFINITE, ctx) / q_pochhammer_infinite(q * a * b * c * d, ctx)
-    return closed * math.log(1.0 / q)
+    return math.log(1.0 / q), pairs, [q * a * b * c * d]
 
 
 def _gaussian_weight(t, p, ctx):
@@ -682,11 +701,10 @@ def _gaussian_series(t, p):
     return numer, [1j * a * et, -1j * a / et, a * p.b * p.c * p.d / q**3]
 
 
-def _gaussian_closed(p, ctx):
+def _gaussian_closed(p):
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     pairs = [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q]
-    closed = q_pochhammer_multi(pairs, INFINITE, ctx) / q_pochhammer_infinite(a * b * c * d / q**3, ctx)
-    return math.sqrt(math.pi) * q ** (-0.125) * closed
+    return math.sqrt(math.pi) * q ** (-0.125), pairs, [a * b * c * d / q**3]
 
 
 _AW = _Family(AWParams, _aw_violations, False, _aw_weight, _aw_series, _aw_closed)
@@ -726,7 +744,8 @@ def _quadrature(family, fractional):
             "window": list(res.window) if res.window else None,
             **diag,
         }
-        return pref * res.value, pref * family.closed(p, ctx), lhs_diag, {}
+        (closed,) = _closed([family.closed(p)], ctx)
+        return pref * res.value, pref * closed, lhs_diag, {}
 
     return sides
 
@@ -788,7 +807,8 @@ def _check(name, p, tol=None) -> IdentityReport:
     tol = row.tol if tol is None else tol
     if not valid_tolerance(tol):
         raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
-    params = asdict(p)
+    # a shallow copy of the fields: asdict would deep-copy every value
+    params = dict(vars(p))
     infinite = [f"{k}={v}" for k, v in params.items() if not cmath.isfinite(v)]
     if infinite:
         raise DomainError(f"parameters must be finite, got {', '.join(infinite)}")

@@ -19,8 +19,14 @@ array (of parameters, angles or points) and return one of its shape.
   depend on the other entries of its call, here as in the product, and a
   factor with |a q^k| far below 1 costs no log.  The scalar log takes the
   same head and series in plain Python.  An exact zero factor gives -inf,
-  the log of the 0 that the product gives.  All four integrands of the
-  identity checks take their products as logs.
+  the log of the 0 that the product gives, so ``h_sinh`` there is 0.  All
+  four integrands of the identity checks take their products as logs,
+  one log call per integrand call.
+
+``DivisionByZero`` is raised only where a value is divided by a vanishing
+product or factor (a fractional-order ``q_pochhammer``, a ``phi_series``
+denominator).  ``q_pochhammer`` takes an array with the infinite order
+only; a finite or fractional order of an array is a ``DomainError``.
 
 Order convention for q-Pochhammer symbols
 -----------------------------------------
@@ -47,8 +53,11 @@ and so does its log, though the log sums the q-log series past its head
 instead of factors.  A non-terminating series stops after
 CONSECUTIVE_SMALL successive terms below EPS_TERM of its partial sum and
 raises :class:`NonConvergence` past MAX_TERMS terms; any series raises it
-once its partial sum is not finite.  All five are constants;
-:class:`QContext` carries the base q alone.
+once its partial sum is not finite, naming that term, with the last finite
+partial sum.  All five are constants (EPS_TERM 1e-15, EPS_FACTOR 1e-17,
+MAX_FACTORS and MAX_TERMS 10 000, CONSECUTIVE_SMALL 3), as are the log's
+LOG_RADIUS 1/8 and LOG_TERMS 20; :class:`QContext` carries the base q
+alone.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ first, then doubling, at most ``MAX_TERMS`` in all) and call ``f`` once
 per branch and block; the Cauchy operator calls ``f`` once, on c q^j for
 j <= n_max.  Each term is formed with the arithmetic of a term-by-term
 loop (q^n by repeated multiplication, running products and partial sums in
-sequence), so the sum stops where such a loop stops.  Integrands must be
-pure and deterministic.
+sequence), so the sum stops where such a loop stops.  Each raises
+:class:`NonConvergence` naming the first term whose partial sum is not
+finite, with the last finite partial sum.  Integrands must be pure and
+deterministic.
 
 ``q_difference`` and ``difference_eq_residual`` stay scalar: they call
 ``f`` on single points.

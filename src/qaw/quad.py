@@ -14,6 +14,15 @@ intervals raises :class:`NonConvergence`.  Sums reduce in a fixed order.
 
 The tolerances, level sizes and window rule are module constants: at these
 values the rule converges geometrically on every identity's integrand.
+The first level has 64 intervals, each of at most 10 refinements doubles
+them, and a level is accepted once it moves by at most max(1e-10 |value|,
+4 eps h sum|f|), the second term the rounding of its sum; ``est_error`` is
+the larger of the last move and that floor.  A level whose sum is not
+finite raises :class:`NonConvergence` at once, and so does one still
+moving at 2^16 intervals (65 537 nodes, at most 32 768 in one call), with
+the last finite value as ``partial``.  A window's half-width T is the
+first of 1, 1.5, 1.5^2, ... below 50 with max|f(+-T)| T < 1e-16, probed 8
+per call; a NaN or infinite probe does not count as decayed.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns an
 array of the same shape.  A call costs about as much for 2 nodes as for a

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaw import identities, qcore, quad
+from qaw import cli, identities, qcore, quad
 from qaw.context import (
     DomainError,
     KSumDivergence,
@@ -501,7 +501,7 @@ class TestLemmaNearQOne:
              "b": b, "r": r, "t": t}
         try:
             report = run_check("lemma-three-term", p)
-        except QawError:
+        except (QawError, OverflowError):
             return
         abs_terms = report.rhs_diag["abs_terms"]
         if not report.passed:
@@ -513,6 +513,134 @@ class TestLemmaNearQOne:
         bound = report.tolerance * max(float(abs(exact)), abs_terms)
         assert float(abs(report.lhs - exact)) <= bound
         assert float(abs(report.rhs - exact)) <= bound
+
+
+def _closed_arguments(name, p):
+    """The distinct arguments of the closed side of row ``name`` at the
+    mapping p, as the paper's products name them."""
+    if name == "fractional-generating":
+        a, b, r, s, t, u, z = (p[k] for k in "abrstuz")
+        return {a * b * z, a * t, a * r * u, a * s, a * z, a * u}
+    a, b, c, d = (p[k] for k in "abcd")
+    if name == "askey-wilson":
+        return {a * b * c * d, p["q"], a * b, a * c, a * d, b * c, b * d, c * d}
+    if name == "reversal-askey-wilson":
+        q = p["q"]
+        return {q * a * b * c * d, q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d,
+                q * c * d}
+    q = AtakishiyevParams(p["alpha_g"]).q
+    return {a * b * c * d / q**3, a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q}
+
+
+def _ulps_apart(x, y, n):
+    return all(abs(u - v) <= n * math.ulp(v) for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+class TestClosedSides:
+    """Every closed side comes from one evaluator, which forms each distinct
+    argument's (v;q)_inf once per check, with the values of the products
+    written out in full."""
+
+    # the askey-wilson point has b = 0.2, so c = 0.2 joins ab and ac, bd and
+    # cd; the reversal point has b = c = 2d and q = 1/2, so qab = qac,
+    # qad = qbc and qbd = qcd; the atakishiyev point has a = b = c = d
+    # (TestLemmaProducts counts the lemma's 9)
+    @pytest.mark.parametrize("name, change, distinct", [
+        ("askey-wilson", {}, 8), ("askey-wilson", {"c": 0.2}, 6),
+        ("reversal-askey-wilson", {}, 5), ("reversal-askey-wilson", {"c": 0.15}, 8),
+        ("atakishiyev", {}, 2),
+        ("atakishiyev", {"a": 0.05, "b": 0.04, "c": 0.03, "d": 0.02}, 7),
+        ("fractional-generating", {}, 6)])
+    def test_one_scalar_product_per_distinct_argument(self, monkeypatch, name, change, distinct):
+        p = {**FIXED_POINTS[name], **change}
+        args = []
+        real = qcore.q_pochhammer_infinite
+
+        def counted(v, ctx):
+            args.append(v)
+            return real(v, ctx)
+
+        monkeypatch.setattr(identities, "q_pochhammer_infinite", counted)
+        assert run_check(name, p).passed
+        want = _closed_arguments(name, p)
+        assert len(args) == len(want) == distinct and set(args) == want
+
+    def _products(self, args, q):
+        ctx = QContext(q=q)
+        return qcore.q_pochhammer_multi(args, qcore.INFINITE, ctx)
+
+    def test_reversal_rhs_bit_for_bit(self):
+        p = FIXED_POINTS["reversal-askey-wilson"]
+        a, b, c, d, q = (p[k] for k in "abcdq")
+        pairs = [q, q * a * b, q * a * c, q * a * d, q * b * c, q * b * d, q * c * d]
+        want = self._products(pairs, q) / self._products([q * a * b * c * d], q) * math.log(1.0 / q)
+        assert _hex(run_check("reversal-askey-wilson", p).rhs) == _hex(want)
+
+    def test_atakishiyev_rhs_bit_for_bit(self):
+        p = FIXED_POINTS["atakishiyev"]
+        a, b, c, d = (p[k] for k in "abcd")
+        q = AtakishiyevParams(p["alpha_g"]).q
+        pairs = [a * b / q, a * c / q, a * d / q, b * c / q, b * d / q, c * d / q]
+        closed = self._products(pairs, q) / self._products([a * b * c * d / q**3], q)
+        want = math.sqrt(math.pi) * q ** (-0.125) * closed
+        assert _hex(run_check("atakishiyev", p).rhs) == _hex(want)
+
+    def test_generating_rhs_bit_for_bit(self):
+        p = FIXED_POINTS["fractional-generating"]
+        a, b, r, s, t, u, z, q = (p[k] for k in "abrstuzq")
+        x, mu = p["x"], p["mu"]
+        ctx = QContext(q=q)
+        numer, denom = [a * s, a * z, a * u], [a * b * z, a * t, a * r * u]
+        pref = ((1.0 - q) ** mu * identities.frac_prefactor(x, a, mu, ctx)
+                * (self._products(denom, q) / self._products(numer, q)))
+        want = pref * ksum(x, a, mu, numer, denom, ctx)
+        assert _hex(run_check("fractional-generating", p).rhs) == _hex(want)
+
+    def test_askey_wilson_rhs_within_two_ulps(self):
+        # the check multiplies the quotient by 2 pi, not the numerator: the last bits move
+        p = FIXED_POINTS["askey-wilson"]
+        a, b, c, d, q = (p[k] for k in "abcdq")
+        top = 2.0 * math.pi * self._products([a * b * c * d], q)
+        want = top / self._products([q, a * b, a * c, a * d, b * c, b * d, c * d], q)
+        assert _ulps_apart(run_check("askey-wilson", p).rhs, want, 2)
+
+
+# a lemma point inside its domain whose left ratio passes the double range
+# (products near 1e118 over 1e-196), and one whose denominator product
+# underflows to 0
+LEMMA_PAST_RANGE = {"q": 0.99087, "a": 0.47039, "s": 1.85625, "z": 2.07294, "u": 1.93262,
+                    "b": -0.81218, "r": -1.67723, "t": -1.63893, "x": 0.6, "mu": 1.0}
+LEMMA_ZERO_DENOMINATOR = {"q": 0.995, "a": 0.5, "s": 1.998, "z": 1.998, "u": 1.997,
+                          "b": 0.1, "r": 0.1, "t": 0.1, "x": 0.6, "mu": 1.0}
+PAST_RANGE = "closed side past the double range: products "
+
+
+class TestClosedSidePastTheDoubleRange:
+    """A closed side whose value is not finite is an OverflowError, which
+    ends diverged, not a report with NaN or infinite sides."""
+
+    @pytest.mark.parametrize("p, products", [
+        (LEMMA_PAST_RANGE, "3.76e+118 over 6.94e-196"),
+        (LEMMA_ZERO_DENOMINATOR, "6.26e-23 over 0")])
+    def test_run_check_raises(self, p, products):
+        with pytest.raises(OverflowError) as exc:
+            run_check("lemma-three-term", p)
+        assert str(exc.value) == PAST_RANGE + products
+
+    @pytest.mark.parametrize("p", [LEMMA_PAST_RANGE, LEMMA_ZERO_DENOMINATOR])
+    def test_suite_entry_is_diverged(self, p):
+        (oc,) = run_suite([{"identity": "lemma-three-term", "params": p}])
+        assert oc.status == "diverged" and oc.details == {} and oc.report is None
+        assert oc.reason.startswith("OverflowError: " + PAST_RANGE)
+
+    def test_check_exits_2_with_nothing_on_stdout(self, capsys):
+        argv = ["check", "lemma-three-term"]
+        for k, v in LEMMA_PAST_RANGE.items():
+            argv += [f"--{k}", str(v)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"OverflowError: {PAST_RANGE}3.76e+118 over 6.94e-196\n"
 
 
 # the generating integrand at x = 1/2 reaches an exact zero factor
