@@ -8,7 +8,11 @@ report or a closed stdout).
 
 The table ``_EVAL`` declares each ``qaw eval`` subject once, with its flags
 and its call, and one encoder, ``_dumps``, writes every JSON document, a
-complex number as ``{"re", "im"}`` at any depth.
+complex number as ``{"re", "im"}`` at any depth.  ``qaw eval`` checks every
+flag of its subject, each entry of ``--numer``, ``--denom`` and
+``--params`` included, before it evaluates anything, and names each NaN or
+infinite one in one domain error (``flags must be finite, got --x=nan``);
+``--alpha inf`` is the infinite order, as ``--inf`` is.
 """
 
 from __future__ import annotations

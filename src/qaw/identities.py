@@ -25,7 +25,8 @@ to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, the weights and
 the generating integrand drop zero parameters, and a zero parameter of a
 closed product is the factor (0;q)_inf = 1.  ``IDENTITY_REGISTRY`` maps
 each name to its params class and check; :func:`run_check` and the suite
-runner :func:`run_suite` reach every check through it.
+runner :func:`run_suite` reach every check through it, and a check
+computes on the q of its params.
 ``ReversalParams`` is another name for ``AWParams``.
 
 Stable evaluation of the outer k-sums
@@ -109,7 +110,8 @@ prefactor x^mu (a/x;q)_mu / (q;q)_mu depends on x, a, mu and q only, so a
 check forms it once and multiplies both of its sides by it after the
 quadrature.  The integrand then does not shrink like x^mu, which the
 absolute tail bound of the window rule in :mod:`qaw.quad` would misjudge
-at large mu.  Every integrand makes one
+at large mu: at mu = 1000 the six fractional quadrature rows pass at
+their fixed points with 129 nodes.  Every integrand makes one
 ``q_pochhammer_infinite_log`` call per integrand call, on the arguments
 of all its factors at all its nodes or points: 10 rows of nodes for the
 Askey-Wilson and reversal weights and 8 for the Gaussian one at four
@@ -672,7 +674,10 @@ def _reversal_weight(t, p, ctx):
     from one log-product call on all their arguments."""
     q = ctx.q
     den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-    return np.exp(_log_quotient(_sinh_args(t, p, q), den, t.size, ctx))
+    lg = _log_quotient(_sinh_args(t, p, q), den, t.size, ctx)
+    # a weight past the double range is not finite: a WindowFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(lg)
 
 
 def _reversal_series(t, p):
@@ -692,7 +697,9 @@ def _gaussian_weight(t, p, ctx):
     ag = p.alpha_g
     rows = _sinh_args(ag * t, p, 1.0)
     lg = -t * t + _log_quotient(rows, [], t.size, ctx)
-    return np.exp(lg) * np.cosh(ag * t)
+    # a weight past the double range is not finite, as in _reversal_weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(lg) * np.cosh(ag * t)
 
 
 def _gaussian_series(t, p):

@@ -10,7 +10,7 @@ array (of parameters, angles or points) and return one of its shape.
   and ``q_pochhammer_infinite`` use it, and so does the Cauchy operator's
   integrand; no identity check does.
 * Its log gives each entry a head of its own: the h factors 1 - a q^k
-  with |a q^k| > LOG_RADIUS, logged one by one, and for the rest the
+  with |a q^k| >= LOG_RADIUS, logged one by one, and for the rest the
   q-log series (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1)
 
       log (z;q)_inf = -sum_{n>=1} z^n / (n (1 - q^n)),   |z| < 1,
@@ -34,7 +34,8 @@ Order convention for q-Pochhammer symbols
 
 * a nonnegative ``int`` -- the finite product prod_{k<n} (1 - a q^k),
   whose loop stops, above MAX_FACTORS factors, once a q^k has underflowed
-  and every later factor is the same (:func:`_stalled_count`);
+  and every later factor is the same (:func:`_stalled_count`): at q = 0.5,
+  a = 0.5 and n = 10^12, after 1078 factors;
 * ``math.inf`` (the module constant :data:`INFINITE`) -- the infinite
   product;
 * any other real ``float`` alpha -- the fractional symbol, defined as the
@@ -45,19 +46,30 @@ is the unique choice consistent with the q-gamma function.
 
 Truncation policy: an infinite product takes the factors k < n, n the
 least k with |a q^k| < tau = min(EPS_FACTOR, t / (1 + t)), t = EPS_TERM
-(1 - q) (:func:`_factor_counts`).  Then |a q^n| < EPS_FACTOR, and the
-bound |a q^n| / ((1 - q)(1 - |a q^n|)) on the tail sum_{j>=n} |a q^j| /
-(1 - |a q^j|), which bounds the relative truncation error, is below
-EPS_TERM.  A product with n >= MAX_FACTORS raises :class:`NonConvergence`,
-and so does its log, though the log sums the q-log series past its head
-instead of factors.  A non-terminating series stops after
-CONSECUTIVE_SMALL successive terms below EPS_TERM of its partial sum and
-raises :class:`NonConvergence` past MAX_TERMS terms; any series raises it
-once its partial sum is not finite, naming that term, with the last finite
-partial sum.  All five are constants (EPS_TERM 1e-15, EPS_FACTOR 1e-17,
-MAX_FACTORS and MAX_TERMS 10 000, CONSECUTIVE_SMALL 3), as are the log's
-LOG_RADIUS 1/8 and LOG_TERMS 20; :class:`QContext` carries the base q
-alone.
+(1 - q).  Then |a q^n| < EPS_FACTOR, and the bound |a q^n| / ((1 - q)
+(1 - |a q^n|)) on the tail sum_{j>=n} |a q^j| / (1 - |a q^j|), which
+bounds the relative truncation error, is below EPS_TERM.
+
+One count rule and one cap error serve all four paths (the scalar loop
+and log, the array product and log).  :func:`_factor_counts` (|a|, q,
+bound) is the least k with |a| q^k < bound: under tau the factor count
+n, under LOG_RADIUS the log's head h.  Every cap decision is n >=
+MAX_FACTORS, which (q;q)_inf meets from q = 0.9965 on.  A capped scalar
+product or log raises :class:`NonConvergence` ``<product> with a=<a> did
+not converge in 10000 factors``, its ``partial`` the value of the first
+MAX_FACTORS factors (the log: its head, cut there, and the series of the
+rest up to there) and its ``last_term`` |a| q^MAX_FACTORS.  An array
+whose largest |a| (a NaN one first) is capped hands that entry to the
+scalar path before it forms any factor, so it raises that entry's error.
+
+A non-terminating series stops after CONSECUTIVE_SMALL successive terms
+below EPS_TERM of its partial sum and raises :class:`NonConvergence` past
+MAX_TERMS terms; any series raises it once its partial sum is not finite,
+naming that term, with the last finite partial sum; one whose terms fall
+like q^n needs more than MAX_TERMS of them at q above about 0.9966.  All
+five are constants (EPS_TERM 1e-15, EPS_FACTOR 1e-17, MAX_FACTORS and
+MAX_TERMS 10 000, CONSECUTIVE_SMALL 3), as are the log's LOG_RADIUS 1/8
+and LOG_TERMS 20; :class:`QContext` carries the base q alone.
 """
 
 from __future__ import annotations
@@ -90,8 +102,8 @@ MAX_TERMS = 10_000
 # entries per block of factors in the array path (512 KB of complex)
 _BLOCK_ELEMENTS = 1 << 15
 
-# the array log path: head factors while |a q^k| > LOG_RADIUS, then LOG_TERMS
-# terms of the q-log series; wherever MAX_FACTORS lets an array through, the
+# the log paths: head factors while |a q^k| >= LOG_RADIUS, then LOG_TERMS
+# terms of the q-log series; wherever MAX_FACTORS lets a product through, the
 # remainder sum_{n>LOG_TERMS} |z|^n / (n (1 - q^n)) is below
 # LOG_RADIUS^LOG_TERMS / (1 - LOG_RADIUS) < 1.2e-18
 LOG_RADIUS = 0.125
@@ -106,29 +118,36 @@ def _tau(q: float) -> float:
     return min(EPS_FACTOR, t / (1.0 + t))
 
 
-def _factor_counts(mag, q: float):
-    """The factors (a;q)_inf takes for |a| = mag, a float or an array: the
-    least k with mag q^k < tau (module docstring), at most MAX_FACTORS,
-    which means capped.  A NaN or infinite |a| is capped."""
-    log_tau = math.log(_tau(q))
+def _factor_counts(mag, q: float, bound=None):
+    """The least k with mag q^k < bound, at most MAX_FACTORS, for |a| = mag,
+    a float or an array: the factors (a;q)_inf takes under the default
+    bound tau (module docstring), where MAX_FACTORS means capped, and the
+    head of its log under LOG_RADIUS.  A NaN or infinite |a| counts
+    MAX_FACTORS."""
+    log_bound = math.log(_tau(q) if bound is None else bound)
     if isinstance(mag, np.ndarray):
         # a zero |a| counts as the least positive double, and no factor
-        n = np.floor((np.log(np.maximum(mag, math.ulp(0.0))) - log_tau) / -math.log(q)) + 1.0
+        n = np.floor((np.log(np.maximum(mag, math.ulp(0.0))) - log_bound) / -math.log(q)) + 1.0
         return np.fmin(np.maximum(n, 0.0), MAX_FACTORS)
     if not 0 < mag < math.inf:
         return 0 if mag == 0 else MAX_FACTORS
-    return min(max(math.floor((math.log(mag) - log_tau) / -math.log(q)) + 1, 0), MAX_FACTORS)
+    return min(max(math.floor((math.log(mag) - log_bound) / -math.log(q)) + 1, 0), MAX_FACTORS)
 
 
 def _cap_error(product, a, partial, q: float):
-    """The :class:`NonConvergence` of ``product`` (its name) of a, capped
-    at MAX_FACTORS factors: an array a is named by its largest |a|, and
-    ``last_term`` is |a| q^MAX_FACTORS."""
-    array = isinstance(a, np.ndarray)
-    mag = float(np.abs(a).max()) if array else math.hypot(a.real, a.imag)
-    which = f"max |a|={mag:.3e}" if array else f"a={a}"
-    return NonConvergence(f"{product} with {which} did not converge in {MAX_FACTORS} factors",
+    """The :class:`NonConvergence` of ``product`` (its name) of the scalar
+    a, capped at MAX_FACTORS factors, with ``last_term`` |a| q^MAX_FACTORS."""
+    mag = math.hypot(a.real, a.imag)
+    return NonConvergence(f"{product} with a={a} did not converge in {MAX_FACTORS} factors",
                           partial, mag * q**MAX_FACTORS)
+
+
+def _raise_if_capped(scalar, a, mag, ctx: QContext):
+    """Raise the cap error of the 1-D array a (|a| = mag) where its largest
+    |a| (a NaN one first) is capped: the scalar path ``scalar`` raises its
+    own on that entry, so an array fails as that entry alone does."""
+    if a.size and _factor_counts(float(mag.max()), ctx.q) >= MAX_FACTORS:
+        scalar(a[np.argmax(mag)].item(), ctx)
 
 
 def _factor_blocks(a, counts, q: float):
@@ -175,20 +194,21 @@ def _array_product(a, ctx: QContext):
     count: each entry's product so far and its factors of a block are
     multiplied out by np.multiply.accumulate, one factor at a time as in
     the scalar loop.  np.multiply.reduce across entries would round complex
-    products otherwise than for one entry alone (a vectorised multiply)."""
-    q = ctx.q
-    counts = _factor_counts(np.abs(a).ravel(), q)
+    products otherwise than for one entry alone (a vectorised multiply).
+    Where the largest |a| is capped, the scalar product of that entry
+    raises its cap error before any block is formed."""
+    q, flat = ctx.q, a.ravel()
+    mag = np.abs(flat)
+    _raise_if_capped(q_pochhammer_infinite, flat, mag, ctx)
+    counts = _factor_counts(mag, q)
     acc = np.ones(a.size, dtype=complex)
-    for rows, f, left in _factor_blocks(a.ravel(), counts, q):
+    for rows, f, left in _factor_blocks(flat, counts, q):
         blk = np.empty((len(f) + 1, rows.size), dtype=complex)
         blk[0] = acc[rows]
         blk[1:] = f
         np.multiply.accumulate(blk, axis=0, out=blk)
         acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
-    acc = acc.reshape(a.shape)
-    if counts.max(initial=0) >= MAX_FACTORS:
-        raise _cap_error("(a;q)_inf", a, acc, q)
-    return acc
+    return acc.reshape(a.shape)
 
 
 def _log_series(z, q):
@@ -209,29 +229,23 @@ def _log_array(a, ctx: QContext):
     """log (a;q)_inf for every entry of the array a (module docstring), of
     its shape, -inf, the log of 0, at an entry with an exact zero factor.
 
-    Each entry has its own head of h = ceil(log(|a| / LOG_RADIUS) / log(1/q))
-    factors (at least 0), the least k with |a| q^k <= LOG_RADIUS up to
-    rounding, and the q-log series of the rest.  Where the largest |a| is
-    capped, :class:`NonConvergence` carries each entry's log of its first
-    MAX_FACTORS factors as ``partial``: its head, cut at MAX_FACTORS, then
-    the series at a q^h less the series at a q^MAX_FACTORS.
+    Each entry has its own head, _factor_counts(|a|, q, LOG_RADIUS)
+    factors, and the q-log series of the rest.  Where the largest |a| is
+    capped, the scalar log of that entry raises its cap error before any
+    block is formed.
     """
     q, shape, a = ctx.q, a.shape, a.ravel()
     mag = np.abs(a)
-    capped = _factor_counts(float(mag.max(initial=0.0)), q) >= MAX_FACTORS
-    # fmin: a NaN or infinite |a| takes MAX_FACTORS head factors
-    head = np.fmin(np.ceil(np.log(np.maximum(mag / LOG_RADIUS, 1.0)) / -math.log(q)),
-                   MAX_FACTORS)
+    _raise_if_capped(q_pochhammer_infinite_log, a, mag, ctx)
+    head = _factor_counts(mag, q, LOG_RADIUS)
     acc = np.zeros(a.shape, dtype=complex)
-    dead = np.zeros(a.shape, dtype=bool)
     for rows, f, left in _factor_blocks(a, head, q):
         mine = np.arange(len(f))[:, None] < left
-        if not f.all():
-            zero = f == 0
-            dead[rows[zero.any(axis=0)]] = True
-            f[zero] = 1.0
-        np.log(f, out=f, where=mine)
-        np.multiply(f, mine, out=f)
+        # a zero factor logs to -inf, and times mine to -inf + NaN i, whose
+        # real part the sums below keep
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(f, out=f, where=mine)
+            np.multiply(f, mine, out=f)
         # each chunk of _SUM_CHUNK logs (a last, short chunk: the first
         # subtree of a whole one, whose other leaves are 0) is summed by a
         # fixed pairwise tree, and the chunk sums in order; so an entry's sum
@@ -243,19 +257,9 @@ def _log_array(a, ctx: QContext):
         for part in x[:, 0]:
             total += part
         acc[rows] = total
-    if capped:
-        # the heads stop at MAX_FACTORS; a shorter head takes the series
-        # of its factors up to MAX_FACTORS
-        short = np.flatnonzero(head < MAX_FACTORS)
-        z = a[short]
-        acc[short] += _log_series(z * q ** head[short], q) - _log_series(z * q**MAX_FACTORS, q)
-    else:
-        acc = acc + _log_series(a * q**head, q)
-    acc[dead] = -math.inf
-    acc = acc.reshape(shape)
-    if capped:
-        raise _cap_error("log (a;q)_inf", a, acc, q)
-    return acc
+    acc = acc + _log_series(a * q**head, q)
+    acc[acc.real == -math.inf] = -math.inf
+    return acc.reshape(shape)
 
 
 def q_pochhammer_infinite(a, ctx: QContext):
@@ -263,7 +267,9 @@ def q_pochhammer_infinite(a, ctx: QContext):
     finite product (a;q)_n over the factor count n.
 
     A scalar ``a`` gives a ``complex``.  An array ``a`` gives an array of
-    the same shape, every entry over its own factor count.
+    the same shape, every entry over its own factor count.  A capped
+    product raises its cap error, an array that of its largest |a|
+    (module docstring).
     """
     if isinstance(a, np.ndarray):
         return _array_product(a, ctx)
@@ -286,29 +292,20 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     imaginary part is the accumulated phase of the product: the sum of the
     factors' principal logs.  Factors are never exponentiated, so arguments
     with |a| >> 1 do not overflow.  A scalar and every entry of an array
-    ``a`` (of any shape) alike are formed from their own head factors and
-    the q-log series of the tail (module docstring), whatever the other
-    entries.  An exact zero factor gives -inf, the log of 0.  Where the product
-    of |a| (of the largest |a| of an array) is capped at MAX_FACTORS
-    factors, :class:`NonConvergence` carries the log of the first
-    MAX_FACTORS factors (of every entry) as ``partial``.
+    ``a`` (of any shape) alike are formed from their own head,
+    _factor_counts(|a|, q, LOG_RADIUS) factors, and the q-log series of
+    the tail (module docstring), whatever the other entries.  An exact zero
+    factor gives -inf, the log of 0.  Where the product of |a| is capped at
+    MAX_FACTORS factors, :class:`NonConvergence` carries the log of its
+    first MAX_FACTORS factors as ``partial``; an array raises that error
+    of its largest |a|.
     """
     q = ctx.q
     if isinstance(a, np.ndarray):
         return _log_array(a, ctx)
-    # the head of _log_array: MAX_FACTORS factors where |a| / LOG_RADIUS is
-    # NaN or infinite
     mag = math.hypot(a.real, a.imag)
-    # the cap needs |a| q^(MAX_FACTORS - 1) >= tau, so twice that below tau
-    # rules it out without the logs of _factor_counts; q^(MAX_FACTORS - 1)
-    # is taken in two halves, either of which underflows only where |a|
-    # times it is far below tau, and a NaN or infinite |a| fails the test
-    half = MAX_FACTORS // 2
-    capped = (not 2.0 * mag * q**half * q**(MAX_FACTORS - 1 - half) < _tau(q)
-              and _factor_counts(mag, q) >= MAX_FACTORS)
-    h = MAX_FACTORS
-    if math.isfinite(mag / LOG_RADIUS):
-        h = min(math.ceil(math.log(max(mag / LOG_RADIUS, 1.0)) / -math.log(q)), h)
+    capped = _factor_counts(mag, q) >= MAX_FACTORS
+    h = _factor_counts(mag, q, LOG_RADIUS)
     # the head logs are summed exactly (math.fsum): near q = 1 there are
     # thousands of them, and the two sums that h_sinh_log adds cancel
     logs = []

@@ -114,8 +114,9 @@ def _levels(f, lo, hi):
 def _require_finite(total, x, fx, partial):
     """Raise :class:`NonConvergence` when a level's sum is not finite.
 
-    ``partial`` is the last finite level's value (None before the first);
-    refining further could never give a finite value, only more nodes.
+    ``partial`` is the last finite level's value (None before the first)
+    and ``last_term`` the magnitude of this level's sum; refining further
+    could never give a finite value, only more nodes.
     """
     if cmath.isfinite(total):
         return

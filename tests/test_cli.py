@@ -454,6 +454,18 @@ class TestCheck:
         else:
             assert json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("argv", [
+        ["reversal-askey-wilson", "--q", "0.5", "--a", "1e100", "--b", "1e-100"],
+        ["atakishiyev", "--alpha-g", "1", "--a", "1e100", "--b", "1e-100"],
+    ])
+    def test_overflowing_weight_exits_2(self, capsys, argv):
+        # the weight is past the double range at every window probe, and no
+        # numpy warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 2 and out == "" and err.startswith("WindowFailure: ")
+
     def test_overflow_inside_a_check_exits_2(self, capsys, monkeypatch):
         def overflowing(p, tol=None):
             raise OverflowError("math range error")

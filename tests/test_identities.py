@@ -688,6 +688,17 @@ class TestZeroFactorsAndCap:
             assert oc.status == "diverged" and oc.reason.startswith("NonConvergence")
         assert min(times) < 0.1
 
+    def test_capped_weight_reports_its_largest_argument(self):
+        # the entry names the one argument whose cap error it carries, not
+        # one partial per node and row
+        entry = {"identity": "askey-wilson", "params": {"q": 0.997, **AW_NEAR_ONE}}
+        (oc,) = run_suite([entry])
+        assert oc.reason.startswith("NonConvergence: log (a;q)_inf with a=(")
+        assert oc.reason.endswith(") did not converge in 10000 factors")
+        assert type(oc.details["partial"]) is complex
+        assert type(oc.details["last_term"]) is float
+        assert len(cli._dumps(cli._outcome_obj(oc))) < 1000
+
     def test_askey_wilson_below_the_factor_cap_passes(self):
         (oc,) = run_suite([{"identity": "askey-wilson", "params": {"q": 0.995, **AW_NEAR_ONE}}])
         assert oc.status == "passed", oc.reason
@@ -908,6 +919,13 @@ class TestReportSemantics:
             IDENTITY_REGISTRY["askey-wilson"][1](AWParams(q=0.5, a=0.3), ctx=QContext(q=0.7))
 
 
+# real-line weights past the double range at every window probe
+OVERFLOWING_WEIGHT = [
+    ("reversal-askey-wilson", {"q": 0.5, "a": 1e100, "b": 1e-100}),
+    ("atakishiyev", {"alpha_g": 1.0, "a": 1e100, "b": 1e-100}),
+]
+
+
 class TestSuiteRunner:
     def test_empty_suite(self):
         assert run_suite([]) == []
@@ -1009,6 +1027,16 @@ class TestSuiteRunner:
                                  f"at q=0.5, x=0.6, mu={mu}")
         else:
             assert 1e-262 < abs(oc.report.rhs) < 1e-261
+
+    @pytest.mark.parametrize("name, params", OVERFLOWING_WEIGHT)
+    def test_overflowing_weight_becomes_diverged(self, name, params):
+        # inside |q abcd| < 1, the weight leaves the double range at every
+        # window probe; no numpy warning escapes
+        with pytest.raises(WindowFailure):
+            run_check(name, params)
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert oc.status == "diverged" and oc.reason.startswith("WindowFailure: ")
+        assert set(oc.details) == {"probes"} and oc.params == params
 
     def test_divergence_carries_its_data(self):
         entry = {"identity": "fractional-atakishiyev", "params": SLOW_KSUM_GAUSSIAN}

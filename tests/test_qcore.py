@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,8 +330,9 @@ class TestWeights:
 
     @pytest.mark.parametrize("t", [1e308, complex(-1e308, 1e308)])
     def test_scalar_log_of_a_huge_argument(self, ctx, t):
-        # |t e^x| / LOG_RADIUS overflows: a head of MAX_FACTORS factors; the
-        # complex |t e^x| overflows too, and so is capped
+        # |t e^x| / LOG_RADIUS overflows, but the head is counted by logs:
+        # about 1026 factors at q = 1/2; the complex |t e^x| overflows, and so
+        # is capped
         if isinstance(t, complex):
             with pytest.raises(NonConvergence, match="did not converge in 10000 factors$"):
                 h_sinh_log(0.3, t, ctx)
@@ -349,6 +351,24 @@ def _capped_log(a, q):
         logs.append(math.log(1.0 - term))
         term *= q
     return math.fsum(logs)
+
+
+def _cap_failure(product, a, ctx):
+    """The NonConvergence that product raises on a."""
+    with pytest.raises(NonConvergence) as exc:
+        product(a, ctx)
+    return exc.value
+
+
+def _bits(x):
+    """A float or complex as the hex of its parts, so NaN equals NaN."""
+    return tuple(float.hex(float(v)) for v in (x.real, x.imag))
+
+
+def _same_failure(got, want):
+    """Two NonConvergence errors alike in message, partial and last_term."""
+    return (str(got), _bits(got.partial), _bits(got.last_term)) == (
+        str(want), _bits(want.partial), _bits(want.last_term))
 
 
 def _worst_oracle_error(got, args, q):
@@ -487,42 +507,52 @@ class TestArrayPath:
         assert got[1] == 0 and got[0] == q_pochhammer_infinite(0.3, ctx)
 
     def test_factor_cap_raises_with_partial(self):
-        # at q = 1 - 1e-5 the factor 0.3 q^k is still 0.27 after MAX_FACTORS;
-        # 0.3 takes MAX_FACTORS head factors, 0.1 none and two series
+        # at q = 1 - 1e-5 the factor 0.3 q^k is still 0.27 after MAX_FACTORS:
+        # the array fails as its largest entry alone does, with the log of
+        # that entry's first MAX_FACTORS factors
         ctx = QContext(q=1.0 - 1e-5)
-        with pytest.raises(NonConvergence) as exc:
-            q_pochhammer_infinite_log(np.array([0.3, 0.1]), ctx)
-        assert exc.value.partial.shape == (2,) and exc.value.last_term > 0
-        for i, a in enumerate([0.3, 0.1]):
-            assert exc.value.partial[i] == pytest.approx(_capped_log(a, ctx.q), rel=1e-14)
-            with pytest.raises(NonConvergence) as scalar:
-                q_pochhammer_infinite_log(a, ctx)
-            assert scalar.value.partial == pytest.approx(_capped_log(a, ctx.q), rel=1e-14)
+        got = _cap_failure(q_pochhammer_infinite_log, np.array([0.1, 0.3]), ctx)
+        assert _same_failure(got, _cap_failure(q_pochhammer_infinite_log, 0.3, ctx))
+        assert type(got.partial) is complex and got.last_term > 0
+        assert got.partial == pytest.approx(_capped_log(0.3, ctx.q), rel=1e-14)
 
-    def test_every_cap_path_has_one_message_form(self):
-        # 0.5 takes about 40 000 factors at q = 0.999
+    # 0.5 takes about 40 000 factors at q = 0.999, 0.25 about 39 000
+    @pytest.mark.parametrize("a, largest", [
+        (np.array([0.25, -0.5]), -0.5),
+        (np.array([[0.25j, 0.1], [-0.3 + 0.4j, 0.2]]), -0.3 + 0.4j),
+        (np.array([0.25, math.nan, 0.5]), math.nan),
+        (np.array([0.25, complex(0.1, math.nan), -0.5j]), complex(0.1, math.nan)),
+    ])
+    @pytest.mark.parametrize("product, what", [(q_pochhammer_infinite, "(a;q)_inf"),
+                                               (q_pochhammer_infinite_log, "log (a;q)_inf")])
+    def test_every_cap_path_has_one_message_form(self, a, largest, product, what):
         ctx = QContext(q=0.999)
-        for a, name in [(0.5, "a=0.5"), (np.array([0.25, -0.5]), "max |a|=5.000e-01")]:
-            for product, what in [(q_pochhammer_infinite, "(a;q)_inf"),
-                                  (q_pochhammer_infinite_log, "log (a;q)_inf")]:
-                with pytest.raises(NonConvergence) as exc:
-                    product(a, ctx)
-                assert str(exc.value) == f"{what} with {name} did not converge in 10000 factors"
-                assert exc.value.last_term == 0.5 * 0.999**MAX_FACTORS
+        got = _cap_failure(product, a, ctx)
+        assert str(got) == f"{what} with a={largest} did not converge in 10000 factors"
+        assert _same_failure(got, _cap_failure(product, largest, ctx))
+        assert _bits(got.last_term) == _bits(abs(largest) * 0.999**MAX_FACTORS)
 
     def test_capped_product_partial(self):
         # at q = 0.996 the entries 0.5 and -0.25 stop after 9823 and 9650
-        # factors, and 2.0 is capped: the partial carries the full values of
-        # the first two and the first MAX_FACTORS factors of the third
+        # factors, and 2.0 is capped: the partial is the first MAX_FACTORS
+        # factors of 2.0 alone
         ctx = QContext(q=0.996)
-        with pytest.raises(NonConvergence) as exc:
-            q_pochhammer_infinite(np.array([0.5, 2.0, -0.25]), ctx)
-        part = exc.value.partial
-        assert part[0] == q_pochhammer_infinite(0.5, ctx)
-        assert part[2] == q_pochhammer_infinite(-0.25, ctx)
-        with pytest.raises(NonConvergence) as scalar:
-            q_pochhammer_infinite(2.0, ctx)
-        assert part[1] == scalar.value.partial
+        got = _cap_failure(q_pochhammer_infinite, np.array([0.5, 2.0, -0.25]), ctx)
+        assert _same_failure(got, _cap_failure(q_pochhammer_infinite, 2.0, ctx))
+        assert got.partial == q_pochhammer(2.0, MAX_FACTORS, ctx)
+
+    def test_zero_factor_past_two_chunks(self, ctx):
+        # at q = 1/2 the head of 2^40 is 44 factors, three chunks of
+        # _SUM_CHUNK, and its factor k = 40 is exactly 0
+        a = np.array([0.3, 2.0**40, 1e6 * cmath.exp(0.7j), -7.0])
+        assert qcore._factor_counts(2.0**40, 0.5, LOG_RADIUS) > 2 * qcore._SUM_CHUNK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = q_pochhammer_infinite_log(a, ctx)
+        assert _bits(got[1]) == _bits(complex(-math.inf))
+        others = np.delete(a, 1)
+        alone = [q_pochhammer_infinite_log(v, ctx)[0] for v in np.split(others, others.size)]
+        assert np.array_equal(np.delete(got, 1), alone)
 
     def test_factor_cap_is_cheap(self):
         # the (q e^{2i theta};q)_inf rows of the Askey-Wilson weight at
@@ -648,10 +678,9 @@ class TestScalarLogProduct:
 
     @pytest.mark.parametrize("q", [0.93, 0.99, 0.997, 0.9999])
     def test_cap_decision_is_the_factor_counts(self, q):
-        # |a| of MAX_FACTORS - 1 and MAX_FACTORS factors, and |a| across the
-        # margin of the short cut that skips _factor_counts well below the
-        # cap: the log raises exactly where the product does (whose value
-        # may pass the double range)
+        # |a| of MAX_FACTORS - 1 and MAX_FACTORS factors, and |a| a few
+        # factors either side: the log raises exactly where the product does
+        # (whose value may pass the double range)
         ctx, rate = QContext(q=q), -math.log(q)
         edge = math.log(qcore._tau(q)) + (MAX_FACTORS - 1.5) * rate
         mags = [math.exp(edge), math.exp(edge + rate)]
