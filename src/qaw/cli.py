@@ -7,12 +7,13 @@ domain violation of a check, 66 I/O (an unreadable spec, an unwritable
 report or a closed stdout).
 
 The table ``_EVAL`` declares each ``qaw eval`` subject once, with its flags
-and its call, and one encoder, ``_dumps``, writes every JSON document, a
-complex number as ``{"re", "im"}`` at any depth.  ``qaw eval`` checks every
-flag of its subject, each entry of ``--numer``, ``--denom`` and
-``--params`` included, before it evaluates anything, and names each NaN or
-infinite one in one domain error (``flags must be finite, got --x=nan``);
-``--alpha inf`` is the infinite order, as ``--inf`` is.
+and its call, and one compact encoder, ``_dumps``, writes every JSON
+document as one line with its keys sorted, a complex number as ``{"re",
+"im"}`` at any depth.  ``qaw eval`` checks every flag of its subject, each
+entry of ``--numer``, ``--denom`` and ``--params`` included, before it
+evaluates anything, and names each NaN or infinite one in one domain error
+(``flags must be finite, got --x=nan``); ``--alpha inf`` is the infinite
+order, as ``--inf`` is.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ EXIT_IO = 66
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse reads a value such as -0.1+0.1i as an option, not as the
+        # value of the flag before it
+        if message.endswith("expected one argument"):
+            message += " (a value that begins with '-' takes the form --flag=value)"
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -188,9 +193,11 @@ def _complex_json(value) -> dict:
     raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
 
-# every JSON document of the CLI: indented, keys sorted, complex numbers as
-# {re, im} at any depth
-_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, default=_complex_json)
+# the CLI's one JSON encoder: every document as one compact line, keys
+# sorted, complex numbers as {re, im} at any depth.  No indent: an indent
+# switches json from its C encoder to its pure-Python one, and `python -m
+# json.tool` indents a document for a reader.
+_dumps = functools.partial(json.dumps, sort_keys=True, default=_complex_json)
 
 
 def _report_obj(report) -> dict:

@@ -394,14 +394,21 @@ def q_bracket(a: float, ctx: QContext) -> float:
 def q_gamma(x: float, ctx: QContext) -> float:
     """q-gamma function (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
 
-    An x within 1e-12 of a pole, 0, -1, -2, ..., raises :class:`PoleError`.
+    An x within 1e-12 of a pole, 0, -1, -2, ..., raises :class:`PoleError`;
+    an x whose (1-q)^(1-x) is past the double range raises an
+    ``OverflowError`` naming q and x.
     """
     if x <= 0.5 and abs(x - round(x)) < 1e-12 and round(x) <= 0:
         raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x)}")
     q = ctx.q
     num = q_pochhammer_infinite(q, ctx)
     den = q_pochhammer_infinite(q**x, ctx)
-    return (num / den).real * (1.0 - q) ** (1.0 - x)
+    try:
+        scale = (1.0 - q) ** (1.0 - x)
+    except OverflowError:
+        raise OverflowError(
+            f"q_gamma: (1-q)^(1-x) is past the double range at q={q}, x={x}") from None
+    return (num / den).real * scale
 
 
 def detect_terminating(param: complex, ctx: QContext):

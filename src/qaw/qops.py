@@ -126,7 +126,8 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
     recurrences.  ``a = 0`` drops the lower-limit branch.  ``f`` maps an
     array of points to an array of values.  A mu so small that q^mu rounds
     to 1, where Gamma_q(mu) has no finite double value, is a
-    :class:`DomainError`.
+    :class:`DomainError`; a prefactor x^(mu-1) / (1-q)^(1-mu) past the
+    double range raises an ``OverflowError`` naming q, x and mu.
     """
     if mu <= 0:
         raise DomainError(f"fractional order must be positive, got {mu}")
@@ -139,7 +140,12 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
     # (q^{n+1};q)_{mu-1} and (a q^{n+1}/x;q)_{mu-1} at n = 0; the first is
     # the ratio of products that q_gamma(mu) scales by (1-q)^{1-mu}
     cx = q_pochhammer_infinite(q, ctx) / q_pochhammer_infinite(qmu, ctx)
-    pref = x ** (mu - 1.0) * (1.0 - q) / (cx.real * (1.0 - q) ** (1.0 - mu))
+    try:
+        pref = x ** (mu - 1.0) * (1.0 - q) / (cx.real * (1.0 - q) ** (1.0 - mu))
+    except OverflowError:
+        raise OverflowError(
+            f"fractional_q_integral: x^(mu-1) / (1-q)^(1-mu) is past the double range "
+            f"at q={q}, x={x}, mu={mu}") from None
     branches = [(1, x, cx, 1.0)]
     if a != 0:
         ax = a / x

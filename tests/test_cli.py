@@ -28,6 +28,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def compact(text):
+    """A JSON document as one line with its keys sorted, and a newline."""
+    return json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
 def usage_error(capsys, *argv):
     """The stderr of a command line that must end as a usage error (64)."""
     with pytest.raises(SystemExit) as exc:
@@ -276,6 +281,28 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["passed"] is True and doc["rel_err"] < 1e-8
 
+    @pytest.mark.parametrize("argv", [
+        ["askey-wilson", "--q", "0.5", "--a", "0.3", "--b", "0.2", "--c", "0.1", "--d", "0.4"],
+        ["reversal-askey-wilson", "--q", "0.5", "--a", "0.2", "--b=-0.1+0.1i"],
+    ])
+    def test_report_is_one_compact_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert (code, err) == (0, "")
+        assert out == compact(out) and out.count("\n") == 1
+        doc = json.loads(out)
+        assert sorted(doc["lhs"]) == ["im", "re"]
+        if "--b=-0.1+0.1i" in argv:
+            assert doc["params"]["b"] == {"re": -0.1, "im": 0.1}
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "reversal-askey-wilson", "--q", "0.5", "--a", "0.2", "--b", "-0.1+0.1i"],
+        ["eval", "hsinh", "--q", "0.5", "--x", "1.0", "--t", "-0.5i"],
+    ])
+    def test_leading_minus_value_names_the_equals_form(self, capsys, argv):
+        err = usage_error(capsys, *argv)
+        assert err.endswith(f"error: argument {argv[-2]}: expected one argument "
+                            "(a value that begins with '-' takes the form --flag=value)\n")
+
     @pytest.mark.parametrize("identity, argv, message", [
         ("askey-wilson", ["--q", "0.5", "--a", "1.2"], "need max(|a|,|b|,|c|,|d|) < 1"),
         # a -3phi2 form with a nonzero value of the parameter it drops
@@ -514,6 +541,16 @@ class TestSuite:
         assert doc["summary"] == {
             "total": 0, "passed": 0, "failed": 0, "skipped": 0, "diverged": 0
         }
+
+    def test_document_is_one_compact_line(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "suite")
+        assert code == 0 and out == compact(out) and out.count("\n") == 1
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "suite", "--out", str(out_path))
+        text = out_path.read_text()
+        assert code == 0 and text == compact(text) and text.count("\n") == 1
+        doc = json.loads(out)
+        assert sorted(doc["reports"][0]["report"]["lhs"]) == ["im", "re"]
 
     def test_unknown_identity_spec(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -791,6 +828,7 @@ EDGE_ARGV = [
     (["eval", "poch", "--q", "0.5", "--a", "1e308", "--inf"], 2),
     (["eval", "gamma", "--q", "0.5", "--x", "1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e308"], 2),
+    (["eval", "fracint", "--q", "0.5", "--x", "0.5", "--mu", "1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e-300"], 2),
     # e^x is 0 or not finite
     (["eval", "hsinh", "--q", "0.5", "--x=-800", "--t", "0.2"], 2),
@@ -813,6 +851,12 @@ class TestEdgeArguments:
         assert (out != "") == (code in (0, 1))
 
     @pytest.mark.parametrize("argv, message", [
+        # a power of 1 - q past the double range names its inputs
+        (["gamma", "--x", "1e308"],
+         "q_gamma: (1-q)^(1-x) is past the double range at q=0.5, x=1e+308"),
+        (["fracint", "--x", "0.5", "--mu", "1e308"],
+         "fractional_q_integral: x^(mu-1) / (1-q)^(1-mu) is past the double range "
+         "at q=0.5, x=0.5, mu=1e+308"),
         (["hsinh", "--x=-800", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=-800.0"),
         (["hsinh", "--x=-1e308", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=-1e+308"),
         (["hsinh", "--x", "800", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=800.0"),
