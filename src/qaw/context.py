@@ -37,12 +37,15 @@ subclass that declares neither inherits.
 
 Among the messages: a product capped at 10 000 factors raises a
 non-convergence ``<product> with a=<a> did not converge in 10000
-factors``; a q-integral or Cauchy operator sum that is not finite from a
-term n raises one naming n; a closed side past the double range, or over
-a product that underflows to 0, raises an ``OverflowError`` ``closed side
-past the double range: products <|numerator|> over <|denominator|>``;
-and a generating row at a*b*z = q^-k (k >= 0), a removable singularity
-of its k-sum form, is a domain error naming a*b*z and k.
+factors``; a Cauchy operator sum that has neither settled nor reached
+its noise floor within its n_max terms raises ``Cauchy operator did not
+converge in <n_max> terms``; a q-integral or Cauchy operator sum that is
+not finite from a term n raises one naming n; a closed side past the
+double range, or over a product that underflows to 0, raises an
+``OverflowError`` ``closed side past the double range: products
+<|numerator|> over <|denominator|>``; and a generating row at a*b*z =
+q^-k (k >= 0), a removable singularity of its k-sum form, is a domain
+error naming a*b*z and k.
 
 A suite entry's ``reason`` and the ``qaw check`` message are
 ``<type>: <message>``, except for a ``DomainError``, whose reason is

@@ -446,10 +446,9 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
               for c in (numer, denom))
     g = np.zeros((64 + r,) + shape, dtype=complex)
     g[r] = 1.0
-    # per node: sum |g_m s^-m| and sum |g_m w_m| (``sums``) and sum g_m w_m
-    # over the rows so far
+    # per node: sum |g_m s^-m| and sum |g_m w_m| over the rows so far; a
+    # node's sum is finite while both are
     sums = np.zeros((2,) + shape)
-    part = np.zeros(shape, dtype=complex)
     M, new, L = 0, 32, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
@@ -461,14 +460,13 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
             _taylor_rows(g, max(M, 1), new, Nj, Dj, qpow, inv)
             rows = g[r + M : r + new]
             terms = rows * w[M:new, None]
-            part += terms.sum(axis=0)
             mags = np.empty((2,) + rows.shape)
             np.abs(rows, out=mags[0])
             np.abs(terms, out=mags[1])
             mags[0] *= down[M:new, None]
             sums += mags.sum(axis=1)
             M = new
-            finite = np.isfinite(part)
+            finite = np.isfinite(sums).all(axis=0)
             if finite.all() and _settled(mags, sums).all():
                 break
             if not finite.all() or M >= _MAX_ROWS:

@@ -32,10 +32,11 @@ Order convention for q-Pochhammer symbols
 -----------------------------------------
 ``q_pochhammer(a, order, ctx)`` accepts three kinds of order:
 
-* a nonnegative ``int`` -- the finite product prod_{k<n} (1 - a q^k),
-  whose loop stops, above MAX_FACTORS factors, once a q^k has underflowed
-  and every later factor is the same (:func:`_stalled_count`): at q = 0.5,
-  a = 0.5 and n = 10^12, after 1078 factors;
+* a nonnegative ``int`` -- the finite product prod_{k<n} (1 - a q^k).
+  Above MAX_FACTORS factors its loop stops at the first factor that leaves
+  the product unchanged, since every later factor is nearer 1, or where
+  the product is not finite: at q = 0.5, a = 0.5 and n = 10^12 after 54
+  factors, at q = 0.999999 after about 1100, a subnormal unit from 0;
 * ``math.inf`` (the module constant :data:`INFINITE`) -- the infinite
   product;
 * any other real ``float`` alpha -- the fractional symbol, defined as the
@@ -326,25 +327,6 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     return lg
 
 
-def _stalled_count(a, q: float):
-    """A factor count past which the finite product's loop stalls: 4 steps
-    past the k where both parts of a q^k are below 2^-1074, each rounded
-    step taken to grow them by 1 + 2^-52.  From there each part of the
-    loop's a q^k is 0 or stuck a few subnormal units up (round(q y) = y for
-    y below 1 / (2 (1 - q)) units), so every later factor 1 - a q^k is the
-    same: 1 and a subnormal imaginary part.  Such a factor leaves the
-    product as it is, unless one part of the product is below about
-    2^-1021 / (1 - q) of the other, which a longer loop would move by a
-    rounding a step.  Infinite for a NaN or infinite a, or a q too near 1
-    to bound the steps."""
-    a = complex(a)
-    rate = -math.log2(q) - 2.0**-52
-    if not (cmath.isfinite(a) and rate > 0):
-        return math.inf
-    top = max(abs(a.real), abs(a.imag), 2.0**-1074)
-    return math.ceil((1074 + math.log2(top)) / rate) + 4
-
-
 def q_pochhammer(a: complex, order, ctx: QContext) -> complex:
     """q-shifted factorial (a;q)_order; see module docstring for orders.
     An array ``a`` takes the infinite order only."""
@@ -354,19 +336,31 @@ def q_pochhammer(a: complex, order, ctx: QContext) -> complex:
     if isinstance(order, int) and not isinstance(order, bool):
         if order < 0:
             raise DomainError(f"finite Pochhammer order must be >= 0, got {order}")
-        if order > MAX_FACTORS:
-            order = min(order, _stalled_count(a, q))
         p = complex(1.0)
         aq = complex(a)
+        if order <= MAX_FACTORS:
+            for _ in range(order):
+                p *= 1.0 - aq
+                aq *= q
+            return p
+        # every later factor is nearer 1, so none moves a product that one
+        # has left as it is
         for _ in range(order):
-            p *= 1.0 - aq
+            p, prev = p * (1.0 - aq), p
+            if p == prev or not cmath.isfinite(p):
+                return p
             aq *= q
         return p
     if order == INFINITE:
         return q_pochhammer_infinite(a, ctx)
     alpha = float(order)
+    try:
+        shifted = a * q**alpha
+    except OverflowError:
+        raise OverflowError(f"q_pochhammer: q^alpha is past the double range at q={q}, "
+                            f"a={a}, alpha={alpha}") from None
     num = q_pochhammer_infinite(a, ctx)
-    den = q_pochhammer_infinite(a * q**alpha, ctx)
+    den = q_pochhammer_infinite(shifted, ctx)
     if den == 0:
         if num == 0:
             raise DivisionByZero(
@@ -399,7 +393,7 @@ def q_gamma(x: float, ctx: QContext) -> float:
     ``OverflowError`` naming q and x.
     """
     if x <= 0.5 and abs(x - round(x)) < 1e-12 and round(x) <= 0:
-        raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x)}")
+        raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x):.17g}")
     q = ctx.q
     num = q_pochhammer_infinite(q, ctx)
     den = q_pochhammer_infinite(q**x, ctx)

@@ -8,12 +8,16 @@ other shape, a scalar included, raises ``ValueError``.  The q-integrals sum
 their series in blocks of q-geometric points x q^n and a q^n (64 points
 first, then doubling, at most ``MAX_TERMS`` in all) and call ``f`` once
 per branch and block; the Cauchy operator calls ``f`` once, on c q^j for
-j <= n_max.  Each term is formed with the arithmetic of a term-by-term
-loop (q^n by repeated multiplication, running products and partial sums in
-sequence), so the sum stops where such a loop stops.  Each raises
-:class:`NonConvergence` naming the first term whose partial sum is not
-finite, with the last finite partial sum.  Integrands must be pure and
-deterministic.
+j <= n_max, and takes at most n_max terms past the first.  Each term is
+formed with the arithmetic of a term-by-term loop (q^n by repeated
+multiplication, running products and partial sums in sequence), so the sum
+stops where such a loop stops.  Each sum ends settled, under the policy of
+:mod:`qaw.qcore`, or capped, with :class:`NonConvergence` ``... did not
+converge in <cap> terms`` carrying the partial sum and the last |term|;
+the Cauchy operator also ends at the noise floor of its nested
+differences (``cauchy_T_apply``).  Each raises :class:`NonConvergence`
+naming the first term whose partial sum is not finite, with the last
+finite partial sum.  Integrands must be pure and deterministic.
 
 ``q_difference`` and ``difference_eq_residual`` stay scalar: they call
 ``f`` on single points.
@@ -178,21 +182,30 @@ def _divide(num, den):
 def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QContext) -> complex:
     """Cauchy operator T(a, b D_c) applied to f, evaluated at c.
 
-    sum_{n=0}^{n_max} (a;q)_n/(q;q)_n b^n (D_c)^n f, with the n-th
-    q-difference power computed by literal nested differences on the
-    geometric points c, cq, ..., c q^{n_max}.  ``f`` is called once, on the
-    array of those points (on [c] alone when b = 0).  A partial sum that is
-    not finite, at a pole of f among the points say, raises
-    :class:`NonConvergence` naming its term n.
+    sum_{n>=0} (a;q)_n/(q;q)_n b^n (D_c)^n f, with the n-th q-difference
+    power computed by literal nested differences on the geometric points c,
+    cq, ..., c q^{n_max}: so n_max, a nonnegative int, is the most terms
+    past the first.  ``f`` is called once, on the array of those points (on
+    [c] alone when b = 0).  The sum ends in one of three ways:
+
+    * settled: after ``CONSECUTIVE_SMALL`` (3) successive terms below
+      ``EPS_TERM`` of the partial sum (at once when b = 0);
+    * at the noise floor: the n-th pass divides by c q^j, so rounding noise
+      in the levels grows like q^{-n(n-1)/2}; a term that grows after one
+      at most 1e-8 of the partial sum is that noise, and the sum before it
+      is returned;
+    * capped: :class:`NonConvergence` ``Cauchy operator did not converge in
+      <n_max> terms``, with the partial sum and the last |term|.
+
+    A partial sum that is not finite, at a pole of f among the points say,
+    raises :class:`NonConvergence` naming its term n.
     """
     if c == 0:
         raise DomainError("Cauchy operator needs c != 0")
+    if not isinstance(n_max, int) or n_max < 0:
+        raise DomainError(f"Cauchy operator needs an integer n_max >= 0, got {n_max!r}")
     q = ctx.q
-    # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j.
-    # Each pass divides by c q^j, so rounding noise in the level values is
-    # amplified by ~ q^{-n(n-1)/2}; once the (decaying) true terms fall below
-    # that noise floor the computed terms start growing again, and the sum
-    # must stop there rather than absorb amplified rounding noise.
+    # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j
     points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
     level = _evaluate(f, points)
     total = complex(level[0])
@@ -202,8 +215,7 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
         return total
     poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
     bn = complex(1.0)
-    prev_mag = abs(total)
-    last_mag = prev_mag
+    last_mag = abs(total)
     small = 0
     for n in range(1, n_max + 1):
         level = _divide(level[:-1] - level[1:], points[: n_max + 1 - n])
@@ -213,24 +225,15 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
         mag = abs(term)
         scale = max(abs(total), 1e-300)
         if mag > last_mag and last_mag <= 1e-8 * scale:
-            return total  # roundoff floor of the nested differences
+            return total  # the noise floor
         before, total = total, total + term
         if not cmath.isfinite(total):
             raise _not_finite("Cauchy operator", n, before, term)
-        if mag < EPS_TERM * scale:
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
-        prev_mag, last_mag = last_mag, mag
-    if last_mag > EPS_TERM * max(abs(total), 1e-300) and last_mag >= prev_mag:
-        raise NonConvergence(
-            f"Cauchy operator series terms non-decaying at n_max={n_max}",
-            partial=total,
-            last_term=last_mag,
-        )
-    return total
+        small = small + 1 if mag < EPS_TERM * scale else 0
+        if small >= CONSECUTIVE_SMALL:
+            return total
+        last_mag = mag
+    raise NonConvergence(f"Cauchy operator did not converge in {n_max} terms", total, last_mag)
 
 
 def cauchy_T_reciprocal_closed(a: complex, b: complex, c: complex, t: complex, ctx: QContext) -> complex:

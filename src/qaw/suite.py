@@ -9,9 +9,11 @@ A suite spec is a JSON-compatible mapping::
                  "tolerance": 1e-8}, ...]}
 
 A parameter given as a two-element list is drawn uniformly from that range;
-a scalar is fixed.  A spec takes no keys but these.  Expansion consumes a
-single seeded RNG in entry order, so the same spec and seed always produce
-the same concrete checks.
+a scalar is fixed.  A spec takes no keys but these.  The seed is an
+integer (not a bool): a null one would seed the RNG from the OS, and the
+report's seed could not reproduce the run.  Expansion consumes a single
+seeded RNG in entry order, so the same spec and seed always produce the
+same concrete checks.
 """
 
 from __future__ import annotations
@@ -71,23 +73,25 @@ def expand_suite(spec: dict):
     """Expand a suite spec into concrete check entries for ``run_suite``.
 
     Raises ValueError for a spec that is not a mapping, has a key other
-    than ``seed`` and ``checks`` or no seed, or whose ``checks`` are not a
-    list of mappings; for a check with a key other than ``identity``,
-    ``params``, ``draws`` and ``tolerance``, or no identity name; for a
-    draw count that is not an integer >= 1, a tolerance that is not a
-    finite real > 0, or params that do not fit their identity (unknown or
-    missing names, values that are neither real numbers nor [lo, hi] pairs
-    of reals).  KeyError for an unknown identity.
+    than ``seed`` and ``checks``, has a seed that is not an integer (a
+    missing or null one included), or whose ``checks`` are not a list of
+    mappings; for a check with a key other than ``identity``, ``params``,
+    ``draws`` and ``tolerance``, or no identity name; for a draw count that
+    is not an integer >= 1, a tolerance that is not a finite real > 0, or
+    params that do not fit their identity (unknown or missing names, values
+    that are neither real numbers nor [lo, hi] pairs of reals).  KeyError
+    for an unknown identity.
     """
     if not isinstance(spec, Mapping):
         raise ValueError(f"suite spec must be a mapping, got {type(spec).__name__}")
     _reject_unknown(spec, _SPEC_KEYS, "key(s)", "in the suite spec")
-    if "seed" not in spec:
-        raise ValueError("suite spec must carry a seed")
+    seed = spec.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed of a suite spec must be an integer, got {seed!r}")
     checks = spec.get("checks", [])
     if not (isinstance(checks, (list, tuple)) and all(isinstance(c, Mapping) for c in checks)):
         raise ValueError("checks of a suite spec must be a list of mappings")
-    rng = random.Random(spec["seed"])
+    rng = random.Random(seed)
     entries = []
     for i, check in enumerate(checks):
         _reject_unknown(check, _CHECK_KEYS, "key(s)", f"in checks[{i}]")

@@ -126,6 +126,8 @@ class TestEval:
         # q^x rounds to 1, so (1 - q^x) is 0: x names no pole itself
         ("1e-300", "x=1e-300 is within 1e-12 of the pole at 0"),
         ("-2.0000000000001", "x=-2.0000000000001 is within 1e-12 of the pole at -2"),
+        # the pole in 17 significant digits, not as a 301-digit integer
+        ("-1e300", "x=-1e+300 is within 1e-12 of the pole at -1.0000000000000001e+300"),
     ])
     def test_gamma_pole_error_names_the_pole(self, capsys, x, message):
         code, out, err = run_cli(capsys, "eval", "gamma", "--q", "0.5", f"--x={x}")
@@ -684,6 +686,9 @@ class TestSuite:
          "checks of a suite spec must be a list of mappings"),
         ({"seed": 1, "checks": [{"params": {"q": 0.5}}]},
          "checks[0] needs an identity name, got None"),
+        # a null seed drew from OS entropy, so the report could not reproduce the run
+        ({"seed": None, "checks": []}, "seed of a suite spec must be an integer, got None"),
+        ({"seed": True, "checks": []}, "seed of a suite spec must be an integer, got True"),
     ])
     def test_malformed_spec_is_a_named_usage_error(self, capsys, tmp_path, spec, message):
         path = tmp_path / "spec.json"
@@ -827,6 +832,8 @@ EDGE_ARGV = [
     (["eval", "poch", "--q", "nan", "--a", "0.5", "--inf"], 2),
     (["eval", "poch", "--q", "0.5", "--a", "1e308", "--inf"], 2),
     (["eval", "gamma", "--q", "0.5", "--x", "1e308"], 2),
+    (["eval", "poch", "--q", "0.5", "--a", "0.3", "--alpha=-2000"], 2),
+    (["eval", "poch", "--q", "0.5", "--a", "0.3", "--alpha=-1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.5", "--mu", "1e308"], 2),
     (["eval", "fracint", "--q", "0.5", "--x", "0.6", "--mu", "1e-300"], 2),
@@ -857,6 +864,12 @@ class TestEdgeArguments:
         (["fracint", "--x", "0.5", "--mu", "1e308"],
          "fractional_q_integral: x^(mu-1) / (1-q)^(1-mu) is past the double range "
          "at q=0.5, x=0.5, mu=1e+308"),
+        (["poch", "--a", "0.3", "--alpha=-2000"],
+         "q_pochhammer: q^alpha is past the double range at q=0.5, a=(0.3+0j), "
+         "alpha=-2000.0"),
+        (["poch", "--a", "0.3", "--alpha=-1e308"],
+         "q_pochhammer: q^alpha is past the double range at q=0.5, a=(0.3+0j), "
+         "alpha=-1e+308"),
         (["hsinh", "--x=-800", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=-800.0"),
         (["hsinh", "--x=-1e308", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=-1e+308"),
         (["hsinh", "--x", "800", "--t", "0.2"], "h_sinh: e^x is 0 or not finite at x=800.0"),

@@ -96,15 +96,20 @@ class TestQPochhammer:
                 q_pochhammer(a, m, ctx), rel=1e-12
             )
 
-    @pytest.mark.parametrize("a, q", [(0.5, 0.5), (0.3 + 0.4j, 0.9), (-2.5 + 1.5j, 0.97)])
+    @pytest.mark.parametrize("a, q", [(0.5, 0.5), (0.3 + 0.4j, 0.9), (-2.5 + 1.5j, 0.97),
+                                      (0.5, 0.999999), (0.3 + 0.4j, 0.999999)])
     def test_huge_order_stops_once_the_factors_stall(self, a, q):
-        # the product stops changing within a few hundred factors at q = 0.5
-        # and 0.9 and a few thousand at q = 0.97; the loop stops once a q^k
-        # has underflowed, at 1078, 7061 and 24 475 factors
+        # the loop stops at the first factor that leaves the product as it
+        # is: factor 54 at q = 0.5, about 360 at 0.9 and 1200 at 0.97; at
+        # q = 0.999999, where a q^k would take some 7e8 factors to underflow,
+        # about 1100 and 3500, with the product a subnormal unit from 0
         ctx = QContext(q=q)
-        want = q_pochhammer(a, 5000 if q < 0.95 else 30_000, ctx)
+        want, aq = complex(1.0), complex(a)
+        for _ in range(30_000):
+            want *= 1.0 - aq
+            aq *= q
         t0 = time.perf_counter()
-        got = q_pochhammer(a, 10**12, ctx)
+        got = q_pochhammer(a, 10**12 if q < 0.99 else 10**20, ctx)
         assert time.perf_counter() - t0 < 0.2
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 

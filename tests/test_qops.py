@@ -180,6 +180,31 @@ class TestCauchyOperator:
         with pytest.raises(DomainError):
             cauchy_T_apply(0.3, 0.2, lambda c: c, 0.0, 10, ctx)
 
+    def test_cap_raises_with_the_partial_sum(self):
+        # six terms are far from settled here: the partial sum is 9.5e-3 off
+        # the closed form, and was returned as the value
+        q, a, b, c, t = 0.8, 0.3, 0.5, 0.9, 0.6
+        ctx = QContext(q=q)
+        f = lambda z: 1.0 / q_pochhammer(z * t, INFINITE, ctx)
+        level = [f(c * q**j) for j in range(6)]
+        terms, ratio = [level[0]], 1.0
+        for n in range(1, 6):
+            level = [(level[j] - level[j + 1]) / (c * q**j) for j in range(len(level) - 1)]
+            ratio *= (1.0 - a * q ** (n - 1)) / (1.0 - q**n) * b
+            terms.append(ratio * level[0])
+        with pytest.raises(NonConvergence,
+                           match="^Cauchy operator did not converge in 5 terms$") as exc:
+            cauchy_T_apply(a, b, f, c, 5, ctx)
+        assert exc.value.partial == pytest.approx(sum(terms), rel=1e-13)
+        assert exc.value.last_term == pytest.approx(abs(terms[-1]), rel=1e-13)
+        closed = cauchy_T_reciprocal_closed(a, b, c, t, ctx)
+        assert abs(exc.value.partial / closed - 1) == pytest.approx(9.5e-3, rel=0.01)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    def test_n_max_is_a_nonnegative_int(self, ctx, n_max):
+        with pytest.raises(DomainError, match=f"integer n_max >= 0, got {n_max}$"):
+            cauchy_T_apply(0.3, 0.2, lambda c: c, 0.4, n_max, ctx)
+
     def test_closed_form_degenerate_cases(self, ctx):
         assert cauchy_T_reciprocal_closed(0.3, 0.0, 0.4, 0.5, ctx) == pytest.approx(
             1.0 / q_pochhammer(0.2, INFINITE, ctx), rel=1e-13
@@ -268,8 +293,7 @@ def _reference_cauchy(a, b, f, c, n_max, ctx):
     total = complex(level[0])
     poch_ratio = complex(1.0)
     bn = complex(1.0)
-    prev_mag = abs(total)
-    last_mag = prev_mag
+    last_mag = abs(total)
     small = 0
     for n in range(1, n_max + 1):
         level = [
@@ -289,8 +313,8 @@ def _reference_cauchy(a, b, f, c, n_max, ctx):
                 return total
         else:
             small = 0
-        prev_mag, last_mag = last_mag, mag
-    return total
+        last_mag = mag
+    raise AssertionError("reference Cauchy sum did not converge")
 
 
 def _draws(seed, count=50):
