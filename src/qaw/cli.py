@@ -14,6 +14,15 @@ entry of ``--numer``, ``--denom`` and ``--params`` included, before it
 evaluates anything, and names each NaN or infinite one in one domain error
 (``flags must be finite, got --x=nan``); ``--alpha inf`` is the infinite
 order, as ``--inf`` is.
+
+The parser tree of ``_build_parser`` (``qaw``, then a command, then a subject
+or identity) declares every flag, help text and message.  A line whose first
+two words name a leaf (``check <identity>``, ``eval <subject>``) is parsed by
+that leaf parser alone, which also sets the two dests the levels above it set:
+those levels only re-read every word to choose the leaf, and took about two
+thirds of the parse of a cheap check.  Every other line, a leaf line with
+words its leaf leaves unparsed included, is parsed by the tree, so help,
+``--version`` and each usage error read as the tree writes them.
 """
 
 from __future__ import annotations
@@ -122,16 +131,20 @@ def _build_parser() -> _Parser:
     # out of the namespace when its default is SUPPRESS.
     parser = _Parser(prog="qaw", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"qaw {__version__}")
+    # each leaf parser, by the two words that lead to it; each also sets the
+    # two dests that the levels above it set, so it builds the tree's namespace
+    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a scalar primitive", allow_abbrev=False)
     subjects = ev.add_subparsers(dest="subject", required=True)
     # every subject takes --q, and only its own further flags
     for name, (flags, _) in _EVAL.items():
-        sp = subjects.add_parser(name, allow_abbrev=False)
+        sp = parser.leaves["eval", name] = subjects.add_parser(name, allow_abbrev=False)
+        sp.set_defaults(command="eval", subject=name)
         for flag, options in {"--q": _FLOAT, **flags}.items():
             sp.add_argument(flag, **options)
-    order = subjects.choices["poch"].add_mutually_exclusive_group(required=True)
+    order = parser.leaves["eval", "poch"].add_mutually_exclusive_group(required=True)
     order.add_argument("--n", dest="order", type=int, help="finite order")
     order.add_argument("--alpha", dest="order", type=float, help="fractional order")
     order.add_argument("--inf", dest="order", action="store_const", const=qcore.INFINITE,
@@ -140,7 +153,8 @@ def _build_parser() -> _Parser:
     ck = sub.add_parser("check", help="run a single identity check", allow_abbrev=False)
     identities = ck.add_subparsers(dest="identity", required=True)
     for name in sorted(IDENTITY_REGISTRY):
-        ip = identities.add_parser(name, allow_abbrev=False)
+        ip = parser.leaves["check", name] = identities.add_parser(name, allow_abbrev=False)
+        ip.set_defaults(command="check", identity=name)
         ip.add_argument("--tol", type=_tolerance, default=None)
         # one flag per params field; the dataclass supplies an absent one
         for f in param_fields(name):
@@ -302,7 +316,13 @@ def _cmd_suite(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[2:])
+    if leaf is None or rest:
+        # the tree reports what the leaf leaves unparsed, under its own usage
+        args = parser.parse_args(argv)
     command = {"eval": _cmd_eval, "check": _cmd_check, "suite": _cmd_suite}[args.command]
     try:
         code = command(args)

@@ -507,19 +507,20 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
             if small >= CONSECUTIVE_SMALL:
                 return total
         try:
+            qn = q**n
             ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
             ratio /= 1.0 - q ** (n + 1)
             for p in numer:
-                ratio *= 1.0 - p * q**n
+                ratio *= 1.0 - p * qn
             for p in denom:
-                d = 1.0 - p * q**n
+                d = 1.0 - p * qn
                 if d == 0:
                     raise DivisionByZero(
                         f"denominator parameter {p} equals q^-{n}; series undefined"
                     )
                 ratio /= d
             if excess:
-                ratio *= (-(q**n)) ** excess
+                ratio *= (-qn) ** excess
         except OverflowError:
             # q^(n - k) or (q^n)^excess is past the double range: so is term n + 1
             ratio = math.inf

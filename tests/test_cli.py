@@ -968,3 +968,65 @@ class TestParsing:
     def test_fmt_round_trips_doubles(self):
         for v in (1.0 / 3.0, 0.375, 1e-15, 123456.789012345):
             assert float(cli._fmt(complex(v, 0.0))) == v
+
+
+# every leaf line with only its required flags
+LEAF_LINES = (
+    [["check", name, *required] for name, (_, required) in sorted(CHECK_FLAGS.items())]
+    + [["eval", name, "--q", "0.5", *(s for flag in sorted(required) for s in (flag, "0.5")),
+        *(["--inf"] if name == "poch" else [])]
+       for name, (_, required) in sorted(EVAL_FLAGS.items())]
+)
+_TOP_USAGE = "usage: qaw [-h] [--version] {eval,check,suite} ...\n"
+
+
+def _tree_refuses(monkeypatch):
+    """Make the tree's own parse_args raise, so that only a leaf can parse."""
+    def refuse(args=None, namespace=None):
+        raise AssertionError(f"the tree parsed {args}")
+
+    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+
+
+# lines that end in argparse's own exit, each with its exit code and the
+# start of the stream it writes: help and version print to stdout
+TREE_LINES = [
+    (["--version"], 0, "out", f"qaw {qaw.__version__}\n"),
+    (["-h"], 0, "out", _TOP_USAGE),
+    (["check", "-h"], 0, "out", "usage: qaw check [-h]"),
+    (["check", "askey-wilson", "-h"], 0, "out", "usage: qaw check askey-wilson [-h]"),
+    (["eval", "poch", "-h"], 0, "out", "usage: qaw eval poch [-h]"),
+    # a flag that the leaf leaves is the tree's error, under its usage
+    (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--bogus", "1"], 64, "err",
+     f"{_TOP_USAGE}qaw: error: unrecognized arguments: --bogus 1\n"),
+]
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("argv", LEAF_LINES, ids=" ".join)
+    def test_leaf_builds_the_namespace_of_the_tree(self, monkeypatch, argv):
+        seen = []
+        tree_args = vars(cli._build_parser().parse_args(argv))
+        _tree_refuses(monkeypatch)
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+        assert cli.main(argv) == 0
+        assert vars(seen[0]) == tree_args
+
+    def test_leaf_line_runs_without_the_tree(self, capsys, monkeypatch):
+        _tree_refuses(monkeypatch)
+        assert run_cli(capsys, "eval", "gamma", "--q", "0.5", "--x", "2.5")[0] == 0
+        # argv=None reads sys.argv[1:]
+        monkeypatch.setattr(sys, "argv", ["qaw", "check", "askey-wilson", "--q", "0.5",
+                                          "--a", "0.3"])
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("argv, want, stream, start", TREE_LINES,
+                             ids=[" ".join(a) for a, *_ in TREE_LINES])
+    def test_help_version_and_leftover_lines(self, capsys, argv, want, stream, start):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == want
+        assert getattr(captured, stream).startswith(start)
+        assert getattr(captured, "err" if stream == "out" else "out") == ""
