@@ -44,6 +44,8 @@ from .identities import (
     AWParams,
     GeneratingParams,
     IdentityReport,
+    PlainAtakishiyevParams,
+    PlainAWParams,
     ReversalParams,
     run_check,
     run_suite,

@@ -129,7 +129,9 @@ def _build_parser() -> _Parser:
     # abbreviations off: a flag must be spelled out, so that a prefix never
     # names another flag.  An option left out of the command line is left
     # out of the namespace when its default is SUPPRESS.
-    parser = _Parser(prog="qaw", description=__doc__, allow_abbrev=False)
+    parser = _Parser(
+        prog="qaw", allow_abbrev=False,
+        description="Evaluate q-calculus primitives and check Askey-Wilson-type identities.")
     parser.add_argument("--version", action="version", version=f"qaw {__version__}")
     # each leaf parser, by the two words that lead to it; each also sets the
     # two dests that the levels above it set, so it builds the tree's namespace

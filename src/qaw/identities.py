@@ -27,7 +27,15 @@ closed product is the factor (0;q)_inf = 1.  ``IDENTITY_REGISTRY`` maps
 each name to its params class and check; :func:`run_check` and the suite
 runner :func:`run_suite` reach every check through it, and a check
 computes on the q of its params.
-``ReversalParams`` is another name for ``AWParams``.
+
+A row's params class holds only what its check reads, but for the lemma.
+The plain Askey-Wilson and reversal rows take :class:`PlainAWParams` (q,
+a, b, c, d) and the plain Gaussian row :class:`PlainAtakishiyevParams`
+(alpha_g, a, b, c, d); their fractional and ``-3phi2`` rows take the
+subclasses :class:`AWParams` (``ReversalParams`` is another name for it)
+and :class:`AtakishiyevParams`, which add x and mu.  The three generating
+rows take :class:`GeneratingParams`, whose x and mu the lemma does not
+read.
 
 Stable evaluation of the outer k-sums
 -------------------------------------
@@ -81,12 +89,13 @@ raises :class:`KSumDivergence`.  The terms behave like (x max|n_i| / a)^m,
 so the domain rule of a fractional row keeps that ratio below 1; a sum
 inside it that does not settle converges too slowly for 4096 rows.  The
 rows grow by doubling, so a short sum allocates for its own rows only.
-The report's ``k_terms`` is the
-most rows a k-sum of the check used, ``k_digits_lost`` the most digits
-its cancellation can cost, log10(sum |g_m w_m| / |sum g_m w_m|) at a
-node, and ``g1_digits_lost`` the most the division by
-G(1) = sum g_m s^-m can cost, log10(sum |g_m s^-m| / |G(1)|), both from
-the same running sums and at most the 15.65 digits of a double.
+The report's ``k_terms`` is the most rows a k-sum of the check used on
+the nodes it integrated (not on a window probe past its window),
+``k_digits_lost`` the most digits its cancellation can cost,
+log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and ``g1_digits_lost``
+the most the division by G(1) = sum g_m s^-m can cost,
+log10(sum |g_m s^-m| / |G(1)|), both from the same running sums and at
+most the 15.65 digits of a double.
 
 Tables.  Everything but g is the same at every node: the weights w_m /
 s^m, s^-m and the recurrence's q^{m-j} and 1 / (1 - q^m) are formed
@@ -184,15 +193,21 @@ class GeneratingParams:
 
 
 @dataclass(frozen=True)
-class AWParams:
-    """Parameters of the Askey-Wilson and reversal integrals and their
-    fractional variants."""
+class PlainAWParams:
+    """Parameters of the plain Askey-Wilson and reversal integrals."""
 
     q: float
     a: float
     b: complex = 0.0
     c: complex = 0.0
     d: complex = 0.0
+
+
+@dataclass(frozen=True)
+class AWParams(PlainAWParams):
+    """Parameters of the fractional Askey-Wilson and reversal integrals:
+    the plain ones and the fractional q-integral's x and mu."""
+
     x: float = 0.0
     mu: float = 1.0
 
@@ -202,8 +217,8 @@ ReversalParams = AWParams
 
 
 @dataclass(frozen=True)
-class AtakishiyevParams:
-    """Parameters of the Gaussian-weighted real-line integral family.
+class PlainAtakishiyevParams:
+    """Parameters of the plain Gaussian-weighted real-line integral.
 
     The base is coupled to the Gaussian scale: q = exp(-2 alpha_g^2).
     """
@@ -213,12 +228,19 @@ class AtakishiyevParams:
     b: complex = 0.0
     c: complex = 0.0
     d: complex = 0.0
-    x: float = 0.0
-    mu: float = 1.0
 
     @property
     def q(self) -> float:
         return math.exp(-2.0 * self.alpha_g**2)
+
+
+@dataclass(frozen=True)
+class AtakishiyevParams(PlainAtakishiyevParams):
+    """Parameters of the fractional Gaussian-weighted integrals: the plain
+    ones and the fractional q-integral's x and mu."""
+
+    x: float = 0.0
+    mu: float = 1.0
 
 
 def _q_range(p):
@@ -425,9 +447,12 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     not settled; its ``k`` is the number of rows with a finite partial sum,
     and its message names the node's ratio x max|numerator| / a and, for an
     unsettled sum whose ratio is below 1, calls it convergent but too slow.
-    ``diag`` gets the largest row count ``k_terms``, the largest
+    ``diag`` gets the call's row count ``k_terms``, its largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
-    the largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|).
+    its largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|), each
+    the larger of that and the value ``diag`` already holds; a quadrature
+    check gives each integrand call its own ``diag`` and keeps those of the
+    calls inside its window (:func:`_quadrature`).
     """
     q = ctx.q
     e = min(round(math.log2(x / a)), 1023)
@@ -621,15 +646,18 @@ def _generating_sides(p, ctx):
 class _Family(NamedTuple):
     """A quadrature family: the pieces that :func:`_quadrature` combines.
 
-    ``domain`` is its domain rule (the range of q and the bound on the
-    parameter product).  ``real_line`` selects ``integrate_line_even_window``
-    over ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the
+    ``plain`` is the params class of its plain row and ``params`` that of
+    its fractional rows, which adds x and mu.  ``domain`` is its domain
+    rule (the range of q and the bound on the parameter product).
+    ``real_line`` selects ``integrate_line_even_window`` over
+    ``integrate_theta`` on [0, pi].  ``weight(nodes, p, ctx)`` is the
     weight on a node array and ``series(nodes, p)`` the k-sum's numerator
     and denominator parameters there; ``closed(p)`` is the closed side as
     data, the ratio (coef, numerator arguments, denominator arguments)
     that :func:`_closed` evaluates.
     """
 
+    plain: type
     params: type
     domain: Callable
     real_line: bool
@@ -712,12 +740,13 @@ def _gaussian_closed(p):
     return math.sqrt(math.pi) * q ** (-0.125), pairs, [a * b * c * d / q**3]
 
 
-_AW = _Family(AWParams, _aw_violations, False, _aw_weight, _aw_series, _aw_closed)
-_REVERSAL = _Family(ReversalParams, _reversal_violations, True, _reversal_weight,
-                    _reversal_series, _reversal_closed)
+_AW = _Family(PlainAWParams, AWParams, _aw_violations, False, _aw_weight, _aw_series,
+              _aw_closed)
+_REVERSAL = _Family(PlainAWParams, ReversalParams, _reversal_violations, True,
+                    _reversal_weight, _reversal_series, _reversal_closed)
 # the Gaussian family, under q = exp(-2 alpha_g^2)
-_GAUSSIAN = _Family(AtakishiyevParams, _gaussian_violations, True, _gaussian_weight,
-                    _gaussian_series, _gaussian_closed)
+_GAUSSIAN = _Family(PlainAtakishiyevParams, AtakishiyevParams, _gaussian_violations, True,
+                    _gaussian_weight, _gaussian_series, _gaussian_closed)
 
 
 def _quadrature(family, fractional):
@@ -727,21 +756,29 @@ def _quadrature(family, fractional):
     product; the fractional check integrates the weight times the k-sum
     and compares it with the closed product, and multiplies both sides,
     and the quadrature's error estimate, by the fractional prefactor.
+    The k-sum diagnostics are those of the integrand calls whose nodes all
+    lie inside the chosen window (on [0, pi], of every call): a window
+    probe past it may need more rows than the integrated nodes do.
     """
 
     def sides(p, ctx):
-        diag = {}
+        calls = []  # (largest node, k-sum diagnostics) of each integrand call
 
         def f(nodes):
             if not fractional:
                 return family.weight(nodes, p, ctx)
-            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=diag)
+            call_diag = {}
+            s = ksum(p.x, p.a, p.mu, *family.series(nodes, p), ctx, diag=call_diag)
+            calls.append((nodes.max(), call_diag))
             return family.weight(nodes, p, ctx) * s
 
         # the integrator is looked up by its module-level name at each call,
         # as every primitive here is, so a wrapper bound to that name sees it
         integrate = integrate_line_even_window if family.real_line else integrate_theta
         res = integrate(f)
+        top = res.window[1] if res.window else math.inf
+        inside = [d for largest, d in calls if largest <= top]
+        diag = {key: max(d[key] for d in inside) for key in (inside[0] if inside else ())}
         pref = frac_prefactor(p.x, p.a, p.mu, ctx) if fractional else 1.0
         lhs_diag = {
             "nodes": res.nodes_used,
@@ -774,7 +811,7 @@ def _family_rows(name, family, tol):
              _fractional(lambda p: [] if family.domain(p) else family.series(0.0, p)[0]))
     pinned = f"fractional-{name}-3phi2"
     return {
-        name: _Row(family.params, _quadrature(family, False), tol, (family.domain,)),
+        name: _Row(family.plain, _quadrature(family, False), tol, (family.domain,)),
         f"fractional-{name}": _Row(family.params, fractional, tol, rules),
         pinned: _Row(family.params, fractional, tol, (*rules, _pinned(pinned, "d"))),
     }

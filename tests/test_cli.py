@@ -45,19 +45,21 @@ def usage_error(capsys, *argv):
 # each identity's parameter flags; the required ones, with valid values
 _GENERATING = ({"--q", "--a", "--x", "--mu", "--b", "--r", "--s", "--t", "--u", "--z"},
                ["--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu", "1.5"])
-_AW = ({"--q", "--a", "--b", "--c", "--d", "--x", "--mu"}, ["--q", "0.5", "--a", "0.2"])
-_GAUSSIAN = ({"--alpha-g", "--a", "--b", "--c", "--d", "--x", "--mu"}, ["--alpha-g", "1"])
+_PLAIN_AW = ({"--q", "--a", "--b", "--c", "--d"}, ["--q", "0.5", "--a", "0.2"])
+_AW = (_PLAIN_AW[0] | {"--x", "--mu"}, _PLAIN_AW[1])
+_PLAIN_GAUSSIAN = ({"--alpha-g", "--a", "--b", "--c", "--d"}, ["--alpha-g", "1"])
+_GAUSSIAN = (_PLAIN_GAUSSIAN[0] | {"--x", "--mu"}, _PLAIN_GAUSSIAN[1])
 CHECK_FLAGS = {
     "lemma-three-term": _GENERATING,
     "fractional-generating": _GENERATING,
     "fractional-generating-3phi2": _GENERATING,
-    "askey-wilson": _AW,
+    "askey-wilson": _PLAIN_AW,
     "fractional-askey-wilson": _AW,
     "fractional-askey-wilson-3phi2": _AW,
-    "reversal-askey-wilson": _AW,
+    "reversal-askey-wilson": _PLAIN_AW,
     "fractional-reversal-askey-wilson": _AW,
     "fractional-reversal-askey-wilson-3phi2": _AW,
-    "atakishiyev": _GAUSSIAN,
+    "atakishiyev": _PLAIN_GAUSSIAN,
     "fractional-atakishiyev": _GAUSSIAN,
     "fractional-atakishiyev-3phi2": _GAUSSIAN,
 }
@@ -570,6 +572,19 @@ class TestSuite:
         code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 64 and out == "" and "unknown parameter" in err
 
+    @pytest.mark.parametrize("name, base", [
+        ("askey-wilson", {"q": 0.5, "a": 0.1}),
+        ("reversal-askey-wilson", {"q": 0.5, "a": 0.1}),
+        ("atakishiyev", {"alpha_g": 1.0}),
+    ])
+    def test_plain_row_spec_with_x_exits_64(self, capsys, tmp_path, name, base):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": name, "params": {**base, "x": 0.6}}]}))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 64 and out == ""
+        assert f"unknown parameter(s) x for {name}" in err
+
     @pytest.mark.parametrize("key, value, message", [
         # a string used to end in a TypeError traceback, true to pass as 1,
         # 2.7 draws to give 2
@@ -1003,6 +1018,18 @@ TREE_LINES = [
 
 
 class TestRoutes:
+    def test_top_help_is_one_line_of_description(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        # usage, then the description as one paragraph of one line
+        description = out.split("\n\n")[1]
+        assert description and "\n" not in description
+        for name in ("_EVAL", "_dumps", "_build_parser", "``"):
+            assert name not in out
+
     @pytest.mark.parametrize("argv", LEAF_LINES, ids=" ".join)
     def test_leaf_builds_the_namespace_of_the_tree(self, monkeypatch, argv):
         seen = []

@@ -1221,14 +1221,16 @@ FIXED_POINTS = {
 }
 
 # the rows (k_terms, in steps of 16 from 32) and digits lost (k_digits_lost)
-# of the k-sums at each fractional fixed point
+# of the k-sums at each fractional fixed point, over the integrated nodes: a
+# reversal check's window probe at 1.5^7 takes 48 rows, its window of
+# half-width 1.5^4 32
 K_SUM_DIAG = {
     "fractional-generating": (32, 0.0),
     "fractional-generating-3phi2": (32, 0.0),
     "fractional-askey-wilson": (96, 2.50),
     "fractional-askey-wilson-3phi2": (96, 2.37),
-    "fractional-reversal-askey-wilson": (48, 0.71),
-    "fractional-reversal-askey-wilson-3phi2": (48, 0.72),
+    "fractional-reversal-askey-wilson": (32, 0.71),
+    "fractional-reversal-askey-wilson-3phi2": (32, 0.72),
     "fractional-atakishiyev": (48, 0.19),
     "fractional-atakishiyev-3phi2": (48, 0.14),
 }
@@ -1240,10 +1242,21 @@ G1_DIGITS = {
     "fractional-generating-3phi2": 0.0,
     "fractional-askey-wilson": 0.89,
     "fractional-askey-wilson-3phi2": 0.84,
-    "fractional-reversal-askey-wilson": 0.75,
-    "fractional-reversal-askey-wilson-3phi2": 0.76,
+    "fractional-reversal-askey-wilson": 0.72,
+    "fractional-reversal-askey-wilson-3phi2": 0.73,
     "fractional-atakishiyev": 0.24,
     "fractional-atakishiyev-3phi2": 0.23,
+}
+
+# the only params fields that change neither side of their check, each with
+# its reason
+_LEMMA_XMU = ("the lemma reads no x or mu; the benchmark's fixed-point line "
+              "passes --x 0.6 --mu 1.5")
+INERT_FIELDS = {
+    ("lemma-three-term", "x"): _LEMMA_XMU,
+    ("lemma-three-term", "mu"): _LEMMA_XMU,
+    ("fractional-generating-3phi2", "r"):
+        "r enters only as r*u, with u pinned to 0; test_criterion_05 passes it r = 0.4",
 }
 
 # each -3phi2 form with a nonzero value of the parameter its parent drops
@@ -1282,6 +1295,34 @@ class TestCheckTable:
         again = run_check(name, report.params)
         assert again.params == report.params
         assert again.lhs == report.lhs and again.rhs == report.rhs
+
+    @pytest.mark.parametrize("name, fields", [
+        ("askey-wilson", ["q", "a", "b", "c", "d"]),
+        ("reversal-askey-wilson", ["q", "a", "b", "c", "d"]),
+        ("atakishiyev", ["alpha_g", "a", "b", "c", "d"]),
+    ])
+    def test_plain_rows_take_no_x_or_mu(self, name, fields):
+        assert list(run_check(name, FIXED_POINTS[name]).params) == fields
+        with pytest.raises(TypeError, match="'x'"):
+            run_check(name, {**FIXED_POINTS[name], "x": 0.6})
+
+    @pytest.mark.parametrize("name, field", [
+        (name, f.name) for name in sorted(FIXED_POINTS)
+        for f in dataclasses.fields(IDENTITY_REGISTRY[name][0])
+    ])
+    def test_every_field_changes_its_check(self, name, field):
+        # a field moved by 0.01 inside the domain changes a side, or it is
+        # a -3phi2 form's pinned field, whose rule names it
+        cls = IDENTITY_REGISTRY[name][0]
+        base = run_check(name, FIXED_POINTS[name])
+        value = getattr(cls(**FIXED_POINTS[name]), field) + 0.01
+        try:
+            moved = run_check(name, {**FIXED_POINTS[name], field: value})
+        except DomainError as exc:
+            assert str(exc) == f"{name} needs {field} = 0, got {field}={value}"
+            return
+        changed = (moved.lhs, moved.rhs) != (base.lhs, base.rhs)
+        assert changed != ((name, field) in INERT_FIELDS)
 
     def test_derived_base_is_a_diagnostic(self):
         report = run_check("atakishiyev", FIXED_POINTS["atakishiyev"])
