@@ -42,6 +42,7 @@ from .quad import QuadratureResult, integrate_line_even_window, integrate_theta
 from .identities import (
     AtakishiyevParams,
     AWParams,
+    Generating3phi2Params,
     GeneratingParams,
     IdentityReport,
     PlainAtakishiyevParams,

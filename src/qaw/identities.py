@@ -20,22 +20,26 @@ the closed product, its fractional check the weight times :func:`ksum`
 against the closed product, both times :func:`frac_prefactor`.  A
 fractional row adds the rule of :func:`_fractional` (0 < a < x < 1, x/a
 finite, mu > 0, x^mu a normal double, x max|numerator| / a < 1).  A
-``-3phi2`` form is its parent with d (u for the generating pair) pinned
-to 0 by a :func:`_pinned` rule.  That is exact: ``ksum``, the weights and
-the generating integrand drop zero parameters, and a zero parameter of a
-closed product is the factor (0;q)_inf = 1.  ``IDENTITY_REGISTRY`` maps
-each name to its params class and check; :func:`run_check` and the suite
-runner :func:`run_suite` reach every check through it, and a check
-computes on the q of its params.
+``-3phi2`` form is its parent at d = 0 (u = 0 for the generating pair).
+The three quadrature ``-3phi2`` rows still take d, pinned to 0 by a
+:func:`_pinned` rule; the generating one takes no u (below).  That is
+exact: ``ksum``, the weights and the generating integrand drop zero
+parameters, and a zero parameter of a closed product is the factor
+(0;q)_inf = 1.  ``IDENTITY_REGISTRY`` maps each name to its params class
+and check; :func:`run_check` and the suite runner :func:`run_suite` reach
+every check through it, and a check computes on the q of its params.
 
 A row's params class holds only what its check reads, but for the lemma.
 The plain Askey-Wilson and reversal rows take :class:`PlainAWParams` (q,
 a, b, c, d) and the plain Gaussian row :class:`PlainAtakishiyevParams`
 (alpha_g, a, b, c, d); their fractional and ``-3phi2`` rows take the
 subclasses :class:`AWParams` (``ReversalParams`` is another name for it)
-and :class:`AtakishiyevParams`, which add x and mu.  The three generating
-rows take :class:`GeneratingParams`, whose x and mu the lemma does not
-read.
+and :class:`AtakishiyevParams`, which add x and mu.  The lemma and
+``fractional-generating`` take :class:`GeneratingParams`, whose x and mu
+the lemma does not read, and ``fractional-generating-3phi2``
+:class:`Generating3phi2Params`, which has no fields r and u: there r
+enters only through r u, so both are class constants 0, which the
+generating sides and rules read as they read the fields.
 
 Stable evaluation of the outer k-sums
 -------------------------------------
@@ -156,7 +160,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -190,6 +194,24 @@ class GeneratingParams:
     t: complex = 0.0
     u: complex = 0.0
     z: complex = 0.0
+
+
+@dataclass(frozen=True)
+class Generating3phi2Params:
+    """Parameters of the 3phi2 form of the fractional generating identity:
+    its u = 0 case, where r enters only through r u.  r and u are class
+    constants, so the generating sides and rules read them as fields."""
+
+    q: float
+    a: float
+    x: float
+    mu: float
+    b: complex = 0.0
+    s: complex = 0.0
+    t: complex = 0.0
+    z: complex = 0.0
+    r: ClassVar[float] = 0.0
+    u: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -248,7 +270,8 @@ def _q_range(p):
 
 
 def _below_one(label, m):
-    return [f"need {label} < 1, got {m:.3g}"] if m >= 1.0 else []
+    # a NaN bound (an inf * 0 inside a complex product) is a violation too
+    return [f"need {label} < 1, got {m:.3g}"] if not m < 1.0 else []
 
 
 _NORMAL = sys.float_info.min  # the smallest normal double
@@ -450,9 +473,10 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     ``diag`` gets the call's row count ``k_terms``, its largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
     its largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|), each
-    the larger of that and the value ``diag`` already holds; a quadrature
-    check gives each integrand call its own ``diag`` and keeps those of the
-    calls inside its window (:func:`_quadrature`).
+    digit count between 0 and the 15.65 digits of a double; they replace
+    what ``diag`` held.  A quadrature check gives each integrand call its
+    own ``diag`` and keeps those of the calls inside its window
+    (:func:`_quadrature`).
     """
     q = ctx.q
     e = min(round(math.log2(x / a)), 1023)
@@ -524,15 +548,14 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
         S = (g * w[:M, None]).sum(axis=0)
         G1 = (g * down[:M, None]).sum(axis=0)
         total = S / G1
-        # the digits the cancellation of G(1) and of S can cost, at most all
-        # the digits of a double, where |S| < eps sum |g_m w_m|
+        # the digits the cancellation of G(1) and of S can cost: at most all
+        # the digits of a double, where |S| < eps sum |g_m w_m|, and at least
+        # none, where rounding puts |S| a hair above sum |g_m w_m|
         digits = np.fmin(np.log10(sums) - np.log10(np.abs((G1, S))), _ALL_DIGITS)
-        g1_lost, lost = digits.max(axis=1)
+        g1_lost, lost = np.fmax(digits, 0.0).max(axis=1)
 
     if diag is not None:
-        diag["k_terms"] = max(diag.get("k_terms", 0), M)
-        diag["k_digits_lost"] = max(diag.get("k_digits_lost", 0.0), float(lost))
-        diag["g1_digits_lost"] = max(diag.get("g1_digits_lost", 0.0), float(g1_lost))
+        diag.update(k_terms=M, k_digits_lost=float(lost), g1_digits_lost=float(g1_lost))
     return complex(total[0]) if all(p.ndim == 0 for p in params) else total
 
 
@@ -699,10 +722,11 @@ def _reversal_weight(t, p, ctx):
     """The h_sinh factors at q a, ..., q d over (-q e^{2t}, -q e^{-2t};q)_inf,
     from one log-product call on all their arguments."""
     q = ctx.q
-    den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-    lg = _log_quotient(_sinh_args(t, p, q), den, t.size, ctx)
-    # a weight past the double range is not finite: a WindowFailure
+    # an argument past the double range is capped, a NonConvergence, and a
+    # weight past it is not finite, a WindowFailure, under any warnings filter
     with np.errstate(over="ignore", invalid="ignore"):
+        den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
+        lg = _log_quotient(_sinh_args(t, p, q), den, t.size, ctx)
         return np.exp(lg)
 
 
@@ -721,10 +745,9 @@ def _reversal_closed(p):
 def _gaussian_weight(t, p, ctx):
     """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
     ag = p.alpha_g
-    rows = _sinh_args(ag * t, p, 1.0)
-    lg = -t * t + _log_quotient(rows, [], t.size, ctx)
-    # a weight past the double range is not finite, as in _reversal_weight
+    # arguments and weights past the double range, as in _reversal_weight
     with np.errstate(over="ignore", invalid="ignore"):
+        lg = -t * t + _log_quotient(_sinh_args(ag * t, p, 1.0), [], t.size, ctx)
         return np.exp(lg) * np.cosh(ag * t)
 
 
@@ -823,8 +846,8 @@ _TABLE = {
     "lemma-three-term":
         _Row(GeneratingParams, _lemma_sides, 1e-8, (_q_range, _lemma_violations)),
     "fractional-generating": _Row(GeneratingParams, _generating_sides, 1e-8, _GENERATING_RULES),
-    "fractional-generating-3phi2": _Row(GeneratingParams, _generating_sides, 1e-8, (
-        *_GENERATING_RULES, _pinned("fractional-generating-3phi2", "u"))),
+    "fractional-generating-3phi2":
+        _Row(Generating3phi2Params, _generating_sides, 1e-8, _GENERATING_RULES),
     **_family_rows("askey-wilson", _AW, 1e-6),
     **_family_rows("reversal-askey-wilson", _REVERSAL, 1e-5),
     **_family_rows("atakishiyev", _GAUSSIAN, 1e-5),

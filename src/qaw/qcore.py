@@ -592,12 +592,14 @@ def h_sinh(x: float, t: complex, ctx: QContext) -> complex:
     """(i t e^x, -i t e^{-x};q)_inf = prod_k (1 - 2 i q^k t sinh x + q^{2k} t^2).
 
     Evaluated through the log-domain path; raises ``OverflowError`` if the
-    magnitude exceeds the double-precision range.
+    value exceeds the double-precision range, which ``cmath.exp`` decides:
+    a log-magnitude up to about 709.78 can still give a finite value.
     """
     lg = h_sinh_log(x, t, ctx)
-    if lg.real > 709.0:
+    try:
+        return cmath.exp(lg)
+    except OverflowError:
         raise OverflowError(
             f"h_sinh log-magnitude {lg.real:.1f} exceeds the double range; "
             f"use h_sinh_log"
-        )
-    return cmath.exp(lg)
+        ) from None

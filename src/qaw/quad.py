@@ -125,7 +125,9 @@ def _require_finite(total, x, fx, partial):
     raise NonConvergence(
         f"quadrature level with {x.size} new nodes is not finite: {where}",
         partial=partial,
-        last_term=abs(total),
+        # hypot: abs of a complex NaN may read a stale errno and raise
+        # OverflowError
+        last_term=math.hypot(total.real, total.imag),
     )
 
 
@@ -142,14 +144,18 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
     h = (hi - lo) / n
     levels = _levels(f, lo, hi)
     x, fx = next(levels)
-    absum = h * float(np.sum(np.abs(fx[1:-1])) + 0.5 * (abs(fx[0]) + abs(fx[-1])))
-    value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
+    # a sum past the double range, or of infinities of both signs, is not
+    # finite, which _require_finite reports under any warnings filter
+    with np.errstate(over="ignore", invalid="ignore"):
+        absum = h * float(np.sum(np.abs(fx[1:-1])) + 0.5 * (abs(fx[0]) + abs(fx[-1])))
+        value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
     _require_finite(value, x, fx, None)
     for _ in range(_MAX_REFINEMENTS):
         x, fx = next(levels)
         n, h = 2 * n, 0.5 * h
-        absum = 0.5 * absum + h * float(np.sum(np.abs(fx)))
-        new = complex(0.5 * value + h * np.sum(fx))
+        with np.errstate(over="ignore", invalid="ignore"):
+            absum = 0.5 * absum + h * float(np.sum(np.abs(fx)))
+            new = complex(0.5 * value + h * np.sum(fx))
         _require_finite(new, x, fx, value)
         move, floor = abs(new - value), 4.0 * _EPS * absum
         value = new

@@ -180,9 +180,8 @@ def test_criterion_04_fractional_generating(verdict):
 def test_criterion_05_reduction_coherence(verdict):
     t0 = time.perf_counter()
     pairs = []
-    g = dict(q=0.5, a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15,
-                         u=0.0, r=0.4, z=0.2)
-    pairs.append((run_check("fractional-generating", g),
+    g = dict(q=0.5, a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15, z=0.2)
+    pairs.append((run_check("fractional-generating", {**g, "u": 0.0, "r": 0.4}),
                   run_check("fractional-generating-3phi2", g)))
     aw = dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.0, x=0.6, mu=1.5)
     pairs.append((run_check("fractional-askey-wilson", aw), run_check("fractional-askey-wilson-3phi2", aw)))

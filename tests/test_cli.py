@@ -45,6 +45,8 @@ def usage_error(capsys, *argv):
 # each identity's parameter flags; the required ones, with valid values
 _GENERATING = ({"--q", "--a", "--x", "--mu", "--b", "--r", "--s", "--t", "--u", "--z"},
                ["--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu", "1.5"])
+# the u = 0 form, where r enters only through r u: neither is a flag
+_GENERATING_3PHI2 = (_GENERATING[0] - {"--r", "--u"}, _GENERATING[1])
 _PLAIN_AW = ({"--q", "--a", "--b", "--c", "--d"}, ["--q", "0.5", "--a", "0.2"])
 _AW = (_PLAIN_AW[0] | {"--x", "--mu"}, _PLAIN_AW[1])
 _PLAIN_GAUSSIAN = ({"--alpha-g", "--a", "--b", "--c", "--d"}, ["--alpha-g", "1"])
@@ -52,7 +54,7 @@ _GAUSSIAN = (_PLAIN_GAUSSIAN[0] | {"--x", "--mu"}, _PLAIN_GAUSSIAN[1])
 CHECK_FLAGS = {
     "lemma-three-term": _GENERATING,
     "fractional-generating": _GENERATING,
-    "fractional-generating-3phi2": _GENERATING,
+    "fractional-generating-3phi2": _GENERATING_3PHI2,
     "askey-wilson": _PLAIN_AW,
     "fractional-askey-wilson": _AW,
     "fractional-askey-wilson-3phi2": _AW,
@@ -313,6 +315,11 @@ class TestCheck:
         ("fractional-askey-wilson-3phi2",
          ["--q", "0.5", "--a", "0.2", "--b", "0.3", "--c", "0.1", "--d", "0.15",
           "--x", "0.6", "--mu", "1.5"], "needs d = 0"),
+        # |qabcd| is about 5e497, but its product is NaN (inf * 0 inside the
+        # complex multiply), which used to pass the rule and end diverged
+        ("reversal-askey-wilson",
+         ["--q", "0.1", "--a=-1e300", "--b", "1e200i", "--c", "0.3+0.4i", "--d", "0.1"],
+         "need |qabcd| < 1, got nan"),
     ])
     def test_invariant_violation_exits_65(self, capsys, identity, argv, message):
         code, out, err = run_cli(capsys, "check", identity, *argv)
@@ -584,6 +591,15 @@ class TestSuite:
         code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 64 and out == ""
         assert f"unknown parameter(s) x for {name}" in err
+
+    def test_generating_3phi2_spec_with_r_exits_64(self, capsys, tmp_path):
+        name = "fractional-generating-3phi2"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [{"identity": name, "params": {
+            "q": 0.5, "a": 0.2, "x": 0.6, "mu": 1.5, "r": 0.4}}]}))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 64 and out == ""
+        assert f"unknown parameter(s) r for {name}" in err
 
     @pytest.mark.parametrize("key, value, message", [
         # a string used to end in a TypeError traceback, true to pass as 1,
@@ -859,6 +875,22 @@ EDGE_ARGV = [
     # |t e^x| / LOG_RADIUS, and for the complex t |t e^x| itself, overflows
     (["eval", "hsinh", "--q", "0.5", "--x", "0.3", "--t", "1e308"], 2),
     (["eval", "hsinh", "--q", "0.5", "--x", "0.3", "--t=-1e308+1e308i"], 2),
+    # log-magnitude 709.4, above 709 but a finite value
+    (["eval", "hsinh", "--q", "0.5", "--x", "31.00075150058043", "--t", "1"], 0),
+]
+
+# checks at overflowing parameters, with their one stderr line: an h_sinh
+# argument past the double range at a single-rung window probe, and a first
+# trapezoid level whose sum is inf - inf.  Each once ended in a traceback
+# under an error filter, and the last in "OverflowError: absolute value too
+# large" under an ignore filter.
+_CAPPED = "NonConvergence: log (a;q)_inf with a=-infj did not converge in 10000 factors\n"
+OVERFLOW_CHECKS = [
+    (["atakishiyev", "--alpha-g", "10", "--a=-1e300", "--b=-0.5"], _CAPPED),
+    (["reversal-askey-wilson", "--q", "0.1", "--a", "0.1", "--b=-1e300"], _CAPPED),
+    (["reversal-askey-wilson", "--q", "0.9", "--a", "1.5", "--b", "1e10"],
+     "NonConvergence: quadrature level with 65 new nodes is not finite: "
+     "integrand not finite at node -28.83251953125\n"),
 ]
 
 
@@ -900,6 +932,21 @@ class TestEdgeArguments:
     def test_past_the_double_range_names_its_cause(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "eval", argv[0], "--q", "0.5", *argv[1:])
         assert (code, out, err) == (2, "", f"convergence error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", OVERFLOW_CHECKS)
+    def test_overflowing_check_names_its_cause(self, capsys, argv, message):
+        # under tier-1's filter a numpy warning here raises
+        assert run_cli(capsys, "check", *argv) == (2, "", message)
+
+    def test_overflowing_check_ignoring_warnings(self):
+        # under an ignore filter abs() of the level's complex NaN sum read a
+        # stale ERANGE and raised OverflowError: absolute value too large
+        argv, message = OVERFLOW_CHECKS[-1]
+        src = os.path.dirname(os.path.dirname(qaw.__file__))
+        proc = subprocess.run([sys.executable, "-W", "ignore", "-m", "qaw.cli", "check", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 class TestInProcessReuse:

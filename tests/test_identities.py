@@ -265,6 +265,16 @@ class TestBatchedKSum:
         ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
         assert diag["k_digits_lost"] == pytest.approx(math.log10(314), abs=0.01)
 
+    def test_diag_holds_the_call_alone(self):
+        # the values replace what diag held; a digit count is at least 0
+        p = AW_EDGE_POINT
+        numer, denom = _aw_ksum_params(np.array([2.75]), **p)
+        fresh, held = {}, {"k_terms": 4096, "k_digits_lost": 15.0, "g1_digits_lost": 15.0}
+        for diag in (fresh, held):
+            ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
+        assert held == fresh and held["k_terms"] < 4096
+        assert min(held["k_digits_lost"], held["g1_digits_lost"]) >= 0.0
+
     def test_distinct_q_retain_no_memory(self):
         # a table kept per q would hold ~1.6 MB for each of the 200 bases
         ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
@@ -1255,13 +1265,11 @@ _LEMMA_XMU = ("the lemma reads no x or mu; the benchmark's fixed-point line "
 INERT_FIELDS = {
     ("lemma-three-term", "x"): _LEMMA_XMU,
     ("lemma-three-term", "mu"): _LEMMA_XMU,
-    ("fractional-generating-3phi2", "r"):
-        "r enters only as r*u, with u pinned to 0; test_criterion_05 passes it r = 0.4",
 }
 
-# each -3phi2 form with a nonzero value of the parameter its parent drops
+# each -3phi2 form with a pinned d, at a nonzero d (the generating 3phi2
+# row takes no u, so a u is a TypeError: test_generating_3phi2_takes_no_r_or_u)
 NONZERO_DROPPED = {
-    "fractional-generating-3phi2": {**_G, "u": 0.1},
     "fractional-askey-wilson-3phi2":
         {"q": 0.5, "a": 0.2, "b": 0.3, "c": 0.1, "d": 0.15, "x": 0.6, "mu": 1.5},
     "fractional-reversal-askey-wilson-3phi2":
@@ -1305,6 +1313,28 @@ class TestCheckTable:
         assert list(run_check(name, FIXED_POINTS[name]).params) == fields
         with pytest.raises(TypeError, match="'x'"):
             run_check(name, {**FIXED_POINTS[name], "x": 0.6})
+
+    @pytest.mark.parametrize("field", ["r", "u"])
+    def test_generating_3phi2_takes_no_r_or_u(self, field):
+        name = "fractional-generating-3phi2"
+        report = run_check(name, FIXED_POINTS[name])
+        assert list(report.params) == ["q", "a", "x", "mu", "b", "s", "t", "z"]
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            run_check(name, {**FIXED_POINTS[name], field: 0.0})
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, -7.0])
+    def test_generating_3phi2_is_the_generating_row_at_u_zero(self, r):
+        # r enters the generating row only through r u, so at u = 0 the two
+        # rows compute the same bits
+        rng = random.Random(33)
+        for _ in range(10):
+            p = {"q": rng.uniform(0.3, 0.7), "a": rng.uniform(0.15, 0.25),
+                 "x": rng.uniform(0.5, 0.7), "mu": rng.uniform(0.5, 2.5),
+                 **{k: rng.uniform(-0.3, 0.3) for k in "bstz"}}
+            reduced = run_check("fractional-generating-3phi2", p)
+            full = run_check("fractional-generating", {**p, "r": r, "u": 0.0})
+            assert (reduced.lhs, reduced.rhs) == (full.lhs, full.rhs)
+            assert (reduced.lhs_diag, reduced.rhs_diag) == (full.lhs_diag, full.rhs_diag)
 
     @pytest.mark.parametrize("name, field", [
         (name, f.name) for name in sorted(FIXED_POINTS)
@@ -1436,10 +1466,8 @@ RULE_BREAKS = {
     "lemma-three-term": [_Q, ({"s": 6.0}, "need max(|as|,|az|,|au|) < 1, got 1.2")],
     "fractional-generating": [_Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO),
                               _GENERATING, _REMOVABLE],
-    "fractional-generating-3phi2": [
-        _Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO), _GENERATING, _REMOVABLE,
-        ({"u": 0.1}, "fractional-generating-3phi2 needs u = 0, got u=0.1"),
-    ],
+    "fractional-generating-3phi2":
+        [_Q, *_FRACTIONAL, _GENERATING_SCALE, ({"s": 1.833}, _RATIO), _GENERATING, _REMOVABLE],
     "askey-wilson": [_Q, _AW],
     "fractional-askey-wilson": [_Q, _AW, *_FRACTIONAL],
     "fractional-askey-wilson-3phi2": [
@@ -1477,8 +1505,7 @@ _REV_MSG = "need |qabcd| < 1, got 37.5"
 SEVERAL_BREAKS = {
     "lemma-three-term": [_Q_MSG, "need max(|as|,|az|,|au|) < 1, got 1.2"],
     "fractional-generating": [_Q_MSG, _MU_MSG, _GENERATING[1]],
-    "fractional-generating-3phi2":
-        [_Q_MSG, _MU_MSG, _GENERATING[1], "fractional-generating-3phi2 needs u = 0, got u=0.1"],
+    "fractional-generating-3phi2": [_Q_MSG, _MU_MSG, _GENERATING[1]],
     "askey-wilson": [_Q_MSG, _AW_MSG],
     "fractional-askey-wilson": [_Q_MSG, _AW_MSG, _MU_MSG],
     "fractional-askey-wilson-3phi2":
@@ -1521,6 +1548,15 @@ class TestDomainRules:
     @pytest.mark.parametrize("name", sorted(SEVERAL_BREAKS))
     def test_several_broken_rules_in_row_order(self, name):
         assert _domain_message(name, _SEVERAL) == "; ".join(SEVERAL_BREAKS[name])
+
+    def test_nan_bound_is_a_violation(self):
+        # |qabcd| is about 5e497, but the complex product is NaN (inf * 0),
+        # which used to pass the rule and end diverged
+        params = {"q": 0.1, "a": -1e300, "b": 1e200j, "c": 0.3 + 0.4j, "d": 0.1}
+        with pytest.raises(DomainError, match=r"^need \|qabcd\| < 1, got nan$"):
+            run_check("reversal-askey-wilson", params)
+        (oc,) = run_suite([{"identity": "reversal-askey-wilson", "params": params}])
+        assert oc.status == "skipped"
 
     def test_reversal_params_are_the_askey_wilson_params(self):
         assert ReversalParams is AWParams

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -343,6 +344,17 @@ class TestWeights:
                 h_sinh_log(0.3, t, ctx)
         else:
             assert h_sinh_log(0.3, t, ctx).real == pytest.approx(726327.5, abs=0.05)
+
+    def test_h_sinh_finite_above_log_magnitude_709(self, ctx):
+        # log-magnitude 709.4: past the 709 that h_sinh once refused, yet a
+        # double, -4.2369e307 - 1.1505e308i
+        x = 31.00075150058043
+        with mp.workdps(mp_oracle.DPS):
+            ex = mp.exp(x)
+            want = complex(mp_oracle.qp(1j * ex, 0.5) * mp_oracle.qp(-1j / ex, 0.5))
+        got = h_sinh(x, 1.0, ctx)
+        assert h_sinh_log(x, 1.0, ctx).real > 709.0
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def _rel(got, want):
