@@ -162,8 +162,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
-import numpy as np
-
+from . import _np as np
 from .context import DomainError, KSumDivergence, QawError, QContext
 from .qcore import (
     EPS_TERM,
@@ -171,6 +170,7 @@ from .qcore import (
     q_pochhammer,
     q_pochhammer_infinite,
     q_pochhammer_infinite_log,
+    _NUMBER,
 )
 from .qops import fractional_q_integral
 from .quad import integrate_line_even_window, integrate_theta
@@ -277,6 +277,12 @@ def _below_one(label, m):
 _NORMAL = sys.float_info.min  # the smallest normal double
 
 
+def _modulus(v):
+    """|v| for a number v; inf where abs() of a complex would raise, past
+    the double range with finite parts."""
+    return math.hypot(v.real, v.imag)
+
+
 def _fractional(numerator, generating=False):
     """The domain rule of a fractional row whose k-sum takes the numerator
     parameters ``numerator(p)`` (at one node: their moduli are the same at
@@ -306,14 +312,14 @@ def _fractional(numerator, generating=False):
         if generating and 0.0 < p.q < 1.0 and ((1.0 - p.q) * p.x) ** p.mu < _NORMAL:
             return [f"(1-q)^mu x^mu is below the smallest normal double at "
                     f"q={p.q}, x={p.x}, mu={p.mu}"]
-        ratio = p.x * max((abs(v) for v in numerator(p)), default=0.0) / p.a
+        ratio = p.x * max((_modulus(v) for v in numerator(p)), default=0.0) / p.a
         return [f"k-sum diverges: {v}" for v in _below_one("x*max|numerator|/a", ratio)]
 
     return rule
 
 
 def _lemma_violations(p):
-    m = max(abs(p.a * p.s), abs(p.a * p.z), abs(p.a * p.u))
+    m = max(_modulus(p.a * p.s), _modulus(p.a * p.z), _modulus(p.a * p.u))
     return _below_one("max(|as|,|az|,|au|)", m)
 
 
@@ -322,7 +328,7 @@ def _generating_violations(p):
     (:func:`detect_terminating`): there the k-sum side's factor (abz;q)_inf
     is 0 and its k-sum has a pole, a removable singularity it cannot
     evaluate."""
-    m = max(abs(p.a * p.t), abs(p.a * p.z), abs(p.a * p.r * p.u))
+    m = max(_modulus(p.a * p.t), _modulus(p.a * p.z), _modulus(p.a * p.r * p.u))
     abz = p.a * p.b * p.z
     k = detect_terminating(abz, QContext(p.q)) if 0.0 < p.q < 1.0 else None
     return _below_one("max(|at|,|az|,|aru|)", m) + (
@@ -330,12 +336,12 @@ def _generating_violations(p):
 
 
 def _aw_violations(p):
-    m = max(abs(p.a), abs(p.b), abs(p.c), abs(p.d))
+    m = max(_modulus(p.a), _modulus(p.b), _modulus(p.c), _modulus(p.d))
     return _q_range(p) + _below_one("max(|a|,|b|,|c|,|d|)", m)
 
 
 def _reversal_violations(p):
-    return _q_range(p) + _below_one("|qabcd|", abs(p.q * p.a * p.b * p.c * p.d))
+    return _q_range(p) + _below_one("|qabcd|", _modulus(p.q * p.a * p.b * p.c * p.d))
 
 
 def _gaussian_violations(p):
@@ -344,7 +350,7 @@ def _gaussian_violations(p):
     q3 = p.q**3
     if q3 == 0.0:
         return [f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={p.alpha_g}"]
-    return _below_one("|abcd/q^3|", abs(p.a * p.b * p.c * p.d / q3))
+    return _below_one("|abcd/q^3|", _modulus(p.a * p.b * p.c * p.d / q3))
 
 
 def _pinned(name, field):
@@ -378,7 +384,7 @@ class IdentityReport:
 # --------------------------------------------------------------------------
 
 _MAX_ROWS = 4096  # the most Taylor coefficients a k-sum takes
-_ALL_DIGITS = -math.log10(np.finfo(float).eps)
+_ALL_DIGITS = -math.log10(sys.float_info.epsilon)
 
 
 def _node_shape(params):
@@ -951,8 +957,10 @@ class CheckOutcome:
 
 
 def _plain(value):
-    # numpy partials (array paths) as lists of Python numbers
-    if isinstance(value, (np.ndarray, np.generic)):
+    # numpy partials (array paths) as lists of Python numbers.  An exact
+    # Python number answers without loading numpy; numpy's float64, a float
+    # subclass, still goes through tolist
+    if type(value) not in _NUMBER and isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     return value
 

@@ -79,8 +79,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import _np as np
 from .context import (
     DivisionByZero,
     DomainError,
@@ -90,6 +89,11 @@ from .context import (
 )
 
 INFINITE = math.inf
+
+# Python numbers, numpy's float64 and complex128 among them: the scalar
+# paths test for these before asking numpy whether a value is an array, so
+# that scalar calls never load it (qaw/__init__.py)
+_NUMBER = (float, complex, int)
 
 _TERMINATING_DETECT_TOL = 1e-12
 
@@ -126,7 +130,7 @@ def _factor_counts(mag, q: float, bound=None):
     head of its log under LOG_RADIUS.  A NaN or infinite |a| counts
     MAX_FACTORS."""
     log_bound = math.log(_tau(q) if bound is None else bound)
-    if isinstance(mag, np.ndarray):
+    if not isinstance(mag, _NUMBER) and isinstance(mag, np.ndarray):
         # a zero |a| counts as the least positive double, and no factor
         n = np.floor((np.log(np.maximum(mag, math.ulp(0.0))) - log_bound) / -math.log(q)) + 1.0
         return np.fmin(np.maximum(n, 0.0), MAX_FACTORS)
@@ -272,7 +276,7 @@ def q_pochhammer_infinite(a, ctx: QContext):
     product raises its cap error, an array that of its largest |a|
     (module docstring).
     """
-    if isinstance(a, np.ndarray):
+    if not isinstance(a, _NUMBER) and isinstance(a, np.ndarray):
         return _array_product(a, ctx)
     # hypot: abs of a complex raises past the double range
     n = _factor_counts(math.hypot(a.real, a.imag), ctx.q)
@@ -302,7 +306,7 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     of its largest |a|.
     """
     q = ctx.q
-    if isinstance(a, np.ndarray):
+    if not isinstance(a, _NUMBER) and isinstance(a, np.ndarray):
         return _log_array(a, ctx)
     mag = math.hypot(a.real, a.imag)
     capped = _factor_counts(mag, q) >= MAX_FACTORS
@@ -330,7 +334,7 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
 def q_pochhammer(a: complex, order, ctx: QContext) -> complex:
     """q-shifted factorial (a;q)_order; see module docstring for orders.
     An array ``a`` takes the infinite order only."""
-    if isinstance(a, np.ndarray) and order != INFINITE:
+    if not isinstance(a, _NUMBER) and isinstance(a, np.ndarray) and order != INFINITE:
         raise DomainError(f"(a;q)_order of an array a needs the infinite order, got {order!r}")
     q = ctx.q
     if isinstance(order, int) and not isinstance(order, bool):
@@ -542,7 +546,7 @@ def h_cos(theta, params, ctx: QContext):
     gives a ``complex``; an array of angles gives an array of the same
     shape, with one array-path product per parameter and sign.
     """
-    if isinstance(theta, np.ndarray):
+    if not isinstance(theta, _NUMBER) and isinstance(theta, np.ndarray):
         e = np.exp(1j * theta)
         p = np.ones(theta.shape, dtype=complex)
     else:
@@ -565,7 +569,7 @@ def h_sinh_log(x, t: complex, ctx: QContext):
     (an entry of x) whose e^x is 0 or not finite raises ``OverflowError``,
     unless t = 0.
     """
-    array = isinstance(x, np.ndarray)
+    array = not isinstance(x, _NUMBER) and isinstance(x, np.ndarray)
     if t == 0:
         return np.zeros(x.shape, dtype=complex) if array else complex(0.0)
     if array:

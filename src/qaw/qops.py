@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
+from . import _np as np
 from .context import DomainError, NonConvergence, QContext
 from .qcore import CONSECUTIVE_SMALL, EPS_TERM, MAX_TERMS, q_pochhammer_infinite
 from .quad import _evaluate
@@ -177,8 +176,6 @@ def _divide(num, den):
     return num / den
 
 
-# a pole of f makes every later partial sum non-finite, which raises
-@np.errstate(all="ignore")
 def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QContext) -> complex:
     """Cauchy operator T(a, b D_c) applied to f, evaluated at c.
 
@@ -205,35 +202,37 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"Cauchy operator needs an integer n_max >= 0, got {n_max!r}")
     q = ctx.q
-    # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j
-    points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
-    level = _evaluate(f, points)
-    total = complex(level[0])
-    if not cmath.isfinite(total):
-        raise _not_finite("Cauchy operator", 0, 0j, total)
-    if b == 0:
-        return total
-    poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
-    bn = complex(1.0)
-    last_mag = abs(total)
-    small = 0
-    for n in range(1, n_max + 1):
-        level = _divide(level[:-1] - level[1:], points[: n_max + 1 - n])
-        poch_ratio *= (1.0 - a * q ** (n - 1)) / (1.0 - q**n)
-        bn *= b
-        term = poch_ratio * bn * complex(level[0])
-        mag = abs(term)
-        scale = max(abs(total), 1e-300)
-        if mag > last_mag and last_mag <= 1e-8 * scale:
-            return total  # the noise floor
-        before, total = total, total + term
+    # a pole of f makes every later partial sum non-finite, which raises
+    with np.errstate(all="ignore"):
+        # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j
+        points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
+        level = _evaluate(f, points)
+        total = complex(level[0])
         if not cmath.isfinite(total):
-            raise _not_finite("Cauchy operator", n, before, term)
-        small = small + 1 if mag < EPS_TERM * scale else 0
-        if small >= CONSECUTIVE_SMALL:
+            raise _not_finite("Cauchy operator", 0, 0j, total)
+        if b == 0:
             return total
-        last_mag = mag
-    raise NonConvergence(f"Cauchy operator did not converge in {n_max} terms", total, last_mag)
+        poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
+        bn = complex(1.0)
+        last_mag = abs(total)
+        small = 0
+        for n in range(1, n_max + 1):
+            level = _divide(level[:-1] - level[1:], points[: n_max + 1 - n])
+            poch_ratio *= (1.0 - a * q ** (n - 1)) / (1.0 - q**n)
+            bn *= b
+            term = poch_ratio * bn * complex(level[0])
+            mag = abs(term)
+            scale = max(abs(total), 1e-300)
+            if mag > last_mag and last_mag <= 1e-8 * scale:
+                return total  # the noise floor
+            before, total = total, total + term
+            if not cmath.isfinite(total):
+                raise _not_finite("Cauchy operator", n, before, term)
+            small = small + 1 if mag < EPS_TERM * scale else 0
+            if small >= CONSECUTIVE_SMALL:
+                return total
+            last_mag = mag
+        raise NonConvergence(f"Cauchy operator did not converge in {n_max} terms", total, last_mag)
 
 
 def cauchy_T_reciprocal_closed(a: complex, b: complex, c: complex, t: complex, ctx: QContext) -> complex:

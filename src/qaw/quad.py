@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from itertools import count, takewhile
 
-import numpy as np
-
+from . import _np as np
 from .context import NonConvergence, WindowFailure
 
 # Every check runs under this one policy.  A level is accepted when it
@@ -68,7 +68,7 @@ _WINDOW_GROWTH = 1.5
 _WINDOW_TAIL_TOL = 1e-16
 _MAX_WINDOW = 50.0
 _WINDOW_BATCH = 8
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _LADDER = tuple(takewhile(lambda T: T < _MAX_WINDOW, (_WINDOW_GROWTH**k for k in count())))
 
 

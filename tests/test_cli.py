@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -877,6 +878,9 @@ EDGE_ARGV = [
     (["eval", "hsinh", "--q", "0.5", "--x", "0.3", "--t=-1e308+1e308i"], 2),
     # log-magnitude 709.4, above 709 but a finite value
     (["eval", "hsinh", "--q", "0.5", "--x", "31.00075150058043", "--t", "1"], 0),
+    # |b| overflows with both parts finite: the domain rule reads it as inf
+    (["check", "askey-wilson", "--q", "0.5", "--a", "0.1", "--b", "1.5e308+1.5e308i",
+      "--c", "0.1", "--d", "0.1"], 65),
 ]
 
 # checks at overflowing parameters, with their one stderr line: an h_sinh
@@ -990,6 +994,99 @@ class TestClosedStdout:
         assert proc.returncode == 66
         assert "Traceback" not in proc.stderr.decode()
         assert "Exception ignored" not in proc.stderr.decode()
+
+
+def _run_fresh(script, *args):
+    """``python -c script args`` in a fresh interpreter that imports qaw from
+    this tree and has not imported numpy."""
+    src = os.path.dirname(os.path.dirname(qaw.__file__))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+
+def _masked(text):
+    return re.sub(r'"wall_time": [^,}]+', '"wall_time": 0', text)
+
+
+# runs one command line, then writes the class of sys.modules["numpy"] and
+# any numpy core module loaded (numpy.core in 1.x, numpy._core in 2.x) as
+# the last stderr line
+_NUMPY_STATE = """
+import sys
+from qaw import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+core = [m for m in sys.modules if m.startswith(("numpy.core", "numpy._core"))]
+print(type(sys.modules["numpy"]).__name__, *core, file=sys.stderr)
+sys.exit(code)
+"""
+
+# command lines that compute nothing with numpy, with their exit codes
+NUMPY_FREE_LINES = [
+    (["--version"], 0),
+    (["-h"], 0),
+    (["check", "lemma-three-term", *_GEN, "--r", "0.4", "--u", "0.1"], 0),
+    (["eval", "poch", "--q", "0.5", "--a", "0.3", "--inf"], 0),
+    (["eval", "gamma", "--q", "0.5", "--x", "2.5"], 0),
+    (["eval", "phi", "--q", "0.5", "--numer", "0.2,0.3", "--denom", "0.1", "--z", "0.4"], 0),
+    (["eval", "hcos", "--q", "0.5", "--theta", "1.0", "--params", "0.1,0.2"], 0),
+    (["check", "askey-wilson", "--q", "0.5", "--a", "1.5"], 65),
+]
+
+# repeats each check at its fixed point, after one unmeasured call, and
+# prints the minor page faults per call of each as a JSON list
+_FAULTS_PER_CALL = """
+import sys
+from qaw import cli  # before numpy, which loads at the first check
+import contextlib, io, json, resource
+
+CALLS = 50
+per_call = []
+for line in sys.argv[1:]:
+    argv = line.split()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(CALLS):
+            cli.main(argv)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    per_call.append((after - before) / CALLS)
+print(json.dumps(per_call))
+"""
+
+
+class TestLazyNumpy:
+    @pytest.mark.parametrize("argv, want", NUMPY_FREE_LINES,
+                             ids=[" ".join(a) for a, _ in NUMPY_FREE_LINES])
+    def test_line_leaves_numpy_unloaded(self, capsys, monkeypatch, argv, want):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps -h to the terminal
+        proc = _run_fresh(_NUMPY_STATE, *argv)
+        assert proc.stderr.splitlines()[-1] == "_LazyModule", proc.stderr
+        # the same exit code and stdout as in this process, which has numpy
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (proc.returncode, _masked(proc.stdout)) == (want, _masked(out))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    def test_quadrature_checks_reuse_their_pages(self):
+        # numpy loads after qaw's modules here, so without the allocator
+        # priming in qaw/__init__.py the kernels' blocks sit at the heap
+        # top, go back to the system at each free and fault in again: about
+        # 150 faults per call, against under 1 with it
+        proc = _run_fresh(
+            _FAULTS_PER_CALL,
+            "check reversal-askey-wilson --q 0.5 --a 0.2 --b 0.1 --c 0.1 --d 0.05",
+            "check fractional-askey-wilson --q 0.5 --a 0.2 --b 0.3 --c 0.1 --d 0.15 "
+            "--x 0.6 --mu 1.5",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert all(faults < 10 for faults in json.loads(proc.stdout)), proc.stdout
 
 
 def _readme_cli_lines():

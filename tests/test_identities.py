@@ -1525,6 +1525,10 @@ SEVERAL_BREAKS = {
 }
 
 
+# a complex whose modulus, about 2.1e308, is past the double range
+_HUGE = 1.5e308 + 1.5e308j
+
+
 def _domain_message(name, overrides):
     cls, check = identities.IDENTITY_REGISTRY[name]
     fields = {f.name for f in dataclasses.fields(cls)}
@@ -1557,6 +1561,22 @@ class TestDomainRules:
             run_check("reversal-askey-wilson", params)
         (oc,) = run_suite([{"identity": "reversal-askey-wilson", "params": params}])
         assert oc.status == "skipped"
+
+    @pytest.mark.parametrize("name, overrides, message", [
+        ("lemma-three-term", {"a": 1.0, "s": _HUGE}, "need max(|as|,|az|,|au|) < 1, got inf"),
+        ("fractional-generating", {"a": 1.0, "t": _HUGE},
+         "need 0 < a < x < 1, got a=1.0, x=0.6; need max(|at|,|az|,|aru|) < 1, got inf"),
+        ("askey-wilson", {"b": _HUGE}, "need max(|a|,|b|,|c|,|d|) < 1, got inf"),
+        ("reversal-askey-wilson", {"a": 1e154 + 1e154j, "b": 3e154, "c": 1.0, "d": 1.0},
+         "need |qabcd| < 1, got inf"),
+        ("atakishiyev", {"a": 4e305 + 4e305j, "b": 1.0, "c": 1.0, "d": 1.0},
+         "need |abcd/q^3| < 1, got inf"),
+        ("fractional-atakishiyev", {"b": _HUGE, "c": 0.0, "d": 0.0},
+         "k-sum diverges: need x*max|numerator|/a < 1, got inf"),
+    ])
+    def test_modulus_past_the_double_range_is_inf(self, name, overrides, message):
+        # both parts are finite, so abs() of the complex would raise
+        assert _domain_message(name, overrides) == message
 
     def test_reversal_params_are_the_askey_wilson_params(self):
         assert ReversalParams is AWParams
