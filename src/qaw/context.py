@@ -37,10 +37,12 @@ subclass that declares neither inherits.
 
 Among the messages: a product capped at 10 000 factors raises a
 non-convergence ``<product> with a=<a> did not converge in 10000
-factors``; a Cauchy operator sum that has neither settled nor reached
-its noise floor within its n_max terms raises ``Cauchy operator did not
-converge in <n_max> terms``; a q-integral or Cauchy operator sum that is
-not finite from a term n raises one naming n; a closed side past the
+factors``; every series summed term by term (``phi series``, a
+q-integral, the ``Cauchy operator``; ``qcore._series_sum``) that has not
+settled at its term cap raises ``<series> did not converge in <cap>
+terms``, the cap 10 000 or a Cauchy operator's n_max, and one whose
+partial sum is not finite from a term n raises ``<series>: term <n> or
+the partial sum through it is not finite``; a closed side past the
 double range, or over a product that underflows to 0, raises an
 ``OverflowError`` ``closed side past the double range: products
 <|numerator|> over <|denominator|>``; and a generating row at a*b*z =

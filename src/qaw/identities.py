@@ -147,9 +147,10 @@ coef is (1 - q)^mu times :func:`frac_prefactor`, and the one a family's
 the scalar loop of :mod:`qaw.qcore`, so the two sides of an identity
 share no vectorised code, and forms each distinct argument's (v;q)_inf
 once, keyed by the argument and the signs of its zero parts, in a table
-that lives for that one call.  A ratio whose value is not finite (past
-the double range, or over a product that underflows to 0) raises
-``OverflowError``, which a suite reports as diverged.
+that lives for that one call.  A ratio whose modulus is not finite (past
+the double range, its parts too or not, or over a product that underflows
+to 0) raises ``OverflowError``, which a suite reports as diverged; so the
+comparison in :func:`_check` takes abs() of finite moduli only.
 """
 
 from __future__ import annotations
@@ -166,6 +167,7 @@ from . import _np as np
 from .context import DomainError, KSumDivergence, QawError, QContext
 from .qcore import (
     EPS_TERM,
+    _modulus,
     detect_terminating,
     q_pochhammer,
     q_pochhammer_infinite,
@@ -275,12 +277,6 @@ def _below_one(label, m):
 
 
 _NORMAL = sys.float_info.min  # the smallest normal double
-
-
-def _modulus(v):
-    """|v| for a number v; inf where abs() of a complex would raise, past
-    the double range with finite parts."""
-    return math.hypot(v.real, v.imag)
 
 
 def _fractional(numerator, generating=False):
@@ -576,7 +572,7 @@ def _closed(ratios, ctx):
     Each product is multiplied out from 1 in order, as
     ``q_pochhammer_multi`` does, and each distinct argument's (v;q)_inf is
     formed once per call, by the scalar loop (module docstring).  A ratio
-    whose value is not finite raises ``OverflowError``.
+    whose modulus is not finite raises ``OverflowError``.
     """
     prods = {}
 
@@ -592,8 +588,8 @@ def _closed(ratios, ctx):
         top, bot = (math.prod(map(poch, args), start=complex(1.0)) for args in (numer, denom))
         # a denominator that underflows to 0 makes the quotient infinite
         value = coef * (top / bot) if bot else math.inf
-        if not cmath.isfinite(value):
-            top, bot = (math.hypot(v.real, v.imag) for v in (top, bot))
+        if not _modulus(value) < math.inf:
+            top, bot = map(_modulus, (top, bot))
             raise OverflowError(
                 f"closed side past the double range: products {top:.3g} over {bot:.3g}")
         values.append(value)

@@ -32,7 +32,8 @@ Order convention for q-Pochhammer symbols
 -----------------------------------------
 ``q_pochhammer(a, order, ctx)`` accepts three kinds of order:
 
-* a nonnegative ``int`` -- the finite product prod_{k<n} (1 - a q^k).
+* a nonnegative integer (an integral number other than a bool, numpy's
+  too) -- the finite product prod_{k<n} (1 - a q^k).
   Above MAX_FACTORS factors its loop stops at the first factor that leaves
   the product unchanged, since every later factor is nearer 1, or where
   the product is not finite: at q = 0.5, a = 0.5 and n = 10^12 after 54
@@ -63,20 +64,34 @@ rest up to there) and its ``last_term`` |a| q^MAX_FACTORS.  An array
 whose largest |a| (a NaN one first) is capped hands that entry to the
 scalar path before it forms any factor, so it raises that entry's error.
 
-A non-terminating series stops after CONSECUTIVE_SMALL successive terms
-below EPS_TERM of its partial sum and raises :class:`NonConvergence` past
-MAX_TERMS terms; any series raises it once its partial sum is not finite,
-naming that term, with the last finite partial sum; one whose terms fall
-like q^n needs more than MAX_TERMS of them at q above about 0.9966.  All
-five are constants (EPS_TERM 1e-15, EPS_FACTOR 1e-17, MAX_FACTORS and
-MAX_TERMS 10 000, CONSECUTIVE_SMALL 3), as are the log's LOG_RADIUS 1/8
-and LOG_TERMS 20; :class:`QContext` carries the base q alone.
+Every series summed term by term -- ``phi_series``, the q-integrals and
+the Cauchy operator of :mod:`qaw.qops` -- is summed by :func:`_series_sum`,
+the one copy of this rule.  A non-terminating series stops after
+CONSECUTIVE_SMALL successive terms below EPS_TERM of its partial sum and
+raises :class:`NonConvergence` ``<series> did not converge in <cap>
+terms`` at its term cap, with the partial sum and the last |term|; any
+series raises ``<series>: term <n> or the partial sum through it is not
+finite`` once its partial sum is not finite, with the last finite partial
+sum.  One whose terms fall like q^n needs more than MAX_TERMS of them at q
+above about 0.9966.  All five are constants (EPS_TERM 1e-15, EPS_FACTOR
+1e-17, MAX_FACTORS and MAX_TERMS 10 000, CONSECUTIVE_SMALL 3), as are the
+log's LOG_RADIUS 1/8 and LOG_TERMS 20; :class:`QContext` carries the base
+q alone.
+
+A modulus is :func:`_modulus`, the hypot of the parts, wherever abs() of a
+complex could raise ``OverflowError``: past the double range with both
+parts finite, it is inf.  So "finite" means a finite modulus, for a
+partial sum as for a quadrature level and a closed side, and every abs()
+taken after that test is safe.  The series sum takes abs() per term and
+the modulus only where abs() raises: a hypot per term made ``phi_series``
+calls a third slower (2-core x86-64, CPython 3.11).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import _np as np
@@ -117,6 +132,51 @@ LOG_TERMS = 20
 _SUM_CHUNK = 16
 
 
+def _modulus(v) -> float:
+    """|v| for a number v as the hypot of its parts: inf past the double
+    range with finite parts, where abs() of a complex raises (as it may for
+    a complex NaN, reading a stale errno)."""
+    return math.hypot(v.real, v.imag)
+
+
+def _series_sum(terms, what, cap, scale=None, tol=EPS_TERM):
+    """The sum of the series whose terms the generator ``terms`` yields,
+    under the truncation policy (module docstring): the one loop that
+    keeps the running sum, the small-term count and the two errors, which
+    name the series ``what``.
+
+    The generator is sent the modulus of each partial sum (None first)
+    and yields the next term.  The sum ends at a None term, at the end of
+    a run of CONSECUTIVE_SMALL terms below ``tol`` of the partial sum (a
+    terminating series passes 0, which no term is below), or, when the
+    generator runs out, in the cap error ``<what> did not converge in
+    <cap> terms``.  The sum, and the partial sum an error carries, is
+    multiplied by ``scale`` where one is given.
+    """
+    scaled = (lambda s: s) if scale is None else (lambda s: scale * s)
+    total, small, size, mag, n = complex(0.0), 0, None, 0.0, 0
+    try:
+        while (term := terms.send(size)) is not None:
+            nxt = total + term
+            try:
+                size, mag = abs(nxt), abs(term)
+            except OverflowError:
+                size, mag = _modulus(nxt), _modulus(term)
+            if not size < math.inf:
+                raise NonConvergence(f"{what}: term {n} or the partial sum through it is not "
+                                     "finite", scaled(total), mag)
+            total = nxt
+            # as tol * max(size, 1e-300), without the call that costs a third of a term
+            small = small + 1 if mag < tol * (size if size > 1e-300 else 1e-300) else 0
+            if small >= CONSECUTIVE_SMALL:
+                break
+            n += 1
+    except StopIteration:
+        raise NonConvergence(f"{what} did not converge in {cap} terms", scaled(total),
+                             mag) from None
+    return scaled(total)
+
+
 def _tau(q: float) -> float:
     """The stop rule's bound tau on |a q^n| (module docstring)."""
     t = EPS_TERM * (1.0 - q)
@@ -142,9 +202,8 @@ def _factor_counts(mag, q: float, bound=None):
 def _cap_error(product, a, partial, q: float):
     """The :class:`NonConvergence` of ``product`` (its name) of the scalar
     a, capped at MAX_FACTORS factors, with ``last_term`` |a| q^MAX_FACTORS."""
-    mag = math.hypot(a.real, a.imag)
     return NonConvergence(f"{product} with a={a} did not converge in {MAX_FACTORS} factors",
-                          partial, mag * q**MAX_FACTORS)
+                          partial, _modulus(a) * q**MAX_FACTORS)
 
 
 def _raise_if_capped(scalar, a, mag, ctx: QContext):
@@ -278,8 +337,7 @@ def q_pochhammer_infinite(a, ctx: QContext):
     """
     if not isinstance(a, _NUMBER) and isinstance(a, np.ndarray):
         return _array_product(a, ctx)
-    # hypot: abs of a complex raises past the double range
-    n = _factor_counts(math.hypot(a.real, a.imag), ctx.q)
+    n = _factor_counts(_modulus(a), ctx.q)
     p = q_pochhammer(a, n, ctx)
     if n < MAX_FACTORS:
         return p
@@ -308,7 +366,7 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
     q = ctx.q
     if not isinstance(a, _NUMBER) and isinstance(a, np.ndarray):
         return _log_array(a, ctx)
-    mag = math.hypot(a.real, a.imag)
+    mag = _modulus(a)
     capped = _factor_counts(mag, q) >= MAX_FACTORS
     h = _factor_counts(mag, q, LOG_RADIUS)
     # the head logs are summed exactly (math.fsum): near q = 1 there are
@@ -337,7 +395,10 @@ def q_pochhammer(a: complex, order, ctx: QContext) -> complex:
     if not isinstance(a, _NUMBER) and isinstance(a, np.ndarray) and order != INFINITE:
         raise DomainError(f"(a;q)_order of an array a needs the infinite order, got {order!r}")
     q = ctx.q
-    if isinstance(order, int) and not isinstance(order, bool):
+    # the abstract class costs 0.5 us a test: a Python number skips it
+    integral = isinstance(order, int) if isinstance(order, _NUMBER) else isinstance(
+        order, numbers.Integral)
+    if integral and not isinstance(order, bool):
         if order < 0:
             raise DomainError(f"finite Pochhammer order must be >= 0, got {order}")
         p = complex(1.0)
@@ -415,7 +476,7 @@ def detect_terminating(param: complex, ctx: QContext):
     A parameter counts as q^-k when |param - q^-k| < 1e-12 * q^-k; one
     that is NaN or past the double range, or whose q^-k is, never does.
     """
-    mag = math.hypot(param.real, param.imag)
+    mag = _modulus(param)
     if not 1.0 - 1e-12 <= mag < math.inf:
         return None
     k = round(-math.log(mag) / math.log(ctx.q))
@@ -425,7 +486,7 @@ def detect_terminating(param: complex, ctx: QContext):
         ref = ctx.q ** (-k)
     except OverflowError:  # q^-k is past the double range, and param is not
         return None
-    if abs(param - ref) < _TERMINATING_DETECT_TOL * ref:
+    if _modulus(param - ref) < _TERMINATING_DETECT_TOL * ref:
         return k
     return None
 
@@ -439,7 +500,8 @@ class HypergeometricSpec:
     evaluation time.  A terminating numerator parameter q^-k may either be
     given numerically in ``numer`` (detected within 1e-12 relative) or, the
     preferred exact route, through ``terminating_k`` which adds an implicit
-    q^-k numerator parameter handled in exponent arithmetic.
+    q^-k numerator parameter handled in exponent arithmetic.  It is an
+    integral number other than a bool, numpy's too, and is kept as an int.
     """
 
     numer: tuple = field(default=())
@@ -450,8 +512,11 @@ class HypergeometricSpec:
     def __post_init__(self):
         object.__setattr__(self, "numer", tuple(self.numer))
         object.__setattr__(self, "denom", tuple(self.denom))
-        if self.terminating_k is not None and self.terminating_k < 0:
-            raise DomainError("terminating_k must be a nonnegative integer")
+        k = self.terminating_k
+        if k is not None:
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+                raise DomainError("terminating_k must be a nonnegative integer")
+            object.__setattr__(self, "terminating_k", int(k))
 
 
 def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
@@ -489,53 +554,41 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
     if k_term is None:
         if r > s + 1:
             raise DomainError(f"non-terminating {r}phi{s} diverges (r > s + 1)")
-        if r == s + 1 and abs(spec.z) >= 1.0:
+        if r == s + 1 and _modulus(spec.z) >= 1.0:
             raise DomainError(
-                f"{r}phi{s} requires |z| < 1 for convergence, got |z|={abs(spec.z)}"
+                f"{r}phi{s} requires |z| < 1 for convergence, got |z|={_modulus(spec.z)}"
             )
 
-    # a terminating series has k + 1 terms, the extra factor 1 - q^{n-k} and
-    # no stop rule; a non-terminating one stops after CONSECUTIVE_SMALL terms
-    # below EPS_TERM of the partial sum
-    total = complex(0.0)
-    term = complex(1.0)
-    small = 0
-    for n in range(MAX_TERMS if k_term is None else k_term + 1):
-        nxt = total + term
-        if not cmath.isfinite(nxt):
-            raise NonConvergence(f"phi series is not finite from term n={n}",
-                                 partial=total, last_term=abs(term))
-        total = nxt
-        if k_term is None:
-            small = small + 1 if abs(term) < EPS_TERM * max(abs(total), 1e-300) else 0
-            if small >= CONSECUTIVE_SMALL:
-                return total
-        try:
-            qn = q**n
-            ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
-            ratio /= 1.0 - q ** (n + 1)
-            for p in numer:
-                ratio *= 1.0 - p * qn
-            for p in denom:
-                d = 1.0 - p * qn
-                if d == 0:
-                    raise DivisionByZero(
-                        f"denominator parameter {p} equals q^-{n}; series undefined"
-                    )
-                ratio /= d
-            if excess:
-                ratio *= (-qn) ** excess
-        except OverflowError:
-            # q^(n - k) or (q^n)^excess is past the double range: so is term n + 1
-            ratio = math.inf
-        term *= ratio
-    if k_term is not None:
-        return total
-    raise NonConvergence(
-        f"phi series did not converge in {MAX_TERMS} terms",
-        partial=total,
-        last_term=abs(term),
-    )
+    def terms():
+        # a terminating series has k + 1 terms, the extra factor 1 - q^{n-k}
+        # and no stop rule; a non-terminating one at most MAX_TERMS
+        term = complex(1.0)
+        for n in range(MAX_TERMS if k_term is None else k_term + 1):
+            yield term
+            try:
+                qn = q**n
+                ratio = spec.z if k_term is None else (1.0 - q ** (n - k_term)) * spec.z
+                ratio /= 1.0 - q ** (n + 1)
+                for p in numer:
+                    ratio *= 1.0 - p * qn
+                for p in denom:
+                    d = 1.0 - p * qn
+                    if d == 0:
+                        raise DivisionByZero(
+                            f"denominator parameter {p} equals q^-{n}; series undefined"
+                        )
+                    ratio /= d
+                if excess:
+                    ratio *= (-qn) ** excess
+            except OverflowError:
+                # q^(n - k) or (q^n)^excess is past the double range: so is term n + 1
+                ratio = math.inf
+            term *= ratio
+        if k_term is not None:
+            yield None
+
+    return _series_sum(terms(), "phi series", MAX_TERMS,
+                       tol=EPS_TERM if k_term is None else 0.0)
 
 
 def h_cos(theta, params, ctx: QContext):

@@ -10,14 +10,12 @@ first, then doubling, at most ``MAX_TERMS`` in all) and call ``f`` once
 per branch and block; the Cauchy operator calls ``f`` once, on c q^j for
 j <= n_max, and takes at most n_max terms past the first.  Each term is
 formed with the arithmetic of a term-by-term loop (q^n by repeated
-multiplication, running products and partial sums in sequence), so the sum
-stops where such a loop stops.  Each sum ends settled, under the policy of
-:mod:`qaw.qcore`, or capped, with :class:`NonConvergence` ``... did not
-converge in <cap> terms`` carrying the partial sum and the last |term|;
-the Cauchy operator also ends at the noise floor of its nested
-differences (``cauchy_T_apply``).  Each raises :class:`NonConvergence`
-naming the first term whose partial sum is not finite, with the last
-finite partial sum.  Integrands must be pure and deterministic.
+multiplication, running products in sequence), and ``qcore._series_sum``
+adds them up under the truncation policy of :mod:`qaw.qcore` (its module
+docstring), which decides where a sum settles, where it is capped and
+which partial sum is not finite.  The Cauchy operator also ends at the
+noise floor of its nested differences (``cauchy_T_apply``).
+Integrands must be pure and deterministic.
 
 ``q_difference`` and ``difference_eq_residual`` stay scalar: they call
 ``f`` on single points.
@@ -25,38 +23,26 @@ finite partial sum.  Integrands must be pure and deterministic.
 
 from __future__ import annotations
 
-import cmath
-
 from . import _np as np
-from .context import DomainError, NonConvergence, QContext
-from .qcore import CONSECUTIVE_SMALL, EPS_TERM, MAX_TERMS, q_pochhammer_infinite
+from .context import DomainError, QContext
+from .qcore import MAX_TERMS, _modulus, _series_sum, q_pochhammer_infinite
 from .quad import _evaluate
 
 _FIRST_BLOCK = 64
 
 
-def _not_finite(what, n, partial, term):
-    """The failure of a series whose partial sum is not finite from term n
-    on: ``partial`` is the sum before term n."""
-    return NonConvergence(f"{what}: term {n} or the partial sum through it is not finite",
-                          partial, abs(term))
-
-
-def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
-    """scale * sum_n q^n [term of each branch at x q^n], summed in blocks.
+def _geometric_terms(f, branches, mu, ctx: QContext):
+    """The terms q^n [term of each branch at x q^n], n < MAX_TERMS, formed
+    in blocks, for ``_series_sum``.
 
     ``branches`` holds (sign, x, c0, s): the branch adds sign * x * c_n *
     f(x q^n), where c_n = 1 if c0 is None and otherwise
-    c_n = c0 prod_{k<n} (1 - s q^{k+mu}) / (1 - s q^{k+1}).  The sum stops at
-    the first n that closes a run of ``CONSECUTIVE_SMALL`` (3) terms below
-    ``EPS_TERM`` of the partial sum, as the term-by-term loop does.  A sum
-    not settled within ``MAX_TERMS`` terms raises :class:`NonConvergence`.
+    c_n = c0 prod_{k<n} (1 - s q^{k+mu}) / (1 - s q^{k+1}).  A block is
+    formed once the sum has taken every term before it.
     """
     q = ctx.q
     coef = [c0 for _, _, c0, _ in branches]
-    total = complex(0.0)
     qn = 1.0
-    small = 0
     n0, size = 0, _FIRST_BLOCK
     while n0 < MAX_TERMS:
         m = min(size, MAX_TERMS - n0)
@@ -82,38 +68,26 @@ def _geometric_sum(f, branches, mu, scale, what, ctx: QContext) -> complex:
                 v = w * _evaluate(f, x * qns)
                 term = v if i == 0 else term + v
             term *= qns
-        # the term-by-term loop: the running total, its finiteness and the stop rule
-        for i, t in enumerate(term.tolist()):
-            before, total = total, total + t
-            if not cmath.isfinite(total):
-                # a non-finite term makes every later partial sum non-finite
-                raise _not_finite(what, n0 + i, scale * before, t)
-            small = small + 1 if abs(t) < EPS_TERM * max(abs(total), 1e-300) else 0
-            if small >= CONSECUTIVE_SMALL:
-                return scale * total
+        # not yield from: the sum sends each partial sum's modulus, which a
+        # list iterator cannot take
+        for t in term.tolist():
+            yield t
         qn = float(qns[-1]) * q
         n0 += m
         size *= 2
-    raise NonConvergence(
-        f"{what} did not converge in {MAX_TERMS} terms",
-        partial=scale * total,
-        last_term=float(abs(term[-1])),
-    )
 
 
 def jackson_q_integral(f, a: float, b: float, ctx: QContext) -> complex:
     """Thomae-Jackson q-integral of f over [a, b].
 
-    (1-q) sum_n q^n [b f(b q^n) - a f(a q^n)], truncated once
-    ``CONSECUTIVE_SMALL`` (3) successive terms fall below the relative
-    tolerance.  ``f`` maps an array of points to an array of values.
+    (1-q) sum_n q^n [b f(b q^n) - a f(a q^n)], truncated under the policy
+    of :mod:`qaw.qcore`.  ``f`` maps an array of points to an array of values.
     """
     branches = [(1, b, None, None)] if b != 0 else []
     if a != 0:
         branches.append((-1, a, None, None))
-    return _geometric_sum(
-        f, branches, None, 1.0 - ctx.q, f"Jackson q-integral over [{a}, {b}]", ctx
-    )
+    return _series_sum(_geometric_terms(f, branches, None, ctx),
+                       f"Jackson q-integral over [{a}, {b}]", MAX_TERMS, 1.0 - ctx.q)
 
 
 def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> complex:
@@ -156,9 +130,8 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
             ax * q**mu, ctx
         )
         branches.append((-1, a, ca, ax))
-    return _geometric_sum(
-        f, branches, mu, pref, f"fractional q-integral (mu={mu})", ctx
-    )
+    return _series_sum(_geometric_terms(f, branches, mu, ctx),
+                       f"fractional q-integral (mu={mu})", MAX_TERMS, pref)
 
 
 def q_difference(f, c: complex, q: float) -> complex:
@@ -185,8 +158,7 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     past the first.  ``f`` is called once, on the array of those points (on
     [c] alone when b = 0).  The sum ends in one of three ways:
 
-    * settled: after ``CONSECUTIVE_SMALL`` (3) successive terms below
-      ``EPS_TERM`` of the partial sum (at once when b = 0);
+    * settled, under the policy of :mod:`qaw.qcore` (at once when b = 0);
     * at the noise floor: the n-th pass divides by c q^j, so rounding noise
       in the levels grows like q^{-n(n-1)/2}; a term that grows after one
       at most 1e-8 of the partial sum is that noise, and the sum before it
@@ -202,37 +174,29 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"Cauchy operator needs an integer n_max >= 0, got {n_max!r}")
     q = ctx.q
-    # a pole of f makes every later partial sum non-finite, which raises
-    with np.errstate(all="ignore"):
+
+    def terms(level):
         # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j
-        points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
-        level = _evaluate(f, points)
-        total = complex(level[0])
-        if not cmath.isfinite(total):
-            raise _not_finite("Cauchy operator", 0, 0j, total)
+        last = size = yield complex(level[0])
         if b == 0:
-            return total
+            yield None
         poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
         bn = complex(1.0)
-        last_mag = abs(total)
-        small = 0
         for n in range(1, n_max + 1):
             level = _divide(level[:-1] - level[1:], points[: n_max + 1 - n])
             poch_ratio *= (1.0 - a * q ** (n - 1)) / (1.0 - q**n)
             bn *= b
             term = poch_ratio * bn * complex(level[0])
-            mag = abs(term)
-            scale = max(abs(total), 1e-300)
-            if mag > last_mag and last_mag <= 1e-8 * scale:
-                return total  # the noise floor
-            before, total = total, total + term
-            if not cmath.isfinite(total):
-                raise _not_finite("Cauchy operator", n, before, term)
-            small = small + 1 if mag < EPS_TERM * scale else 0
-            if small >= CONSECUTIVE_SMALL:
-                return total
-            last_mag = mag
-        raise NonConvergence(f"Cauchy operator did not converge in {n_max} terms", total, last_mag)
+            mag = _modulus(term)
+            if mag > last and last <= 1e-8 * max(size, 1e-300):
+                yield None  # the noise floor
+            size = yield term
+            last = mag
+
+    # a pole of f makes every later partial sum non-finite, which raises
+    with np.errstate(all="ignore"):
+        points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
+        return _series_sum(terms(_evaluate(f, points)), "Cauchy operator", n_max)
 
 
 def cauchy_T_reciprocal_closed(a: complex, b: complex, c: complex, t: complex, ctx: QContext) -> complex:
@@ -240,11 +204,9 @@ def cauchy_T_reciprocal_closed(a: complex, b: complex, c: complex, t: complex, c
 
     Equals (a b t;q)_inf / ((b t;q)_inf (c t;q)_inf) for max(|bt|, |ct|) < 1.
     """
-    if max(abs(b * t), abs(c * t)) >= 1.0:
-        raise DomainError(
-            f"closed form requires max(|bt|, |ct|) < 1, got "
-            f"{max(abs(b * t), abs(c * t)):.3f}"
-        )
+    m = max(_modulus(b * t), _modulus(c * t))
+    if m >= 1.0:
+        raise DomainError(f"closed form requires max(|bt|, |ct|) < 1, got {m:.3f}")
     num = q_pochhammer_infinite(a * b * t, ctx)
     den = q_pochhammer_infinite(b * t, ctx) * q_pochhammer_infinite(c * t, ctx)
     return num / den

@@ -17,8 +17,9 @@ values the rule converges geometrically on every identity's integrand.
 The first level has 64 intervals, each of at most 10 refinements doubles
 them, and a level is accepted once it moves by at most max(1e-10 |value|,
 4 eps h sum|f|), the second term the rounding of its sum; ``est_error`` is
-the larger of the last move and that floor.  A level whose sum is not
-finite raises :class:`NonConvergence` at once, and so does one still
+the larger of the last move and that floor.  A level whose sum has no
+finite modulus (``qcore._modulus``: its parts may be finite) raises
+:class:`NonConvergence` at once, and so does one still
 moving at 2^16 intervals (65 537 nodes, at most 32 768 in one call), with
 the last finite value as ``partial``.  A window's half-width T is the
 first of 1, 1.5, 1.5^2, ... below 50 with max|f(+-T)| T < 1e-16, probed 8
@@ -41,7 +42,6 @@ only.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import warnings
@@ -50,6 +50,7 @@ from itertools import count, takewhile
 
 from . import _np as np
 from .context import NonConvergence, WindowFailure
+from .qcore import _modulus
 
 # Every check runs under this one policy.  A level is accepted when it
 # moved by at most max(_REL_TOL * |value|, the rounding of its sum); the
@@ -112,22 +113,22 @@ def _levels(f, lo, hi):
 
 
 def _require_finite(total, x, fx, partial):
-    """Raise :class:`NonConvergence` when a level's sum is not finite.
+    """Raise :class:`NonConvergence` when a level's sum has no finite
+    modulus (``qcore._modulus``), so that abs() of it is safe after.
 
     ``partial`` is the last finite level's value (None before the first)
-    and ``last_term`` the magnitude of this level's sum; refining further
+    and ``last_term`` the modulus of this level's sum; refining further
     could never give a finite value, only more nodes.
     """
-    if cmath.isfinite(total):
+    size = _modulus(total)
+    if size < math.inf:
         return
     bad = np.flatnonzero(~np.isfinite(fx))
     where = f"integrand not finite at node {float(x[bad[0]])!r}" if bad.size else "sum overflowed"
     raise NonConvergence(
         f"quadrature level with {x.size} new nodes is not finite: {where}",
         partial=partial,
-        # hypot: abs of a complex NaN may read a stale errno and raise
-        # OverflowError
-        last_term=math.hypot(total.real, total.imag),
+        last_term=size,
     )
 
 
@@ -145,7 +146,8 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
     levels = _levels(f, lo, hi)
     x, fx = next(levels)
     # a sum past the double range, or of infinities of both signs, is not
-    # finite, which _require_finite reports under any warnings filter
+    # finite, which _require_finite reports under any warnings filter; so
+    # abs() of an accepted level is safe
     with np.errstate(over="ignore", invalid="ignore"):
         absum = h * float(np.sum(np.abs(fx[1:-1])) + 0.5 * (abs(fx[0]) + abs(fx[-1])))
         value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
@@ -157,7 +159,11 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
             absum = 0.5 * absum + h * float(np.sum(np.abs(fx)))
             new = complex(0.5 * value + h * np.sum(fx))
         _require_finite(new, x, fx, value)
-        move, floor = abs(new - value), 4.0 * _EPS * absum
+        try:
+            move = abs(new - value)
+        except OverflowError:  # two finite levels may differ past the double range
+            move = _modulus(new - value)
+        floor = 4.0 * _EPS * absum
         value = new
         if move <= max(_REL_TOL * abs(value), floor):
             return QuadratureResult(value, max(move, floor), n + 1, None)

@@ -184,7 +184,8 @@ class TestEval:
     def test_phi_overflow_is_a_convergence_error(self, capsys, argv, n):
         code, out, err = run_cli(capsys, "eval", "phi", "--z", "0.5", *argv)
         assert (code, out, err) == (
-            2, "", f"convergence error: phi series is not finite from term n={n}\n")
+            2, "", f"convergence error: phi series: term {n} or the partial sum through it "
+                   "is not finite\n")
 
     @pytest.mark.parametrize("argv", [
         ["--numer", "0.3,nan", "--denom", "0.2", "--z", "0.5"],
@@ -881,6 +882,8 @@ EDGE_ARGV = [
     # |b| overflows with both parts finite: the domain rule reads it as inf
     (["check", "askey-wilson", "--q", "0.5", "--a", "0.1", "--b", "1.5e308+1.5e308i",
       "--c", "0.1", "--d", "0.1"], 65),
+    # so does |z| in the unit-disk rule of a 1phi0
+    (["eval", "phi", "--q", "0.5", "--numer", "0.1", "--z", "1.5e308+1.5e308i"], 2),
 ]
 
 # checks at overflowing parameters, with their one stderr line: an h_sinh
@@ -936,6 +939,12 @@ class TestEdgeArguments:
     def test_past_the_double_range_names_its_cause(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "eval", argv[0], "--q", "0.5", *argv[1:])
         assert (code, out, err) == (2, "", f"convergence error: {message}\n")
+
+    def test_unit_disk_rule_reads_an_overflowing_modulus_as_inf(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "phi", "--q", "0.5", "--numer", "0.1",
+                                 "--z", "1.5e308+1.5e308i")
+        assert (code, out, err) == (
+            2, "", "domain error: 1phi0 requires |z| < 1 for convergence, got |z|=inf\n")
 
     @pytest.mark.parametrize("argv, message", OVERFLOW_CHECKS)
     def test_overflowing_check_names_its_cause(self, capsys, argv, message):

@@ -128,6 +128,14 @@ class TestQPochhammer:
             got = q_pochhammer(a, n, QContext(q=q))
             assert (got.real.hex(), got.imag.hex()) == (p.real.hex(), p.imag.hex())
 
+    @pytest.mark.parametrize("a", [0.3, 0.2 - 0.7j])
+    def test_numpy_integer_order_is_the_finite_product(self, ctx, a):
+        # an integral order that is not a bool is finite, whatever its type;
+        # the fractional ratio differs in the last bits
+        got, want = q_pochhammer(a, np.int64(3), ctx), q_pochhammer(a, 3, ctx)
+        assert type(got) is complex
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     @pytest.mark.parametrize("order", [3, 0, 1.5, -1])
     def test_array_takes_the_infinite_order_only(self, ctx, order):
         with pytest.raises(DomainError, match=f"needs the infinite order, got {order}$"):
@@ -190,6 +198,14 @@ class TestDetectTerminating:
     def test_outside_the_double_range(self, param, q):
         assert detect_terminating(param, QContext(q=q)) is None
 
+    def test_difference_past_the_double_range(self):
+        # q^-1000 = 1.5e308 is the power nearest 1.2e308i, and their
+        # difference has finite parts and a modulus past the double range
+        ctx = QContext(q=1.5e308 ** -0.001)
+        assert detect_terminating(1.2e308j, ctx) is None
+        with pytest.raises(NonConvergence, match="^phi series: term 2 or"):
+            phi_series(HypergeometricSpec(numer=(1.2e308j,), z=0.5), ctx)
+
 
 class TestPhiSeries:
     def test_z_zero_is_one(self, ctx):
@@ -235,6 +251,34 @@ class TestPhiSeries:
         with pytest.raises(DomainError):
             HypergeometricSpec(terminating_k=-1)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, False, "2", 2 + 0j])
+    def test_terminating_k_must_be_an_integer(self, k):
+        with pytest.raises(DomainError, match="^terminating_k must be a nonnegative integer$"):
+            HypergeometricSpec(numer=(0.2,), denom=(0.3,), z=0.5, terminating_k=k)
+
+    def test_numpy_integer_terminating_k_is_its_int(self, ctx):
+        spec = HypergeometricSpec(numer=(0.2,), denom=(0.3,), z=0.5, terminating_k=np.int64(2))
+        assert type(spec.terminating_k) is int
+        got = phi_series(spec, ctx)
+        want = phi_series(HypergeometricSpec(numer=(0.2,), denom=(0.3,), z=0.5,
+                                             terminating_k=2), ctx)
+        assert type(got) is complex
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1.3e308 - 1.3e308j])
+    def test_unit_disk_rule_reads_a_modulus_past_the_range_as_inf(self, ctx, z):
+        with pytest.raises(DomainError, match=r"^1phi0 requires \|z\| < 1 for convergence, "
+                                              r"got \|z\|=inf$"):
+            phi_series(HypergeometricSpec(numer=(0.1,), z=z), ctx)
+
+    def test_term_with_a_modulus_past_the_range_is_not_finite(self):
+        # term 1 is about 1.18 z: both parts finite, its modulus not
+        z = 1.1e308 * (1 + 1j)
+        with pytest.raises(NonConvergence, match="^phi series: term 1 or the partial sum "
+                                                 "through it is not finite$") as exc:
+            phi_series(HypergeometricSpec(numer=(0.1,), denom=(0.2,), z=z), QContext(q=0.05))
+        assert exc.value.partial == 1.0 and exc.value.last_term == math.inf
+
     @pytest.mark.parametrize("numer, denom, z", [
         ((0.3, math.nan), (0.2,), 0.5),
         ((0.3,), (0.2,), math.nan),
@@ -264,7 +308,8 @@ class TestPhiSeries:
     # q = 0.9 the terms pass it at n = 9
     @pytest.mark.parametrize("q, k, n", [(0.5, 2000, 1), (0.9, 800, 9)])
     def test_overflowing_series_names_its_term(self, q, k, n):
-        with pytest.raises(NonConvergence, match=f"not finite from term n={n}$") as exc:
+        with pytest.raises(NonConvergence, match=f"^phi series: term {n} or the partial sum "
+                                                 "through it is not finite$") as exc:
             phi_series(HypergeometricSpec(z=0.5, terminating_k=k), QContext(q=q))
         assert cmath.isfinite(exc.value.partial) and not math.isfinite(exc.value.last_term)
 

@@ -463,6 +463,26 @@ class TestFailures:
         assert exc.value.partial == (0 if n == 0 else f(c))
         assert exc.value.last_term == math.inf
 
+    # each part finite, the modulus past the double range: abs() of it raises
+    # OverflowError, and the sums test the modulus
+    @pytest.mark.parametrize("call, n", [
+        (lambda f, ctx: jackson_q_integral(f, 0.2, 0.9, ctx), 1),
+        (lambda f, ctx: jackson_q_integral(f, 0.0, 0.9, ctx), 0),
+        (lambda f, ctx: fractional_q_integral(f, 0.6, 0.0, 1.5, ctx), 3),
+        (lambda f, ctx: cauchy_T_apply(0.3, 0.2, f, 0.9, 40, ctx), 0),
+        (lambda f, ctx: cauchy_T_apply(0.3, 0.0, f, 0.9, 40, ctx), 0),
+    ], ids=["jackson", "jackson-from-0", "fractional", "cauchy", "cauchy-b-0"])
+    def test_constant_past_the_double_range(self, ctx, call, n):
+        big = 1.5e308 + 1.5e308j
+        with pytest.raises(NonConvergence, match=f": term {n} or the partial sum through it "
+                                                 "is not finite$") as exc:
+            call(lambda t: np.full(t.shape, big), ctx)
+        assert np.isfinite(exc.value.partial)
+
+    def test_closed_form_rule_reads_a_modulus_past_the_range_as_inf(self, ctx):
+        with pytest.raises(DomainError, match=r"max\(\|bt\|, \|ct\|\) < 1, got inf$"):
+            cauchy_T_reciprocal_closed(0.1, 1.5e308 + 1.5e308j, 0.1, 1.0, ctx)
+
     def test_non_finite_term_raises_with_partial(self, ctx):
         with pytest.raises(NonConvergence) as exc:
             jackson_q_integral(lambda t: t**-1.0, 0.0, 1.0, ctx)

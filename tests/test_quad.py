@@ -331,3 +331,27 @@ class TestNonFinite:
         with pytest.raises(NonConvergence) as exc:
             integrate_line_even_window(_recording(f, calls))
         assert [c.size for c in calls] == [16, 129] and exc.value.partial is None
+
+
+class TestPastTheDoubleRange:
+    """Levels whose parts are finite but whose modulus is not: abs() of
+    such a complex raises OverflowError, the modulus test does not."""
+
+    def test_level_modulus_past_the_range_is_non_convergence(self):
+        # about sqrt(pi) (9e307 + 9e307i): each part finite, the modulus not
+        with pytest.raises(NonConvergence, match="65 new nodes is not finite: sum overflowed$"):
+            integrate_line_even_window(lambda t: np.exp(-t * t) * 9e307 * (1 + 1j))
+
+    def test_move_past_the_range_is_no_overflow_error(self):
+        # level 1 is 200 A and level 2 -200 A, both finite; their difference
+        # has finite parts and a modulus past the range, and so has the sum
+        # of |f| that sets the rounding floor, so level 2 ends the rule with
+        # an infinite error estimate
+        a = 4e305 * (1 - 1j)
+
+        def f(t):
+            return np.where(np.arange(t.size) < 65, a, -3 * a)
+
+        res = _trapezoid(f, -100.0, 100.0)
+        assert res.value == pytest.approx(-200 * a, rel=1e-15)
+        assert (res.est_error, res.nodes_used) == (math.inf, 129)
