@@ -16,13 +16,26 @@ evaluates anything, and names each NaN or infinite one in one domain error
 order, as ``--inf`` is.
 
 The parser tree of ``_build_parser`` (``qaw``, then a command, then a subject
-or identity) declares every flag, help text and message.  A line whose first
-two words name a leaf (``check <identity>``, ``eval <subject>``) is parsed by
-that leaf parser alone, which also sets the two dests the levels above it set:
-those levels only re-read every word to choose the leaf, and took about two
-thirds of the parse of a cheap check.  Every other line, a leaf line with
-words its leaf leaves unparsed included, is parsed by the tree, so help,
-``--version`` and each usage error read as the tree writes them.
+or identity) declares every help text and message, and every flag but a
+check's: ``_check_flags`` declares those, ``--tol`` and one flag per field of
+the identity's params class, for the tree and for ``_check_line`` alike.
+Lines take one of three routes:
+
+- a well-formed check line, ``check <identity>`` followed by known flags,
+  each with one value that does not begin with ``-`` and converts, every
+  required flag among them, is parsed by ``_check_line`` from that table
+  alone, and never builds the tree (argparse took a quarter of a cheap
+  check's time, and the tree ~5 ms per process);
+- any other line whose first two words name a leaf (``check <identity>``,
+  ``eval <subject>``) is parsed by that leaf parser alone, which also sets
+  the two dests the levels above it set;
+- every other line, a leaf line with words its leaf leaves unparsed
+  included, is parsed by the tree.
+
+So ``-h``, ``--version``, a ``--flag=value`` word, a value that begins with
+``-``, each usage error and every ``eval`` and ``suite`` line read as
+argparse writes them, and a check line reaches the same namespace by either
+route.
 """
 
 from __future__ import annotations
@@ -124,6 +137,50 @@ _EVAL = {
 
 
 @functools.cache
+def _check_flags(name) -> dict:
+    """The flags of ``qaw check <name>``, as the options of add_argument:
+    ``--tol``, then one per params field.  A field's flag is left out of the
+    namespace when absent (the dataclass supplies its default) and required
+    when the field has no default."""
+    flags = {"--tol": {"dest": "tol", "type": _tolerance, "default": None}}
+    for f in param_fields(name):
+        flags[f"--{f.name.replace('_', '-')}"] = {
+            "dest": f.name,
+            "type": float if f.type in (float, "float") else parse_complex,
+            "required": f.default is dataclasses.MISSING,
+            "default": argparse.SUPPRESS,
+        }
+    return flags
+
+
+def _check_line(argv):
+    """The namespace of a well-formed ``check <identity>`` line, the one its
+    leaf parser builds, or None for any other line.
+
+    Well-formed: every word after the identity is a flag of
+    :func:`_check_flags` followed by one value that does not begin with
+    ``-`` and that its type converts, a later flag overriding an earlier
+    one, and every required flag is given.
+    """
+    if argv[:1] != ["check"] or len(argv) % 2 or argv[1] not in IDENTITY_REGISTRY:
+        return None
+    flags = _check_flags(argv[1])
+    values = {o["dest"]: o["default"] for o in flags.values()
+              if o["default"] is not argparse.SUPPRESS}
+    for flag, text in zip(argv[2::2], argv[3::2]):
+        options = flags.get(flag)
+        if options is None or text.startswith("-"):
+            return None
+        try:
+            values[options["dest"]] = options["type"](text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+    if any(o.get("required") and o["dest"] not in values for o in flags.values()):
+        return None
+    return argparse.Namespace(command="check", identity=argv[1], **values)
+
+
+@functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parse_args keeps no state between calls.
     # abbreviations off: a flag must be spelled out, so that a prefix never
@@ -157,15 +214,8 @@ def _build_parser() -> _Parser:
     for name in sorted(IDENTITY_REGISTRY):
         ip = parser.leaves["check", name] = identities.add_parser(name, allow_abbrev=False)
         ip.set_defaults(command="check", identity=name)
-        ip.add_argument("--tol", type=_tolerance, default=None)
-        # one flag per params field; the dataclass supplies an absent one
-        for f in param_fields(name):
-            ip.add_argument(
-                f"--{f.name.replace('_', '-')}",
-                type=float if f.type in (float, "float") else parse_complex,
-                required=f.default is dataclasses.MISSING,
-                default=argparse.SUPPRESS,
-            )
+        for flag, options in _check_flags(name).items():
+            ip.add_argument(flag, **options)
 
     st = sub.add_parser("suite", help="run a suite of checks, write a JSON report", allow_abbrev=False)
     st.add_argument("--spec", type=str, default=None,
@@ -317,14 +367,16 @@ def _cmd_suite(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    leaf = parser.leaves.get(tuple(argv[:2]))
-    if leaf is not None:
-        args, rest = leaf.parse_known_args(argv[2:])
-    if leaf is None or rest:
-        # the tree reports what the leaf leaves unparsed, under its own usage
-        args = parser.parse_args(argv)
+    args = _check_line(argv)
+    if args is None:
+        parser = _build_parser()
+        leaf = parser.leaves.get(tuple(argv[:2]))
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(argv[2:])
+        if leaf is None or rest:
+            # the tree reports what the leaf leaves unparsed, under its own usage
+            args = parser.parse_args(argv)
     command = {"eval": _cmd_eval, "check": _cmd_check, "suite": _cmd_suite}[args.command]
     try:
         code = command(args)

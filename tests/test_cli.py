@@ -1,6 +1,8 @@
 """Tests for the command-line front end: exit codes, output, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,9 +14,12 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qaw
 from qaw import cli, identities, qcore
+from test_identities import FIXED_POINTS
 
 
 # a fractional Gaussian point whose k-sum, at the ratio x * (ab/q) / a =
@@ -1067,7 +1072,32 @@ print(json.dumps(per_call))
 """
 
 
+# runs one check twice on the parameters given as JSON, and prints both
+# reports' wall_time as a JSON list
+_FIRST_TWO_CHECKS = """
+import json, sys
+from qaw.identities import run_check
+name, params = sys.argv[1], json.loads(sys.argv[2])
+print(json.dumps([run_check(name, params).wall_time for _ in range(2)]))
+"""
+
+
 class TestLazyNumpy:
+    @pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-generating"])
+    def test_first_check_does_not_time_numpy_load(self, name):
+        # numpy, some 100 ms to load, loads in the first check of the
+        # process, before its clock starts.  The first check still warms
+        # the heap and caches, about 1.5x the second; a timing spike there
+        # takes another fresh interpreter, where numpy's load inside the
+        # clock would read 50-100x in every one
+        runs = []
+        for _ in range(3):
+            proc = _run_fresh(_FIRST_TWO_CHECKS, name, json.dumps(FIXED_POINTS[name]))
+            runs.append(json.loads(proc.stdout))
+            if runs[-1][0] <= 2 * runs[-1][1]:
+                return
+        pytest.fail(f"first and second wall_time of each fresh interpreter: {runs}")
+
     @pytest.mark.parametrize("argv, want", NUMPY_FREE_LINES,
                              ids=[" ".join(a) for a, _ in NUMPY_FREE_LINES])
     def test_line_leaves_numpy_unloaded(self, capsys, monkeypatch, argv, want):
@@ -1210,3 +1240,115 @@ class TestRoutes:
         assert exc.value.code == want
         assert getattr(captured, stream).startswith(start)
         assert getattr(captured, "err" if stream == "out" else "out") == ""
+
+
+# the fixed points of the identity tests as --flag value lines
+TABLE_LINES = [
+    ["check", name,
+     *(w for k, v in sorted(p.items()) for w in (f"--{k.replace('_', '-')}", str(v)))]
+    for name, p in sorted(FIXED_POINTS.items())
+] + [argv for argv in LEAF_LINES if argv[0] == "check"]
+
+# lines that the table leaves to argparse: help, the = form, a value that
+# begins with -, a flag the leaf does not take, a missing or bad value
+ARGPARSE_CHECK_LINES = [
+    ["check", "askey-wilson", "-h"],
+    ["check", "askey-wilson", "--q=0.5", "--a", "0.3"],
+    ["check", "askey-wilson", "--q", "0.5", "--a", "-0.3"],
+    ["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--bogus", "1"],
+    ["check", "askey-wilson", "--q", "0.5", "--a"],
+    ["check", "askey-wilson", "--q", "0.5"],
+    ["check", "askey-wilson", "--q", "0.5", "--a", "0.3i"],
+    ["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--tol", "0"],
+    ["check", "lemma-three-term", *_GEN, "--r", "0.4", "--u=-0.1"],
+]
+
+
+def _namespace_text(args):
+    """A namespace's values by repr, so that NaNs compare equal and 0.0 and
+    -0.0, or a float and a complex, do not."""
+    return {k: repr(v) for k, v in vars(args).items()}
+
+
+def _leaf_parse(argv):
+    """The leaf parser's (namespace, unparsed words) of a check line, or None
+    where it exits."""
+    leaf = cli._build_parser().leaves["check", argv[1]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return leaf.parse_known_args(argv[2:])
+        except SystemExit:
+            return None
+
+
+# values that every flag's type converts (a complex one only a complex flag)
+_VALUES = st.one_of(
+    st.sampled_from(["0.5", "0.2+0.1i", "inf", "Infinity", "nan", "1e308", "1e-300", "0",
+                     " 0.25", "1_0", "1e999"]),
+    st.floats(min_value=0.0).map(repr),
+)
+
+
+@st.composite
+def _check_lines(draw):
+    """A check line: the identity's required flags, each most often given,
+    and further flags, each with a value, with up to two words or values
+    that the table must decline among them, in any order."""
+    name = draw(st.sampled_from(sorted(CHECK_FLAGS)))
+    known, required = CHECK_FLAGS[name]
+    flags = st.sampled_from(sorted(known | {"--tol"}))
+    items = [[flag, draw(_VALUES)] for flag in required[::2] if draw(st.integers(0, 9))]
+    items += [[draw(flags), draw(_VALUES)] for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        flag, value = draw(flags), draw(_VALUES)
+        items.append(draw(st.sampled_from([
+            [flag, "-" + value.lstrip()],  # a negative number, or a - before one
+            [flag, draw(st.sampled_from(["abc", "", "0x10", "1+2j", "0.3i", "i", "-"]))],
+            [f"{flag}={value}"],
+            [draw(st.sampled_from(["--bogus", "--x", "--r", "-q", "--Q", "--al"])), value],
+            [draw(st.sampled_from(["-h", "--help"]))],
+            [flag],  # with no value
+        ])))
+    return ["check", name, *(w for item in draw(st.permutations(items)) for w in item)]
+
+
+class TestTableRoute:
+    @given(_check_lines())
+    @settings(max_examples=400)
+    def test_table_equals_the_leaf_or_declines(self, argv):
+        table = cli._check_line(argv)
+        leaf = _leaf_parse(argv)
+        flags, values = argv[2::2], argv[3::2]
+        well_formed = (leaf is not None and leaf[1] == [] and len(argv) % 2 == 0
+                       and all(f in CHECK_FLAGS[argv[1]][0] | {"--tol"} for f in flags)
+                       and not any(v.startswith("-") for v in values))
+        assert (table is not None) == well_formed, (argv, leaf)
+        if table is not None:
+            assert _namespace_text(table) == _namespace_text(leaf[0])
+
+    @pytest.mark.parametrize("argv", TABLE_LINES, ids=" ".join)
+    def test_well_formed_line_builds_no_parser(self, capsys, monkeypatch, argv):
+        # the tree's route: the leaf's namespace, run by the same command
+        tree_code = cli._cmd_check(cli._build_parser().parse_args(argv))
+        tree = capsys.readouterr()
+
+        def refuse():
+            raise AssertionError("a well-formed check line built the parser tree")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, _masked(out), err) == (tree_code, _masked(tree.out), tree.err)
+        assert out or err
+
+    @pytest.mark.parametrize("argv", ARGPARSE_CHECK_LINES, ids=" ".join)
+    def test_other_check_lines_take_argparse(self, capsys, monkeypatch, argv):
+        assert cli._check_line(argv) is None
+        built = []
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda real=cli._build_parser: built.append(1) or real())
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert built

@@ -345,13 +345,23 @@ class TestPastTheDoubleRange:
     def test_move_past_the_range_is_no_overflow_error(self):
         # level 1 is 200 A and level 2 -200 A, both finite; their difference
         # has finite parts and a modulus past the range, and so has the sum
-        # of |f| that sets the rounding floor, so level 2 ends the rule with
-        # an infinite error estimate
+        # of |f| that sets the rounding floor.  The floor is then taken from
+        # scaled values, so level 2 is not accepted, and the sum of level 3
+        # passes the range
         a = 4e305 * (1 - 1j)
 
         def f(t):
             return np.where(np.arange(t.size) < 65, a, -3 * a)
 
-        res = _trapezoid(f, -100.0, 100.0)
-        assert res.value == pytest.approx(-200 * a, rel=1e-15)
-        assert (res.est_error, res.nodes_used) == (math.inf, 129)
+        with pytest.raises(NonConvergence, match="256 new nodes is not finite: sum overflowed$"):
+            _trapezoid(f, -100.0, 100.0)
+
+    def test_floor_past_the_range_accepts_no_level(self):
+        # each |f_j| is about 7e307, so h * sum|f_j| passes the range while
+        # the level's sum stays finite: the floor must stay finite too
+        try:
+            res = integrate_line_even_window(lambda t: np.exp(-t * t) * 5e307 * (1 + 1j))
+        except NonConvergence:
+            return
+        assert res.est_error < math.inf
+        assert res.value == pytest.approx(math.sqrt(math.pi) * 5e307 * (1 + 1j), rel=1e-10)
