@@ -19,18 +19,14 @@ The parser tree of ``_build_parser`` (``qaw``, then a command, then a subject
 or identity) declares every help text and message, and every flag but a
 check's: ``_check_flags`` declares those, ``--tol`` and one flag per field of
 the identity's params class, for the tree and for ``_check_line`` alike.
-Lines take one of three routes:
+Lines take one of two routes:
 
 - a well-formed check line, ``check <identity>`` followed by known flags,
   each with one value that does not begin with ``-`` and converts, every
   required flag among them, is parsed by ``_check_line`` from that table
   alone, and never builds the tree (argparse took a quarter of a cheap
   check's time, and the tree ~5 ms per process);
-- any other line whose first two words name a leaf (``check <identity>``,
-  ``eval <subject>``) is parsed by that leaf parser alone, which also sets
-  the two dests the levels above it set;
-- every other line, a leaf line with words its leaf leaves unparsed
-  included, is parsed by the tree.
+- every other line is parsed by the tree.
 
 So ``-h``, ``--version``, a ``--flag=value`` word, a value that begins with
 ``-``, each usage error and every ``eval`` and ``suite`` line read as
@@ -154,8 +150,8 @@ def _check_flags(name) -> dict:
 
 
 def _check_line(argv):
-    """The namespace of a well-formed ``check <identity>`` line, the one its
-    leaf parser builds, or None for any other line.
+    """The namespace of a well-formed ``check <identity>`` line, the
+    namespace the parser tree builds, or None for any other line.
 
     Well-formed: every word after the identity is a flag of
     :func:`_check_flags` followed by one value that does not begin with
@@ -190,20 +186,16 @@ def _build_parser() -> _Parser:
         prog="qaw", allow_abbrev=False,
         description="Evaluate q-calculus primitives and check Askey-Wilson-type identities.")
     parser.add_argument("--version", action="version", version=f"qaw {__version__}")
-    # each leaf parser, by the two words that lead to it; each also sets the
-    # two dests that the levels above it set, so it builds the tree's namespace
-    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a scalar primitive", allow_abbrev=False)
     subjects = ev.add_subparsers(dest="subject", required=True)
     # every subject takes --q, and only its own further flags
     for name, (flags, _) in _EVAL.items():
-        sp = parser.leaves["eval", name] = subjects.add_parser(name, allow_abbrev=False)
-        sp.set_defaults(command="eval", subject=name)
+        sp = subjects.add_parser(name, allow_abbrev=False)
         for flag, options in {"--q": _FLOAT, **flags}.items():
             sp.add_argument(flag, **options)
-    order = parser.leaves["eval", "poch"].add_mutually_exclusive_group(required=True)
+    order = subjects.choices["poch"].add_mutually_exclusive_group(required=True)
     order.add_argument("--n", dest="order", type=int, help="finite order")
     order.add_argument("--alpha", dest="order", type=float, help="fractional order")
     order.add_argument("--inf", dest="order", action="store_const", const=qcore.INFINITE,
@@ -212,8 +204,7 @@ def _build_parser() -> _Parser:
     ck = sub.add_parser("check", help="run a single identity check", allow_abbrev=False)
     identities = ck.add_subparsers(dest="identity", required=True)
     for name in sorted(IDENTITY_REGISTRY):
-        ip = parser.leaves["check", name] = identities.add_parser(name, allow_abbrev=False)
-        ip.set_defaults(command="check", identity=name)
+        ip = identities.add_parser(name, allow_abbrev=False)
         for flag, options in _check_flags(name).items():
             ip.add_argument(flag, **options)
 
@@ -368,15 +359,7 @@ def _cmd_suite(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _check_line(argv)
-    if args is None:
-        parser = _build_parser()
-        leaf = parser.leaves.get(tuple(argv[:2]))
-        if leaf is not None:
-            args, rest = leaf.parse_known_args(argv[2:])
-        if leaf is None or rest:
-            # the tree reports what the leaf leaves unparsed, under its own usage
-            args = parser.parse_args(argv)
+    args = _check_line(argv) or _build_parser().parse_args(argv)
     command = {"eval": _cmd_eval, "check": _cmd_check, "suite": _cmd_suite}[args.command]
     try:
         code = command(args)

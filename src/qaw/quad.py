@@ -138,10 +138,9 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
 
     A level is accepted when it moved by at most max(_REL_TOL*|v|, floor),
     floor = 4*eps*h*sum|f_j| the rounding of its sum, below which refining
-    cannot help, and never on a floor that is not finite; ``est_error`` is
-    max(move, floor).  The first level whose sum is not finite, or a level
-    still moving at 65537 nodes, raises :class:`NonConvergence` with the
-    last finite value as ``partial``.
+    cannot help; ``est_error`` is max(move, floor).  The first level whose
+    sum is not finite, or a level still moving at 65537 nodes, raises
+    :class:`NonConvergence` with the last finite value as ``partial``.
     """
     n = _INITIAL_INTERVALS
     h = (hi - lo) / n
@@ -150,32 +149,27 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
     # a sum past the double range, or of infinities of both signs, is not
     # finite, which _require_finite reports under any warnings filter; so
     # abs() of an accepted level is safe.  sum|f_j| may pass the range where
-    # the level's sum does not: there the floor scales each |f_j| by 4*eps,
-    # a power of two, before summing
+    # the level's sum does not, so the floor scales each |f_j| by 4*eps, a
+    # power of two, before summing: it is 4*eps*h*sum|f_j| to the bit, and
+    # finite for every finite level
     with np.errstate(over="ignore", invalid="ignore"):
-        absum = h * float(np.sum(np.abs(fx[1:-1])) + 0.5 * (abs(fx[0]) + abs(fx[-1])))
         value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
     _require_finite(value, x, fx, None)
-    if absum < math.inf:
-        floor = _FLOOR * absum
-    else:
-        r = np.abs(fx * _FLOOR)
-        floor = h * float(np.sum(r[1:-1]) + 0.5 * (r[0] + r[-1]))
+    r = np.abs(fx * _FLOOR)
+    floor = h * float(np.sum(r[1:-1]) + 0.5 * (r[0] + r[-1]))
     for _ in range(_MAX_REFINEMENTS):
         x, fx = next(levels)
         n, h = 2 * n, 0.5 * h
         with np.errstate(over="ignore", invalid="ignore"):
-            absum = 0.5 * absum + h * float(np.sum(np.abs(fx)))
             new = complex(0.5 * value + h * np.sum(fx))
         _require_finite(new, x, fx, value)
         try:
             move = abs(new - value)
         except OverflowError:  # two finite levels may differ past the double range
             move = _modulus(new - value)
-        floor = _FLOOR * absum if absum < math.inf else (
-            0.5 * floor + h * float(np.sum(np.abs(fx * _FLOOR))))
+        floor = 0.5 * floor + h * float(np.sum(np.abs(fx * _FLOOR)))
         value = new
-        if move <= _REL_TOL * abs(value) or move <= floor < math.inf:
+        if move <= max(_REL_TOL * abs(value), floor):
             return QuadratureResult(value, max(move, floor), n + 1, None)
     raise NonConvergence(
         f"quadrature not converged after {_MAX_REFINEMENTS} refinements "

@@ -1,5 +1,7 @@
 """Shared fixtures and the hypothesis profile."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +9,20 @@ from hypothesis import settings
 # deterministic examples, no example database on disk, no per-example deadline
 settings.register_profile("qaw", derandomize=True, database=None, deadline=None)
 settings.load_profile("qaw")
+
+# hypothesis reports a failing example through hypothesis.extra._patching,
+# which imports libcst where it is installed; libcst builds a
+# mypy_extensions.TypedDict, whose DeprecationWarning is an error under
+# pyproject.toml's filterwarnings and would end the whole run in an
+# INTERNALERROR.  Importing it here, with that one warning ignored, leaves
+# the module loaded for the report.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -1168,7 +1168,8 @@ class TestParsing:
             assert float(cli._fmt(complex(v, 0.0))) == v
 
 
-# every leaf line with only its required flags
+# a line for each leaf of the parser tree, check <identity> and eval
+# <subject>, with only its required flags
 LEAF_LINES = (
     [["check", name, *required] for name, (_, required) in sorted(CHECK_FLAGS.items())]
     + [["eval", name, "--q", "0.5", *(s for flag in sorted(required) for s in (flag, "0.5")),
@@ -1176,14 +1177,6 @@ LEAF_LINES = (
        for name, (_, required) in sorted(EVAL_FLAGS.items())]
 )
 _TOP_USAGE = "usage: qaw [-h] [--version] {eval,check,suite} ...\n"
-
-
-def _tree_refuses(monkeypatch):
-    """Make the tree's own parse_args raise, so that only a leaf can parse."""
-    def refuse(args=None, namespace=None):
-        raise AssertionError(f"the tree parsed {args}")
-
-    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
 
 
 # lines that end in argparse's own exit, each with its exit code and the
@@ -1194,7 +1187,7 @@ TREE_LINES = [
     (["check", "-h"], 0, "out", "usage: qaw check [-h]"),
     (["check", "askey-wilson", "-h"], 0, "out", "usage: qaw check askey-wilson [-h]"),
     (["eval", "poch", "-h"], 0, "out", "usage: qaw eval poch [-h]"),
-    # a flag that the leaf leaves is the tree's error, under its usage
+    # a flag that the identity does not take is the tree's error, under its usage
     (["check", "askey-wilson", "--q", "0.5", "--a", "0.3", "--bogus", "1"], 64, "err",
      f"{_TOP_USAGE}qaw: error: unrecognized arguments: --bogus 1\n"),
 ]
@@ -1214,18 +1207,14 @@ class TestRoutes:
             assert name not in out
 
     @pytest.mark.parametrize("argv", LEAF_LINES, ids=" ".join)
-    def test_leaf_builds_the_namespace_of_the_tree(self, monkeypatch, argv):
+    def test_line_reaches_its_command_with_the_tree_namespace(self, monkeypatch, argv):
         seen = []
         tree_args = vars(cli._build_parser().parse_args(argv))
-        _tree_refuses(monkeypatch)
         monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: seen.append(args) or 0)
         assert cli.main(argv) == 0
         assert vars(seen[0]) == tree_args
 
-    def test_leaf_line_runs_without_the_tree(self, capsys, monkeypatch):
-        _tree_refuses(monkeypatch)
-        assert run_cli(capsys, "eval", "gamma", "--q", "0.5", "--x", "2.5")[0] == 0
-        # argv=None reads sys.argv[1:]
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["qaw", "check", "askey-wilson", "--q", "0.5",
                                           "--a", "0.3"])
         assert cli.main() == 0
@@ -1250,7 +1239,7 @@ TABLE_LINES = [
 ] + [argv for argv in LEAF_LINES if argv[0] == "check"]
 
 # lines that the table leaves to argparse: help, the = form, a value that
-# begins with -, a flag the leaf does not take, a missing or bad value
+# begins with -, a flag the identity does not take, a missing or bad value
 ARGPARSE_CHECK_LINES = [
     ["check", "askey-wilson", "-h"],
     ["check", "askey-wilson", "--q=0.5", "--a", "0.3"],
@@ -1270,13 +1259,12 @@ def _namespace_text(args):
     return {k: repr(v) for k, v in vars(args).items()}
 
 
-def _leaf_parse(argv):
-    """The leaf parser's (namespace, unparsed words) of a check line, or None
-    where it exits."""
-    leaf = cli._build_parser().leaves["check", argv[1]]
+def _tree_parse(argv):
+    """The parser tree's (namespace, unparsed words) of a line, or None where
+    it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return leaf.parse_known_args(argv[2:])
+            return cli._build_parser().parse_known_args(argv)
         except SystemExit:
             return None
 
@@ -1315,20 +1303,20 @@ def _check_lines(draw):
 class TestTableRoute:
     @given(_check_lines())
     @settings(max_examples=400)
-    def test_table_equals_the_leaf_or_declines(self, argv):
+    def test_table_equals_the_tree_or_declines(self, argv):
         table = cli._check_line(argv)
-        leaf = _leaf_parse(argv)
+        tree = _tree_parse(argv)
         flags, values = argv[2::2], argv[3::2]
-        well_formed = (leaf is not None and leaf[1] == [] and len(argv) % 2 == 0
+        well_formed = (tree is not None and tree[1] == [] and len(argv) % 2 == 0
                        and all(f in CHECK_FLAGS[argv[1]][0] | {"--tol"} for f in flags)
                        and not any(v.startswith("-") for v in values))
-        assert (table is not None) == well_formed, (argv, leaf)
+        assert (table is not None) == well_formed, (argv, tree)
         if table is not None:
-            assert _namespace_text(table) == _namespace_text(leaf[0])
+            assert _namespace_text(table) == _namespace_text(tree[0])
 
     @pytest.mark.parametrize("argv", TABLE_LINES, ids=" ".join)
     def test_well_formed_line_builds_no_parser(self, capsys, monkeypatch, argv):
-        # the tree's route: the leaf's namespace, run by the same command
+        # the tree's route: the tree's namespace, run by the same command
         tree_code = cli._cmd_check(cli._build_parser().parse_args(argv))
         tree = capsys.readouterr()
 

@@ -333,6 +333,28 @@ class TestNonFinite:
         assert [c.size for c in calls] == [16, 129] and exc.value.partial is None
 
 
+def _unscaled_floor(z):
+    """The rounding floor of a constant z on [0, pi] after one refinement,
+    4 eps times the unscaled h * sum|f_j|, halved end terms included."""
+    f0, f1 = np.full(65, z), np.full(64, z)
+    h = math.pi / 64
+    absum = h * float(np.sum(np.abs(f0[1:-1])) + 0.5 * (abs(f0[0]) + abs(f0[-1])))
+    absum = 0.5 * absum + 0.5 * h * float(np.sum(np.abs(f1)))
+    return 4.0 * EPS * absum
+
+
+class TestRoundingFloor:
+    @given(st.floats(min_value=1e-250, max_value=1e300))
+    def test_floor_is_the_unscaled_one_to_the_bit(self, c):
+        # a constant moves by 0 at its first refinement, so est_error is the
+        # floor; the floor sums |f_j| * 4 eps, which is 4 eps * sum|f_j| to
+        # the bit away from the ends of the double range
+        z = c * (1 + 1j)
+        res = integrate_theta(lambda th: np.full(th.shape, z))
+        assert res.nodes_used == 129
+        assert res.est_error.hex() == _unscaled_floor(z).hex()
+
+
 class TestPastTheDoubleRange:
     """Levels whose parts are finite but whose modulus is not: abs() of
     such a complex raises OverflowError, the modulus test does not."""
@@ -345,9 +367,9 @@ class TestPastTheDoubleRange:
     def test_move_past_the_range_is_no_overflow_error(self):
         # level 1 is 200 A and level 2 -200 A, both finite; their difference
         # has finite parts and a modulus past the range, and so has the sum
-        # of |f| that sets the rounding floor.  The floor is then taken from
-        # scaled values, so level 2 is not accepted, and the sum of level 3
-        # passes the range
+        # of |f| that sets the rounding floor.  The floor sums scaled
+        # values, so level 2 is not accepted, and the sum of level 3 passes
+        # the range
         a = 4e305 * (1 - 1j)
 
         def f(t):
