@@ -255,7 +255,7 @@ class PlainAtakishiyevParams:
 
     @property
     def q(self) -> float:
-        return math.exp(-2.0 * self.alpha_g**2)
+        return math.exp(-2.0 * self.alpha_g * self.alpha_g)
 
 
 @dataclass(frozen=True)
@@ -644,9 +644,7 @@ def _generating_integrand(y, p, ctx):
     """
     num = [c * y for c in (p.b * p.z, p.t, p.r * p.u) if c != 0]
     den = [c * y for c in (p.s, p.z, p.u) if c != 0]
-    # exp(-inf) = 0 for a vanishing numerator; inf or NaN otherwise
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.exp(_log_quotient(num, den, y.size, ctx))
+    return np.exp(_log_quotient(num, den, y.size, ctx))
 
 
 def _generating_numerator(p):
@@ -724,12 +722,8 @@ def _reversal_weight(t, p, ctx):
     """The h_sinh factors at q a, ..., q d over (-q e^{2t}, -q e^{-2t};q)_inf,
     from one log-product call on all their arguments."""
     q = ctx.q
-    # an argument past the double range is capped, a NonConvergence, and a
-    # weight past it is not finite, a WindowFailure, under any warnings filter
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-        lg = _log_quotient(_sinh_args(t, p, q), den, t.size, ctx)
-        return np.exp(lg)
+    den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
+    return np.exp(_log_quotient(_sinh_args(t, p, q), den, t.size, ctx))
 
 
 def _reversal_series(t, p):
@@ -747,10 +741,8 @@ def _reversal_closed(p):
 def _gaussian_weight(t, p, ctx):
     """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
     ag = p.alpha_g
-    # arguments and weights past the double range, as in _reversal_weight
-    with np.errstate(over="ignore", invalid="ignore"):
-        lg = -t * t + _log_quotient(_sinh_args(ag * t, p, 1.0), [], t.size, ctx)
-        return np.exp(lg) * np.cosh(ag * t)
+    lg = -t * t + _log_quotient(_sinh_args(ag * t, p, 1.0), [], t.size, ctx)
+    return np.exp(lg) * np.cosh(ag * t)
 
 
 def _gaussian_series(t, p):

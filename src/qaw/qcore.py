@@ -37,7 +37,10 @@ Order convention for q-Pochhammer symbols
   Above MAX_FACTORS factors its loop stops at the first factor that leaves
   the product unchanged, since every later factor is nearer 1, or where
   the product is not finite: at q = 0.5, a = 0.5 and n = 10^12 after 54
-  factors, at q = 0.999999 after about 1100, a subnormal unit from 0;
+  factors.  That is about ln(eps / (2|a|)) / ln(1/q) factors, fewer only
+  where the product underflows first: at q = 0.999999 and a = 0.5 after
+  1076, a subnormal unit from 0, but at a = 0.000386 after 2.96e7, about
+  8 s (2-core x86-64, CPython 3.11);
 * ``math.inf`` (the module constant :data:`INFINITE`) -- the infinite
   product;
 * any other real ``float`` alpha -- the fractional symbol, defined as the
@@ -454,14 +457,18 @@ def q_gamma(x: float, ctx: QContext) -> float:
     """q-gamma function (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
 
     An x within 1e-12 of a pole, 0, -1, -2, ..., raises :class:`PoleError`;
-    an x whose (1-q)^(1-x) is past the double range raises an
-    ``OverflowError`` naming q and x.
+    an x whose q^x or (1-q)^(1-x) is past the double range raises an
+    ``OverflowError`` naming that power, q and x.
     """
     if x <= 0.5 and abs(x - round(x)) < 1e-12 and round(x) <= 0:
         raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x):.17g}")
     q = ctx.q
     num = q_pochhammer_infinite(q, ctx)
-    den = q_pochhammer_infinite(q**x, ctx)
+    try:
+        qx = q**x
+    except OverflowError:
+        raise OverflowError(f"q_gamma: q^x is past the double range at q={q}, x={x}") from None
+    den = q_pochhammer_infinite(qx, ctx)
     try:
         scale = (1.0 - q) ** (1.0 - x)
     except OverflowError:

@@ -26,25 +26,27 @@ first of 1, 1.5, 1.5^2, ... below 50 with max|f(+-T)| T < 1e-16, probed 8
 per call; a NaN or infinite probe does not count as decayed.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns an
-array of the same shape.  A call costs about as much for 2 nodes as for a
-hundred, so the engine makes few, large calls: one on the first level
-together with its first refinement (the rule never accepts a level before
-refining it), one per later refinement on its new nodes, and one per batch
-of window half-widths on ``[T1, -T1, T2, -T2, ...]``.  A batch call that
-raises or warns is repeated one half-width at a time, so an integrand that
-fails only beyond the chosen window gives the window, value or error that
-probing each half-width singly gives.  An integrand whose truncation is
-sized by the largest node of a call (the k-sum's Taylor length; not the
-weights and the generating integrand, whose log products truncate each
-entry by itself) may round differently in a larger call, in the last bits
-only.
+array of the same shape.  The engine calls ``f``, and sums its values,
+with numpy's overflow and invalid events ignored, under any warnings
+filter: a value that is not finite is data, reported as
+:class:`NonConvergence` or as a probe that has not decayed.  A call costs
+about as much for 2 nodes as for a hundred, so the engine makes few,
+large calls: one on the first level together with its first refinement
+(the rule never accepts a level before refining it), one per later
+refinement on its new nodes, and one per batch of window half-widths on
+``[T1, -T1, T2, -T2, ...]``.  A batch call that raises is repeated one
+half-width at a time, so an integrand that fails only beyond the chosen
+window gives the window, value or error that probing each half-width
+singly gives.  An integrand whose truncation is sized by the largest node
+of a call (the k-sum's Taylor length; not the weights and the generating
+integrand, whose log products truncate each entry by itself) may round
+differently in a larger call, in the last bits only.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from itertools import count, takewhile
 
@@ -145,32 +147,32 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
     n = _INITIAL_INTERVALS
     h = (hi - lo) / n
     levels = _levels(f, lo, hi)
-    x, fx = next(levels)
-    # a sum past the double range, or of infinities of both signs, is not
-    # finite, which _require_finite reports under any warnings filter; so
-    # abs() of an accepted level is safe.  sum|f_j| may pass the range where
-    # the level's sum does not, so the floor scales each |f_j| by 4*eps, a
-    # power of two, before summing: it is 4*eps*h*sum|f_j| to the bit, and
-    # finite for every finite level
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
-    _require_finite(value, x, fx, None)
-    r = np.abs(fx * _FLOOR)
-    floor = h * float(np.sum(r[1:-1]) + 0.5 * (r[0] + r[-1]))
-    for _ in range(_MAX_REFINEMENTS):
+    # numpy's overflow and invalid events are ignored while f is called and
+    # its values summed: a sum past the double range, or of infinities of
+    # both signs, is not finite, which _require_finite reports, so abs() of
+    # an accepted level is safe.  sum|f_j| may pass the range where the
+    # level's sum does not, so the floor scales each |f_j| by 4*eps, a power
+    # of two, before summing: it is 4*eps*h*sum|f_j| to the bit, and finite
+    # for every finite level
+    with np.errstate(all="ignore"):
         x, fx = next(levels)
-        n, h = 2 * n, 0.5 * h
-        with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(h * (np.sum(fx[1:-1]) + 0.5 * (fx[0] + fx[-1])))
+        _require_finite(value, x, fx, None)
+        r = np.abs(fx * _FLOOR)
+        floor = h * float(np.sum(r[1:-1]) + 0.5 * (r[0] + r[-1]))
+        for _ in range(_MAX_REFINEMENTS):
+            x, fx = next(levels)
+            n, h = 2 * n, 0.5 * h
             new = complex(0.5 * value + h * np.sum(fx))
-        _require_finite(new, x, fx, value)
-        try:
-            move = abs(new - value)
-        except OverflowError:  # two finite levels may differ past the double range
-            move = _modulus(new - value)
-        floor = 0.5 * floor + h * float(np.sum(np.abs(fx * _FLOOR)))
-        value = new
-        if move <= max(_REL_TOL * abs(value), floor):
-            return QuadratureResult(value, max(move, floor), n + 1, None)
+            _require_finite(new, x, fx, value)
+            try:
+                move = abs(new - value)
+            except OverflowError:  # two finite levels may differ past the double range
+                move = _modulus(new - value)
+            floor = 0.5 * floor + h * float(np.sum(np.abs(fx * _FLOOR)))
+            value = new
+            if move <= max(_REL_TOL * abs(value), floor):
+                return QuadratureResult(value, max(move, floor), n + 1, None)
     raise NonConvergence(
         f"quadrature not converged after {_MAX_REFINEMENTS} refinements "
         f"({n + 1} nodes, last move {move:.3e})",
@@ -191,11 +193,13 @@ def integrate_theta(f) -> QuadratureResult:
 def _probe(f, rungs):
     """log(max|f(+-T)| * T) for each half-width T of ``rungs``.
 
-    One call of ``f`` on ``[T1, -T1, T2, -T2, ...]``.  A non-finite value
-    gives a NaN or infinite log-magnitude, which never counts as decayed.
+    One call of ``f`` on ``[T1, -T1, T2, -T2, ...]``, with numpy's overflow
+    and invalid events ignored.  A non-finite value gives a NaN or infinite
+    log-magnitude, which never counts as decayed.
     """
     x = np.array([s * T for T in rungs for s in (1.0, -1.0)])
-    peaks = np.abs(_evaluate(f, x)).reshape(-1, 2).max(axis=1)
+    with np.errstate(all="ignore"):
+        peaks = np.abs(_evaluate(f, x)).reshape(-1, 2).max(axis=1)
     mags = [float(p) * T for p, T in zip(peaks, rungs)]
     return [-math.inf if m == 0 else math.log(m) for m in mags]
 
@@ -207,9 +211,9 @@ def integrate_line_even_window(f) -> QuadratureResult:
     max|f(+-T)| * T < 1e-16; a NaN or infinite value at +-T does not count
     as decayed.  The half-widths are probed in batches of
     ``_WINDOW_BATCH``, each batch one call ``f(np.array([T1, -T1, T2, -T2,
-    ...]))``.  A batch call that raises or warns is repeated one half-width
-    at a time, so the outcome (T, the value, or the error raised) is the
-    one that probing each half-width singly gives.  If no half-width has
+    ...]))``.  A batch call that raises is repeated one half-width at a
+    time, so the outcome (T, the value, or the error raised) is the one
+    that probing each half-width singly gives.  If no half-width has
     decayed, :class:`WindowFailure` carries the probed log-magnitudes.
     [-T, T] is then integrated by the nested trapezoidal rule, whose own
     ``est_error`` the result keeps; the value may be complex.  ``f`` maps
@@ -220,9 +224,7 @@ def integrate_line_even_window(f) -> QuadratureResult:
     for start in range(0, len(_LADDER), _WINDOW_BATCH):
         batch = _LADDER[start : start + _WINDOW_BATCH]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                logs = _probe(f, batch)
+            logs = _probe(f, batch)
         except Exception:
             # maybe only past T: probe this batch one half-width at a time
             logs = None

@@ -343,6 +343,16 @@ class TestCheck:
         assert code == 65 and out == ""
         assert "Traceback" not in err and "underflow" in err
 
+    @pytest.mark.parametrize("identity, extra", [
+        ("atakishiyev", []),
+        ("fractional-atakishiyev", ["--a", "0.15", "--x", "0.6", "--mu", "1.5"]),
+    ])
+    def test_gaussian_base_past_the_square_range_exits_65(self, capsys, identity, extra):
+        # alpha_g^2 is past the double range: q = 0, not an errno OverflowError
+        code, out, err = run_cli(capsys, "check", identity, "--alpha-g", "1e155", *extra)
+        assert (code, out, err) == (65, "", "invariant violation: q^3 = exp(-6 alpha_g^2) "
+                                            "underflows to 0 at alpha_g=1e+155\n")
+
     def test_missing_required_param_exits_64(self, capsys):
         err = usage_error(capsys, "check", "askey-wilson", "--a", "0.3")
         assert "the following arguments are required: --q" in err
@@ -905,6 +915,13 @@ OVERFLOW_CHECKS = [
      "integrand not finite at node -28.83251953125\n"),
 ]
 
+# a fractional reversal check whose first window batch raises, so each
+# half-width is probed alone, where the integrand overflows
+OVERFLOWING_PROBE = [
+    "check", "fractional-reversal-askey-wilson", "--q=0.9284139782729063",
+    "--a=0.00017237455643122373", "--b=0.004507113759592137+19.675949669306728i",
+    "--c=293.9581256364541", "--d=0.6735508070384623", "--x=0.0005039593371292322"]
+
 
 class TestEdgeArguments:
     @pytest.mark.parametrize("argv, want", EDGE_ARGV, ids=[" ".join(a) for a, _ in EDGE_ARGV])
@@ -917,9 +934,10 @@ class TestEdgeArguments:
         assert (out != "") == (code in (0, 1))
 
     @pytest.mark.parametrize("argv, message", [
-        # a power of 1 - q past the double range names its inputs
+        # a power of q or of 1 - q past the double range names its inputs
         (["gamma", "--x", "1e308"],
          "q_gamma: (1-q)^(1-x) is past the double range at q=0.5, x=1e+308"),
+        (["gamma", "--x=-2000.5"], "q_gamma: q^x is past the double range at q=0.5, x=-2000.5"),
         (["fracint", "--x", "0.5", "--mu", "1e308"],
          "fractional_q_integral: x^(mu-1) / (1-q)^(1-mu) is past the double range "
          "at q=0.5, x=0.5, mu=1e+308"),
@@ -955,6 +973,18 @@ class TestEdgeArguments:
     def test_overflowing_check_names_its_cause(self, capsys, argv, message):
         # under tier-1's filter a numpy warning here raises
         assert run_cli(capsys, "check", *argv) == (2, "", message)
+
+    @pytest.mark.parametrize("action", ["default", "error", "ignore"])
+    def test_window_probe_past_the_range_under_any_filter(self, capsys, action):
+        # the weight times the k-sum overflows at a single-rung probe; that
+        # product printed two RuntimeWarnings under the default filter and
+        # raised one out of main under an error filter
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            got = run_cli(capsys, *OVERFLOWING_PROBE)
+        assert got == (2, "", "KSumDivergence: outer k-sum is not finite past 42 Taylor "
+                              "coefficients (|term|=1.442e+18, x*max|numerator|/a=0.138)\n")
+        assert caught == []
 
     def test_overflowing_check_ignoring_warnings(self):
         # under an ignore filter abs() of the level's complex NaN sum read a

@@ -1001,6 +1001,18 @@ class TestSuiteRunner:
             run_check("atakishiyev", params)
 
     @pytest.mark.parametrize("name", [
+        "atakishiyev", "fractional-atakishiyev", "fractional-atakishiyev-3phi2"])
+    def test_gaussian_base_past_the_square_range_becomes_skipped(self, name):
+        # alpha_g^2 is past the double range, so q = 0; Python's float power
+        # raised OverflowError there and the entry ended diverged
+        params = {**FIXED_POINTS[name], "alpha_g": 1e155}
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert (oc.status, oc.reason) == (
+            "skipped", "q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g=1e+155")
+        with pytest.raises(DomainError, match="underflows to 0"):
+            run_check(name, params)
+
+    @pytest.mark.parametrize("name", [
         "fractional-askey-wilson", "fractional-reversal-askey-wilson",
         "fractional-atakishiyev", "fractional-generating",
     ])

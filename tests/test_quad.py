@@ -265,6 +265,9 @@ class TestBatchedWindow:
         # T = 1.5^5; the rest of the first batch, from 1.5^6 on, fails
         pytest.param(_failing_beyond(1.0, 8.0, _raise), id="raises-beyond-T"),
         pytest.param(_failing_beyond(1.0, 8.0, _warn), id="warns-beyond-T"),
+        # numpy overflows to inf past 8, silently inside the engine
+        pytest.param(lambda t: np.exp(np.where(np.abs(t) > 8.0, 1000.0 * np.abs(t), -t * t)),
+                     id="overflows-beyond-T"),
         # T = 1.5^8, the first half-width of the second batch; 1.5^9 fails
         pytest.param(_failing_beyond(0.1, 30.0, _raise), id="raises-beyond-T-second-batch"),
     ])
