@@ -15,9 +15,12 @@ them needs no other edit.  :class:`QawError` takes the message and then
 the fields, by position in the order of ``fields`` or by name; a field
 that is not given is None (``WindowFailure.probes`` too), and a name the
 class does not declare is a ``TypeError``.  An ``OverflowError`` (a double
-range that gave out, such as an ``h_sinh`` whose e^x is 0 or not finite,
-or a closed side whose value is not finite) is the one builtin a check can
-raise; it ends ``diverged`` with no fields.
+range that gave out: a power of real order, ``<what> is past the double
+range at <name>=<value>, ...`` from its one guard ``qcore._power``, an
+``h_sinh`` whose e^x is 0 or not finite, or a closed side whose value is
+not finite) is the one builtin a check can raise; it ends ``diverged``
+with no fields.  An array path of :mod:`qaw.qcore` raises it, as any other
+error, where its scalar path does, under any warnings filter.
 
 ==================  ========  ==========================  ==========================  ==========
 error               suite     ``details``                 ``qaw eval``                ``qaw check``

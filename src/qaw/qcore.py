@@ -3,6 +3,15 @@ basic hypergeometric series and the h(.) weight functions.
 
 The infinite products and the weights ``h_cos``/``h_sinh_log`` also take an
 array (of parameters, angles or points) and return one of its shape.
+Each array path ends as its scalar path does, under any warnings filter:
+an entry's value is the scalar's to rounding (inf or NaN where that is),
+or the array raises the scalar's error class.  So its products run with
+numpy's overflow and invalid events ignored, as Python's complex
+arithmetic ignores them; ``h_cos`` forms each a e^{+-i theta} in Python,
+entry by entry, as numpy's complex division rounds otherwise; and
+``h_sinh_log`` divides -i t by e^x part by part (:func:`_divide`), as
+Python does, where numpy would multiply by a reciprocal that can pass the
+double range.
 
 * The product (a;q)_inf of an array forms the factors of each entry up
   to its own factor count (the stop rule below) in bounded blocks and
@@ -88,11 +97,21 @@ partial sum as for a quadrature level and a closed side, and every abs()
 taken after that test is safe.  The series sum takes abs() per term and
 the modulus only where abs() raises: a hypot per term made ``phi_series``
 calls a third slower (2-core x86-64, CPython 3.11).
+
+A power of real order that can pass the double range -- q^alpha of a
+fractional ``q_pochhammer``, q^a of ``q_bracket``, q^x and (1-q)^(1-x) of
+``q_gamma`` and the prefactor of :func:`qaw.qops.fractional_q_integral`
+-- is taken by :func:`_power`, the one guard of them all, which raises
+``OverflowError`` ``<what> is past the double range at <name>=<value>,
+...``, naming the power and its inputs.  ``detect_terminating`` and
+``phi_series`` catch such an overflow themselves and turn it into data:
+no match, an infinite term.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -140,6 +159,25 @@ def _modulus(v) -> float:
     range with finite parts, where abs() of a complex raises (as it may for
     a complex NaN, reading a stale errno)."""
     return math.hypot(v.real, v.imag)
+
+
+def _power(base, exponent, what, **named):
+    """base ** exponent, or, where Python's power passes the double range,
+    ``OverflowError`` ``<what> is past the double range at <name>=<value>,
+    ...`` over ``named`` in order: the one guard of every such power."""
+    try:
+        return base**exponent
+    except OverflowError:
+        at = ", ".join(f"{name}={value}" for name, value in named.items())
+        raise OverflowError(f"{what} is past the double range at {at}") from None
+
+
+def _divide(num, den):
+    """num / den; a complex num over a real den part by part, as Python's
+    complex / float does (numpy's complex division multiplies by 1/den)."""
+    if num.dtype.kind == "c" and den.dtype.kind != "c":
+        return (num.view(float).reshape(-1, 2) / den[:, None]).view(complex).ravel()
+    return num / den
 
 
 def _series_sum(terms, what, cap, scale=None, tol=EPS_TERM):
@@ -263,18 +301,20 @@ def _array_product(a, ctx: QContext):
     the scalar loop.  np.multiply.reduce across entries would round complex
     products otherwise than for one entry alone (a vectorised multiply).
     Where the largest |a| is capped, the scalar product of that entry
-    raises its cap error before any block is formed."""
+    raises its cap error before any block is formed.  A product past the
+    double range is inf or NaN, as the scalar loop's is."""
     q, flat = ctx.q, a.ravel()
     mag = np.abs(flat)
     _raise_if_capped(q_pochhammer_infinite, flat, mag, ctx)
     counts = _factor_counts(mag, q)
     acc = np.ones(a.size, dtype=complex)
-    for rows, f, left in _factor_blocks(flat, counts, q):
-        blk = np.empty((len(f) + 1, rows.size), dtype=complex)
-        blk[0] = acc[rows]
-        blk[1:] = f
-        np.multiply.accumulate(blk, axis=0, out=blk)
-        acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, f, left in _factor_blocks(flat, counts, q):
+            blk = np.empty((len(f) + 1, rows.size), dtype=complex)
+            blk[0] = acc[rows]
+            blk[1:] = f
+            np.multiply.accumulate(blk, axis=0, out=blk)
+            acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
     return acc.reshape(a.shape)
 
 
@@ -422,11 +462,7 @@ def q_pochhammer(a: complex, order, ctx: QContext) -> complex:
     if order == INFINITE:
         return q_pochhammer_infinite(a, ctx)
     alpha = float(order)
-    try:
-        shifted = a * q**alpha
-    except OverflowError:
-        raise OverflowError(f"q_pochhammer: q^alpha is past the double range at q={q}, "
-                            f"a={a}, alpha={alpha}") from None
+    shifted = a * _power(q, alpha, "q_pochhammer: q^alpha", q=q, a=a, alpha=alpha)
     num = q_pochhammer_infinite(a, ctx)
     den = q_pochhammer_infinite(shifted, ctx)
     if den == 0:
@@ -449,8 +485,9 @@ def q_pochhammer_multi(params, order, ctx: QContext) -> complex:
 
 
 def q_bracket(a: float, ctx: QContext) -> float:
-    """q-number [a]_q = (1 - q^a) / (1 - q)."""
-    return (1.0 - ctx.q**a) / (1.0 - ctx.q)
+    """q-number [a]_q = (1 - q^a) / (1 - q).  An a whose q^a is past the
+    double range raises an ``OverflowError`` naming q and a."""
+    return (1.0 - _power(ctx.q, a, "q_bracket: q^a", q=ctx.q, a=a)) / (1.0 - ctx.q)
 
 
 def q_gamma(x: float, ctx: QContext) -> float:
@@ -464,16 +501,8 @@ def q_gamma(x: float, ctx: QContext) -> float:
         raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x):.17g}")
     q = ctx.q
     num = q_pochhammer_infinite(q, ctx)
-    try:
-        qx = q**x
-    except OverflowError:
-        raise OverflowError(f"q_gamma: q^x is past the double range at q={q}, x={x}") from None
-    den = q_pochhammer_infinite(qx, ctx)
-    try:
-        scale = (1.0 - q) ** (1.0 - x)
-    except OverflowError:
-        raise OverflowError(
-            f"q_gamma: (1-q)^(1-x) is past the double range at q={q}, x={x}") from None
+    den = q_pochhammer_infinite(_power(q, x, "q_gamma: q^x", q=q, x=x), ctx)
+    scale = _power(1.0 - q, 1.0 - x, "q_gamma: (1-q)^(1-x)", q=q, x=x)
     return (num / den).real * scale
 
 
@@ -606,17 +635,19 @@ def h_cos(theta, params, ctx: QContext):
     gives a ``complex``; an array of angles gives an array of the same
     shape, with one array-path product per parameter and sign.
     """
-    if not isinstance(theta, _NUMBER) and isinstance(theta, np.ndarray):
-        e = np.exp(1j * theta)
-        p = np.ones(theta.shape, dtype=complex)
-    else:
-        e = cmath.exp(1j * theta)
-        p = complex(1.0)
-    for a in params:
-        if a == 0:
-            continue
-        p *= q_pochhammer_infinite(a * e, ctx)
-        p *= q_pochhammer_infinite(a / e, ctx)
+    array = not isinstance(theta, _NUMBER) and isinstance(theta, np.ndarray)
+    # every a e^{+-i theta} as a scalar's, an array's entry by entry in Python:
+    # numpy's complex division rounds otherwise
+    es = [cmath.exp(1j * t) for t in (theta.ravel().tolist() if array else [theta])]
+    p = np.ones(theta.shape, dtype=complex) if array else complex(1.0)
+    # an array's product past the double range is inf or NaN, as a scalar's is
+    with np.errstate(over="ignore", invalid="ignore") if array else contextlib.nullcontext():
+        for a in params:
+            if a == 0:
+                continue
+            for u in ([a * e for e in es], [a / e for e in es]):
+                u = np.array(u).reshape(theta.shape) if array else u[0]
+                p *= q_pochhammer_infinite(u, ctx)
     return p
 
 
@@ -634,8 +665,8 @@ def h_sinh_log(x, t: complex, ctx: QContext):
         return np.zeros(x.shape, dtype=complex) if array else complex(0.0)
     if array:
         with np.errstate(over="ignore"):
-            ex = np.exp(x)
-        bad = x[(ex == 0) | ~np.isfinite(ex)]
+            ex = np.exp(x.ravel())
+        bad = x.ravel()[(ex == 0) | ~np.isfinite(ex)]
     else:
         try:
             ex = math.exp(x)
@@ -645,7 +676,11 @@ def h_sinh_log(x, t: complex, ctx: QContext):
     if len(bad):
         raise OverflowError(f"h_sinh: e^x is 0 or not finite at x={bad[0]}")
     if array:
-        lg = q_pochhammer_infinite_log(np.stack([1j * t * ex, -1j * t / ex]), ctx).reshape(2, -1)
+        # both arguments as a scalar's: -i t / e^x part by part, where numpy's
+        # 1/e^x passes the double range at a subnormal e^x
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = _divide(np.full(ex.size, -1j * t), ex)
+            lg = q_pochhammer_infinite_log(np.stack([1j * t * ex, lo]), ctx)
         return (lg[0] + lg[1]).reshape(x.shape)
     return q_pochhammer_infinite_log(1j * t * ex, ctx) + q_pochhammer_infinite_log(
         -1j * t / ex, ctx

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from . import _np as np
 from .context import DomainError, QContext
-from .qcore import MAX_TERMS, _modulus, _series_sum, q_pochhammer_infinite
+from .qcore import MAX_TERMS, _divide, _modulus, _power, _series_sum, q_pochhammer_infinite
 from .quad import _evaluate
 
 _FIRST_BLOCK = 64
@@ -117,12 +117,8 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
     # (q^{n+1};q)_{mu-1} and (a q^{n+1}/x;q)_{mu-1} at n = 0; the first is
     # the ratio of products that q_gamma(mu) scales by (1-q)^{1-mu}
     cx = q_pochhammer_infinite(q, ctx) / q_pochhammer_infinite(qmu, ctx)
-    try:
-        pref = x ** (mu - 1.0) * (1.0 - q) / (cx.real * (1.0 - q) ** (1.0 - mu))
-    except OverflowError:
-        raise OverflowError(
-            f"fractional_q_integral: x^(mu-1) / (1-q)^(1-mu) is past the double range "
-            f"at q={q}, x={x}, mu={mu}") from None
+    at = dict(what="fractional_q_integral: x^(mu-1) / (1-q)^(1-mu)", q=q, x=x, mu=mu)
+    pref = _power(x, mu - 1.0, **at) * (1.0 - q) / (cx.real * _power(1.0 - q, 1.0 - mu, **at))
     branches = [(1, x, cx, 1.0)]
     if a != 0:
         ax = a / x
@@ -139,14 +135,6 @@ def q_difference(f, c: complex, q: float) -> complex:
     if c == 0:
         raise DomainError("q-difference operator undefined at c = 0")
     return (f(c) - f(c * q)) / c
-
-
-def _divide(num, den):
-    """num / den; a complex num over a real den part by part, as Python's
-    complex / float does (numpy's complex division multiplies by 1/den)."""
-    if num.dtype.kind == "c" and den.dtype.kind != "c":
-        return (num.view(float).reshape(-1, 2) / den[:, None]).view(complex).ravel()
-    return num / den
 
 
 def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QContext) -> complex:

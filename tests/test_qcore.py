@@ -12,6 +12,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaw.context import DivisionByZero, DomainError, NonConvergence, PoleError, QContext
 from qaw import qcore
@@ -159,6 +161,11 @@ class TestQBracketGamma:
         assert q_bracket(1.0, ctx) == pytest.approx(1.0)
         assert q_bracket(0.0, ctx) == 0.0
         assert q_bracket(2.0, ctx) == pytest.approx(1.5)
+
+    def test_bracket_past_the_double_range_names_q_and_a(self, ctx):
+        want = "q_bracket: q^a is past the double range at q=0.5, a=-2000.0"
+        with pytest.raises(OverflowError, match=f"^{re.escape(want)}$"):
+            q_bracket(-2000.0, ctx)
 
     def test_gamma_one_and_two(self, ctx):
         assert q_gamma(1.0, ctx) == pytest.approx(1.0, rel=1e-13)
@@ -439,6 +446,45 @@ def _worst_oracle_error(got, args, q):
         mp_oracle.log_poch(v, q) for v in args)))
 
 
+def _end(call):
+    """How call() ends: the complex value of a scalar or of a one-entry
+    array, or the class of the error it raises, a warning included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = call()
+        except Exception as e:
+            return type(e)
+    return complex(got) if isinstance(got, complex) else complex(got.item())
+
+
+def _ends_alike(scalar, array, scale=None):
+    """The same error class, or a value within 1e-13 of ``scale`` (the
+    scalar's modulus by default) in each part, a NaN part matching a NaN
+    part."""
+    if isinstance(scalar, type) or isinstance(array, type):
+        return scalar == array
+    scale = math.hypot(scalar.real, scalar.imag) if scale is None else scale
+    return all(math.isnan(s) and math.isnan(a) or s == a or abs(s - a) <= 1e-13 * scale
+               for s, a in [(scalar.real, array.real), (scalar.imag, array.imag)])
+
+
+def _sinh_log_scale(x, t, ctx):
+    """|log (i t e^x;q)_inf| + |log (-i t e^-x;q)_inf|: h_sinh_log adds
+    these two logs, which cancel near x = 0, so it rounds to their moduli.
+    None where the scalar h_sinh_log raises or a log is infinite."""
+    try:
+        ex = math.exp(x)
+        scale = sum(abs(q_pochhammer_infinite_log(u, ctx)) for u in (1j * t * ex, -1j * t / ex))
+    except (OverflowError, ZeroDivisionError, NonConvergence):
+        return None
+    return scale if scale < math.inf else None
+
+
+# |a| from 10^-30 to 10^30 at any phase
+_WIDE = st.builds(lambda e, phase: 10.0**e * cmath.exp(1j * phase),
+                  st.floats(-30.0, 30.0), st.floats(-math.pi, math.pi))
+
 # the bases of the shipped suites: the Gaussian family's exp(-2) and q = 0.5
 ARRAY_Q = [math.exp(-2.0), 0.5]
 COMPLEX_PARAMS = [0.3 + 0.2j, -0.5, 0.1 - 0.4j, 0.8j]
@@ -456,8 +502,8 @@ class TestArrayPath:
         want = np.array([h_cos(t, COMPLEX_PARAMS, ctx) for t in theta.tolist()])
         assert _rel(got, want) <= 1e-14
 
-    # elementwise against the oracle: near q = 1 the scalar loop is the less
-    # accurate side (1.6e-14 at q = 0.9, t = 0.1 + 0.05j, x = 0)
+    # elementwise against the oracle, which the scalar path meets about as
+    # closely (q = 0.9, t = 0.1 + 0.05j over these x: scalar 1.7e-15, array 1.9e-15)
     @pytest.mark.parametrize("q", [*ARRAY_Q, 0.9, 0.97])
     @pytest.mark.parametrize("t", [0.3, 0.1 + 0.05j, -0.9j])
     def test_h_sinh_log_against_multiprecision(self, q, t):
@@ -634,6 +680,59 @@ class TestArrayPath:
         for th, g in zip(theta.tolist(), got):
             want = complex(mp_oracle.h_cos(th, COMPLEX_PARAMS, q))
             assert abs(g - want) <= 1e-14 * abs(want)
+
+    # past the double range the scalar loop's complex arithmetic gives inf
+    # or NaN quietly, and so does the array under an error filter
+    def test_product_past_the_double_range_ends_as_the_scalar(self):
+        ctx = QContext(q=0.5)
+        a = 4.732480068591569e26 - 7.770597362456968e25j
+        want = _end(lambda: q_pochhammer_infinite(a, ctx))
+        assert cmath.isnan(want)
+        assert _ends_alike(want, _end(lambda: q_pochhammer_infinite(np.array([a]), ctx)))
+
+    @pytest.mark.parametrize("q, theta, params, want", [
+        (0.5, [0.3, 1.0], [3e25, 2e25], [complex("nan+nanj")] * 2),
+        # numpy's a / e^{i theta} differs from Python's in the last bit: past
+        # the double range the array read inf + NaN i, not NaN + NaN i
+        (0.01, [1.8810733085437361], [4.1871470891278156e23] * 2, [complex("nan+nanj")]),
+        # ... and where a e^{-i theta} rounds to 1, the array read 1.8e-17, not 0
+        (0.15863217765180948, [0.42736649388573245], [0.9100604282149585 + 0.41447559276416546j],
+         [0j]),
+    ])
+    def test_h_cos_ends_as_the_scalar(self, q, theta, params, want):
+        ctx = QContext(q=q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = h_cos(np.array(theta), params, ctx)
+        for th, w, g in zip(theta, want, got.tolist()):
+            scalar = _end(lambda: h_cos(th, params, ctx))
+            assert _ends_alike(w, scalar) and _ends_alike(scalar, g)
+
+    @pytest.mark.parametrize("q, x, t, want", [
+        # e^x is subnormal: its reciprocal passes the double range, -i t / e^x not
+        (0.9, -741.2786739865339, -4.914817226132213e-20 + 3.417087134255657e-19j,
+         2317386.991498896 - 19889.18267528081j),
+        # -i t / e^x passes the double range itself, and the log is capped
+        (0.11454481117076996, -733.360896844838,
+         -147547802895297.22 - 64693710768985.875j, NonConvergence),
+    ])
+    def test_h_sinh_log_at_a_subnormal_exp_ends_as_the_scalar(self, q, x, t, want):
+        ctx = QContext(q=q)
+        scalar = _end(lambda: h_sinh_log(x, t, ctx))
+        assert _ends_alike(want, scalar)
+        assert _ends_alike(scalar, _end(lambda: h_sinh_log(np.array([x]), t, ctx)))
+
+    @settings(max_examples=250)
+    @given(q=st.floats(0.01, 0.99), a=_WIDE, params=st.lists(_WIDE, min_size=1, max_size=3),
+           theta=st.floats(-math.pi, math.pi), x=st.floats(-800.0, 800.0))
+    def test_one_entry_array_ends_as_the_scalar(self, q, a, params, theta, x):
+        ctx = QContext(q=q)
+        for f, arg, rest, scale in [
+                (q_pochhammer_infinite, a, (), None), (q_pochhammer_infinite_log, a, (), None),
+                (h_cos, theta, (params,), None), (h_sinh_log, x, (a,), _sinh_log_scale(x, a, ctx))]:
+            scalar = _end(lambda: f(arg, *rest, ctx))
+            array = _end(lambda: f(np.array([arg]), *rest, ctx))
+            assert _ends_alike(scalar, array, scale), f.__name__
 
     def test_scratch_memory_bounded_near_q_one(self):
         # a (576 nodes x ~1300 factors) array in one piece would take 12 MB
