@@ -9,8 +9,8 @@ numpy is loaded on first use: the modules take one lazy handle to it from
 this package, and the scalar paths test for Python numbers before they ask
 numpy whether a value is an array.  So ``qaw --version``, ``-h``, usage and
 domain errors, ``qaw check lemma-three-term`` and ``qaw eval poch``,
-``gamma``, ``phi`` and ``hcos`` never load numpy, which is most of a
-``qaw`` process's start-up time.  The import also primes the C allocator
+``gamma``, ``phi``, ``hcos`` and ``hsinh`` never load numpy, which is most
+of a ``qaw`` process's start-up time.  The import also primes the C allocator
 (below), so that the quadrature checks reuse their blocks wherever numpy
 loads.
 """

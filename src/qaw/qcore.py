@@ -78,17 +78,19 @@ scalar path before it forms any factor, so it raises that entry's error.
 
 Every series summed term by term -- ``phi_series``, the q-integrals and
 the Cauchy operator of :mod:`qaw.qops` -- is summed by :func:`_series_sum`,
-the one copy of this rule.  A non-terminating series stops after
-CONSECUTIVE_SMALL successive terms below EPS_TERM of its partial sum and
-raises :class:`NonConvergence` ``<series> did not converge in <cap>
-terms`` at its term cap, with the partial sum and the last |term|; any
-series raises ``<series>: term <n> or the partial sum through it is not
-finite`` once its partial sum is not finite, with the last finite partial
-sum.  One whose terms fall like q^n needs more than MAX_TERMS of them at q
-above about 0.9966.  All five are constants (EPS_TERM 1e-15, EPS_FACTOR
-1e-17, MAX_FACTORS and MAX_TERMS 10 000, CONSECUTIVE_SMALL 3), as are the
-log's LOG_RADIUS 1/8 and LOG_TERMS 20; :class:`QContext` carries the base
-q alone.
+the one copy of this rule.  It reads the terms from any iterable, a None
+term ending the sum, and sends nothing back: the Cauchy operator keeps
+the partial sum that its noise floor reads.  A non-terminating series
+stops after CONSECUTIVE_SMALL successive terms below EPS_TERM of its
+partial sum and raises :class:`NonConvergence` ``<series> did not
+converge in <cap> terms`` at its term cap, with the partial sum and the
+last |term|; any series raises ``<series>: term <n> or the partial sum
+through it is not finite`` once its partial sum is not finite, with the
+last finite partial sum.  One whose terms fall like q^n needs more than
+MAX_TERMS of them at q above about 0.9966.  All five are constants
+(EPS_TERM 1e-15, EPS_FACTOR 1e-17, MAX_FACTORS and MAX_TERMS 10 000,
+CONSECUTIVE_SMALL 3), as are the log's LOG_RADIUS 1/8 and LOG_TERMS 20;
+:class:`QContext` carries the base q alone.
 
 A modulus is :func:`_modulus`, the hypot of the parts, wherever abs() of a
 complex could raise ``OverflowError``: past the double range with both
@@ -181,40 +183,37 @@ def _divide(num, den):
 
 
 def _series_sum(terms, what, cap, scale=None, tol=EPS_TERM):
-    """The sum of the series whose terms the generator ``terms`` yields,
+    """The sum of the series whose terms the iterable ``terms`` gives,
     under the truncation policy (module docstring): the one loop that
     keeps the running sum, the small-term count and the two errors, which
     name the series ``what``.
 
-    The generator is sent the modulus of each partial sum (None first)
-    and yields the next term.  The sum ends at a None term, at the end of
-    a run of CONSECUTIVE_SMALL terms below ``tol`` of the partial sum (a
-    terminating series passes 0, which no term is below), or, when the
-    generator runs out, in the cap error ``<what> did not converge in
-    <cap> terms``.  The sum, and the partial sum an error carries, is
-    multiplied by ``scale`` where one is given.
+    The sum ends at a None term, at the end of a run of CONSECUTIVE_SMALL
+    terms below ``tol`` of the partial sum (a terminating series passes 0,
+    which no term is below), or, when the terms run out, in the cap error
+    ``<what> did not converge in <cap> terms``.  The sum, and the partial
+    sum an error carries, is multiplied by ``scale`` where one is given.
     """
     scaled = (lambda s: s) if scale is None else (lambda s: scale * s)
-    total, small, size, mag, n = complex(0.0), 0, None, 0.0, 0
-    try:
-        while (term := terms.send(size)) is not None:
-            nxt = total + term
-            try:
-                size, mag = abs(nxt), abs(term)
-            except OverflowError:
-                size, mag = _modulus(nxt), _modulus(term)
-            if not size < math.inf:
-                raise NonConvergence(f"{what}: term {n} or the partial sum through it is not "
-                                     "finite", scaled(total), mag)
-            total = nxt
-            # as tol * max(size, 1e-300), without the call that costs a third of a term
-            small = small + 1 if mag < tol * (size if size > 1e-300 else 1e-300) else 0
-            if small >= CONSECUTIVE_SMALL:
-                break
-            n += 1
-    except StopIteration:
-        raise NonConvergence(f"{what} did not converge in {cap} terms", scaled(total),
-                             mag) from None
+    total, small, mag = complex(0.0), 0, 0.0
+    for n, term in enumerate(terms):
+        if term is None:
+            break
+        nxt = total + term
+        try:
+            size, mag = abs(nxt), abs(term)
+        except OverflowError:
+            size, mag = _modulus(nxt), _modulus(term)
+        if not size < math.inf:
+            raise NonConvergence(f"{what}: term {n} or the partial sum through it is not "
+                                 "finite", scaled(total), mag)
+        total = nxt
+        # as tol * max(size, 1e-300), without the call that costs a third of a term
+        small = small + 1 if mag < tol * (size if size > 1e-300 else 1e-300) else 0
+        if small >= CONSECUTIVE_SMALL:
+            break
+    else:
+        raise NonConvergence(f"{what} did not converge in {cap} terms", scaled(total), mag)
     return scaled(total)
 
 
@@ -320,15 +319,15 @@ def _array_product(a, ctx: QContext):
 
 def _log_series(z, q):
     """-sum_{n<=LOG_TERMS} z^n / (n (1 - q^n)), the q-log series cut at
-    LOG_TERMS terms, by Horner's rule; z a complex or an array.
+    LOG_TERMS terms, by Horner's rule; z a complex or an array.  The
+    coefficients come from Python's math, so a scalar z loads no numpy.
 
     Out of place, because numpy's in-place complex multiply may round a
     one-entry array differently from a longer one.
     """
-    n = np.arange(LOG_TERMS, 0, -1)
     s = 0.0
-    for c in (1.0 / (n * np.expm1(n * math.log(q)))).tolist():
-        s = (s + c) * z
+    for n in range(LOG_TERMS, 0, -1):
+        s = (s + 1.0 / (n * math.expm1(n * math.log(q)))) * z
     return s
 
 

@@ -5,16 +5,20 @@ Integrand contract.  ``jackson_q_integral``, ``fractional_q_integral`` and
 ``cauchy_T_apply`` take the integrand contract of :mod:`qaw.quad`: ``f``
 takes a 1-D array of points and returns an array of the same shape; any
 other shape, a scalar included, raises ``ValueError``.  The q-integrals sum
-their series in blocks of q-geometric points x q^n and a q^n (64 points
-first, then doubling, at most ``MAX_TERMS`` in all) and call ``f`` once
-per branch and block; the Cauchy operator calls ``f`` once, on c q^j for
-j <= n_max, and takes at most n_max terms past the first.  Each term is
-formed with the arithmetic of a term-by-term loop (q^n by repeated
-multiplication, running products in sequence), and ``qcore._series_sum``
-adds them up under the truncation policy of :mod:`qaw.qcore` (its module
-docstring), which decides where a sum settles, where it is capped and
-which partial sum is not finite.  The Cauchy operator also ends at the
-noise floor of its nested differences (``cauchy_T_apply``).
+their series in blocks of q-geometric points x q^n and a q^n and call
+``f`` once per branch and block.  The first block holds as many points as
+the stop rule takes where the terms fall like q^n (55 at q = 0.5, 354 at
+q = 0.9), so such a sum calls ``f`` once per branch; each later block is
+twice the last, at most ``MAX_TERMS`` points in all.  The Cauchy
+operator calls ``f`` once, on c q^j for j <= n_max, and takes at most
+n_max terms past the first.  Each term is formed with the arithmetic of a
+term-by-term loop (q^n by repeated multiplication, running products in
+sequence), so its bits do not depend on where a block ends, and
+``qcore._series_sum`` adds them up under the truncation policy of
+:mod:`qaw.qcore` (its module docstring), which decides where a sum
+settles, where it is capped and which partial sum is not finite.  The
+Cauchy operator also ends at the noise floor of its nested differences
+(``cauchy_T_apply``), for which it keeps its own partial sum.
 Integrands must be pure and deterministic.
 
 ``q_difference`` and ``difference_eq_residual`` stay scalar: they call
@@ -25,10 +29,9 @@ from __future__ import annotations
 
 from . import _np as np
 from .context import DomainError, QContext
-from .qcore import MAX_TERMS, _divide, _modulus, _power, _series_sum, q_pochhammer_infinite
+from .qcore import (CONSECUTIVE_SMALL, EPS_TERM, MAX_TERMS, _divide, _factor_counts, _modulus,
+                    _power, _series_sum, q_pochhammer_infinite)
 from .quad import _evaluate
-
-_FIRST_BLOCK = 64
 
 
 def _geometric_terms(f, branches, mu, ctx: QContext):
@@ -38,12 +41,15 @@ def _geometric_terms(f, branches, mu, ctx: QContext):
     ``branches`` holds (sign, x, c0, s): the branch adds sign * x * c_n *
     f(x q^n), where c_n = 1 if c0 is None and otherwise
     c_n = c0 prod_{k<n} (1 - s q^{k+mu}) / (1 - s q^{k+1}).  A block is
-    formed once the sum has taken every term before it.
+    formed once the sum has taken every term before it.  The first holds
+    the terms that the stop rule takes where they fall like q^n: until q^n
+    falls below EPS_TERM (1 - q), and CONSECUTIVE_SMALL more; each later
+    block doubles.  Every term has the same bits wherever a block ends.
     """
     q = ctx.q
     coef = [c0 for _, _, c0, _ in branches]
     qn = 1.0
-    n0, size = 0, _FIRST_BLOCK
+    n0, size = 0, _factor_counts(1.0, q, EPS_TERM * (1.0 - q)) + CONSECUTIVE_SMALL + 1
     while n0 < MAX_TERMS:
         m = min(size, MAX_TERMS - n0)
         qns = np.full(m, q)
@@ -68,13 +74,9 @@ def _geometric_terms(f, branches, mu, ctx: QContext):
                 v = w * _evaluate(f, x * qns)
                 term = v if i == 0 else term + v
             term *= qns
-        # not yield from: the sum sends each partial sum's modulus, which a
-        # list iterator cannot take
-        for t in term.tolist():
-            yield t
+        yield from term.tolist()
         qn = float(qns[-1]) * q
-        n0 += m
-        size *= 2
+        n0, size = n0 + m, 2 * size
 
 
 def jackson_q_integral(f, a: float, b: float, ctx: QContext) -> complex:
@@ -164,10 +166,14 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     q = ctx.q
 
     def terms(level):
-        # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j
-        last = size = yield complex(level[0])
+        # nested q-differences: after n passes, level[j] holds (D_c)^n f at c q^j;
+        # the partial sum is kept here for the noise floor, and is finite when
+        # read, as the sum raises where it is not
+        total = complex(level[0])
+        yield total
         if b == 0:
             yield None
+        last = abs(total)
         poch_ratio = complex(1.0)  # (a;q)_n / (q;q)_n
         bn = complex(1.0)
         for n in range(1, n_max + 1):
@@ -176,10 +182,10 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
             bn *= b
             term = poch_ratio * bn * complex(level[0])
             mag = _modulus(term)
-            if mag > last and last <= 1e-8 * max(size, 1e-300):
+            if mag > last and last <= 1e-8 * max(abs(total), 1e-300):
                 yield None  # the noise floor
-            size = yield term
-            last = mag
+            yield term
+            total, last = total + term, mag
 
     # a pole of f makes every later partial sum non-finite, which raises
     with np.errstate(all="ignore"):

@@ -1077,6 +1077,7 @@ NUMPY_FREE_LINES = [
     (["eval", "gamma", "--q", "0.5", "--x", "2.5"], 0),
     (["eval", "phi", "--q", "0.5", "--numer", "0.2,0.3", "--denom", "0.1", "--z", "0.4"], 0),
     (["eval", "hcos", "--q", "0.5", "--theta", "1.0", "--params", "0.1,0.2"], 0),
+    (["eval", "hsinh", "--q", "0.5", "--x", "0.3", "--t", "0.2"], 0),
     (["check", "askey-wilson", "--q", "0.5", "--a", "1.5"], 65),
 ]
 
@@ -1112,7 +1113,30 @@ print(json.dumps([run_check(name, params).wall_time for _ in range(2)]))
 """
 
 
+# runs one check with a clock that writes, at its first reading, the class
+# of sys.modules["numpy"]: _LazyModule until numpy has loaded
+_NUMPY_AT_CLOCK = """
+import json, sys, time, types
+from qaw import identities
+seen = []
+
+def perf_counter():
+    seen.append(type(sys.modules["numpy"]).__name__)
+    return time.perf_counter()
+
+identities.time = types.SimpleNamespace(perf_counter=perf_counter)
+identities.run_check(sys.argv[1], json.loads(sys.argv[2]))
+print(seen[0])
+"""
+
+
 class TestLazyNumpy:
+    @pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-generating"])
+    def test_numpy_loads_before_the_first_check_starts_its_clock(self, name):
+        # the deterministic half of the timing test below
+        proc = _run_fresh(_NUMPY_AT_CLOCK, name, json.dumps(FIXED_POINTS[name]))
+        assert (proc.returncode, proc.stdout) == (0, "module\n"), proc.stderr
+
     @pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-generating"])
     def test_first_check_does_not_time_numpy_load(self, name):
         # numpy, some 100 ms to load, loads in the first check of the

@@ -426,6 +426,21 @@ class TestLemmaAndGenerating:
         report = run_check("fractional-generating", SAMPLE_GEN)
         assert report.passed and report.rel_err < 1e-8
 
+    @pytest.mark.parametrize("q", [0.6, 0.65, 0.7])
+    def test_generating_lhs_calls_its_integrand_once_per_branch(self, monkeypatch, q):
+        # the q-integral's first block holds every term its stop rule takes:
+        # 74-105 terms here, where a first block of 64 took two more calls
+        calls = []
+        integrand = identities._generating_integrand
+
+        def counted(y, p, ctx):
+            calls.append(y.size)
+            return integrand(y, p, ctx)
+
+        monkeypatch.setattr(identities, "_generating_integrand", counted)
+        assert run_check("fractional-generating", {**SAMPLE_GEN, "q": q}).passed
+        assert len(calls) == 2  # a != 0: the branches at x q^n and a q^n
+
     def test_invalid_params_raise(self):
         p = dict(q=0.5, a=0.7, x=0.6, mu=1.5)  # a >= x
         with pytest.raises(DomainError):

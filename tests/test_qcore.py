@@ -328,6 +328,18 @@ class TestPhiSeries:
             phi_series(HypergeometricSpec(numer=(0.3, ctx.q**-6), z=0.5), ctx)
 
 
+class TestSeriesSum:
+    """``_series_sum`` reads its terms from any iterable."""
+
+    def test_none_term_ends_the_sum(self):
+        assert qcore._series_sum([1.0, 0.5, None, 1e300], "s", 4, scale=2.0) == 3.0
+
+    def test_running_out_of_terms_is_the_cap_error(self):
+        with pytest.raises(NonConvergence, match="^s did not converge in 2 terms$") as exc:
+            qcore._series_sum(iter([1.0, 0.5]), "s", 2, scale=2.0)
+        assert (exc.value.partial, exc.value.last_term) == (3.0, 0.5)
+
+
 class TestWeights:
     def test_h_cos_zero_param(self, ctx):
         assert h_cos(1.1, [0.0], ctx) == 1.0

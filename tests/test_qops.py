@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from qaw import qops
 from qaw.context import DomainError, NonConvergence, QContext
+from qaw.identities import GeneratingParams, _generating_integrand
 from qaw.qcore import (
     CONSECUTIVE_SMALL,
     EPS_TERM,
     INFINITE,
     MAX_TERMS,
+    _factor_counts,
     q_gamma,
     q_pochhammer,
     q_pochhammer_infinite,
@@ -383,7 +385,11 @@ class TestBatchedAgainstReference:
 
 
 class TestIntegrandCalls:
-    """One call of f per block and branch; the Cauchy operator calls it once."""
+    """One call of f per block and branch; the Cauchy operator calls it once.
+
+    The first block holds the terms that the stop rule takes where they
+    fall like q^n: at q = 0.9, 350 to pass below EPS_TERM (1 - q) and 4 more.
+    """
 
     @staticmethod
     def _recording(f):
@@ -398,19 +404,62 @@ class TestIntegrandCalls:
     def test_jackson_blocks(self):
         g, sizes = self._recording(np.ones_like)
         jackson_q_integral(g, 0.2, 0.9, QContext(q=0.9))  # about 330 terms
-        assert sizes == [64, 64, 128, 128, 256, 256]
+        assert sizes == [354, 354]
 
     def test_fractional_single_branch(self):
         g, sizes = self._recording(lambda t: t)
         fractional_q_integral(g, 0.6, 0.0, 1.5, QContext(q=0.5))
-        assert sizes == [64]
+        assert sizes == [55]
 
     def test_blocks_capped_at_max_terms(self, monkeypatch):
         g, sizes = self._recording(np.ones_like)
         monkeypatch.setattr(qops, "MAX_TERMS", 100)
         with pytest.raises(NonConvergence):
             jackson_q_integral(g, 0.0, 0.9, QContext(q=0.9))
-        assert sizes == [64, 36]
+        assert sizes == [100]
+
+    @pytest.mark.parametrize("integral", [
+        lambda f, ctx: jackson_q_integral(f, 0.0, 0.9, ctx),
+        lambda f, ctx: jackson_q_integral(f, 0.2, 0.9, ctx),
+        lambda f, ctx: fractional_q_integral(f, 0.6, 0.0, 1.5, ctx),
+        lambda f, ctx: fractional_q_integral(f, 0.6, 0.2, 1.5, ctx),
+    ], ids=["jackson-a0", "jackson", "fractional-a0", "fractional"])
+    @pytest.mark.parametrize("name", ["power", "generating"])
+    @pytest.mark.parametrize("q", [0.3, 0.7])
+    def test_value_bits_do_not_depend_on_first_block(self, monkeypatch, integral, name, q):
+        # q^n, the coefficient products and every term come from one
+        # sequential arithmetic, wherever a block ends
+        ctx = QContext(q=q)
+        p = GeneratingParams(q=q, a=0.2, x=0.6, mu=1.5, b=0.3, r=0.4, s=0.25, t=0.15, u=0.1,
+                             z=0.2)
+        f = {"power": lambda t: t**1.3,
+             "generating": lambda y: _generating_integrand(y, p, ctx)}[name]
+        series_sum = qops._series_sum
+
+        def bits(first):
+            # the value and every term that the sum took, as hex
+            taken = []
+
+            def recording_sum(terms, *args, **kwargs):
+                def tee():
+                    for t in terms:
+                        taken.append(t)
+                        yield t
+                return series_sum(tee(), *args, **kwargs)
+
+            g, sizes = self._recording(f)
+            with monkeypatch.context() as m:
+                m.setattr(qops, "_series_sum", recording_sum)
+                if first is not None:
+                    m.setattr(qops, "_factor_counts", lambda *_: first - CONSECUTIVE_SMALL - 1)
+                value = integral(g, ctx)
+            return sizes[0], [(complex(v).real.hex(), complex(v).imag.hex())
+                              for v in (value, *taken)]
+
+        computed, want = bits(None)
+        assert computed == _factor_counts(1.0, q, EPS_TERM * (1.0 - q)) + CONSECUTIVE_SMALL + 1
+        for first in (1, 7, 64, computed):
+            assert bits(first) == (first, want)
 
     def test_cauchy_calls_once(self):
         g, sizes = self._recording(lambda z: 1.0 / (1.0 - 0.3 * z))
