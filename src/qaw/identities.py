@@ -13,7 +13,10 @@ Every check is :func:`_check` on its identity's row of ``_TABLE``, the
 only declaration of an identity: the params class (plain data; its fields
 are the ``qaw check`` flags), the function giving both sides, the default
 tolerance and all domain rules, applied in order, whose messages join
-into one :class:`DomainError`.  A quadrature family (Askey-Wilson on
+into one :class:`DomainError`.  Before them every field must hold a
+number of its declared type (:func:`_type_violations`), and a finite one,
+or the check raises a :class:`DomainError` naming the fields, so that no
+TypeError of a rule or a side escapes.  A quadrature family (Askey-Wilson on
 [0, pi], reversal and Gaussian on the real line) is a :class:`_Family`
 with its own domain rule; its plain check integrates the weight against
 the closed product, its fractional check the weight times :func:`ksum`
@@ -126,16 +129,22 @@ absolute tail bound of the window rule in :mod:`qaw.quad` would misjudge
 at large mu: at mu = 1000 the six fractional quadrature rows pass at
 their fixed points with 129 nodes.  Every integrand makes one
 ``q_pochhammer_infinite_log`` call per integrand call, on the arguments
-of all its factors at all its nodes or points: 10 rows of nodes for the
-Askey-Wilson and reversal weights and 8 for the Gaussian one at four
-nonzero parameters, up to 6 rows of points for the generating
-q-integrand.  :func:`_log_quotient` adds the
-rows' logs one at a time, and the log product truncates each entry by
-itself, so a weight's value at a node does not depend on the other nodes
-of its call (the k-sum's still does, through its row count).
+of all its factors at all its nodes or points: at four nonzero
+parameters, 5 rows of nodes for the Askey-Wilson weight (one more for
+each non-real parameter), 10 for the reversal weight and 8 for the
+Gaussian one, and up to 6 rows of points for the generating q-integrand.
+:func:`_log_quotient` adds the rows' logs one at a time, and the log
+product truncates each entry by itself, so a weight's value at a node
+does not depend on the other nodes of its call (the k-sum's still does,
+through its row count).
 The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
 4 sin^2 theta (q e^{2i theta}, q e^{-2i theta};q)_inf, with no zero factor
-at theta = 0.  An exact zero factor has the log -inf, so an integrand is 0
+at theta = 0.  Two of its rows that are conjugate at every node, q e^{+-2i
+theta}, and prm e^{+-i theta} at a real prm, are one row whose log enters
+as twice its real part: h(cos theta; prm) = |(prm e^{i theta};q)_inf|^2
+(Gasper & Rahman, ch. 6).  So at real parameters the weight is real.  The
+real-line weights keep both rows of each pair: theirs sit at +-t, not at
+one node.  An exact zero factor has the log -inf, so an integrand is 0
 where only its numerator vanishes and not finite where its denominator
 does, as the quotient of plain products would be.
 
@@ -158,6 +167,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -265,6 +275,24 @@ class AtakishiyevParams(PlainAtakishiyevParams):
 
     x: float = 0.0
     mu: float = 1.0
+
+
+_REAL = (float, int)
+
+
+def _type_violations(p):
+    """A message for each field of p that holds no number of its declared
+    type: a real in a ``float`` field, a real or complex in a ``complex``
+    one, never a bool.  Python's numbers pass by their type alone."""
+    declared = type(p).__dataclass_fields__
+    out = []
+    for name, v in vars(p).items():
+        real = declared[name].type == "float"
+        if type(v) in (_REAL if real else _NUMBER):
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Real if real else numbers.Complex):
+            out.append(f"{name} must be a {'real ' if real else ''}number, got {v!r}")
+    return out
 
 
 def _q_range(p):
@@ -616,21 +644,25 @@ def _lemma_sides(p, ctx):
     return lhs, terms[0] + terms[1] + terms[2], {}, {"abs_terms": sum(map(abs, terms))}
 
 
-def _log_quotient(num, den, size, ctx):
-    """log of prod (v;q)_inf over the rows v of num over the same product
-    over den, at each of ``size`` nodes; the rows are node arrays, all
-    taken by one call of ``q_pochhammer_infinite_log``, whose -inf at an
+def _log_quotient(rows, size, ctx):
+    """log of prod (v;q)_inf^k over the (k, v) of ``rows``, at each of
+    ``size`` nodes: k = 1 or -1 for a numerator or denominator row v, and
+    2 or -2 for a row v whose conjugate is a factor too, as (v, conj v;q)_inf
+    = |(v;q)_inf|^2 enters as 2 Re log (v;q)_inf.  The rows are node arrays,
+    all taken by one call of ``q_pochhammer_infinite_log``, whose -inf at an
     exact zero factor carries through.
 
-    The rows are added (num) or subtracted (den) one at a time, in order:
+    The rows are added (k > 0) or subtracted one at a time, in order:
     numpy's sum over eight or more rows pairs them differently for one
     node than for many, so a node's value would depend on its call.
     """
     total = np.zeros(size)
-    if num or den:
-        lg = q_pochhammer_infinite_log(np.concatenate(num + den), ctx).reshape(-1, size)
-        for i, row in enumerate(lg):
-            total = total + row if i < len(num) else total - row
+    if rows:
+        lg = q_pochhammer_infinite_log(np.concatenate([v for _, v in rows]), ctx)
+        for (k, _), row in zip(rows, lg.reshape(-1, size)):
+            if abs(k) == 2:
+                row = 2.0 * row.real
+            total = total + row if k > 0 else total - row
     return total
 
 
@@ -642,9 +674,9 @@ def _generating_integrand(y, p, ctx):
     products would: it is 0 where only the numerator vanishes, and not
     finite where the denominator does, which the q-integral reports.
     """
-    num = [c * y for c in (p.b * p.z, p.t, p.r * p.u) if c != 0]
-    den = [c * y for c in (p.s, p.z, p.u) if c != 0]
-    return np.exp(_log_quotient(num, den, y.size, ctx))
+    rows = [(1, c * y) for c in (p.b * p.z, p.t, p.r * p.u) if c != 0]
+    rows += [(-1, c * y) for c in (p.s, p.z, p.u) if c != 0]
+    return np.exp(_log_quotient(rows, y.size, ctx))
 
 
 def _generating_numerator(p):
@@ -693,11 +725,16 @@ def _aw_weight(theta, p, ctx):
     """h(cos 2 theta; 1) / h(cos theta; a, b, c, d) from one log-product
     call: (e^{2i theta}, e^{-2i theta};q)_inf = 4 sin^2 theta
     (q e^{2i theta}, q e^{-2i theta};q)_inf leaves no zero factor at
-    theta = 0, and each nonzero parameter adds the rows prm e^{+-i theta}."""
-    q, e, e2 = ctx.q, np.exp(1j * theta), np.exp(2j * theta)
-    den = [v for prm in (p.a, p.b, p.c, p.d) if prm != 0 for v in (prm * e, prm / e)]
-    lg = _log_quotient([q * e2, q / e2], den, theta.size, ctx)
-    return 4.0 * np.sin(theta) ** 2 * np.exp(lg)
+    theta = 0.  A conjugate pair is one row: q e^{2i theta}, and prm
+    e^{i theta} for a nonzero real prm, as h(cos theta; prm) = |(prm
+    e^{i theta};q)_inf|^2; a non-real prm adds the rows prm e^{+-i theta}.
+    So with real parameters the weight is real."""
+    e = np.exp(1j * theta)
+    rows = [(2, ctx.q * np.exp(2j * theta))]
+    for prm in (p.a, p.b, p.c, p.d):
+        if prm != 0:
+            rows += [(-2, prm * e)] if prm.imag == 0 else [(-1, prm * e), (-1, prm / e)]
+    return 4.0 * np.sin(theta) ** 2 * np.exp(_log_quotient(rows, theta.size, ctx))
 
 
 def _aw_series(theta, p):
@@ -723,7 +760,8 @@ def _reversal_weight(t, p, ctx):
     from one log-product call on all their arguments."""
     q = ctx.q
     den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-    return np.exp(_log_quotient(_sinh_args(t, p, q), den, t.size, ctx))
+    rows = [(1, v) for v in _sinh_args(t, p, q)] + [(-1, v) for v in den]
+    return np.exp(_log_quotient(rows, t.size, ctx))
 
 
 def _reversal_series(t, p):
@@ -741,7 +779,7 @@ def _reversal_closed(p):
 def _gaussian_weight(t, p, ctx):
     """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
     ag = p.alpha_g
-    lg = -t * t + _log_quotient(_sinh_args(ag * t, p, 1.0), [], t.size, ctx)
+    lg = -t * t + _log_quotient([(1, v) for v in _sinh_args(ag * t, p, 1.0)], t.size, ctx)
     return np.exp(lg) * np.cosh(ag * t)
 
 
@@ -866,6 +904,9 @@ def _check(name, p, tol=None) -> IdentityReport:
     tol = row.tol if tol is None else tol
     if not valid_tolerance(tol):
         raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
+    wrong = _type_violations(p)
+    if wrong:
+        raise DomainError("; ".join(wrong))
     # a shallow copy of the fields: asdict would deep-copy every value
     params = dict(vars(p))
     infinite = [f"{k}={v}" for k, v in params.items() if not cmath.isfinite(v)]

@@ -430,8 +430,9 @@ class TestCheck:
         assert doc["passed"] is True
 
     def test_failing_tolerance_exits_1(self, capsys):
+        # q = 0.4: at q = 0.5 the sides agree to the bit, and only est_error fails
         code, out, _ = run_cli(
-            capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3",
+            capsys, "check", "askey-wilson", "--q", "0.4", "--a", "0.3",
             "--b", "0.2", "--c", "0.1", "--d", "0.4", "--tol", "1e-30"
         )
         doc = json.loads(out)

@@ -150,9 +150,12 @@ class TestQuadratureOracle:
         assert lhs_ok if q <= 0.95 else lhs_ok or not reversal.passed
 
 
-# the real-line rows and the bound on the real and imaginary parts of
+# the quadrature rows and the bound on the real and imaginary parts of
 # their complex b, c and d
 COMPLEX_DRAW_WIDTH = {
+    "askey-wilson": 0.4,
+    "fractional-askey-wilson": 0.1,
+    "fractional-askey-wilson-3phi2": 0.1,
     "reversal-askey-wilson": 0.15,
     "fractional-reversal-askey-wilson": 0.07,
     "fractional-reversal-askey-wilson-3phi2": 0.07,
@@ -162,11 +165,12 @@ COMPLEX_DRAW_WIDTH = {
 }
 
 
-class TestComplexRealLineParameters:
-    """The real-line rows with complex b, c, d that are not conjugate to
-    each other, so that the integrand has no symmetry f(-t) = conj f(t)
-    and the value an imaginary part: each check passes, and both sides
-    agree with 40 digits."""
+class TestComplexQuadratureParameters:
+    """The quadrature rows with complex b, c, d that are not conjugate to
+    each other, so that the value has an imaginary part: the real-line
+    integrand has no symmetry f(-t) = conj f(t), and the Askey-Wilson
+    weight takes two rows for each such parameter.  Each check passes, and
+    both sides agree with 40 digits."""
 
     @pytest.mark.parametrize("name, width", COMPLEX_DRAW_WIDTH.items())
     def test_seeded_draws(self, name, width):
@@ -755,6 +759,24 @@ class TestIntegrandsAgainstMultiprecision:
             want, scale = mp_oracle.aw_weight(t, q, (p.a, p.b, p.c, p.d))
             assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want)
 
+    @pytest.mark.parametrize("q", INTEGRAND_Q[:3])
+    def test_aw_weight_is_real_at_real_parameters(self, q):
+        # each row stands for a conjugate pair: the weight's imaginary part
+        # is 0 to the bit on the first level, theta = 0 and pi included,
+        # where it is h(cos 2 theta; 1) / h(cos theta; a, b, c, d) (every
+        # 8th node, for the oracle's time)
+        p = AWParams(q=q, **AW_WEIGHT_PARAMS[0])
+        theta, _ = next(quad._levels(lambda t: t, 0.0, math.pi))
+        assert theta[0] == 0.0 and theta[-1] == math.pi
+        got = identities._aw_weight(theta, p, QContext(q=q))
+        assert np.all(np.imag(got) == 0.0)
+        assert got[0] == 0.0
+        params = (p.a, p.b, p.c, p.d)
+        for g, t in zip(got[8::8].tolist(), theta[8::8].tolist()):
+            want = mp_oracle.h_cos(2 * t, [1], q) / mp_oracle.h_cos(t, params, q)
+            _, scale = mp_oracle.aw_weight(t, q, params)
+            assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want), t
+
     @pytest.mark.parametrize("q", INTEGRAND_Q)
     @pytest.mark.parametrize("params", GEN_INTEGRAND_PARAMS)
     def test_generating_integrand(self, q, params):
@@ -864,12 +886,13 @@ class TestWholeLevelWeights:
         assert [a.size for a in calls] == [10 * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
 
-    def test_aw_log_products_called_per_level_not_per_node(self, monkeypatch):
+    @pytest.mark.parametrize("b, rows", [(0.2, 5), (0.2 + 0.1j, 6)])
+    def test_aw_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
         calls, levels = self._count_log_products(
-            monkeypatch, "askey-wilson", dict(q=0.5, a=0.3, b=0.2, c=0.1, d=0.4))
-        # the (q e^{+-2i theta};q)_inf pair and the two h_cos arguments of
-        # each of the 4 parameters
-        assert [a.size for a in calls] == [10 * n for n in levels]
+            monkeypatch, "askey-wilson", dict(q=0.5, a=0.3, b=b, c=0.1, d=0.4))
+        # one row for the (q e^{+-2i theta};q)_inf pair and for the h_cos
+        # pair of each real parameter, two for a non-real one
+        assert [a.size for a in calls] == [rows * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
 
     def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch):
@@ -1594,9 +1617,9 @@ class TestDomainRules:
         ("fractional-generating", {"a": 1.0, "t": _HUGE},
          "need 0 < a < x < 1, got a=1.0, x=0.6; need max(|at|,|az|,|aru|) < 1, got inf"),
         ("askey-wilson", {"b": _HUGE}, "need max(|a|,|b|,|c|,|d|) < 1, got inf"),
-        ("reversal-askey-wilson", {"a": 1e154 + 1e154j, "b": 3e154, "c": 1.0, "d": 1.0},
+        ("reversal-askey-wilson", {"a": 3e154, "b": 1e154 + 1e154j, "c": 1.0, "d": 1.0},
          "need |qabcd| < 1, got inf"),
-        ("atakishiyev", {"a": 4e305 + 4e305j, "b": 1.0, "c": 1.0, "d": 1.0},
+        ("atakishiyev", {"a": 1.0, "b": 4e305 + 4e305j, "c": 1.0, "d": 1.0},
          "need |abcd/q^3| < 1, got inf"),
         ("fractional-atakishiyev", {"b": _HUGE, "c": 0.0, "d": 0.0},
          "k-sum diverges: need x*max|numerator|/a < 1, got inf"),
@@ -1665,13 +1688,15 @@ class TestPassRule:
         assert report.failure.startswith("rel_err")
 
     def test_failure_names_each_bound_broken(self):
-        report = run_check("askey-wilson", FIXED_POINTS["askey-wilson"])
+        # the fixed point at q = 0.4, where the sides differ (at q = 0.5
+        # they agree to the bit)
+        params = {**FIXED_POINTS["askey-wilson"], "q": 0.4}
+        report = run_check("askey-wilson", params)
         est = report.lhs_diag["est_error"] / abs(report.rhs)
-        assert report.passed and report.rel_err < est
-        between = run_check("askey-wilson", FIXED_POINTS["askey-wilson"],
-                            tol=math.sqrt(report.rel_err * est))
+        assert report.passed and 0 < report.rel_err < est
+        between = run_check("askey-wilson", params, tol=math.sqrt(report.rel_err * est))
         assert not between.passed and between.failure.startswith("est_error")
-        below = run_check("askey-wilson", FIXED_POINTS["askey-wilson"], tol=report.rel_err / 2)
+        below = run_check("askey-wilson", params, tol=report.rel_err / 2)
         assert below.failure.startswith("rel_err") and "; est_error" in below.failure
 
     def test_floor_limited_quadrature_ends_within_seconds(self):
@@ -1701,3 +1726,21 @@ class TestPassRule:
                 check(cls(**params))
         (oc,) = run_suite([{"identity": name, "params": {**FIXED_POINTS[name], "a": value}}])
         assert oc.status == "skipped" and "finite" in oc.reason
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+    def test_wrongly_typed_parameter_is_a_domain_error(self, name):
+        # a complex value in a float field, and a value that is no number
+        # in any field, ends as a DomainError naming the field, never as a
+        # TypeError of the sides or the rules
+        cls, check = identities.IDENTITY_REGISTRY[name]
+        for f in dataclasses.fields(cls):
+            real = f.type == "float"
+            for value in ["0.5", None, True, *([0.5 + 0.1j, np.complex128(0.5)] if real else [])]:
+                params = {**FIXED_POINTS[name], f.name: value}
+                kind = "real number" if real else "number"
+                with pytest.raises(DomainError, match=f"^{f.name} must be a {kind}, got "):
+                    check(cls(**params))
+                (oc,) = run_suite([{"identity": name, "params": params}])
+                assert oc.status == "skipped" and oc.reason.startswith(f.name), (f.name, value)
+        # a numpy real is a number of both kinds
+        assert check(cls(**{k: np.float64(v) for k, v in FIXED_POINTS[name].items()})).passed
