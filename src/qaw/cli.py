@@ -312,7 +312,9 @@ def _cmd_suite(args) -> int:
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: a JSON error, bytes that are not UTF-8, or an integer
+        # literal past Python's limit of 4300 digits
+        except (OSError, ValueError) as exc:
             print(f"cannot read suite spec: {exc}", file=sys.stderr)
             return EXIT_IO
     try:

@@ -14,9 +14,10 @@ only declaration of an identity: the params class (plain data; its fields
 are the ``qaw check`` flags), the function giving both sides, the default
 tolerance and all domain rules, applied in order, whose messages join
 into one :class:`DomainError`.  Before them every field must hold a
-number of its declared type (:func:`_type_violations`), and a finite one,
-or the check raises a :class:`DomainError` naming the fields, so that no
-TypeError of a rule or a side escapes.  A quadrature family (Askey-Wilson on
+number of its declared type (:func:`_type_violations`), and a finite one
+(an int past the double range is not), or the check raises a
+:class:`DomainError` naming the fields, so that no TypeError or
+OverflowError of a rule or a side escapes.  A quadrature family (Askey-Wilson on
 [0, pi], reversal and Gaussian on the real line) is a :class:`_Family`
 with its own domain rule; its plain check integrates the weight against
 the closed product, its fractional check the weight times :func:`ksum`
@@ -130,9 +131,9 @@ at large mu: at mu = 1000 the six fractional quadrature rows pass at
 their fixed points with 129 nodes.  Every integrand makes one
 ``q_pochhammer_infinite_log`` call per integrand call, on the arguments
 of all its factors at all its nodes or points: at four nonzero
-parameters, 5 rows of nodes for the Askey-Wilson weight (one more for
-each non-real parameter), 10 for the reversal weight and 8 for the
-Gaussian one, and up to 6 rows of points for the generating q-integrand.
+parameters, 5 rows of nodes for the Askey-Wilson weight, 5 for the
+reversal weight and 4 for the Gaussian one (one more for each non-real
+parameter), and up to 6 rows of points for the generating q-integrand.
 :func:`_log_quotient` adds the rows' logs one at a time, and the log
 product truncates each entry by itself, so a weight's value at a node
 does not depend on the other nodes of its call (the k-sum's still does,
@@ -142,11 +143,22 @@ The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
 at theta = 0.  Two of its rows that are conjugate at every node, q e^{+-2i
 theta}, and prm e^{+-i theta} at a real prm, are one row whose log enters
 as twice its real part: h(cos theta; prm) = |(prm e^{i theta};q)_inf|^2
-(Gasper & Rahman, ch. 6).  So at real parameters the weight is real.  The
-real-line weights keep both rows of each pair: theirs sit at +-t, not at
-one node.  An exact zero factor has the log -inf, so an integrand is 0
-where only its numerator vanishes and not finite where its denominator
-does, as the quotient of plain products would be.
+(Gasper & Rahman, ch. 6).  So at real parameters the weight is real.
+Each pair of the real-line weights, (i s e^t, -i s e^{-t};q)_inf at a
+real s (s = scale times a parameter) and (-q e^{2t}, -q e^{-2t};q)_inf,
+sits at +-t instead.  The first member of an h_sinh pair is formed as
+conj(-i s / e^{-t}), the second's formula at -t conjugated (i s e^t up to
+rounding), so the second member at t is exactly the conjugate of the
+first at -t, and its log the conjugate of the first's log there, as the
+log product is exactly conjugate-symmetric off the positive real axis;
+the members of the denominator pair are one real argument at +-t.  The
+quadrature samples the real line at exact negatives (:mod:`qaw.quad`), so
+on a node set symmetric about 0 one row stands for both members of each
+such pair (:func:`_log_quotient`); an asymmetric set, or a single node,
+takes both rows, with the same bits.  An exact zero factor has the log
+-inf, so an integrand is 0 where only its numerator vanishes and not
+finite where its denominator does, as the quotient of plain products
+would be.
 
 Closed sides.  Every closed side is :func:`_closed` on a list of ratios
 (coef, numerator arguments, denominator arguments): the lemma's four
@@ -293,6 +305,25 @@ def _type_violations(p):
         if isinstance(v, bool) or not isinstance(v, numbers.Real if real else numbers.Complex):
             out.append(f"{name} must be a {'real ' if real else ''}number, got {v!r}")
     return out
+
+
+def _finite(v):
+    """Whether the number v is finite; an int (or a fraction) past the
+    double range is not, where cmath.isfinite raises OverflowError."""
+    try:
+        return cmath.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _shown(v):
+    """v as a domain error names it: an int past the double range in four
+    digits and its exponent, not in hundreds of digits."""
+    if isinstance(v, int) and not _finite(v):
+        import decimal
+
+        return format(decimal.Decimal(v), ".3e")
+    return str(v)
 
 
 def _q_range(p):
@@ -644,22 +675,54 @@ def _lemma_sides(p, ctx):
     return lhs, terms[0] + terms[1] + terms[2], {}, {"abs_terms": sum(map(abs, terms))}
 
 
-def _log_quotient(rows, size, ctx):
-    """log of prod (v;q)_inf^k over the (k, v) of ``rows``, at each of
-    ``size`` nodes: k = 1 or -1 for a numerator or denominator row v, and
-    2 or -2 for a row v whose conjugate is a factor too, as (v, conj v;q)_inf
-    = |(v;q)_inf|^2 enters as 2 Re log (v;q)_inf.  The rows are node arrays,
-    all taken by one call of ``q_pochhammer_infinite_log``, whose -inf at an
-    exact zero factor carries through.
+def _mirror(t):
+    """For each node t_i, the index of a node equal to -t_i, if every node
+    has one and there are two nodes or more; else None."""
+    if t.size < 2:
+        return None
+    order = np.argsort(t, kind="stable")
+    ordered = t[order]
+    if not (ordered == -ordered[::-1]).all():
+        return None
+    mirror = np.empty_like(order)
+    mirror[order] = order[::-1]
+    return mirror
 
-    The rows are added (k > 0) or subtracted one at a time, in order:
-    numpy's sum over eight or more rows pairs them differently for one
-    node than for many, so a node's value would depend on its call.
+
+def _log_quotient(rows, nodes, ctx):
+    """log of prod (v;q)_inf^k over the rows (k, v) of ``rows`` at the
+    array ``nodes``: k = 1 or -1 for a numerator or denominator row v, and
+    2 or -2 for a row v whose conjugate is a factor too, as (v, conj v;q)_inf
+    = |(v;q)_inf|^2 enters as 2 Re log (v;q)_inf.  A row (k, v, w) is a
+    mirrored pair: w at each node is the conjugate of v at the node's
+    negative (v itself there for a real v).  Where every node's negative is
+    a node (:func:`_mirror`), w's log is read off v's row, as the log
+    product is exactly conjugate-symmetric off the positive real axis;
+    otherwise w is a row of its own.  Both give the same bits.  The rows
+    are node arrays, all taken by one call of ``q_pochhammer_infinite_log``,
+    whose -inf at an exact zero factor carries through.
+
+    The rows are added (k > 0) or subtracted one at a time, in order, a
+    pair's second member right after its first: numpy's sum over eight or
+    more rows pairs them differently for one node than for many, so a
+    node's value would depend on its call.
     """
+    size = nodes.size
+    mirror = _mirror(nodes) if any(len(r) == 3 for r in rows) else None
+    args = [a for _, *members in rows for a in (members if mirror is None else members[:1])]
     total = np.zeros(size)
-    if rows:
-        lg = q_pochhammer_infinite_log(np.concatenate([v for _, v in rows]), ctx)
-        for (k, _), row in zip(rows, lg.reshape(-1, size)):
+    if not args:
+        return total
+    logs = iter(q_pochhammer_infinite_log(np.concatenate(args), ctx).reshape(-1, size))
+    for k, v, *pair in rows:
+        first = next(logs)
+        members = [first]
+        if pair:
+            if mirror is None:
+                members.append(next(logs))
+            else:
+                members.append(first[mirror].conj() if np.iscomplexobj(v) else first[mirror])
+        for row in members:
             if abs(k) == 2:
                 row = 2.0 * row.real
             total = total + row if k > 0 else total - row
@@ -676,7 +739,7 @@ def _generating_integrand(y, p, ctx):
     """
     rows = [(1, c * y) for c in (p.b * p.z, p.t, p.r * p.u) if c != 0]
     rows += [(-1, c * y) for c in (p.s, p.z, p.u) if c != 0]
-    return np.exp(_log_quotient(rows, y.size, ctx))
+    return np.exp(_log_quotient(rows, y, ctx))
 
 
 def _generating_numerator(p):
@@ -734,7 +797,7 @@ def _aw_weight(theta, p, ctx):
     for prm in (p.a, p.b, p.c, p.d):
         if prm != 0:
             rows += [(-2, prm * e)] if prm.imag == 0 else [(-1, prm * e), (-1, prm / e)]
-    return 4.0 * np.sin(theta) ** 2 * np.exp(_log_quotient(rows, theta.size, ctx))
+    return 4.0 * np.sin(theta) ** 2 * np.exp(_log_quotient(rows, theta, ctx))
 
 
 def _aw_series(theta, p):
@@ -748,20 +811,31 @@ def _aw_closed(p):
 
 
 def _sinh_args(x, p, scale):
-    """The arguments i s e^x, -i s e^{-x} of the h_sinh factors, s = scale
-    times each nonzero parameter, as rows."""
-    ex = np.exp(x)
-    return [v for prm in (p.a, p.b, p.c, p.d) if prm != 0
-            for v in (1j * (scale * prm) * ex, -1j * (scale * prm) / ex)]
+    """The numerator rows of the h_sinh factors (i s e^x, -i s e^{-x};q)_inf,
+    s = scale times each nonzero parameter, in parameter order.  At a real
+    s the two members are one mirrored pair (:func:`_log_quotient`), the
+    second -i s / e^x and the first conj(-i s / e^{-x}), the second's
+    formula at -x conjugated, which is i s e^x up to rounding (module
+    docstring); a non-real s keeps the two rows i s e^x and -i s / e^x."""
+    ex, emx = np.exp(x), np.exp(-x)
+    rows = []
+    for prm in (p.a, p.b, p.c, p.d):
+        if prm != 0:
+            s = scale * prm
+            second = -1j * s / ex
+            rows += ([(1, np.conj(-1j * s / emx), second)] if prm.imag == 0
+                     else [(1, 1j * s * ex), (1, second)])
+    return rows
 
 
 def _reversal_weight(t, p, ctx):
     """The h_sinh factors at q a, ..., q d over (-q e^{2t}, -q e^{-2t};q)_inf,
-    from one log-product call on all their arguments."""
+    from one log-product call on their rows: the denominator is a mirrored
+    pair of real rows (:func:`_log_quotient`), so on nodes symmetric about
+    0 it takes one row, as each real parameter's h_sinh factor does."""
     q = ctx.q
-    den = [-q * np.exp(2.0 * t), -q * np.exp(-2.0 * t)]
-    rows = [(1, v) for v in _sinh_args(t, p, q)] + [(-1, v) for v in den]
-    return np.exp(_log_quotient(rows, t.size, ctx))
+    rows = _sinh_args(t, p, q) + [(-1, -q * np.exp(2.0 * t), -q * np.exp(-2.0 * t))]
+    return np.exp(_log_quotient(rows, t, ctx))
 
 
 def _reversal_series(t, p):
@@ -777,9 +851,11 @@ def _reversal_closed(p):
 
 
 def _gaussian_weight(t, p, ctx):
-    """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t."""
+    """e^{-t^2} cosh(alpha_g t) times the h_sinh factors at alpha_g t, from
+    one log-product call on their rows (:func:`_sinh_args`): on nodes
+    symmetric about 0, one row per real parameter."""
     ag = p.alpha_g
-    lg = -t * t + _log_quotient([(1, v) for v in _sinh_args(ag * t, p, 1.0)], t.size, ctx)
+    lg = -t * t + _log_quotient(_sinh_args(ag * t, p, 1.0), t, ctx)
     return np.exp(lg) * np.cosh(ag * t)
 
 
@@ -909,7 +985,7 @@ def _check(name, p, tol=None) -> IdentityReport:
         raise DomainError("; ".join(wrong))
     # a shallow copy of the fields: asdict would deep-copy every value
     params = dict(vars(p))
-    infinite = [f"{k}={v}" for k, v in params.items() if not cmath.isfinite(v)]
+    infinite = [f"{k}={_shown(v)}" for k, v in params.items() if not _finite(v)]
     if infinite:
         raise DomainError(f"parameters must be finite, got {', '.join(infinite)}")
     violations = [v for rule in row.rules for v in rule(p)]

@@ -40,7 +40,10 @@ window gives the window, value or error that probing each half-width
 singly gives.  An integrand whose truncation is sized by the largest node
 of a call (the k-sum's Taylor length; not the weights and the generating
 integrand, whose log products truncate each entry by itself) may round
-differently in a larger call, in the last bits only.
+differently in a larger call, in the last bits only.  Every real-line
+call, a level's or a batch's, holds the exact negative of each of its
+nodes: the real-line weights of :mod:`qaw.identities` rely on it, taking
+one log row for each pair of factors whose members sit at +-t.
 """
 
 from __future__ import annotations

@@ -153,6 +153,29 @@ def aw_weight(theta, q, params):
 
 
 @mp.workdps(DPS)
+def reversal_weight(t, q, params):
+    """:func:`quotient` of the h_sinh arguments i q v e^t, -i q v e^{-t} of
+    the v of params over (-q e^{2t}, -q e^{-2t};q)_inf."""
+    e, qm = mp.exp(t), mp.mpf(q)
+    num = [qm * mp.mpmathify(v) * f for v in params for f in (1j * e, -1j / e)]
+    return quotient(num, [-qm * e * e, -qm / (e * e)], q)
+
+
+@mp.workdps(DPS)
+def gaussian_weight(t, alpha_g, q, params):
+    """e^{-t^2} cosh(alpha_g t) times the :func:`quotient` of the h_sinh
+    arguments i v e^{alpha_g t}, -i v e^{-alpha_g t} of the v of params, as
+    a complex, and the sum of |log| over its rows and its two other
+    factors."""
+    t = mp.mpf(t)
+    e = mp.exp(alpha_g * t)
+    value, scale = quotient([mp.mpmathify(v) * f for v in params for f in (1j * e, -1j / e)],
+                            [], q)
+    front = mp.exp(-t * t) * mp.cosh(alpha_g * t)
+    return complex(front * value), scale + float(t * t + mp.log(mp.cosh(alpha_g * t)))
+
+
+@mp.workdps(DPS)
 def jackson_power(a, b, p, q):
     """The Jackson q-integral of t^p from a to b, as a complex."""
     q, p = mp.mpf(q), mp.mpf(p) + 1

@@ -700,11 +700,42 @@ class TestSuite:
         (entry,) = json.loads(out)["reports"]
         assert code == 0 and entry["status"] == "skipped" and "finite" in entry["reason"]
 
+    def test_int_past_the_double_range_is_skipped(self, capsys, tmp_path):
+        # a 401-digit literal, in a float field and in a complex one:
+        # cmath.isfinite raised OverflowError for it, so the entry ended
+        # diverged and the suite exited 1
+        big = "1" + "0" * 400
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"seed": 1, "checks": ['
+                        '{"identity": "askey-wilson", "params": {"q": 0.5, "a": %s}}, '
+                        '{"identity": "askey-wilson", "params": {"q": 0.5, "a": 0.3, "b": -%s}}]}'
+                        % (big, big))
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        reports = json.loads(out)["reports"]
+        assert code == 0 and err == "skip      askey-wilson\n" * 2
+        assert [(r["status"], r["reason"]) for r in reports] == [
+            ("skipped", "parameters must be finite, got a=1.000e+400"),
+            ("skipped", "parameters must be finite, got b=-1.000e+400")]
+        assert reports[0]["params"]["a"] == 10**400
+
     def test_unreadable_spec(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "suite", "--spec", str(tmp_path / "missing.json")
         )
         assert code == 66
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"seed": 1, "checks": [', "Expecting value"),
+        (b'{"seed": 1, "checks": [], "x": "\xff"}', "can't decode byte 0xff"),
+        # json.load raised this ValueError out of main, with a traceback
+        (b'{"seed": 1, "checks": [], "x": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+    ], ids=["json", "utf-8", "5001 digits"])
+    def test_spec_that_does_not_load_exits_66(self, capsys, tmp_path, content, message):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
+        assert (code, out) == (66, "") and err.startswith("cannot read suite spec: ")
+        assert message in err and err.count("\n") == 1
 
     def test_skipped_entries_do_not_fail_suite(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -739,10 +740,12 @@ GEN_INTEGRAND_PARAMS = [
     dict(a=0.2, x=0.6, mu=1.5, b=0.3, s=0.25, t=0.15, z=0.2, r=0.4, u=0.1),
     dict(a=0.2, x=0.6, mu=1.5, b=-0.9 + 0.2j, s=0.9, t=-0.8, z=0.7j, r=0.4, u=-0.9),
 ]
+# mirrored rows only, and one non-real parameter with its two rows
+REAL_LINE_PARAMS = [dict(a=0.3, b=0.2, c=-0.1, d=0.4), dict(a=0.3, b=0.1 + 0.05j, c=-0.1, d=0.4)]
 
 
 class TestIntegrandsAgainstMultiprecision:
-    """The AW weight and the generating integrand against 40 digits.
+    """The weights and the generating integrand against 40 digits.
 
     Each value is exp of a sum of logs, so its rounding grows with the size
     of those logs: the bound is 8 eps (1 + sum |log (v;q)_inf|) over the
@@ -776,6 +779,25 @@ class TestIntegrandsAgainstMultiprecision:
             want = mp_oracle.h_cos(2 * t, [1], q) / mp_oracle.h_cos(t, params, q)
             _, scale = mp_oracle.aw_weight(t, q, params)
             assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want), t
+
+    @pytest.mark.parametrize("q", INTEGRAND_Q)
+    @pytest.mark.parametrize("params", REAL_LINE_PARAMS)
+    def test_real_line_weights(self, q, params):
+        # on the first level of a window, symmetric about 0, where a real
+        # parameter's pair takes one row (every 8th node, for the oracle's
+        # time)
+        t, _ = next(quad._levels(lambda t: t, -6.0, 6.0))
+        assert np.array_equal(t, -t[::-1])
+        p = AWParams(q=q, **params)
+        got = identities._reversal_weight(t, p, QContext(q=q))
+        for g, x in zip(got[::8].tolist(), t[::8].tolist()):
+            want, scale = mp_oracle.reversal_weight(x, q, (p.a, p.b, p.c, p.d))
+            assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want), x
+        p = AtakishiyevParams(alpha_g=math.sqrt(-math.log(q) / 2), **params)
+        got = identities._gaussian_weight(t, p, QContext(q=p.q))
+        for g, x in zip(got[::8].tolist(), t[::8].tolist()):
+            want, scale = mp_oracle.gaussian_weight(x, p.alpha_g, p.q, (p.a, p.b, p.c, p.d))
+            assert abs(g - want) <= 8 * EPS * (1 + scale) * abs(want), x
 
     @pytest.mark.parametrize("q", INTEGRAND_Q)
     @pytest.mark.parametrize("params", GEN_INTEGRAND_PARAMS)
@@ -877,13 +899,15 @@ class TestWholeLevelWeights:
         assert run_check(name, params).passed
         return calls, levels
 
-    def test_log_products_called_per_level_not_per_node(self, monkeypatch):
+    @pytest.mark.parametrize("b, rows", [(0.1, 5), (0.1 + 0.05j, 6)])
+    def test_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
         calls, levels = self._count_log_products(
-            monkeypatch, "reversal-askey-wilson", dict(q=0.5, a=0.2, b=0.1, c=0.15, d=0.1))
-        # per window probe batch and per refinement level: one product on the
-        # two h_sinh arguments of each of the 4 parameters and the
-        # (-q e^{+-2t};q)_inf pair, at every node of the level
-        assert [a.size for a in calls] == [10 * n for n in levels]
+            monkeypatch, "reversal-askey-wilson", dict(q=0.5, a=0.2, b=b, c=0.15, d=0.1))
+        # per window probe batch and per refinement level, each symmetric
+        # about 0: one product on one row for the h_sinh pair of each real
+        # parameter and for the (-q e^{+-2t};q)_inf pair, whose members sit
+        # at +-t, and two rows for a non-real parameter, at every node
+        assert [a.size for a in calls] == [rows * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
 
     @pytest.mark.parametrize("b, rows", [(0.2, 5), (0.2 + 0.1j, 6)])
@@ -895,12 +919,84 @@ class TestWholeLevelWeights:
         assert [a.size for a in calls] == [rows * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
 
-    def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch):
+    @pytest.mark.parametrize("b, rows", [(-0.04, 4), (0.1 + 0.05j, 5)])
+    def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
         calls, levels = self._count_log_products(
-            monkeypatch, "atakishiyev", dict(alpha_g=1.0, a=0.05, b=-0.04, c=0.03, d=0.02))
-        # the two h_sinh arguments of each of the 4 parameters
-        assert [a.size for a in calls] == [8 * n for n in levels]
+            monkeypatch, "atakishiyev", dict(alpha_g=1.0, a=0.05, b=b, c=0.03, d=0.02))
+        # one row for the h_sinh pair of each real parameter, two for a
+        # non-real one
+        assert [a.size for a in calls] == [rows * n for n in levels]
         assert all(isinstance(a, np.ndarray) for a in calls)
+
+
+# the real-line weights at real parameters and at one non-real b; each
+# case's (h_sinh and denominator) pairs, and its rows on a symmetric node set
+REAL_LINE_WEIGHTS = {
+    "reversal": (identities._reversal_weight, lambda b: AWParams(q=0.5, a=0.2, b=b, c=-0.15, d=0.1),
+                 5),
+    "gaussian": (identities._gaussian_weight,
+                 lambda b: AtakishiyevParams(alpha_g=1.0, a=0.05, b=b, c=-0.03, d=0.02), 4),
+}
+
+
+def _real_line_calls(T):
+    """The node arrays of the real-line engine's calls on [-T, T]: levels 0
+    and 1 in one call, level 2, and the first batch of window probes,
+    [T1, -T1, T2, -T2, ...]."""
+    calls = []
+
+    def record(x):
+        calls.append(x)
+        return x
+
+    levels = quad._levels(record, -T, T)
+    for _ in range(3):
+        next(levels)
+    quad._probe(record, quad._LADDER[: quad._WINDOW_BATCH])
+    return calls
+
+
+class TestMirroredRows:
+    """On nodes symmetric about 0 a real-line weight takes one log row per
+    pair of factors whose members sit at +-t; elsewhere two.  A node's
+    value is the same to the bit in a mirrored call, in an unmirrored call
+    and alone."""
+
+    @pytest.mark.parametrize("b", [0.3, 0.1 + 0.05j])
+    @pytest.mark.parametrize("name", sorted(REAL_LINE_WEIGHTS))
+    def test_value_is_bit_equal_in_any_call(self, monkeypatch, name, b):
+        weight, params, pairs = REAL_LINE_WEIGHTS[name]
+        p = params(b)
+        ctx = QContext(q=p.q)
+        sizes, log_poch = [], identities.q_pochhammer_infinite_log
+
+        def counted_log_poch(a, ctx):
+            sizes.append(a.size)
+            return log_poch(a, ctx)
+
+        monkeypatch.setattr(identities, "q_pochhammer_infinite_log", counted_log_poch)
+        # a non-real b takes its two rows in every call
+        mirrored_rows = pairs + (b.imag != 0)
+        calls = _real_line_calls(6.0)
+        assert [x.size for x in calls] == [129, 128, 16]
+        for nodes in calls:
+            sizes.clear()
+            mirrored = weight(nodes, p, ctx)
+            # without its first node the set is not symmetric
+            unmirrored = weight(nodes[1:], p, ctx)
+            alone = np.concatenate([weight(nodes[i : i + 1], p, ctx) for i in range(nodes.size)])
+            assert sizes[:2] == [mirrored_rows * nodes.size, 2 * pairs * (nodes.size - 1)]
+            assert set(sizes[2:]) == {2 * pairs}
+            bits = mirrored.view(np.uint64)
+            assert np.array_equal(bits[2:], unmirrored.view(np.uint64))
+            assert np.array_equal(bits, alone.view(np.uint64))
+
+    def test_mirror_of_a_node_set(self):
+        t = np.array([0.5, -1.0, 0.0, 1.0, -0.5])
+        assert identities._mirror(t).tolist() == [4, 3, 2, 1, 0]
+        assert identities._mirror(np.array([2.0, -2.0, 3.0, -3.0])).tolist() == [1, 0, 3, 2]
+        for t in ([0.5, -0.25], [0.0], [1.0, math.nan, -1.0]):
+            assert identities._mirror(np.array(t)) is None
 
 
 class TestIntegrandCalls:
@@ -1726,6 +1822,24 @@ class TestPassRule:
                 check(cls(**params))
         (oc,) = run_suite([{"identity": name, "params": {**FIXED_POINTS[name], "a": value}}])
         assert oc.status == "skipped" and "finite" in oc.reason
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+    @pytest.mark.parametrize("value, shown", [
+        (10**400, "1.000e+400"), (-(10**400), "-1.000e+400"), (10**5000, "1.000e+5000"),
+    ], ids=["10**400", "-10**400", "10**5000"])
+    def test_int_past_the_double_range_is_a_domain_error(self, name, value, shown):
+        # cmath.isfinite raises OverflowError for such an int, which a suite
+        # reported as diverged; in a float field and in a complex one it is
+        # no finite parameter.  The message names it in a few digits: str()
+        # of an int past 4300 digits raises ValueError
+        cls, _ = identities.IDENTITY_REGISTRY[name]
+        for f in dataclasses.fields(cls):
+            params = {**FIXED_POINTS[name], f.name: value}
+            message = f"parameters must be finite, got {f.name}={shown}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                run_check(name, params)
+            (oc,) = run_suite([{"identity": name, "params": params}])
+            assert (oc.status, oc.reason, oc.params) == ("skipped", message, params)
 
     @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
     def test_wrongly_typed_parameter_is_a_domain_error(self, name):
