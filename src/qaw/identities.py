@@ -402,6 +402,8 @@ def _reversal_violations(p):
 def _gaussian_violations(p):
     if p.alpha_g == 0:
         return ["alpha_g must be nonzero"]
+    if p.q == 1.0:
+        return [f"q = exp(-2 alpha_g^2) rounds to 1 at alpha_g={p.alpha_g}"]
     q3 = p.q**3
     if q3 == 0.0:
         return [f"q^3 = exp(-6 alpha_g^2) underflows to 0 at alpha_g={p.alpha_g}"]

@@ -1,22 +1,23 @@
 """Scalar building blocks: q-Pochhammer symbols, q-bracket, q-gamma,
 basic hypergeometric series and the h(.) weight functions.
 
-The infinite products and the weights ``h_cos``/``h_sinh_log`` also take an
-array (of parameters, angles or points) and return one of its shape.
-Each array path ends as its scalar path does, under any warnings filter:
-an entry's value is the scalar's to rounding (inf or NaN where that is),
-or the array raises the scalar's error class.  So its products run with
-numpy's overflow and invalid events ignored, as Python's complex
-arithmetic ignores them; ``h_cos`` forms each a e^{+-i theta} in Python,
-entry by entry, as numpy's complex division rounds otherwise; and
-``h_sinh_log`` divides -i t by e^x part by part (:func:`_divide`), as
-Python does, where numpy would multiply by a reciprocal that can pass the
-double range.
+The infinite products ``q_pochhammer_infinite`` and
+``q_pochhammer_infinite_log`` also take an array (of parameters) and
+return one of its shape; the weights ``h_cos`` and ``h_sinh_log`` take a
+number, and an array is a ``DomainError`` (the checks take the weights'
+factors as log rows on their nodes, :mod:`qaw.identities`).  Each array
+path ends as its scalar path does, under any warnings filter: an entry's
+value is the scalar's to rounding (inf or NaN where that is), or the array
+raises the scalar's error class.  So its products run with numpy's
+overflow and invalid events ignored, as Python's complex arithmetic
+ignores them.  :func:`_divide` divides a complex array by a real one part
+by part, as Python does, where numpy would multiply by a reciprocal that
+can pass the double range; the Cauchy operator's q-differences use it.
 
 * The product (a;q)_inf of an array forms the factors of each entry up
   to its own factor count (the stop rule below) in bounded blocks and
-  multiplies them in the scalar loop's order.  The public array ``h_cos``
-  and ``q_pochhammer_infinite`` use it, and so does the Cauchy operator's
+  multiplies them in the scalar loop's order.  The public array
+  ``q_pochhammer_infinite`` uses it, and so does the Cauchy operator's
   integrand; no identity check does.
 * Its log gives each entry a head of its own: the h factors 1 - a q^k
   with |a q^k| >= LOG_RADIUS, logged one by one, and for the rest the
@@ -113,7 +114,6 @@ no match, an infinite term.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -626,61 +626,45 @@ def phi_series(spec: HypergeometricSpec, ctx: QContext) -> complex:
                        tol=EPS_TERM if k_term is None else 0.0)
 
 
-def h_cos(theta, params, ctx: QContext):
+def h_cos(theta, params, ctx: QContext) -> complex:
     """Askey-Wilson weight factor h(cos theta; a_1,...,a_m).
 
     Product over the parameters of (a e^{i theta}, a e^{-i theta}; q)_inf.
-    Real-valued (up to rounding) for real parameters.  A scalar ``theta``
-    gives a ``complex``; an array of angles gives an array of the same
-    shape, with one array-path product per parameter and sign.
+    Real-valued (up to rounding) for real parameters.  ``theta`` is a
+    number, and the value a ``complex``; an array of angles is a
+    :class:`DomainError` (the checks take these factors as log rows on
+    their nodes, :mod:`qaw.identities`).
     """
-    array = not isinstance(theta, _NUMBER) and isinstance(theta, np.ndarray)
-    # every a e^{+-i theta} as a scalar's, an array's entry by entry in Python:
-    # numpy's complex division rounds otherwise
-    es = [cmath.exp(1j * t) for t in (theta.ravel().tolist() if array else [theta])]
-    p = np.ones(theta.shape, dtype=complex) if array else complex(1.0)
-    # an array's product past the double range is inf or NaN, as a scalar's is
-    with np.errstate(over="ignore", invalid="ignore") if array else contextlib.nullcontext():
-        for a in params:
-            if a == 0:
-                continue
-            for u in ([a * e for e in es], [a / e for e in es]):
-                u = np.array(u).reshape(theta.shape) if array else u[0]
-                p *= q_pochhammer_infinite(u, ctx)
+    if not isinstance(theta, _NUMBER) and isinstance(theta, np.ndarray):
+        raise DomainError(f"h_cos: theta must be a number, got an array of shape {theta.shape}")
+    e = cmath.exp(1j * theta)
+    p = complex(1.0)
+    for a in params:
+        if a != 0:
+            p *= q_pochhammer_infinite(a * e, ctx)
+            p *= q_pochhammer_infinite(a / e, ctx)
     return p
 
 
-def h_sinh_log(x, t: complex, ctx: QContext):
+def h_sinh_log(x, t: complex, ctx: QContext) -> complex:
     """log of (i t e^x, -i t e^{-x}; q)_inf, safe for large |x|.
 
     Real part is the log-magnitude, imaginary part the accumulated phase.
-    A scalar ``x`` gives a ``complex``; an array gives an array of its
-    shape, from one array log product on [i t e^x, -i t e^{-x}].  An x
-    (an entry of x) whose e^x is 0 or not finite raises ``OverflowError``,
-    unless t = 0.
+    ``x`` is a number, and the value a ``complex``; an array is a
+    :class:`DomainError` naming h_sinh_log, given to :func:`h_sinh` too.
+    An x whose e^x is 0 or not finite raises ``OverflowError``, unless
+    t = 0.
     """
-    array = not isinstance(x, _NUMBER) and isinstance(x, np.ndarray)
+    if not isinstance(x, _NUMBER) and isinstance(x, np.ndarray):
+        raise DomainError(f"h_sinh_log: x must be a number, got an array of shape {x.shape}")
     if t == 0:
-        return np.zeros(x.shape, dtype=complex) if array else complex(0.0)
-    if array:
-        with np.errstate(over="ignore"):
-            ex = np.exp(x.ravel())
-        bad = x.ravel()[(ex == 0) | ~np.isfinite(ex)]
-    else:
-        try:
-            ex = math.exp(x)
-        except OverflowError:
-            ex = math.inf
-        bad = [] if 0 < ex < math.inf else [x]
-    if len(bad):
-        raise OverflowError(f"h_sinh: e^x is 0 or not finite at x={bad[0]}")
-    if array:
-        # both arguments as a scalar's: -i t / e^x part by part, where numpy's
-        # 1/e^x passes the double range at a subnormal e^x
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo = _divide(np.full(ex.size, -1j * t), ex)
-            lg = q_pochhammer_infinite_log(np.stack([1j * t * ex, lo]), ctx)
-        return (lg[0] + lg[1]).reshape(x.shape)
+        return complex(0.0)
+    try:
+        ex = math.exp(x)
+    except OverflowError:
+        ex = math.inf
+    if not 0 < ex < math.inf:
+        raise OverflowError(f"h_sinh: e^x is 0 or not finite at x={x}")
     return q_pochhammer_infinite_log(1j * t * ex, ctx) + q_pochhammer_infinite_log(
         -1j * t / ex, ctx
     )
@@ -689,9 +673,11 @@ def h_sinh_log(x, t: complex, ctx: QContext):
 def h_sinh(x: float, t: complex, ctx: QContext) -> complex:
     """(i t e^x, -i t e^{-x};q)_inf = prod_k (1 - 2 i q^k t sinh x + q^{2k} t^2).
 
-    Evaluated through the log-domain path; raises ``OverflowError`` if the
-    value exceeds the double-precision range, which ``cmath.exp`` decides:
-    a log-magnitude up to about 709.78 can still give a finite value.
+    Evaluated through the log-domain path, :func:`h_sinh_log`, so ``x`` is a
+    number (an array is a :class:`DomainError`); raises ``OverflowError`` if
+    the value exceeds the double-precision range, which ``cmath.exp``
+    decides: a log-magnitude up to about 709.78 can still give a finite
+    value.
     """
     lg = h_sinh_log(x, t, ctx)
     try:

@@ -27,6 +27,8 @@ Integrands must be pure and deterministic.
 
 from __future__ import annotations
 
+import numbers
+
 from . import _np as np
 from .context import DomainError, QContext
 from .qcore import (CONSECUTIVE_SMALL, EPS_TERM, MAX_TERMS, _divide, _factor_counts, _modulus,
@@ -144,8 +146,9 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
 
     sum_{n>=0} (a;q)_n/(q;q)_n b^n (D_c)^n f, with the n-th q-difference
     power computed by literal nested differences on the geometric points c,
-    cq, ..., c q^{n_max}: so n_max, a nonnegative int, is the most terms
-    past the first.  ``f`` is called once, on the array of those points (on
+    cq, ..., c q^{n_max}: so n_max, a nonnegative integral number other
+    than a bool (numpy's too, taken as its int), is the most terms past the
+    first.  ``f`` is called once, on the array of those points (on
     [c] alone when b = 0).  The sum ends in one of three ways:
 
     * settled, under the policy of :mod:`qaw.qcore` (at once when b = 0);
@@ -161,8 +164,9 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     """
     if c == 0:
         raise DomainError("Cauchy operator needs c != 0")
-    if not isinstance(n_max, int) or n_max < 0:
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
         raise DomainError(f"Cauchy operator needs an integer n_max >= 0, got {n_max!r}")
+    n_max = int(n_max)
     q = ctx.q
 
     def terms(level):

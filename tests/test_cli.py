@@ -353,6 +353,15 @@ class TestCheck:
         assert (code, out, err) == (65, "", "invariant violation: q^3 = exp(-6 alpha_g^2) "
                                             "underflows to 0 at alpha_g=1e+155\n")
 
+    @pytest.mark.parametrize("identity, extra", [
+        ("atakishiyev", []),
+        ("fractional-atakishiyev", ["--a", "0.15", "--x", "0.6", "--mu", "1.5"]),
+    ])
+    def test_gaussian_base_rounding_to_one_exits_65(self, capsys, identity, extra):
+        code, out, err = run_cli(capsys, "check", identity, "--alpha-g", "1e-9", *extra)
+        assert (code, out, err) == (65, "", "invariant violation: q = exp(-2 alpha_g^2) "
+                                            "rounds to 1 at alpha_g=1e-09\n")
+
     def test_missing_required_param_exits_64(self, capsys):
         err = usage_error(capsys, "check", "askey-wilson", "--a", "0.3")
         assert "the following arguments are required: --q" in err

@@ -1146,6 +1146,18 @@ class TestSuiteRunner:
         with pytest.raises(DomainError, match="underflows to 0"):
             run_check(name, params)
 
+    @pytest.mark.parametrize("name", ["atakishiyev", "fractional-atakishiyev"])
+    @pytest.mark.parametrize("alpha_g", [1e-9, -1e-9])
+    def test_gaussian_base_rounding_to_one_becomes_skipped(self, name, alpha_g):
+        # q = exp(-2 alpha_g^2) is 1.0: the base the check would build
+        # raised "q must lie in (0, 1), got 1.0", a q the params never held
+        params = {**FIXED_POINTS[name], "alpha_g": alpha_g}
+        reason = f"q = exp(-2 alpha_g^2) rounds to 1 at alpha_g={alpha_g}"
+        (oc,) = run_suite([{"identity": name, "params": params}])
+        assert (oc.status, oc.reason, oc.params) == ("skipped", reason, params)
+        with pytest.raises(DomainError, match=re.escape(reason)):
+            run_check(name, params)
+
     @pytest.mark.parametrize("name", [
         "fractional-askey-wilson", "fractional-reversal-askey-wilson",
         "fractional-atakishiyev", "fractional-generating",

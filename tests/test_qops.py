@@ -202,10 +202,17 @@ class TestCauchyOperator:
         closed = cauchy_T_reciprocal_closed(a, b, c, t, ctx)
         assert abs(exc.value.partial / closed - 1) == pytest.approx(9.5e-3, rel=0.01)
 
-    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    # a bool is no count: True ran one term and ended in the cap error
+    # "did not converge in True terms"
+    @pytest.mark.parametrize("n_max", [-1, 2.5, True, False])
     def test_n_max_is_a_nonnegative_int(self, ctx, n_max):
         with pytest.raises(DomainError, match=f"integer n_max >= 0, got {n_max}$"):
             cauchy_T_apply(0.3, 0.2, lambda c: c, 0.4, n_max, ctx)
+
+    def test_numpy_integer_n_max_is_its_int(self, ctx):
+        f = lambda c: 1.0 / q_pochhammer_infinite(0.4 * c, ctx)
+        assert cauchy_T_apply(0.3, 0.2, f, 0.4, np.int64(20), ctx) == cauchy_T_apply(
+            0.3, 0.2, f, 0.4, 20, ctx)
 
     def test_closed_form_degenerate_cases(self, ctx):
         assert cauchy_T_reciprocal_closed(0.3, 0.0, 0.4, 0.5, ctx) == pytest.approx(
