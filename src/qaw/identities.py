@@ -110,11 +110,14 @@ s^m, s^-m and the recurrence's q^{m-j} and 1 / (1 - q^m) are formed
 together for the first 128 rows, and again at twice the length when the
 rows pass it.  The recurrence coefficients (D_j q^{m-j} - N_j) (1 / (1 -
 q^m)) are formed from them 16 rows at a time, so their scratch stays
-small at any row count.  The real tables are kept as complex r + 0j:
-numpy takes a complex array times a real one as that product after a
-cast of every entry, and its quotient by d + 0j equals the product with
-1/d + 0j but for the sign of a zero part, so the kernel keeps the bits
-of those forms without the casts.
+small at any row count.  The rows and the tables take the dtype of the
+two factor polynomials: float64 where every factor is real (a number
+whose imaginary part is 0 counts as real, and a node pair enters as its
+real quadratic, below), else complex.  Complex rows keep the real
+tables as complex r + 0j: numpy takes a complex array times a real one
+as that product after a cast of every entry, and its quotient by d + 0j
+equals the product with 1/d + 0j but for the sign of a zero part, so
+the kernel keeps the bits of those forms without the casts.
 
 Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
@@ -122,7 +125,17 @@ each parameter as a scalar or as an array over the nodes of a quadrature
 level and evaluates all nodes in one (rows x nodes) array, with the tail
 rule applied per node; its row count is still set by the slowest node of
 the call.  A node-free parameter keeps a single column in the factor
-polynomials.  :func:`ksum` is the bare k-series, c_0 = 1: the fractional
+polynomials.  The Askey-Wilson node pair a e^{+-i theta} is conjugate
+at every node, as a is real, so that family hands it over as one entry,
+a :class:`_Pair`: (1 - s u y)(1 - s conj(u) y) = 1 - 2 Re(s u) y +
+|s u|^2 y^2 is real, as h(cos theta; a) = |(a e^{i theta};q)_inf|^2
+(Gasper & Rahman, ch. 6).  It is formed from s u, whose square stays
+normal where a^2 underflows (a = 4e-309).  So at real parameters that
+k-sum runs on float64 rows and its check's lhs is real to the bit.  The
+real-line pairs i a q e^{+-t} and i a e^{+-alpha_g t} are not conjugate
+at one node and stay two complex parameters.
+
+:func:`ksum` is the bare k-series, c_0 = 1: the fractional
 prefactor x^mu (a/x;q)_mu / (q;q)_mu depends on x, a, mu and q only, so a
 check forms it once and multiplies both of its sides by it after the
 quadrature.  The integrand then does not shrink like x^mu, which the
@@ -367,7 +380,7 @@ def _fractional(numerator, generating=False):
         if generating and 0.0 < p.q < 1.0 and ((1.0 - p.q) * p.x) ** p.mu < _NORMAL:
             return [f"(1-q)^mu x^mu is below the smallest normal double at "
                     f"q={p.q}, x={p.x}, mu={p.mu}"]
-        ratio = p.x * max((_modulus(v) for v in numerator(p)), default=0.0) / p.a
+        ratio = p.x * max((_modulus(_value(v)) for v in numerator(p)), default=0.0) / p.a
         return [f"k-sum diverges: {v}" for v in _below_one("x*max|numerator|/a", ratio)]
 
     return rule
@@ -444,18 +457,52 @@ _MAX_ROWS = 4096  # the most Taylor coefficients a k-sum takes
 _ALL_DIGITS = -math.log10(sys.float_info.epsilon)
 
 
-def _node_shape(params):
-    """The shape of the node arrays among ``params``, (1,) if all are scalars."""
-    return np.broadcast(0j, *params).shape or (1,)
+class _Pair(NamedTuple):
+    """The k-sum parameters u and conj(u), one pair at each node, as one
+    entry: their factor (1 - u y)(1 - conj(u) y) = 1 - 2 Re(u) y + |u|^2 y^2
+    is real (the Askey-Wilson node pair a e^{+-i theta})."""
+
+    u: object
 
 
-def _factor_poly(params):
-    """Coefficients of prod_i (1 - c_i y), one column per node, or a
-    single column where no parameter varies over the nodes."""
-    c = np.zeros((len(params) + 1,) + _node_shape(params), dtype=complex)
+def _value(p):
+    """The array of a k-sum parameter: u for a :class:`_Pair`."""
+    return p.u if isinstance(p, _Pair) else p
+
+
+def _param(p):
+    """A k-sum parameter as an array, or a :class:`_Pair` of one; a
+    complex number whose imaginary part is 0 counts as real."""
+    if isinstance(p, _Pair):
+        return _Pair(np.asarray(p.u))
+    return np.asarray(p.real if isinstance(p, complex) and p.imag == 0 else p)
+
+
+def _node_shape(values):
+    """The shape of the node arrays among ``values``, (1,) if all are scalars."""
+    return np.broadcast(0.0, *values).shape or (1,)
+
+
+def _factor_poly(params, s, dtype):
+    """Coefficients of prod_i (1 - s c_i y) over the parameters c_i of
+    :func:`_param`, of ``dtype``, one column per node, or a single column
+    where no parameter varies over the nodes.  A :class:`_Pair` u enters as
+    the real quadratic 1 - 2 Re(s u) y + |s u|^2 y^2, formed from s u,
+    whose square does not underflow where a subnormal u's would."""
+    degree = sum(2 if isinstance(p, _Pair) else 1 for p in params)
+    c = np.zeros((degree + 1,) + _node_shape([_value(p) for p in params]), dtype=dtype)
     c[0] = 1.0
-    for i, p in enumerate(params, start=1):
-        c[1 : i + 1] -= p * c[:i]
+    i = 0  # the degree so far
+    for p in params:
+        if isinstance(p, _Pair):
+            v = s * p.u
+            step = -2.0 * v.real * c[: i + 2]
+            step[1:] += (v.real * v.real + v.imag * v.imag) * c[: i + 1]
+            c[1 : i + 3] += step
+            i += 2
+        else:
+            c[1 : i + 2] -= s * p * c[: i + 1]
+            i += 1
     return c
 
 
@@ -469,7 +516,7 @@ def _taylor_rows(g, start, stop, Nj, Dj, qpow, inv):
     g_m = sum_{j>=1} (D_j q^{m-j} - N_j) (1 / (1 - q^m)) g_{m-j}.
     """
     r = len(Nj)
-    buf = np.empty((r,) + g.shape[1:], dtype=complex)
+    buf = np.empty((r,) + g.shape[1:], dtype=g.dtype)
     # the recurrence coefficients of 16 rows at a time bound the scratch memory
     for lo in range(start, stop, 16):
         hi = min(lo + 16, stop)
@@ -487,14 +534,15 @@ def _settled(mags, sums):
     return mags[:, -8:].sum(axis=1) < EPS_TERM * np.maximum(sums, 1e-300)
 
 
-def _tables(x, a, mu, q, e, r, L):
+def _tables(x, a, mu, q, e, r, L, dtype):
     """The node-free tables of the rows m < L: the weights w_m / s^m and
     s^-m, s = 2^e (module docstring), and the recurrence's q^{m-j},
     j = r, ..., 1, and 1 / (1 - q^m).
 
-    All but s^-m hold each real t as the complex t + 0j, whose products
-    keep the bits of a complex array times, or over, a real one (module
-    docstring; ``tests/test_identities.py`` checks both).
+    All but s^-m take the rows' ``dtype``: for complex rows each real t is
+    the complex t + 0j, whose products keep the bits of a complex array
+    times, or over, a real one (module docstring;
+    ``tests/test_identities.py`` checks both).
     """
     m = np.arange(L)
     k = m[:-1]
@@ -506,7 +554,8 @@ def _tables(x, a, mu, q, e, r, L):
     down = np.ldexp(1.0, -e * m)
     w = qfac * np.convolve(c, down / qfac)[:L]
     qpow = q ** (m[:, None] - np.arange(r, 0, -1))
-    return w.astype(complex), down, qpow.astype(complex), (1.0 / den).astype(complex)
+    return (w.astype(dtype, copy=False), down, qpow.astype(dtype, copy=False),
+            (1.0 / den).astype(dtype, copy=False))
 
 
 def frac_prefactor(x, a, mu, ctx):
@@ -526,13 +575,17 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     phi_k is the terminating series with numerator (q^-k, *phi_numer),
     denominator (q, *phi_denom) and argument q, summed as
     sum_m g_m w_m / G(1) with the node-free weights w (module docstring).
-    Each parameter is a scalar or an array with one entry per node; the
-    result is a complex for all-scalar parameters and an array over the
-    nodes otherwise.  Raises :class:`KSumDivergence` for the first node
-    whose sum is not finite, or at 4096 rows for the first node that has
-    not settled; its ``k`` is the number of rows with a finite partial sum,
-    and its message names the node's ratio x max|numerator| / a and, for an
-    unsettled sum whose ratio is below 1, calls it convergent but too slow.
+    Each parameter is a scalar or an array with one entry per node, or a
+    :class:`_Pair` of one, which stands for the two parameters u and
+    conj(u) and enters as one real quadratic factor.  A number whose
+    imaginary part is 0 counts as real.  The result is a complex for
+    all-scalar parameters and an array over the nodes otherwise, float64
+    where every factor is real.  Raises :class:`KSumDivergence` for the
+    first node whose sum is not finite, or at 4096 rows for the first node
+    that has not settled; its ``k`` is the number of rows with a finite
+    partial sum, and its message names the node's ratio x max|numerator| /
+    a (|u| for a pair) and, for an unsettled sum whose ratio is below 1,
+    calls it convergent but too slow.
     ``diag`` gets the call's row count ``k_terms``, its largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
     its largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|), each
@@ -544,19 +597,22 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     q = ctx.q
     e = min(round(math.log2(x / a)), 1023)
     s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
-    params = [np.asarray(p, dtype=complex) for p in (*phi_numer, *phi_denom)]
-    shape = _node_shape(params)
+    params = [_param(p) for p in (*phi_numer, *phi_denom)]
+    values = [_value(p) for p in params]
+    shape = _node_shape(values)
+    # float64 rows where every factor is real, a pair's always
+    dtype = np.result_type(0.0, *(p for p in params if not isinstance(p, _Pair)))
     # a parameter near the double range can overflow here; the sum then
     # ends in KSumDivergence below
     with np.errstate(over="ignore", invalid="ignore"):
-        numer = _factor_poly([s * p for p in params[: len(phi_numer)] if np.count_nonzero(p)])
-        denom = _factor_poly([s * p for p in params[len(phi_numer) :] if np.count_nonzero(p)])
+        numer, denom = (_factor_poly([p for p in part if np.count_nonzero(_value(p))], s, dtype)
+                        for part in (params[: len(phi_numer)], params[len(phi_numer) :]))
 
     # the recurrence slices N_j, D_j, j = r, ..., 1, zero past each degree
     r = max(len(numer), len(denom)) - 1
     Nj, Dj = (np.concatenate((c, np.zeros((r + 1 - len(c),) + c.shape[1:])))[r:0:-1]
               for c in (numer, denom))
-    g = np.zeros((64 + r,) + shape, dtype=complex)
+    g = np.zeros((64 + r,) + shape, dtype=dtype)
     g[r] = 1.0
     # per node: sum |g_m s^-m| and sum |g_m w_m| over the rows so far; a
     # node's sum is finite while both are
@@ -568,7 +624,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
                 g = np.concatenate((g, np.zeros_like(g)))
             if new > L:
                 L = max(2 * L, 128)
-                w, down, qpow, inv = _tables(x, a, mu, q, e, r, L)
+                w, down, qpow, inv = _tables(x, a, mu, q, e, r, L, dtype)
             _taylor_rows(g, max(M, 1), new, Nj, Dj, qpow, inv)
             rows = g[r + M : r + new]
             terms = rows * w[M:new, None]
@@ -592,7 +648,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
                 last = float(abs(terms[reached - 1] / G1n))
                 # the terms behave like the node's ratio to the m-th power
                 top = max((abs(np.broadcast_to(v, shape).flat[n])
-                           for v in params[: len(phi_numer)]), default=0.0)
+                           for v in values[: len(phi_numer)]), default=0.0)
                 ratio = x * top / a
                 state = "did not settle within" if finite.all() else "is not finite past"
                 slow = ""
@@ -619,7 +675,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
 
     if diag is not None:
         diag.update(k_terms=M, k_digits_lost=float(lost), g1_digits_lost=float(g1_lost))
-    return complex(total[0]) if all(p.ndim == 0 for p in params) else total
+    return complex(total[0]) if all(v.ndim == 0 for v in values) else total
 
 
 # --------------------------------------------------------------------------
@@ -803,8 +859,10 @@ def _aw_weight(theta, p, ctx):
 
 
 def _aw_series(theta, p):
-    a, e = p.a, np.exp(1j * theta)
-    return [a * p.b * p.c * p.d, a * e, a / e], [a * p.b, a * p.c, a * p.d]
+    """The k-sum's parameters: the node pair a e^{+-i theta}, conjugate at
+    each node as a is real, is one :class:`_Pair`."""
+    a = p.a
+    return [a * p.b * p.c * p.d, _Pair(a * np.exp(1j * theta))], [a * p.b, a * p.c, a * p.d]
 
 
 def _aw_closed(p):

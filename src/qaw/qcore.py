@@ -630,18 +630,26 @@ def h_cos(theta, params, ctx: QContext) -> complex:
     """Askey-Wilson weight factor h(cos theta; a_1,...,a_m).
 
     Product over the parameters of (a e^{i theta}, a e^{-i theta}; q)_inf.
-    Real-valued (up to rounding) for real parameters.  ``theta`` is a
-    number, and the value a ``complex``; an array of angles is a
-    :class:`DomainError` (the checks take these factors as log rows on
-    their nodes, :mod:`qaw.identities`).
+    A parameter whose imaginary part is 0 takes one product v = (a e^{i
+    theta};q)_inf and its factor as the real |v|^2, h(cos theta; a) =
+    |(a e^{i theta};q)_inf|^2 (Gasper & Rahman, ch. 6), so at real
+    parameters the value is exactly real.  ``theta`` is a number, and the
+    value a ``complex``; an array of angles is a :class:`DomainError` (the
+    checks take these factors as log rows on their nodes,
+    :mod:`qaw.identities`).
     """
     if not isinstance(theta, _NUMBER) and isinstance(theta, np.ndarray):
         raise DomainError(f"h_cos: theta must be a number, got an array of shape {theta.shape}")
     e = cmath.exp(1j * theta)
     p = complex(1.0)
     for a in params:
-        if a != 0:
-            p *= q_pochhammer_infinite(a * e, ctx)
+        if a == 0:
+            continue
+        v = q_pochhammer_infinite(a * e, ctx)
+        if a.imag == 0:
+            p *= (v * v.conjugate()).real
+        else:
+            p *= v
             p *= q_pochhammer_infinite(a / e, ctx)
     return p
 

@@ -124,6 +124,13 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "gamma", "--q", "1.5", "--x", "2.5")
         assert code == 2 and out == "" and err.startswith("domain error: q must lie")
 
+    def test_hcos_at_real_parameters_prints_a_real_number(self, capsys):
+        # h(cos theta; a) = |(a e^{i theta};q)_inf|^2 is real to the bit
+        code, out, _ = run_cli(capsys, "eval", "hcos", "--q", "0.5", "--theta", "1.0",
+                               "--params", "0.3,0.2,0.1,0.4")
+        assert code == 0 and "i" not in out
+        assert float(out) == pytest.approx(0.14802098651913803, rel=1e-15)
+
     def test_gamma_one(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "gamma", "--x", "1", "--q", "0.3")
         assert code == 0 and float(out.strip()) == pytest.approx(1.0, rel=1e-12)

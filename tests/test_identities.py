@@ -76,6 +76,19 @@ def _aw_ksum_params(theta, q, a, b, c, d, x, mu):
     return [a * b * c * d, a * e, a / e], [a * b, a * c, a * d]
 
 
+def _aw_pair_params(theta, q, a, b, c, d, x, mu):
+    """The Askey-Wilson check's own k-sum parameters at the angles theta,
+    its node pair a e^{+-i theta} one ``identities._Pair`` entry."""
+    p = AWParams(q=q, a=a, b=b, c=c, d=d, x=x, mu=mu)
+    return identities._aw_series(np.asarray(theta), p)
+
+
+def _members(params):
+    """k-sum parameters with each pair u, conj(u) as its two members."""
+    return [m for v in params
+            for m in ((v.u, np.conj(v.u)) if isinstance(v, identities._Pair) else (v,))]
+
+
 def _reversal_ksum_params(t, q, a, b, c, d, x, mu):
     e = np.exp(np.asarray(t))
     return [q * a * b, q * a * c, q * a * d], [1j * a * q * e, -1j * a * q / e, q * a * b * c * d]
@@ -94,12 +107,15 @@ def _with_base(p):
 def _ksum_against_oracle(p, nodes, series=_aw_ksum_params):
     """One batched ksum call at the nodes (AW angles by default), each
     node within 1e-13 of the 60-digit oracle; ``series(nodes, **p)``
-    gives the k-sum's parameters, scalars or one entry per node."""
+    gives the k-sum's parameters, scalars or one entry per node, pairs
+    among them (the oracle takes a pair's two members).  Returns the
+    values."""
     numer, denom = series(np.array(nodes), **p)
     got = ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]))
-    want = mp_oracle.stable_ksum(p["x"], p["a"], p["mu"], p["q"], numer, denom)
+    want = mp_oracle.stable_ksum(p["x"], p["a"], p["mu"], p["q"], _members(numer), denom)
     for node, g, w in zip(nodes, got, want, strict=True):
         assert abs(g - w) <= 1e-13 * abs(w), node
+    return got
 
 
 def _uniform(rng, w):
@@ -205,12 +221,19 @@ class TestBatchedKSum:
             assert abs(batched[i] - single) <= 1e-13 * abs(single)
 
     def test_complex_nodes_against_multiprecision_oracle(self):
-        _ksum_against_oracle(AW_POINT, [0.01, 0.7, 1.9, 3.1, math.pi - 1e-9])
+        # the node pair as two complex parameters, and as the check hands it
+        # over, one real factor: float64 values at real parameters
+        nodes = [0.0, 0.01, 0.7, 1.9, 3.1, math.pi - 1e-9]
+        _ksum_against_oracle(AW_POINT, nodes)
+        assert _ksum_against_oracle(AW_POINT, nodes, _aw_pair_params).dtype == np.float64
 
     def test_complex_nodes_at_the_x_edge_against_multiprecision_oracle(self):
         # x = 0.692: the outer terms fall slowly, and near theta = pi the
-        # swapped sum cancels most (sum |g_m w_m| ~ 300 |S G(1)| at 2.75)
-        _ksum_against_oracle(AW_EDGE_POINT, [0.3, 1.5, 2.75])
+        # swapped sum cancels most (sum |g_m w_m| ~ 300 |S G(1)| at 2.75);
+        # 2.75 and 3.1 are the nodes of the CHANGES.md FOUND line on it
+        nodes = [0.3, 1.5, 2.75, 3.1]
+        _ksum_against_oracle(AW_EDGE_POINT, nodes)
+        assert _ksum_against_oracle(AW_EDGE_POINT, nodes, _aw_pair_params).dtype == np.float64
 
     def test_unsettled_sum_raises_with_partial(self):
         # the numerator 0.5 puts the nearest pole of G at y = 2, so the terms
@@ -312,6 +335,52 @@ class TestBatchedKSum:
         assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
         # the report keeps what is needed to re-run the entry
         assert oc.report is None and oc.params == entry["params"]
+
+
+def _criterion_07_draws():
+    """The ten parameter sets of acceptance criterion 07, in its order."""
+    rng = random.Random(107)
+    return [dict(q=rng.uniform(0.3, 0.7), a=rng.uniform(0.15, 0.3), b=rng.uniform(-0.3, 0.3),
+                 c=rng.uniform(-0.3, 0.3), d=rng.uniform(-0.3, 0.3), x=rng.uniform(0.45, 0.8),
+                 mu=[1.0, 1.5][i % 2]) for i in range(10)]
+
+
+class TestNodePair:
+    """The Askey-Wilson check hands ``ksum`` its node pair a e^{+-i theta}
+    as one entry, the real quadratic factor 1 - 2 Re(s u) y + |s u|^2 y^2:
+    at real parameters its rows and values are float64."""
+
+    def test_real_parameters_give_float_values(self):
+        p, ctx = AW_POINT, QContext(q=AW_POINT["q"])
+        theta = np.linspace(0.0, math.pi, 129)
+        got = ksum(p["x"], p["a"], p["mu"], *_aw_pair_params(theta, **p), ctx)
+        assert got.dtype == np.float64
+        # the pair as two complex parameters keeps complex rows
+        plain = ksum(p["x"], p["a"], p["mu"], *_aw_ksum_params(theta, **p), ctx)
+        assert plain.dtype == np.complex128
+        assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
+
+    def test_non_real_b_keeps_complex_rows(self):
+        p = {**AW_POINT, "b": 0.2 + 0.1j}
+        assert _ksum_against_oracle(p, [0.01, 1.9, 3.1], _aw_pair_params).dtype == np.complex128
+        name = "fractional-askey-wilson"
+        report = run_check(name, p)
+        assert report.passed and report.lhs.imag != 0.0
+        assert mp_oracle.rel_err(report.lhs, mp_oracle.closed_side(name, p)) < 5e-15
+
+    @pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-askey-wilson-3phi2"])
+    def test_lhs_is_real_to_the_bit(self, name):
+        pin = {"d": 0.0} if name.endswith("-3phi2") else {}
+        for p in [FIXED_POINTS[name]] + [{**p, **pin} for p in _criterion_07_draws()]:
+            report = run_check(name, p)
+            assert report.passed and report.lhs.imag == 0.0, p
+
+    def test_divergence_names_the_pair_modulus(self):
+        # |u| = 0.5 gives the ratio x |u| / a = 1.5 at every node
+        u = 0.5 * np.exp(1j * np.array([0.3, 1.2]))
+        with pytest.raises(KSumDivergence) as exc:
+            ksum(0.6, 0.2, 1.5, [identities._Pair(u)], [0.25], QContext(q=0.5))
+        assert str(exc.value).endswith("x*max|numerator|/a=1.5)")
 
 
 class TestRealTablesKeepNumpysBits:
@@ -1546,10 +1615,12 @@ class TestCheckTable:
     def test_g1_digits_lost_reports_a_cancelling_g1(self):
         # a b z = q^-1 at b = 50: (a b z y;q)_inf, so G, vanishes at y = 1.
         # Near it the division by G(1) costs 10 digits, which k_digits_lost
-        # does not see, and the check fails at rel_err 5e-7
+        # does not see, and the check fails by rounding noise that those
+        # digits explain: its rel_err is within 10^g1_digits_lost eps
         near = {**FIXED_POINTS["fractional-generating"], "b": 50.0000001}
         report = run_check("fractional-generating", near)
-        assert not report.passed and 1e-7 < report.rel_err < 1e-6
+        assert not report.passed and report.rel_err > report.tolerance
+        assert report.rel_err <= 10 ** report.rhs_diag["g1_digits_lost"] * EPS
         assert report.rhs_diag["k_digits_lost"] == pytest.approx(2.36, abs=0.05)
         assert report.rhs_diag["g1_digits_lost"] == pytest.approx(10.27, abs=0.05)
         # at b = 50 G(1) is 0: the check is a domain error, and the k-sum
