@@ -2,10 +2,12 @@
 
 Each check computes its two sides by disjoint routes (operator/quadrature
 versus closed-product/series) that share only the primitives in
-:mod:`qaw.qcore` (the quadrature side through their node-array path, the
-closed side through their scalar loops) and, in a fractional check, the
-prefactor both sides carry, and returns an :class:`IdentityReport` with the
-residual and convergence diagnostics.
+:mod:`qaw.qcore` and, in a fractional check, the prefactor both sides
+carry, and returns an :class:`IdentityReport` with the residual and
+convergence diagnostics.  The closed side takes qcore's scalar loops.  The
+quadrature side takes its node-array log product, but for the
+Askey-Wilson weight, whose row kernel here takes qcore's rules alone: the
+head count, the steps by q, the pairwise tree and the q-log series.
 
 One table, one check function
 -----------------------------
@@ -141,14 +143,16 @@ check forms it once and multiplies both of its sides by it after the
 quadrature.  The integrand then does not shrink like x^mu, which the
 absolute tail bound of the window rule in :mod:`qaw.quad` would misjudge
 at large mu: at mu = 1000 the six fractional quadrature rows pass at
-their fixed points with 129 nodes.  Every integrand makes one
-``q_pochhammer_infinite_log`` call per integrand call, on the arguments
-of all its factors at all its nodes or points: at four nonzero
-parameters, 5 rows of nodes for the Askey-Wilson weight, 5 for the
-reversal weight and 4 for the Gaussian one (one more for each non-real
-parameter), and up to 6 rows of points for the generating q-integrand.
-:func:`_log_quotient` adds the rows' logs one at a time, and the log
-product truncates each entry by itself, so a weight's value at a node
+their fixed points with 129 nodes.  Every integrand takes the logs of all
+its factors at all its nodes or points in one call per integrand call.
+The real-line weights and the generating q-integrand make one
+``q_pochhammer_infinite_log`` call: at four nonzero parameters, 5 rows of
+nodes for the reversal weight and 4 for the Gaussian one (one more for
+each non-real parameter), and up to 6 rows of points for the generating
+q-integrand.  :func:`_log_quotient` adds the rows' logs one at a time,
+and the log product truncates each entry by itself.  The Askey-Wilson
+weight makes one call of its own row kernel, :func:`_aw_log`, on 5 rows
+(one more for each non-real parameter).  So a weight's value at a node
 does not depend on the other nodes of its call (the k-sum's still does,
 through its row count).
 The Askey-Wilson weight takes (e^{2i theta}, e^{-2i theta};q)_inf as
@@ -157,6 +161,9 @@ at theta = 0.  Two of its rows that are conjugate at every node, q e^{+-2i
 theta}, and prm e^{+-i theta} at a real prm, are one row whose log enters
 as twice its real part: h(cos theta; prm) = |(prm e^{i theta};q)_inf|^2
 (Gasper & Rahman, ch. 6).  So at real parameters the weight is real.
+Every node of a row prm u, |u| = 1, has the modulus |prm|, so the row has
+one head length, and each head factor f of a pair enters by the real log
+log(Re f^2 + Im f^2), no complex log.
 Each pair of the real-line weights, (i s e^t, -i s e^{-t};q)_inf at a
 real s (s = scale times a parameter) and (-q e^{2t}, -q e^{-2t};q)_inf,
 sits at +-t instead.  The first member of an h_sinh pair is formed as
@@ -200,6 +207,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 from . import _np as np
 from .context import DomainError, KSumDivergence, QawError, QContext
+from . import qcore
 from .qcore import (
     EPS_TERM,
     _modulus,
@@ -749,9 +757,8 @@ def _mirror(t):
 
 def _log_quotient(rows, nodes, ctx):
     """log of prod (v;q)_inf^k over the rows (k, v) of ``rows`` at the
-    array ``nodes``: k = 1 or -1 for a numerator or denominator row v, and
-    2 or -2 for a row v whose conjugate is a factor too, as (v, conj v;q)_inf
-    = |(v;q)_inf|^2 enters as 2 Re log (v;q)_inf.  A row (k, v, w) is a
+    array ``nodes``: k = 1 or -1 for a numerator or denominator row v (the
+    real-line weights and the generating integrand).  A row (k, v, w) is a
     mirrored pair: w at each node is the conjugate of v at the node's
     negative (v itself there for a real v).  Where every node's negative is
     a node (:func:`_mirror`), w's log is read off v's row, as the log
@@ -765,24 +772,19 @@ def _log_quotient(rows, nodes, ctx):
     more rows pairs them differently for one node than for many, so a
     node's value would depend on its call.
     """
-    size = nodes.size
     mirror = _mirror(nodes) if any(len(r) == 3 for r in rows) else None
     args = [a for _, *members in rows for a in (members if mirror is None else members[:1])]
-    total = np.zeros(size)
+    total = np.zeros(nodes.size)
     if not args:
         return total
-    logs = iter(q_pochhammer_infinite_log(np.concatenate(args), ctx).reshape(-1, size))
+    logs = iter(q_pochhammer_infinite_log(np.concatenate(args), ctx).reshape(-1, nodes.size))
     for k, v, *pair in rows:
-        first = next(logs)
-        members = [first]
-        if pair:
-            if mirror is None:
-                members.append(next(logs))
-            else:
-                members.append(first[mirror].conj() if np.iscomplexobj(v) else first[mirror])
+        members = [next(logs)]
+        if pair and mirror is None:
+            members.append(next(logs))
+        elif pair:
+            members.append(members[0][mirror].conj() if np.iscomplexobj(v) else members[0][mirror])
         for row in members:
-            if abs(k) == 2:
-                row = 2.0 * row.real
             total = total + row if k > 0 else total - row
     return total
 
@@ -842,20 +844,63 @@ class _Family(NamedTuple):
     closed: Callable
 
 
+def _aw_log(rows, ctx):
+    """The log of the product over the rows (k, prm, v) of
+    :func:`_aw_weight`, v = prm times a unit node array: a row with k = +-2
+    stands for (v, conj v;q)_inf^{+-1}, whose log is +-2 Re log (v;q)_inf,
+    and a row with k = +-1 for (v;q)_inf^{+-1} alone.
+
+    Every node of a row has |v| = |prm|, so a row has one head,
+    _factor_counts(|prm|, q, LOG_RADIUS) factors 1 - v q^k, and the q-log
+    series of the rest, one batched call (:mod:`qaw.qcore`).  The factors'
+    arguments come from v by repeated multiplication by q
+    (``qcore._q_steps``), all rows in one (head, row, node) block, zero
+    past each row's head; for its scratch to stay near _BLOCK_ELEMENTS
+    entries at any head length and node count, the block is cut into
+    _SUM_CHUNK heads and into node spans.  A head factor f of a pair gives
+    the real log log(Re f^2 + Im f^2), twice log |f|; a lone row's log is
+    half that plus i atan2(Im f, Re f).  Each chunk's logs are summed by
+    the fixed pairwise tree ``qcore._tree_sum``, the chunks in order, then
+    the rows in order, so a node's value does not depend on its call.
+    Where the largest |v| is capped, the scalar log of that entry raises
+    its cap error first, as the array log does.
+    """
+    q, v = ctx.q, np.stack([w for _, _, w in rows])
+    qcore._raise_if_capped(q_pochhammer_infinite_log, v.ravel(), np.abs(v).ravel(), ctx)
+    heads = qcore._factor_counts(np.abs([prm for _, prm, _ in rows]), q, qcore.LOG_RADIUS)
+    lone = [r for r, (k, _, _) in enumerate(rows) if abs(k) == 1]
+    logs, phases = np.zeros(v.shape), np.zeros((len(lone), v.shape[1]))
+    cols = max(1, qcore._BLOCK_ELEMENTS // (qcore._SUM_CHUNK * len(rows)))
+    for n in range(0, v.shape[1], cols):
+        term, span = v[:, n : n + cols], slice(n, n + cols)
+        for k0 in range(0, int(heads.max()), qcore._SUM_CHUNK):
+            width = min(qcore._SUM_CHUNK, 1 << int(heads.max() - k0 - 1).bit_length())
+            f, term = qcore._q_steps(term, width, q)
+            f[k0 + np.arange(width)[:, None] >= heads] = 0.0  # past each row's head
+            np.subtract(1.0, f, out=f)
+            logs[:, span] += qcore._tree_sum(np.log(f.real * f.real + f.imag * f.imag))
+            if lone:
+                phases[:, span] += qcore._tree_sum(np.arctan2(f.imag[:, lone], f.real[:, lone]))
+    total, phases = np.zeros(v.shape[1]), iter(phases)
+    for (k, _, _), lg, tl in zip(rows, logs, qcore._log_series(v * q ** heads[:, None], q)):
+        row = lg + 2.0 * tl.real if abs(k) == 2 else tl + (0.5 * lg + 1j * next(phases))
+        total = total + row if k > 0 else total - row
+    return total
+
+
 def _aw_weight(theta, p, ctx):
-    """h(cos 2 theta; 1) / h(cos theta; a, b, c, d) from one log-product
-    call: (e^{2i theta}, e^{-2i theta};q)_inf = 4 sin^2 theta
-    (q e^{2i theta}, q e^{-2i theta};q)_inf leaves no zero factor at
-    theta = 0.  A conjugate pair is one row: q e^{2i theta}, and prm
-    e^{i theta} for a nonzero real prm, as h(cos theta; prm) = |(prm
-    e^{i theta};q)_inf|^2; a non-real prm adds the rows prm e^{+-i theta}.
+    """h(cos 2 theta; 1) / h(cos theta; a, b, c, d) from :func:`_aw_log`:
+    (e^{2i theta}, e^{-2i theta};q)_inf = 4 sin^2 theta (q e^{2i theta},
+    q e^{-2i theta};q)_inf leaves no zero factor at theta = 0.  A conjugate
+    pair is one row: q e^{2i theta}, and prm e^{i theta} for a nonzero real
+    prm, as h(cos theta; prm) = |(prm e^{i theta};q)_inf|^2 (Gasper &
+    Rahman, ch. 6); a non-real prm takes the two rows prm e^{+-i theta}.
     So with real parameters the weight is real."""
     e = np.exp(1j * theta)
-    rows = [(2, ctx.q * np.exp(2j * theta))]
-    for prm in (p.a, p.b, p.c, p.d):
-        if prm != 0:
-            rows += [(-2, prm * e)] if prm.imag == 0 else [(-1, prm * e), (-1, prm / e)]
-    return 4.0 * np.sin(theta) ** 2 * np.exp(_log_quotient(rows, theta, ctx))
+    rows = [(2, ctx.q, ctx.q * np.exp(2j * theta))]
+    for prm in filter(None, (p.a, p.b, p.c, p.d)):  # the nonzero ones
+        rows += [(-2, prm, prm * e)] if prm.imag == 0 else [(-1, prm, prm * e), (-1, prm, prm / e)]
+    return 4.0 * np.sin(theta) ** 2 * np.exp(_aw_log(rows, ctx))
 
 
 def _aw_series(theta, p):

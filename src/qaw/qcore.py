@@ -29,9 +29,14 @@ can pass the double range; the Cauchy operator's q-differences use it.
   depend on the other entries of its call, here as in the product, and a
   factor with |a q^k| far below 1 costs no log.  The scalar log takes the
   same head and series in plain Python.  An exact zero factor gives -inf,
-  the log of the 0 that the product gives, so ``h_sinh`` there is 0.  All
-  four integrands of the identity checks take their products as logs,
-  one log call per integrand call.
+  the log of the 0 that the product gives, so ``h_sinh`` there is 0.  The
+  real-line weights and the generating q-integrand of the identity checks
+  take their products as logs, one log call per integrand call.  The
+  Askey-Wilson weight takes its own row kernel (:mod:`qaw.identities`),
+  as each of its rows has one modulus and so one head length; it shares
+  the head count :func:`_factor_counts`, the steps by q
+  :func:`_q_steps`, the pairwise tree :func:`_tree_sum` and the q-log
+  series :func:`_log_series` with the array log.
 
 ``DivisionByZero`` is raised only where a value is divided by a vanishing
 product or factor (a fractional-order ``q_pochhammer``, a ``phi_series``
@@ -254,6 +259,24 @@ def _raise_if_capped(scalar, a, mag, ctx: QContext):
         scalar(a[np.argmax(mag)].item(), ctx)
 
 
+def _q_steps(term, width, q: float):
+    """The block term q^j, j < width, over the first axis, from repeated
+    multiplication by q, as in the scalar loops, and term q^width: the one
+    rule that forms the factors' arguments on the array paths."""
+    blk = np.empty((width,) + term.shape, dtype=complex)
+    blk[0] = term
+    # both give the same bits; the column loop costs a numpy call a column,
+    # np.multiply.accumulate more a factor (2-core x86-64: 16 x 1290 in 42
+    # against 146 us, 176 x 41 in 190 against 46 us)
+    if term.size >= 256:
+        for j in range(1, width):
+            np.multiply(blk[j - 1], q, out=blk[j])
+    else:
+        blk[1:] = q
+        np.multiply.accumulate(blk, axis=0, out=blk)
+    return blk, blk[-1] * q
+
+
 def _factor_blocks(a, counts, q: float):
     """The factors 1 - a q^k of the 1-D array a, each entry's k below its
     count, as (rows, f, left): f holds the factors k0 <= k < k0 + width of
@@ -275,18 +298,7 @@ def _factor_blocks(a, counts, q: float):
             else:
                 width = _SUM_CHUNK * min(math.ceil(span / _SUM_CHUNK),
                                          _BLOCK_ELEMENTS // (_SUM_CHUNK * rows.size))
-            blk = np.empty((width, rows.size), dtype=complex)
-            blk[0] = term
-            # both give the same bits; the column loop costs a numpy call a
-            # column, np.multiply.accumulate more a factor (2-core x86-64: 16 x
-            # 1290 in 42 against 146 us, 176 x 41 in 190 against 46 us)
-            if rows.size >= 256:
-                for j in range(1, width):
-                    np.multiply(blk[j - 1], q, out=blk[j])
-            else:
-                blk[1:] = q
-                np.multiply.accumulate(blk, axis=0, out=blk)
-            term = blk[-1] * q
+            blk, term = _q_steps(term, width, q)
             yield rows, np.subtract(1.0, blk, out=blk), n - k0
             k0 += width
             live = n > k0
@@ -315,6 +327,15 @@ def _array_product(a, ctx: QContext):
             np.multiply.accumulate(blk, axis=0, out=blk)
             acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
     return acc.reshape(a.shape)
+
+
+def _tree_sum(x):
+    """x[0] + x[1] + ... over the first axis, a power of 2 long, by a fixed
+    pairwise tree of neighbours; zeros appended change no sum, so an
+    entry's sum does not depend on the length of its block."""
+    while len(x) > 1:
+        x = x[::2] + x[1::2]
+    return x[0]
 
 
 def _log_series(z, q):
@@ -356,11 +377,8 @@ def _log_array(a, ctx: QContext):
         # subtree of a whole one, whose other leaves are 0) is summed by a
         # fixed pairwise tree, and the chunk sums in order; so an entry's sum
         # does not depend on the others
-        x = f.reshape(-1, min(len(f), _SUM_CHUNK), rows.size)
-        while x.shape[1] > 1:
-            x = x[:, ::2] + x[:, 1::2]
         total = acc[rows]
-        for part in x[:, 0]:
+        for part in _tree_sum(f.reshape(-1, min(len(f), _SUM_CHUNK), rows.size).swapaxes(0, 1)):
             total += part
         acc[rows] = total
     acc = acc + _log_series(a * q**head, q)

@@ -9,9 +9,11 @@ A suite spec is a JSON-compatible mapping::
                  "tolerance": 1e-8}, ...]}
 
 A parameter given as a two-element list is drawn uniformly from that range;
-a scalar is fixed.  A spec takes no keys but these.  The seed is an
-integer (not a bool): a null one would seed the RNG from the OS, and the
-report's seed could not reproduce the run.  Expansion consumes a single
+a scalar is fixed.  A ``complex`` field may also be fixed at ``{"re": x,
+"im": y}``, as a report writes it, so a report's ``params`` re-run as a
+spec entry; a ``float`` field takes reals only.  A spec takes no keys but
+these.  The seed is an integer (not a bool): a null one would seed the RNG
+from the OS, and the report's seed could not reproduce the run.  Expansion consumes a single
 seeded RNG in entry order, so the same spec and seed always produce the
 same concrete checks.
 """
@@ -50,7 +52,8 @@ def _check_params(name, given):
     """Raise ValueError unless ``given`` fits the params class of ``name``.
 
     ``given`` must be a mapping, every field without a default must be
-    given, and every value must be a real number or a [lo, hi] pair of reals.
+    given, and every value must be a real number or a [lo, hi] pair of
+    reals, or, in a ``complex`` field, {"re": x, "im": y} of reals.
     """
     fields = param_fields(name)
     if not isinstance(given, Mapping):
@@ -60,12 +63,16 @@ def _check_params(name, given):
                if f.default is dataclasses.MISSING and f.name not in given]
     if missing:
         raise ValueError(f"missing parameter(s) {', '.join(missing)} for {name}")
+    complex_fields = {f.name for f in fields if f.type == "complex"}
     for key, value in given.items():
         pair = isinstance(value, (list, tuple)) and len(value) == 2
-        if not (_real(value) or pair and all(map(_real, value))):
+        # a complex number as a report writes it
+        re_im = isinstance(value, Mapping) and set(value) == {"re", "im"}
+        if not (_real(value) or pair and all(map(_real, value))
+                or re_im and key in complex_fields and all(map(_real, value.values()))):
             raise ValueError(
-                f"parameter {key} of {name} must be a real number or a "
-                f"[lo, hi] pair of reals, got {value!r}"
+                f"parameter {key} of {name} must be a real number or a [lo, hi] pair of "
+                f'reals (or, in a complex field, {{"re": x, "im": y}} of reals), got {value!r}'
             )
 
 
@@ -79,8 +86,9 @@ def expand_suite(spec: dict):
     ``draws`` and ``tolerance``, or no identity name; for a draw count that
     is not an integer >= 1, a tolerance that is not a finite real > 0, or
     params that do not fit their identity (unknown or missing names, values
-    that are neither real numbers nor [lo, hi] pairs of reals).  KeyError
-    for an unknown identity.
+    that are neither real numbers nor [lo, hi] pairs of reals nor, in a
+    ``complex`` field, {"re": x, "im": y} of reals, which expands to the
+    complex x + y i).  KeyError for an unknown identity.
     """
     if not isinstance(spec, Mapping):
         raise ValueError(f"suite spec must be a mapping, got {type(spec).__name__}")
@@ -110,8 +118,9 @@ def expand_suite(spec: dict):
             params = {}
             for key, value in check.get("params", {}).items():
                 if isinstance(value, (list, tuple)):
-                    lo, hi = value
-                    params[key] = rng.uniform(lo, hi)
+                    params[key] = rng.uniform(*value)
+                elif isinstance(value, Mapping):
+                    params[key] = complex(value["re"], value["im"])
                 else:
                     params[key] = value
             entry = {"identity": name, "params": params}

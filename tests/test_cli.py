@@ -654,6 +654,13 @@ class TestSuite:
     @pytest.mark.parametrize("params, message", [
         ({"q": 0.5}, "missing parameter(s) a"),
         ({"q": 0.5, "a": "0.2"}, "must be a real number"),
+        # {"re", "im"} of reals fixes a complex field only; in a float field,
+        # with a draw range or a string part or a foreign key, it is no value
+        ({"q": 0.5, "a": {"re": 0.2, "im": 0.0}}, "parameter a of askey-wilson must be a real "
+                                                  "number or a [lo, hi] pair of reals"),
+        ({"q": 0.5, "a": 0.2, "b": {"re": [0.1, 0.2], "im": 0.0}}, "parameter b"),
+        ({"q": 0.5, "a": 0.2, "b": {"re": "0.1", "im": 0.0}}, "parameter b"),
+        ({"q": 0.5, "a": 0.2, "b": {"re": 0.1, "im": 0.0, "abs": 0.1}}, "parameter b"),
     ])
     def test_malformed_params_spec(self, capsys, tmp_path, params, message):
         spec = tmp_path / "spec.json"
@@ -662,6 +669,29 @@ class TestSuite:
         ]}))
         code, out, err = run_cli(capsys, "suite", "--spec", str(spec))
         assert code == 64 and out == "" and message in err
+
+    def test_check_report_params_rerun_as_a_spec(self, capsys, tmp_path):
+        # a report writes each complex field as {"re", "im"}, which a spec
+        # takes: the params of a check report, as a one-entry spec, give the
+        # same report but for wall_time.  The non-real b takes the two rows
+        # b e^{+-i theta} of the Askey-Wilson weight
+        code, out, _ = run_cli(capsys, "check", "askey-wilson", "--q", "0.5", "--a", "0.3",
+                               "--b", "0.2+0.1i", "--c", "0.1", "--d", "0.4")
+        assert code == 0
+        report = json.loads(out)
+        assert report["params"]["b"] == {"re": 0.2, "im": 0.1}
+        assert report["lhs"]["im"] != 0.0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "checks": [
+            {"identity": "askey-wilson", "params": report["params"]}]}))
+        code, out, _ = run_cli(capsys, "suite", "--spec", str(spec))
+        assert code == 0
+        (entry,) = json.loads(out)["reports"]
+        assert entry["status"] == "passed"
+        rerun = entry["report"]
+        for r in (report, rerun):
+            r.pop("wall_time")
+        assert rerun == report
 
     def test_failed_entries_keep_their_params(self, capsys, tmp_path):
         diverging = SLOW_KSUM_GAUSSIAN

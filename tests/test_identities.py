@@ -802,6 +802,22 @@ class TestZeroFactorsAndCap:
         (oc,) = run_suite([{"identity": "askey-wilson", "params": {"q": 0.995, **AW_NEAR_ONE}}])
         assert oc.status == "passed", oc.reason
 
+    def test_aw_weight_scratch_memory_bounded_near_q_one(self):
+        # at q = 0.995 the rows' heads run to 414 factors: one (head, row,
+        # node) block over 65 537 nodes would take 414 x 5 x 65 537 complex
+        # entries, 2.2 GB; cut into node spans of _BLOCK_ELEMENTS entries,
+        # the call keeps little more than its row arrays (5 MB each), below
+        # the 38.8 MB that the per-entry blocks of qcore's array log took
+        p = AWParams(q=0.995, **AW_NEAR_ONE)
+        theta = np.linspace(0.0, math.pi, 65537)
+        tracemalloc.start()
+        try:
+            identities._aw_weight(theta, p, QContext(q=p.q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
+
 
 INTEGRAND_Q = [0.3, 0.5, 0.9, 0.99]
 AW_WEIGHT_PARAMS = [dict(a=0.3, b=0.2, c=0.1, d=0.4), dict(a=-0.6, b=0.5 + 0.3j, c=0.5 - 0.3j)]
@@ -981,12 +997,21 @@ class TestWholeLevelWeights:
 
     @pytest.mark.parametrize("b, rows", [(0.2, 5), (0.2 + 0.1j, 6)])
     def test_aw_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
+        # the weight takes its logs from its own row kernel, once per level:
+        # one row for the (q e^{+-2i theta};q)_inf pair and for the h_cos
+        # pair of each real parameter, two for a non-real one, each over
+        # every node of the level
+        weights, aw_log = [], identities._aw_log
+
+        def counted_aw_log(rows, ctx):
+            weights.append([v.size for _, _, v in rows])
+            return aw_log(rows, ctx)
+
+        monkeypatch.setattr(identities, "_aw_log", counted_aw_log)
         calls, levels = self._count_log_products(
             monkeypatch, "askey-wilson", dict(q=0.5, a=0.3, b=b, c=0.1, d=0.4))
-        # one row for the (q e^{+-2i theta};q)_inf pair and for the h_cos
-        # pair of each real parameter, two for a non-real one
-        assert [a.size for a in calls] == [rows * n for n in levels]
-        assert all(isinstance(a, np.ndarray) for a in calls)
+        assert calls == []
+        assert weights == [[n] * rows for n in levels]
 
     @pytest.mark.parametrize("b, rows", [(-0.04, 4), (0.1 + 0.05j, 5)])
     def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
