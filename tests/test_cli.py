@@ -301,9 +301,12 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["passed"] is True and doc["rel_err"] < 1e-8
 
+    @pytest.mark.filterwarnings("error")  # any warning, as PYTHONWARNINGS=error
     @pytest.mark.parametrize("argv", [
         ["askey-wilson", "--q", "0.5", "--a", "0.3", "--b", "0.2", "--c", "0.1", "--d", "0.4"],
         ["reversal-askey-wilson", "--q", "0.5", "--a", "0.2", "--b=-0.1+0.1i"],
+        ["lemma-three-term", "--q", "0.5", "--a", "0.2", "--x", "0.6", "--mu", "1.5", "--b",
+         "0.3", "--s", "0.25", "--t", "0.15", "--z", "0.2", "--r", "0.4", "--u", "0.1"],
     ])
     def test_report_is_one_compact_line(self, capsys, argv):
         code, out, err = run_cli(capsys, "check", *argv)
@@ -1181,13 +1184,15 @@ print(json.dumps(per_call))
 """
 
 
-# runs one check twice on the parameters given as JSON, and prints both
-# reports' wall_time as a JSON list
-_FIRST_TWO_CHECKS = """
+# runs one check on the parameters given as JSON, loading numpy just before
+# it where the third argument is "numpy", and prints the report's wall_time
+_FIRST_CHECK = """
 import json, sys
 from qaw.identities import run_check
-name, params = sys.argv[1], json.loads(sys.argv[2])
-print(json.dumps([run_check(name, params).wall_time for _ in range(2)]))
+if sys.argv[3] == "numpy":
+    import numpy
+    numpy.ndarray  # the lazy handle loads numpy here
+print(run_check(sys.argv[1], json.loads(sys.argv[2])).wall_time)
 """
 
 
@@ -1218,17 +1223,19 @@ class TestLazyNumpy:
     @pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-generating"])
     def test_first_check_does_not_time_numpy_load(self, name):
         # numpy, some 100 ms to load, loads in the first check of the
-        # process, before its clock starts.  The first check still warms
-        # the heap and caches, about 1.5x the second; a timing spike there
-        # takes another fresh interpreter, where numpy's load inside the
-        # clock would read 50-100x in every one
+        # process, before its clock starts.  So that check reads about the
+        # first check of a process that loaded numpy just before it: both
+        # warm the heap and caches, and only a timed load, 50-100x, tells
+        # them apart.  A timing spike in one pair (a process descheduled
+        # for a few ms on a busy host) takes another pair of fresh
+        # interpreters
         runs = []
         for _ in range(3):
-            proc = _run_fresh(_FIRST_TWO_CHECKS, name, json.dumps(FIXED_POINTS[name]))
-            runs.append(json.loads(proc.stdout))
+            runs.append([float(_run_fresh(_FIRST_CHECK, name, json.dumps(FIXED_POINTS[name]),
+                                          first).stdout) for first in ("qaw", "numpy")])
             if runs[-1][0] <= 2 * runs[-1][1]:
                 return
-        pytest.fail(f"first and second wall_time of each fresh interpreter: {runs}")
+        pytest.fail(f"first wall_time without and with numpy loaded beforehand: {runs}")
 
     @pytest.mark.parametrize("argv, want", NUMPY_FREE_LINES,
                              ids=[" ".join(a) for a, _ in NUMPY_FREE_LINES])
@@ -1363,12 +1370,16 @@ class TestRoutes:
         assert getattr(captured, "err" if stream == "out" else "out") == ""
 
 
-# the fixed points of the identity tests as --flag value lines
+# the fixed points of the identity tests as --flag value lines, and two lines
+# whose non-real parameters take two rows each in their weight
 TABLE_LINES = [
     ["check", name,
      *(w for k, v in sorted(p.items()) for w in (f"--{k.replace('_', '-')}", str(v)))]
     for name, p in sorted(FIXED_POINTS.items())
-] + [argv for argv in LEAF_LINES if argv[0] == "check"]
+] + [argv for argv in LEAF_LINES if argv[0] == "check"] + [line.split() for line in [
+    "check askey-wilson --q 0.5 --a 0.3 --b 0.2+0.1i --c 0.1-0.2i --d 0.4",
+    "check reversal-askey-wilson --q 0.5 --a 0.2 --b 0.1+0.05i --c 0.1 --d 0.05",
+]]
 
 # lines that the table leaves to argparse: help, the = form, a value that
 # begins with -, a flag the identity does not take, a missing or bad value

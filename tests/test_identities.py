@@ -368,10 +368,14 @@ class TestNodePair:
         assert report.passed and report.lhs.imag != 0.0
         assert mp_oracle.rel_err(report.lhs, mp_oracle.closed_side(name, p)) < 5e-15
 
-    @pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-askey-wilson-3phi2"])
+    @pytest.mark.parametrize("name", ["askey-wilson", "fractional-askey-wilson",
+                                      "fractional-askey-wilson-3phi2"])
     def test_lhs_is_real_to_the_bit(self, name):
+        # the plain row's weight takes one pair-log row per conjugate pair;
+        # the fractional rows add the k-sum's real node pair
         pin = {"d": 0.0} if name.endswith("-3phi2") else {}
-        for p in [FIXED_POINTS[name]] + [{**p, **pin} for p in _criterion_07_draws()]:
+        draws = [] if name == "askey-wilson" else _criterion_07_draws()
+        for p in [FIXED_POINTS[name]] + [{**p, **pin} for p in draws]:
             report = run_check(name, p)
             assert report.passed and report.lhs.imag == 0.0, p
 
@@ -798,6 +802,15 @@ class TestZeroFactorsAndCap:
         assert type(oc.details["last_term"]) is float
         assert len(cli._dumps(cli._outcome_obj(oc))) < 1000
 
+    @pytest.mark.parametrize("b", [0.998, 0.998j])
+    def test_capped_weight_names_its_largest_row(self, b):
+        # one cap check over the pair-log rows and a non-real parameter's
+        # two rows: the b rows, |b| = 0.998 > q, carry the cap error
+        p = AWParams(q=0.997, a=0.3, b=b, c=0.1, d=0.2)
+        with pytest.raises(NonConvergence) as exc:
+            identities._aw_weight(np.linspace(0.0, math.pi, 9), p, QContext(q=p.q))
+        assert exc.value.last_term / 0.997**10_000 == pytest.approx(0.998, rel=1e-12)
+
     def test_askey_wilson_below_the_factor_cap_passes(self):
         (oc,) = run_suite([{"identity": "askey-wilson", "params": {"q": 0.995, **AW_NEAR_ONE}}])
         assert oc.status == "passed", oc.reason
@@ -979,7 +992,6 @@ class TestWholeLevelWeights:
             return evaluate(f, nodes)
 
         monkeypatch.setattr(qcore, "q_pochhammer_infinite_log", counted_log_poch)
-        monkeypatch.setattr(identities, "q_pochhammer_infinite_log", counted_log_poch)
         monkeypatch.setattr(quad, "_evaluate", counted_evaluate)
         assert run_check(name, params).passed
         return calls, levels
@@ -997,21 +1009,24 @@ class TestWholeLevelWeights:
 
     @pytest.mark.parametrize("b, rows", [(0.2, 5), (0.2 + 0.1j, 6)])
     def test_aw_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
-        # the weight takes its logs from its own row kernel, once per level:
-        # one row for the (q e^{+-2i theta};q)_inf pair and for the h_cos
-        # pair of each real parameter, two for a non-real one, each over
-        # every node of the level
-        weights, aw_log = [], identities._aw_log
+        # the weight takes its logs once per level: one pair-log row for the
+        # (q e^{+-2i theta};q)_inf pair and for the h_cos pair of each real
+        # parameter, and one array-log call on the two rows of a non-real
+        # one, each row over every node of the level
+        lone = 2 if b.imag else 0
+        pairs = rows - lone
+        weights, pair_log = [], qcore._pair_log
 
-        def counted_aw_log(rows, ctx):
-            weights.append([v.size for _, _, v in rows])
-            return aw_log(rows, ctx)
+        def counted_pair_log(pair_rows, ctx, lone_rows):
+            weights.append([v.size for _, _, v in pair_rows])
+            return pair_log(pair_rows, ctx, lone_rows)
 
-        monkeypatch.setattr(identities, "_aw_log", counted_aw_log)
+        monkeypatch.setattr(identities, "_pair_log", counted_pair_log)
         calls, levels = self._count_log_products(
             monkeypatch, "askey-wilson", dict(q=0.5, a=0.3, b=b, c=0.1, d=0.4))
-        assert calls == []
-        assert weights == [[n] * rows for n in levels]
+        assert weights == [[n] * pairs for n in levels]
+        assert [a.size for a in calls] == [lone * n for n in levels if lone]
+        assert all(isinstance(a, np.ndarray) for a in calls)
 
     @pytest.mark.parametrize("b, rows", [(-0.04, 4), (0.1 + 0.05j, 5)])
     def test_gaussian_log_products_called_per_level_not_per_node(self, monkeypatch, b, rows):
@@ -1062,13 +1077,13 @@ class TestMirroredRows:
         weight, params, pairs = REAL_LINE_WEIGHTS[name]
         p = params(b)
         ctx = QContext(q=p.q)
-        sizes, log_poch = [], identities.q_pochhammer_infinite_log
+        sizes, log_poch = [], qcore.q_pochhammer_infinite_log
 
         def counted_log_poch(a, ctx):
             sizes.append(a.size)
             return log_poch(a, ctx)
 
-        monkeypatch.setattr(identities, "q_pochhammer_infinite_log", counted_log_poch)
+        monkeypatch.setattr(qcore, "q_pochhammer_infinite_log", counted_log_poch)
         # a non-real b takes its two rows in every call
         mirrored_rows = pairs + (b.imag != 0)
         calls = _real_line_calls(6.0)
@@ -1087,10 +1102,10 @@ class TestMirroredRows:
 
     def test_mirror_of_a_node_set(self):
         t = np.array([0.5, -1.0, 0.0, 1.0, -0.5])
-        assert identities._mirror(t).tolist() == [4, 3, 2, 1, 0]
-        assert identities._mirror(np.array([2.0, -2.0, 3.0, -3.0])).tolist() == [1, 0, 3, 2]
+        assert qcore._mirror(t).tolist() == [4, 3, 2, 1, 0]
+        assert qcore._mirror(np.array([2.0, -2.0, 3.0, -3.0])).tolist() == [1, 0, 3, 2]
         for t in ([0.5, -0.25], [0.0], [1.0, math.nan, -1.0]):
-            assert identities._mirror(np.array(t)) is None
+            assert qcore._mirror(np.array(t)) is None
 
 
 class TestIntegrandCalls:
