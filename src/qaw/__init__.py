@@ -10,9 +10,13 @@ this package, and the scalar paths test for Python numbers before they ask
 numpy whether a value is an array.  So ``qaw --version``, ``-h``, usage and
 domain errors, ``qaw check lemma-three-term`` and ``qaw eval poch``,
 ``gamma``, ``phi``, ``hcos`` and ``hsinh`` never load numpy, which is most
-of a ``qaw`` process's start-up time.  The import also primes the C allocator
-(below), so that the quadrature checks reuse their blocks wherever numpy
-loads.
+of a ``qaw`` process's start-up time.  Nor does the import load
+``dataclasses``, with the ``inspect``, ``ast``, ``dis`` and ``tokenize`` it
+imports: the plain-data classes are records of :class:`qaw.context.Record`,
+built without generated code, which took ``import qaw.cli`` from 93 to 76
+ms without ``.pyc`` files (Python 3.11, README).  The import also primes the
+C allocator (below), so that the quadrature checks reuse their blocks
+wherever numpy loads.
 """
 
 __version__ = "0.1.0"

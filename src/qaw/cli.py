@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import functools
 import json
 import math
@@ -46,7 +45,7 @@ import os
 import sys
 
 from . import __version__
-from .context import DomainError, QawError, QContext
+from .context import MISSING, DomainError, QawError, QContext
 from . import qcore, qops
 from .identities import IDENTITY_REGISTRY, run_check, run_suite, valid_tolerance
 from .suite import default_suite, expand_suite, param_fields
@@ -136,14 +135,14 @@ _EVAL = {
 def _check_flags(name) -> dict:
     """The flags of ``qaw check <name>``, as the options of add_argument:
     ``--tol``, then one per params field.  A field's flag is left out of the
-    namespace when absent (the dataclass supplies its default) and required
+    namespace when absent (the params class supplies its default) and required
     when the field has no default."""
     flags = {"--tol": {"dest": "tol", "type": _tolerance, "default": None}}
     for f in param_fields(name):
         flags[f"--{f.name.replace('_', '-')}"] = {
             "dest": f.name,
-            "type": float if f.type in (float, "float") else parse_complex,
-            "required": f.default is dataclasses.MISSING,
+            "type": float if f.type == "float" else parse_complex,
+            "required": f.default is MISSING,
             "default": argparse.SUPPRESS,
         }
     return flags

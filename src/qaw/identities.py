@@ -11,10 +11,11 @@ forms their log product.
 One table, one check function
 -----------------------------
 Every check is :func:`_check` on its identity's row of ``_TABLE``, the
-only declaration of an identity: the params class (plain data; its fields
-are the ``qaw check`` flags), the function giving both sides, the default
-tolerance and all domain rules, applied in order, whose messages join
-into one :class:`DomainError`.  Before them every field must hold a
+only declaration of an identity: the params class (a frozen
+:class:`~qaw.context.Record`; its fields are the ``qaw check`` flags and its
+constructor's TypeError a :class:`DomainError` of :func:`run_check`), the
+function giving both sides, the default tolerance and all domain rules,
+applied in order, whose messages join into one :class:`DomainError`.  Before them every field must hold a
 number of its declared type (:func:`_type_violations`), and a finite one
 (an int past the double range is not), or the check raises a
 :class:`DomainError` naming the fields, so that no TypeError or
@@ -193,11 +194,10 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
 from . import _np as np
-from .context import DomainError, KSumDivergence, QawError, QContext
+from .context import DomainError, KSumDivergence, QawError, QContext, Record
 from .qcore import (
     EPS_TERM,
     _log_quotient,
@@ -216,8 +216,7 @@ from .quad import integrate_line_even_window, integrate_theta
 # parameter bundles and domain rules
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratingParams:
+class GeneratingParams(Record):
     """Parameters of the fractional generating-function identities."""
 
     q: float
@@ -232,8 +231,7 @@ class GeneratingParams:
     z: complex = 0.0
 
 
-@dataclass(frozen=True)
-class Generating3phi2Params:
+class Generating3phi2Params(Record):
     """Parameters of the 3phi2 form of the fractional generating identity:
     its u = 0 case, where r enters only through r u.  r and u are class
     constants, so the generating sides and rules read them as fields."""
@@ -250,8 +248,7 @@ class Generating3phi2Params:
     u: ClassVar[float] = 0.0
 
 
-@dataclass(frozen=True)
-class PlainAWParams:
+class PlainAWParams(Record):
     """Parameters of the plain Askey-Wilson and reversal integrals."""
 
     q: float
@@ -261,7 +258,6 @@ class PlainAWParams:
     d: complex = 0.0
 
 
-@dataclass(frozen=True)
 class AWParams(PlainAWParams):
     """Parameters of the fractional Askey-Wilson and reversal integrals:
     the plain ones and the fractional q-integral's x and mu."""
@@ -274,8 +270,7 @@ class AWParams(PlainAWParams):
 ReversalParams = AWParams
 
 
-@dataclass(frozen=True)
-class PlainAtakishiyevParams:
+class PlainAtakishiyevParams(Record):
     """Parameters of the plain Gaussian-weighted real-line integral.
 
     The base is coupled to the Gaussian scale: q = exp(-2 alpha_g^2).
@@ -292,7 +287,6 @@ class PlainAtakishiyevParams:
         return math.exp(-2.0 * self.alpha_g * self.alpha_g)
 
 
-@dataclass(frozen=True)
 class AtakishiyevParams(PlainAtakishiyevParams):
     """Parameters of the fractional Gaussian-weighted integrals: the plain
     ones and the fractional q-integral's x and mu."""
@@ -308,14 +302,13 @@ def _type_violations(p):
     """A message for each field of p that holds no number of its declared
     type: a real in a ``float`` field, a real or complex in a ``complex``
     one, never a bool.  Python's numbers pass by their type alone."""
-    declared = type(p).__dataclass_fields__
     out = []
-    for name, v in vars(p).items():
-        real = declared[name].type == "float"
+    for f in type(p).fields:
+        v, real = getattr(p, f.name), f.type == "float"
         if type(v) in (_REAL if real else _NUMBER):
             continue
         if isinstance(v, bool) or not isinstance(v, numbers.Real if real else numbers.Complex):
-            out.append(f"{name} must be a {'real ' if real else ''}number, got {v!r}")
+            out.append(f"{f.name} must be a {'real ' if real else ''}number, got {v!r}")
     return out
 
 
@@ -432,16 +425,15 @@ def _pinned(name, field):
     return rule
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     identity_name: str
     params: dict
     lhs: complex
     rhs: complex
     abs_err: float
     rel_err: float
-    lhs_diag: dict = field(default_factory=dict)
-    rhs_diag: dict = field(default_factory=dict)
+    lhs_diag: dict = {}  # a fresh dict for each report
+    rhs_diag: dict = {}
     wall_time: float = 0.0  # seconds of the two sides and their comparison
     tolerance: float = 0.0
     passed: bool = False
@@ -1055,8 +1047,7 @@ def identity_entry(name: str):
 # suite runner
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(Record):
     """Result of one suite entry: passed / failed / skipped / diverged.
 
     ``params`` are the entry's parameters, kept so that a skipped or
@@ -1083,18 +1074,28 @@ def _plain(value):
 
 
 def run_check(name: str, params: dict, tol=None) -> IdentityReport:
-    """Instantiate the parameter bundle for ``name`` and run the check."""
+    """Instantiate the parameter bundle for ``name`` and run the check.
+
+    A KeyError for an unknown identity, and a :class:`DomainError` naming
+    the keys of ``params`` that its params class does not take, or the
+    fields without a default that ``params`` lacks.
+    """
     cls, fn = identity_entry(name)
-    return fn(cls(**params), tol=tol)
+    try:
+        p = cls(**params)
+    except TypeError as exc:
+        raise DomainError(f"parameters of {name}: {exc}") from None
+    return fn(p, tol=tol)
 
 
 def run_suite(entries):
     """Run a list of concrete checks; failures are data, never crashes.
 
     Each entry is a mapping with keys ``identity``, ``params`` and optional
-    ``tolerance``, as produced by :func:`qaw.suite.expand_suite`, which
-    rejects unknown identity and parameter names.  A check that raises a
-    :class:`QawError` ends as its class's ``outcome``, skipped or diverged,
+    ``tolerance``, as produced by :func:`qaw.suite.expand_suite`.  An
+    unknown identity ends skipped with :func:`identity_entry`'s message, and
+    a check that raises a :class:`QawError` (unknown or missing params keys
+    too: :func:`run_check`) ends as its class's ``outcome``, skipped or diverged,
     and an ``OverflowError`` diverged (the table in :mod:`qaw.context`),
     with the diagnostic message and the entry's params; a diverged outcome
     also carries the error's ``fields`` (``details``).  The report order
@@ -1103,6 +1104,11 @@ def run_suite(entries):
     outcomes = []
     for entry in entries:
         name, params = entry["identity"], entry["params"]
+        try:
+            identity_entry(name)
+        except KeyError as exc:
+            outcomes.append(CheckOutcome(name, "skipped", reason=exc.args[0], params=params))
+            continue
         try:
             report = run_check(name, params, entry.get("tolerance"))
         except (QawError, OverflowError) as exc:

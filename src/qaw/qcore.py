@@ -138,7 +138,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
 
 from . import _np as np
 from .context import (
@@ -147,6 +146,7 @@ from .context import (
     NonConvergence,
     PoleError,
     QContext,
+    Record,
 )
 
 INFINITE = math.inf
@@ -648,8 +648,7 @@ def detect_terminating(param: complex, ctx: QContext):
     return None
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
+class HypergeometricSpec(Record):
     """Parameters of a basic hypergeometric series r-phi-s.
 
     ``numer`` and ``denom`` are the upper and lower parameter lists; ``z``
@@ -661,8 +660,8 @@ class HypergeometricSpec:
     integral number other than a bool, numpy's too, and is kept as an int.
     """
 
-    numer: tuple = field(default=())
-    denom: tuple = field(default=())
+    numer: tuple = ()
+    denom: tuple = ()
     z: complex = 1.0
     terminating_k: int | None = None
 

@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from itertools import count, takewhile
 
 from . import _np as np
-from .context import NonConvergence, WindowFailure
+from .context import NonConvergence, Record, WindowFailure
 from .qcore import _modulus
 
 # Every check runs under this one policy.  A level is accepted when it
@@ -79,8 +78,7 @@ _FLOOR = 4.0 * _EPS  # the rounding floor per unit of h*sum|f_j|, a power of two
 _LADDER = tuple(takewhile(lambda T: T < _MAX_WINDOW, (_WINDOW_GROWTH**k for k in count())))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     value: complex
     est_error: float
     nodes_used: int
@@ -138,14 +136,15 @@ def _require_finite(total, x, fx, partial):
     )
 
 
-def _trapezoid(f, lo, hi) -> QuadratureResult:
+def _trapezoid(f, lo, hi, window=None) -> QuadratureResult:
     """Nested trapezoidal rule on [lo, hi], refined until its sum settles.
 
     A level is accepted when it moved by at most max(_REL_TOL*|v|, floor),
     floor = 4*eps*h*sum|f_j| the rounding of its sum, below which refining
-    cannot help; ``est_error`` is max(move, floor).  The first level whose
-    sum is not finite, or a level still moving at 65537 nodes, raises
-    :class:`NonConvergence` with the last finite value as ``partial``.
+    cannot help; ``est_error`` is max(move, floor) and ``window`` the one
+    given.  The first level whose sum is not finite, or a level still moving
+    at 65537 nodes, raises :class:`NonConvergence` with the last finite
+    value as ``partial``.
     """
     n = _INITIAL_INTERVALS
     h = (hi - lo) / n
@@ -175,7 +174,7 @@ def _trapezoid(f, lo, hi) -> QuadratureResult:
             floor = 0.5 * floor + h * float(np.sum(np.abs(fx * _FLOOR)))
             value = new
             if move <= max(_REL_TOL * abs(value), floor):
-                return QuadratureResult(value, max(move, floor), n + 1, None)
+                return QuadratureResult(value, max(move, floor), n + 1, window)
     raise NonConvergence(
         f"quadrature not converged after {_MAX_REFINEMENTS} refinements "
         f"({n + 1} nodes, last move {move:.3e})",
@@ -234,7 +233,7 @@ def integrate_line_even_window(f) -> QuadratureResult:
         for i, T in enumerate(batch):
             probes[T] = _probe(f, batch[i : i + 1])[0] if logs is None else logs[i]
             if probes[T] < target:
-                return replace(_trapezoid(f, -T, T), window=(-T, T))
+                return _trapezoid(f, -T, T, window=(-T, T))
     raise WindowFailure(
         f"integrand log-magnitude never dropped below {target:.2f} up to "
         f"T={_MAX_WINDOW}; probes: "

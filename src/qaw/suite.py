@@ -20,10 +20,10 @@ same concrete checks.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections.abc import Mapping
 
+from .context import MISSING
 from .identities import identity_entry, valid_tolerance
 
 _SPEC_KEYS = ("seed", "checks")
@@ -31,8 +31,9 @@ _CHECK_KEYS = ("identity", "params", "draws", "tolerance")
 
 
 def param_fields(name: str):
-    """The dataclass fields of identity ``name``'s params class, in order."""
-    return dataclasses.fields(identity_entry(name)[0])
+    """The fields of identity ``name``'s params class, in order: each with
+    its ``name``, declared ``type`` and ``default`` (:class:`qaw.context.Field`)."""
+    return identity_entry(name)[0].fields
 
 
 def _real(value):
@@ -59,8 +60,7 @@ def _check_params(name, given):
     if not isinstance(given, Mapping):
         raise ValueError(f"params of {name} must be a mapping, got {type(given).__name__}")
     _reject_unknown(given, {f.name for f in fields}, "parameter(s)", f"for {name}")
-    missing = [f.name for f in fields
-               if f.default is dataclasses.MISSING and f.name not in given]
+    missing = [f.name for f in fields if f.default is MISSING and f.name not in given]
     if missing:
         raise ValueError(f"missing parameter(s) {', '.join(missing)} for {name}")
     complex_fields = {f.name for f in fields if f.type == "complex"}

@@ -696,6 +696,25 @@ class TestSuite:
             r.pop("wall_time")
         assert rerun == report
 
+    def test_suite_report_entries_rerun_as_specs(self, capsys, tmp_path):
+        # every entry of the shipped suite's report, its params and
+        # tolerance as a one-entry spec, gives the same entry but for
+        # wall_time: the params round-trip through the params classes
+        code, out, _ = run_cli(capsys, "suite")
+        assert code == 0
+        entries = json.loads(out)["reports"]
+        spec = tmp_path / "spec.json"
+        for entry in entries:
+            report = entry.get("report", {})
+            spec.write_text(json.dumps({"seed": 1, "checks": [{
+                "identity": entry["identity"], "params": report.get("params", entry.get("params")),
+                **({"tolerance": report["tolerance"]} if report else {})}]}))
+            code, out, _ = run_cli(capsys, "suite", "--spec", str(spec))
+            (rerun,) = json.loads(out)["reports"]
+            for e in (entry, rerun):
+                e.get("report", {}).pop("wall_time", None)
+            assert rerun == entry
+
     def test_failed_entries_keep_their_params(self, capsys, tmp_path):
         diverging = SLOW_KSUM_GAUSSIAN
         spec = tmp_path / "spec.json"
@@ -1133,9 +1152,9 @@ def _masked(text):
     return re.sub(r'"wall_time": [^,}]+', '"wall_time": 0', text)
 
 
-# runs one command line, then writes the class of sys.modules["numpy"] and
-# any numpy core module loaded (numpy.core in 1.x, numpy._core in 2.x) as
-# the last stderr line
+# runs one command line, then writes the class of sys.modules["numpy"], any
+# numpy core module loaded (numpy.core in 1.x, numpy._core in 2.x) and
+# dataclasses or inspect if loaded (_STARTUP_FREE) as the last stderr line
 _NUMPY_STATE = """
 import sys
 from qaw import cli
@@ -1145,8 +1164,18 @@ except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
 core = [m for m in sys.modules if m.startswith(("numpy.core", "numpy._core"))]
-print(type(sys.modules["numpy"]).__name__, *core, file=sys.stderr)
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(type(sys.modules["numpy"]).__name__, *core, *loaded, file=sys.stderr)
 sys.exit(code)
+"""
+
+# writes the modules of the start-up that importing the CLI must not load:
+# dataclasses (and the inspect, ast, dis and tokenize it imports) cost a
+# third of qaw's own import
+_STARTUP_FREE = """
+import sys
+import qaw.cli
+print(*[m for m in ("dataclasses", "inspect") if m in sys.modules])
 """
 
 # command lines that compute nothing with numpy, with their exit codes
@@ -1236,6 +1265,10 @@ class TestLazyNumpy:
             if runs[-1][0] <= 2 * runs[-1][1]:
                 return
         pytest.fail(f"first wall_time without and with numpy loaded beforehand: {runs}")
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        proc = _run_fresh(_STARTUP_FREE)
+        assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
 
     @pytest.mark.parametrize("argv, want", NUMPY_FREE_LINES,
                              ids=[" ".join(a) for a, _ in NUMPY_FREE_LINES])

@@ -1,7 +1,6 @@
 """Tests for the identity checks, the stable outer k-sum, and the suite runner."""
 
 import cmath
-import dataclasses
 import gc
 import math
 import random
@@ -1208,6 +1207,30 @@ class TestSuiteRunner:
         with pytest.raises(KeyError):
             run_check("no-such-identity", {})
 
+    def test_unknown_identity_becomes_skipped(self):
+        # expand_suite rejects it (qaw suite exits 64), run_suite reports it
+        with pytest.raises(KeyError) as exc:
+            identities.identity_entry("no-such-identity")
+        known = {"identity": "askey-wilson", "params": FIXED_POINTS["askey-wilson"]}
+        unknown, passed = run_suite([{"identity": "no-such-identity", "params": {"q": 0.5}}, known])
+        assert (unknown.status, unknown.reason, unknown.params) == (
+            "skipped", exc.value.args[0], {"q": 0.5})
+        assert passed.status == "passed"
+
+    @pytest.mark.parametrize("params, message", [
+        ({"q": 0.5, "a": 0.3, "e": 0.5, "x": 0.6}, "PlainAWParams has no field(s) e, x"),
+        ({"q": 0.5}, "PlainAWParams needs the field(s) a"),
+        ({"b": 0.1}, "PlainAWParams needs the field(s) q, a"),
+        ([0.5, 0.3], None),
+    ], ids=["unknown", "missing", "two-missing", "not-a-mapping"])
+    def test_bad_params_keys_are_a_domain_error(self, params, message):
+        # never the TypeError of the params class, and skipped in a suite
+        with pytest.raises(DomainError, match="^parameters of askey-wilson: ") as exc:
+            run_check("askey-wilson", params)
+        assert message is None or str(exc.value).endswith(message)
+        (oc,) = run_suite([{"identity": "askey-wilson", "params": params}])
+        assert (oc.status, oc.reason, oc.params) == ("skipped", str(exc.value), params)
+
     @pytest.mark.parametrize("tol", ["abc", math.inf, math.nan, -1.0])
     def test_invalid_tolerance_becomes_skipped(self, tol):
         params = {"q": 0.5, "a": 0.3, "b": 0.2, "c": 0.1, "d": 0.4}
@@ -1535,7 +1558,7 @@ INERT_FIELDS = {
 }
 
 # each -3phi2 form with a pinned d, at a nonzero d (the generating 3phi2
-# row takes no u, so a u is a TypeError: test_generating_3phi2_takes_no_r_or_u)
+# row takes no u, so a u is a DomainError: test_generating_3phi2_takes_no_r_or_u)
 NONZERO_DROPPED = {
     "fractional-askey-wilson-3phi2":
         {"q": 0.5, "a": 0.2, "b": 0.3, "c": 0.1, "d": 0.15, "x": 0.6, "mu": 1.5},
@@ -1578,7 +1601,7 @@ class TestCheckTable:
     ])
     def test_plain_rows_take_no_x_or_mu(self, name, fields):
         assert list(run_check(name, FIXED_POINTS[name]).params) == fields
-        with pytest.raises(TypeError, match="'x'"):
+        with pytest.raises(DomainError, match="has no field\\(s\\) x$"):
             run_check(name, {**FIXED_POINTS[name], "x": 0.6})
 
     @pytest.mark.parametrize("field", ["r", "u"])
@@ -1586,7 +1609,7 @@ class TestCheckTable:
         name = "fractional-generating-3phi2"
         report = run_check(name, FIXED_POINTS[name])
         assert list(report.params) == ["q", "a", "x", "mu", "b", "s", "t", "z"]
-        with pytest.raises(TypeError, match=f"'{field}'"):
+        with pytest.raises(DomainError, match=f"has no field\\(s\\) {field}$"):
             run_check(name, {**FIXED_POINTS[name], field: 0.0})
 
     @pytest.mark.parametrize("r", [0.0, 0.4, -7.0])
@@ -1605,7 +1628,7 @@ class TestCheckTable:
 
     @pytest.mark.parametrize("name, field", [
         (name, f.name) for name in sorted(FIXED_POINTS)
-        for f in dataclasses.fields(IDENTITY_REGISTRY[name][0])
+        for f in IDENTITY_REGISTRY[name][0].fields
     ])
     def test_every_field_changes_its_check(self, name, field):
         # a field moved by 0.01 inside the domain changes a side, or it is
@@ -1800,7 +1823,7 @@ _HUGE = 1.5e308 + 1.5e308j
 
 def _domain_message(name, overrides):
     cls, check = identities.IDENTITY_REGISTRY[name]
-    fields = {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name for f in cls.fields}
     params = {**FIXED_POINTS[name], **{k: v for k, v in overrides.items() if k in fields}}
     with pytest.raises(DomainError) as exc:
         check(cls(**params))
@@ -1939,7 +1962,7 @@ class TestPassRule:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_is_a_domain_error(self, name, value):
         cls, check = identities.IDENTITY_REGISTRY[name]
-        for f in dataclasses.fields(cls):
+        for f in cls.fields:
             params = {**FIXED_POINTS[name], f.name: value}
             with pytest.raises(DomainError, match=f"must be finite, got {f.name}="):
                 check(cls(**params))
@@ -1956,7 +1979,7 @@ class TestPassRule:
         # no finite parameter.  The message names it in a few digits: str()
         # of an int past 4300 digits raises ValueError
         cls, _ = identities.IDENTITY_REGISTRY[name]
-        for f in dataclasses.fields(cls):
+        for f in cls.fields:
             params = {**FIXED_POINTS[name], f.name: value}
             message = f"parameters must be finite, got {f.name}={shown}"
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -1970,7 +1993,7 @@ class TestPassRule:
         # in any field, ends as a DomainError naming the field, never as a
         # TypeError of the sides or the rules
         cls, check = identities.IDENTITY_REGISTRY[name]
-        for f in dataclasses.fields(cls):
+        for f in cls.fields:
             real = f.type == "float"
             for value in ["0.5", None, True, *([0.5 + 0.1j, np.complex128(0.5)] if real else [])]:
                 params = {**FIXED_POINTS[name], f.name: value}
