@@ -87,8 +87,17 @@ Sizing.  c_k grows like (x/a)^k and overflows near k = 308 / log10(x/a),
 so the sum is taken as sum_m (g_m s^m) (w_m / s^m), s the power of 2
 nearest x/a (at most 2^1023; x/a itself is finite by the fractional
 domain rule): the Taylor coefficients of G(s y) times the convolution of
-c_k / s^k with s^-j / (q;q)_j.  In a converging sum both factors stay
-below 2^{m/2}, and a power of 2 changes no rounding.  The rows m of g grow
+c_k / s^k with s^-j / (q;q)_j.  A power of 2 changes no rounding.  The
+first factor grows like (ratio / f)^m (ratio = x max|n_i| / a, below)
+and the second like f^m, f = x / (a s) in [2^-1/2, 2^1/2], so past some
+2000 rows one of them can pass the double range.  So row m carries a
+power of 2 of its own: the rows hold g_m s^m 2^E_m and the weights w_m
+s^-m 2^-E_m (s^-m too), the recurrence's coefficient of row m - j takes
+2^(E_m - E_{m-j}), and no product g_m w_m changes.  E_m is constant over
+spans of rows over which f^m moves _SPAN = 500 bits, within a factor 2
+of f^m at each span's first row, and 0 over the first span, at least
+1000 rows; the convolution is taken span by span.  So a sum that ends in
+its first span keeps its bits and its numpy calls.  The rows m of g grow
 in steps, 16 at a time from 32 to 256 and then about M/8 at a time
 (rounded up to 16), so a long sum meets its tail rule after O(log M)
 tests.  Per node, running sums over each step's new rows give the rule:
@@ -446,6 +455,7 @@ class IdentityReport(Record):
 
 _MAX_ROWS = 4096  # the most Taylor coefficients a k-sum takes
 _ALL_DIGITS = -math.log10(sys.float_info.epsilon)
+_SPAN = 500  # the bits f^m moves over one span of rows of one exponent
 
 
 class _Pair(NamedTuple):
@@ -502,9 +512,10 @@ def _taylor_rows(g, start, stop, Nj, Dj, qpow, inv):
 
     Row m + r of g holds g_m, after r rows of zeros; ``Nj`` and ``Dj`` are
     the slices N_j, D_j, j = r, ..., 1, of the factor polynomials, ``qpow``
-    and ``inv`` the tables q^{m-j} and 1 / (1 - q^m) of :func:`_tables`, and
-    N(y) G(y) = D(y) G(q y) gives
-    g_m = sum_{j>=1} (D_j q^{m-j} - N_j) (1 / (1 - q^m)) g_{m-j}.
+    and ``inv`` the tables q^{m-j} and 2^(E_m - E_{m-j}) / (1 - q^m) of
+    :func:`_tables`, and N(y) G(y) = D(y) G(q y) gives
+    g_m = sum_{j>=1} (D_j q^{m-j} - N_j) (1 / (1 - q^m)) g_{m-j},
+    each row m here times 2^E_m.
     """
     r = len(Nj)
     buf = np.empty((r,) + g.shape[1:], dtype=g.dtype)
@@ -512,7 +523,7 @@ def _taylor_rows(g, start, stop, Nj, Dj, qpow, inv):
     for lo in range(start, stop, 16):
         hi = min(lo + 16, stop)
         C = np.subtract(Dj * qpow[lo:hi, :, None], Nj)
-        C *= inv[lo:hi, None, None]
+        C *= inv[lo:hi, :, None]
         for mm, c in zip(range(lo, hi), C):
             np.multiply(c, g[mm : mm + r], out=buf)
             np.add.reduce(buf, axis=0, out=g[mm + r])
@@ -527,8 +538,9 @@ def _settled(mags, sums):
 
 def _tables(x, a, mu, q, e, r, L, dtype):
     """The node-free tables of the rows m < L: the weights w_m / s^m and
-    s^-m, s = 2^e (module docstring), and the recurrence's q^{m-j},
-    j = r, ..., 1, and 1 / (1 - q^m).
+    s^-m, s = 2^e, each times 2^-E_m, and the recurrence's q^{m-j},
+    j = r, ..., 1, and 1 / (1 - q^m) times 2^(E_m - E_{m-j}), E_m the
+    rows' exponent (module docstring).
 
     All but s^-m take the rows' ``dtype``: for complex rows each real t is
     the complex t + 0j, whose products keep the bits of a complex array
@@ -538,15 +550,28 @@ def _tables(x, a, mu, q, e, r, L, dtype):
     m = np.arange(L)
     k = m[:-1]
     ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * 2.0**e * (1.0 - q ** (mu + k + 1)))
-    c = np.cumprod(np.concatenate(([1.0], ratios)))
+    c = np.concatenate(([1.0], ratios))
     den = 1.0 - q**m
     den[0] = 1.0  # (q;q)_0; no recurrence row is m = 0
     qfac = np.cumprod(den)
     down = np.ldexp(1.0, -e * m)
-    w = qfac * np.convolve(c, down / qfac)[:L]
-    qpow = q ** (m[:, None] - np.arange(r, 0, -1))
+    lag = m[:, None] - np.arange(r, 0, -1)  # m - j
+    qpow = q**lag
+    inv = (1.0 / den)[:, None]
+    tilt = math.log2(x / a) - e  # log2 f
+    span = int(_SPAN / abs(tilt)) if tilt else L
+    if span >= L:  # every E_m is 0
+        w = qfac * np.convolve(np.cumprod(c), down / qfac)[:L]
+    else:
+        E = np.round(m // span * span * tilt).astype(int)
+        c = np.cumprod(np.ldexp(c, -np.diff(E, prepend=0)))
+        # each span's c_k 2^-E_k into the rows m, scaled there by 2^(E_k - E_m)
+        w = qfac * sum(np.ldexp(np.convolve(np.where(m // span == b, c, 0.0), down / qfac)[:L],
+                                E[b * span] - E) for b in range(-(-L // span)))
+        down = np.ldexp(down, -E)
+        inv = np.ldexp(inv, E[:, None] - E[np.maximum(lag, 0)])
     return (w.astype(dtype, copy=False), down, qpow.astype(dtype, copy=False),
-            (1.0 / den).astype(dtype, copy=False))
+            inv.astype(dtype, copy=False))
 
 
 def frac_prefactor(x, a, mu, ctx):
@@ -587,7 +612,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     """
     q = ctx.q
     e = min(round(math.log2(x / a)), 1023)
-    s = 2.0**e  # g_m s^m and w_m / s^m stay finite; see "Sizing" above
+    s = 2.0**e  # with the rows' 2^E_m, g_m s^m and w_m / s^m stay finite ("Sizing")
     params = [_param(p) for p in (*phi_numer, *phi_denom)]
     values = [_value(p) for p in params]
     shape = _node_shape(values)
@@ -679,8 +704,10 @@ def _closed(ratios, ctx):
 
     Each product is multiplied out from 1 in order, as
     ``q_pochhammer_multi`` does, and each distinct argument's (v;q)_inf is
-    formed once per call, by the scalar loop (module docstring).  A ratio
-    whose modulus is not finite raises ``OverflowError``.
+    formed once per call, by qcore's scalar loop (module docstring): in
+    floats at a real v in (-1, 1), as every argument of the shipped checks
+    is, with the complex loop's bits (:mod:`qaw.qcore`).  A ratio whose
+    modulus is not finite raises ``OverflowError``.
     """
     prods = {}
 

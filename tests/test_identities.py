@@ -270,6 +270,42 @@ class TestBatchedKSum:
         assert str(exc.value).startswith("outer k-sum is not finite past 2455 Taylor coefficients")
         assert str(exc.value).endswith("x*max|numerator|/a=1.33)")
 
+    # fractional-generating points inside the ratio rule whose k-sums take
+    # more rows than f^m, f = x / (a s) = 1.389 and 0.739, leaves in the
+    # double range: without the rows' powers of 2 they end "not finite past
+    # 2158" and "past 2460 Taylor coefficients"
+    @pytest.mark.parametrize("p, rows", [
+        ({"q": 0.5, "a": 0.252, "x": 0.7, "mu": 1.5, "b": 0.3, "r": 0.4, "s": 1.4142,
+          "t": 0.2, "u": 0.1, "z": 0.1}, 3568),
+        ({"q": 0.1134, "a": 0.1286, "x": 0.3802, "mu": 0.9216, "b": -0.678, "r": -1.103,
+          "s": -2.596, "t": 1.742, "u": 0.5782, "z": 2.346}, 2496)])
+    def test_long_sum_keeps_its_rows_in_the_double_range(self, p, rows):
+        report = run_check("fractional-generating", p)
+        assert report.passed and report.rel_err < 1e-13
+        assert report.rhs_diag["k_terms"] == rows
+        # complex rows take the same tables, as complex
+        numer = identities._generating_numerator(GeneratingParams(**p))
+        denom = [p["a"] * p["b"] * p["z"], p["a"] * p["t"], p["a"] * p["r"] * p["u"]]
+        ctx = QContext(q=p["q"])
+        real = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+        tilted = ksum(p["x"], p["a"], p["mu"], [numer[0] + 1e-300j, *numer[1:]], denom, ctx)
+        assert abs(tilted - real) < 1e-13 * abs(real)
+
+    @pytest.mark.parametrize("x, a, mu, q", [(0.7, 0.252, 1.5, 0.5),
+                                             (0.3802, 0.1286, 0.9216, 0.1134)])
+    def test_tables_keep_their_bits_over_the_first_span(self, x, a, mu, q):
+        # f = 1.389 and 0.739: the first span of rows, whose exponent is 0,
+        # is 1055 and 1146 rows long; past it the tables stay within 2^+-500
+        e = round(math.log2(x / a))
+        short = identities._tables(x, a, mu, q, e, 3, 1024, float)
+        long = identities._tables(x, a, mu, q, e, 3, 4096, float)
+        for head, table in zip(short, long):
+            assert np.array_equal(np.broadcast_to(head, table[:1024].shape), table[:1024])
+            assert np.abs(table).max() <= 2.0**501
+            assert np.abs(table[table != 0]).min() >= 2.0**-1074
+        w, down, _, inv = long
+        assert np.abs(w).min() > 2.0**-501 and np.abs(inv).min() >= 2.0**-501
+
     def test_short_sum_allocates_for_its_own_rows(self):
         # 4096 rows at 129 nodes would take 8.4 MB per array
         p = AW_POINT

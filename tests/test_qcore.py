@@ -155,6 +155,146 @@ class TestQPochhammer:
         assert got == pytest.approx(POCH_02_05_INF * POCH_03_05_INF, rel=1e-12)
 
 
+def _complex_loop(a, order, q):
+    """The scalar loop of q_pochhammer at an integer order, all in complex
+    arithmetic, as every argument took it before the float loop."""
+    p, aq = complex(1.0), complex(a)
+    if order <= MAX_FACTORS:
+        for _ in range(order):
+            p *= 1.0 - aq
+            aq *= q
+        return p
+    for _ in range(order):
+        p, prev = p * (1.0 - aq), p
+        if p == prev or not cmath.isfinite(p):
+            return p
+        aq *= q
+    return p
+
+
+def _reference(a, order, q):
+    """(a;q)_order as q_pochhammer forms it, on the complex loop alone."""
+    if isinstance(order, int):
+        return _complex_loop(a, order, q)
+    if order == INFINITE:
+        n = qcore._factor_counts(abs(a), q)
+        p = _complex_loop(a, n, q)
+        if n < MAX_FACTORS:
+            return p
+        raise NonConvergence("capped", p, abs(a) * q**MAX_FACTORS)
+    num, den = _reference(a, INFINITE, q), _reference(a * q**order, INFINITE, q)
+    if den == 0:
+        raise DivisionByZero("0")
+    return num / den
+
+
+def _outcome(f, *args):
+    """The value of f(*args) as the hex of both parts (:func:`_bits`), or the
+    error's class, partial and last term."""
+    try:
+        return _bits(f(*args))
+    except NonConvergence as exc:
+        return ("capped", _bits(exc.partial), _bits(exc.last_term))
+    except DivisionByZero:
+        return ("0/0",)
+
+
+_REAL = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+# a real a in (-1, 1) as each Python number type that takes the float loop
+_AS = {"float": float, "int": int, "bool": lambda x: bool(int(x)), "float64": np.float64,
+       "complex": lambda x: complex(x, 0.0), "complex -0": lambda x: complex(x, -0.0)}
+_ORDERS = st.one_of(st.integers(0, 400), st.integers(MAX_FACTORS - 5, MAX_FACTORS),
+                    st.integers(MAX_FACTORS + 1, 3 * MAX_FACTORS), st.just(INFINITE),
+                    st.floats(0.0, 40.0))
+_BASES = st.one_of(st.floats(0.0, 1.0 - 1e-12, exclude_min=True),
+                   st.floats(1e-12, 1e-3).map(lambda d: 1.0 - d))
+
+
+class TestFloatLoop:
+    """A real a in (-1, 1) takes the float loop, with the complex loop's bits."""
+
+    @settings(max_examples=300)
+    @given(x=_REAL, kind=st.sampled_from(sorted(_AS)), order=_ORDERS, q=_BASES)
+    def test_float_loop_has_the_complex_loops_outcome(self, x, kind, order, q):
+        a = _AS[kind](x)
+        assert _outcome(q_pochhammer, a, order, QContext(q=q)) == _outcome(_reference, a, order, q)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, -5e-324, 1 - 2**-53, -(1 - 2**-53),
+                                   complex(-0.0, -0.0), complex(1 - 2**-53, -0.0)])
+    @pytest.mark.parametrize("order", [0, 1, 37, MAX_FACTORS, MAX_FACTORS + 7, INFINITE, 2.5])
+    @pytest.mark.parametrize("q", [0.5, 1.0 - 1e-12])
+    def test_edges_of_the_interval(self, a, order, q):
+        assert _outcome(q_pochhammer, a, order, QContext(q=q)) == _outcome(_reference, a, order, q)
+
+    @pytest.mark.parametrize("a, loops", [
+        (0.5, [float]), (complex(-0.3, -0.0), [float]),
+        (1.0, [complex]), (-1.0, [complex]), (0.3 + 1e-300j, [complex]),
+        (np.float32(0.5), [complex]), (1.5, [complex])])
+    def test_which_loop(self, monkeypatch, a, loops):
+        # only a Python number whose imaginary part is 0 and whose real part
+        # lies in (-1, 1) takes the float loop
+        seen = []
+        product = qcore._product
+        monkeypatch.setattr(qcore, "_product",
+                            lambda aq, *rest: seen.append(type(aq)) or product(aq, *rest))
+        got = q_pochhammer(a, 12, QContext(q=0.7))
+        assert seen == loops
+        assert _outcome(lambda: got) == _outcome(_reference, a, 12, 0.7)
+
+    def test_product_past_the_double_range_reruns_the_complex_loop(self, monkeypatch):
+        # 1505 factors near 1.67: the float product is inf, and the complex
+        # loop's inf * 0 makes both parts NaN
+        seen = []
+        product = qcore._product
+        monkeypatch.setattr(qcore, "_product",
+                            lambda aq, *rest: seen.append(type(aq)) or product(aq, *rest))
+        got = q_pochhammer(-0.67, 1505, QContext(q=1.0 - 1e-12))
+        assert seen == [float, complex]
+        assert math.isnan(got.real) and math.isnan(got.imag)
+        assert _outcome(lambda: got) == _outcome(_complex_loop, -0.67, 1505, 1.0 - 1e-12)
+
+
+class TestTypedInputs:
+    """An a that is neither a number nor an array, or an order that is not
+    a real number, is a DomainError naming its type."""
+
+    @pytest.mark.parametrize("call, what, typename", [
+        (lambda c: q_pochhammer("0.5", 3, c), "a", "str"),
+        (lambda c: q_pochhammer("0.5", INFINITE, c), "a", "str"),
+        (lambda c: q_pochhammer(None, 3, c), "a", "NoneType"),
+        (lambda c: q_pochhammer([0.5], 2.5, c), "a", "list"),
+        (lambda c: q_pochhammer(0.5, "3", c), "order", "str"),
+        (lambda c: q_pochhammer(0.5, "inf", c), "order", "str"),
+        (lambda c: q_pochhammer(0.5, None, c), "order", "NoneType"),
+        (lambda c: q_pochhammer(0.5, 1j, c), "order", "complex"),
+        (lambda c: q_pochhammer(0.5, 3 + 0j, c), "order", "complex"),
+        (lambda c: q_pochhammer(np.array([0.5]), "3", c), "order", "str"),
+        (lambda c: q_pochhammer_infinite("0.5", c), "a", "str"),
+        (lambda c: q_pochhammer_infinite(None, c), "a", "NoneType"),
+        (lambda c: q_pochhammer_infinite_log("0.5", c), "a", "str"),
+        (lambda c: q_pochhammer_infinite_log([0.5], c), "a", "list"),
+        (lambda c: q_pochhammer_multi([0.3, "0.5"], 3, c), "a", "str"),
+        (lambda c: q_pochhammer_multi([0.3], "3", c), "order", "str"),
+        (lambda c: q_pochhammer_multi([], "3", c), "order", "str"),
+    ])
+    def test_names_the_type(self, ctx, call, what, typename):
+        want = "a must be a number or an array" if what == "a" else "the order must be a real number"
+        with pytest.raises(DomainError, match=f"{want}, got {typename}$"):
+            call(ctx)
+
+    @pytest.mark.parametrize("a, order, same_a, same_order", [
+        (np.float32(0.3), 3, float(np.float32(0.3)), 3),
+        (np.int64(0), INFINITE, 0.0, INFINITE),
+        (0.3, np.float32(1.5), 0.3, 1.5),
+        (0.3, np.int64(4), 0.3, 4),
+        (0.3, True, 0.3, 1.0),
+        (0.3, np.float64(3.0), 0.3, 3.0),
+    ])
+    def test_numpy_scalars_and_a_bool_order_keep_their_values(self, ctx, a, order, same_a,
+                                                              same_order):
+        assert _outcome(q_pochhammer, a, order, ctx) == _outcome(q_pochhammer, same_a, same_order, ctx)
+
+
 class TestQBracketGamma:
     def test_bracket_values(self, ctx):
         assert q_bracket(1.0, ctx) == pytest.approx(1.0)
