@@ -97,14 +97,14 @@ s^-m 2^-E_m (s^-m too), the recurrence's coefficient of row m - j takes
 spans of rows over which f^m moves _SPAN = 500 bits, within a factor 2
 of f^m at each span's first row, and 0 over the first span, at least
 1000 rows; the convolution is taken span by span.  So a sum that ends in
-its first span keeps its bits and its numpy calls.  The rows m of g grow
-in steps, 16 at a time from 32 to 256 and then about M/8 at a time
-(rounded up to 16), so a long sum meets its tail rule after O(log M)
-tests.  Per node, running sums over each step's new rows give the rule:
-the last 8 rows of both |g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of
-their totals.  The value is formed once, over the final rows.  A step
-whose sum is not finite at some node, or a sum not settled at 4096 rows,
-raises :class:`KSumDivergence`.  The terms behave like (x max|n_i| / a)^m,
+its first span keeps its bits.  The rows m of g grow in steps, 16 at a
+time from 32 to 256 and then about M/8 at a time (rounded up to 16), so
+a long sum meets its tail rule after O(log M) tests.  Per node, running
+sums over each step's new rows give the rule: the last 8 rows of both
+|g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of their totals.  The value
+is formed once, over the final rows.  A step whose sum is not finite at
+some node, or a sum not settled at 4096 rows, raises
+:class:`KSumDivergence`.  The terms behave like (x max|n_i| / a)^m,
 so the domain rule of a fractional row keeps that ratio below 1; a sum
 inside it that does not settle converges too slowly for 4096 rows.  The
 rows grow by doubling, so a short sum allocates for its own rows only.
@@ -557,19 +557,21 @@ def _tables(x, a, mu, q, e, r, L, dtype):
     down = np.ldexp(1.0, -e * m)
     lag = m[:, None] - np.arange(r, 0, -1)  # m - j
     qpow = q**lag
-    inv = (1.0 / den)[:, None]
+    inv = np.repeat(1.0 / den[:, None], r, axis=1)
     tilt = math.log2(x / a) - e  # log2 f
     span = int(_SPAN / abs(tilt)) if tilt else L
-    if span >= L:  # every E_m is 0
-        w = qfac * np.convolve(np.cumprod(c), down / qfac)[:L]
-    else:
-        E = np.round(m // span * span * tilt).astype(int)
-        c = np.cumprod(np.ldexp(c, -np.diff(E, prepend=0)))
-        # each span's c_k 2^-E_k into the rows m, scaled there by 2^(E_k - E_m)
-        w = qfac * sum(np.ldexp(np.convolve(np.where(m // span == b, c, 0.0), down / qfac)[:L],
-                                E[b * span] - E) for b in range(-(-L // span)))
-        down = np.ldexp(down, -E)
-        inv = np.ldexp(inv, E[:, None] - E[np.maximum(lag, 0)])
+    Es = [round(lo * tilt) for lo in range(0, L, span)]  # each span's E_m, 0 for the first
+    which = m // span  # the span of each row
+    E = np.array(Es)[which]
+    for lo, prev, cur in zip(range(span, L, span), Es, Es[1:]):
+        c[lo] = math.ldexp(c[lo], prev - cur)
+        # the rows lo, ..., lo + r - 1 from rows m - j of the span before
+        inv[lo : lo + r][lag[lo : lo + r] < lo] *= 2.0 ** (cur - prev)
+    c = np.cumprod(c)  # c_k 2^-E_k
+    # each span's c_k 2^-E_k into the rows m, scaled there by 2^(E_k - E_m)
+    w = qfac * sum(np.ldexp(np.convolve(np.where(which == b, c, 0.0), down / qfac)[:L], Eb - E)
+                   for b, Eb in enumerate(Es))
+    down = np.ldexp(down, -E)
     return (w.astype(dtype, copy=False), down, qpow.astype(dtype, copy=False),
             inv.astype(dtype, copy=False))
 

@@ -571,11 +571,12 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
 
 def _is_array(a, what) -> bool:
     """Whether ``a``, which is not a Python number, is an ndarray rather than
-    a number; anything else is a :class:`DomainError` of ``what`` naming its
-    type.  Callers test for a Python number first, which loads no numpy."""
+    a number (numpy's bool included); anything else is a
+    :class:`DomainError` of ``what`` naming its type.  Callers test for a
+    Python number first, which loads no numpy."""
     if isinstance(a, np.ndarray):
         return True
-    if isinstance(a, numbers.Number):
+    if isinstance(a, (numbers.Number, np.bool_)):
         return False
     raise DomainError(f"{what}: a must be a number or an array, got {type(a).__name__}")
 
@@ -653,7 +654,8 @@ def q_pochhammer_multi(params, order, ctx: QContext) -> complex:
     """(a_1,...,a_m;q)_order = product of the single-parameter symbols; an
     order that is not a real number is a :class:`DomainError`, with no
     parameters too."""
-    _integral(order)
+    if not params:
+        _integral(order)
     p = complex(1.0)
     for a in params:
         p *= q_pochhammer(a, order, ctx)

@@ -289,6 +289,9 @@ class TestTypedInputs:
         (0.3, np.int64(4), 0.3, 4),
         (0.3, True, 0.3, 1.0),
         (0.3, np.float64(3.0), 0.3, 3.0),
+        (np.bool_(True), 3, True, 3),
+        (np.bool_(False), INFINITE, False, INFINITE),
+        (np.bool_(False), 2.5, False, 2.5),
     ])
     def test_numpy_scalars_and_a_bool_order_keep_their_values(self, ctx, a, order, same_a,
                                                               same_order):
