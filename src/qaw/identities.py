@@ -557,21 +557,25 @@ def _tables(x, a, mu, q, e, r, L, dtype):
     down = np.ldexp(1.0, -e * m)
     lag = m[:, None] - np.arange(r, 0, -1)  # m - j
     qpow = q**lag
-    inv = np.repeat(1.0 / den[:, None], r, axis=1)
+    inv = (1.0 / den)[:, None]
     tilt = math.log2(x / a) - e  # log2 f
     span = int(_SPAN / abs(tilt)) if tilt else L
     Es = [round(lo * tilt) for lo in range(0, L, span)]  # each span's E_m, 0 for the first
-    which = m // span  # the span of each row
-    E = np.array(Es)[which]
-    for lo, prev, cur in zip(range(span, L, span), Es, Es[1:]):
+    later = list(zip(range(span, L, span), Es, Es[1:]))  # each later span's first row, E_m before, E_m
+    for lo, prev, cur in later:
         c[lo] = math.ldexp(c[lo], prev - cur)
-        # the rows lo, ..., lo + r - 1 from rows m - j of the span before
-        inv[lo : lo + r][lag[lo : lo + r] < lo] *= 2.0 ** (cur - prev)
     c = np.cumprod(c)  # c_k 2^-E_k
-    # each span's c_k 2^-E_k into the rows m, scaled there by 2^(E_k - E_m)
-    w = qfac * sum(np.ldexp(np.convolve(np.where(which == b, c, 0.0), down / qfac)[:L], Eb - E)
-                   for b, Eb in enumerate(Es))
-    down = np.ldexp(down, -E)
+    d = down / qfac
+    w = np.convolve(c, d)[:L]  # final over the first span; each later span's rows below
+    for lo, prev, cur in later:
+        hi = min(lo + span, L)
+        # each span's c_k 2^-E_k into this span's rows m, scaled there by 2^(E_k - E_m)
+        w[lo:hi] = sum(np.ldexp(np.convolve(c[k : k + span], d)[lo - k : hi - k], Eb - cur)
+                       for Eb, k in zip(Es, range(0, lo + 1, span)))
+        down[lo:hi] = np.ldexp(down[lo:hi], -cur)
+        # the rows m >= lo from rows m - j of the span before
+        inv = inv * np.where((m[:, None] >= lo) & (lag < lo), 2.0 ** (cur - prev), 1.0)
+    w *= qfac
     return (w.astype(dtype, copy=False), down, qpow.astype(dtype, copy=False),
             inv.astype(dtype, copy=False))
 
