@@ -16,9 +16,11 @@ can pass the double range; the Cauchy operator's q-differences use it.
 
 * The product (a;q)_inf of an array forms the factors of each entry up
   to its own factor count (the stop rule below) in bounded blocks and
-  multiplies them in the scalar loop's order.  The public array
-  ``q_pochhammer_infinite`` uses it, and so does the Cauchy operator's
-  integrand; no identity check does.
+  multiplies them in the scalar loop's order, in floats where every entry
+  is a real a in (-1, 1) (the real-input rule below) and in complex
+  arithmetic otherwise; either way it returns a complex array.  The public
+  array ``q_pochhammer_infinite`` uses it, and so does the Cauchy
+  operator's integrand; no identity check does.
 * Its log gives each entry a head of its own: the h factors 1 - a q^k
   with |a q^k| >= LOG_RADIUS, logged one by one, and for the rest the
   q-log series (Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1)
@@ -83,18 +85,27 @@ Order convention for q-Pochhammer symbols
 The ratio definition agrees with the finite product at integer orders and
 is the unique choice consistent with the q-gamma function.
 
-Every order ends in one scalar loop over the factors 1 - a q^k.  A Python
-number a (numpy's float64 too) whose imaginary part is 0 and whose real
-part lies in (-1, 1) takes it in floats, about 2.5 times faster than in
-complex arithmetic, and returns ``complex(p)``: every factor then lies in
-(0, 2), so the complex loop keeps each imaginary part at +0.0 and its real
-parts are the float loop's (CPython 3.10-3.13 take a float operand of a
-complex operation as x + 0j).  Where the float product is not finite (a <
-0 near q = 1, over thousands of factors), the complex loop's inf * 0 makes
-NaN parts, so the complex loop runs again from the start.  Every other a
-takes the complex loop.  So the closed sides of the checks, the fractional
-prefactor and ``q_gamma`` take the float loop with the bits they had, and
-no product is kept between calls.
+Every order ends in one scalar loop over the factors 1 - a q^k.  The
+real-input rule: a product whose a is real, its imaginary part 0, and
+lies in (-1, 1) is multiplied in floats and returned as complex, with
+imaginary part +0.0.  Every factor then lies in (0, 2), so complex
+arithmetic keeps each imaginary part at +0.0 and its real parts are the
+float products to the bit (CPython 3.10-3.13 take a float operand of a
+complex operation as x + 0j, and numpy multiplies x + 0j by y + 0j as x
+y).  The scalar loop takes a Python number a (numpy's float64 too) so,
+about 2.5 times faster than in complex arithmetic; where the float
+product is not finite (a < 0 near q = 1, over thousands of factors), the
+complex loop's inf * 0 makes NaN parts, so the complex loop runs again
+from the start.  The array product takes an array so when every entry
+qualifies (a dtype of bools, integers or floats, float32 among them, or
+complexes whose imaginary parts are all 0); an entry with |a| >= 1, NaN
+or a non-real value keeps the whole array on complex rows.  The logs keep
+complex factors: a negative factor needs the complex log, and numpy's
+real log of a factor near 1 differs from the complex log's real part by
+up to 3 ulps in about a third of cases.  So the closed sides of the
+checks, the fractional prefactor, ``q_gamma`` and the Cauchy operator's
+integrand take float products with the bits they had, and no product is
+kept between calls.
 
 Truncation policy: an infinite product takes the factors k < n, n the
 least k with |a q^k| < tau = min(EPS_FACTOR, t / (1 + t)), t = EPS_TERM
@@ -269,8 +280,10 @@ def _factor_counts(mag, q: float, bound=None):
     MAX_FACTORS."""
     log_bound = math.log(_tau(q) if bound is None else bound)
     if not isinstance(mag, _NUMBER) and isinstance(mag, np.ndarray):
-        # a zero |a| counts as the least positive double, and no factor
-        n = np.floor((np.log(np.maximum(mag, math.ulp(0.0))) - log_bound) / -math.log(q)) + 1.0
+        # a zero |a| counts as the least positive double, and no factor; a
+        # float32 |a| is counted in doubles, as its scalar is
+        n = np.floor((np.log(np.maximum(mag, math.ulp(0.0), dtype=float)) - log_bound)
+                     / -math.log(q)) + 1.0
         return np.fmin(np.maximum(n, 0.0), MAX_FACTORS)
     if not 0 < mag < math.inf:
         return 0 if mag == 0 else MAX_FACTORS
@@ -294,9 +307,10 @@ def _raise_if_capped(scalar, a, mag, ctx: QContext):
 
 def _q_steps(term, width, q: float):
     """The block term q^j, j < width, over the first axis, from repeated
-    multiplication by q, as in the scalar loops, and term q^width: the one
-    rule that forms the factors' arguments on the array paths."""
-    blk = np.empty((width,) + term.shape, dtype=complex)
+    multiplication by q, as in the scalar loops, and term q^width, in the
+    dtype of ``term``: the one rule that forms the factors' arguments on the
+    array paths."""
+    blk = np.empty((width,) + term.shape, dtype=term.dtype)
     blk[0] = term
     # both give the same bits; the column loop costs a numpy call a column,
     # np.multiply.accumulate more a factor (2-core x86-64: 16 x 1290 in 42
@@ -310,19 +324,19 @@ def _q_steps(term, width, q: float):
     return blk, blk[-1] * q
 
 
-def _factor_blocks(a, counts, q: float):
+def _factor_blocks(a, counts, q: float, dtype):
     """The factors 1 - a q^k of the 1-D array a, each entry's k below its
-    count, as (rows, f, left): f holds the factors k0 <= k < k0 + width of
-    the entries ``rows`` whose count passes k0, and ``left`` is their
-    counts less k0, the column where each row's factors end.  Blocks start
-    at multiples of _SUM_CHUNK, are _SUM_CHUNK wide times an integer or at
-    the end a power of 2 narrower, and hold at most _BLOCK_ELEMENTS
-    factors.  The terms a q^k come from repeated multiplication by q, as
-    in the scalar loops."""
+    count, in ``dtype``, as (rows, f, left): f holds the factors k0 <= k <
+    k0 + width of the entries ``rows`` whose count passes k0, and ``left``
+    is their counts less k0, the column where each row's factors end.
+    Blocks start at multiples of _SUM_CHUNK, are _SUM_CHUNK wide times an
+    integer or at the end a power of 2 narrower, and hold at most
+    _BLOCK_ELEMENTS factors.  The terms a q^k come from repeated
+    multiplication by q, as in the scalar loops."""
     group = _BLOCK_ELEMENTS // _SUM_CHUNK
     for g in range(0, a.size, group):
         rows = g + np.flatnonzero(counts[g : g + group])
-        n, term = counts[rows], a[rows]
+        n, term = counts[rows], a[rows].astype(dtype, copy=False)
         k0 = 0
         while rows.size:
             span = n.max() - k0
@@ -346,20 +360,25 @@ def _array_product(a, ctx: QContext):
     products otherwise than for one entry alone (a vectorised multiply).
     Where the largest |a| is capped, the scalar product of that entry
     raises its cap error before any block is formed.  A product past the
-    double range is inf or NaN, as the scalar loop's is."""
+    double range is inf or NaN, as the scalar loop's is.  Where every entry
+    is real in (-1, 1) the rows are floats (the real-input rule, module
+    docstring); the result is complex either way."""
     q, flat = ctx.q, a.ravel()
     mag = np.abs(flat)
     _raise_if_capped(q_pochhammer_infinite, flat, mag, ctx)
     counts = _factor_counts(mag, q)
-    acc = np.ones(a.size, dtype=complex)
+    real = flat.size and mag.max() < 1.0 and (flat.dtype.kind != "c" or not flat.imag.any())
+    if real:
+        flat = flat.real
+    acc = np.ones(a.size, dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, f, left in _factor_blocks(flat, counts, q):
-            blk = np.empty((len(f) + 1, rows.size), dtype=complex)
+        for rows, f, left in _factor_blocks(flat, counts, q, acc.dtype):
+            blk = np.empty((len(f) + 1, rows.size), dtype=acc.dtype)
             blk[0] = acc[rows]
             blk[1:] = f
             np.multiply.accumulate(blk, axis=0, out=blk)
             acc[rows] = blk[np.minimum(left, len(f)).astype(int), np.arange(rows.size)]
-    return acc.reshape(a.shape)
+    return acc.astype(complex, copy=False).reshape(a.shape)
 
 
 def _tree_sum(x):
@@ -399,7 +418,7 @@ def _log_array(a, ctx: QContext):
     _raise_if_capped(q_pochhammer_infinite_log, a, mag, ctx)
     head = _factor_counts(mag, q, LOG_RADIUS)
     acc = np.zeros(a.shape, dtype=complex)
-    for rows, f, left in _factor_blocks(a, head, q):
+    for rows, f, left in _factor_blocks(a, head, q, complex):
         mine = np.arange(len(f))[:, None] < left
         # a zero factor logs to -inf, and times mine to -inf + NaN i, whose
         # real part the sums below keep
@@ -570,12 +589,15 @@ def q_pochhammer_infinite_log(a, ctx: QContext):
 
 
 def _is_array(a, what) -> bool:
-    """Whether ``a``, which is not a Python number, is an ndarray rather than
-    a number (numpy's bool included); anything else is a
-    :class:`DomainError` of ``what`` naming its type.  Callers test for a
-    Python number first, which loads no numpy."""
+    """Whether ``a``, which is not a Python number, is an ndarray of numbers
+    (bools, integers, floats or complexes) rather than a number (numpy's
+    bool included); any other array is a :class:`DomainError` of ``what``
+    naming its dtype, and anything else one naming its type.  Callers test
+    for a Python number first, which loads no numpy."""
     if isinstance(a, np.ndarray):
-        return True
+        if a.dtype.kind in "biufc":
+            return True
+        raise DomainError(f"{what}: a must be an array of numbers, got dtype {a.dtype}")
     if isinstance(a, (numbers.Number, np.bool_)):
         return False
     raise DomainError(f"{what}: a must be a number or an array, got {type(a).__name__}")

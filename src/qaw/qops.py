@@ -3,13 +3,14 @@ q-integral, the q-difference operator D_c and the Cauchy operator T(a, b D_c).
 
 Integrand contract.  ``jackson_q_integral``, ``fractional_q_integral`` and
 ``cauchy_T_apply`` take the integrand contract of :mod:`qaw.quad`: ``f``
-takes a 1-D array of points and returns an array of the same shape; any
-other shape, a scalar included, raises ``ValueError``.  The q-integrals sum
-their series in blocks of q-geometric points x q^n and a q^n and call
-``f`` once per branch and block.  The first block holds as many points as
-the stop rule takes where the terms fall like q^n (55 at q = 0.5, 354 at
-q = 0.9), so such a sum calls ``f`` once per branch; each later block is
-twice the last, at most ``MAX_TERMS`` points in all.  The Cauchy
+takes a 1-D array of points and returns an array of numbers of the same
+shape; any other shape, a scalar included, or values of a dtype that holds
+no number raise ``ValueError``.  The q-integrals sum their series in
+blocks of q-geometric points x q^n and a q^n and call ``f`` once per
+branch and block.  The first block holds as many points as the stop rule
+takes where the terms fall like q^n (55 at q = 0.5, 354 at q = 0.9), so
+such a sum calls ``f`` once per branch; each later block is twice the
+last, at most ``MAX_TERMS`` points in all.  The Cauchy
 operator calls ``f`` once, on c q^j for j <= n_max, and takes at most
 n_max terms past the first.  Each term is formed with the arithmetic of a
 term-by-term loop (q^n by repeated multiplication, running products in
@@ -161,6 +162,14 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
 
     A partial sum that is not finite, at a pole of f among the points say,
     raises :class:`NonConvergence` naming its term n.
+
+    At a real c, complex values of f whose imaginary parts are all 0 are
+    differenced as floats, on their real parts.  The complex differences
+    give the same real parts to the bit and imaginary parts of +-0, whose
+    sign no partial sum keeps (each starts at +0), so the value is the
+    same.  A point that underflows to 0 divides 0 by 0: both parts are NaN
+    in the complex differences and the real part in the float ones, so the
+    sum raises at the same term either way.
     """
     if c == 0:
         raise DomainError("Cauchy operator needs c != 0")
@@ -194,7 +203,11 @@ def cauchy_T_apply(a: complex, b: complex, f, c: complex, n_max: int, ctx: QCont
     # a pole of f makes every later partial sum non-finite, which raises
     with np.errstate(all="ignore"):
         points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
-        return _series_sum(terms(_evaluate(f, points)), "Cauchy operator", n_max)
+        values = _evaluate(f, points)
+        # the levels in floats, with the complex levels' real parts (docstring)
+        if values.dtype.kind == "c" and points.dtype.kind == "f" and not values.imag.any():
+            values = values.real
+        return _series_sum(terms(values), "Cauchy operator", n_max)
 
 
 def cauchy_T_reciprocal_closed(a: complex, b: complex, c: complex, t: complex, ctx: QContext) -> complex:

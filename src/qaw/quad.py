@@ -26,10 +26,12 @@ first of 1, 1.5, 1.5^2, ... below 50 with max|f(+-T)| T < 1e-16, probed 8
 per call; a NaN or infinite probe does not count as decayed.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns an
-array of the same shape.  The engine calls ``f``, and sums its values,
-with numpy's overflow and invalid events ignored, under any warnings
-filter: a value that is not finite is data, reported as
-:class:`NonConvergence` or as a probe that has not decayed.  A call costs
+array of numbers of the same shape; any other shape, or values of a dtype
+that holds no number (str, bytes, datetime, timedelta, void), raises
+``ValueError``.  The engine calls ``f``, and sums its values, with
+numpy's overflow and invalid events ignored, under any warnings filter:
+a value that is not finite is data, reported as :class:`NonConvergence`
+or as a probe that has not decayed.  A call costs
 about as much for 2 nodes as for a hundred, so the engine makes few,
 large calls: one on the first level together with its first refinement
 (the rule never accepts a level before refining it), one per later
@@ -91,6 +93,10 @@ def _evaluate(f, nodes):
         raise ValueError(
             f"integrand returned shape {values.shape} for nodes of shape {nodes.shape}"
         )
+    # str, bytes, datetime, timedelta and void hold no number; an object
+    # array may hold numbers
+    if values.dtype.kind in "USMmV":
+        raise ValueError(f"integrand returned values of dtype {values.dtype}, not numbers")
     return values
 
 

@@ -254,6 +254,85 @@ class TestFloatLoop:
         assert _outcome(lambda: got) == _outcome(_complex_loop, -0.67, 1505, 1.0 - 1e-12)
 
 
+def _complex_rows(a, q):
+    """(a;q)_inf of an uncapped array a as the array product formed every
+    entry before its float rows: each entry's factors 1 - a q^k, k below its
+    count, in complex arithmetic, the terms by repeated multiplication by q
+    and the products by np.multiply.accumulate, in one block."""
+    flat = a.ravel()
+    counts = qcore._factor_counts(np.abs(flat), q).astype(int)
+    width = int(counts.max(initial=0))
+    f = np.ones((width + 1, flat.size), dtype=complex)
+    if width:
+        f[1] = flat
+        for j in range(2, width + 1):
+            np.multiply(f[j - 1], q, out=f[j])
+        np.subtract(1.0, f[1:], out=f[1:])
+        np.multiply.accumulate(f, axis=0, out=f)
+    return f[counts, np.arange(flat.size)].reshape(a.shape)
+
+
+def _array_bits(x):
+    """An array's entries as the hex of both parts."""
+    return [_bits(v) for v in x.ravel().tolist()]
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1 - 2**-53, -(1 - 2**-53)])
+# a real array in (-1, 1) as each dtype that takes the float rows
+_ROWS = {"float": lambda xs: np.array(xs), "int": lambda xs: np.array([int(x) for x in xs]),
+         "bool": lambda xs: np.array([bool(int(x)) for x in xs]),
+         "float32": lambda xs: np.array(xs, dtype=np.float32),
+         "complex": lambda xs: np.array([complex(x, 0.0) for x in xs]),
+         "complex -0": lambda xs: np.array([complex(x, -0.0) for x in xs])}
+
+
+class TestFloatRows:
+    """An array whose every entry is real in (-1, 1) takes float rows, with
+    the complex rows' bits, and stays a complex array."""
+
+    @settings(max_examples=300)
+    @given(xs=st.lists(st.one_of(_REAL, _EDGES), min_size=1, max_size=12),
+           kind=st.sampled_from(sorted(_ROWS)), q=_BASES)
+    def test_float_rows_have_the_complex_rows_outcome(self, xs, kind, q):
+        a = _ROWS[kind](xs)
+        ctx = QContext(q=q)
+        if qcore._factor_counts(float(np.abs(a).max()), q) >= MAX_FACTORS:
+            # the largest |a| raises the scalar product's cap error
+            i = int(np.argmax(np.abs(a)))
+            with pytest.raises(NonConvergence) as exc:
+                q_pochhammer_infinite(a, ctx)
+            assert _same_failure(exc.value, _cap_failure(q_pochhammer_infinite, a[i].item(), ctx))
+            return
+        got = q_pochhammer_infinite(a, ctx)
+        assert got.dtype == complex and got.shape == a.shape
+        assert _array_bits(got) == _array_bits(_complex_rows(a, q))
+        assert not got.imag.any() and not np.signbit(got.imag).any()
+
+    @pytest.mark.parametrize("a, dtype", [
+        ([0.5, -0.3], float), ([complex(-0.3, -0.0), 0.2], float),
+        (np.array([0.5, 0.25], dtype=np.float32), float), ([0, 0], float), ([False], float),
+        ([0.5, 1.0], complex), ([0.5, -1.0], complex), ([True], complex),
+        ([0.5, 0.3 + 1e-300j], complex), ([0.5, 1.5], complex), ([0.5, -2.5], complex),
+        # a NaN entry raises its cap error before any row is formed
+        ([0.5, math.nan], None), ([0.5, complex(0.2, math.nan)], None)])
+    def test_which_rows(self, monkeypatch, a, dtype):
+        # only an array whose every entry is real with |a| < 1 takes float
+        # rows; the others take complex rows, with the same bits as before
+        seen = []
+        blocks = qcore._factor_blocks
+        monkeypatch.setattr(qcore, "_factor_blocks",
+                            lambda *args: seen.append(args[-1]) or blocks(*args))
+        a, ctx = np.asarray(a), QContext(q=0.7)
+        if dtype is None:
+            with pytest.raises(NonConvergence):
+                q_pochhammer_infinite(a, ctx)
+            assert seen == []
+            return
+        got = q_pochhammer_infinite(a, ctx)
+        assert seen == [dtype]
+        assert _array_bits(got) == _array_bits(_complex_rows(a, 0.7))
+
+
 class TestTypedInputs:
     """An a that is neither a number nor an array, or an order that is not
     a real number, is a DomainError naming its type."""
@@ -276,10 +355,25 @@ class TestTypedInputs:
         (lambda c: q_pochhammer_multi([0.3, "0.5"], 3, c), "a", "str"),
         (lambda c: q_pochhammer_multi([0.3], "3", c), "order", "str"),
         (lambda c: q_pochhammer_multi([], "3", c), "order", "str"),
+        # an array whose dtype holds no number names its dtype
+        (lambda c: q_pochhammer_infinite(np.array(["0.5"]), c), "array", "dtype <U3"),
+        (lambda c: q_pochhammer_infinite(np.array([0.5, None]), c), "array", "dtype object"),
+        (lambda c: q_pochhammer_infinite(np.array([1], dtype="m8[s]"), c), "array",
+         "dtype timedelta64[s]"),
+        (lambda c: q_pochhammer_infinite_log(np.array(["0.5"]), c), "array", "dtype <U3"),
+        (lambda c: q_pochhammer_infinite_log(np.array([0.5, None]), c), "array", "dtype object"),
+        (lambda c: q_pochhammer_infinite_log(np.array([1], dtype="m8[s]"), c), "array",
+         "dtype timedelta64[s]"),
+        (lambda c: q_pochhammer(np.array(["0.5"]), INFINITE, c), "array", "dtype <U3"),
+        (lambda c: q_pochhammer(np.array([0.5, None]), INFINITE, c), "array", "dtype object"),
+        (lambda c: q_pochhammer(np.array([1], dtype="m8[s]"), INFINITE, c), "array",
+         "dtype timedelta64[s]"),
+        (lambda c: q_pochhammer(np.array([b"0.5"]), INFINITE, c), "array", "dtype |S3"),
     ])
     def test_names_the_type(self, ctx, call, what, typename):
-        want = "a must be a number or an array" if what == "a" else "the order must be a real number"
-        with pytest.raises(DomainError, match=f"{want}, got {typename}$"):
+        want = {"a": "a must be a number or an array", "array": "a must be an array of numbers",
+                "order": "the order must be a real number"}[what]
+        with pytest.raises(DomainError, match=f"{re.escape(want)}, got {re.escape(typename)}$"):
             call(ctx)
 
     @pytest.mark.parametrize("a, order, same_a, same_order", [

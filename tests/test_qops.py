@@ -2,15 +2,17 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaw import qops
+from qaw import qcore, qops
 from qaw.context import DomainError, NonConvergence, QContext
 from qaw.identities import GeneratingParams, _generating_integrand
+from qaw.quad import integrate_line_even_window, integrate_theta
 from qaw.qcore import (
     CONSECUTIVE_SMALL,
     EPS_TERM,
@@ -225,6 +227,56 @@ class TestCauchyOperator:
             cauchy_T_reciprocal_closed(0.3, 2.5, 0.4, 0.5, ctx)
 
 
+_PARAM = st.one_of(st.floats(-0.9, 0.9),
+                   st.builds(complex, st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)))
+# complex values of f whose imaginary parts are all 0 (of either sign), and
+# float values
+_REAL_VALUED = {
+    "product": lambda t, ctx: lambda y: 1.0 / q_pochhammer_infinite(t * y, ctx),
+    "-0": lambda t, ctx: lambda y: np.conj(1.0 / q_pochhammer_infinite(t * y, ctx)),
+    "float": lambda t, ctx: lambda y: 1.0 / (1.0 - t * y),
+}
+
+
+class TestCauchyFloatLevels:
+    """At a real c the nested differences of complex values with zero
+    imaginary parts run on floats, with the complex levels' outcome."""
+
+    # tiny c and q underflow the points c q^j to 0
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.one_of(st.floats(0.05, 0.95), st.floats(1e-30, 1e-3)), a=_PARAM, b=_PARAM,
+           c=st.one_of(st.floats(0.05, 1.2), st.floats(5e-324, 1e-290)),
+           sign=st.sampled_from([1.0, -1.0]), t=st.floats(-0.95, 0.95),
+           kind=st.sampled_from(sorted(_REAL_VALUED)))
+    def test_float_levels_have_the_complex_levels_outcome(self, q, a, b, c, sign, t, kind):
+        ctx = QContext(q=q)
+        f = _REAL_VALUED[kind](t, ctx)
+        assert _outcome(cauchy_T_apply, a, b, f, sign * c, 40, ctx) == _outcome(
+            _complex_levels, a, b, f, sign * c, 40, ctx)
+
+    @pytest.mark.parametrize("f, c, q, kind", [
+        (lambda y: 1.0 / q_pochhammer_infinite(0.4 * y, QContext(q=0.8)), 0.9, 0.8, "f"),
+        (lambda y: 1.0 / q_pochhammer_infinite(0.4 * y, QContext(q=0.8)), -0.9, 0.8, "f"),
+        (lambda y: (1.0 + 0.5j) / q_pochhammer_infinite(0.4 * y, QContext(q=0.8)), 0.9, 0.8,
+         "c"),
+        (lambda y: 1.0 / (1.0 - 0.4 * y) + 0j, 0.9 + 0j, 0.8, "c"),
+        # a NaN imaginary part past the first point ends the sum at term 1
+        (lambda y: 1.0 / (1.0 - 0.4 * y) + 1j * np.where(y == y[0], 0.0, math.nan), 0.9, 0.8,
+         "c"),
+        # the points c q^j from j = 1 on underflow to 0: 0/0 ends the sum at term 2
+        (lambda y: 1.0 / (1.0 - 0.4 * y) + 0j, 1e-200, 1e-200, "f"),
+    ], ids=["real", "real-c-negative", "complex-f", "complex-c", "nan-imaginary", "zero-point"])
+    def test_which_levels(self, monkeypatch, f, c, q, kind):
+        seen = set()
+        divide = qops._divide
+        monkeypatch.setattr(qops, "_divide", lambda num, den: seen.add(num.dtype.kind)
+                            or divide(num, den))
+        ctx = QContext(q=q)
+        assert _outcome(cauchy_T_apply, 0.3, 0.2, f, c, 40, ctx) == _outcome(
+            _complex_levels, 0.3, 0.2, f, c, 40, ctx)
+        assert seen == {kind}
+
+
 class TestDifferenceEqResidual:
     def test_constant_function_satisfies(self):
         got = difference_eq_residual(lambda a, b, c: 2.0, 0.3, 0.2, 0.4, 0.5)
@@ -324,6 +376,47 @@ def _reference_cauchy(a, b, f, c, n_max, ctx):
             small = 0
         last_mag = mag
     raise AssertionError("reference Cauchy sum did not converge")
+
+
+def _complex_levels(a, b, f, c, n_max, ctx):
+    """cauchy_T_apply as it differenced every complex f before its float
+    levels: the nested differences on complex levels, summed as the
+    operator sums them."""
+    q = ctx.q
+    points = np.array([c * q**j for j in range(n_max + 1)] if b != 0 else [c])
+
+    def terms(level):
+        total = complex(level[0])
+        yield total
+        if b == 0:
+            yield None
+        last, ratio, bn = abs(total), complex(1.0), complex(1.0)
+        for n in range(1, n_max + 1):
+            level = qcore._divide(level[:-1] - level[1:], points[: n_max + 1 - n])
+            ratio *= (1.0 - a * q ** (n - 1)) / (1.0 - q**n)
+            bn *= b
+            term = ratio * bn * complex(level[0])
+            mag = qcore._modulus(term)
+            if mag > last and last <= 1e-8 * max(abs(total), 1e-300):
+                yield None
+            yield term
+            total, last = total + term, mag
+
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(points)).astype(complex)
+        return qcore._series_sum(terms(values), "Cauchy operator", n_max)
+
+
+def _outcome(f, *args):
+    """The value of f(*args) as the hex of both parts, or the error's
+    message, partial and last term, each as hex."""
+    def bits(v):
+        v = complex(v)
+        return v.real.hex(), v.imag.hex()
+    try:
+        return bits(f(*args))
+    except NonConvergence as exc:
+        return str(exc), bits(exc.partial), bits(exc.last_term)
 
 
 def _draws(seed, count=50):
@@ -500,6 +593,25 @@ class TestFailures:
     def test_scalar_integrand_rejected(self, ctx, call):
         with pytest.raises(ValueError, match="shape"):
             call(lambda t: 1.0, ctx)
+
+    @pytest.mark.parametrize("call", [
+        lambda f, ctx: integrate_theta(f),
+        lambda f, ctx: integrate_line_even_window(f),
+        lambda f, ctx: jackson_q_integral(f, 0.2, 0.9, ctx),
+        lambda f, ctx: fractional_q_integral(f, 0.6, 0.2, 1.5, ctx),
+        lambda f, ctx: cauchy_T_apply(0.3, 0.2, f, 0.4, 20, ctx),
+    ], ids=["theta", "line", "jackson", "fractional", "cauchy"])
+    @pytest.mark.parametrize("dtype", ["U8", "S8", "M8[s]", "m8[s]", "V8"])
+    def test_values_that_hold_no_number_rejected(self, ctx, call, dtype):
+        # str values ended in numpy's UFuncTypeError, or in complex()'s
+        # "malformed string"
+        want = re.escape(f"integrand returned values of dtype {np.dtype(dtype)}, not numbers")
+        with pytest.raises(ValueError, match=want + "$"):
+            call(lambda t: np.zeros(t.shape, dtype=dtype), ctx)
+
+    def test_object_values_of_numbers_are_numbers(self, ctx):
+        got = jackson_q_integral(lambda t: (t * t).astype(object), 0.0, 1.0, ctx)
+        assert got == pytest.approx(1.0 / (1.0 + ctx.q + ctx.q**2), rel=1e-15)
 
     @pytest.mark.parametrize("b, c, n", [(0.2, 0.8, 0), (0.0, 0.8, 0), (0.2, 1.0, 0),
                                          (0.2, 1.25, 1)])
