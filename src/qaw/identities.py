@@ -84,24 +84,18 @@ a recurrence of order at most three (Gasper & Rahman, *Basic
 Hypergeometric Series*, ch. 1-2).  Zero parameters are dropped first.
 
 Sizing.  c_k grows like (x/a)^k and overflows near k = 308 / log10(x/a),
-so the sum is taken as sum_m (g_m s^m) (w_m / s^m), s the power of 2
-nearest x/a (at most 2^1023; x/a itself is finite by the fractional
-domain rule): the Taylor coefficients of G(s y) times the convolution of
-c_k / s^k with s^-j / (q;q)_j.  A power of 2 changes no rounding.  The
-first factor grows like (ratio / f)^m (ratio = x max|n_i| / a, below)
-and the second like f^m, f = x / (a s) in [2^-1/2, 2^1/2], so past some
-2000 rows one of them can pass the double range.  So row m carries a
-power of 2 of its own: the rows hold g_m s^m 2^E_m and the weights w_m
-s^-m 2^-E_m (s^-m too), the recurrence's coefficient of row m - j takes
-2^(E_m - E_{m-j}), and no product g_m w_m changes.  E_m is constant over
-spans of rows over which f^m moves _SPAN = 500 bits, within a factor 2
-of f^m at each span's first row, and 0 over the first span, at least
-1000 rows; the convolution is taken span by span.  So a sum that ends in
-its first span keeps its bits.  The rows m of g grow in steps, 16 at a
-time from 32 to 256 and then about M/8 at a time (rounded up to 16), so
-a long sum meets its tail rule after O(log M) tests.  Per node, running
-sums over each step's new rows give the rule: the last 8 rows of both
-|g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of their totals.  The value
+so the sum is taken as sum_m (g_m s^m) (w_m / s^m), s = x/a itself
+(:func:`ksum` requires x/a and a/x finite): the Taylor coefficients of
+G(s y) times the convolution of c_k / s^k with s^-j / (q;q)_j.  Neither
+factor leaves the double range at any row count.  g_m s^m behaves like
+the terms, (x max|n_i| / a)^m (below).  c_k / s^k = (a q^mu / x;q)_k /
+(q^{mu+1};q)_k is bounded, so at a < x the q-binomial theorem bounds
+|w_m / s^m| by max_k |c_k / s^k| / (a/x;q)_inf.  The rows m of g grow in
+steps, 16 at a time from 32 to 256 and then about M/8 at a time (rounded
+up to 16), so a long sum meets its tail rule after O(log M) tests.  Per
+node, running sums over each step's new rows give the rule: the last 8
+rows of both |g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of their
+totals.  The value
 is formed once, over the final rows.  A step whose sum is not finite at
 some node, or a sum not settled at 4096 rows, raises
 :class:`KSumDivergence`.  The terms behave like (x max|n_i| / a)^m,
@@ -119,7 +113,11 @@ most the 15.65 digits of a double.
 Tables.  Everything but g is the same at every node: the weights w_m /
 s^m, s^-m and the recurrence's q^{m-j} and 1 / (1 - q^m) are formed
 together for the first 128 rows, and again at twice the length when the
-rows pass it.  The recurrence coefficients (D_j q^{m-j} - N_j) (1 / (1 -
+rows pass it.  c_k / s^k is the running product of (1 - (a/x) q^{mu+k})
+/ (1 - q^{mu+k+1}) and s^-m that of a/x (repeated multiplication rounds
+alike on every SIMD target, numpy's vectorised ``power`` need not), and
+the weights are one convolution, w_m / s^m = (q;q)_m sum_k (c_k / s^k)
+s^-(m-k) / (q;q)_{m-k}.  The recurrence coefficients (D_j q^{m-j} - N_j) (1 / (1 -
 q^m)) are formed from them 16 rows at a time, so their scratch stays
 small at any row count.  The rows and the tables take the dtype of the
 two factor polynomials: float64 where every factor is real (a number
@@ -455,7 +453,6 @@ class IdentityReport(Record):
 
 _MAX_ROWS = 4096  # the most Taylor coefficients a k-sum takes
 _ALL_DIGITS = -math.log10(sys.float_info.epsilon)
-_SPAN = 500  # the bits f^m moves over one span of rows of one exponent
 
 
 class _Pair(NamedTuple):
@@ -485,11 +482,12 @@ def _node_shape(values):
 
 
 def _factor_poly(params, s, dtype):
-    """Coefficients of prod_i (1 - s c_i y) over the parameters c_i of
-    :func:`_param`, of ``dtype``, one column per node, or a single column
-    where no parameter varies over the nodes.  A :class:`_Pair` u enters as
-    the real quadratic 1 - 2 Re(s u) y + |s u|^2 y^2, formed from s u,
-    whose square does not underflow where a subnormal u's would."""
+    """Coefficients of prod_i (1 - s c_i y), s = x/a of :func:`ksum`, over
+    the parameters c_i of :func:`_param`, of ``dtype``, one column per
+    node, or a single column where no parameter varies over the nodes.  A
+    :class:`_Pair` u enters as the real quadratic 1 - 2 Re(s u) y +
+    |s u|^2 y^2, formed from s u, whose square does not underflow where a
+    subnormal u's would."""
     degree = sum(2 if isinstance(p, _Pair) else 1 for p in params)
     c = np.zeros((degree + 1,) + _node_shape([_value(p) for p in params]), dtype=dtype)
     c[0] = 1.0
@@ -512,10 +510,9 @@ def _taylor_rows(g, start, stop, Nj, Dj, qpow, inv):
 
     Row m + r of g holds g_m, after r rows of zeros; ``Nj`` and ``Dj`` are
     the slices N_j, D_j, j = r, ..., 1, of the factor polynomials, ``qpow``
-    and ``inv`` the tables q^{m-j} and 2^(E_m - E_{m-j}) / (1 - q^m) of
-    :func:`_tables`, and N(y) G(y) = D(y) G(q y) gives
-    g_m = sum_{j>=1} (D_j q^{m-j} - N_j) (1 / (1 - q^m)) g_{m-j},
-    each row m here times 2^E_m.
+    and ``inv`` the tables q^{m-j} and 1 / (1 - q^m) of :func:`_tables`,
+    and N(y) G(y) = D(y) G(q y) gives
+    g_m = sum_{j>=1} (D_j q^{m-j} - N_j) (1 / (1 - q^m)) g_{m-j}.
     """
     r = len(Nj)
     buf = np.empty((r,) + g.shape[1:], dtype=g.dtype)
@@ -536,11 +533,10 @@ def _settled(mags, sums):
     return mags[:, -8:].sum(axis=1) < EPS_TERM * np.maximum(sums, 1e-300)
 
 
-def _tables(x, a, mu, q, e, r, L, dtype):
+def _tables(x, a, mu, q, r, L, dtype):
     """The node-free tables of the rows m < L: the weights w_m / s^m and
-    s^-m, s = 2^e, each times 2^-E_m, and the recurrence's q^{m-j},
-    j = r, ..., 1, and 1 / (1 - q^m) times 2^(E_m - E_{m-j}), E_m the
-    rows' exponent (module docstring).
+    s^-m, s = x/a, and the recurrence's q^{m-j}, j = r, ..., 1, and
+    1 / (1 - q^m).
 
     All but s^-m take the rows' ``dtype``: for complex rows each real t is
     the complex t + 0j, whose products keep the bits of a complex array
@@ -549,33 +545,15 @@ def _tables(x, a, mu, q, e, r, L, dtype):
     """
     m = np.arange(L)
     k = m[:-1]
-    ratios = x * (1.0 - (a / x) * q ** (mu + k)) / (a * 2.0**e * (1.0 - q ** (mu + k + 1)))
-    c = np.concatenate(([1.0], ratios))
+    ratios = (1.0 - (a / x) * q ** (mu + k)) / (1.0 - q ** (mu + k + 1))
+    c = np.cumprod(np.concatenate(([1.0], ratios)))  # c_k / s^k
     den = 1.0 - q**m
     den[0] = 1.0  # (q;q)_0; no recurrence row is m = 0
     qfac = np.cumprod(den)
-    down = np.ldexp(1.0, -e * m)
-    lag = m[:, None] - np.arange(r, 0, -1)  # m - j
-    qpow = q**lag
+    down = np.cumprod(np.concatenate(([1.0], np.full(L - 1, a / x))))  # s^-m
+    w = np.convolve(c, down / qfac)[:L] * qfac
+    qpow = q ** (m[:, None] - np.arange(r, 0, -1))  # q^{m-j}
     inv = (1.0 / den)[:, None]
-    tilt = math.log2(x / a) - e  # log2 f
-    span = int(_SPAN / abs(tilt)) if tilt else L
-    Es = [round(lo * tilt) for lo in range(0, L, span)]  # each span's E_m, 0 for the first
-    later = list(zip(range(span, L, span), Es, Es[1:]))  # each later span's first row, E_m before, E_m
-    for lo, prev, cur in later:
-        c[lo] = math.ldexp(c[lo], prev - cur)
-    c = np.cumprod(c)  # c_k 2^-E_k
-    d = down / qfac
-    w = np.convolve(c, d)[:L]  # final over the first span; each later span's rows below
-    for lo, prev, cur in later:
-        hi = min(lo + span, L)
-        # each span's c_k 2^-E_k into this span's rows m, scaled there by 2^(E_k - E_m)
-        w[lo:hi] = sum(np.ldexp(np.convolve(c[k : k + span], d)[lo - k : hi - k], Eb - cur)
-                       for Eb, k in zip(Es, range(0, lo + 1, span)))
-        down[lo:hi] = np.ldexp(down[lo:hi], -cur)
-        # the rows m >= lo from rows m - j of the span before
-        inv = inv * np.where((m[:, None] >= lo) & (lag < lo), 2.0 ** (cur - prev), 1.0)
-    w *= qfac
     return (w.astype(dtype, copy=False), down, qpow.astype(dtype, copy=False),
             inv.astype(dtype, copy=False))
 
@@ -602,7 +580,10 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     conj(u) and enters as one real quadratic factor.  A number whose
     imaginary part is 0 counts as real.  The result is a complex for
     all-scalar parameters and an array over the nodes otherwise, float64
-    where every factor is real.  Raises :class:`KSumDivergence` for the
+    where every factor is real.  The rows are scaled by x/a ("Sizing" in
+    the module docstring), so a, x, x/a and a/x must be positive and
+    finite, and mu in (0, inf), or it raises a :class:`DomainError` naming
+    x, a and mu.  Raises :class:`KSumDivergence` for the
     first node whose sum is not finite, or at 4096 rows for the first node
     that has not settled; its ``k`` is the number of rows with a finite
     partial sum, and its message names the node's ratio x max|numerator| /
@@ -616,9 +597,11 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     own ``diag`` and keeps those of the calls inside its window
     (:func:`_quadrature`).
     """
+    if not (a > 0 and 0 < x / a < math.inf and a / x < math.inf and 0 < mu < math.inf):
+        raise DomainError(f"ksum needs a > 0, x > 0, x/a and a/x finite and 0 < mu < inf, "
+                          f"got x={x}, a={a}, mu={mu}")
     q = ctx.q
-    e = min(round(math.log2(x / a)), 1023)
-    s = 2.0**e  # with the rows' 2^E_m, g_m s^m and w_m / s^m stay finite ("Sizing")
+    s = x / a  # g_m s^m and w_m / s^m stay in the double range ("Sizing")
     params = [_param(p) for p in (*phi_numer, *phi_denom)]
     values = [_value(p) for p in params]
     shape = _node_shape(values)
@@ -646,7 +629,7 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
                 g = np.concatenate((g, np.zeros_like(g)))
             if new > L:
                 L = max(2 * L, 128)
-                w, down, qpow, inv = _tables(x, a, mu, q, e, r, L, dtype)
+                w, down, qpow, inv = _tables(x, a, mu, q, r, L, dtype)
             _taylor_rows(g, max(M, 1), new, Nj, Dj, qpow, inv)
             rows = g[r + M : r + new]
             terms = rows * w[M:new, None]

@@ -28,6 +28,7 @@ Integrands must be pure and deterministic.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 from . import _np as np
@@ -106,15 +107,18 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
 
     with the fractional Pochhammer factors advanced by exact one-step
     recurrences.  ``a = 0`` drops the lower-limit branch.  ``f`` maps an
-    array of points to an array of values.  A mu so small that q^mu rounds
-    to 1, where Gamma_q(mu) has no finite double value, is a
-    :class:`DomainError`; a prefactor x^(mu-1) / (1-q)^(1-mu) past the
-    double range raises an ``OverflowError`` naming q, x and mu.
+    array of points to an array of values.  A mu that is not positive, or
+    an a and x outside 0 <= a < x < inf, a NaN among them, is a
+    :class:`DomainError`, and so is a mu so small that q^mu rounds to 1,
+    where Gamma_q(mu) has no finite double value; a prefactor
+    x^(mu-1) / (1-q)^(1-mu) past the double range raises an
+    ``OverflowError`` naming q, x and mu.
     """
-    if mu <= 0:
+    # written so that a NaN fails each test
+    if not mu > 0:
         raise DomainError(f"fractional order must be positive, got {mu}")
-    if a < 0 or a >= x:
-        raise DomainError(f"need 0 <= a < x, got a={a}, x={x}")
+    if not 0 <= a < x < math.inf:
+        raise DomainError(f"need 0 <= a < x, x finite, got a={a}, x={x}")
     q = ctx.q
     qmu = q**mu
     if qmu == 1.0:

@@ -1082,8 +1082,8 @@ class TestEdgeArguments:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
             got = run_cli(capsys, *OVERFLOWING_PROBE)
-        assert got == (2, "", "KSumDivergence: outer k-sum is not finite past 42 Taylor "
-                              "coefficients (|term|=1.442e+18, x*max|numerator|/a=0.138)\n")
+        assert got == (2, "", "KSumDivergence: outer k-sum is not finite past 43 Taylor "
+                              "coefficients (|term|=4.203e+18, x*max|numerator|/a=0.138)\n")
         assert caught == []
 
     def test_overflowing_check_ignoring_warnings(self):

@@ -45,13 +45,19 @@ FRACTIONAL_QUADRATURE = [f"fractional-{family}{form}"
 
 
 class TestKSumOracle:
-    def test_against_multiprecision_oracle(self):
+    # x/a = 2.33, 2.82 (1.41 times a power of 2, midway between two on a
+    # log scale) and 1.001, where 1 / (a/x;q)_inf bounds the weights
+    # w_m / s^m near 1000
+    @pytest.mark.parametrize("a, x, numer", [
+        (0.15, 0.35, [0.1, 0.05, 0.08]),
+        (0.2, 0.564, [0.05, 0.03, 0.04]),
+        (0.3, 0.3003, [0.12, 0.05, 0.08])], ids=["x/a=2.33", "x/a=2.82", "x/a=1.001"])
+    def test_against_multiprecision_oracle(self, a, x, numer):
         """The stable Taylor-kernel route versus the direct multiprecision sum."""
         # small numerator parameters keep the outer terms decaying fast
-        # (ratio ~ (x/a) * max numerator magnitude), so the oracle's k range
+        # (ratio x max|numerator| / a at most 0.233), so the oracle's k range
         # stays short enough for quadratically growing working precision
-        q, a, x, mu = 0.5, 0.15, 0.35, 1.5
-        numer = [0.1, 0.05, 0.08]
+        q, mu = 0.5, 1.5
         denom = [0.25, 0.12, 0.18]
         got = ksum(x, a, mu, numer, denom, QContext(q=q))
         want = mp_oracle.direct_ksum(x, a, mu, q, numer, denom)
@@ -271,9 +277,9 @@ class TestBatchedKSum:
         assert str(exc.value).endswith("x*max|numerator|/a=1.33)")
 
     # fractional-generating points inside the ratio rule whose k-sums take
-    # more rows than f^m, f = x / (a s) = 1.389 and 0.739, leaves in the
-    # double range: without the rows' powers of 2 they end "not finite past
-    # 2158" and "past 2460 Taylor coefficients"
+    # thousands of rows: scaled by the power of 2 nearest x/a, whose tilt
+    # f = x / (a s) is 1.389 and 0.739 here, their rows leave the double
+    # range ("not finite past 2158" and "past 2460 Taylor coefficients")
     @pytest.mark.parametrize("p, rows", [
         ({"q": 0.5, "a": 0.252, "x": 0.7, "mu": 1.5, "b": 0.3, "r": 0.4, "s": 1.4142,
           "t": 0.2, "u": 0.1, "z": 0.1}, 3568),
@@ -293,19 +299,30 @@ class TestBatchedKSum:
 
     @pytest.mark.parametrize("x, a, mu, q", [(0.7, 0.252, 1.5, 0.5),
                                              (0.3802, 0.1286, 0.9216, 0.1134)])
-    def test_tables_keep_their_bits_over_the_first_span(self, x, a, mu, q):
-        # f = 1.389 and 0.739: the first span of rows, whose exponent is 0,
-        # is 1055 and 1146 rows long; past it no table passes 2^501, and
-        # the weights and 1 / (1 - q^m) stay above 2^-501 (s^-m and q^(m-j)
-        # fall below the double range with the terms they scale)
-        e = round(math.log2(x / a))
-        short = identities._tables(x, a, mu, q, e, 3, 1024, float)
-        long = identities._tables(x, a, mu, q, e, 3, 4096, float)
+    def test_tables_keep_their_prefix_and_the_double_range(self, x, a, mu, q):
+        # the two long sums above (x/a = 2.778 and 2.956): a table's rows do
+        # not depend on its length, no table passes 2^501, and the weights
+        # and 1 / (1 - q^m) stay above 2^-501 (s^-m and q^(m-j) fall below
+        # the double range with the terms they scale)
+        short = identities._tables(x, a, mu, q, 3, 1024, float)
+        long = identities._tables(x, a, mu, q, 3, 4096, float)
         for head, table in zip(short, long):
             assert np.array_equal(np.broadcast_to(head, table[:1024].shape), table[:1024])
             assert np.abs(table).max() <= 2.0**501
         w, down, _, inv = long
         assert np.abs(w).min() > 2.0**-501 and np.abs(inv).min() >= 2.0**-501
+
+    @pytest.mark.parametrize("x, a, mu", [
+        (0.6, 0.0, 1.5), (0.6, -0.2, 1.5), (math.nan, 0.2, 1.5), (0.6, math.nan, 1.5),
+        (0.0, 0.2, 1.5), (-0.6, 0.2, 1.5), (math.inf, 0.2, 1.5), (0.6, 5e-324, 1.5),
+        (5e-324, 0.6, 1.5), (0.6, 0.2, 0.0), (0.6, 0.2, -1.0), (0.6, 0.2, math.inf),
+        (0.6, 0.2, math.nan)])
+    def test_outside_its_scaling_raises_a_domain_error(self, x, a, mu):
+        # the rows are scaled by x/a: a zero, negative or NaN a or x, an x/a
+        # or a/x past the double range, or a mu not in (0, inf) has no scale
+        with pytest.raises(DomainError) as exc:
+            ksum(x, a, mu, [0.1], [0.25], QContext(q=0.5))
+        assert str(exc.value).endswith(f"got x={x}, a={a}, mu={mu}")
 
     def test_short_sum_allocates_for_its_own_rows(self):
         # 4096 rows at 129 nodes would take 8.4 MB per array
@@ -1412,7 +1429,7 @@ class TestSuiteRunner:
     @pytest.mark.parametrize("a, status", [
         (1e-310, "skipped"),  # x/a overflows
         (5e-324, "skipped"),
-        (4e-309, "passed"),  # x/a finite, its nearest power of 2 is 2^1024
+        (4e-309, "passed"),  # x/a = 1.5e308, finite
         (1e-308, "passed"),
     ])
     def test_subnormal_lower_limit_ends_in_an_outcome(self, identity, params, a, status):

@@ -134,6 +134,19 @@ class TestFractionalIntegral:
         with pytest.raises(DomainError):
             fractional_q_integral(lambda t: 1.0, 0.5, 0.2, 0.0, ctx)
 
+    @pytest.mark.parametrize("x, a, mu, message", [
+        (0.0, math.nan, 0.5, "need 0 <= a < x, x finite, got a=nan, x=0.0"),
+        (0.5, math.nan, 1.0, "need 0 <= a < x, x finite, got a=nan, x=0.5"),
+        (math.nan, 0.2, 1.0, "need 0 <= a < x, x finite, got a=0.2, x=nan"),
+        (math.inf, 0.2, 1.0, "need 0 <= a < x, x finite, got a=0.2, x=inf"),
+        (0.5, 0.2, math.nan, "fractional order must be positive, got nan")])
+    def test_nan_or_infinite_arguments_are_domain_errors(self, ctx, x, a, mu, message):
+        # a NaN fails every comparison, so each test of the domain must
+        # read a NaN as outside it
+        with pytest.raises(DomainError) as exc:
+            fractional_q_integral(np.ones_like, x, a, mu, ctx)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("q, mu", [(0.5, 1e-17), (0.5, 5e-324), (0.99, 1e-15)])
     def test_order_with_q_power_one_is_a_domain_error(self, q, mu):
         # q^mu rounds to 1, so (q^mu;q)_inf = 0 and Gamma_q(mu) is not finite
