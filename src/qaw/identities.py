@@ -95,38 +95,39 @@ steps, 16 at a time from 32 to 256 and then about M/8 at a time (rounded
 up to 16), so a long sum meets its tail rule after O(log M) tests.  Per
 node, running sums over each step's new rows give the rule: the last 8
 rows of both |g_m s^-m| and |g_m w_m| below ``EPS_TERM`` of their
-totals.  The value
-is formed once, over the final rows.  A step whose sum is not finite at
-some node, or a sum not settled at 4096 rows, raises
-:class:`KSumDivergence`.  The terms behave like (x max|n_i| / a)^m,
-so the domain rule of a fractional row keeps that ratio below 1; a sum
-inside it that does not settle converges too slowly for 4096 rows.  The
-rows grow by doubling, so a short sum allocates for its own rows only.
-The report's ``k_terms`` is the most rows a k-sum of the check used on
-the nodes it integrated (not on a window probe past its window),
-``k_digits_lost`` the most digits its cancellation can cost,
-log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and ``g1_digits_lost``
-the most the division by G(1) = sum g_m s^-m can cost,
-log10(sum |g_m s^-m| / |G(1)|), both from the same running sums and at
-most the 15.65 digits of a double.
+totals.  The value is formed once, over the final rows.  A step whose
+sum is not finite at some node, or a sum not settled at 4096 rows,
+raises :class:`KSumDivergence`.  The terms behave like (x max|n_i| /
+a)^m, so the domain rule of a fractional row keeps that ratio below 1; a
+sum inside it that does not settle converges too slowly for 4096 rows.
+The buffer of g grows with the tables (below), to 128 rows and then to
+twice as many each time the rows pass them, so a short sum allocates for
+128 rows and a long one for less than twice its own.  The report's
+``k_terms`` is the most rows a k-sum of the check used on the nodes it
+integrated (not on a window probe past its window), ``k_digits_lost``
+the most digits its cancellation can cost, log10(sum |g_m w_m| / |sum
+g_m w_m|) at a node, and ``g1_digits_lost`` the most the division by
+G(1) = sum g_m s^-m can cost, log10(sum |g_m s^-m| / |G(1)|), both from
+the same running sums and at most the 15.65 digits of a double.
 
 Tables.  Everything but g is the same at every node: the weights w_m /
 s^m, s^-m and the recurrence's q^{m-j} and 1 / (1 - q^m) are formed
-together for the first 128 rows, and again at twice the length when the
-rows pass it.  c_k / s^k is the running product of (1 - (a/x) q^{mu+k})
-/ (1 - q^{mu+k+1}) and s^-m that of a/x (repeated multiplication rounds
-alike on every SIMD target, numpy's vectorised ``power`` need not), and
-the weights are one convolution, w_m / s^m = (q;q)_m sum_k (c_k / s^k)
-s^-(m-k) / (q;q)_{m-k}.  The recurrence coefficients (D_j q^{m-j} - N_j) (1 / (1 -
-q^m)) are formed from them 16 rows at a time, so their scratch stays
-small at any row count.  The rows and the tables take the dtype of the
-two factor polynomials: float64 where every factor is real (a number
-whose imaginary part is 0 counts as real, and a node pair enters as its
-real quadratic, below), else complex.  Complex rows keep the real
-tables as complex r + 0j: numpy takes a complex array times a real one
-as that product after a cast of every entry, and its quotient by d + 0j
-equals the product with 1/d + 0j but for the sign of a zero part, so
-the kernel keeps the bits of those forms without the casts.
+together, as float64, for the first 128 rows, and again at twice the
+length when the rows pass it.  c_k / s^k is the running product of (1 -
+(a/x) q^{mu+k}) / (1 - q^{mu+k+1}) and s^-m that of a/x (repeated
+multiplication rounds alike on every SIMD target, numpy's vectorised
+``power`` need not), and the weights are one convolution, w_m / s^m =
+(q;q)_m sum_k (c_k / s^k) s^-(m-k) / (q;q)_{m-k}.  The recurrence
+coefficients (D_j q^{m-j} - N_j) (1 / (1 - q^m)) are formed from them 16
+rows at a time, so their scratch stays small at any row count.  The rows
+take the dtype of the two factor polynomials: float64 where every factor
+is real (a number whose imaginary part is 0 counts as real, and a node
+pair enters as its real quadratic, below), else complex.  Complex rows
+take the float64 tables as they are: numpy multiplies a complex array by
+a real one after casting each entry r to r + 0j, and the product with
+1/d + 0j equals the quotient by d + 0j but for the sign of a zero part,
+so the kernel has the bits of the complex forms and casts nothing
+itself.
 
 Batching.  A quadrature node enters the k-sum only through the series
 parameters (a e^{+-i theta}, i a q e^{+-t}, ...), so :func:`ksum` takes
@@ -210,6 +211,7 @@ from .qcore import (
     _log_quotient,
     _modulus,
     _pair_log,
+    _real_args,
     detect_terminating,
     q_pochhammer,
     q_pochhammer_infinite,
@@ -476,20 +478,16 @@ def _param(p):
     return np.asarray(p.real if isinstance(p, complex) and p.imag == 0 else p)
 
 
-def _node_shape(values):
-    """The shape of the node arrays among ``values``, (1,) if all are scalars."""
-    return np.broadcast(0.0, *values).shape or (1,)
-
-
-def _factor_poly(params, s, dtype):
+def _factor_poly(params, s, r, shape, dtype):
     """Coefficients of prod_i (1 - s c_i y), s = x/a of :func:`ksum`, over
-    the parameters c_i of :func:`_param`, of ``dtype``, one column per
-    node, or a single column where no parameter varies over the nodes.  A
-    :class:`_Pair` u enters as the real quadratic 1 - 2 Re(s u) y +
-    |s u|^2 y^2, formed from s u, whose square does not underflow where a
-    subnormal u's would."""
-    degree = sum(2 if isinstance(p, _Pair) else 1 for p in params)
-    c = np.zeros((degree + 1,) + _node_shape([_value(p) for p in params]), dtype=dtype)
+    the nonzero parameters c_i of :func:`_param`, of ``dtype``: r + 1 rows,
+    zero past the product's degree (at most the recurrence order r), each of
+    the node ``shape`` of the call, or a single column where no parameter
+    varies over the nodes.  A :class:`_Pair` u enters as the real quadratic
+    1 - 2 Re(s u) y + |s u|^2 y^2, formed from s u, whose square does not
+    underflow where a subnormal u's would."""
+    # a node-free polynomial keeps one column, which the recurrence broadcasts
+    c = np.zeros((r + 1,) + (shape if any(_value(p).ndim for p in params) else (1,)), dtype=dtype)
     c[0] = 1.0
     i = 0  # the degree so far
     for p in params:
@@ -526,26 +524,17 @@ def _taylor_rows(g, start, stop, Nj, Dj, qpow, inv):
             np.add.reduce(buf, axis=0, out=g[mm + r])
 
 
-def _settled(mags, sums):
-    """The tail rule at each node, for |g_m s^-m| and |g_m w_m| (``mags``,
-    the new rows of each): their last 8 rows below ``EPS_TERM`` of their
-    running totals ``sums``."""
-    return mags[:, -8:].sum(axis=1) < EPS_TERM * np.maximum(sums, 1e-300)
-
-
-def _tables(x, a, mu, q, r, L, dtype):
-    """The node-free tables of the rows m < L: the weights w_m / s^m and
-    s^-m, s = x/a, and the recurrence's q^{m-j}, j = r, ..., 1, and
+def _tables(x, a, mu, q, r, L):
+    """The node-free float64 tables of the rows m < L: the weights w_m / s^m
+    and s^-m, s = x/a, and the recurrence's q^{m-j}, j = r, ..., 1, and
     1 / (1 - q^m).
 
-    All but s^-m take the rows' ``dtype``: for complex rows each real t is
-    the complex t + 0j, whose products keep the bits of a complex array
-    times, or over, a real one (module docstring;
-    ``tests/test_identities.py`` checks both).
+    Complex rows take them as they are: numpy casts each real t to t + 0j
+    at use, so a product keeps the bits of a complex array times, or over,
+    a real one (module docstring; ``tests/test_identities.py`` checks both).
     """
     m = np.arange(L)
-    k = m[:-1]
-    ratios = (1.0 - (a / x) * q ** (mu + k)) / (1.0 - q ** (mu + k + 1))
+    ratios = (1.0 - (a / x) * q ** (mu + m[:-1])) / (1.0 - q ** (mu + m[:-1] + 1))  # k = m < L - 1
     c = np.cumprod(np.concatenate(([1.0], ratios)))  # c_k / s^k
     den = 1.0 - q**m
     den[0] = 1.0  # (q;q)_0; no recurrence row is m = 0
@@ -553,9 +542,7 @@ def _tables(x, a, mu, q, r, L, dtype):
     down = np.cumprod(np.concatenate(([1.0], np.full(L - 1, a / x))))  # s^-m
     w = np.convolve(c, down / qfac)[:L] * qfac
     qpow = q ** (m[:, None] - np.arange(r, 0, -1))  # q^{m-j}
-    inv = (1.0 / den)[:, None]
-    return (w.astype(dtype, copy=False), down, qpow.astype(dtype, copy=False),
-            inv.astype(dtype, copy=False))
+    return w, down, qpow, (1.0 / den)[:, None]
 
 
 def frac_prefactor(x, a, mu, ctx):
@@ -580,15 +567,16 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     conj(u) and enters as one real quadratic factor.  A number whose
     imaginary part is 0 counts as real.  The result is a complex for
     all-scalar parameters and an array over the nodes otherwise, float64
-    where every factor is real.  The rows are scaled by x/a ("Sizing" in
-    the module docstring), so a, x, x/a and a/x must be positive and
-    finite, and mu in (0, inf), or it raises a :class:`DomainError` naming
-    x, a and mu.  Raises :class:`KSumDivergence` for the
-    first node whose sum is not finite, or at 4096 rows for the first node
-    that has not settled; its ``k`` is the number of rows with a finite
-    partial sum, and its message names the node's ratio x max|numerator| /
-    a (|u| for a pair) and, for an unsettled sum whose ratio is below 1,
-    calls it convergent but too slow.
+    where every factor is real.  An x, a or mu that is not a real number
+    is a :class:`DomainError` naming it and its type.  The rows are scaled
+    by x/a ("Sizing" in the module docstring), so a, x, x/a and a/x must
+    be positive and finite, and mu in (0, inf), or it raises a
+    :class:`DomainError` naming x, a and mu.  Raises
+    :class:`KSumDivergence` for the first node whose sum is not finite, or
+    at 4096 rows for the first node that has not settled; its ``k`` is the
+    number of rows with a finite partial sum, and its message names the
+    node's ratio x max|numerator| / a (|u| for a pair) and, for an
+    unsettled sum whose ratio is below 1, calls it convergent but too slow.
     ``diag`` gets the call's row count ``k_terms``, its largest
     ``k_digits_lost``, log10(sum |g_m w_m| / |sum g_m w_m|) at a node, and
     its largest ``g1_digits_lost``, log10(sum |g_m s^-m| / |G(1)|), each
@@ -597,27 +585,26 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     own ``diag`` and keeps those of the calls inside its window
     (:func:`_quadrature`).
     """
+    _real_args("ksum", x=x, a=a, mu=mu)
     if not (a > 0 and 0 < x / a < math.inf and a / x < math.inf and 0 < mu < math.inf):
         raise DomainError(f"ksum needs a > 0, x > 0, x/a and a/x finite and 0 < mu < inf, "
                           f"got x={x}, a={a}, mu={mu}")
-    q = ctx.q
     s = x / a  # g_m s^m and w_m / s^m stay in the double range ("Sizing")
     params = [_param(p) for p in (*phi_numer, *phi_denom)]
     values = [_value(p) for p in params]
-    shape = _node_shape(values)
+    shape = np.broadcast(0.0, *values).shape or (1,)  # (1,) for scalars only
     # float64 rows where every factor is real, a pair's always
     dtype = np.result_type(0.0, *(p for p in params if not isinstance(p, _Pair)))
-    # a parameter near the double range can overflow here; the sum then
-    # ends in KSumDivergence below
+    parts = [[p for p in part if np.count_nonzero(_value(p))]
+             for part in (params[: len(phi_numer)], params[len(phi_numer) :])]
+    # the recurrence order, the larger degree of N and D
+    r = max(sum(2 if isinstance(p, _Pair) else 1 for p in part) for part in parts)
+    # the recurrence slices N_j, D_j, j = r, ..., 1; a parameter near the
+    # double range can overflow here, and the sum then ends in
+    # KSumDivergence below
     with np.errstate(over="ignore", invalid="ignore"):
-        numer, denom = (_factor_poly([p for p in part if np.count_nonzero(_value(p))], s, dtype)
-                        for part in (params[: len(phi_numer)], params[len(phi_numer) :]))
-
-    # the recurrence slices N_j, D_j, j = r, ..., 1, zero past each degree
-    r = max(len(numer), len(denom)) - 1
-    Nj, Dj = (np.concatenate((c, np.zeros((r + 1 - len(c),) + c.shape[1:])))[r:0:-1]
-              for c in (numer, denom))
-    g = np.zeros((64 + r,) + shape, dtype=dtype)
+        Nj, Dj = (_factor_poly(part, s, r, shape, dtype)[r:0:-1] for part in parts)
+    g = np.zeros((r + 1,) + shape, dtype=dtype)  # g_0 = 1 after r rows of zeros
     g[r] = 1.0
     # per node: sum |g_m s^-m| and sum |g_m w_m| over the rows so far; a
     # node's sum is finite while both are
@@ -625,40 +612,39 @@ def ksum(x, a, mu, phi_numer, phi_denom, ctx, diag=None):
     M, new, L = 0, 32, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            if new + r > len(g):
-                g = np.concatenate((g, np.zeros_like(g)))
             if new > L:
                 L = max(2 * L, 128)
-                w, down, qpow, inv = _tables(x, a, mu, q, r, L, dtype)
+                w, down, qpow, inv = _tables(x, a, mu, ctx.q, r, L)
+                g, head = np.zeros((L + r,) + shape, dtype=dtype), g
+                g[: len(head)] = head  # the new rows stay untouched zero pages till written
             _taylor_rows(g, max(M, 1), new, Nj, Dj, qpow, inv)
             rows = g[r + M : r + new]
-            terms = rows * w[M:new, None]
-            mags = np.empty((2,) + rows.shape)
-            np.abs(rows, out=mags[0])
-            np.abs(terms, out=mags[1])
-            mags[0] *= down[M:new, None]
+            mags = np.empty((2,) + rows.shape)  # |g_m s^-m| and |g_m w_m|
+            np.multiply(np.abs(rows), down[M:new, None], out=mags[0])
+            np.abs(rows * w[M:new, None], out=mags[1])
             sums += mags.sum(axis=1)
             M = new
             finite = np.isfinite(sums).all(axis=0)
-            if finite.all() and _settled(mags, sums).all():
+            # the tail rule, per node: the last 8 new rows of |g_m s^-m| and
+            # of |g_m w_m| below EPS_TERM of their running totals
+            tail = mags[:, -8:].sum(axis=1)
+            settled = (tail < EPS_TERM * np.maximum(sums, 1e-300)).all(axis=0)
+            if finite.all() and settled.all():
                 break
             if not finite.all() or M >= _MAX_ROWS:
                 # report the first node not finite, else the first not
                 # settled, up to its last finite partial sum
-                settled = _settled(mags, sums).all(axis=0)
                 n = np.flatnonzero(~finite if not finite.all() else ~settled)[0]
-                terms, unscaled = g[r : r + M, n] * w[:M], g[r : r + M, n] * down[:M]
+                terms = g[r : r + M, n] * w[:M]
                 reached = int(np.isfinite(np.cumsum(terms)).cumprod().sum())
-                G1n = unscaled[:reached].sum()
+                G1n = (g[r : r + reached, n] * down[:reached]).sum()
                 last = float(abs(terms[reached - 1] / G1n))
                 # the terms behave like the node's ratio to the m-th power
-                top = max((abs(np.broadcast_to(v, shape).flat[n])
-                           for v in values[: len(phi_numer)]), default=0.0)
-                ratio = x * top / a
+                ratio = x * max((abs(np.broadcast_to(v, shape).flat[n])
+                                 for v in values[: len(phi_numer)]), default=0.0) / a
                 state = "did not settle within" if finite.all() else "is not finite past"
-                slow = ""
-                if finite.all() and ratio < 1:
-                    slow = f": convergent, too slow for {_MAX_ROWS} coefficients"
+                slow = (f": convergent, too slow for {_MAX_ROWS} coefficients"
+                        if finite.all() and ratio < 1 else "")
                 raise KSumDivergence(
                     f"outer k-sum {state} {reached} Taylor coefficients (|term|={last:.3e}, "
                     f"x*max|numerator|/a={ratio:.3g}{slow})",

@@ -615,6 +615,16 @@ def _integral(order) -> bool:
     raise DomainError(f"q_pochhammer: the order must be a real number, got {type(order).__name__}")
 
 
+def _real_args(what, **named):
+    """Raise a :class:`DomainError` of ``what`` naming the first of ``named``
+    that is not a real number (an int, a float, a bool or a real numpy
+    scalar), and its type; a NaN or an infinity is a real number.  A Python
+    int or float passes before the abstract class is asked."""
+    for name, v in named.items():
+        if not isinstance(v, (int, float)) and not isinstance(v, numbers.Real):
+            raise DomainError(f"{what}: {name} must be a real number, got {type(v).__name__}")
+
+
 def _product(aq, order, q: float):
     """prod_{k<order} (1 - aq q^k) by the scalar loop, in the arithmetic of
     ``aq``, a float or a complex; past MAX_FACTORS factors it stops at the
@@ -693,10 +703,12 @@ def q_bracket(a: float, ctx: QContext) -> float:
 def q_gamma(x: float, ctx: QContext) -> float:
     """q-gamma function (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x).
 
-    An x within 1e-12 of a pole, 0, -1, -2, ..., raises :class:`PoleError`;
-    an x whose q^x or (1-q)^(1-x) is past the double range raises an
-    ``OverflowError`` naming that power, q and x.
+    An x that is not a real number is a :class:`DomainError` naming its
+    type; an x within 1e-12 of a pole, 0, -1, -2, ..., raises
+    :class:`PoleError`; an x whose q^x or (1-q)^(1-x) is past the double
+    range raises an ``OverflowError`` naming that power, q and x.
     """
+    _real_args("q_gamma", x=x)
     if x <= 0.5 and abs(x - round(x)) < 1e-12 and round(x) <= 0:
         raise PoleError(f"q-gamma: x={x} is within 1e-12 of the pole at {round(x):.17g}")
     q = ctx.q
@@ -858,13 +870,14 @@ def h_sinh_log(x, t: complex, ctx: QContext) -> complex:
     """log of (i t e^x, -i t e^{-x}; q)_inf, safe for large |x|.
 
     Real part is the log-magnitude, imaginary part the accumulated phase.
-    ``x`` is a number, and the value a ``complex``; an array is a
-    :class:`DomainError` naming h_sinh_log, given to :func:`h_sinh` too.
-    An x whose e^x is 0 or not finite raises ``OverflowError``, unless
-    t = 0.
+    ``x`` is a real number, and the value a ``complex``; an array, or an x
+    of another type, is a :class:`DomainError` naming h_sinh_log and the
+    array's shape or the type, given to :func:`h_sinh` too.  An x whose e^x
+    is 0 or not finite raises ``OverflowError``, unless t = 0.
     """
     if not isinstance(x, _NUMBER) and isinstance(x, np.ndarray):
         raise DomainError(f"h_sinh_log: x must be a number, got an array of shape {x.shape}")
+    _real_args("h_sinh_log", x=x)
     if t == 0:
         return complex(0.0)
     try:
@@ -882,10 +895,10 @@ def h_sinh(x: float, t: complex, ctx: QContext) -> complex:
     """(i t e^x, -i t e^{-x};q)_inf = prod_k (1 - 2 i q^k t sinh x + q^{2k} t^2).
 
     Evaluated through the log-domain path, :func:`h_sinh_log`, so ``x`` is a
-    number (an array is a :class:`DomainError`); raises ``OverflowError`` if
-    the value exceeds the double-precision range, which ``cmath.exp``
-    decides: a log-magnitude up to about 709.78 can still give a finite
-    value.
+    real number (an array or another type is a :class:`DomainError`);
+    raises ``OverflowError`` if the value exceeds the double-precision
+    range, which ``cmath.exp`` decides: a log-magnitude up to about 709.78
+    can still give a finite value.
     """
     lg = h_sinh_log(x, t, ctx)
     try:

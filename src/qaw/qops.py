@@ -34,7 +34,7 @@ import numbers
 from . import _np as np
 from .context import DomainError, QContext
 from .qcore import (CONSECUTIVE_SMALL, EPS_TERM, MAX_TERMS, _divide, _factor_counts, _modulus,
-                    _power, _series_sum, q_pochhammer_infinite)
+                    _power, _real_args, _series_sum, q_pochhammer_infinite)
 from .quad import _evaluate
 
 
@@ -89,9 +89,7 @@ def jackson_q_integral(f, a: float, b: float, ctx: QContext) -> complex:
     (1-q) sum_n q^n [b f(b q^n) - a f(a q^n)], truncated under the policy
     of :mod:`qaw.qcore`.  ``f`` maps an array of points to an array of values.
     """
-    branches = [(1, b, None, None)] if b != 0 else []
-    if a != 0:
-        branches.append((-1, a, None, None))
+    branches = [(sign, end, None, None) for sign, end in ((1, b), (-1, a)) if end != 0]
     return _series_sum(_geometric_terms(f, branches, None, ctx),
                        f"Jackson q-integral over [{a}, {b}]", MAX_TERMS, 1.0 - ctx.q)
 
@@ -107,13 +105,15 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
 
     with the fractional Pochhammer factors advanced by exact one-step
     recurrences.  ``a = 0`` drops the lower-limit branch.  ``f`` maps an
-    array of points to an array of values.  A mu that is not positive, or
-    an a and x outside 0 <= a < x < inf, a NaN among them, is a
-    :class:`DomainError`, and so is a mu so small that q^mu rounds to 1,
-    where Gamma_q(mu) has no finite double value; a prefactor
-    x^(mu-1) / (1-q)^(1-mu) past the double range raises an
+    array of points to an array of values.  An x, a or mu that is not a
+    real number is a :class:`DomainError` naming it and its type.  A mu
+    that is not positive, or an a and x outside 0 <= a < x < inf, a NaN
+    among them, is a :class:`DomainError`, and so is a mu so small that
+    q^mu rounds to 1, where Gamma_q(mu) has no finite double value; a
+    prefactor x^(mu-1) / (1-q)^(1-mu) past the double range raises an
     ``OverflowError`` naming q, x and mu.
     """
+    _real_args("fractional_q_integral", x=x, a=a, mu=mu)
     # written so that a NaN fails each test
     if not mu > 0:
         raise DomainError(f"fractional order must be positive, got {mu}")
@@ -131,9 +131,7 @@ def fractional_q_integral(f, x: float, a: float, mu: float, ctx: QContext) -> co
     branches = [(1, x, cx, 1.0)]
     if a != 0:
         ax = a / x
-        ca = q_pochhammer_infinite(ax * q, ctx) / q_pochhammer_infinite(
-            ax * q**mu, ctx
-        )
+        ca = q_pochhammer_infinite(ax * q, ctx) / q_pochhammer_infinite(ax * qmu, ctx)
         branches.append((-1, a, ca, ax))
     return _series_sum(_geometric_terms(f, branches, mu, ctx),
                        f"fractional q-integral (mu={mu})", MAX_TERMS, pref)

@@ -2,6 +2,7 @@
 
 import cmath
 import gc
+import json
 import math
 import random
 import re
@@ -304,8 +305,8 @@ class TestBatchedKSum:
         # not depend on its length, no table passes 2^501, and the weights
         # and 1 / (1 - q^m) stay above 2^-501 (s^-m and q^(m-j) fall below
         # the double range with the terms they scale)
-        short = identities._tables(x, a, mu, q, 3, 1024, float)
-        long = identities._tables(x, a, mu, q, 3, 4096, float)
+        short = identities._tables(x, a, mu, q, 3, 1024)
+        long = identities._tables(x, a, mu, q, 3, 4096)
         for head, table in zip(short, long):
             assert np.array_equal(np.broadcast_to(head, table[:1024].shape), table[:1024])
             assert np.abs(table).max() <= 2.0**501
@@ -323,6 +324,19 @@ class TestBatchedKSum:
         with pytest.raises(DomainError) as exc:
             ksum(x, a, mu, [0.1], [0.25], QContext(q=0.5))
         assert str(exc.value).endswith(f"got x={x}, a={a}, mu={mu}")
+
+    @pytest.mark.parametrize("x, a, mu, name, typename", [
+        (0.6 + 0j, 0.2, 1.5, "x", "complex"),
+        (0.6, 0.2 + 0j, 1.5, "a", "complex"),
+        (0.6, None, 1.5, "a", "NoneType"),
+        (0.6, 0.2, "1.5", "mu", "str")])
+    def test_an_argument_that_is_no_real_number_is_a_domain_error(self, x, a, mu, name,
+                                                                 typename):
+        # the scaling rule compares x, a and mu, which a complex or None
+        # would end in a bare TypeError
+        with pytest.raises(DomainError, match=f"^ksum: {name} must be a real number, "
+                                              f"got {typename}$"):
+            ksum(x, a, mu, [0.1], [0.2], QContext(q=0.5))
 
     def test_short_sum_allocates_for_its_own_rows(self):
         # 4096 rows at 129 nodes would take 8.4 MB per array
@@ -441,12 +455,12 @@ class TestNodePair:
 
 
 class TestRealTablesKeepNumpysBits:
-    """The k-sum kernel multiplies its complex arrays by real tables kept
-    as complex r + 0j (``identities._tables``): by r + 0j where the plain
-    form takes the real r, and by 1/d + 0j where it divides by d.  Both
-    agree bit for bit with numpy's own forms on finite arrays of wide
-    magnitudes; if a numpy release rounds either otherwise, the kernel's
-    values move with it."""
+    """The k-sum kernel multiplies its complex rows by float64 tables
+    (``identities._tables``), which numpy casts to complex r + 0j at use,
+    and by 1/d + 0j where the plain form divides by d.  Both agree bit for
+    bit with the complex forms on finite arrays of wide magnitudes; if a
+    numpy release rounds either otherwise, the kernel's values move with
+    it."""
 
     @staticmethod
     def _arrays(seed):
@@ -1601,6 +1615,68 @@ G1_DIGITS = {
     "fractional-atakishiyev": 0.24,
     "fractional-atakishiyev-3phi2": 0.23,
 }
+
+# the 12 fixed points as the benchmark runs them, `qaw check` lines copied
+# from benchmarks/workloads.py, each with its recorded outcome: passed, the
+# quadrature's nodes and window, the k-sum's rows (None where the report has
+# none) and the two sides.  The counts held on AVX-512 and on numpy's
+# baseline SIMD target, where the sides moved by at most 3.4e-16 relative.
+_GL = "--q 0.5 --a 0.2 --x 0.6 --mu 1.5 --b 0.3 --s 0.25 --t 0.15 --z 0.2"
+_RL = (-5.0625, 5.0625)
+_GW = (-17.0859375, 17.0859375)
+FIXED_POINT_OUTCOMES = [
+    ("lemma-three-term", _GL + " --r 0.4 --u 0.1", True, None, None, None,
+     0.16951862282960373 + 0j, 0.16951862282960367 + 0j),
+    ("fractional-generating", _GL + " --r 0.4 --u 0.1", True, None, None, 32,
+     0.32598074129136606 + 0j, 0.325980741291366 + 0j),
+    ("fractional-generating-3phi2", _GL, True, None, None, 32,
+     0.3053890878984389 + 0j, 0.3053890878984388 + 0j),
+    ("askey-wilson", "--q 0.5 --a 0.3 --b 0.2 --c 0.1 --d 0.4", True, 129, None, None,
+     44.450930097427616 + 0j, 44.450930097427616 + 0j),
+    ("fractional-askey-wilson", "--q 0.5 --a 0.2 --b 0.3 --c 0.1 --d 0.15 --x 0.6 --mu 1.5",
+     True, 129, None, 96, 21.52052854296218 + 0j, 21.520528542962175 + 0j),
+    ("fractional-askey-wilson-3phi2", "--q 0.5 --a 0.2 --b 0.3 --c 0.1 --x 0.6 --mu 1.5",
+     True, 129, None, 96, 17.969217988609067 + 0j, 17.969217988609053 + 0j),
+    ("reversal-askey-wilson", "--q 0.5 --a 0.2 --b 0.1 --c 0.1 --d 0.05", True, 129, _RL,
+     None, 0.18662558499887624 - 3.412035009085005e-20j, 0.18662558499887633 + 0j),
+    ("fractional-reversal-askey-wilson",
+     "--q 0.5 --a 0.2 --b 0.1 --c 0.1 --d 0.05 --x 0.6 --mu 1.5", True, 129, _RL, 32,
+     0.12328012888035898 + 1.7384001705006046e-18j, 0.12328012888035904 + 0j),
+    ("fractional-reversal-askey-wilson-3phi2",
+     "--q 0.5 --a 0.2 --b 0.1 --c 0.1 --x 0.6 --mu 1.5", True, 129, _RL, 32,
+     0.1257611275445231 + 1.5095435617341996e-18j, 0.12576112754452318 + 0j),
+    ("atakishiyev", "--alpha-g 1.0 --a 0.05 --b 0.05 --c 0.05 --d 0.05", True, 129, _GW,
+     None, 2.0058040996146405 + 1.3977832495778032e-17j, 2.0058040996146413 + 0j),
+    ("fractional-atakishiyev",
+     "--alpha-g 1.0 --a 0.15 --b 0.02 --c 0.02 --d 0.02 --x 0.6 --mu 1.5", True, 129, _GW, 48,
+     0.8309098226141735 + 3.255042926674533e-17j, 0.8309098226141731 + 0j),
+    ("fractional-atakishiyev-3phi2",
+     "--alpha-g 1.0 --a 0.15 --b 0.05 --c 0.05 --x 0.6 --mu 1.5", True, 129, _GW, 48,
+     0.7781589548650251 - 3.5427815752428026e-17j, 0.7781589548650252 + 0j),
+]
+
+
+class TestFixedPointOutcomes:
+    """Each fixed point's `qaw check` report keeps its outcome: a change to
+    the kernels that moves a count, or a side by more than 1e-14 relative,
+    fails here."""
+
+    def test_covers_the_registry(self):
+        assert [row[0] for row in FIXED_POINT_OUTCOMES] == list(IDENTITY_REGISTRY)
+
+    @pytest.mark.parametrize("name, line, passed, nodes, window, k_terms, lhs, rhs",
+                             FIXED_POINT_OUTCOMES, ids=[row[0] for row in FIXED_POINT_OUTCOMES])
+    def test_report(self, capsys, name, line, passed, nodes, window, k_terms, lhs, rhs):
+        assert cli.main(["check", name, *line.split()]) == (0 if passed else 1)
+        report = json.loads(capsys.readouterr().out)
+        diag = {**report["diagnostics"]["lhs"], **report["diagnostics"]["rhs"]}
+        assert report["passed"] is passed
+        assert (diag.get("nodes"), diag.get("window"), diag.get("k_terms")) == (
+            nodes, None if window is None else list(window), k_terms)
+        for side, want in (("lhs", lhs), ("rhs", rhs)):
+            got = complex(report[side]["re"], report[side]["im"])
+            assert abs(got - want) <= 1e-14 * abs(want), side
+
 
 # the only params fields that change neither side of their check, each with
 # its reason

@@ -421,6 +421,13 @@ class TestQBracketGamma:
         with pytest.raises(PoleError):
             q_gamma(x, ctx)
 
+    @pytest.mark.parametrize("x, typename", [(2 + 0j, "complex"), ("2", "str"),
+                                             (None, "NoneType")])
+    def test_gamma_of_no_real_number_is_a_domain_error(self, ctx, x, typename):
+        want = f"q_gamma: x must be a real number, got {typename}"
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            q_gamma(x, ctx)
+
 
 class TestDetectTerminating:
     def test_exact_powers(self, ctx):
@@ -671,6 +678,14 @@ class TestWeights:
             weight(arg, *rest, ctx)
         value = weight(np.float64(0.3), *rest, ctx)
         assert type(value) is complex and _bits(value) == _bits(weight(0.3, *rest, ctx))
+
+    @pytest.mark.parametrize("weight", [h_sinh_log, h_sinh])
+    @pytest.mark.parametrize("x, typename", [(1 + 0j, "complex"), ("1", "str"),
+                                             (None, "NoneType")])
+    def test_sinh_weights_of_no_real_number_are_domain_errors(self, ctx, weight, x, typename):
+        want = f"h_sinh_log: x must be a real number, got {typename}"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            weight(x, 0.2, ctx)
 
 
 def _rel(got, want):

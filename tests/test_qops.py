@@ -147,6 +147,17 @@ class TestFractionalIntegral:
             fractional_q_integral(np.ones_like, x, a, mu, ctx)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("x, a, mu, name, typename", [
+        (0.6 + 0j, 0.0, 1.5, "x", "complex"),
+        (0.6, None, 1.5, "a", "NoneType"),
+        (0.6, 0.2 + 0j, 1.5, "a", "complex"),
+        (0.6, 0.0, "1.5", "mu", "str")])
+    def test_an_argument_that_is_no_real_number_is_a_domain_error(self, ctx, x, a, mu, name,
+                                                                 typename):
+        want = f"fractional_q_integral: {name} must be a real number, got {typename}"
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            fractional_q_integral(np.ones_like, x, a, mu, ctx)
+
     @pytest.mark.parametrize("q, mu", [(0.5, 1e-17), (0.5, 5e-324), (0.99, 1e-15)])
     def test_order_with_q_power_one_is_a_domain_error(self, q, mu):
         # q^mu rounds to 1, so (q^mu;q)_inf = 0 and Gamma_q(mu) is not finite
