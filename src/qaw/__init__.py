@@ -1,9 +1,14 @@
 """Numerical q-calculus library and identity verification tool.
 
-Scalar primitives live in :mod:`qaw.qcore`, the q-integral operators in
-:mod:`qaw.qops`, quadrature engines in :mod:`qaw.quad`, and the identity
-checks with their suite runner in :mod:`qaw.identities`.  The ``qaw``
-executable (see :mod:`qaw.cli`) exposes all of it from the command line.
+Scalar primitives live in :mod:`qaw.qcore`, the q-integral operators and
+the outer k-sum (``ksum``, the fractional q-integral's q-difference
+route) in :mod:`qaw.qops`, quadrature engines in :mod:`qaw.quad`, and the
+identity table, which declares each identity and compares its two sides,
+with its suite runner in :mod:`qaw.identities`.  ``qaw.identities.ksum``
+is the same object as ``qaw.qops.ksum``; the benchmark's
+``identities.ksum.*`` per-layer metrics count the kernel through that
+name.  The ``qaw`` executable (see :mod:`qaw.cli`) exposes all of it from
+the command line.
 
 numpy is loaded on first use: the modules take one lazy handle to it from
 this package, and the scalar paths test for Python numbers before they ask

@@ -1,11 +1,12 @@
-"""Tests for the identity checks, the stable outer k-sum, and the suite runner."""
+"""Tests for the identity checks, the k-sums of their families, and the suite runner."""
 
 import cmath
-import gc
 import json
 import math
+import os
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -14,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaw import cli, identities, qcore, quad
+from qaw import cli, identities, qcore, qops, quad
 from qaw.context import (
     DomainError,
-    KSumDivergence,
     NonConvergence,
     PoleError,
     QawError,
@@ -45,36 +45,9 @@ FRACTIONAL_QUADRATURE = [f"fractional-{family}{form}"
                          for form in ("", "-3phi2")]
 
 
-class TestKSumOracle:
-    # x/a = 2.33, 2.82 (1.41 times a power of 2, midway between two on a
-    # log scale) and 1.001, where 1 / (a/x;q)_inf bounds the weights
-    # w_m / s^m near 1000
-    @pytest.mark.parametrize("a, x, numer", [
-        (0.15, 0.35, [0.1, 0.05, 0.08]),
-        (0.2, 0.564, [0.05, 0.03, 0.04]),
-        (0.3, 0.3003, [0.12, 0.05, 0.08])], ids=["x/a=2.33", "x/a=2.82", "x/a=1.001"])
-    def test_against_multiprecision_oracle(self, a, x, numer):
-        """The stable Taylor-kernel route versus the direct multiprecision sum."""
-        # small numerator parameters keep the outer terms decaying fast
-        # (ratio x max|numerator| / a at most 0.233), so the oracle's k range
-        # stays short enough for quadratically growing working precision
-        q, mu = 0.5, 1.5
-        denom = [0.25, 0.12, 0.18]
-        got = ksum(x, a, mu, numer, denom, QContext(q=q))
-        want = mp_oracle.direct_ksum(x, a, mu, q, numer, denom)
-        assert abs(got - want) < 1e-12 * abs(want)
-
-    def test_degenerate_collapse(self):
-        # with no series parameters only the k=0 term survives: the bare
-        # k-series starts at c_0 = 1
-        assert ksum(0.6, 0.2, 1.5, [], [], QContext(q=0.5)) == 1.0
-
-
 # the fractional Askey-Wilson k-sum at the angles theta: numerator
 # (abcd, a e^{i theta}, a e^{-i theta}), denominator (ab, ac, ad)
 AW_POINT = dict(q=0.5, a=0.2, b=0.3, c=0.1, d=0.15, x=0.6, mu=1.5)
-# a criterion-style random draw with x near the top of [0.45, 0.8]
-AW_EDGE_POINT = dict(q=0.681, a=0.202, b=0.071, c=0.106, d=-0.268, x=0.692, mu=1.90)
 
 
 def _aw_ksum_params(theta, q, a, b, c, d, x, mu):
@@ -82,17 +55,10 @@ def _aw_ksum_params(theta, q, a, b, c, d, x, mu):
     return [a * b * c * d, a * e, a / e], [a * b, a * c, a * d]
 
 
-def _aw_pair_params(theta, q, a, b, c, d, x, mu):
-    """The Askey-Wilson check's own k-sum parameters at the angles theta,
-    its node pair a e^{+-i theta} one ``identities._Pair`` entry."""
-    p = AWParams(q=q, a=a, b=b, c=c, d=d, x=x, mu=mu)
-    return identities._aw_series(np.asarray(theta), p)
-
-
 def _members(params):
     """k-sum parameters with each pair u, conj(u) as its two members."""
     return [m for v in params
-            for m in ((v.u, np.conj(v.u)) if isinstance(v, identities._Pair) else (v,))]
+            for m in ((v.u, np.conj(v.u)) if isinstance(v, qops._Pair) else (v,))]
 
 
 def _reversal_ksum_params(t, q, a, b, c, d, x, mu):
@@ -210,274 +176,6 @@ class TestComplexQuadratureParameters:
             exact = mp_oracle.closed_side(name, p)
             assert mp_oracle.rel_err(oc.report.lhs, exact) < 5e-15, p
             assert mp_oracle.rel_err(oc.report.rhs, exact) < 5e-15, p
-
-
-class TestBatchedKSum:
-    def test_batched_equals_per_node_calls(self):
-        ctx = QContext(q=AW_POINT["q"])
-        p = AW_POINT
-        theta = np.linspace(0.01, math.pi - 0.01, 33)
-        numer, denom = _aw_ksum_params(theta, **p)
-        batched = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
-        assert isinstance(batched, np.ndarray) and batched.shape == theta.shape
-        for i, th in enumerate(theta):
-            n1, d1 = _aw_ksum_params(float(th), **p)
-            single = ksum(p["x"], p["a"], p["mu"], n1, d1, ctx)
-            assert type(single) is complex
-            assert abs(batched[i] - single) <= 1e-13 * abs(single)
-
-    def test_complex_nodes_against_multiprecision_oracle(self):
-        # the node pair as two complex parameters, and as the check hands it
-        # over, one real factor: float64 values at real parameters
-        nodes = [0.0, 0.01, 0.7, 1.9, 3.1, math.pi - 1e-9]
-        _ksum_against_oracle(AW_POINT, nodes)
-        assert _ksum_against_oracle(AW_POINT, nodes, _aw_pair_params).dtype == np.float64
-
-    def test_complex_nodes_at_the_x_edge_against_multiprecision_oracle(self):
-        # x = 0.692: the outer terms fall slowly, and near theta = pi the
-        # swapped sum cancels most (sum |g_m w_m| ~ 300 |S G(1)| at 2.75);
-        # 2.75 and 3.1 are the nodes of the CHANGES.md FOUND line on it
-        nodes = [0.3, 1.5, 2.75, 3.1]
-        _ksum_against_oracle(AW_EDGE_POINT, nodes)
-        assert _ksum_against_oracle(AW_EDGE_POINT, nodes, _aw_pair_params).dtype == np.float64
-
-    def test_unsettled_sum_raises_with_partial(self):
-        # the numerator 0.5 puts the nearest pole of G at y = 2, so the terms
-        # grow like (x * 0.5 / a)^k = 1.5^k; node 0 (numerator 0.1) converges
-        # and the error reports the first unsettled node, node 1
-        ctx = QContext(q=0.5)
-        with pytest.raises(KSumDivergence) as exc:
-            ksum(0.6, 0.2, 1.5, [np.array([0.1, 0.5]), 0.05], [0.25, 0.12], ctx)
-        err = exc.value
-        assert type(err.k) is int and 64 < err.k <= 4096
-        assert err.term_magnitude > 1.0 and math.isfinite(err.term_magnitude)
-        assert type(err.partial) is complex and math.isfinite(abs(err.partial))
-        with pytest.raises(KSumDivergence) as single:
-            ksum(0.6, 0.2, 1.5, [0.5, 0.05], [0.25, 0.12], ctx)
-        assert (single.value.k, single.value.partial) == (err.k, err.partial)
-
-    def test_divergent_sum_stops_at_its_first_non_finite_step(self, monkeypatch):
-        # the k-sum of DIVERGENT_GAUSSIAN at the node 0, which its check's
-        # domain rule skips: the partial sums overflow past 2455 rows; the
-        # growth step there is at most 320 rows, so no row past 2455 + 320
-        # is formed
-        p = _with_base(DIVERGENT_GAUSSIAN)
-        numer, denom = _gaussian_ksum_params(0.0, **p)
-        formed = []
-        taylor_rows = identities._taylor_rows
-
-        def counting(g, start, stop, *rest):
-            formed.append(stop)
-            return taylor_rows(g, start, stop, *rest)
-
-        monkeypatch.setattr(identities, "_taylor_rows", counting)
-        with pytest.raises(KSumDivergence) as exc:
-            ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]))
-        assert exc.value.k == 2455 and 2455 < max(formed) <= 2455 + 320
-        assert str(exc.value).startswith("outer k-sum is not finite past 2455 Taylor coefficients")
-        assert str(exc.value).endswith("x*max|numerator|/a=1.33)")
-
-    # fractional-generating points inside the ratio rule whose k-sums take
-    # thousands of rows: scaled by the power of 2 nearest x/a, whose tilt
-    # f = x / (a s) is 1.389 and 0.739 here, their rows leave the double
-    # range ("not finite past 2158" and "past 2460 Taylor coefficients")
-    @pytest.mark.parametrize("p, rows", [
-        ({"q": 0.5, "a": 0.252, "x": 0.7, "mu": 1.5, "b": 0.3, "r": 0.4, "s": 1.4142,
-          "t": 0.2, "u": 0.1, "z": 0.1}, 3568),
-        ({"q": 0.1134, "a": 0.1286, "x": 0.3802, "mu": 0.9216, "b": -0.678, "r": -1.103,
-          "s": -2.596, "t": 1.742, "u": 0.5782, "z": 2.346}, 2496)])
-    def test_long_sum_keeps_its_rows_in_the_double_range(self, p, rows):
-        report = run_check("fractional-generating", p)
-        assert report.passed and report.rel_err < 1e-13
-        assert report.rhs_diag["k_terms"] == rows
-        # complex rows take the same tables, as complex
-        numer = identities._generating_numerator(GeneratingParams(**p))
-        denom = [p["a"] * p["b"] * p["z"], p["a"] * p["t"], p["a"] * p["r"] * p["u"]]
-        ctx = QContext(q=p["q"])
-        real = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
-        tilted = ksum(p["x"], p["a"], p["mu"], [numer[0] + 1e-300j, *numer[1:]], denom, ctx)
-        assert abs(tilted - real) < 1e-13 * abs(real)
-
-    @pytest.mark.parametrize("x, a, mu, q", [(0.7, 0.252, 1.5, 0.5),
-                                             (0.3802, 0.1286, 0.9216, 0.1134)])
-    def test_tables_keep_their_prefix_and_the_double_range(self, x, a, mu, q):
-        # the two long sums above (x/a = 2.778 and 2.956): a table's rows do
-        # not depend on its length, no table passes 2^501, and the weights
-        # and 1 / (1 - q^m) stay above 2^-501 (s^-m and q^(m-j) fall below
-        # the double range with the terms they scale)
-        short = identities._tables(x, a, mu, q, 3, 1024)
-        long = identities._tables(x, a, mu, q, 3, 4096)
-        for head, table in zip(short, long):
-            assert np.array_equal(np.broadcast_to(head, table[:1024].shape), table[:1024])
-            assert np.abs(table).max() <= 2.0**501
-        w, down, _, inv = long
-        assert np.abs(w).min() > 2.0**-501 and np.abs(inv).min() >= 2.0**-501
-
-    @pytest.mark.parametrize("x, a, mu", [
-        (0.6, 0.0, 1.5), (0.6, -0.2, 1.5), (math.nan, 0.2, 1.5), (0.6, math.nan, 1.5),
-        (0.0, 0.2, 1.5), (-0.6, 0.2, 1.5), (math.inf, 0.2, 1.5), (0.6, 5e-324, 1.5),
-        (5e-324, 0.6, 1.5), (0.6, 0.2, 0.0), (0.6, 0.2, -1.0), (0.6, 0.2, math.inf),
-        (0.6, 0.2, math.nan)])
-    def test_outside_its_scaling_raises_a_domain_error(self, x, a, mu):
-        # the rows are scaled by x/a: a zero, negative or NaN a or x, an x/a
-        # or a/x past the double range, or a mu not in (0, inf) has no scale
-        with pytest.raises(DomainError) as exc:
-            ksum(x, a, mu, [0.1], [0.25], QContext(q=0.5))
-        assert str(exc.value).endswith(f"got x={x}, a={a}, mu={mu}")
-
-    @pytest.mark.parametrize("x, a, mu, name, typename", [
-        (0.6 + 0j, 0.2, 1.5, "x", "complex"),
-        (0.6, 0.2 + 0j, 1.5, "a", "complex"),
-        (0.6, None, 1.5, "a", "NoneType"),
-        (0.6, 0.2, "1.5", "mu", "str")])
-    def test_an_argument_that_is_no_real_number_is_a_domain_error(self, x, a, mu, name,
-                                                                 typename):
-        # the scaling rule compares x, a and mu, which a complex or None
-        # would end in a bare TypeError
-        with pytest.raises(DomainError, match=f"^ksum: {name} must be a real number, "
-                                              f"got {typename}$"):
-            ksum(x, a, mu, [0.1], [0.2], QContext(q=0.5))
-
-    def test_short_sum_allocates_for_its_own_rows(self):
-        # 4096 rows at 129 nodes would take 8.4 MB per array
-        p = AW_POINT
-        numer, denom = _aw_ksum_params(np.linspace(0.0, math.pi, 129), **p)
-        ctx = QContext(q=p["q"])
-        ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
-        tracemalloc.start()
-        try:
-            ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
-
-    def test_digits_lost_at_the_x_edge(self):
-        # at theta = 2.75 sum |g_m w_m| is about 314 |sum g_m w_m|
-        p = AW_EDGE_POINT
-        numer, denom = _aw_ksum_params(np.array([2.75]), **p)
-        diag = {}
-        ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
-        assert diag["k_digits_lost"] == pytest.approx(math.log10(314), abs=0.01)
-
-    def test_diag_holds_the_call_alone(self):
-        # the values replace what diag held; a digit count is at least 0
-        p = AW_EDGE_POINT
-        numer, denom = _aw_ksum_params(np.array([2.75]), **p)
-        fresh, held = {}, {"k_terms": 4096, "k_digits_lost": 15.0, "g1_digits_lost": 15.0}
-        for diag in (fresh, held):
-            ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
-        assert held == fresh and held["k_terms"] < 4096
-        assert min(held["k_digits_lost"], held["g1_digits_lost"]) >= 0.0
-
-    def test_distinct_q_retain_no_memory(self):
-        # a table kept per q would hold ~1.6 MB for each of the 200 bases
-        ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for q in np.linspace(0.3, 0.7, 200).tolist():
-                ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=q))
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained < 1_000_000
-
-    def test_gaussian_family_divergence_is_reported(self):
-        # at this point the numerator ab/q = 0.249 puts a pole of G at
-        # y = 4.02, so the outer terms fall like (x * 0.249 / a)^k = 0.995^k,
-        # too slowly to settle within 4096 rows
-        with pytest.raises(KSumDivergence) as exc:
-            run_check("fractional-atakishiyev", SLOW_KSUM_GAUSSIAN)
-        err = exc.value
-        assert err.k == 4096 and 0.0 < err.term_magnitude < 1.0
-        # a convergent sum, told apart from a divergent one
-        assert str(err).endswith(
-            "x*max|numerator|/a=0.995: convergent, too slow for 4096 coefficients)")
-        assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
-        entry = {"identity": "fractional-atakishiyev", "params": SLOW_KSUM_GAUSSIAN}
-        (oc,) = run_suite([entry])
-        assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
-        # the report keeps what is needed to re-run the entry
-        assert oc.report is None and oc.params == entry["params"]
-
-
-def _criterion_07_draws():
-    """The ten parameter sets of acceptance criterion 07, in its order."""
-    rng = random.Random(107)
-    return [dict(q=rng.uniform(0.3, 0.7), a=rng.uniform(0.15, 0.3), b=rng.uniform(-0.3, 0.3),
-                 c=rng.uniform(-0.3, 0.3), d=rng.uniform(-0.3, 0.3), x=rng.uniform(0.45, 0.8),
-                 mu=[1.0, 1.5][i % 2]) for i in range(10)]
-
-
-class TestNodePair:
-    """The Askey-Wilson check hands ``ksum`` its node pair a e^{+-i theta}
-    as one entry, the real quadratic factor 1 - 2 Re(s u) y + |s u|^2 y^2:
-    at real parameters its rows and values are float64."""
-
-    def test_real_parameters_give_float_values(self):
-        p, ctx = AW_POINT, QContext(q=AW_POINT["q"])
-        theta = np.linspace(0.0, math.pi, 129)
-        got = ksum(p["x"], p["a"], p["mu"], *_aw_pair_params(theta, **p), ctx)
-        assert got.dtype == np.float64
-        # the pair as two complex parameters keeps complex rows
-        plain = ksum(p["x"], p["a"], p["mu"], *_aw_ksum_params(theta, **p), ctx)
-        assert plain.dtype == np.complex128
-        assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
-
-    def test_non_real_b_keeps_complex_rows(self):
-        p = {**AW_POINT, "b": 0.2 + 0.1j}
-        assert _ksum_against_oracle(p, [0.01, 1.9, 3.1], _aw_pair_params).dtype == np.complex128
-        name = "fractional-askey-wilson"
-        report = run_check(name, p)
-        assert report.passed and report.lhs.imag != 0.0
-        assert mp_oracle.rel_err(report.lhs, mp_oracle.closed_side(name, p)) < 5e-15
-
-    @pytest.mark.parametrize("name", ["askey-wilson", "fractional-askey-wilson",
-                                      "fractional-askey-wilson-3phi2"])
-    def test_lhs_is_real_to_the_bit(self, name):
-        # the plain row's weight takes one pair-log row per conjugate pair;
-        # the fractional rows add the k-sum's real node pair
-        pin = {"d": 0.0} if name.endswith("-3phi2") else {}
-        draws = [] if name == "askey-wilson" else _criterion_07_draws()
-        for p in [FIXED_POINTS[name]] + [{**p, **pin} for p in draws]:
-            report = run_check(name, p)
-            assert report.passed and report.lhs.imag == 0.0, p
-
-    def test_divergence_names_the_pair_modulus(self):
-        # |u| = 0.5 gives the ratio x |u| / a = 1.5 at every node
-        u = 0.5 * np.exp(1j * np.array([0.3, 1.2]))
-        with pytest.raises(KSumDivergence) as exc:
-            ksum(0.6, 0.2, 1.5, [identities._Pair(u)], [0.25], QContext(q=0.5))
-        assert str(exc.value).endswith("x*max|numerator|/a=1.5)")
-
-
-class TestRealTablesKeepNumpysBits:
-    """The k-sum kernel multiplies its complex rows by float64 tables
-    (``identities._tables``), which numpy casts to complex r + 0j at use,
-    and by 1/d + 0j where the plain form divides by d.  Both agree bit for
-    bit with the complex forms on finite arrays of wide magnitudes; if a
-    numpy release rounds either otherwise, the kernel's values move with
-    it."""
-
-    @staticmethod
-    def _arrays(seed):
-        rng = np.random.default_rng(seed)
-        shape = (97, 129)
-        z = 10.0 ** rng.uniform(-100, 100, shape) * np.exp(2j * math.pi * rng.random(shape))
-        real = rng.choice([-1.0, 1.0], 97) * 10.0 ** rng.uniform(-100, 100, 97)
-        return z, real[:, None]
-
-    def test_times_a_real_table(self):
-        z, r = self._arrays(1)
-        assert np.array_equal((z * r).view(np.uint64), (z * r.astype(complex)).view(np.uint64))
-
-    def test_over_a_real_table(self):
-        z, d = self._arrays(2)
-        assert np.array_equal((z / d).view(np.uint64),
-                              (z * (1.0 / d).astype(complex)).view(np.uint64))
 
 
 # a fractional Gaussian point whose outer k-series truly diverges: ab/q = 0.33
@@ -1678,6 +1376,102 @@ class TestFixedPointOutcomes:
             assert abs(got - want) <= 1e-14 * abs(want), side
 
 
+# the fixed points at q = 0.99, the Gaussian rows at alpha_g = sqrt(-ln(0.99) / 2):
+# every row passes but the two fractional reversal rows, which fail on
+# rel_err (ROADMAP items 3 and 12: the real-line trapezoid at q -> 1, and the
+# k-sum where its running sums cancel; est_error breaks there too).  The
+# statuses held on AVX-512 and on numpy's baseline SIMD target; the nodes and
+# rel_err moved between them (8193 against 257 nodes in one row), so only
+# the statuses are pinned.  At q = 0.993 the two fractional Askey-Wilson
+# rows pass on AVX-512 but end NonConvergence on baseline SIMD (ROADMAP item 31).
+NEAR_ONE_FAILING = {"fractional-reversal-askey-wilson", "fractional-reversal-askey-wilson-3phi2"}
+
+
+class TestFixedPointOutcomesNearQOne:
+    @pytest.mark.parametrize("name", list(FIXED_POINTS))
+    def test_status_at_q_099(self, name):
+        p = FIXED_POINTS[name]
+        near = {"alpha_g": math.sqrt(-math.log(0.99) / 2.0)} if "alpha_g" in p else {"q": 0.99}
+        p = {**p, **near}
+        (oc,) = run_suite([{"identity": name, "params": p}])
+        if name in NEAR_ONE_FAILING:
+            assert oc.status == "failed" and oc.report.failure.startswith("rel_err "), oc
+        else:
+            assert oc.status == "passed", oc
+
+
+# the qaw functions that both sides of a check may reach, each with why it
+# may be shared: aim 3 of ROADMAP.md lets the two routes share scalar
+# primitives, never the code whose fault would make both sides agree.  At
+# the fixed points the nine quadrature rows share the first three and the
+# two generating rows all seven.
+SHARED_BY_BOTH_SIDES = {
+    # the stop rule's bound on |a q^n| and the factor count under it: a wrong
+    # count truncates each product at its own argument, the lhs's at nodes or
+    # points and the rhs's at the closed arguments, so it moves the two sides
+    # apart, not together
+    "qcore._tau", "qcore._factor_counts",
+    # |v| as the hypot of its parts, which the counts are taken of
+    "qcore._modulus",
+    # the real-number check of x, a and mu (fractional_q_integral, ksum): it
+    # raises or returns nothing, and computes no value
+    "qcore._real_args",
+    # the scalar (a;q)_inf, through the finite product's loop: the generating
+    # lhs takes it for the fractional q-integral's starting coefficients at
+    # q, q^mu, a q / x and a q^mu / x, the rhs for its closed product at the
+    # parameters, so a fault in it moves the sides at different arguments;
+    # tests/test_qcore.py checks it against the multiprecision oracle
+    "qcore._product", "qcore.q_pochhammer", "qcore.q_pochhammer_infinite",
+}
+# where each side starts: the quadrature engines and the defining sum of the
+# fractional q-integral on the lhs, the closed products and the k-sum on the
+# rhs.  A function counts for the side of the nearest such root below it on
+# the stack, so a fractional quadrature row's k-sum, called by the lhs's
+# integrand, is the rhs's.
+_LHS_ROOTS = (quad.integrate_theta, quad.integrate_line_even_window, qops.fractional_q_integral)
+_RHS_ROOTS = (identities._closed, qops.ksum)
+
+
+def _reached_by_each_side(name, params):
+    """The qaw functions ("module.name") reached under the lhs roots and
+    under the rhs roots while a check runs, comprehension frames aside."""
+    sides = {code.__code__: side for side, roots in (("lhs", _LHS_ROOTS), ("rhs", _RHS_ROOTS))
+             for code in roots}
+    package = os.path.dirname(identities.__file__) + os.sep
+    reached = {"lhs": set(), "rhs": set()}
+    stack = []  # (frame, side) of each root frame entered
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call":
+            if code in sides:
+                stack.append((frame, sides[code]))
+            elif (stack and code.co_filename.startswith(package)
+                  and not code.co_name.startswith("<")):
+                module = frame.f_globals["__name__"].rsplit(".", 1)[-1]
+                reached[stack[-1][1]].add(f"{module}.{code.co_name}")
+        elif event == "return" and stack and stack[-1][0] is frame:
+            stack.pop()
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_check(name, params)
+    finally:
+        sys.setprofile(previous)
+    return reached
+
+
+class TestIndependentSides:
+    # lemma-three-term has no lhs root: its two sides are one _closed call
+    # by design, its lhs the first of the four ratios
+    @pytest.mark.parametrize("name", [n for n in FIXED_POINTS if n != "lemma-three-term"])
+    def test_sides_share_only_declared_primitives(self, name):
+        reached = _reached_by_each_side(name, FIXED_POINTS[name])
+        assert reached["lhs"] and reached["rhs"]
+        assert reached["lhs"] & reached["rhs"] <= SHARED_BY_BOTH_SIDES
+
+
 # the only params fields that change neither side of their check, each with
 # its reason
 _LEMMA_XMU = ("the lemma reads no x or mu; the benchmark's fixed-point line "
@@ -1804,27 +1598,6 @@ class TestCheckTable:
         diag = report.rhs_diag if "generating" in name else report.lhs_diag
         assert type(diag["g1_digits_lost"]) is float
         assert diag["g1_digits_lost"] == pytest.approx(G1_DIGITS[name], abs=0.05)
-
-    def test_g1_digits_lost_reports_a_cancelling_g1(self):
-        # a b z = q^-1 at b = 50: (a b z y;q)_inf, so G, vanishes at y = 1.
-        # Near it the division by G(1) costs 10 digits, which k_digits_lost
-        # does not see, and the check fails by rounding noise that those
-        # digits explain: its rel_err is within 10^g1_digits_lost eps
-        near = {**FIXED_POINTS["fractional-generating"], "b": 50.0000001}
-        report = run_check("fractional-generating", near)
-        assert not report.passed and report.rel_err > report.tolerance
-        assert report.rel_err <= 10 ** report.rhs_diag["g1_digits_lost"] * EPS
-        assert report.rhs_diag["k_digits_lost"] == pytest.approx(2.36, abs=0.05)
-        assert report.rhs_diag["g1_digits_lost"] == pytest.approx(10.27, abs=0.05)
-        # at b = 50 G(1) is 0: the check is a domain error, and the k-sum
-        # of its rhs reports every digit lost
-        p = GeneratingParams(**{**near, "b": 50.0})
-        with pytest.raises(DomainError, match=r"a\*b\*z=2 = q\^-1"):
-            run_check("fractional-generating", vars(p))
-        diag = {}
-        ksum(p.x, p.a, p.mu, [p.a * p.s, p.a * p.z, p.a * p.u],
-             [p.a * p.b * p.z, p.a * p.t, p.a * p.r * p.u], QContext(p.q), diag=diag)
-        assert diag["g1_digits_lost"] == identities._ALL_DIGITS
 
     @pytest.mark.parametrize("name", sorted(FIXED_POINTS))
     def test_fractional_prefactor_is_formed_once_a_check(self, monkeypatch, name):

@@ -1,17 +1,21 @@
-"""Unit tests for the operator layer: q-integrals, D_c, the Cauchy operator."""
+"""Unit tests for the operator layer: q-integrals, the outer k-sum, D_c, the Cauchy
+operator."""
 
+import gc
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaw import qcore, qops
-from qaw.context import DomainError, NonConvergence, QContext
-from qaw.identities import GeneratingParams, _generating_integrand
+from qaw import identities, qcore, qops
+from qaw.context import DomainError, KSumDivergence, NonConvergence, QContext
+from qaw.identities import (AWParams, GeneratingParams, _generating_integrand, run_check,
+                            run_suite)
 from qaw.quad import integrate_line_even_window, integrate_theta
 from qaw.qcore import (
     CONSECUTIVE_SMALL,
@@ -29,10 +33,14 @@ from qaw.qops import (
     difference_eq_residual,
     fractional_q_integral,
     jackson_q_integral,
+    ksum,
     q_difference,
 )
 
 import mp_oracle
+from test_identities import (AW_POINT, DIVERGENT_GAUSSIAN, EPS, FIXED_POINTS, SLOW_KSUM_GAUSSIAN,
+                             _aw_ksum_params, _gaussian_ksum_params, _ksum_against_oracle,
+                             _with_base)
 
 
 @pytest.fixture
@@ -709,3 +717,328 @@ class TestClosedFormsAtTheEdge:
         got = fractional_q_integral(lambda t: t**p, x, 0.0, mu, QContext(q=q))
         want = mp_oracle.fractional_power(x, mu, p, q)
         assert abs(got - want) <= 1e-11 * abs(want)
+
+
+# a criterion-style random draw with x near the top of [0.45, 0.8]
+AW_EDGE_POINT = dict(q=0.681, a=0.202, b=0.071, c=0.106, d=-0.268, x=0.692, mu=1.90)
+
+
+def _aw_pair_params(theta, q, a, b, c, d, x, mu):
+    """The Askey-Wilson check's own k-sum parameters at the angles theta,
+    its node pair a e^{+-i theta} one ``qops._Pair`` entry."""
+    p = AWParams(q=q, a=a, b=b, c=c, d=d, x=x, mu=mu)
+    return identities._aw_series(np.asarray(theta), p)
+
+
+class TestKSumOracle:
+    # x/a = 2.33, 2.82 (1.41 times a power of 2, midway between two on a
+    # log scale) and 1.001, where 1 / (a/x;q)_inf bounds the weights
+    # w_m / s^m near 1000
+    @pytest.mark.parametrize("a, x, numer", [
+        (0.15, 0.35, [0.1, 0.05, 0.08]),
+        (0.2, 0.564, [0.05, 0.03, 0.04]),
+        (0.3, 0.3003, [0.12, 0.05, 0.08])], ids=["x/a=2.33", "x/a=2.82", "x/a=1.001"])
+    def test_against_multiprecision_oracle(self, a, x, numer):
+        """The stable Taylor-kernel route versus the direct multiprecision sum."""
+        # small numerator parameters keep the outer terms decaying fast
+        # (ratio x max|numerator| / a at most 0.233), so the oracle's k range
+        # stays short enough for quadratically growing working precision
+        q, mu = 0.5, 1.5
+        denom = [0.25, 0.12, 0.18]
+        got = ksum(x, a, mu, numer, denom, QContext(q=q))
+        want = mp_oracle.direct_ksum(x, a, mu, q, numer, denom)
+        assert abs(got - want) < 1e-12 * abs(want)
+
+    def test_degenerate_collapse(self):
+        # with no series parameters only the k=0 term survives: the bare
+        # k-series starts at c_0 = 1
+        assert ksum(0.6, 0.2, 1.5, [], [], QContext(q=0.5)) == 1.0
+
+
+class TestBatchedKSum:
+    def test_batched_equals_per_node_calls(self):
+        ctx = QContext(q=AW_POINT["q"])
+        p = AW_POINT
+        theta = np.linspace(0.01, math.pi - 0.01, 33)
+        numer, denom = _aw_ksum_params(theta, **p)
+        batched = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+        assert isinstance(batched, np.ndarray) and batched.shape == theta.shape
+        for i, th in enumerate(theta):
+            n1, d1 = _aw_ksum_params(float(th), **p)
+            single = ksum(p["x"], p["a"], p["mu"], n1, d1, ctx)
+            assert type(single) is complex
+            assert abs(batched[i] - single) <= 1e-13 * abs(single)
+
+    def test_complex_nodes_against_multiprecision_oracle(self):
+        # the node pair as two complex parameters, and as the check hands it
+        # over, one real factor: float64 values at real parameters
+        nodes = [0.0, 0.01, 0.7, 1.9, 3.1, math.pi - 1e-9]
+        _ksum_against_oracle(AW_POINT, nodes)
+        assert _ksum_against_oracle(AW_POINT, nodes, _aw_pair_params).dtype == np.float64
+
+    def test_complex_nodes_at_the_x_edge_against_multiprecision_oracle(self):
+        # x = 0.692: the outer terms fall slowly, and near theta = pi the
+        # swapped sum cancels most (sum |g_m w_m| ~ 300 |S G(1)| at 2.75);
+        # 2.75 and 3.1 are the nodes of the CHANGES.md FOUND line on it
+        nodes = [0.3, 1.5, 2.75, 3.1]
+        _ksum_against_oracle(AW_EDGE_POINT, nodes)
+        assert _ksum_against_oracle(AW_EDGE_POINT, nodes, _aw_pair_params).dtype == np.float64
+
+    def test_unsettled_sum_raises_with_partial(self):
+        # the numerator 0.5 puts the nearest pole of G at y = 2, so the terms
+        # grow like (x * 0.5 / a)^k = 1.5^k; node 0 (numerator 0.1) converges
+        # and the error reports the first unsettled node, node 1
+        ctx = QContext(q=0.5)
+        with pytest.raises(KSumDivergence) as exc:
+            ksum(0.6, 0.2, 1.5, [np.array([0.1, 0.5]), 0.05], [0.25, 0.12], ctx)
+        err = exc.value
+        assert type(err.k) is int and 64 < err.k <= 4096
+        assert err.term_magnitude > 1.0 and math.isfinite(err.term_magnitude)
+        assert type(err.partial) is complex and math.isfinite(abs(err.partial))
+        with pytest.raises(KSumDivergence) as single:
+            ksum(0.6, 0.2, 1.5, [0.5, 0.05], [0.25, 0.12], ctx)
+        assert (single.value.k, single.value.partial) == (err.k, err.partial)
+
+    def test_divergent_sum_stops_at_its_first_non_finite_step(self, monkeypatch):
+        # the k-sum of DIVERGENT_GAUSSIAN at the node 0, which its check's
+        # domain rule skips: the partial sums overflow past 2455 rows; the
+        # growth step there is at most 320 rows, so no row past 2455 + 320
+        # is formed
+        p = _with_base(DIVERGENT_GAUSSIAN)
+        numer, denom = _gaussian_ksum_params(0.0, **p)
+        formed = []
+        taylor_rows = qops._taylor_rows
+
+        def counting(g, start, stop, *rest):
+            formed.append(stop)
+            return taylor_rows(g, start, stop, *rest)
+
+        monkeypatch.setattr(qops, "_taylor_rows", counting)
+        with pytest.raises(KSumDivergence) as exc:
+            ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]))
+        assert exc.value.k == 2455 and 2455 < max(formed) <= 2455 + 320
+        assert str(exc.value).startswith("outer k-sum is not finite past 2455 Taylor coefficients")
+        assert str(exc.value).endswith("x*max|numerator|/a=1.33)")
+
+    # fractional-generating points inside the ratio rule whose k-sums take
+    # thousands of rows: scaled by the power of 2 nearest x/a, whose tilt
+    # f = x / (a s) is 1.389 and 0.739 here, their rows leave the double
+    # range ("not finite past 2158" and "past 2460 Taylor coefficients")
+    @pytest.mark.parametrize("p, rows", [
+        ({"q": 0.5, "a": 0.252, "x": 0.7, "mu": 1.5, "b": 0.3, "r": 0.4, "s": 1.4142,
+          "t": 0.2, "u": 0.1, "z": 0.1}, 3568),
+        ({"q": 0.1134, "a": 0.1286, "x": 0.3802, "mu": 0.9216, "b": -0.678, "r": -1.103,
+          "s": -2.596, "t": 1.742, "u": 0.5782, "z": 2.346}, 2496)])
+    def test_long_sum_keeps_its_rows_in_the_double_range(self, p, rows):
+        report = run_check("fractional-generating", p)
+        assert report.passed and report.rel_err < 1e-13
+        assert report.rhs_diag["k_terms"] == rows
+        # complex rows take the same tables, as complex
+        numer = identities._generating_numerator(GeneratingParams(**p))
+        denom = [p["a"] * p["b"] * p["z"], p["a"] * p["t"], p["a"] * p["r"] * p["u"]]
+        ctx = QContext(q=p["q"])
+        real = ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+        tilted = ksum(p["x"], p["a"], p["mu"], [numer[0] + 1e-300j, *numer[1:]], denom, ctx)
+        assert abs(tilted - real) < 1e-13 * abs(real)
+
+    @pytest.mark.parametrize("x, a, mu, q", [(0.7, 0.252, 1.5, 0.5),
+                                             (0.3802, 0.1286, 0.9216, 0.1134)])
+    def test_tables_keep_their_prefix_and_the_double_range(self, x, a, mu, q):
+        # the two long sums above (x/a = 2.778 and 2.956): a table's rows do
+        # not depend on its length, no table passes 2^501, and the weights
+        # and 1 / (1 - q^m) stay above 2^-501 (s^-m and q^(m-j) fall below
+        # the double range with the terms they scale)
+        short = qops._tables(x, a, mu, q, 3, 1024)
+        long = qops._tables(x, a, mu, q, 3, 4096)
+        for head, table in zip(short, long):
+            assert np.array_equal(np.broadcast_to(head, table[:1024].shape), table[:1024])
+            assert np.abs(table).max() <= 2.0**501
+        w, down, _, inv = long
+        assert np.abs(w).min() > 2.0**-501 and np.abs(inv).min() >= 2.0**-501
+
+    @pytest.mark.parametrize("x, a, mu", [
+        (0.6, 0.0, 1.5), (0.6, -0.2, 1.5), (math.nan, 0.2, 1.5), (0.6, math.nan, 1.5),
+        (0.0, 0.2, 1.5), (-0.6, 0.2, 1.5), (math.inf, 0.2, 1.5), (0.6, 5e-324, 1.5),
+        (5e-324, 0.6, 1.5), (0.6, 0.2, 0.0), (0.6, 0.2, -1.0), (0.6, 0.2, math.inf),
+        (0.6, 0.2, math.nan)])
+    def test_outside_its_scaling_raises_a_domain_error(self, x, a, mu):
+        # the rows are scaled by x/a: a zero, negative or NaN a or x, an x/a
+        # or a/x past the double range, or a mu not in (0, inf) has no scale
+        with pytest.raises(DomainError) as exc:
+            ksum(x, a, mu, [0.1], [0.25], QContext(q=0.5))
+        assert str(exc.value).endswith(f"got x={x}, a={a}, mu={mu}")
+
+    @pytest.mark.parametrize("x, a, mu, name, typename", [
+        (0.6 + 0j, 0.2, 1.5, "x", "complex"),
+        (0.6, 0.2 + 0j, 1.5, "a", "complex"),
+        (0.6, None, 1.5, "a", "NoneType"),
+        (0.6, 0.2, "1.5", "mu", "str")])
+    def test_an_argument_that_is_no_real_number_is_a_domain_error(self, x, a, mu, name,
+                                                                 typename):
+        # the scaling rule compares x, a and mu, which a complex or None
+        # would end in a bare TypeError
+        with pytest.raises(DomainError, match=f"^ksum: {name} must be a real number, "
+                                              f"got {typename}$"):
+            ksum(x, a, mu, [0.1], [0.2], QContext(q=0.5))
+
+    def test_short_sum_allocates_for_its_own_rows(self):
+        # 4096 rows at 129 nodes would take 8.4 MB per array
+        p = AW_POINT
+        numer, denom = _aw_ksum_params(np.linspace(0.0, math.pi, 129), **p)
+        ctx = QContext(q=p["q"])
+        ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+        tracemalloc.start()
+        try:
+            ksum(p["x"], p["a"], p["mu"], numer, denom, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_digits_lost_at_the_x_edge(self):
+        # at theta = 2.75 sum |g_m w_m| is about 314 |sum g_m w_m|
+        p = AW_EDGE_POINT
+        numer, denom = _aw_ksum_params(np.array([2.75]), **p)
+        diag = {}
+        ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
+        assert diag["k_digits_lost"] == pytest.approx(math.log10(314), abs=0.01)
+
+    def test_g1_digits_lost_reports_a_cancelling_g1(self):
+        # a b z = q^-1 at b = 50: (a b z y;q)_inf, so G, vanishes at y = 1.
+        # Near it the division by G(1) costs 10 digits, which k_digits_lost
+        # does not see, and the check fails by rounding noise that those
+        # digits explain: its rel_err is within 10^g1_digits_lost eps
+        near = {**FIXED_POINTS["fractional-generating"], "b": 50.0000001}
+        report = run_check("fractional-generating", near)
+        assert not report.passed and report.rel_err > report.tolerance
+        assert report.rel_err <= 10 ** report.rhs_diag["g1_digits_lost"] * EPS
+        assert report.rhs_diag["k_digits_lost"] == pytest.approx(2.36, abs=0.05)
+        assert report.rhs_diag["g1_digits_lost"] == pytest.approx(10.27, abs=0.05)
+        # at b = 50 G(1) is 0: the check is a domain error, and the k-sum
+        # of its rhs reports every digit lost
+        p = GeneratingParams(**{**near, "b": 50.0})
+        with pytest.raises(DomainError, match=r"a\*b\*z=2 = q\^-1"):
+            run_check("fractional-generating", vars(p))
+        diag = {}
+        ksum(p.x, p.a, p.mu, [p.a * p.s, p.a * p.z, p.a * p.u],
+             [p.a * p.b * p.z, p.a * p.t, p.a * p.r * p.u], QContext(p.q), diag=diag)
+        assert diag["g1_digits_lost"] == qops._ALL_DIGITS
+
+    def test_diag_holds_the_call_alone(self):
+        # the values replace what diag held; a digit count is at least 0
+        p = AW_EDGE_POINT
+        numer, denom = _aw_ksum_params(np.array([2.75]), **p)
+        fresh, held = {}, {"k_terms": 4096, "k_digits_lost": 15.0, "g1_digits_lost": 15.0}
+        for diag in (fresh, held):
+            ksum(p["x"], p["a"], p["mu"], numer, denom, QContext(q=p["q"]), diag=diag)
+        assert held == fresh and held["k_terms"] < 4096
+        assert min(held["k_digits_lost"], held["g1_digits_lost"]) >= 0.0
+
+    def test_distinct_q_retain_no_memory(self):
+        # a table kept per q would hold ~1.6 MB for each of the 200 bases
+        ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=0.5))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q in np.linspace(0.3, 0.7, 200).tolist():
+                ksum(0.6, 0.2, 1.5, [0.1, 0.05], [0.25, 0.12], QContext(q=q))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
+
+    def test_gaussian_family_divergence_is_reported(self):
+        # at this point the numerator ab/q = 0.249 puts a pole of G at
+        # y = 4.02, so the outer terms fall like (x * 0.249 / a)^k = 0.995^k,
+        # too slowly to settle within 4096 rows
+        with pytest.raises(KSumDivergence) as exc:
+            run_check("fractional-atakishiyev", SLOW_KSUM_GAUSSIAN)
+        err = exc.value
+        assert err.k == 4096 and 0.0 < err.term_magnitude < 1.0
+        # a convergent sum, told apart from a divergent one
+        assert str(err).endswith(
+            "x*max|numerator|/a=0.995: convergent, too slow for 4096 coefficients)")
+        assert isinstance(err.partial, complex) and math.isfinite(abs(err.partial))
+        entry = {"identity": "fractional-atakishiyev", "params": SLOW_KSUM_GAUSSIAN}
+        (oc,) = run_suite([entry])
+        assert oc.status == "diverged" and oc.reason.startswith("KSumDivergence")
+        # the report keeps what is needed to re-run the entry
+        assert oc.report is None and oc.params == entry["params"]
+
+
+def _criterion_07_draws():
+    """The ten parameter sets of acceptance criterion 07, in its order."""
+    rng = random.Random(107)
+    return [dict(q=rng.uniform(0.3, 0.7), a=rng.uniform(0.15, 0.3), b=rng.uniform(-0.3, 0.3),
+                 c=rng.uniform(-0.3, 0.3), d=rng.uniform(-0.3, 0.3), x=rng.uniform(0.45, 0.8),
+                 mu=[1.0, 1.5][i % 2]) for i in range(10)]
+
+
+class TestNodePair:
+    """The Askey-Wilson check hands ``ksum`` its node pair a e^{+-i theta}
+    as one entry, the real quadratic factor 1 - 2 Re(s u) y + |s u|^2 y^2:
+    at real parameters its rows and values are float64."""
+
+    def test_real_parameters_give_float_values(self):
+        p, ctx = AW_POINT, QContext(q=AW_POINT["q"])
+        theta = np.linspace(0.0, math.pi, 129)
+        got = ksum(p["x"], p["a"], p["mu"], *_aw_pair_params(theta, **p), ctx)
+        assert got.dtype == np.float64
+        # the pair as two complex parameters keeps complex rows
+        plain = ksum(p["x"], p["a"], p["mu"], *_aw_ksum_params(theta, **p), ctx)
+        assert plain.dtype == np.complex128
+        assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
+
+    def test_non_real_b_keeps_complex_rows(self):
+        p = {**AW_POINT, "b": 0.2 + 0.1j}
+        assert _ksum_against_oracle(p, [0.01, 1.9, 3.1], _aw_pair_params).dtype == np.complex128
+        name = "fractional-askey-wilson"
+        report = run_check(name, p)
+        assert report.passed and report.lhs.imag != 0.0
+        assert mp_oracle.rel_err(report.lhs, mp_oracle.closed_side(name, p)) < 5e-15
+
+    @pytest.mark.parametrize("name", ["askey-wilson", "fractional-askey-wilson",
+                                      "fractional-askey-wilson-3phi2"])
+    def test_lhs_is_real_to_the_bit(self, name):
+        # the plain row's weight takes one pair-log row per conjugate pair;
+        # the fractional rows add the k-sum's real node pair
+        pin = {"d": 0.0} if name.endswith("-3phi2") else {}
+        draws = [] if name == "askey-wilson" else _criterion_07_draws()
+        for p in [FIXED_POINTS[name]] + [{**p, **pin} for p in draws]:
+            report = run_check(name, p)
+            assert report.passed and report.lhs.imag == 0.0, p
+
+    def test_divergence_names_the_pair_modulus(self):
+        # |u| = 0.5 gives the ratio x |u| / a = 1.5 at every node
+        u = 0.5 * np.exp(1j * np.array([0.3, 1.2]))
+        with pytest.raises(KSumDivergence) as exc:
+            ksum(0.6, 0.2, 1.5, [qops._Pair(u)], [0.25], QContext(q=0.5))
+        assert str(exc.value).endswith("x*max|numerator|/a=1.5)")
+
+
+class TestRealTablesKeepNumpysBits:
+    """The k-sum kernel multiplies its complex rows by float64 tables
+    (``qops._tables``), which numpy casts to complex r + 0j at use,
+    and by 1/d + 0j where the plain form divides by d.  Both agree bit for
+    bit with the complex forms on finite arrays of wide magnitudes; if a
+    numpy release rounds either otherwise, the kernel's values move with
+    it."""
+
+    @staticmethod
+    def _arrays(seed):
+        rng = np.random.default_rng(seed)
+        shape = (97, 129)
+        z = 10.0 ** rng.uniform(-100, 100, shape) * np.exp(2j * math.pi * rng.random(shape))
+        real = rng.choice([-1.0, 1.0], 97) * 10.0 ** rng.uniform(-100, 100, 97)
+        return z, real[:, None]
+
+    def test_times_a_real_table(self):
+        z, r = self._arrays(1)
+        assert np.array_equal((z * r).view(np.uint64), (z * r.astype(complex)).view(np.uint64))
+
+    def test_over_a_real_table(self):
+        z, d = self._arrays(2)
+        assert np.array_equal((z / d).view(np.uint64),
+                              (z * (1.0 / d).astype(complex)).view(np.uint64))

@@ -1,5 +1,6 @@
 """The benchmark tracer (benchmarks/tracing.py) against the package: every
-name it wraps exists, and a traced check counts its log products."""
+name it wraps exists, and a traced check counts its log products and its
+k-sums."""
 
 import importlib
 import importlib.util
@@ -8,13 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from qaw import identities
+from qaw import identities, qops
+from test_identities import FIXED_POINTS
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-
-# the fractional-generating fixed point of the benchmark workloads
-GENERATING_POINT = {"q": 0.5, "a": 0.2, "x": 0.6, "mu": 1.5, "b": 0.3, "s": 0.25,
-                    "t": 0.15, "z": 0.2, "r": 0.4, "u": 0.1}
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +40,34 @@ def test_generating_log_products_are_counted(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = identities.run_check("fractional-generating", GENERATING_POINT)
+        report = identities.run_check("fractional-generating",
+                                     FIXED_POINTS["fractional-generating"])
     finally:
         tracer.uninstall()
     assert report.passed
     assert tracer.layer_metrics(1)["qcore.q_pochhammer_infinite_log.calls"] > 0
     assert identities.IDENTITY_REGISTRY["fractional-generating"][1] is check
+
+
+@pytest.mark.parametrize("name", ["fractional-askey-wilson", "fractional-generating"])
+def test_ksums_are_counted_through_the_identities_name(tracing, monkeypatch, name):
+    # the benchmark's identities.ksum.* metrics count the kernel through its
+    # name in qaw.identities, which benchmarks/tracing.py lists and which is
+    # the same object as qaw.qops.ksum; the qops binding is made unusable
+    # here, so a check whose k-sums bypass the identities name fails
+    assert identities.ksum is qops.ksum
+
+    def bypass(*args, **kwargs):
+        raise AssertionError("a check called qaw.qops.ksum, past qaw.identities.ksum")
+
+    monkeypatch.setattr(qops, "ksum", bypass)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = identities.run_check(name, FIXED_POINTS[name])
+    finally:
+        tracer.uninstall()
+    assert report.passed
+    metrics = tracer.layer_metrics(1)
+    assert metrics["identities.ksum.calls"] > 0
+    assert metrics["identities.ksum.k_terms"] > 0
